@@ -4,8 +4,8 @@ When many states carry identical (label, weight) edges into a target,
 the shared bundle moves onto a hub reached by a weight-one fallback
 edge: reading a symbol with no direct edge follows the fallback without
 consuming anything.  The engine subtracts the shadowed mass (direct
-edges override the hub) with signed log-domain arithmetic, so play on
-the compressed machine matches play on the plain one exactly.
+edges override the hub) through negative-weight correction edges, so
+play on the compressed machine matches play on the plain one exactly.
 """
 
 import numpy as np

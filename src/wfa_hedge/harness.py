@@ -27,7 +27,7 @@ from .phi import PhiWfa, phi_convert
 from .sleeping import (awake_distribution, awake_init, awake_step,
                        sleeping_regret, vertex_comparators)
 from .textio import read_automaton
-from .wfa import Wfa, count_accepting_paths, enumerate_support, intersect
+from .wfa import Wfa, count_accepting_paths, intersect, leveled_best_path
 
 __all__ = [
     "ExperimentConfig",
@@ -401,9 +401,17 @@ def _best_point_mass(state):
 
 
 def _uniform_weights(machine: Wfa) -> bool:
-    support = enumerate_support(machine, 100_000)
-    ws = [w for _, w in support]
-    return max(ws) - min(ws) < 1e-12
+    """Whether every accepting path has the same weight: the lightest
+    and the heaviest path log-weights agree."""
+    def score(t, level):
+        return math.log(t.weight)
+
+    def final_score(q):
+        return math.log(machine.final_weight(q))
+
+    lo, _ = leveled_best_path(machine, score, final_score, maximize=False)
+    hi, _ = leveled_best_path(machine, score, final_score, maximize=True)
+    return hi - lo < 1e-12
 
 
 def report_to_json(report: dict) -> str:

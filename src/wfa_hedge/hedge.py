@@ -2,36 +2,43 @@
 
 The engine maintains, implicitly, an exponentially reweighted
 distribution over all length-T expert sequences accepted by a competitor
-automaton.  The machine is prepared once (intersect with the length-T
-acceptor, raise weights to the learning-rate power, weight-push,
-backward distances); each round then multiplies the current level's edge
-weights by exp(-eta * loss) and advances the forward weights, so the
-total work over T rounds is linear in the transition count.
+automaton.  :func:`hedge_init` intersects the competitor with the
+length-T acceptor and compiles the result once into level-sorted edge
+arrays (:class:`CompiledMachine`).  Level t holds the consuming edges
+leaving its states, which read symbol t + 1, and the failure (phi)
+edges among its states, grouped by chain depth.  Each shadowed continuation of a phi chain
+becomes one extra consuming edge with a negative weight, so plain and
+phi machines run the same sweeps.
+
+Every pass is a per-level ``np.bincount`` sweep in float64: the
+backward sweep once at preparation, then per round the readout of p_t,
+the loss application and the forward advance, each touching one level.
+The forward vector alpha and the backward vector beta have one entry
+per state; each level's slice is rescaled to maximum 1 and its log
+scale accumulated (the scaled forward-backward of Rabiner 1989), so the
+sweeps neither under- nor overflow at any horizon.  The backward sweeps at
+powers 1 and eta yield log Z and log Z_eta.
 
 Per-round distributions: p_t[a] is the posterior marginal of the t-th
-symbol given losses 1..t-1.  Forward weights, backward weights and label
-flows are kept as :class:`SignedLog` values; the sign carries the
-cancellation of shadowed paths when the machine has failure transitions.
+symbol given losses 1..t-1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import phi as phimod
 from .builders import length_automaton
-from .phi import (PHI, PhiWfa, phi_backward_distances, phi_intersect,
-                  power_weights_phi, shadowed_continuation, weight_push_phi)
-from .signedlog import NEG_INF, SignedLog, log_sum
-from .wfa import (Wfa, backward_distances, count_accepting_paths, intersect,
-                  leveled_best_path, power_weights, state_levels, weight_push)
+from .phi import PHI, PhiWfa, phi_expand, phi_intersect, shadowed_continuation
+from .wfa import Wfa, count_accepting_paths, intersect, leveled_best_path
 
 __all__ = [
     "HedgeState",
+    "CompiledMachine",
     "hedge_init",
     "hedge_step",
     "sample",
@@ -43,6 +50,7 @@ __all__ = [
     "renyi_entropy_machine",
     "tune_eta_fixed",
     "tune_eta_renyi",
+    "log_sum",
     "log_power_sum",
     "path_distribution",
     "RegretReport",
@@ -51,252 +59,319 @@ __all__ = [
 
 ETA_FLOOR = 1e-6
 ETA_CAP = 10.0
+NEG_INF = float("-inf")
 
 Machine = Union[Wfa, PhiWfa]
 
 
-# -- preparation ---------------------------------------------------------------
+def log_sum(logs) -> float:
+    """Stable log(sum(exp(l) for l in logs)) over plain (positive) logs."""
+    m = NEG_INF
+    for l in logs:
+        if l > m:
+            m = l
+    if m == NEG_INF:
+        return NEG_INF
+    return m + math.log(sum(math.exp(l - m) for l in logs))
 
 
-def _phi_state_levels(machine: PhiWfa) -> list[Optional[int]]:
-    """Consumed-symbol depth per state; phi moves stay within a level."""
-    order = phimod._combined_topological_order(machine)
-    levels: list[Optional[int]] = [None] * machine.num_states
-    levels[machine.initial] = 0
-    for q in order:
-        if levels[q] is None:
-            continue
-        for t in machine.arcs(q).values():
-            tgt = levels[q] + 1
-            if levels[t.dst] is None:
-                levels[t.dst] = tgt
-            elif levels[t.dst] != tgt:
-                raise ValueError("machine is not leveled")
-        for t in machine.phi_arcs(q):
-            if levels[t.dst] is None:
-                levels[t.dst] = levels[q]
-            elif levels[t.dst] != levels[q]:
-                raise ValueError("machine is not leveled")
-    return levels
+# -- the compiled machine --------------------------------------------------------
 
 
-@dataclass
-class _Level:
-    """Edges processed in one round: consuming edges leaving this level
-    plus the phi edges inside it, in chain-topological order."""
-    consuming: list[int]            # indices into machine.transitions
-    phi: list[int]                  # same, topologically sorted
-    shadows: dict[int, tuple[float, int]]  # consuming edge -> (chain log w, shadowed edge)
+@dataclass(frozen=True)
+class Level:
+    """The consuming edges leaving one level, as indices into
+    ``machine.transitions``."""
+    consuming: np.ndarray
 
 
-def _phi_depth_into(machine: Machine) -> list[int]:
-    """Longest phi-path length into each state.  Sorting a level's phi
-    edges by the source's depth makes hub mass available only after its
-    parents have pushed theirs."""
-    depth = [0] * machine.num_states
-    if not isinstance(machine, PhiWfa):
-        return depth
-    phi_edges = [t for t in machine.transitions if t.label == PHI]
-    for _ in range(machine.num_states + 1):
-        changed = False
-        for t in phi_edges:
-            if depth[t.dst] < depth[t.src] + 1:
-                depth[t.dst] = depth[t.src] + 1
-                changed = True
-        if not changed:
-            break
-    return depth
+class CompiledMachine:
+    """A length-T intersection as level-sorted edge arrays.
+
+    States are renumbered so that level t occupies ids
+    ``state_off[t]:state_off[t+1]``.  The consuming edges leaving level t
+    occupy ``edge_off[t]:edge_off[t+1]``: first the machine's own
+    (ending at ``real_end[t]``), then one correction edge per shadowed
+    phi continuation.  Edge e has global ids ``src``/``dst``, expert id
+    ``label`` and weight ``coef[e] * exp(log_w[tid[e]])``, where log_w
+    is indexed like ``machine.transitions``: a correction edge reuses the
+    log-weight of the edge it shadows, so a loss charged to that label
+    reaches both, and carries coef = -(phi chain weight).  Phi edges are
+    sorted by level and by the chain depth of their source; each run of
+    equal (level, depth) is one group, ``group_bounds[g]:group_bounds[g+1]``
+    in the phi arrays, and level t owns groups ``group_off[t]:group_off[t+1]``.
+    All weights here are raw; :meth:`backward` raises them to a power.
+    """
+
+    def __init__(self, machine: Machine, horizon: int, sym_index: dict[str, int]):
+        trs = machine.transitions
+        n_e, n_s = len(trs), machine.num_states
+        # Intersection states are (competitor state, length-acceptor
+        # state, ...) tuples, and the length-acceptor state is the level.
+        level = np.fromiter((name[1] for name in machine.state_names), np.intp, n_s)
+        order = np.argsort(level, kind="stable")
+        renum = np.empty(n_s, np.intp)
+        renum[order] = np.arange(n_s)
+        level = level[order]  # by new id
+        self.horizon = horizon
+        self.num_states = n_s
+        self.initial = int(renum[machine.initial])
+        self.state_off = np.searchsorted(level, np.arange(horizon + 2))
+
+        src = renum[np.fromiter((t.src for t in trs), np.intp, n_e)]
+        dst = renum[np.fromiter((t.dst for t in trs), np.intp, n_e)]
+        label = np.fromiter((sym_index.get(t.label, -1) for t in trs), np.intp, n_e)
+        with np.errstate(divide="ignore"):
+            self.log_w = np.log(np.fromiter((t.weight for t in trs), float, n_e))
+        self.final = np.zeros(n_s)
+        for q, w in machine.finals.items():
+            self.final[renum[q]] = w
+
+        # Consuming edges, then the shadow corrections of phi machines:
+        # rows (correcting edge, shadowed edge, phi chain weight).
+        shadow = []
+        if isinstance(machine, PhiWfa) and machine.has_phi():
+            at = {(t.src, t.label): i for i, t in enumerate(trs) if t.label != PHI}
+            for i, t in enumerate(trs):
+                if t.label != PHI and machine.phi_arc(t.src) is not None:
+                    sc = shadowed_continuation(machine, t.src, t.label)
+                    if sc is not None:
+                        shadow.append((i, at[(sc[1].src, sc[1].label)], sc[0]))
+        shadow = np.array(shadow, dtype=float).reshape(-1, 3)
+        own, shadowed = shadow[:, 0].astype(np.intp), shadow[:, 1].astype(np.intp)
+        real = np.flatnonzero(label >= 0)
+        self.src = src[np.concatenate([real, own])]
+        self.dst = dst[np.concatenate([real, shadowed])]
+        tid = np.concatenate([real, shadowed])
+        coef = np.concatenate([np.ones(len(real)), -shadow[:, 2]])
+        key = 2 * level[self.src] + np.repeat([0, 1], [len(real), len(own)])
+        by_level = np.argsort(key, kind="stable")
+        self.src, self.dst = self.src[by_level], self.dst[by_level]
+        self.tid, self.coef = tid[by_level], coef[by_level]
+        self.label = label[self.tid]
+        key = key[by_level]
+        self.edge_off = np.searchsorted(key, 2 * np.arange(horizon + 2))
+        self.real_end = np.searchsorted(key, 2 * np.arange(horizon + 1) + 1)
+
+        # Phi edges by (level, longest phi path into the source): a
+        # group only reads states whose phi inflow is complete.
+        pid = np.flatnonzero(label < 0)
+        depth = np.zeros(n_s, np.intp)
+        while len(pid):
+            deeper = depth.copy()
+            np.maximum.at(deeper, dst[pid], depth[src[pid]] + 1)
+            if (deeper == depth).all():
+                break
+            depth = deeper
+        pkey = level[src[pid]] * (depth.max() + 1) + depth[src[pid]]
+        by_key = np.argsort(pkey, kind="stable")
+        self.ptid = pid[by_key]
+        self.psrc, self.pdst = src[self.ptid], dst[self.ptid]
+        starts = np.flatnonzero(np.diff(pkey[by_key], prepend=-1))
+        self.group_bounds = np.append(starts, len(pid))
+        self.group_off = np.searchsorted(level[self.psrc[starts]], np.arange(horizon + 2))
+
+    def levels(self) -> list[Level]:
+        return [Level(self.tid[self.edge_off[t]:self.real_end[t]])
+                for t in range(self.horizon + 1)]
+
+    def weights(self, log_w: np.ndarray, coef: np.ndarray, a: int, b: int) -> np.ndarray:
+        return coef[a:b] * np.exp(log_w[self.tid[a:b]])
+
+    def extend(self, t: int, alpha: np.ndarray, phi_w: np.ndarray) -> None:
+        """Push level t's forward weights along its phi edges, shallow
+        chain states first."""
+        lo, hi = self.state_off[t], self.state_off[t + 1]
+        for g in range(self.group_off[t], self.group_off[t + 1]):
+            a, b = self.group_bounds[g], self.group_bounds[g + 1]
+            alpha[lo:hi] += np.bincount(self.pdst[a:b] - lo, alpha[self.psrc[a:b]] * phi_w[a:b],
+                                        minlength=hi - lo)
+
+    def powered(self, power: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(log_w, coef, phi weights) with every weight raised to ``power``."""
+        log_w = power * self.log_w
+        coef = np.copysign(np.abs(self.coef) ** power, self.coef)
+        return log_w, coef, np.exp(log_w[self.ptid])
+
+    def backward(self, power: float) -> tuple[np.ndarray, float]:
+        """Scaled backward sweep with every weight raised to ``power``.
+
+        Returns beta, each level's slice rescaled to maximum 1, and the
+        log of the total path weight.  Final weights only sit at level T,
+        where the length acceptor ends.
+        """
+        log_w, coef, phi_w = self.powered(power)
+        beta = np.zeros(self.num_states)
+        log_scale = 0.0
+        so, eo, gb = self.state_off, self.edge_off, self.group_bounds
+        for t in range(self.horizon, -1, -1):
+            lo, hi = so[t], so[t + 1]
+            if t == self.horizon:
+                b = self.final[lo:hi] ** power
+            else:
+                a, e = eo[t], eo[t + 1]
+                flow = self.weights(log_w, coef, a, e) * beta[self.dst[a:e]]
+                b = np.bincount(self.src[a:e] - lo, flow, minlength=hi - lo)
+                # A phi source inherits its target's consuming mass, so
+                # the deepest chain states settle first.
+                for g in range(self.group_off[t + 1] - 1, self.group_off[t] - 1, -1):
+                    ga, gz = gb[g], gb[g + 1]
+                    b += np.bincount(self.psrc[ga:gz] - lo, phi_w[ga:gz] * b[self.pdst[ga:gz] - lo],
+                                     minlength=hi - lo)
+            m = np.abs(b).max()
+            if m > 0:
+                b /= m
+                log_scale += math.log(m)
+            beta[lo:hi] = b
+        z = beta[self.initial]
+        return beta, (log_scale + math.log(z) if z > 0 else NEG_INF)
+
+
+# -- the online state ------------------------------------------------------------
 
 
 class HedgeState:
-    """Mutable per-experiment state.  Single-writer: rounds are sequential."""
+    """Mutable per-experiment state.  Single-writer: rounds are sequential.
 
-    def __init__(self, machine: Machine, competitor: Wfa, horizon: int, eta: float):
+    ``machine`` is the competitor intersected with the length-T acceptor;
+    ``log_w`` holds its eta-powered transition log-weights, indexed like
+    ``machine.transitions``, with the losses charged so far.  ``alpha``
+    and ``beta`` are indexed by the state ids of ``compiled``.
+    """
+
+    def __init__(self, machine: Machine, horizon: int, eta: float):
         self.machine = machine
-        self.competitor = competitor  # C intersected with the length acceptor
         self.T = horizon
         self.eta = eta
-        self.is_phi = isinstance(machine, PhiWfa) and machine.has_phi()
         self.rounds_done = 0
-        self.num_experts = len(machine.alphabet)
         self.alphabet = machine.alphabet
+        self.num_experts = len(machine.alphabet)
         self.sym_index = {a: i for i, a in enumerate(machine.alphabet)}
 
-        self.K = count_accepting_paths(competitor)
-        self.log_Z = log_power_sum(competitor, 1.0)
-        self.log_Z_eta = log_power_sum(competitor, eta)
+        self.compiled = cm = CompiledMachine(machine, horizon, self.sym_index)
+        self.levels = cm.levels()
+        self.log_Z = cm.backward(1.0)[1]
+        self.beta, self.log_Z_eta = cm.backward(eta)
+        self.log_w, self._coef, self._phi_w = cm.powered(eta)
+        self.alpha = np.zeros(cm.num_states)
+        self.alpha[cm.initial] = 1.0
+        cm.extend(0, self.alpha, self._phi_w)
 
-        self.log_w = np.array([NEG_INF if t.weight == 0.0 else math.log(t.weight)
-                               for t in machine.transitions])
-        if self.is_phi:
-            levels = _phi_state_levels(machine)
-            beta_lin = phi_backward_distances(machine)
-        else:
-            levels = state_levels(machine)
-            beta_lin = backward_distances(machine)
-        self.level_of = levels
-        self.beta = {q: SignedLog.from_linear(beta_lin[q]) for q in range(machine.num_states)}
-        self.levels = self._group_levels()
-
-        self.alpha = {machine.initial: SignedLog.one()}
         self.p_history: list[np.ndarray] = []
         self.loss_history: list[np.ndarray] = []
         self.expected_losses: list[float] = []
         self.touched_per_round: list[int] = []
         self.work_per_round: list[int] = []
         self.cumulative_loss = 0.0
+        self.p_current = self._readout(0)
+        self.p_history.append(self.p_current)
 
-        p1, touched = self._readout(0)
-        self.p_current = p1
-        self.p_history.append(p1)
-        self._pending_touched = touched
+    @cached_property
+    def competitor(self) -> Wfa:
+        """The played sequences as a plain machine (phi chains expanded),
+        built when the regret accounting first needs it."""
+        return phi_expand(self.machine) if isinstance(self.machine, PhiWfa) else self.machine
 
-    # -- machine structure --
+    @cached_property
+    def K(self) -> int:
+        return count_accepting_paths(self.competitor)
 
-    def _group_levels(self) -> list[_Level]:
-        m = self.machine
-        per: list[_Level] = [_Level([], [], {}) for _ in range(self.T + 1)]
-        for i, t in enumerate(m.transitions):
-            lv = self.level_of[t.src]
-            if lv is None:
-                continue
-            if t.label == PHI:
-                per[lv].phi.append(i)
-            else:
-                per[lv].consuming.append(i)
-        depth_into = _phi_depth_into(m)
-        for lv in per:
-            lv.phi.sort(key=lambda i: depth_into[m.transitions[i].src])
-        if self.is_phi:
-            edge_at = {}
-            for i, t in enumerate(m.transitions):
-                if t.label != PHI:
-                    edge_at[(t.src, t.label)] = i
-            for lv in per:
-                for i in lv.consuming:
-                    t = m.transitions[i]
-                    sc = shadowed_continuation(m, t.src, t.label)
-                    if sc is not None:
-                        w_chain, edge = sc
-                        lv.shadows[i] = (math.log(w_chain) if w_chain > 0 else NEG_INF,
-                                         edge_at[(edge.src, edge.label)])
-        return per
+    # -- per-level sweeps --
 
-    # -- passes --
+    def _flows(self, t: int) -> np.ndarray:
+        """Per-label path mass alpha * w * beta over level t's consuming
+        edges, in level t's scale."""
+        cm = self.compiled
+        a, b = cm.edge_off[t], cm.edge_off[t + 1]
+        mass = (self.alpha[cm.src[a:b]] * cm.weights(self.log_w, self._coef, a, b)
+                * self.beta[cm.dst[a:b]])
+        return np.bincount(cm.label[a:b], mass, minlength=self.num_experts)
 
-    def _extend_alpha(self, level: int, alpha: dict[int, SignedLog]) -> tuple[dict[int, SignedLog], int]:
-        """Propagate forward weights across the level's phi edges."""
-        m = self.machine
-        ext = dict(alpha)
-        steps = 0
-        for i in self.levels[level].phi:
-            t = m.transitions[i]
-            steps += 1
-            src = ext.get(t.src)
-            if src is None or src.is_zero():
-                continue
-            add = src.scaled(self.log_w[i])
-            ext[t.dst] = ext.get(t.dst, SignedLog.zero()) + add
-        return ext, steps
-
-    def _flows(self, level: int) -> tuple[list[SignedLog], int]:
-        """Per-label flows alpha * w * beta over this level's consuming edges."""
-        m = self.machine
-        ext, steps = self._extend_alpha(level, self.alpha)
-        flows = [SignedLog.zero() for _ in self.alphabet]
-        lv = self.levels[level]
-        touched = steps
-        for i in lv.consuming:
-            t = m.transitions[i]
-            touched += 1
-            a = ext.get(t.src)
-            if a is None or a.is_zero():
-                continue
-            j = self.sym_index[t.label]
-            flows[j] = flows[j] + a.scaled(self.log_w[i]) * self.beta[t.dst]
-            shadow = lv.shadows.get(i)
-            if shadow is not None:
-                touched += 1
-                w_chain_log, sidx = shadow
-                st = m.transitions[sidx]
-                corr = a.scaled(w_chain_log + self.log_w[sidx]) * self.beta[st.dst]
-                flows[j] = flows[j] - corr
-        return flows, touched
-
-    def _readout(self, level: int) -> tuple[np.ndarray, int]:
-        flows, touched = self._flows(level)
-        # Normalize in log domain before leaving it.
-        logs = np.array([f.log if f.sign > 0 else NEG_INF for f in flows])
-        if np.all(logs == NEG_INF):
+    def _readout(self, t: int) -> np.ndarray:
+        flows = np.maximum(self._flows(t), 0.0)
+        total = flows.sum()
+        if not total > 0:
             raise ValueError("no probability mass left at this level")
-        mx = logs.max()
-        p = np.exp(logs - mx)
-        p /= p.sum()
-        return p, touched
+        # Edges visited by one pass over the level: phi edges, consuming
+        # edges, and the corrections whose source carries mass.
+        cm = self.compiled
+        touched = (cm.real_end[t] - cm.edge_off[t]
+                   + cm.group_bounds[cm.group_off[t + 1]] - cm.group_bounds[cm.group_off[t]]
+                   + np.count_nonzero(self.alpha[cm.src[cm.real_end[t]:cm.edge_off[t + 1]]]))
+        self._touched = int(touched)
+        return flows / total
 
-    def _apply_loss(self, level: int, loss: np.ndarray) -> None:
-        m = self.machine
-        for i in self.levels[level].consuming:
-            t = m.transitions[i]
-            self.log_w[i] += -self.eta * loss[self.sym_index[t.label]]
+    def _reweight(self, t: int, delta: np.ndarray) -> None:
+        """Add ``delta[label]`` to the log-weight of level t's edges."""
+        cm = self.compiled
+        a, b = cm.edge_off[t], cm.real_end[t]
+        self.log_w[cm.tid[a:b]] += delta[cm.label[a:b]]
 
-    def _advance_alpha(self, level: int) -> int:
-        """Push alpha one level forward under the current edge weights."""
-        m = self.machine
-        lv = self.levels[level]
-        ext, steps = self._extend_alpha(level, self.alpha)
-        work = steps
-        nxt: dict[int, SignedLog] = {}
-        for i in lv.consuming:
-            t = m.transitions[i]
-            work += 1
-            a = ext.get(t.src)
-            if a is None or a.is_zero():
-                continue
-            nxt[t.dst] = nxt.get(t.dst, SignedLog.zero()) + a.scaled(self.log_w[i])
-            shadow = lv.shadows.get(i)
-            if shadow is not None:
-                work += 1
-                w_chain_log, sidx = shadow
-                st = m.transitions[sidx]
-                corr = a.scaled(w_chain_log + self.log_w[sidx])
-                nxt[st.dst] = nxt.get(st.dst, SignedLog.zero()) - corr
-        self.alpha = nxt
-        return work
+    def _advance(self) -> Optional[np.ndarray]:
+        """Push alpha across the current level, then read out the next
+        distribution (None after the last round)."""
+        cm, t = self.compiled, self.rounds_done
+        a, b = cm.edge_off[t], cm.edge_off[t + 1]
+        lo, hi = cm.state_off[t + 1], cm.state_off[t + 2]
+        mass = self.alpha[cm.src[a:b]] * cm.weights(self.log_w, self._coef, a, b)
+        nxt = np.bincount(cm.dst[a:b] - lo, mass, minlength=hi - lo)
+        self.alpha[lo:hi] = nxt
+        cm.extend(t + 1, self.alpha, self._phi_w)
+        peak = np.abs(self.alpha[lo:hi]).max()
+        if peak > 0:
+            self.alpha[lo:hi] /= peak
+        self.rounds_done += 1
+        # The readout and the advance each pass the level once.
+        self.touched_per_round.append(self._touched)
+        self.work_per_round.append(2 * self._touched)
+        if self.rounds_done < self.T:
+            self.p_current = self._readout(self.rounds_done)
+            self.p_history.append(self.p_current)
+        else:
+            self.p_current = None
+        return self.p_current
+
+
+def _intersect_horizon(competitor: Machine, horizon: int, eta: float) -> Machine:
+    """The competitor intersected with the length-``horizon`` acceptor."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    if eta <= 0:
+        raise ValueError("learning rate must be positive")
+    s_t = length_automaton(len(competitor.alphabet), horizon, alphabet=competitor.alphabet)
+    if isinstance(competitor, PhiWfa) and competitor.has_phi():
+        inter = phi_intersect(competitor, s_t)
+        if any(len(inter.phi_arcs(q)) > 1 for q in range(inter.num_states)):
+            raise ValueError("engine requires chain-style phi machines")
+    else:
+        if isinstance(competitor, PhiWfa):
+            competitor = competitor.to_wfa()
+        inter = intersect(competitor, s_t)
+    if not inter.finals:
+        raise ValueError("no competitor sequence of this length")
+    return inter
 
 
 def hedge_init(competitor: Machine, horizon: int, eta: float) -> HedgeState:
     """Prepare the online state for a competitor automaton.
 
-    Intersects with the length-``horizon`` acceptor, raises weights to
-    the ``eta`` power, weight-pushes, and computes backward distances.
-    The first distribution can be read off the initial state's outgoing
-    transitions of the pushed machine.
+    Intersects with the length-``horizon`` acceptor and compiles the
+    result into level-sorted arrays; one scaled backward sweep at the
+    ``eta`` power gives the backward weights, from which the first
+    distribution is read off level 0.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if eta <= 0:
-        raise ValueError("learning rate must be positive")
-    n = len(competitor.alphabet)
-    s_t = length_automaton(n, horizon, alphabet=competitor.alphabet)
-    if isinstance(competitor, PhiWfa) and competitor.has_phi():
-        inter = phi_intersect(competitor, s_t)
-        if not inter.finals:
-            raise ValueError("no competitor sequence of this length")
-        for q in range(inter.num_states):
-            if len(inter.phi_arcs(q)) > 1:
-                raise ValueError("engine requires chain-style phi machines")
-        pushed = weight_push_phi(power_weights_phi(inter, eta))
-        plain_inter = phimod.phi_expand(inter)
-    else:
-        if isinstance(competitor, PhiWfa):
-            competitor = competitor.to_wfa()
-        inter = intersect(competitor, s_t)
-        if not inter.finals:
-            raise ValueError("no competitor sequence of this length")
-        pushed = weight_push(power_weights(inter, eta))
-        plain_inter = inter
-    return HedgeState(pushed, plain_inter, horizon, eta)
+    return HedgeState(_intersect_horizon(competitor, horizon, eta), horizon, eta)
+
+
+def _check_loss(state: HedgeState, loss: Sequence[float]) -> np.ndarray:
+    if state.rounds_done >= state.T:
+        raise ValueError("stepping past the horizon")
+    loss = np.asarray(loss, dtype=float)
+    if loss.shape != (state.num_experts,):
+        raise ValueError("loss vector has wrong length")
+    if (loss < 0).any() or (loss > 1).any():
+        raise ValueError("losses must lie in [0, 1]")
+    return loss
 
 
 def hedge_step(state: HedgeState, loss: Sequence[float]) -> Optional[np.ndarray]:
@@ -305,34 +380,13 @@ def hedge_step(state: HedgeState, loss: Sequence[float]) -> Optional[np.ndarray]
     The final round (t == T) only settles the bookkeeping and returns
     None, as there is no position T+1 to predict.
     """
-    t = state.rounds_done
-    if t >= state.T:
-        raise ValueError("stepping past the horizon")
-    loss = np.asarray(loss, dtype=float)
-    if loss.shape != (state.num_experts,):
-        raise ValueError("loss vector has wrong length")
-    if (loss < 0).any() or (loss > 1).any():
-        raise ValueError("losses must lie in [0, 1]")
-
+    loss = _check_loss(state, loss)
     expected = float(state.p_current @ loss)
     state.expected_losses.append(expected)
     state.cumulative_loss += expected
     state.loss_history.append(loss.copy())
-
-    state._apply_loss(t, loss)
-    work = state._advance_alpha(t)
-    state.rounds_done += 1
-    if state.rounds_done < state.T:
-        p_next, touched = state._readout(state.rounds_done)
-        state.p_current = p_next
-        state.p_history.append(p_next)
-    else:
-        p_next, touched = None, 0
-        state.p_current = None
-    state.touched_per_round.append(state._pending_touched)
-    state.work_per_round.append(state._pending_touched + work)
-    state._pending_touched = touched
-    return p_next
+    state._reweight(state.rounds_done, -state.eta * loss)
+    return state._advance()
 
 
 def sample(p: np.ndarray, rng: np.random.Generator) -> int:
@@ -398,8 +452,13 @@ def best_competitor(competitor: Wfa, losses: Sequence[np.ndarray],
 
     _, seq = leveled_best_path(competitor, score, final_score, maximize=True)
     path_loss = sum(losses[i][sym[a]] for i, a in enumerate(seq))
-    from .wfa import evaluate
-    log_q = math.log(evaluate(competitor, seq)) - log_z
+    # Sum log-weights along the path: its linear weight can underflow.
+    q, log_w = competitor.initial, 0.0
+    for a in seq:
+        t = competitor.arcs(q)[a]
+        log_w += math.log(t.weight)
+        q = t.dst
+    log_q = log_w + math.log(competitor.final_weight(q)) - log_z
     return seq, float(path_loss), log_q
 
 

@@ -6,6 +6,12 @@ only awake-labeled edges are reweighted.  The update then rescales the
 awake edges so the total awake path mass is what it was before the
 exponential step, leaving asleep paths untouched: the engine cannot
 drift away from experts that have been asleep for a long time.
+
+The state is the compiled engine of :mod:`wfa_hedge.hedge`.  The round's
+per-label flows come from one ``np.bincount`` sweep over the level; the
+loss multiplies every edge of an awake label by the same factor, so the
+awake mass after the update, and with it the rescale, follows from those
+flows without a second sweep.
 """
 
 from __future__ import annotations
@@ -16,9 +22,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .hedge import HedgeState, hedge_init
+from .hedge import HedgeState, _check_loss, _intersect_horizon
 from .phi import PhiWfa
-from .signedlog import SignedLog
 from .wfa import Wfa, count_accepting_paths, evaluate
 
 __all__ = [
@@ -40,22 +45,18 @@ class ZeroAwakeMassError(ValueError):
 class AwakeState(HedgeState):
     """Hedge state plus the per-round awake bookkeeping."""
 
-    def __init__(self, machine, competitor, horizon, eta):
-        super().__init__(machine, competitor, horizon, eta)
+    def __init__(self, machine, horizon, eta):
+        super().__init__(machine, horizon, eta)
         self.awake_history: list[np.ndarray] = []
         self.p_awake_history: list[np.ndarray] = []
 
 
 def awake_init(competitor: Union[Wfa, PhiWfa], horizon: int, eta: float) -> AwakeState:
     """Same preparation as :func:`hedge_init`, for the sleeping protocol."""
-    base = hedge_init(competitor, horizon, eta)
-    if base.is_phi:
+    machine = _intersect_horizon(competitor, horizon, eta)
+    if isinstance(machine, PhiWfa) and machine.has_phi():
         raise ValueError("the sleeping engine runs on plain machines")
-    st = AwakeState.__new__(AwakeState)
-    st.__dict__.update(base.__dict__)
-    st.awake_history = []
-    st.p_awake_history = []
-    return st
+    return AwakeState(machine, horizon, eta)
 
 
 def _awake_mask(state: HedgeState, awake: Iterable) -> np.ndarray:
@@ -94,15 +95,8 @@ def awake_step(state: AwakeState, awake: Iterable, loss: Sequence[float]
     The loss must vanish on asleep experts.  Returns the next full
     distribution (None on the last round).
     """
-    t = state.rounds_done
-    if t >= state.T:
-        raise ValueError("stepping past the horizon")
+    loss = _check_loss(state, loss)
     mask = _awake_mask(state, awake)
-    loss = np.asarray(loss, dtype=float)
-    if loss.shape != (state.num_experts,):
-        raise ValueError("loss vector has wrong length")
-    if (loss < 0).any() or (loss > 1).any():
-        raise ValueError("losses must lie in [0, 1]")
     if (loss[~mask] != 0).any():
         raise ValueError("loss must vanish on asleep experts")
 
@@ -114,48 +108,18 @@ def awake_step(state: AwakeState, awake: Iterable, loss: Sequence[float]
     state.awake_history.append(mask.copy())
     state.p_awake_history.append(p_awake)
 
-    flows_before, _ = state._flows(t)
-    before = _mass(flows_before, mask)
-    if before.is_zero():
+    flows = state._flows(state.rounds_done)[mask]
+    before = flows.sum()
+    if not before > 0:
         raise ZeroAwakeMassError("awake set carries no path mass")
-
-    m = state.machine
-    for i in state.levels[t].consuming:
-        tr = m.transitions[i]
-        j = state.sym_index[tr.label]
-        if mask[j]:
-            state.log_w[i] += -state.eta * loss[j]
-    flows_after, _ = state._flows(t)
-    after = _mass(flows_after, mask)
-    if after.is_zero():
+    charged = -state.eta * loss[mask]
+    after = flows @ np.exp(charged)
+    if not after > 0:
         raise ZeroAwakeMassError("awake mass vanished under the update")
-    scale = before.log - after.log
-    for i in state.levels[t].consuming:
-        tr = m.transitions[i]
-        if mask[state.sym_index[tr.label]]:
-            state.log_w[i] += scale
-
-    work = state._advance_alpha(t)
-    state.rounds_done += 1
-    if state.rounds_done < state.T:
-        p_next, touched = state._readout(state.rounds_done)
-        state.p_current = p_next
-        state.p_history.append(p_next)
-    else:
-        p_next, touched = None, 0
-        state.p_current = None
-    state.touched_per_round.append(state._pending_touched)
-    state.work_per_round.append(state._pending_touched + work)
-    state._pending_touched = touched
-    return p_next
-
-
-def _mass(flows: list[SignedLog], mask: np.ndarray) -> SignedLog:
-    total = SignedLog.zero()
-    for j, f in enumerate(flows):
-        if mask[j]:
-            total = total + f
-    return total
+    delta = np.zeros(state.num_experts)
+    delta[mask] = charged + math.log(before / after)
+    state._reweight(state.rounds_done, delta)
+    return state._advance()
 
 
 # -- regret ---------------------------------------------------------------------

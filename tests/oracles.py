@@ -223,3 +223,32 @@ def random_leveled_wfa(rng, horizon, alphabet=("a", "b"), support_size=8,
     while len(seqs) < target:
         seqs.add(tuple(rng.choice(alphabet, horizon, p=bias)))
     return Wfa.from_sequences(sorted(seqs), alphabet=alphabet)
+
+
+def fixed_share_distributions(num_experts, shifts, horizon, eta, losses):
+    """Per-round p_t of exponential weights over the Fixed-Share bigram
+    (Herbster & Warmuth 1998) with every weight raised to ``eta``.
+
+    The powered transition matrix is (stay - shift) I + shift 11^T, so
+    one forward or backward step costs O(N); vectors are rescaled to a
+    maximum of 1 every step, which keeps any horizon in range.
+    """
+    n, k, t = num_experts, shifts, horizon
+    stay = (1.0 - k / (t - 1.0)) ** eta
+    shift = (k / ((t - 1.0) * (n - 1.0))) ** eta
+
+    def step(v):
+        v = (stay - shift) * v + shift * v.sum()
+        return v / v.max()
+
+    beta = [np.ones(n)]
+    for _ in range(t - 1):
+        beta.append(step(beta[-1]))
+    beta.reverse()
+    out = []
+    gamma = np.ones(n)  # the uniform first symbol
+    for s in range(t):
+        p = gamma * beta[s]
+        out.append(p / p.sum())
+        gamma = step(gamma * np.exp(-eta * np.asarray(losses[s])))
+    return np.array(out)

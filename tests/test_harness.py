@@ -133,6 +133,17 @@ def test_run_embeds_config_and_counters():
     assert rep["verdicts"]["unweighted_bound_ok"]
 
 
+def test_run_exact_machine_beyond_enumeration_range():
+    # 394,632 competitor sequences: the uniform-weight check reads the
+    # extreme path log-weights instead of listing every path
+    rep = run_experiment(cfg_with(
+        automaton={"builder": "kshift", "params": {"num_experts": 4, "shifts": 3}},
+        horizon=30, eta="fixed",
+        losses={"generator": "piecewise_stationary", "seed": 5}))
+    assert rep["num_sequences"] == 394_632
+    assert rep["verdicts"] == {"weighted_bound_ok": True, "unweighted_bound_ok": True}
+
+
 def test_run_eta_tuners():
     rep_f = run_experiment(cfg_with(eta="fixed"))
     assert rep_f["eta"] == pytest.approx(math.sqrt(8 * math.log(120) / 6))

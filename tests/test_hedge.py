@@ -5,8 +5,9 @@ import pytest
 
 from wfa_hedge.builders import (exact_shift_automaton, hierarchy_automaton,
                                 length_automaton, weighted_shift_automaton)
-from wfa_hedge.hedge import (hedge_init, hedge_step, renyi_entropy,
-                             renyi_entropy_machine, sample, shannon_entropy,
+from wfa_hedge.hedge import (NEG_INF, hedge_init, hedge_step, log_sum,
+                             renyi_entropy, renyi_entropy_machine, sample,
+                             shannon_entropy,
                              summarize, tune_eta_fixed, tune_eta_renyi,
                              unweighted_regret, weighted_regret)
 from wfa_hedge.ngram import bigram_phi_machine, fixed_share_bigram
@@ -167,6 +168,54 @@ def test_long_horizon_stays_normalized():
         assert p.min() >= 0 and abs(p.sum() - 1.0) <= 1e-9
         hedge_step(st, rng.random(3))
     rep = summarize(st)
+    assert rep.weighted_regret <= rep.weighted_bound
+
+
+def test_free_length_machine_is_uniform_past_linear_range():
+    # 10^320 sequences: unscaled linear backward weights overflow here
+    horizon = 320
+    st = hedge_init(length_automaton(10, horizon), horizon, 0.1)
+    rng = np.random.default_rng(1)
+    for _ in range(horizon):
+        assert np.abs(st.p_current - 0.1).max() <= 1e-12
+        if hedge_step(st, rng.random(10)) is None:
+            break
+    assert st.log_Z == pytest.approx(horizon * math.log(10), rel=1e-12)
+
+
+def run_against_fixed_share(machine, n, k, horizon, eta, seed):
+    st = hedge_init(machine, horizon, eta)
+    losses = np.random.default_rng(seed).random((horizon, n))
+    ps = [st.p_current]
+    for loss in losses:
+        p = hedge_step(st, loss)
+        if p is not None:
+            ps.append(p)
+    want = oracles.fixed_share_distributions(n, k, horizon, eta, losses)
+    assert np.isfinite(ps).all()
+    assert np.abs(np.array(ps) - want).max() <= 1e-12
+
+
+def test_fixed_share_plain_machine_long_horizon():
+    from wfa_hedge.ngram import ngram_to_wfa
+    model = fixed_share_bigram(20, 5, 700)
+    run_against_fixed_share(ngram_to_wfa(model), 20, 5, 700, 0.3, seed=2)
+
+
+def test_fixed_share_phi_machine_long_horizon():
+    model = fixed_share_bigram(50, 5, 500)
+    run_against_fixed_share(bigram_phi_machine(model), 50, 5, 500, 0.3, seed=3)
+
+
+def test_summarize_on_fixed_share_phi_machine():
+    # the best path's linear weight underflows to 0 at this horizon
+    n, k, horizon = 30, 3, 300
+    machine = bigram_phi_machine(fixed_share_bigram(n, k, horizon))
+    eta = tune_eta_fixed(horizon, n * (n - 1) ** k * math.comb(horizon - 1, k))
+    st = hedge_init(machine, horizon, eta)
+    run_rounds(st, np.random.default_rng(4).random((horizon, n)))
+    rep = summarize(st)
+    assert math.isfinite(rep.weighted_regret)
     assert rep.weighted_regret <= rep.weighted_bound
 
 
@@ -411,6 +460,12 @@ def test_zero_loss_target_gives_clean_regret():
     assert u == pytest.approx(sum(st.expected_losses), rel=1e-12)
     rep = summarize(st)
     assert u <= rep.unweighted_bound
+
+
+def test_log_sum():
+    assert log_sum([]) == NEG_INF
+    vals = [0.3, 1.7, 0.001]
+    assert log_sum([math.log(v) for v in vals]) == pytest.approx(math.log(sum(vals)))
 
 
 # -- entropies and tuning ----------------------------------------------------------------
