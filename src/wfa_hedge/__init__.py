@@ -25,8 +25,8 @@ from .hedge import (HedgeState, RegretReport, hedge_init, hedge_step,
                     tune_eta_renyi, unweighted_regret, weighted_regret)
 from .ngram import (NGramModel, bigram_phi_machine, fixed_share_bigram,
                     minimax_unigram, ml_ngram, ngram_to_wfa, uniform_model)
-from .approx import (DivergenceValue, divergence_inf, kl_divergence,
-                     max_ratio_path, prod_eg, ratio_subgradient, select_order)
+from .approx import (DivergenceValue, divergence_inf, kl_divergence, prod_eg,
+                     ratio_subgradient, select_order)
 from .phi import (PHI, PhiWfa, as_phi, evaluate_phi, phi_convert, phi_expand,
                   phi_intersect, phi_source_subset)
 from .sleeping import (AwakeState, ZeroAwakeMassError, awake_distribution,

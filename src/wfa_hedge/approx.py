@@ -23,7 +23,6 @@ from .hedge import log_power_sum
 __all__ = [
     "DivergenceValue",
     "divergence_inf",
-    "max_ratio_path",
     "kl_divergence",
     "ratio_subgradient",
     "ProdEGResult",
@@ -91,11 +90,6 @@ def divergence_inf(machine: Wfa, model: NGramModel) -> DivergenceValue:
         raise ValueError("empty language")
     value = result[0] - log_z
     return DivergenceValue(value=value, witness=result[1])
-
-
-def max_ratio_path(machine: Wfa, model: NGramModel) -> tuple[str, ...]:
-    """Supported sequence maximizing log(q(x) / q_w(x))."""
-    return divergence_inf(machine, model).witness
 
 
 def kl_divergence(machine: Wfa, model: NGramModel, limit: int = 100_000) -> float:

@@ -35,9 +35,10 @@ def length_automaton(num_experts: int, horizon: int,
         alphabet = default_alphabet(num_experts)
     if len(alphabet) != num_experts:
         raise ValueError("alphabet size does not match expert count")
-    ts = [Transition(t, a, 1.0, t + 1)
-          for t in range(horizon) for a in alphabet]
-    return Wfa(alphabet, horizon + 1, 0, {horizon: 1.0}, ts)
+    n = len(alphabet)
+    src = np.repeat(np.arange(horizon), n)
+    return Wfa.from_columns(alphabet, horizon + 1, 0, {horizon: 1.0}, src,
+                            np.tile(np.arange(n), horizon), np.ones(horizon * n), src + 1)
 
 
 def exact_shift_automaton(num_experts: int, shifts: int, at_most: bool = False,

@@ -103,9 +103,8 @@ class CompiledMachine:
     All weights here are raw; :meth:`backward` raises them to a power.
     """
 
-    def __init__(self, machine: Machine, horizon: int, sym_index: dict[str, int]):
-        trs = machine.transitions
-        n_e, n_s = len(trs), machine.num_states
+    def __init__(self, machine: Machine, horizon: int):
+        cols, n_s = machine.columns, machine.num_states
         # Intersection states are (competitor state, length-acceptor
         # state, ...) tuples, and the length-acceptor state is the level.
         level = np.fromiter((name[1] for name in machine.state_names), np.intp, n_s)
@@ -118,11 +117,9 @@ class CompiledMachine:
         self.initial = int(renum[machine.initial])
         self.state_off = np.searchsorted(level, np.arange(horizon + 2))
 
-        src = renum[np.fromiter((t.src for t in trs), np.intp, n_e)]
-        dst = renum[np.fromiter((t.dst for t in trs), np.intp, n_e)]
-        label = np.fromiter((sym_index.get(t.label, -1) for t in trs), np.intp, n_e)
+        src, dst, label = renum[cols.src], renum[cols.dst], cols.label
         with np.errstate(divide="ignore"):
-            self.log_w = np.log(np.fromiter((t.weight for t in trs), float, n_e))
+            self.log_w = np.log(cols.weight)
         self.final = np.zeros(n_s)
         for q, w in machine.finals.items():
             self.final[renum[q]] = w
@@ -131,6 +128,7 @@ class CompiledMachine:
         # rows (correcting edge, shadowed edge, phi chain weight).
         shadow = []
         if isinstance(machine, PhiWfa) and machine.has_phi():
+            trs = machine.transitions
             at = {(t.src, t.label): i for i, t in enumerate(trs) if t.label != PHI}
             for i, t in enumerate(trs):
                 if t.label != PHI and machine.phi_arc(t.src) is not None:
@@ -248,7 +246,7 @@ class HedgeState:
         self.num_experts = len(machine.alphabet)
         self.sym_index = {a: i for i, a in enumerate(machine.alphabet)}
 
-        self.compiled = cm = CompiledMachine(machine, horizon, self.sym_index)
+        self.compiled = cm = CompiledMachine(machine, horizon)
         self.levels = cm.levels()
         self.log_Z = cm.backward(1.0)[1]
         self.beta, self.log_Z_eta = cm.backward(eta)

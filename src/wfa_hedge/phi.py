@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .wfa import Transition, Wfa
+from .wfa import Columns, Transition, Wfa, _columns_of, topological_order
 
 __all__ = [
     "PHI",
@@ -71,7 +71,7 @@ class PhiWfa:
 
     __slots__ = ("alphabet", "num_states", "initial", "finals", "transitions",
                  "state_names", "pair_labels", "phi_moves", "conversion_events",
-                 "_out", "_phi")
+                 "_out", "_phi", "_columns", "_topo")
 
     def __init__(self, alphabet: Sequence[str], num_states: int, initial: int,
                  finals: dict[int, float], transitions: Iterable[Transition],
@@ -110,6 +110,8 @@ class PhiWfa:
         # Move kinds of composed phi edges, keyed by (src, dst).
         self.phi_moves = dict(phi_moves) if phi_moves is not None else None
         self.conversion_events: tuple = ()
+        self._columns = None
+        self._topo = None
         if self.pair_labels is None:
             for q in range(num_states):
                 if len(self._phi[q]) > 1:
@@ -138,6 +140,15 @@ class PhiWfa:
                     color[q] = 2
 
     # -- queries --
+
+    @property
+    def columns(self) -> Columns:
+        """Edge columns as for :class:`Wfa`; phi edges carry label -1."""
+        if self._columns is None:
+            index = {a: i for i, a in enumerate(self.alphabet)}
+            index[PHI] = -1
+            self._columns = _columns_of(self.transitions, index)
+        return self._columns
 
     def arcs(self, state: int) -> dict[str, Transition]:
         return self._out[state]
@@ -308,31 +319,9 @@ def phi_expand(machine: PhiWfa, max_chain: int = MAX_PHI_CHAIN) -> Wfa:
 # -- backward distances, powering, pushing ------------------------------------
 
 
-def _combined_topological_order(machine: PhiWfa) -> list[int]:
-    indeg = [0] * machine.num_states
-    for t in machine.transitions:
-        indeg[t.dst] += 1
-    queue = deque(q for q in range(machine.num_states) if indeg[q] == 0)
-    order = []
-    while queue:
-        q = queue.popleft()
-        order.append(q)
-        for t in machine.arcs(q).values():
-            indeg[t.dst] -= 1
-            if indeg[t.dst] == 0:
-                queue.append(t.dst)
-        for t in machine.phi_arcs(q):
-            indeg[t.dst] -= 1
-            if indeg[t.dst] == 0:
-                queue.append(t.dst)
-    if len(order) != machine.num_states:
-        raise ValueError("machine has a cycle")
-    return order
-
-
 def phi_backward_distances(machine: PhiWfa) -> dict[int, float]:
     """Sum over legal (shadow-respecting) paths from each state to final."""
-    order = _combined_topological_order(machine)
+    order = topological_order(machine)
     d = {q: 0.0 for q in range(machine.num_states)}
     for q in reversed(order):
         total = machine.final_weight(q)
@@ -462,7 +451,6 @@ def phi_convert(wfa: Wfa) -> PhiWfa:
     """
     view = _EdgeView.from_wfa(wfa)
     try:
-        from .wfa import topological_order
         order = topological_order(wfa)
     except Exception:
         order = list(range(wfa.num_states))

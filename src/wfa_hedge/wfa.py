@@ -5,19 +5,30 @@ of its transition weights times the final weight of its endpoint, and a
 string's weight is the weight of its unique accepting path (automata here
 are deterministic, so there is at most one).
 
-A :class:`Wfa` is immutable after construction and safe to share across
-threads; every operation in this module is a pure function returning a
-new automaton or a plain value.
+A :class:`Wfa` stores its transitions as edge columns: numpy arrays of
+source, label id (the symbol's index in the alphabet), weight and
+destination, one entry per transition (:class:`Columns`).  Bulk
+operations (intersection, topological generations, path counting, the
+engine's compile step) read the columns directly.  The per-edge views,
+``transitions`` and ``arcs()``, are built from the columns on first
+access and cached.  A :class:`Wfa` is immutable after construction: the
+columns are read-only arrays and the cached views never change once
+built (two threads racing to build one build equal values), so a
+machine is safe to share across threads.  Every operation in this
+module is a pure function returning a new automaton or a plain value.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 __all__ = [
     "Transition",
+    "Columns",
     "Wfa",
     "CyclicAutomatonError",
     "default_alphabet",
@@ -39,7 +50,7 @@ class CyclicAutomatonError(ValueError):
     """Raised by operations that require an acyclic automaton."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     src: int
     label: str
@@ -56,6 +67,45 @@ def default_alphabet(n: int) -> tuple[str, ...]:
     return tuple(f"e{i}" for i in range(n))
 
 
+class Columns(NamedTuple):
+    """A machine's edges as arrays, one entry per transition, in
+    transition order.  ``label`` is the symbol's index in the alphabet;
+    -1 marks a failure (phi) edge of a :class:`~wfa_hedge.phi.PhiWfa`."""
+    src: np.ndarray
+    label: np.ndarray
+    weight: np.ndarray
+    dst: np.ndarray
+
+
+def _columns_of(transitions: tuple[Transition, ...], index: dict[str, int]) -> Columns:
+    """Edge columns of ``transitions``; labels missing from ``index`` get -1."""
+    n = len(transitions)
+    return _frozen(Columns(
+        np.fromiter((t.src for t in transitions), np.intp, n),
+        np.fromiter((index.get(t.label, -1) for t in transitions), np.intp, n),
+        np.fromiter((t.weight for t in transitions), float, n),
+        np.fromiter((t.dst for t in transitions), np.intp, n)))
+
+
+def _frozen(cols: Columns) -> Columns:
+    for a in cols:
+        a.flags.writeable = False
+    return cols
+
+
+def _first_bad_edge(cols: Columns, num_states: int,
+                    num_labels: int) -> Optional[tuple[int, bool]]:
+    """(index, whether out of range) of the first transition with a state
+    out of range or a label id outside [0, num_labels), or None."""
+    out = ((cols.src < 0) | (cols.src >= num_states)
+           | (cols.dst < 0) | (cols.dst >= num_states))
+    bad = np.flatnonzero(out | (cols.label < 0) | (cols.label >= num_labels))
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    return i, bool(out[i])
+
+
 class Wfa:
     """A deterministic WFA.
 
@@ -66,14 +116,54 @@ class Wfa:
     and diagnosed.  All builders in this package emit valid machines.
     ``state_names`` is optional provenance kept for debugging
     (intersection stores the originating state pairs there).
+
+    ``columns`` is the stored form of the transitions.  Build a machine
+    from :class:`Transition` objects with the constructor, or from
+    arrays with :meth:`from_columns`.
     """
 
-    __slots__ = ("alphabet", "num_states", "initial", "finals", "transitions",
-                 "state_names", "_out")
+    __slots__ = ("alphabet", "num_states", "initial", "finals", "columns",
+                 "state_names", "_transitions", "_out", "_topo")
 
     def __init__(self, alphabet: Sequence[str], num_states: int, initial: int,
                  finals: dict[int, float], transitions: Iterable[Transition],
                  state_names: Optional[Sequence] = None):
+        self._set_header(alphabet, num_states, initial, finals, state_names)
+        ts = tuple(transitions)
+        cols = _columns_of(ts, {a: i for i, a in enumerate(self.alphabet)})
+        bad = _first_bad_edge(cols, num_states, len(self.alphabet))
+        if bad is not None:
+            i, out_of_range = bad
+            if out_of_range:
+                raise ValueError(f"transition {ts[i]} out of range")
+            raise ValueError(f"unknown symbol {ts[i].label!r}")
+        self.columns = cols
+        self._transitions = ts
+
+    @classmethod
+    def from_columns(cls, alphabet: Sequence[str], num_states: int, initial: int,
+                     finals: dict[int, float], src, label, weight, dst,
+                     state_names: Optional[Sequence] = None) -> "Wfa":
+        """Machine whose transition i is (src[i], alphabet[label[i]],
+        weight[i], dst[i]).  The arrays are copied."""
+        self = cls.__new__(cls)
+        self._set_header(alphabet, num_states, initial, finals, state_names)
+        cols = Columns(np.array(src, np.intp), np.array(label, np.intp),
+                       np.array(weight, float), np.array(dst, np.intp))
+        if any(a.ndim != 1 or len(a) != len(cols.src) for a in cols):
+            raise ValueError("edge columns must be 1-d arrays of one length")
+        bad = _first_bad_edge(cols, num_states, len(self.alphabet))
+        if bad is not None:
+            i, out_of_range = bad
+            if out_of_range:
+                raise ValueError(f"transition {i} ({cols.src[i]} -> {cols.dst[i]}) "
+                                 "out of range")
+            raise ValueError(f"unknown symbol id {cols.label[i]} on transition {i}")
+        self.columns = _frozen(cols)
+        self._transitions = None
+        return self
+
+    def _set_header(self, alphabet, num_states, initial, finals, state_names) -> None:
         self.alphabet = tuple(alphabet)
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("duplicate symbols in alphabet")
@@ -85,23 +175,30 @@ class Wfa:
         for q in self.finals:
             if not (0 <= q < num_states):
                 raise ValueError(f"final state {q} out of range")
-        self.transitions = tuple(transitions)
-        symbols = set(self.alphabet)
-        out: list[dict[str, Transition]] = [dict() for _ in range(num_states)]
-        for t in self.transitions:
-            if not (0 <= t.src < num_states and 0 <= t.dst < num_states):
-                raise ValueError(f"transition {t} out of range")
-            if t.label not in symbols:
-                raise ValueError(f"unknown symbol {t.label!r}")
-            # First transition wins in the index; validate() flags duplicates.
-            out[t.src].setdefault(t.label, t)
-        self._out = tuple(out)
         self.state_names = tuple(state_names) if state_names is not None else None
+        self._out = None
+        self._topo = None
 
     # -- queries ----------------------------------------------------------
 
+    @property
+    def transitions(self) -> tuple[Transition, ...]:
+        """The transitions as objects, in column order (built on first use)."""
+        if self._transitions is None:
+            c = self.columns
+            labels = [self.alphabet[i] for i in c.label.tolist()]
+            self._transitions = tuple(map(Transition, c.src.tolist(), labels,
+                                          c.weight.tolist(), c.dst.tolist()))
+        return self._transitions
+
     def arcs(self, state: int) -> dict[str, Transition]:
         """Outgoing transitions of ``state`` keyed by label."""
+        if self._out is None:
+            out: list[dict[str, Transition]] = [dict() for _ in range(self.num_states)]
+            for t in self.transitions:
+                # First transition wins in the index; validate() flags duplicates.
+                out[t.src].setdefault(t.label, t)
+            self._out = tuple(out)
         return self._out[state]
 
     def final_weight(self, state: int) -> float:
@@ -111,7 +208,7 @@ class Wfa:
         return state in self.finals
 
     def __repr__(self) -> str:
-        return (f"Wfa(states={self.num_states}, transitions={len(self.transitions)}, "
+        return (f"Wfa(states={self.num_states}, transitions={len(self.columns.src)}, "
                 f"finals={len(self.finals)}, alphabet={self.alphabet})")
 
     # -- constructors ------------------------------------------------------
@@ -163,66 +260,119 @@ def evaluate(wfa: Wfa, sequence: Sequence[str]) -> float:
 # -- intersection -----------------------------------------------------------
 
 
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(starts[i], stops[i]) over i."""
+    lens = stops - starts
+    ends = np.cumsum(lens)
+    return np.repeat(starts - ends + lens, lens) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _sorted_arcs(machine: Wfa, rank: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The machine's arcs sorted by key src * |alphabet| + rank[label]:
+    (keys, weights, destinations).  The first transition of a duplicated
+    (src, label) wins, as in ``arcs()``."""
+    c = machine.columns
+    real = np.flatnonzero(c.label >= 0)
+    keys, first = np.unique(c.src[real] * len(rank) + rank[c.label[real]], return_index=True)
+    return keys, c.weight[real[first]], c.dst[real[first]]
+
+
 def intersect(a1: Wfa, a2: Wfa) -> Wfa:
     """Product automaton: (a1 & a2)(x) = a1(x) * a2(x) for every x.
 
     States are pairs of states reachable in both machines; transitions
     pair equal labels and multiply weights.  Only accessible and
     co-accessible pairs are kept, so the result is trim.
+
+    The search is breadth-first, one frontier at a time, as array
+    operations: a frontier pair's a1-arcs are matched to a2-arcs by a
+    sorted-key lookup, and pairs not seen before get the next ids in
+    order of first occurrence.  States are numbered in discovery order,
+    each state's arcs follow in sorted label order, and ``state_names``
+    holds the (a1 state, a2 state) pairs.
     """
     if a1.alphabet != a2.alphabet:
         raise ValueError("alphabet mismatch in intersection")
-    start = (a1.initial, a2.initial)
-    ids: dict[tuple[int, int], int] = {start: 0}
-    order = [start]
-    edges: list[tuple[int, str, float, int]] = []
-    queue = deque([start])
-    while queue:
-        q1, q2 = queue.popleft()
-        src = ids[(q1, q2)]
-        arcs2 = a2.arcs(q2)
-        for label in sorted(a1.arcs(q1)):
-            t1 = a1.arcs(q1)[label]
-            t2 = arcs2.get(label)
-            if t2 is None:
-                continue
-            pair = (t1.dst, t2.dst)
-            if pair not in ids:
-                ids[pair] = len(order)
-                order.append(pair)
-                queue.append(pair)
-            edges.append((src, label, t1.weight * t2.weight, ids[pair]))
+    n_sym, n2 = len(a1.alphabet), a2.num_states
+    by_rank = np.array(sorted(range(n_sym), key=a1.alphabet.__getitem__), np.intp)
+    rank = np.empty(n_sym, np.intp)
+    rank[by_rank] = np.arange(n_sym)
+    key1, w1, d1 = _sorted_arcs(a1, rank)
+    key2, w2, d2 = _sorted_arcs(a2, rank)
+    off1 = np.searchsorted(key1, np.arange(a1.num_states + 1) * n_sym)
+    rank1, pair1 = key1 % n_sym, d1 * n2
+    key2 = np.append(key2, np.iinfo(key2.dtype).max)  # a miss never runs off the end
 
-    finals = {}
-    for pair, q in ids.items():
-        w = a1.final_weight(pair[0]) * a2.final_weight(pair[1])
-        if pair[0] in a1.finals and pair[1] in a2.finals:
-            finals[q] = w
+    # Pairs are coded q1 * |Q2| + q2.  Frontier k holds the ids
+    # lo..next_id-1, discovered while frontier k-1 was expanded.
+    start = a1.initial * n2 + a2.initial
+    ids = {start: 0}
+    frontier = np.array([start])
+    codes, srcs, arcs1, arcs2, dsts = [frontier], [], [], [], []
+    next_id = 1
+    while frontier.size:
+        lo = next_id - len(frontier)
+        q1, q2 = np.divmod(frontier, n2)
+        # Each frontier pair's a1-arcs in label order, matched to a2's.
+        fan = off1[q1 + 1] - off1[q1]
+        e1 = _ranges(off1[q1], off1[q1 + 1])
+        owner = np.repeat(np.arange(len(frontier)), fan)
+        want = q2[owner] * n_sym + rank1[e1]
+        e2 = np.searchsorted(key2, want)
+        hit = np.flatnonzero(key2[e2] == want)
+        e1, e2, owner = e1[hit], e2[hit], owner[hit]
+        pair = pair1[e1] + d2[e2]
+        # Unseen pairs get the next ids in order of first occurrence.
+        u, first, inv = np.unique(pair, return_index=True, return_inverse=True)
+        uid = np.fromiter(map(ids.get, u.tolist(), repeat(-1, len(u))), np.intp, len(u))
+        new = np.flatnonzero(uid < 0)
+        new = new[np.argsort(first[new])]
+        uid[new] = next_id + np.arange(len(new))
+        frontier = u[new]
+        ids.update(zip(frontier.tolist(), uid[new].tolist()))
+        codes.append(frontier)
+        srcs.append(lo + owner)
+        arcs1.append(e1)
+        arcs2.append(e2)
+        dsts.append(uid[inv])
+        next_id += len(new)
+    code, src, dst = np.concatenate(codes), np.concatenate(srcs), np.concatenate(dsts)
+    e1, e2 = np.concatenate(arcs1), np.concatenate(arcs2)
+    p1, p2 = np.divmod(code, n2)
 
-    # Keep only co-accessible states.
-    rev: dict[int, list[int]] = {}
-    for src, _, _, dst in edges:
-        rev.setdefault(dst, []).append(src)
-    alive = set(finals)
-    stack = list(finals)
-    while stack:
-        q = stack.pop()
-        for p in rev.get(q, ()):
-            if p not in alive:
-                alive.add(p)
-                stack.append(p)
-    if 0 not in alive:
-        return Wfa(a1.alphabet, 1, 0, {}, [], state_names=[start])
-    remap = {}
-    names = []
-    for pair, q in ids.items():
-        if q in alive:
-            remap[q] = len(remap)
-            names.append(pair)
-    kept = [Transition(remap[s], lab, w, remap[d])
-            for s, lab, w, d in edges if s in alive and d in alive]
-    new_finals = {remap[q]: w for q, w in finals.items()}
-    return Wfa(a1.alphabet, len(remap), remap[0], new_finals, kept, state_names=names)
+    # Finals: every pair of final states, zero weights included.
+    f1, f2 = np.zeros(a1.num_states, bool), np.zeros(n2, bool)
+    fw1, fw2 = np.zeros(a1.num_states), np.zeros(n2)
+    for f, fw, m in ((f1, fw1, a1), (f2, fw2, a2)):
+        q = np.fromiter(m.finals, np.intp, len(m.finals))
+        f[q] = True
+        fw[q] = np.fromiter(m.finals.values(), float, len(m.finals))
+    final = np.flatnonzero(f1[p1] & f2[p2])
+
+    # Keep only co-accessible states: a reverse breadth-first sweep.
+    by_dst = np.argsort(dst, kind="stable")
+    roff = np.searchsorted(dst[by_dst], np.arange(len(code) + 1))
+    alive = np.zeros(len(code), bool)
+    alive[final] = True
+    back = final
+    slot = np.empty(len(code), np.intp)  # dedupes each new batch in place of a sort
+    while back.size:
+        pred = src[by_dst[_ranges(roff[back], roff[back + 1])]]
+        pred = pred[~alive[pred]]
+        alive[pred] = True
+        at = np.arange(len(pred))
+        slot[pred] = at
+        back = pred[slot[pred] == at]
+    if not alive[0]:
+        return Wfa(a1.alphabet, 1, 0, {}, [], state_names=[(a1.initial, a2.initial)])
+    remap = np.cumsum(alive) - 1
+    keep = np.flatnonzero(alive[dst])
+    e1, e2 = e1[keep], e2[keep]
+    finals = dict(zip(remap[final].tolist(), (fw1[p1[final]] * fw2[p2[final]]).tolist()))
+    names = list(zip(p1[alive].tolist(), p2[alive].tolist()))
+    return Wfa.from_columns(a1.alphabet, len(names), 0, finals, remap[src[keep]],
+                            by_rank[rank1[e1]], w1[e1] * w2[e2], remap[dst[keep]],
+                            state_names=names)
 
 
 # -- reweighting ------------------------------------------------------------
@@ -245,23 +395,63 @@ def power_weights(wfa: Wfa, eta: float) -> Wfa:
 # -- graph structure ---------------------------------------------------------
 
 
+def _generations(wfa: Wfa) -> tuple[np.ndarray, np.ndarray]:
+    """States in FIFO Kahn order, and where each generation starts in it.
+
+    Generation 0 holds the states without incoming transitions, in id
+    order; generation g + 1 holds the states whose last incoming
+    transition leaves generation g, in the order those transitions are
+    processed (by source position, then transition order).  That is the
+    order a FIFO queue produces.  Computed once per machine from the
+    columns and cached.  Raises ValueError naming a (state, label) pair
+    two transitions share, and CyclicAutomatonError on a cycle.
+    """
+    if wfa._topo is None:
+        c, n = wfa.columns, wfa.num_states
+        key = c.src * len(wfa.alphabet)
+        key += c.label
+        key = key[c.label >= 0]  # phi edges may share a source
+        key.sort()
+        if (key[1:] == key[:-1]).any():
+            i = _first_repeated_arc(c)
+            raise ValueError(f"two {wfa.alphabet[c.label[i]]!r}-transitions "
+                             f"leave state {c.src[i]}")
+        by_src = np.argsort(c.src, kind="stable")
+        off = np.concatenate(([0], np.cumsum(np.bincount(c.src, minlength=n))))
+        dst = c.dst[by_src]
+        indeg = np.bincount(c.dst, minlength=n)
+        gens = [np.flatnonzero(indeg == 0)]
+        while True:
+            d = dst[_ranges(off[gens[-1]], off[gens[-1] + 1])]
+            # Each target's count in d, and its last position there.
+            u, rfirst, cnt = np.unique(d[::-1], return_index=True, return_counts=True)
+            indeg[u] -= cnt
+            ready = indeg[u] == 0
+            if not ready.any():
+                break
+            gens.append(u[ready][np.argsort(rfirst[ready])[::-1]])
+        order = np.concatenate(gens)
+        if len(order) != n:
+            raise CyclicAutomatonError("automaton contains a cycle")
+        wfa._topo = order, np.cumsum([0] + [len(g) for g in gens])
+    return wfa._topo
+
+
+def _first_repeated_arc(c: Columns) -> int:
+    """Index of the first transition whose (src, label) an earlier one has."""
+    real = np.flatnonzero(c.label >= 0)
+    key = c.src[real] * (c.label.max() + 1) + c.label[real]
+    by_key = np.argsort(key, kind="stable")
+    return int(real[by_key[1:][key[by_key[1:]] == key[by_key[:-1]]].min()])
+
+
 def topological_order(wfa: Wfa) -> list[int]:
-    """States in topological order; raises CyclicAutomatonError on cycles."""
-    indeg = [0] * wfa.num_states
-    for t in wfa.transitions:
-        indeg[t.dst] += 1
-    queue = deque(q for q in range(wfa.num_states) if indeg[q] == 0)
-    order = []
-    while queue:
-        q = queue.popleft()
-        order.append(q)
-        for t in wfa.arcs(q).values():
-            indeg[t.dst] -= 1
-            if indeg[t.dst] == 0:
-                queue.append(t.dst)
-    if len(order) != wfa.num_states:
-        raise CyclicAutomatonError("automaton contains a cycle")
-    return order
+    """States in topological order, the order of a FIFO Kahn queue.
+
+    Raises CyclicAutomatonError on cycles, and ValueError when two
+    transitions leave one state with the same label.
+    """
+    return _generations(wfa)[0].tolist()
 
 
 def state_levels(wfa: Wfa) -> list[Optional[int]]:
@@ -341,41 +531,64 @@ def weight_push(wfa: Wfa) -> Wfa:
 
 
 def count_accepting_paths(wfa: Wfa) -> int:
-    """Number of accepting paths with strictly positive weight."""
-    order = topological_order(wfa)
-    counts = [0] * wfa.num_states
-    for q in reversed(order):
-        c = 1 if wfa.final_weight(q) > 0.0 else 0
-        for t in wfa.arcs(q).values():
-            if t.weight > 0.0:
-                c += counts[t.dst]
-        counts[q] = c
-    return counts[wfa.initial]
+    """Number of accepting paths with strictly positive weight.
+
+    Exact at any size: one sweep over the topological generations, last
+    to first, in Python integers.
+    """
+    order, gen_off = _generations(wfa)
+    c = wfa.columns
+    if (c.label < 0).any():
+        raise ValueError("phi edges are not paths; count on phi_expand(machine)")
+    counts = np.zeros(wfa.num_states, dtype=object)
+    for q, w in wfa.finals.items():
+        if w > 0.0:
+            counts[q] = 1
+    n_gen = len(gen_off) - 1
+    gen = np.empty(wfa.num_states, np.intp)
+    gen[order] = np.repeat(np.arange(n_gen), np.diff(gen_off))
+    gen = gen[c.src]  # of each edge's source
+    by_gen = np.argsort(gen, kind="stable")
+    edge_off = np.concatenate(([0], np.cumsum(np.bincount(gen, minlength=n_gen))))
+    for g in range(n_gen - 1, -1, -1):
+        e = by_gen[edge_off[g]:edge_off[g + 1]]
+        e = e[c.weight[e] > 0.0]
+        np.add.at(counts, c.src[e], counts[c.dst[e]])
+    return int(counts[wfa.initial])
 
 
 def enumerate_support(wfa: Wfa, limit: int = 100_000) -> list[tuple[tuple[str, ...], float]]:
     """Exhaustive list of (sequence, weight) pairs with positive weight.
 
-    DFS over the acyclic machine; raises ValueError past ``limit`` paths.
-    Used as the brute-force oracle throughout the test-suite.
+    Depth-first over the acyclic machine, labels in sorted order, with an
+    explicit stack, so path length is not bounded by the recursion
+    limit.  Raises ValueError past ``limit`` paths.  Used as the
+    brute-force oracle throughout the test-suite.
     """
     topological_order(wfa)  # acyclicity check
     out: list[tuple[tuple[str, ...], float]] = []
+    prefix: list[str] = []
 
-    def rec(q: int, prefix: list[str], w: float):
+    def enter(q: int, w: float):
         fw = wfa.final_weight(q)
         if fw > 0.0:
             if len(out) >= limit:
                 raise ValueError(f"support larger than limit={limit}")
             out.append((tuple(prefix), w * fw))
-        for label in sorted(wfa.arcs(q)):
-            t = wfa.arcs(q)[label]
-            if t.weight > 0.0:
-                prefix.append(label)
-                rec(t.dst, prefix, w * t.weight)
-                prefix.pop()
+        arcs = wfa.arcs(q)
+        return iter([arcs[label] for label in sorted(arcs)]), w
 
-    rec(wfa.initial, [], 1.0)
+    stack = [enter(wfa.initial, 1.0)]
+    while stack:
+        arcs, w = stack[-1]
+        t = next(arcs, None)
+        if t is None:
+            stack.pop()
+            if stack:
+                prefix.pop()
+        elif t.weight > 0.0:
+            prefix.append(t.label)
+            stack.append(enter(t.dst, w * t.weight))
     return out
 
 

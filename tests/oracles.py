@@ -5,11 +5,12 @@ through the code paths under test.
 """
 
 import math
+from collections import deque
 from itertools import product
 
 import numpy as np
 
-from wfa_hedge.wfa import Transition, Wfa
+from wfa_hedge.wfa import CyclicAutomatonError, Transition, Wfa
 
 
 def count_changes(seq):
@@ -80,6 +81,101 @@ def brute_awake_run(support, eta, alphabet, masks, losses):
         after = q[awake].sum()
         q[awake] *= before / after
     return p_awake_rounds, q
+
+
+# -- reference graph algorithms -----------------------------------------------------
+#
+# The queue-based product construction and FIFO Kahn sort over per-edge
+# objects, which the library's array versions must reproduce exactly.
+
+
+def intersect(a1, a2):
+    """Product automaton by a breadth-first search over state pairs."""
+    if a1.alphabet != a2.alphabet:
+        raise ValueError("alphabet mismatch in intersection")
+    start = (a1.initial, a2.initial)
+    ids: dict[tuple[int, int], int] = {start: 0}
+    order = [start]
+    edges: list[tuple[int, str, float, int]] = []
+    queue = deque([start])
+    while queue:
+        q1, q2 = queue.popleft()
+        src = ids[(q1, q2)]
+        arcs2 = a2.arcs(q2)
+        for label in sorted(a1.arcs(q1)):
+            t1 = a1.arcs(q1)[label]
+            t2 = arcs2.get(label)
+            if t2 is None:
+                continue
+            pair = (t1.dst, t2.dst)
+            if pair not in ids:
+                ids[pair] = len(order)
+                order.append(pair)
+                queue.append(pair)
+            edges.append((src, label, t1.weight * t2.weight, ids[pair]))
+
+    finals = {}
+    for pair, q in ids.items():
+        w = a1.final_weight(pair[0]) * a2.final_weight(pair[1])
+        if pair[0] in a1.finals and pair[1] in a2.finals:
+            finals[q] = w
+
+    # Keep only co-accessible states.
+    rev: dict[int, list[int]] = {}
+    for src, _, _, dst in edges:
+        rev.setdefault(dst, []).append(src)
+    alive = set(finals)
+    stack = list(finals)
+    while stack:
+        q = stack.pop()
+        for p in rev.get(q, ()):
+            if p not in alive:
+                alive.add(p)
+                stack.append(p)
+    if 0 not in alive:
+        return Wfa(a1.alphabet, 1, 0, {}, [], state_names=[start])
+    remap = {}
+    names = []
+    for pair, q in ids.items():
+        if q in alive:
+            remap[q] = len(remap)
+            names.append(pair)
+    kept = [Transition(remap[s], lab, w, remap[d])
+            for s, lab, w, d in edges if s in alive and d in alive]
+    new_finals = {remap[q]: w for q, w in finals.items()}
+    return Wfa(a1.alphabet, len(remap), remap[0], new_finals, kept, state_names=names)
+
+
+def topological_order(wfa):
+    """States in FIFO Kahn order; raises CyclicAutomatonError on cycles."""
+    indeg = [0] * wfa.num_states
+    for t in wfa.transitions:
+        indeg[t.dst] += 1
+    queue = deque(q for q in range(wfa.num_states) if indeg[q] == 0)
+    order = []
+    while queue:
+        q = queue.popleft()
+        order.append(q)
+        for t in wfa.arcs(q).values():
+            indeg[t.dst] -= 1
+            if indeg[t.dst] == 0:
+                queue.append(t.dst)
+    if len(order) != wfa.num_states:
+        raise CyclicAutomatonError("automaton contains a cycle")
+    return order
+
+
+def count_accepting_paths(wfa):
+    """Number of accepting paths with strictly positive weight."""
+    order = topological_order(wfa)
+    counts = [0] * wfa.num_states
+    for q in reversed(order):
+        c = 1 if wfa.final_weight(q) > 0.0 else 0
+        for t in wfa.arcs(q).values():
+            if t.weight > 0.0:
+                c += counts[t.dst]
+        counts[q] = c
+    return counts[wfa.initial]
 
 
 def finite_difference_gradient(f, tables, h=1e-7):
@@ -182,6 +278,32 @@ def _trim(machine):
           for t in machine.transitions if t.src in alive and t.dst in alive]
     finals = {remap[q]: w for q, w in machine.finals.items() if q in alive}
     return Wfa(machine.alphabet, len(remap), remap[machine.initial], finals, ts)
+
+
+def random_raw_wfa(rng, num_states, alphabet, labels=None, edge_prob=0.5, final_prob=0.3,
+                   cyclic=False, duplicates=0):
+    """Random machine left as drawn: random initial state, dead and
+    unreachable states, some zero weights and zero-weight finals, and
+    transitions in random order.  Edges carry symbols from ``labels``
+    (default: the whole alphabet).  Acyclic unless ``cyclic``: edges
+    then only lead to higher ids.  ``duplicates`` extra transitions
+    reuse the (state, label) pair of an existing one."""
+    def weight():
+        return 0.0 if rng.random() < 0.1 else float(0.1 + rng.random())
+
+    def target(src):
+        return int(rng.integers(num_states) if cyclic else rng.integers(src + 1, num_states))
+
+    ts = [Transition(src, a, weight(), target(src))
+          for src in range(num_states if cyclic else num_states - 1)
+          for a in (alphabet if labels is None else labels) if rng.random() < edge_prob]
+    for _ in range(duplicates if ts else 0):
+        t = ts[int(rng.integers(len(ts)))]
+        ts.append(Transition(t.src, t.label, weight(), target(t.src)))
+    finals = {q: weight() for q in range(num_states) if rng.random() < final_prob}
+    order = rng.permutation(len(ts))
+    return Wfa(alphabet, num_states, int(rng.integers(num_states)), finals,
+               [ts[i] for i in order])
 
 
 def random_shared_structure_wfa(rng, layers=(1, 3, 2, 1), alphabet=("a", "b", "c"),

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from wfa_hedge.approx import (divergence_inf, kl_divergence, max_ratio_path,
-                              prod_eg, ratio_subgradient, select_order)
+from wfa_hedge.approx import (divergence_inf, kl_divergence, prod_eg,
+                              ratio_subgradient, select_order)
 from wfa_hedge.builders import exact_shift_automaton, length_automaton
 from wfa_hedge.hedge import hedge_init, hedge_step, weighted_regret
 from wfa_hedge.ngram import (fixed_share_bigram, ml_ngram, ngram_to_wfa,
@@ -60,7 +60,7 @@ def test_divergence_infinite_when_model_misses_support():
 def test_max_ratio_path_breaks_ties_lexicographically():
     s = length_automaton(2, 3)
     m = uniform_model(("a", "b"), 1)
-    assert max_ratio_path(s, m) == ("a", "a", "a")
+    assert divergence_inf(s, m).witness == ("a", "a", "a")
 
 
 def test_divergence_alphabet_mismatch():

@@ -10,9 +10,38 @@ from wfa_hedge.wfa import (CyclicAutomatonError, Transition, Wfa,
                            backward_distances, count_accepting_paths,
                            enumerate_support, evaluate, intersect,
                            leveled_best_path, power_weights,
-                           validate, weight_push)
+                           topological_order, validate, weight_push)
 
 import oracles
+
+
+# -- the column form -------------------------------------------------------------
+
+
+def test_from_columns_equals_the_transition_form():
+    ts = [Transition(1, "b", 0.5, 2), Transition(0, "a", 2.0, 1), Transition(0, "b", 1.0, 2)]
+    by_objects = Wfa(("a", "b"), 3, 0, {2: 1.0}, ts)
+    by_columns = Wfa.from_columns(("a", "b"), 3, 0, {2: 1.0}, [1, 0, 0], [1, 0, 1],
+                                  [0.5, 2.0, 1.0], [2, 1, 2])
+    for m in (by_objects, by_columns):
+        assert m.transitions == tuple(ts)
+        assert m.arcs(0) == {"a": ts[1], "b": ts[2]}
+        np.testing.assert_array_equal(m.columns.label, [1, 0, 1])
+        assert not m.columns.weight.flags.writeable
+    assert by_objects.transitions[0] is ts[0]
+
+
+def test_from_columns_checks_ranges_and_labels():
+    with pytest.raises(ValueError, match="transition 1 .* out of range"):
+        Wfa.from_columns(("a",), 2, 0, {}, [0, 1], [0, 0], [1.0, 1.0], [1, 2])
+    with pytest.raises(ValueError, match="unknown symbol id 1"):
+        Wfa.from_columns(("a",), 2, 0, {}, [0], [1], [1.0], [1])
+    with pytest.raises(ValueError, match="one length"):
+        Wfa.from_columns(("a",), 2, 0, {}, [0], [0, 0], [1.0], [1])
+    with pytest.raises(ValueError, match="unknown symbol 'z'"):
+        Wfa(("a",), 2, 0, {}, [Transition(0, "z", 1.0, 1)])
+    with pytest.raises(ValueError, match="out of range"):
+        Wfa(("a",), 2, 0, {}, [Transition(0, "a", 1.0, 5)])
 
 
 # -- builders ---------------------------------------------------------------------
@@ -177,6 +206,14 @@ def test_intersect_alphabet_mismatch():
         intersect(length_automaton(2, 2), length_automaton(3, 2))
 
 
+def test_intersect_of_disjoint_languages_is_the_empty_machine():
+    aa = Wfa.from_sequences([("a", "a")], alphabet=("a", "b"))
+    bb = Wfa.from_sequences([("b", "b")], alphabet=("a", "b"))
+    empty = intersect(aa, bb)
+    assert (empty.num_states, empty.finals, empty.transitions) == (1, {}, ())
+    assert empty.state_names == ((0, 0),)
+
+
 def test_intersect_is_trim():
     # b only accepts 'aa'; pairs reachable via 'b' must be pruned
     a = length_automaton(2, 2)
@@ -286,6 +323,21 @@ def test_enumeration_limit():
     s = length_automaton(3, 5)
     with pytest.raises(ValueError):
         enumerate_support(s, limit=10)
+
+
+def test_enumeration_walks_paths_past_the_recursion_limit():
+    assert enumerate_support(length_automaton(1, 1500)) == [(("a",) * 1500, 1.0)]
+
+
+def test_duplicate_labels_are_named_not_reported_as_a_cycle():
+    # Acyclic, but two 'b'-transitions leave state 1.
+    m = Wfa(("a", "b"), 4, 0, {3: 1.0},
+            [Transition(0, "a", 1.0, 1), Transition(1, "b", 1.0, 2),
+             Transition(1, "b", 0.5, 3), Transition(2, "a", 1.0, 3)])
+    for f in (topological_order, count_accepting_paths):
+        with pytest.raises(ValueError, match="two 'b'-transitions leave state 1") as err:
+            f(m)
+        assert not isinstance(err.value, CyclicAutomatonError)
 
 
 def test_enumeration_agrees_with_evaluate():
