@@ -18,7 +18,7 @@ import numpy as np
 
 from .ngram import NGramModel, uniform_model
 from .wfa import Wfa, state_levels, topological_order
-from .hedge import log_power_sum
+from .hedge import _log_normaliser
 
 __all__ = [
     "DivergenceValue",
@@ -53,7 +53,7 @@ def divergence_inf(machine: Wfa, model: NGramModel) -> DivergenceValue:
     if machine.alphabet != model.alphabet:
         raise ValueError("alphabet mismatch")
     order = topological_order(machine)
-    log_z = log_power_sum(machine, 1.0)
+    log_z = _log_normaliser(machine)
     if log_z == float("-inf"):
         raise ValueError("empty language")
 

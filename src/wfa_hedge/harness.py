@@ -20,11 +20,11 @@ from . import approx as approxmod
 from . import ngram as ngrammod
 from .builders import (exact_shift_automaton, hierarchy_automaton,
                        length_automaton, weighted_shift_automaton)
-from .hedge import (hedge_init, hedge_step, path_distribution, sample,
+from .hedge import (HedgeState, hedge_init, hedge_step, path_distribution, sample,
                     summarize, tune_eta_fixed, tune_eta_renyi,
                     unweighted_regret, weighted_regret)
 from .phi import PhiWfa, phi_convert
-from .sleeping import (awake_distribution, awake_init, awake_step,
+from .sleeping import (AwakeState, awake_distribution, awake_init, awake_step,
                        sleeping_regret, vertex_comparators)
 from .textio import read_automaton
 from .wfa import Wfa, count_accepting_paths, intersect, leveled_best_path
@@ -320,8 +320,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "alphabet": list(machine.alphabet),
     }
 
+    # Without approximation or compression the played machine is the
+    # competitor, whose length-T product is already built.
     if cfg.algorithm == "awake-hedge":
-        state = awake_init(played, horizon, eta)
+        state = (AwakeState(competitor_t, horizon, eta) if played is machine
+                 else awake_init(played, horizon, eta))
         if "path" in cfg.awake:
             masks = read_awake_csv(cfg.awake["path"], machine.alphabet)
         else:
@@ -350,7 +353,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         report["verdicts"] = {"sleeping_bound_ok": verdict}
         report["sleeping_bound_margin"] = -worst
     else:
-        state = hedge_init(played, horizon, eta)
+        state = (HedgeState(competitor_t, horizon, eta) if played is machine
+                 else hedge_init(played, horizon, eta))
         sampled = []
         for t in range(horizon):
             sampled.append(int(sample(state.p_current, rng)))

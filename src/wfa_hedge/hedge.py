@@ -33,7 +33,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .builders import length_automaton
-from .phi import PHI, PhiWfa, phi_expand, phi_intersect, shadowed_continuation
+from .phi import MAX_PHI_CHAIN, PhiChainError, PhiWfa, phi_expand, phi_intersect
 from .wfa import Wfa, count_accepting_paths, intersect, leveled_best_path
 
 __all__ = [
@@ -124,25 +124,14 @@ class CompiledMachine:
         for q, w in machine.finals.items():
             self.final[renum[q]] = w
 
-        # Consuming edges, then the shadow corrections of phi machines:
-        # rows (correcting edge, shadowed edge, phi chain weight).
-        shadow = []
-        if isinstance(machine, PhiWfa) and machine.has_phi():
-            trs = machine.transitions
-            at = {(t.src, t.label): i for i, t in enumerate(trs) if t.label != PHI}
-            for i, t in enumerate(trs):
-                if t.label != PHI and machine.phi_arc(t.src) is not None:
-                    sc = shadowed_continuation(machine, t.src, t.label)
-                    if sc is not None:
-                        shadow.append((i, at[(sc[1].src, sc[1].label)], sc[0]))
-        shadow = np.array(shadow, dtype=float).reshape(-1, 3)
-        own, shadowed = shadow[:, 0].astype(np.intp), shadow[:, 1].astype(np.intp)
+        # Consuming edges, then the shadow corrections of phi machines.
+        shadowing, shadowed, chain_w = _shadow_corrections(machine)
         real = np.flatnonzero(label >= 0)
-        self.src = src[np.concatenate([real, own])]
+        self.src = np.concatenate([src[real], renum[shadowing]])
         self.dst = dst[np.concatenate([real, shadowed])]
         tid = np.concatenate([real, shadowed])
-        coef = np.concatenate([np.ones(len(real)), -shadow[:, 2]])
-        key = 2 * level[self.src] + np.repeat([0, 1], [len(real), len(own)])
+        coef = np.concatenate([np.ones(len(real)), -chain_w])
+        key = 2 * level[self.src] + np.repeat([0, 1], [len(real), len(shadowing)])
         by_level = np.argsort(key, kind="stable")
         self.src, self.dst = self.src[by_level], self.dst[by_level]
         self.tid, self.coef = tid[by_level], coef[by_level]
@@ -223,6 +212,64 @@ class CompiledMachine:
             beta[lo:hi] = b
         z = beta[self.initial]
         return beta, (log_scale + math.log(z) if z > 0 else NEG_INF)
+
+
+def _direct_reads(machine: PhiWfa) -> np.ndarray:
+    """reads[q, a]: whether state q of a composition output reads symbol a
+    directly, by the rule of :func:`~wfa_hedge.phi.reads_directly`."""
+    index = {a: i for i, a in enumerate(machine.alphabet)}
+    # One row per distinct (left, right) label-set pair.
+    kinds: dict[tuple[frozenset, frozenset], int] = {}
+    kind = [kinds.setdefault(pair, len(kinds)) for pair in machine.pair_labels]
+    table = np.zeros((len(kinds), len(index)), bool)
+    for (left, right), k in kinds.items():
+        table[k, [index[a] for a in left & right]] = True
+    return table[kind]
+
+
+def _shadow_corrections(machine: Machine) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows (state, shadowed edge, phi chain weight) as arrays of state
+    ids, transition indices and weights.
+
+    For every symbol a state with a phi edge reads directly, the first
+    edge with that symbol further down the phi chain, and the product of
+    the phi weights down to it: :func:`~wfa_hedge.phi.shadowed_continuation`
+    for all (state, symbol) pairs at once, ordered by state and then
+    symbol in sorted-string order.  Each sweep moves every pending pair
+    one step down its chain, multiplying the weights in the same order.
+    """
+    c, n, n_sym = machine.columns, machine.num_states, len(machine.alphabet)
+    pid = np.flatnonzero(c.label < 0)[::-1]  # reversed: a state's first phi edge wins
+    if not pid.size:
+        return np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0)
+    phi_dst, phi_w = np.full(n, -1, np.intp), np.zeros(n)
+    phi_dst[c.src[pid]] = c.dst[pid]
+    phi_w[c.src[pid]] = c.weight[pid]
+    real = np.flatnonzero(c.label >= 0)
+    key = c.src[real] * n_sym + c.label[real]
+    by_key = np.argsort(key)
+    key = np.append(key[by_key], np.iinfo(key.dtype).max)  # a miss never runs off the end
+    reads = _direct_reads(machine)
+    by_rank = np.array(sorted(range(n_sym), key=machine.alphabet.__getitem__), np.intp)
+    state, rank = np.nonzero(reads[:, by_rank] & (phi_dst >= 0)[:, None])
+    symbol, pos = by_rank[rank], np.arange(len(state))
+    q, w = phi_dst[state], phi_w[state]
+    rows = []
+    for _ in range(MAX_PHI_CHAIN + 1):
+        stop = reads[q, symbol]
+        want = q * n_sym + symbol
+        at = np.searchsorted(key, want)
+        hit = stop & (key[at] == want)
+        rows.append((pos[hit], real[by_key[at[hit]]], w[hit]))
+        go = np.flatnonzero(~stop & (phi_dst[q] >= 0))
+        pos, symbol, w, q = pos[go], symbol[go], w[go] * phi_w[q[go]], phi_dst[q[go]]
+        if not pos.size:
+            break
+    if pos.size:
+        raise PhiChainError(f"phi chain exceeds {MAX_PHI_CHAIN} from state {state[pos[0]]}")
+    at, shadowed, chain_w = map(np.concatenate, zip(*rows))
+    order = np.argsort(at)
+    return state[at[order]], shadowed[order], chain_w[order]
 
 
 # -- the online state ------------------------------------------------------------
@@ -339,11 +386,10 @@ def _intersect_horizon(competitor: Machine, horizon: int, eta: float) -> Machine
     s_t = length_automaton(len(competitor.alphabet), horizon, alphabet=competitor.alphabet)
     if isinstance(competitor, PhiWfa) and competitor.has_phi():
         inter = phi_intersect(competitor, s_t)
-        if any(len(inter.phi_arcs(q)) > 1 for q in range(inter.num_states)):
+        c = inter.columns
+        if np.bincount(c.src[c.label < 0], minlength=inter.num_states).max() > 1:
             raise ValueError("engine requires chain-style phi machines")
     else:
-        if isinstance(competitor, PhiWfa):
-            competitor = competitor.to_wfa()
         inter = intersect(competitor, s_t)
     if not inter.finals:
         raise ValueError("no competitor sequence of this length")
@@ -418,6 +464,14 @@ def log_power_sum(machine: Wfa, eta: float) -> float:
     return d[machine.initial]
 
 
+def _log_normaliser(machine: Wfa) -> float:
+    """``log_power_sum(machine, 1.0)``, computed once per machine and
+    kept on it (machines are immutable)."""
+    if machine._log_z is None:
+        machine._log_z = log_power_sum(machine, 1.0)
+    return machine._log_z
+
+
 def path_distribution(machine: Wfa, limit: int = 100_000) -> dict[tuple[str, ...], float]:
     """Normalized path weights by enumeration (desk-scale helper)."""
     from .wfa import enumerate_support
@@ -436,7 +490,7 @@ def best_competitor(competitor: Wfa, losses: Sequence[np.ndarray],
     """
     losses = [np.asarray(l, dtype=float) for l in losses]
     sym = {a: i for i, a in enumerate(competitor.alphabet)}
-    log_z = log_power_sum(competitor, 1.0)
+    log_z = _log_normaliser(competitor)
 
     if weighted:
         def score(t, level):
@@ -509,7 +563,7 @@ def renyi_entropy_machine(competitor: Wfa, eta: float) -> float:
     enumerating it: uses log-domain power sums."""
     if eta == 1.0:
         raise ValueError("order 1 is the Shannon limit; use shannon_entropy")
-    log_z = log_power_sum(competitor, 1.0)
+    log_z = _log_normaliser(competitor)
     log_pow = log_power_sum(competitor, eta)
     return (log_pow - eta * log_z) / (1.0 - eta)
 

@@ -7,19 +7,31 @@ the destination.  Symbols defined directly at q therefore shadow anything
 reachable through the phi chain.  Machines built here have at most one
 phi transition per state and no phi cycles.
 
+A :class:`PhiWfa` is a :class:`~wfa_hedge.wfa.Wfa` whose edge columns
+also hold the phi edges, as label -1; it is checked and queried from
+those arrays, and its per-edge views are built on first use, as for a
+plain machine.
+
 Composition through the three-state filter transducer produces machines
 whose states remember their (left, right, filter) origin; those can carry
 up to three phi transitions per state (advance left, advance right,
 advance both) and are resolved with the pair-aware rule below.
+:func:`phi_intersect` builds the composition as a breadth-first search
+run one frontier at a time on the columns, like
+:func:`~wfa_hedge.wfa.intersect`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Optional, Sequence, Union
 
-from .wfa import Columns, Transition, Wfa, _columns_of, topological_order
+import numpy as np
+
+from .wfa import (PHI, Columns, Transition, Wfa, _ArcPairs, _check_edges, _coaccessible,
+                  _column_arrays, _final_weights, _ranges, _search, topological_order)
 
 __all__ = [
     "PHI",
@@ -27,6 +39,7 @@ __all__ = [
     "PhiChainError",
     "as_phi",
     "resolve_symbol",
+    "reads_directly",
     "shadowed_continuation",
     "evaluate_phi",
     "phi_backward_distances",
@@ -37,8 +50,6 @@ __all__ = [
     "phi_convert",
     "phi_intersect",
 ]
-
-PHI = "<phi>"
 
 # Filter transducer for composing two phi-automata: state 0 permits any
 # move, state 1 only right-side moves, state 2 only left-side moves.
@@ -60,8 +71,15 @@ class PhiChainError(RuntimeError):
 MAX_PHI_CHAIN = 16
 
 
-class PhiWfa:
+class PhiWfa(Wfa):
     """WFA extended with failure transitions.
+
+    The edges are stored as in :class:`Wfa`, in ``columns``, with phi
+    edges as label -1; ``transitions``, ``arcs()`` and ``phi_arcs()`` are
+    views built on first use.  Construction also checks what failure
+    semantics need: non-negative weights, at most one arc per (state,
+    symbol), no phi cycle, and at most one phi edge per state unless the
+    machine carries composition metadata.
 
     ``pair_labels`` and ``phi_moves`` are set on composition outputs
     only: per-state (left, right) direct-label sets and per-phi-edge move
@@ -69,137 +87,132 @@ class PhiWfa:
     than one phi transition.
     """
 
-    __slots__ = ("alphabet", "num_states", "initial", "finals", "transitions",
-                 "state_names", "pair_labels", "phi_moves", "conversion_events",
-                 "_out", "_phi", "_columns", "_topo")
+    __slots__ = ("pair_labels", "phi_moves", "conversion_events", "_phi", "_phi_depth")
 
     def __init__(self, alphabet: Sequence[str], num_states: int, initial: int,
                  finals: dict[int, float], transitions: Iterable[Transition],
                  state_names: Optional[Sequence] = None,
                  pair_labels: Optional[Sequence[tuple[frozenset, frozenset]]] = None,
-                 phi_moves: Optional[dict[int, str]] = None):
-        self.alphabet = tuple(alphabet)
-        if PHI in self.alphabet:
-            raise ValueError("the phi token is reserved")
-        self.num_states = num_states
-        if not (0 <= initial < num_states):
-            raise ValueError("initial state out of range")
-        self.initial = initial
-        self.finals = dict(finals)
-        self.transitions = tuple(transitions)
-        symbols = set(self.alphabet)
-        out: list[dict[str, Transition]] = [dict() for _ in range(num_states)]
-        phi: list[list[Transition]] = [[] for _ in range(num_states)]
-        for t in self.transitions:
-            if not (0 <= t.src < num_states and 0 <= t.dst < num_states):
-                raise ValueError(f"transition {t} out of range")
-            if t.weight < 0:
-                raise ValueError("negative transition weight")
-            if t.label == PHI:
-                phi[t.src].append(t)
-            elif t.label in symbols:
-                if t.label in out[t.src]:
-                    raise ValueError(f"nondeterministic on {t.label!r} at state {t.src}")
-                out[t.src][t.label] = t
-            else:
-                raise ValueError(f"unknown symbol {t.label!r}")
-        self._out = tuple(out)
-        self._phi = tuple(tuple(p) for p in phi)
-        self.state_names = tuple(state_names) if state_names is not None else None
+                 phi_moves: Optional[dict[tuple[int, int], str]] = None):
+        self._set_composition(pair_labels, phi_moves)
+        super().__init__(alphabet, num_states, initial, finals, transitions, state_names)
+
+    @classmethod
+    def from_columns(cls, alphabet: Sequence[str], num_states: int, initial: int,
+                     finals: dict[int, float], src, label, weight, dst,
+                     state_names: Optional[Sequence] = None,
+                     pair_labels: Optional[Sequence[tuple[frozenset, frozenset]]] = None,
+                     phi_moves: Optional[dict[tuple[int, int], str]] = None) -> "PhiWfa":
+        """Machine whose transition i is (src[i], label, weight[i],
+        dst[i]), label being ``alphabet[label[i]]`` or PHI for -1.  The
+        arrays are copied and checked as the constructor checks
+        transitions."""
+        self = cls.__new__(cls)
+        self._set_composition(pair_labels, phi_moves)
+        self._store(alphabet, num_states, initial, finals, state_names,
+                    _column_arrays(src, label, weight, dst), None)
+        return self
+
+    def _set_composition(self, pair_labels, phi_moves) -> None:
         self.pair_labels = tuple(pair_labels) if pair_labels is not None else None
         # Move kinds of composed phi edges, keyed by (src, dst).
         self.phi_moves = dict(phi_moves) if phi_moves is not None else None
         self.conversion_events: tuple = ()
-        self._columns = None
-        self._topo = None
-        if self.pair_labels is None:
-            for q in range(num_states):
-                if len(self._phi[q]) > 1:
-                    raise ValueError(f"state {q} has several phi transitions "
-                                     "but no composition metadata")
-        self._check_phi_acyclic()
+        self._phi = None
 
-    def _check_phi_acyclic(self) -> None:
-        color = [0] * self.num_states
-        for start in range(self.num_states):
-            if color[start]:
-                continue
-            stack = [(start, 0)]
-            while stack:
-                q, i = stack.pop()
-                if i == 0:
-                    if color[q] == 1:
-                        raise ValueError("phi cycle detected")
-                    if color[q] == 2:
-                        continue
-                    color[q] = 1
-                if i < len(self._phi[q]):
-                    stack.append((q, i + 1))
-                    stack.append((self._phi[q][i].dst, 0))
-                else:
-                    color[q] = 2
+    def _set_header(self, alphabet, *rest) -> None:
+        alphabet = tuple(alphabet)
+        if PHI in alphabet:
+            raise ValueError("the phi token is reserved")
+        super()._set_header(alphabet, *rest)
+
+    def _check(self, cols: Columns, ts: Optional[tuple[Transition, ...]]) -> None:
+        _check_edges(cols, ts, self.num_states, self.alphabet, phi=True)
+        phi = np.flatnonzero(cols.label < 0)
+        if self.pair_labels is None:
+            several = np.flatnonzero(np.bincount(cols.src[phi], minlength=self.num_states) > 1)
+            if several.size:
+                raise ValueError(f"state {several[0]} has several phi transitions "
+                                 "but no composition metadata")
+        self._phi_depth = _phi_chain_depth(cols.src[phi], cols.dst[phi], self.num_states)
 
     # -- queries --
 
-    @property
-    def columns(self) -> Columns:
-        """Edge columns as for :class:`Wfa`; phi edges carry label -1."""
-        if self._columns is None:
-            index = {a: i for i, a in enumerate(self.alphabet)}
-            index[PHI] = -1
-            self._columns = _columns_of(self.transitions, index)
-        return self._columns
-
-    def arcs(self, state: int) -> dict[str, Transition]:
-        return self._out[state]
-
     def phi_arcs(self, state: int) -> tuple[Transition, ...]:
+        """Failure transitions leaving ``state``, in transition order."""
+        if self._phi is None:
+            phi: list[list[Transition]] = [[] for _ in range(self.num_states)]
+            for t in compress(self.transitions, (self.columns.label < 0).tolist()):
+                phi[t.src].append(t)
+            self._phi = tuple(map(tuple, phi))
         return self._phi[state]
 
     def phi_arc(self, state: int) -> Optional[Transition]:
-        p = self._phi[state]
+        p = self.phi_arcs(state)
         return p[0] if p else None
 
-    def final_weight(self, state: int) -> float:
-        return self.finals.get(state, 0.0)
-
     def has_phi(self) -> bool:
-        return any(self._phi[q] for q in range(self.num_states))
+        return bool((self.columns.label < 0).any())
 
     def max_phi_chain_depth(self) -> int:
-        depth = [0] * self.num_states
-        changed = True
-        # Chains are acyclic, so |Q| sweeps suffice; in practice a few.
-        for _ in range(self.num_states + 1):
-            if not changed:
-                break
-            changed = False
-            for t in self.transitions:
-                if t.label == PHI and depth[t.src] < depth[t.dst] + 1:
-                    depth[t.src] = depth[t.dst] + 1
-                    changed = True
-        return max(depth, default=0)
+        """Edges on the longest phi path."""
+        return self._phi_depth
 
     def to_wfa(self) -> Wfa:
         if self.has_phi():
             raise ValueError("machine still has phi transitions; expand first")
-        return Wfa(self.alphabet, self.num_states, self.initial, self.finals,
-                   self.transitions, self.state_names)
+        return _wrap(Wfa, self)
 
     def __repr__(self) -> str:
-        n_phi = sum(1 for t in self.transitions if t.label == PHI)
-        return (f"PhiWfa(states={self.num_states}, transitions={len(self.transitions)}, "
-                f"phi={n_phi})")
+        c = self.columns
+        return (f"PhiWfa(states={self.num_states}, transitions={len(c.src)}, "
+                f"phi={np.count_nonzero(c.label < 0)})")
+
+
+def _phi_chain_depth(src: np.ndarray, dst: np.ndarray, num_states: int) -> int:
+    """Edges on the longest phi path, given the phi edges src -> dst;
+    raises ValueError on a phi cycle.
+
+    A sweep from the chain ends backwards, one generation at a time: a
+    state settles once all its phi successors have, so generation g
+    holds the states whose longest phi path has g edges.
+    """
+    left = np.bincount(src, minlength=num_states)  # unsettled phi successors
+    by_dst = np.argsort(dst, kind="stable")
+    roff = np.searchsorted(dst[by_dst], np.arange(num_states + 1))
+    settled = np.flatnonzero(left == 0)
+    done, depth = len(settled), -1
+    while settled.size:
+        depth += 1
+        pred = src[by_dst[_ranges(roff[settled], roff[settled + 1])]]
+        np.subtract.at(left, pred, 1)
+        pred = np.unique(pred)
+        settled = pred[left[pred] == 0]
+        done += len(settled)
+    if done != num_states:
+        raise ValueError("phi cycle detected")
+    return depth
 
 
 Machine = Union[Wfa, PhiWfa]
 
 
+def _wrap(cls, machine: Wfa):
+    """A ``cls`` machine on ``machine``'s stored edges, checked as ``cls``
+    checks its input; no array is copied and no transition built."""
+    out = cls.__new__(cls)
+    if cls is PhiWfa:
+        out._set_composition(None, None)
+    out._store(machine.alphabet, machine.num_states, machine.initial, machine.finals,
+               machine.state_names, machine.columns, machine._transitions)
+    return out
+
+
 def as_phi(machine: Machine) -> PhiWfa:
+    """``machine`` as a :class:`PhiWfa`, sharing its edge columns."""
     if isinstance(machine, PhiWfa):
         return machine
-    return PhiWfa(machine.alphabet, machine.num_states, machine.initial,
-                  machine.finals, machine.transitions, machine.state_names)
+    return _wrap(PhiWfa, machine)
 
 
 # -- effective transitions ----------------------------------------------------
@@ -245,16 +258,31 @@ def resolve_symbol(machine: PhiWfa, state: int, symbol: str,
     raise PhiChainError(f"phi chain exceeds {max_chain} from state {state}")
 
 
+def reads_directly(machine: PhiWfa, state: int, symbol: str) -> bool:
+    """Whether ``state`` reads ``symbol`` without its phi chain.
+
+    A composition state does when both sides define the symbol
+    (``pair_labels``), even if the composed edge was trimmed because no
+    completion follows it: the symbol is then unreadable there, and the
+    chain must not be consulted either.
+    """
+    if machine.pair_labels is None:
+        return symbol in machine.arcs(state)
+    left, right = machine.pair_labels[state]
+    return symbol in left and symbol in right
+
+
 def shadowed_continuation(machine: PhiWfa, state: int, symbol: str,
                           max_chain: int = MAX_PHI_CHAIN
                           ) -> Optional[tuple[float, Transition]]:
     """First shadowed ``symbol`` edge hanging off ``state``'s phi chain.
 
-    ``state`` defines ``symbol`` directly; the returned pair is the
-    accumulated phi weight down to the first chain state that also
-    defines it, together with that state's edge.  This is the path mass
-    a summing traversal over-counts and the engine must cancel.
-    Chain-style machines only (single phi per state).
+    ``state`` reads ``symbol`` directly; the returned pair is the
+    accumulated phi weight down to the first chain state that reads it
+    too, together with that state's edge (None when there is no such
+    state or it has no such edge).  This is the path mass a summing
+    traversal over-counts and the engine must cancel.  Chain-style
+    machines only (single phi per state).
     """
     phi = machine.phi_arc(state)
     if phi is None:
@@ -262,9 +290,9 @@ def shadowed_continuation(machine: PhiWfa, state: int, symbol: str,
     w = phi.weight
     q = phi.dst
     for _ in range(max_chain + 1):
-        t = machine.arcs(q).get(symbol)
-        if t is not None:
-            return (w, t)
+        if reads_directly(machine, q, symbol):
+            t = machine.arcs(q).get(symbol)
+            return None if t is None else (w, t)
         nxt = machine.phi_arc(q)
         if nxt is None:
             return None
@@ -497,6 +525,38 @@ def phi_convert(wfa: Wfa) -> PhiWfa:
 # -- composition ----------------------------------------------------------------
 
 
+_MOVES = ("both", "left", "right")
+# _STEP[f, move]: the filter state after ``move`` from filter state f; -1
+# where PHI_FILTER forbids the move.  Each move leads into its own filter
+# state, so a composed phi edge's kind is read off its target's filter.
+_STEP = np.full((3, len(_MOVES)), -1, np.intp)
+_MOVE_INTO = {}
+for (_f, _move), _g in PHI_FILTER.items():
+    _STEP[_f, _MOVES.index(_move)] = _g
+    _MOVE_INTO[_g] = _move
+
+
+def _phi_arc_arrays(machine: PhiWfa) -> tuple[np.ndarray, np.ndarray]:
+    """Per state, the target and weight of its phi edge (target -1: none).
+    Chain-style machines only."""
+    c = machine.columns
+    phi = np.flatnonzero(c.label < 0)
+    dst, weight = np.full(machine.num_states, -1, np.intp), np.zeros(machine.num_states)
+    dst[c.src[phi]] = c.dst[phi]
+    weight[c.src[phi]] = c.weight[phi]
+    return dst, weight
+
+
+def _label_sets(machine: PhiWfa) -> list[frozenset]:
+    """Per state, the symbols it reads directly."""
+    c = machine.columns
+    real = np.flatnonzero(c.label >= 0)
+    real = real[np.argsort(c.src[real], kind="stable")]
+    off = np.searchsorted(c.src[real], np.arange(machine.num_states + 1)).tolist()
+    labels = [machine.alphabet[a] for a in c.label[real].tolist()]
+    return [frozenset(labels[off[q]:off[q + 1]]) for q in range(machine.num_states)]
+
+
 def phi_intersect(m1: Machine, m2: Machine) -> PhiWfa:
     """Intersection of two phi-automata through the filter transducer.
 
@@ -504,84 +564,58 @@ def phi_intersect(m1: Machine, m2: Machine) -> PhiWfa:
     both-sides move is only allowed from filter state 0, which admits
     exactly one phi path between any pair of composed states.  Inputs
     must be chain-style (at most one phi per state).
+
+    The search is breadth-first over (left state, right state, filter
+    state) nodes, one frontier at a time, as in :func:`~wfa_hedge.wfa.intersect`:
+    a node's consuming arcs in sorted label order, then its both, left
+    and right phi moves.  Nodes are numbered in discovery order and only
+    co-accessible ones are kept; ``state_names`` holds the node triples.
     """
     a1, a2 = as_phi(m1), as_phi(m2)
-    if a1.alphabet != a2.alphabet:
-        raise ValueError("alphabet mismatch in intersection")
+    arcs, n2 = _ArcPairs(a1, a2), a2.num_states
     if a1.pair_labels is not None or a2.pair_labels is not None:
         raise ValueError("composition outputs cannot be composed again")
+    (pd1, pw1), (pd2, pw2) = _phi_arc_arrays(a1), _phi_arc_arrays(a2)
 
-    start = (a1.initial, a2.initial, 0)
-    ids = {start: 0}
-    order = [start]
-    edges: list[tuple[int, str, float, int, Optional[str]]] = []
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        q1, q2, f = node
-        src = ids[node]
+    def expand(frontier):  # nodes are coded (q1 * |Q2| + q2) * 3 + filter state
+        pair, f = np.divmod(frontier, 3)
+        q1, q2 = np.divmod(pair, n2)
+        owner, e1, e2 = arcs.match(q1, q2)
+        # Phi moves as an (F, 3) table, one column per move in _MOVES order.
+        t1 = np.column_stack((pd1[q1], pd1[q1], q1))
+        t2 = np.column_stack((pd2[q2], q2, pd2[q2]))
+        g = _STEP[f]
+        ok = np.flatnonzero((g >= 0) & (t1 >= 0) & (t2 >= 0))
+        w = np.column_stack((pw1[q1] * pw2[q2], pw1[q1], pw2[q2])).ravel()[ok]
+        phi_code = (t1.ravel()[ok] * n2 + t2.ravel()[ok]) * 3 + g.ravel()[ok]
+        # Per node, its consuming arcs come before its phi moves.
+        owner = np.concatenate((owner, ok // 3))
+        by_owner = np.argsort(owner, kind="stable")
+        code = np.concatenate(((arcs.d1[e1] * n2 + arcs.d2[e2]) * 3, phi_code))[by_owner]
+        label = np.concatenate((arcs.label(e1), np.full(len(ok), -1)))[by_owner]
+        weight = np.concatenate((arcs.w1[e1] * arcs.w2[e2], w))[by_owner]
+        return owner[by_owner], code, (label, weight)
 
-        def visit(dst_node):
-            if dst_node not in ids:
-                ids[dst_node] = len(order)
-                order.append(dst_node)
-                queue.append(dst_node)
-            return ids[dst_node]
-
-        arcs1, arcs2 = a1.arcs(q1), a2.arcs(q2)
-        for label in sorted(arcs1):
-            t1 = arcs1[label]
-            t2 = arcs2.get(label)
-            if t2 is None:
-                continue
-            dst = visit((t1.dst, t2.dst, 0))
-            edges.append((src, label, t1.weight * t2.weight, dst, None))
-        p1, p2 = a1.phi_arc(q1), a2.phi_arc(q2)
-        if p1 is not None and p2 is not None and (f, "both") in PHI_FILTER:
-            dst = visit((p1.dst, p2.dst, PHI_FILTER[(f, "both")]))
-            edges.append((src, PHI, p1.weight * p2.weight, dst, "both"))
-        if p1 is not None and (f, "left") in PHI_FILTER:
-            dst = visit((p1.dst, q2, PHI_FILTER[(f, "left")]))
-            edges.append((src, PHI, p1.weight, dst, "left"))
-        if p2 is not None and (f, "right") in PHI_FILTER:
-            dst = visit((q1, p2.dst, PHI_FILTER[(f, "right")]))
-            edges.append((src, PHI, p2.weight, dst, "right"))
-
-    finals = {}
-    for node, q in ids.items():
-        if node[0] in a1.finals and node[1] in a2.finals:
-            finals[q] = a1.final_weight(node[0]) * a2.final_weight(node[1])
-
+    start = (a1.initial * n2 + a2.initial) * 3
+    code, src, dst, (label, weight) = _search(start, expand)
+    p1, p2 = np.divmod(code // 3, n2)
+    (f1, fw1), (f2, fw2) = _final_weights(a1), _final_weights(a2)
+    final = np.flatnonzero(f1[p1] & f2[p2])
     # Trim to co-accessible states so the engine never walks dead regions.
-    rev: dict[int, list[int]] = {}
-    for s, _, _, d, _ in edges:
-        rev.setdefault(d, []).append(s)
-    alive = set(finals)
-    stack = list(finals)
-    while stack:
-        q = stack.pop()
-        for p in rev.get(q, ()):
-            if p not in alive:
-                alive.add(p)
-                stack.append(p)
-    if 0 not in alive:
-        return PhiWfa(a1.alphabet, 1, 0, {}, [], state_names=[start])
-    remap: dict[int, int] = {}
-    kept_nodes = []
-    for node, q in ids.items():
-        if q in alive:
-            remap[q] = len(remap)
-            kept_nodes.append(node)
-    ts: list[Transition] = []
-    moves: dict[tuple[int, int], str] = {}
-    for s, label, w, d, kind in edges:
-        if s in alive and d in alive:
-            if kind is not None:
-                moves[(remap[s], remap[d])] = kind
-            ts.append(Transition(remap[s], label, w, remap[d]))
-    new_finals = {remap[q]: w for q, w in finals.items()}
-    pair_labels = [(frozenset(a1.arcs(n[0])), frozenset(a2.arcs(n[1])))
-                   for n in kept_nodes]
-    result = PhiWfa(a1.alphabet, len(remap), remap[0], new_finals, ts,
-                    state_names=kept_nodes, pair_labels=pair_labels, phi_moves=moves)
-    return result
+    alive = _coaccessible(src, dst, final, len(code))
+    if not alive[0]:
+        return PhiWfa(a1.alphabet, 1, 0, {}, [], state_names=[(a1.initial, a2.initial, 0)])
+    remap = np.cumsum(alive) - 1
+    keep = np.flatnonzero(alive[dst])
+    phi = keep[label[keep] < 0]
+    moves = dict(zip(zip(remap[src[phi]].tolist(), remap[dst[phi]].tolist()),
+                     map(_MOVE_INTO.__getitem__, (code[dst[phi]] % 3).tolist())))
+    src, dst = remap[src[keep]], remap[dst[keep]]
+    finals = dict(zip(remap[final].tolist(), (fw1[p1[final]] * fw2[p2[final]]).tolist()))
+    p1, p2 = p1[alive].tolist(), p2[alive].tolist()
+    names = list(zip(p1, p2, (code[alive] % 3).tolist()))
+    sets1, sets2 = _label_sets(a1), _label_sets(a2)
+    pair_labels = list(zip(map(sets1.__getitem__, p1), map(sets2.__getitem__, p2)))
+    return PhiWfa.from_columns(a1.alphabet, len(names), 0, finals, src, label[keep],
+                               weight[keep], dst, state_names=names,
+                               pair_labels=pair_labels, phi_moves=moves)

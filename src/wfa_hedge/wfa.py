@@ -11,8 +11,9 @@ destination, one entry per transition (:class:`Columns`).  Bulk
 operations (intersection, topological generations, path counting, the
 engine's compile step) read the columns directly.  The per-edge views,
 ``transitions`` and ``arcs()``, are built from the columns on first
-access and cached.  A :class:`Wfa` is immutable after construction: the
-columns are read-only arrays and the cached views never change once
+access and cached, as are the topological generations and the log
+normaliser.  A :class:`Wfa` is immutable after construction: the
+columns are read-only arrays and the cached values never change once
 built (two threads racing to build one build equal values), so a
 machine is safe to share across threads.  Every operation in this
 module is a pure function returning a new automaton or a plain value.
@@ -21,7 +22,7 @@ module is a pure function returning a new automaton or a plain value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -44,6 +45,9 @@ __all__ = [
     "leveled_best_path",
     "validate",
 ]
+
+
+PHI = "<phi>"  # the label of a failure transition, label id -1 in the columns
 
 
 class CyclicAutomatonError(ValueError):
@@ -77,14 +81,26 @@ class Columns(NamedTuple):
     dst: np.ndarray
 
 
-def _columns_of(transitions: tuple[Transition, ...], index: dict[str, int]) -> Columns:
-    """Edge columns of ``transitions``; labels missing from ``index`` get -1."""
+def _columns_of(transitions: tuple[Transition, ...], alphabet: tuple[str, ...]) -> Columns:
+    """Edge columns of ``transitions``: PHI gets label -1 unless the
+    alphabet has it, a label outside the alphabet -2."""
+    index = {PHI: -1}
+    index.update((a, i) for i, a in enumerate(alphabet))
     n = len(transitions)
-    return _frozen(Columns(
+    return Columns(
         np.fromiter((t.src for t in transitions), np.intp, n),
-        np.fromiter((index.get(t.label, -1) for t in transitions), np.intp, n),
+        np.fromiter((index.get(t.label, -2) for t in transitions), np.intp, n),
         np.fromiter((t.weight for t in transitions), float, n),
-        np.fromiter((t.dst for t in transitions), np.intp, n)))
+        np.fromiter((t.dst for t in transitions), np.intp, n))
+
+
+def _column_arrays(src, label, weight, dst) -> Columns:
+    """Copies of the given edge arrays, checked for shape."""
+    cols = Columns(np.array(src, np.intp), np.array(label, np.intp),
+                   np.array(weight, float), np.array(dst, np.intp))
+    if any(a.ndim != 1 or len(a) != len(cols.src) for a in cols):
+        raise ValueError("edge columns must be 1-d arrays of one length")
+    return cols
 
 
 def _frozen(cols: Columns) -> Columns:
@@ -93,17 +109,42 @@ def _frozen(cols: Columns) -> Columns:
     return cols
 
 
-def _first_bad_edge(cols: Columns, num_states: int,
-                    num_labels: int) -> Optional[tuple[int, bool]]:
-    """(index, whether out of range) of the first transition with a state
-    out of range or a label id outside [0, num_labels), or None."""
+def _check_edges(cols: Columns, ts: Optional[tuple[Transition, ...]], num_states: int,
+                 alphabet: tuple[str, ...], phi: bool) -> None:
+    """Raises ValueError on the first transition with a state out of range
+    or a label outside the alphabet.  With ``phi`` (failure-transition
+    machines) label -1 is allowed, and a negative weight or a second
+    transition with the same (source, label) is an error too.  Messages
+    name the :class:`Transition` when the machine was built from them,
+    the transition's index when it was built from columns."""
+    n_sym = len(alphabet)
     out = ((cols.src < 0) | (cols.src >= num_states)
            | (cols.dst < 0) | (cols.dst >= num_states))
-    bad = np.flatnonzero(out | (cols.label < 0) | (cols.label >= num_labels))
-    if not bad.size:
-        return None
-    i = int(bad[0])
-    return i, bool(out[i])
+    unknown = (cols.label < (-1 if phi else 0)) | (cols.label >= n_sym)
+    bad = out | unknown
+    if phi:
+        negative = cols.weight < 0
+        real = np.flatnonzero(~unknown & (cols.label >= 0))
+        again = np.zeros(len(bad), bool)
+        again[real] = True
+        _, first = np.unique(cols.src[real] * n_sym + cols.label[real], return_index=True)
+        again[real[first]] = False
+        bad |= negative | again
+    hits = np.flatnonzero(bad)
+    if not hits.size:
+        return
+    i = int(hits[0])
+    t = None if ts is None else ts[i]
+    if out[i]:
+        raise ValueError(f"transition {t} out of range" if t is not None else
+                         f"transition {i} ({cols.src[i]} -> {cols.dst[i]}) out of range")
+    if phi and negative[i]:
+        raise ValueError(f"negative transition weight on {t}" if t is not None else
+                         f"negative transition weight {cols.weight[i]} on transition {i}")
+    if unknown[i]:
+        raise ValueError(f"unknown symbol {t.label!r}" if t is not None else
+                         f"unknown symbol id {cols.label[i]} on transition {i}")
+    raise ValueError(f"nondeterministic on {alphabet[cols.label[i]]!r} at state {cols.src[i]}")
 
 
 class Wfa:
@@ -123,22 +164,13 @@ class Wfa:
     """
 
     __slots__ = ("alphabet", "num_states", "initial", "finals", "columns",
-                 "state_names", "_transitions", "_out", "_topo")
+                 "state_names", "_transitions", "_out", "_topo", "_log_z")
 
     def __init__(self, alphabet: Sequence[str], num_states: int, initial: int,
                  finals: dict[int, float], transitions: Iterable[Transition],
                  state_names: Optional[Sequence] = None):
-        self._set_header(alphabet, num_states, initial, finals, state_names)
-        ts = tuple(transitions)
-        cols = _columns_of(ts, {a: i for i, a in enumerate(self.alphabet)})
-        bad = _first_bad_edge(cols, num_states, len(self.alphabet))
-        if bad is not None:
-            i, out_of_range = bad
-            if out_of_range:
-                raise ValueError(f"transition {ts[i]} out of range")
-            raise ValueError(f"unknown symbol {ts[i].label!r}")
-        self.columns = cols
-        self._transitions = ts
+        self._store(alphabet, num_states, initial, finals, state_names,
+                    None, tuple(transitions))
 
     @classmethod
     def from_columns(cls, alphabet: Sequence[str], num_states: int, initial: int,
@@ -147,21 +179,23 @@ class Wfa:
         """Machine whose transition i is (src[i], alphabet[label[i]],
         weight[i], dst[i]).  The arrays are copied."""
         self = cls.__new__(cls)
-        self._set_header(alphabet, num_states, initial, finals, state_names)
-        cols = Columns(np.array(src, np.intp), np.array(label, np.intp),
-                       np.array(weight, float), np.array(dst, np.intp))
-        if any(a.ndim != 1 or len(a) != len(cols.src) for a in cols):
-            raise ValueError("edge columns must be 1-d arrays of one length")
-        bad = _first_bad_edge(cols, num_states, len(self.alphabet))
-        if bad is not None:
-            i, out_of_range = bad
-            if out_of_range:
-                raise ValueError(f"transition {i} ({cols.src[i]} -> {cols.dst[i]}) "
-                                 "out of range")
-            raise ValueError(f"unknown symbol id {cols.label[i]} on transition {i}")
-        self.columns = _frozen(cols)
-        self._transitions = None
+        self._store(alphabet, num_states, initial, finals, state_names,
+                    _column_arrays(src, label, weight, dst), None)
         return self
+
+    def _store(self, alphabet, num_states, initial, finals, state_names,
+               cols: Optional[Columns], ts: Optional[tuple[Transition, ...]]) -> None:
+        """Checks and stores a machine given by its columns, its
+        transitions, or both (then they must agree)."""
+        self._set_header(alphabet, num_states, initial, finals, state_names)
+        if cols is None:
+            cols = _columns_of(ts, self.alphabet)
+        self._check(cols, ts)
+        self.columns = _frozen(cols)
+        self._transitions = ts
+
+    def _check(self, cols: Columns, ts: Optional[tuple[Transition, ...]]) -> None:
+        _check_edges(cols, ts, self.num_states, self.alphabet, phi=False)
 
     def _set_header(self, alphabet, num_states, initial, finals, state_names) -> None:
         self.alphabet = tuple(alphabet)
@@ -178,6 +212,7 @@ class Wfa:
         self.state_names = tuple(state_names) if state_names is not None else None
         self._out = None
         self._topo = None
+        self._log_z = None
 
     # -- queries ----------------------------------------------------------
 
@@ -186,16 +221,18 @@ class Wfa:
         """The transitions as objects, in column order (built on first use)."""
         if self._transitions is None:
             c = self.columns
-            labels = [self.alphabet[i] for i in c.label.tolist()]
+            symbols = self.alphabet + (PHI,)  # label -1 is a phi edge
+            labels = [symbols[i] for i in c.label.tolist()]
             self._transitions = tuple(map(Transition, c.src.tolist(), labels,
                                           c.weight.tolist(), c.dst.tolist()))
         return self._transitions
 
     def arcs(self, state: int) -> dict[str, Transition]:
-        """Outgoing transitions of ``state`` keyed by label."""
+        """Outgoing transitions of ``state`` keyed by label (phi edges
+        are not arcs)."""
         if self._out is None:
             out: list[dict[str, Transition]] = [dict() for _ in range(self.num_states)]
-            for t in self.transitions:
+            for t in compress(self.transitions, (self.columns.label >= 0).tolist()):
                 # First transition wins in the index; validate() flags duplicates.
                 out[t.src].setdefault(t.label, t)
             self._out = tuple(out)
@@ -277,6 +314,104 @@ def _sorted_arcs(machine: Wfa, rank: np.ndarray) -> tuple[np.ndarray, ...]:
     return keys, c.weight[real[first]], c.dst[real[first]]
 
 
+class _ArcPairs:
+    """The arcs of two machines over one alphabet, indexed for the
+    product searches: ``match`` pairs up same-label arcs by a sorted-key
+    lookup, with no dense |Q| x |alphabet| table.  Labels are taken in
+    sorted-string order, the order ``sorted(machine.arcs(q))`` gives."""
+
+    def __init__(self, a1: Wfa, a2: Wfa):
+        if a1.alphabet != a2.alphabet:
+            raise ValueError("alphabet mismatch in intersection")
+        self.n_sym = n_sym = len(a1.alphabet)
+        self.by_rank = np.array(sorted(range(n_sym), key=a1.alphabet.__getitem__), np.intp)
+        rank = np.empty(n_sym, np.intp)
+        rank[self.by_rank] = np.arange(n_sym)
+        key1, self.w1, self.d1 = _sorted_arcs(a1, rank)
+        key2, self.w2, self.d2 = _sorted_arcs(a2, rank)
+        self.off1 = np.searchsorted(key1, np.arange(a1.num_states + 1) * n_sym)
+        self.rank1 = key1 % n_sym
+        self.key2 = np.append(key2, np.iinfo(key2.dtype).max)  # a miss never runs off the end
+
+    def match(self, q1: np.ndarray, q2: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(owner, e1, e2): for each i, the a1-arcs e1 leaving q1[i] in
+        label order that have a same-label a2-arc e2 leaving q2[i]."""
+        off1 = self.off1
+        e1 = _ranges(off1[q1], off1[q1 + 1])
+        owner = np.repeat(np.arange(len(q1)), off1[q1 + 1] - off1[q1])
+        want = q2[owner] * self.n_sym + self.rank1[e1]
+        e2 = np.searchsorted(self.key2, want)
+        hit = np.flatnonzero(self.key2[e2] == want)
+        return owner[hit], e1[hit], e2[hit]
+
+    def label(self, e1: np.ndarray) -> np.ndarray:
+        """Alphabet index of each a1-arc."""
+        return self.by_rank[self.rank1[e1]]
+
+
+def _search(start: int, expand) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """Breadth-first search over integer-coded nodes, one frontier at a time.
+
+    ``expand(frontier)`` returns the frontier's out-edges as (owner, node
+    code, payload): owner indexes the frontier, the edges are sorted by
+    owner and then in the order a node takes its arcs, and payload is a
+    tuple of per-edge arrays.  Nodes get ids in order of first occurrence,
+    as a FIFO queue assigns them.  Returns the node codes by id, each
+    edge's source and target ids, and the payload arrays, edges in the
+    order a FIFO queue produces them.
+    """
+    ids = {start: 0}
+    frontier = np.array([start])
+    codes, srcs, dsts, payloads = [frontier], [], [], []
+    next_id = 1
+    while frontier.size:
+        lo = next_id - len(frontier)
+        owner, code, payload = expand(frontier)
+        # Unseen nodes get the next ids in order of first occurrence.
+        u, first, inv = np.unique(code, return_index=True, return_inverse=True)
+        uid = np.fromiter(map(ids.get, u.tolist(), repeat(-1, len(u))), np.intp, len(u))
+        new = np.flatnonzero(uid < 0)
+        new = new[np.argsort(first[new])]
+        uid[new] = next_id + np.arange(len(new))
+        frontier = u[new]
+        ids.update(zip(frontier.tolist(), uid[new].tolist()))
+        codes.append(frontier)
+        srcs.append(lo + owner)
+        dsts.append(uid[inv])
+        payloads.append(payload)
+        next_id += len(new)
+    return (np.concatenate(codes), np.concatenate(srcs), np.concatenate(dsts),
+            [np.concatenate(p) for p in zip(*payloads)])
+
+
+def _final_weights(machine: Wfa) -> tuple[np.ndarray, np.ndarray]:
+    """(whether final, final weight) per state; zero weights are final."""
+    is_final, weight = np.zeros(machine.num_states, bool), np.zeros(machine.num_states)
+    q = np.fromiter(machine.finals, np.intp, len(machine.finals))
+    is_final[q] = True
+    weight[q] = np.fromiter(machine.finals.values(), float, len(machine.finals))
+    return is_final, weight
+
+
+def _coaccessible(src: np.ndarray, dst: np.ndarray, final: np.ndarray, n: int) -> np.ndarray:
+    """Which of n states reach a state in ``final``: a reverse
+    breadth-first sweep over the edges src -> dst."""
+    by_dst = np.argsort(dst, kind="stable")
+    roff = np.searchsorted(dst[by_dst], np.arange(n + 1))
+    alive = np.zeros(n, bool)
+    alive[final] = True
+    back = final
+    slot = np.empty(n, np.intp)  # dedupes each new batch in place of a sort
+    while back.size:
+        pred = src[by_dst[_ranges(roff[back], roff[back + 1])]]
+        pred = pred[~alive[pred]]
+        alive[pred] = True
+        at = np.arange(len(pred))
+        slot[pred] = at
+        back = pred[slot[pred] == at]
+    return alive
+
+
 def intersect(a1: Wfa, a2: Wfa) -> Wfa:
     """Product automaton: (a1 & a2)(x) = a1(x) * a2(x) for every x.
 
@@ -291,78 +426,17 @@ def intersect(a1: Wfa, a2: Wfa) -> Wfa:
     each state's arcs follow in sorted label order, and ``state_names``
     holds the (a1 state, a2 state) pairs.
     """
-    if a1.alphabet != a2.alphabet:
-        raise ValueError("alphabet mismatch in intersection")
-    n_sym, n2 = len(a1.alphabet), a2.num_states
-    by_rank = np.array(sorted(range(n_sym), key=a1.alphabet.__getitem__), np.intp)
-    rank = np.empty(n_sym, np.intp)
-    rank[by_rank] = np.arange(n_sym)
-    key1, w1, d1 = _sorted_arcs(a1, rank)
-    key2, w2, d2 = _sorted_arcs(a2, rank)
-    off1 = np.searchsorted(key1, np.arange(a1.num_states + 1) * n_sym)
-    rank1, pair1 = key1 % n_sym, d1 * n2
-    key2 = np.append(key2, np.iinfo(key2.dtype).max)  # a miss never runs off the end
+    arcs, n2 = _ArcPairs(a1, a2), a2.num_states
 
-    # Pairs are coded q1 * |Q2| + q2.  Frontier k holds the ids
-    # lo..next_id-1, discovered while frontier k-1 was expanded.
-    start = a1.initial * n2 + a2.initial
-    ids = {start: 0}
-    frontier = np.array([start])
-    codes, srcs, arcs1, arcs2, dsts = [frontier], [], [], [], []
-    next_id = 1
-    while frontier.size:
-        lo = next_id - len(frontier)
-        q1, q2 = np.divmod(frontier, n2)
-        # Each frontier pair's a1-arcs in label order, matched to a2's.
-        fan = off1[q1 + 1] - off1[q1]
-        e1 = _ranges(off1[q1], off1[q1 + 1])
-        owner = np.repeat(np.arange(len(frontier)), fan)
-        want = q2[owner] * n_sym + rank1[e1]
-        e2 = np.searchsorted(key2, want)
-        hit = np.flatnonzero(key2[e2] == want)
-        e1, e2, owner = e1[hit], e2[hit], owner[hit]
-        pair = pair1[e1] + d2[e2]
-        # Unseen pairs get the next ids in order of first occurrence.
-        u, first, inv = np.unique(pair, return_index=True, return_inverse=True)
-        uid = np.fromiter(map(ids.get, u.tolist(), repeat(-1, len(u))), np.intp, len(u))
-        new = np.flatnonzero(uid < 0)
-        new = new[np.argsort(first[new])]
-        uid[new] = next_id + np.arange(len(new))
-        frontier = u[new]
-        ids.update(zip(frontier.tolist(), uid[new].tolist()))
-        codes.append(frontier)
-        srcs.append(lo + owner)
-        arcs1.append(e1)
-        arcs2.append(e2)
-        dsts.append(uid[inv])
-        next_id += len(new)
-    code, src, dst = np.concatenate(codes), np.concatenate(srcs), np.concatenate(dsts)
-    e1, e2 = np.concatenate(arcs1), np.concatenate(arcs2)
+    def expand(frontier):  # pairs are coded q1 * |Q2| + q2
+        owner, e1, e2 = arcs.match(*np.divmod(frontier, n2))
+        return owner, arcs.d1[e1] * n2 + arcs.d2[e2], (e1, e2)
+
+    code, src, dst, (e1, e2) = _search(a1.initial * n2 + a2.initial, expand)
     p1, p2 = np.divmod(code, n2)
-
-    # Finals: every pair of final states, zero weights included.
-    f1, f2 = np.zeros(a1.num_states, bool), np.zeros(n2, bool)
-    fw1, fw2 = np.zeros(a1.num_states), np.zeros(n2)
-    for f, fw, m in ((f1, fw1, a1), (f2, fw2, a2)):
-        q = np.fromiter(m.finals, np.intp, len(m.finals))
-        f[q] = True
-        fw[q] = np.fromiter(m.finals.values(), float, len(m.finals))
+    (f1, fw1), (f2, fw2) = _final_weights(a1), _final_weights(a2)
     final = np.flatnonzero(f1[p1] & f2[p2])
-
-    # Keep only co-accessible states: a reverse breadth-first sweep.
-    by_dst = np.argsort(dst, kind="stable")
-    roff = np.searchsorted(dst[by_dst], np.arange(len(code) + 1))
-    alive = np.zeros(len(code), bool)
-    alive[final] = True
-    back = final
-    slot = np.empty(len(code), np.intp)  # dedupes each new batch in place of a sort
-    while back.size:
-        pred = src[by_dst[_ranges(roff[back], roff[back + 1])]]
-        pred = pred[~alive[pred]]
-        alive[pred] = True
-        at = np.arange(len(pred))
-        slot[pred] = at
-        back = pred[slot[pred] == at]
+    alive = _coaccessible(src, dst, final, len(code))
     if not alive[0]:
         return Wfa(a1.alphabet, 1, 0, {}, [], state_names=[(a1.initial, a2.initial)])
     remap = np.cumsum(alive) - 1
@@ -371,7 +445,7 @@ def intersect(a1: Wfa, a2: Wfa) -> Wfa:
     finals = dict(zip(remap[final].tolist(), (fw1[p1[final]] * fw2[p2[final]]).tolist()))
     names = list(zip(p1[alive].tolist(), p2[alive].tolist()))
     return Wfa.from_columns(a1.alphabet, len(names), 0, finals, remap[src[keep]],
-                            by_rank[rank1[e1]], w1[e1] * w2[e2], remap[dst[keep]],
+                            arcs.label(e1), arcs.w1[e1] * arcs.w2[e2], remap[dst[keep]],
                             state_names=names)
 
 

@@ -10,6 +10,7 @@ from itertools import product
 
 import numpy as np
 
+from wfa_hedge.phi import PHI, PHI_FILTER, PhiWfa, as_phi, shadowed_continuation
 from wfa_hedge.wfa import CyclicAutomatonError, Transition, Wfa
 
 
@@ -85,8 +86,9 @@ def brute_awake_run(support, eta, alphabet, masks, losses):
 
 # -- reference graph algorithms -----------------------------------------------------
 #
-# The queue-based product construction and FIFO Kahn sort over per-edge
-# objects, which the library's array versions must reproduce exactly.
+# The queue-based product constructions (plain and through the phi
+# filter) and FIFO Kahn sort over per-edge objects, which the library's
+# array versions must reproduce exactly.
 
 
 def intersect(a1, a2):
@@ -144,6 +146,96 @@ def intersect(a1, a2):
             for s, lab, w, d in edges if s in alive and d in alive]
     new_finals = {remap[q]: w for q, w in finals.items()}
     return Wfa(a1.alphabet, len(remap), remap[0], new_finals, kept, state_names=names)
+
+
+def phi_intersect(m1, m2):
+    """Intersection of two phi-automata through the filter transducer.
+
+    Left phi moves keep the right machine in place and vice versa; the
+    both-sides move is only allowed from filter state 0, which admits
+    exactly one phi path between any pair of composed states.  Inputs
+    must be chain-style (at most one phi per state).
+    """
+    a1, a2 = as_phi(m1), as_phi(m2)
+    if a1.alphabet != a2.alphabet:
+        raise ValueError("alphabet mismatch in intersection")
+    if a1.pair_labels is not None or a2.pair_labels is not None:
+        raise ValueError("composition outputs cannot be composed again")
+
+    start = (a1.initial, a2.initial, 0)
+    ids = {start: 0}
+    order = [start]
+    edges: list[tuple[int, str, float, int, Optional[str]]] = []
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        q1, q2, f = node
+        src = ids[node]
+
+        def visit(dst_node):
+            if dst_node not in ids:
+                ids[dst_node] = len(order)
+                order.append(dst_node)
+                queue.append(dst_node)
+            return ids[dst_node]
+
+        arcs1, arcs2 = a1.arcs(q1), a2.arcs(q2)
+        for label in sorted(arcs1):
+            t1 = arcs1[label]
+            t2 = arcs2.get(label)
+            if t2 is None:
+                continue
+            dst = visit((t1.dst, t2.dst, 0))
+            edges.append((src, label, t1.weight * t2.weight, dst, None))
+        p1, p2 = a1.phi_arc(q1), a2.phi_arc(q2)
+        if p1 is not None and p2 is not None and (f, "both") in PHI_FILTER:
+            dst = visit((p1.dst, p2.dst, PHI_FILTER[(f, "both")]))
+            edges.append((src, PHI, p1.weight * p2.weight, dst, "both"))
+        if p1 is not None and (f, "left") in PHI_FILTER:
+            dst = visit((p1.dst, q2, PHI_FILTER[(f, "left")]))
+            edges.append((src, PHI, p1.weight, dst, "left"))
+        if p2 is not None and (f, "right") in PHI_FILTER:
+            dst = visit((q1, p2.dst, PHI_FILTER[(f, "right")]))
+            edges.append((src, PHI, p2.weight, dst, "right"))
+
+    finals = {}
+    for node, q in ids.items():
+        if node[0] in a1.finals and node[1] in a2.finals:
+            finals[q] = a1.final_weight(node[0]) * a2.final_weight(node[1])
+
+    # Trim to co-accessible states so the engine never walks dead regions.
+    rev: dict[int, list[int]] = {}
+    for s, _, _, d, _ in edges:
+        rev.setdefault(d, []).append(s)
+    alive = set(finals)
+    stack = list(finals)
+    while stack:
+        q = stack.pop()
+        for p in rev.get(q, ()):
+            if p not in alive:
+                alive.add(p)
+                stack.append(p)
+    if 0 not in alive:
+        return PhiWfa(a1.alphabet, 1, 0, {}, [], state_names=[start])
+    remap: dict[int, int] = {}
+    kept_nodes = []
+    for node, q in ids.items():
+        if q in alive:
+            remap[q] = len(remap)
+            kept_nodes.append(node)
+    ts: list[Transition] = []
+    moves: dict[tuple[int, int], str] = {}
+    for s, label, w, d, kind in edges:
+        if s in alive and d in alive:
+            if kind is not None:
+                moves[(remap[s], remap[d])] = kind
+            ts.append(Transition(remap[s], label, w, remap[d]))
+    new_finals = {remap[q]: w for q, w in finals.items()}
+    pair_labels = [(frozenset(a1.arcs(n[0])), frozenset(a2.arcs(n[1])))
+                   for n in kept_nodes]
+    result = PhiWfa(a1.alphabet, len(remap), remap[0], new_finals, ts,
+                    state_names=kept_nodes, pair_labels=pair_labels, phi_moves=moves)
+    return result
 
 
 def topological_order(wfa):
@@ -304,6 +396,56 @@ def random_raw_wfa(rng, num_states, alphabet, labels=None, edge_prob=0.5, final_
     order = rng.permutation(len(ts))
     return Wfa(alphabet, num_states, int(rng.integers(num_states)), finals,
                [ts[i] for i in order])
+
+
+def random_phi_wfa(rng, num_states, alphabet, labels=None, edge_prob=0.5, phi_prob=0.5,
+                   final_prob=0.3, cyclic=False):
+    """Random chain-style phi machine left as drawn: at most one edge per
+    (state, symbol) and at most one phi edge per state, the phi edge to a
+    higher id so that phi chains end; a random initial state, dead and
+    unreachable states, some zero weights and zero-weight finals, and
+    transitions in random order.  Symbols come from ``labels`` (default:
+    the whole alphabet).  A state often reads a symbol its phi chain reads
+    too, so direct edges shadow chain edges.  Consuming edges lead to
+    higher ids unless ``cyclic``."""
+    def weight():
+        return 0.0 if rng.random() < 0.1 else float(0.1 + rng.random())
+
+    def target(src):
+        return int(rng.integers(num_states) if cyclic else rng.integers(src + 1, num_states))
+
+    ts = [Transition(src, a, weight(), target(src))
+          for src in range(num_states if cyclic else num_states - 1)
+          for a in (alphabet if labels is None else labels) if rng.random() < edge_prob]
+    ts += [Transition(src, PHI, weight(), int(rng.integers(src + 1, num_states)))
+           for src in range(num_states - 1) if rng.random() < phi_prob]
+    finals = {q: weight() for q in range(num_states) if rng.random() < final_prob}
+    order = rng.permutation(len(ts))
+    return PhiWfa(alphabet, num_states, int(rng.integers(num_states)), finals,
+                  [ts[i] for i in order])
+
+
+def shadow_rows(machine):
+    """(state, shadowed edge, phi chain weight) for every symbol a state
+    with a phi edge reads directly (both sides define it, for composition
+    states) that is read further down the chain, by one
+    shadowed_continuation call per (state, symbol)."""
+    trs = machine.transitions
+    at = {(t.src, t.label): i for i, t in enumerate(trs) if t.label != PHI}
+    rows = []
+    for q in range(machine.num_states):
+        if machine.phi_arc(q) is None:
+            continue
+        if machine.pair_labels is None:
+            reads = set(machine.arcs(q))
+        else:
+            left, right = machine.pair_labels[q]
+            reads = left & right
+        for a in sorted(reads):
+            sc = shadowed_continuation(machine, q, a)
+            if sc is not None:
+                rows.append((q, at[(sc[1].src, sc[1].label)], sc[0]))
+    return rows
 
 
 def random_shared_structure_wfa(rng, layers=(1, 3, 2, 1), alphabet=("a", "b", "c"),

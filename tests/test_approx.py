@@ -25,6 +25,27 @@ def test_divergence_zero_on_matching_model():
     assert d.value == pytest.approx(0.0, abs=1e-12)
 
 
+def test_divergence_computes_the_log_normaliser_once_per_machine(monkeypatch):
+    from wfa_hedge import hedge
+    from wfa_hedge.wfa import intersect
+    calls = []
+    original = hedge.log_power_sum
+
+    def counted(machine, eta):
+        calls.append(eta)
+        return original(machine, eta)
+
+    ct = intersect(exact_shift_automaton(3, 1), length_automaton(3, 6))
+    want = divergence_inf(ct, uniform_model(ct.alphabet, 1))
+    monkeypatch.setattr(hedge, "log_power_sum", counted)
+    ct = intersect(exact_shift_automaton(3, 1), length_automaton(3, 6))
+    sel = select_order(ct, 20, 100)
+    assert len(sel.tried) >= 1
+    prod_eg(ct, 1, 10)
+    assert calls == [1.0]
+    assert divergence_inf(ct, uniform_model(ct.alphabet, 1)) == want
+
+
 def test_divergence_matches_enumeration_on_kshift():
     from wfa_hedge.wfa import intersect
     ct = intersect(exact_shift_automaton(3, 2), length_automaton(3, 6))

@@ -339,3 +339,31 @@ def test_cli_entry_point_subprocess(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdicts"]["weighted_bound_ok"]
+
+
+@pytest.mark.parametrize("extra", [
+    {},
+    {"algorithm": "awake-hedge",
+     "awake": {"generator": "random_subsets", "params": {"density": 0.7}, "seed": 5}},
+])
+def test_run_experiment_intersects_the_competitor_once(monkeypatch, extra):
+    from wfa_hedge import harness, hedge, sleeping, wfa
+    calls = []
+
+    def counted(a1, a2):
+        calls.append(a1)
+        return wfa.intersect(a1, a2)
+
+    for module in (harness, hedge):
+        monkeypatch.setattr(module, "intersect", counted)
+    cfg = cfg_with(**extra)
+    report = report_to_json(run_experiment(cfg))
+    assert len(calls) == 1
+    # The same report as when the engine intersects the played machine again.
+    machine = build_automaton(cfg.automaton)
+    monkeypatch.setattr(harness, "HedgeState",
+                        lambda _, horizon, eta: hedge.hedge_init(machine, horizon, eta))
+    monkeypatch.setattr(harness, "AwakeState",
+                        lambda _, horizon, eta: sleeping.awake_init(machine, horizon, eta))
+    assert report_to_json(run_experiment(cfg)) == report
+    assert len(calls) == 3

@@ -317,3 +317,111 @@ def test_phi_chain_depth_cap():
     with pytest.raises(PhiChainError):
         resolve_symbol(p, 0, "a")  # default cap is 16
     assert resolve_symbol(p, 0, "a", max_chain=n) == (1.0, n)
+
+
+
+def test_engine_rejects_shadow_walks_past_the_chain_cap():
+    from wfa_hedge.hedge import hedge_init
+    from wfa_hedge.phi import PhiChainError
+    n = 20
+    ts = [Transition(i, PHI, 1.0, i + 1) for i in range(n - 1)]
+    ts += [Transition(0, "a", 1.0, n), Transition(n - 1, "a", 1.0, n)]
+    p = PhiWfa(("a",), n + 1, 0, {n: 1.0}, ts)
+    with pytest.raises(PhiChainError, match="exceeds 16 from state 0"):
+        hedge_init(p, 1, 0.5)
+
+
+def test_trimmed_direct_edges_still_shadow_the_chain():
+    # States 0 and 1 read 'c' into a dead state, which the product trims;
+    # the 'c' edge further down the phi chain must stay shadowed, and be
+    # cancelled once, from state 1, the first chain state reading 'c'.
+    from wfa_hedge.hedge import hedge_init
+    from wfa_hedge.phi import reads_directly, shadowed_continuation
+    ts = [Transition(0, "c", 1.0, 4), Transition(0, PHI, 0.5, 1),
+          Transition(1, "c", 1.0, 4), Transition(1, PHI, 0.5, 2),
+          Transition(2, "b", 0.5, 3), Transition(2, "c", 0.5, 3)]
+    p = PhiWfa(("a", "b", "c"), 5, 0, {3: 1.0}, ts)
+    assert evaluate_phi(p, ("c",)) == 0.0 and evaluate_phi(p, ("b",)) == 0.125
+    product = phi_intersect(p, length_automaton(3, 1))
+    one = product.state_names.index((1, 0, 2))
+    for q in (0, one):
+        assert "c" not in product.arcs(q) and reads_directly(product, q, "c")
+    assert shadowed_continuation(product, 0, "c") is None
+    assert shadowed_continuation(product, one, "c")[0] == 0.5
+    assert hedge_init(p, 1, 0.5).p_current.tolist() == [0.0, 1.0, 0.0]
+
+
+# -- the column form -------------------------------------------------------------------
+
+
+def phi_columns(ts, alphabet):
+    """Edge columns of ``ts``; PHI is label -1, an unknown symbol 7."""
+    index = {a: i for i, a in enumerate(alphabet)}
+    index[PHI] = -1
+    return ([t.src for t in ts], [index.get(t.label, 7) for t in ts],
+            [t.weight for t in ts], [t.dst for t in ts])
+
+
+AB = ("a", "b")
+REJECTED = [  # (alphabet, transitions, constructor message, from_columns message)
+    ((PHI, "a"), [], "the phi token is reserved", "the phi token is reserved"),
+    (AB, [Transition(0, "a", 1.0, 1), Transition(0, "b", 1.0, 5)],
+     "transition Transition(src=0, label='b', weight=1.0, dst=5) out of range",
+     "transition 1 (0 -> 5) out of range"),
+    (AB, [Transition(0, "a", 1.0, 1), Transition(1, "a", -0.5, 2)],
+     "negative transition weight on Transition(src=1, label='a', weight=-0.5, dst=2)",
+     "negative transition weight -0.5 on transition 1"),
+    (AB, [Transition(0, "a", 1.0, 1), Transition(0, "a", 1.0, 2)],
+     "nondeterministic on 'a' at state 0", "nondeterministic on 'a' at state 0"),
+    (AB, [Transition(0, "z", 1.0, 1)], "unknown symbol 'z'", "unknown symbol id 7 on transition 0"),
+    (AB, [Transition(0, PHI, 1.0, 1), Transition(1, PHI, 1.0, 2), Transition(2, PHI, 1.0, 1)],
+     "phi cycle detected", "phi cycle detected"),
+    (AB, [Transition(1, PHI, 1.0, 2), Transition(1, PHI, 1.0, 0)],
+     "state 1 has several phi transitions but no composition metadata",
+     "state 1 has several phi transitions but no composition metadata"),
+    # The first bad transition is named: here the repeat before the range error.
+    (AB, [Transition(0, "b", 1.0, 1), Transition(0, "b", 1.0, 2), Transition(1, "a", 1.0, 9)],
+     "nondeterministic on 'b' at state 0", "nondeterministic on 'b' at state 0"),
+]
+
+
+@pytest.mark.parametrize("alphabet, ts, by_objects, by_columns", REJECTED)
+def test_from_columns_rejects_what_the_constructor_rejects(alphabet, ts, by_objects, by_columns):
+    with pytest.raises(ValueError) as err:
+        PhiWfa(alphabet, 3, 0, {2: 1.0}, ts)
+    assert str(err.value) == by_objects
+    with pytest.raises(ValueError) as err:
+        PhiWfa.from_columns(alphabet, 3, 0, {2: 1.0}, *phi_columns(ts, alphabet))
+    assert str(err.value) == by_columns
+
+
+def test_from_columns_rejects_labels_below_phi():
+    with pytest.raises(ValueError, match="^unknown symbol id -2 on transition 0$"):
+        PhiWfa.from_columns(AB, 2, 0, {}, [0], [-2], [1.0], [1])
+
+
+def test_phi_columns_equal_the_transition_form():
+    ts = [Transition(1, "b", 0.5, 2), Transition(0, PHI, 0.25, 1), Transition(0, "a", 2.0, 2),
+          Transition(1, PHI, 0.5, 2), Transition(2, "a", 1.0, 3)]
+    by_objects = PhiWfa(AB, 4, 0, {3: 1.0}, ts)
+    by_columns = PhiWfa.from_columns(AB, 4, 0, {3: 1.0}, *phi_columns(ts, AB))
+    for m in (by_objects, by_columns):
+        assert m.transitions == tuple(ts)
+        assert m.arcs(0) == {"a": ts[2]} and m.arcs(1) == {"b": ts[0]}
+        assert m.phi_arcs(0) == (ts[1],) and m.phi_arc(2) is None
+        assert m.max_phi_chain_depth() == 2
+        assert repr(m) == "PhiWfa(states=4, transitions=5, phi=2)"
+
+
+def test_array_answers_build_no_transition_objects(request):
+    ts = [Transition(0, "a", 0.5, 1), Transition(0, PHI, 0.25, 1), Transition(1, "b", 1.0, 2)]
+    phi = PhiWfa.from_columns(AB, 3, 0, {2: 1.0}, *phi_columns(ts, AB))
+    plain = length_automaton(2, 3)
+    built = request.getfixturevalue("built_transitions")
+    assert phi.has_phi() and phi.max_phi_chain_depth() == 1
+    assert repr(phi) == "PhiWfa(states=3, transitions=3, phi=1)"
+    wrapped = as_phi(plain)
+    assert wrapped.columns is plain.columns
+    assert not wrapped.has_phi() and wrapped.to_wfa().columns is plain.columns
+    phi_intersect(phi, plain)
+    assert built == []

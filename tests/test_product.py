@@ -1,12 +1,14 @@
-"""The array product construction and topological generations against
-the per-edge reference implementations in ``oracles``.
+"""The array product constructions, topological generations and the
+engine's shadow corrections against the per-edge reference
+implementations in ``oracles``.
 
-``intersect`` must reproduce the queue-based construction field by
-field (state numbering, transition order, finals, state names), and
-``topological_order`` / ``count_accepting_paths`` the FIFO Kahn sort, on
-machines with dead and unreachable states, cycles, empty products,
-alphabets past 26 symbols (where sorted label order differs from
-alphabet order) and duplicated labels.
+``intersect`` and ``phi_intersect`` must reproduce the queue-based
+constructions field by field (state numbering, transition order, finals,
+state names, and for phi products the per-state label sets and phi move
+kinds), and ``topological_order`` / ``count_accepting_paths`` the FIFO
+Kahn sort, on machines with dead and unreachable states, cycles, empty
+products, alphabets past 26 symbols (where sorted label order differs
+from alphabet order) and duplicated labels.
 """
 
 import pytest
@@ -15,9 +17,12 @@ from hypothesis import strategies as st
 
 import numpy as np
 
+from wfa_hedge import hedge
 from wfa_hedge.builders import exact_shift_automaton, length_automaton
-from wfa_hedge.hedge import hedge_init
-from wfa_hedge.wfa import (CyclicAutomatonError, Transition, count_accepting_paths,
+from wfa_hedge.hedge import CompiledMachine, hedge_init
+from wfa_hedge.ngram import bigram_phi_machine, fixed_share_bigram
+from wfa_hedge.phi import phi_convert, phi_intersect
+from wfa_hedge.wfa import (CyclicAutomatonError, count_accepting_paths,
                            default_alphabet, intersect, topological_order)
 
 import oracles
@@ -107,17 +112,100 @@ def test_duplicate_labels_are_named_not_called_cycles(seed, alphabet, size, cycl
         assert str(err.value) == f"two {first.label!r}-transitions leave state {first.src}"
 
 
-def test_hedge_init_on_a_plain_machine_builds_no_transition_objects(monkeypatch):
+def test_hedge_init_on_a_plain_machine_builds_no_transition_objects(request):
     machine = exact_shift_automaton(5, 2)
-    built = []
-    init = Transition.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Transition, "__init__", counted)
+    built = request.getfixturevalue("built_transitions")
     state = hedge_init(machine, 40, 0.5)
     assert built == []
     # The per-edge view is still there on request.
     assert len(state.machine.transitions) == len(built) == len(state.machine.columns.src)
+
+
+def test_hedge_init_on_a_phi_machine_builds_no_transition_objects(request):
+    machine = bigram_phi_machine(fixed_share_bigram(5, 2, 40))
+    built = request.getfixturevalue("built_transitions")
+    state = hedge_init(machine, 40, 0.5)
+    assert built == []
+    assert state.compiled.coef.min() < 0  # the stay loops shadow the hub
+    assert len(state.machine.transitions) == len(built) == len(state.machine.columns.src)
+
+
+# -- phi products --------------------------------------------------------------------
+
+
+def assert_same_phi_machine(got, want):
+    assert_same_machine(got, want)
+    assert got.pair_labels == want.pair_labels
+    assert got.phi_moves == want.phi_moves
+    if got.phi_moves is not None:
+        assert list(got.phi_moves) == list(want.phi_moves)  # in edge order
+
+
+def phi_operand(rng, kind, alphabet, labels, horizon):
+    """One operand of a phi product: a random chain-style phi machine, a
+    phi_convert output, a plain machine or the length acceptor."""
+    size = int(rng.integers(1, 9))
+    if kind == "chain":
+        return oracles.random_phi_wfa(rng, size, alphabet, labels, cyclic=bool(rng.integers(2)))
+    if kind == "converted":
+        layers = (1, int(rng.integers(2, 5)), int(rng.integers(1, 4)), 1)
+        plain = oracles.random_shared_structure_wfa(rng, layers=layers, alphabet=alphabet)
+        if plain is not None:
+            return phi_convert(plain)
+        return oracles.random_phi_wfa(rng, size, alphabet, labels)
+    if kind == "plain":
+        return raw(rng, alphabet, size, bool(rng.integers(2)), 0, labels, dense=True)
+    return length_automaton(len(alphabet), horizon, alphabet=alphabet)
+
+
+def phi_product_pair(seed, alphabet, kinds, horizon):
+    rng = np.random.default_rng(seed)
+    labels = some_labels(rng, alphabet)
+    return (phi_operand(rng, kinds[0], alphabet, labels, horizon),
+            phi_operand(rng, kinds[1], alphabet, labels, horizon))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=SEEDS, alphabet=ALPHABETS,
+       kinds=st.tuples(st.sampled_from(["chain", "converted"]),
+                       st.sampled_from(["chain", "converted", "plain", "length"])),
+       horizon=st.integers(1, 6))
+def test_phi_intersect_matches_reference(seed, alphabet, kinds, horizon):
+    m1, m2 = phi_product_pair(seed, alphabet, kinds, horizon)
+    assert_same_phi_machine(phi_intersect(m1, m2), oracles.phi_intersect(m1, m2))
+
+
+def test_phi_intersect_draws_cover_every_filter_state_and_empty_products():
+    filters, empty = set(), 0
+    for seed in range(60):
+        m1, m2 = phi_product_pair(seed, default_alphabet(3), ("chain", "chain"), 3)
+        got = phi_intersect(m1, m2)
+        assert_same_phi_machine(got, oracles.phi_intersect(m1, m2))
+        filters.update(name[2] for name in got.state_names)
+        empty += not got.finals
+    assert filters == {0, 1, 2}
+    assert empty >= 3
+
+
+def reference_shadow_corrections(machine):
+    rows = oracles.shadow_rows(machine)
+    own, shadowed, chain_w = zip(*rows) if rows else ((), (), ())
+    return (np.array(own, np.intp), np.array(shadowed, np.intp),
+            np.array(chain_w, dtype=float))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS, size=st.integers(2, 10), horizon=st.integers(1, 6))
+def test_compiled_corrections_match_shadowed_continuation(seed, size, horizon):
+    rng = np.random.default_rng(seed)
+    alphabet = default_alphabet(3)
+    machine = oracles.random_phi_wfa(rng, size, alphabet, edge_prob=0.7, phi_prob=0.7,
+                                     final_prob=0.5, cyclic=True)
+    product = phi_intersect(machine, length_automaton(3, horizon, alphabet=alphabet))
+    got = CompiledMachine(product, horizon)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hedge, "_shadow_corrections", reference_shadow_corrections)
+        want = CompiledMachine(product, horizon)
+    for name in ("src", "dst", "tid", "coef", "label", "edge_off", "real_end"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name

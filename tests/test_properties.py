@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from wfa_hedge.builders import length_automaton
 from wfa_hedge.hedge import hedge_init, hedge_step
 from wfa_hedge.ngram import NGramModel, bigram_phi_machine, ngram_to_wfa
-from wfa_hedge.phi import phi_convert
+from wfa_hedge.phi import phi_convert, phi_expand
 from wfa_hedge.sleeping import awake_distribution, awake_init, awake_step
 from wfa_hedge.wfa import enumerate_support, intersect
 
@@ -102,6 +102,22 @@ def test_phi_engine_matches_enumeration_on_shared_shift_bigrams(seed, n, horizon
     want = oracles.brute_distributions(horizon_support(ngram_to_wfa(model), horizon), eta,
                                        losses, alphabet)
     got = engine_distributions(bigram_phi_machine(model), horizon, eta, losses)
+    assert np.abs(np.array(got) - np.array(want)).max() <= TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, size=st.integers(2, 9), horizon=st.integers(1, 4), eta=ETAS)
+def test_phi_engine_matches_enumeration_on_random_chain_machines(seed, size, horizon, eta):
+    # direct edges shadow edges at any depth of a phi chain, and weights
+    # (phi weights included) are arbitrary
+    rng = np.random.default_rng(seed)
+    machine = oracles.random_phi_wfa(rng, size, ("a", "b", "c"), edge_prob=0.7, phi_prob=0.7,
+                                     final_prob=0.5, cyclic=True)
+    support = horizon_support(phi_expand(machine), horizon)
+    assume(support)
+    losses = rng.random((horizon, 3))
+    want = oracles.brute_distributions(support, eta, losses, machine.alphabet)
+    got = engine_distributions(machine, horizon, eta, losses)
     assert np.abs(np.array(got) - np.array(want)).max() <= TOL
 
 
