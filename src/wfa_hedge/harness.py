@@ -285,7 +285,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     if losses.shape != (horizon, n):
         raise ValueError(f"loss stream has shape {losses.shape}, "
                          f"expected {(horizon, n)}")
-    if losses.min() < 0 or losses.max() > 1:
+    if not (losses.min() >= 0 and losses.max() <= 1):  # NaN fails too
         raise ValueError("losses must lie in [0, 1]")
 
     competitor_t = intersect(machine, length_automaton(n, horizon,
@@ -369,9 +369,13 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         report["best_sequence_played"] = list(rep.best_sequence)
 
         # Regret against the original competitor class, which is what
-        # matters when an approximation was played.
-        w_reg = weighted_regret(state.p_history, list(losses), competitor_t)
-        u_reg = unweighted_regret(state.p_history, list(losses), competitor_t)
+        # matters when an approximation was played; when the competitor
+        # itself was played, summarize has computed it already.
+        if played is machine:
+            w_reg, u_reg = rep.weighted_regret, rep.unweighted_regret
+        else:
+            w_reg = weighted_regret(state.p_history, list(losses), competitor_t)
+            u_reg = unweighted_regret(state.p_history, list(losses), competitor_t)
         report["weighted_regret"] = w_reg
         report["unweighted_regret"] = u_reg
         k = count_accepting_paths(competitor_t)

@@ -10,14 +10,15 @@ edges among its states, grouped by chain depth.  Each shadowed continuation of a
 becomes one extra consuming edge with a negative weight, so plain and
 phi machines run the same sweeps.
 
-Every pass is a per-level ``np.bincount`` sweep in float64: the
-backward sweep once at preparation, then per round the readout of p_t,
-the loss application and the forward advance, each touching one level.
-The forward vector alpha and the backward vector beta have one entry
-per state; each level's slice is rescaled to maximum 1 and its log
-scale accumulated (the scaled forward-backward of Rabiner 1989), so the
-sweeps neither under- nor overflow at any horizon.  The backward sweeps at
-powers 1 and eta yield log Z and log Z_eta.
+Every pass is a per-level ``np.bincount`` sweep in float64.  Alpha and
+beta have one entry per state; each level's slice is rescaled to maximum
+1 and its log scale accumulated (the scaled forward-backward of Rabiner
+1989), so the sweeps neither under- nor overflow at any horizon.  The
+backward sweeps at powers 1 and eta yield log Z and log Z_eta; the one
+at eta keeps each edge's powered weight w and readout product
+w * beta[dst].  A round is then one gather of alpha and two bincounts
+over its level: the advance along w * exp(-eta * loss[label]), and the
+readout of the next level, alpha * w * beta summed by label.
 
 Per-round distributions: p_t[a] is the posterior marginal of the t-th
 symbol given losses 1..t-1.
@@ -78,11 +79,19 @@ def log_sum(logs) -> float:
 # -- the compiled machine --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Level:
-    """The consuming edges leaving one level, as indices into
-    ``machine.transitions``."""
+    """The consuming edges leaving one level, as a round reads them:
+    ``consuming``, the machine's own as indices into
+    ``machine.transitions``; ``edges``, their range in the compiled
+    arrays with the corrections, and views of their ``src``, ``label``
+    and ``dst`` columns; ``fixed``, the consuming plus phi edges."""
     consuming: np.ndarray
+    edges: slice
+    src: np.ndarray
+    label: np.ndarray
+    dst: np.ndarray
+    fixed: int
 
 
 class CompiledMachine:
@@ -92,11 +101,12 @@ class CompiledMachine:
     ``state_off[t]:state_off[t+1]``.  The consuming edges leaving level t
     occupy ``edge_off[t]:edge_off[t+1]``: first the machine's own
     (ending at ``real_end[t]``), then one correction edge per shadowed
-    phi continuation.  Edge e has global ids ``src``/``dst``, expert id
-    ``label`` and weight ``coef[e] * exp(log_w[tid[e]])``, where log_w
-    is indexed like ``machine.transitions``: a correction edge reuses the
-    log-weight of the edge it shadows, so a loss charged to that label
-    reaches both, and carries coef = -(phi chain weight).  Phi edges are
+    phi continuation.  Edge e has source id ``src``, target ``dst``
+    counted from the next level's first state, expert id ``label`` and
+    weight ``coef[e] * exp(log_w[tid[e]])``, where log_w is indexed like
+    ``machine.transitions``: a correction edge reuses the log-weight of
+    the edge it shadows, so a loss charged to that label reaches both,
+    and carries coef = -(phi chain weight).  Phi edges are
     sorted by level and by the chain depth of their source; each run of
     equal (level, depth) is one group, ``group_bounds[g]:group_bounds[g+1]``
     in the phi arrays, and level t owns groups ``group_off[t]:group_off[t+1]``.
@@ -128,7 +138,7 @@ class CompiledMachine:
         shadowing, shadowed, chain_w = _shadow_corrections(machine)
         real = np.flatnonzero(label >= 0)
         self.src = np.concatenate([src[real], renum[shadowing]])
-        self.dst = dst[np.concatenate([real, shadowed])]
+        self.dst = dst[np.concatenate([real, shadowed])] - self.state_off[level[self.src] + 1]
         tid = np.concatenate([real, shadowed])
         coef = np.concatenate([np.ones(len(real)), -chain_w])
         key = 2 * level[self.src] + np.repeat([0, 1], [len(real), len(shadowing)])
@@ -159,11 +169,10 @@ class CompiledMachine:
         self.group_off = np.searchsorted(level[self.psrc[starts]], np.arange(horizon + 2))
 
     def levels(self) -> list[Level]:
-        return [Level(self.tid[self.edge_off[t]:self.real_end[t]])
-                for t in range(self.horizon + 1)]
-
-    def weights(self, log_w: np.ndarray, coef: np.ndarray, a: int, b: int) -> np.ndarray:
-        return coef[a:b] * np.exp(log_w[self.tid[a:b]])
+        eo, ends, gb, go = self.edge_off, self.real_end, self.group_bounds, self.group_off
+        return [Level(self.tid[a:ends[t]], slice(a, b), self.src[a:b], self.label[a:b],
+                      self.dst[a:b], int(ends[t] - a + gb[go[t + 1]] - gb[go[t]]))
+                for t, (a, b) in enumerate(zip(eo[:-1], eo[1:]))]
 
     def extend(self, t: int, alpha: np.ndarray, phi_w: np.ndarray) -> None:
         """Push level t's forward weights along its phi edges, shallow
@@ -174,20 +183,18 @@ class CompiledMachine:
             alpha[lo:hi] += np.bincount(self.pdst[a:b] - lo, alpha[self.psrc[a:b]] * phi_w[a:b],
                                         minlength=hi - lo)
 
-    def powered(self, power: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(log_w, coef, phi weights) with every weight raised to ``power``."""
-        log_w = power * self.log_w
-        coef = np.copysign(np.abs(self.coef) ** power, self.coef)
-        return log_w, coef, np.exp(log_w[self.ptid])
-
-    def backward(self, power: float) -> tuple[np.ndarray, float]:
+    def backward(self, power: float) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, np.ndarray]:
         """Scaled backward sweep with every weight raised to ``power``.
 
-        Returns beta, each level's slice rescaled to maximum 1, and the
-        log of the total path weight.  Final weights only sit at level T,
+        Returns beta, each level's slice rescaled to maximum 1; the log of
+        the total path weight; per edge the powered weight w and the
+        readout product w * beta[dst], which the forward rounds reuse;
+        and the powered phi weights.  Final weights only sit at level T,
         where the length acceptor ends.
         """
-        log_w, coef, phi_w = self.powered(power)
+        w = np.copysign(np.abs(self.coef) ** power, self.coef) * np.exp(power * self.log_w[self.tid])
+        wb = np.empty_like(w)
+        phi_w = np.exp(power * self.log_w[self.ptid])
         beta = np.zeros(self.num_states)
         log_scale = 0.0
         so, eo, gb = self.state_off, self.edge_off, self.group_bounds
@@ -197,8 +204,8 @@ class CompiledMachine:
                 b = self.final[lo:hi] ** power
             else:
                 a, e = eo[t], eo[t + 1]
-                flow = self.weights(log_w, coef, a, e) * beta[self.dst[a:e]]
-                b = np.bincount(self.src[a:e] - lo, flow, minlength=hi - lo)
+                wb[a:e] = w[a:e] * beta[hi:so[t + 2]][self.dst[a:e]]
+                b = np.bincount(self.src[a:e] - lo, wb[a:e], minlength=hi - lo)
                 # A phi source inherits its target's consuming mass, so
                 # the deepest chain states settle first.
                 for g in range(self.group_off[t + 1] - 1, self.group_off[t] - 1, -1):
@@ -211,7 +218,7 @@ class CompiledMachine:
                 log_scale += math.log(m)
             beta[lo:hi] = b
         z = beta[self.initial]
-        return beta, (log_scale + math.log(z) if z > 0 else NEG_INF)
+        return beta, (log_scale + math.log(z) if z > 0 else NEG_INF), w, wb, phi_w
 
 
 def _direct_reads(machine: PhiWfa) -> np.ndarray:
@@ -278,10 +285,10 @@ def _shadow_corrections(machine: Machine) -> tuple[np.ndarray, np.ndarray, np.nd
 class HedgeState:
     """Mutable per-experiment state.  Single-writer: rounds are sequential.
 
-    ``machine`` is the competitor intersected with the length-T acceptor;
-    ``log_w`` holds its eta-powered transition log-weights, indexed like
-    ``machine.transitions``, with the losses charged so far.  ``alpha``
-    and ``beta`` are indexed by the state ids of ``compiled``.
+    ``machine`` is the competitor intersected with the length-T acceptor.
+    ``alpha`` and ``beta`` are indexed by the state ids of ``compiled``;
+    ``flows`` holds the per-label path mass of the current level, as read
+    out before clamping and normalising.
     """
 
     def __init__(self, machine: Machine, horizon: int, eta: float):
@@ -296,8 +303,9 @@ class HedgeState:
         self.compiled = cm = CompiledMachine(machine, horizon)
         self.levels = cm.levels()
         self.log_Z = cm.backward(1.0)[1]
-        self.beta, self.log_Z_eta = cm.backward(eta)
-        self.log_w, self._coef, self._phi_w = cm.powered(eta)
+        self.beta, self.log_Z_eta, self._w, self._wb, self._phi_w = cm.backward(eta)
+        # Row t: the log-factor each label's edges at level t were charged.
+        self._charges = np.zeros((horizon, self.num_experts))
         self.alpha = np.zeros(cm.num_states)
         self.alpha[cm.initial] = 1.0
         cm.extend(0, self.alpha, self._phi_w)
@@ -308,7 +316,7 @@ class HedgeState:
         self.touched_per_round: list[int] = []
         self.work_per_round: list[int] = []
         self.cumulative_loss = 0.0
-        self.p_current = self._readout(0)
+        self.p_current = self._readout()
         self.p_history.append(self.p_current)
 
     @cached_property
@@ -321,46 +329,45 @@ class HedgeState:
     def K(self) -> int:
         return count_accepting_paths(self.competitor)
 
+    @property
+    def log_w(self) -> np.ndarray:
+        """The eta-powered transition log-weights, indexed like
+        ``machine.transitions``, with the losses charged so far."""
+        log_w = self.eta * self.compiled.log_w
+        for lv, charge in zip(self.levels, self._charges):
+            log_w[lv.consuming] += charge[lv.label[:len(lv.consuming)]]
+        return log_w
+
     # -- per-level sweeps --
 
-    def _flows(self, t: int) -> np.ndarray:
-        """Per-label path mass alpha * w * beta over level t's consuming
-        edges, in level t's scale."""
-        cm = self.compiled
-        a, b = cm.edge_off[t], cm.edge_off[t + 1]
-        mass = (self.alpha[cm.src[a:b]] * cm.weights(self.log_w, self._coef, a, b)
-                * self.beta[cm.dst[a:b]])
-        return np.bincount(cm.label[a:b], mass, minlength=self.num_experts)
-
-    def _readout(self, t: int) -> np.ndarray:
-        flows = np.maximum(self._flows(t), 0.0)
+    def _readout(self) -> np.ndarray:
+        """Read p_t off the current level: one gather of alpha, kept for
+        the advance, and one bincount of alpha * w * beta by label."""
+        lv = self.levels[self.rounds_done]
+        self._x = self.alpha[lv.src]
+        self.flows = np.bincount(lv.label, self._x * self._wb[lv.edges], minlength=self.num_experts)
+        flows = np.maximum(self.flows, 0.0)
         total = flows.sum()
         if not total > 0:
             raise ValueError("no probability mass left at this level")
         # Edges visited by one pass over the level: phi edges, consuming
         # edges, and the corrections whose source carries mass.
-        cm = self.compiled
-        touched = (cm.real_end[t] - cm.edge_off[t]
-                   + cm.group_bounds[cm.group_off[t + 1]] - cm.group_bounds[cm.group_off[t]]
-                   + np.count_nonzero(self.alpha[cm.src[cm.real_end[t]:cm.edge_off[t + 1]]]))
-        self._touched = int(touched)
+        self._touched = lv.fixed + int(np.count_nonzero(self._x[len(lv.consuming):]))
         return flows / total
 
-    def _reweight(self, t: int, delta: np.ndarray) -> None:
-        """Add ``delta[label]`` to the log-weight of level t's edges."""
-        cm = self.compiled
-        a, b = cm.edge_off[t], cm.real_end[t]
-        self.log_w[cm.tid[a:b]] += delta[cm.label[a:b]]
-
-    def _advance(self) -> Optional[np.ndarray]:
-        """Push alpha across the current level, then read out the next
-        distribution (None after the last round)."""
-        cm, t = self.compiled, self.rounds_done
-        a, b = cm.edge_off[t], cm.edge_off[t + 1]
+    def _advance(self, loss: np.ndarray, p: np.ndarray, delta: np.ndarray) -> Optional[np.ndarray]:
+        """Book the round's loss, expected under ``p``; charge ``delta[label]``
+        to the current level's edges, push alpha across the level, then
+        read out the next distribution (None after the last round)."""
+        expected = float(p @ loss)
+        self.expected_losses.append(expected)
+        self.cumulative_loss += expected
+        self.loss_history.append(loss.copy())
+        cm, t, lv = self.compiled, self.rounds_done, self.levels[self.rounds_done]
+        self._charges[t] = delta
         lo, hi = cm.state_off[t + 1], cm.state_off[t + 2]
-        mass = self.alpha[cm.src[a:b]] * cm.weights(self.log_w, self._coef, a, b)
-        nxt = np.bincount(cm.dst[a:b] - lo, mass, minlength=hi - lo)
-        self.alpha[lo:hi] = nxt
+        mass = self._x * self._w[lv.edges] * np.exp(delta)[lv.label]
+        self.alpha[lo:hi] = np.bincount(lv.dst, mass, minlength=hi - lo)
         cm.extend(t + 1, self.alpha, self._phi_w)
         peak = np.abs(self.alpha[lo:hi]).max()
         if peak > 0:
@@ -370,7 +377,7 @@ class HedgeState:
         self.touched_per_round.append(self._touched)
         self.work_per_round.append(2 * self._touched)
         if self.rounds_done < self.T:
-            self.p_current = self._readout(self.rounds_done)
+            self.p_current = self._readout()
             self.p_history.append(self.p_current)
         else:
             self.p_current = None
@@ -413,7 +420,7 @@ def _check_loss(state: HedgeState, loss: Sequence[float]) -> np.ndarray:
     loss = np.asarray(loss, dtype=float)
     if loss.shape != (state.num_experts,):
         raise ValueError("loss vector has wrong length")
-    if (loss < 0).any() or (loss > 1).any():
+    if not (loss.min() >= 0 and loss.max() <= 1):  # NaN fails too
         raise ValueError("losses must lie in [0, 1]")
     return loss
 
@@ -425,12 +432,7 @@ def hedge_step(state: HedgeState, loss: Sequence[float]) -> Optional[np.ndarray]
     None, as there is no position T+1 to predict.
     """
     loss = _check_loss(state, loss)
-    expected = float(state.p_current @ loss)
-    state.expected_losses.append(expected)
-    state.cumulative_loss += expected
-    state.loss_history.append(loss.copy())
-    state._reweight(state.rounds_done, -state.eta * loss)
-    return state._advance()
+    return state._advance(loss, state.p_current, -state.eta * loss)
 
 
 def sample(p: np.ndarray, rng: np.random.Generator) -> int:
@@ -645,10 +647,12 @@ def summarize(state: HedgeState) -> RegretReport:
         raise ValueError("run is not finished")
     ps, ls = state.p_history, state.loss_history
     ct = state.competitor
-    w_reg = weighted_regret(ps, ls, ct)
-    u_reg = unweighted_regret(ps, ls, ct)
-    seq, path_loss, _ = best_competitor(ct, ls, weighted=True)
     eta, T, K = state.eta, state.T, state.K
+    # weighted_regret and unweighted_regret, sharing the weighted best path.
+    algo = sum(float(np.dot(p, l)) for p, l in zip(ps, ls))
+    seq, path_loss, log_q = best_competitor(ct, ls, weighted=True)
+    w_reg = algo - path_loss + log_q + math.log(K)
+    u_reg = algo - best_competitor(ct, ls, weighted=False)[1]
     log_sum_q_eta = state.log_Z_eta - eta * state.log_Z
     bound_tight = eta * T / 8.0 + (1.0 / eta) * (eta * math.log(K) + log_sum_q_eta)
     bound_loose = eta * T / 8.0 + (1.0 / eta) * math.log(K)

@@ -7,11 +7,12 @@ awake edges so the total awake path mass is what it was before the
 exponential step, leaving asleep paths untouched: the engine cannot
 drift away from experts that have been asleep for a long time.
 
-The state is the compiled engine of :mod:`wfa_hedge.hedge`.  The round's
-per-label flows come from one ``np.bincount`` sweep over the level; the
-loss multiplies every edge of an awake label by the same factor, so the
-awake mass after the update, and with it the rescale, follows from those
-flows without a second sweep.
+The state is the compiled engine of :mod:`wfa_hedge.hedge`, whose
+readout of the current level keeps its per-label flows.  The loss
+multiplies every edge of an awake label by the same factor, so the awake
+mass after the update, and with it the rescale, follows from those flows
+without another sweep; the rescaled charge then goes into the same
+forward advance as a plain round.
 """
 
 from __future__ import annotations
@@ -78,13 +79,14 @@ def _awake_mask(state: HedgeState, awake: Iterable) -> np.ndarray:
 
 def awake_distribution(state: HedgeState, awake: Iterable) -> np.ndarray:
     """Current distribution conditioned on the awake experts."""
-    mask = _awake_mask(state, awake)
-    p = state.p_current
+    return _conditioned(state.p_current, _awake_mask(state, awake))
+
+
+def _conditioned(p: np.ndarray, mask: np.ndarray) -> np.ndarray:
     total = float(p[mask].sum())
     if total <= 0.0:
         raise ZeroAwakeMassError("awake set carries no probability mass")
-    out = np.where(mask, p, 0.0)
-    return out / total
+    return np.where(mask, p, 0.0) / total
 
 
 def awake_step(state: AwakeState, awake: Iterable, loss: Sequence[float]
@@ -93,22 +95,15 @@ def awake_step(state: AwakeState, awake: Iterable, loss: Sequence[float]
     rescaled so the awake path mass is preserved.
 
     The loss must vanish on asleep experts.  Returns the next full
-    distribution (None on the last round).
+    distribution (None on the last round).  Bad input is rejected before
+    the state changes.
     """
     loss = _check_loss(state, loss)
     mask = _awake_mask(state, awake)
     if (loss[~mask] != 0).any():
         raise ValueError("loss must vanish on asleep experts")
-
-    p_awake = awake_distribution(state, awake)
-    expected = float(p_awake @ loss)
-    state.expected_losses.append(expected)
-    state.cumulative_loss += expected
-    state.loss_history.append(loss.copy())
-    state.awake_history.append(mask.copy())
-    state.p_awake_history.append(p_awake)
-
-    flows = state._flows(state.rounds_done)[mask]
+    p_awake = _conditioned(state.p_current, mask)
+    flows = state.flows[mask]
     before = flows.sum()
     if not before > 0:
         raise ZeroAwakeMassError("awake set carries no path mass")
@@ -118,8 +113,9 @@ def awake_step(state: AwakeState, awake: Iterable, loss: Sequence[float]
         raise ZeroAwakeMassError("awake mass vanished under the update")
     delta = np.zeros(state.num_experts)
     delta[mask] = charged + math.log(before / after)
-    state._reweight(state.rounds_done, delta)
-    return state._advance()
+    state.awake_history.append(mask)
+    state.p_awake_history.append(p_awake)
+    return state._advance(loss, p_awake, delta)
 
 
 # -- regret ---------------------------------------------------------------------

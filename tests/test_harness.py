@@ -234,6 +234,40 @@ def test_run_with_loss_file(tmp_path):
     assert rep["verdicts"]["weighted_bound_ok"]
 
 
+def test_run_rejects_nan_in_loss_file(tmp_path):
+    losses = gen_losses("iid_uniform", {}, 9, 6, 3)
+    losses[2, 1] = math.nan
+    path = tmp_path / "l.csv"
+    write_losses_csv(losses, path)
+    with pytest.raises(ValueError, match=r"losses must lie in \[0, 1\]"):
+        run_experiment(cfg_with(losses={"path": str(path)}))
+
+
+def test_exact_run_takes_its_regrets_from_summarize(monkeypatch):
+    from wfa_hedge import hedge
+    from wfa_hedge.builders import length_automaton
+    from wfa_hedge.wfa import intersect
+    calls = []
+    best_competitor = hedge.best_competitor
+
+    def counted(competitor, losses, weighted):
+        calls.append(weighted)
+        return best_competitor(competitor, losses, weighted)
+
+    monkeypatch.setattr(hedge, "best_competitor", counted)
+    cfg = cfg_with()
+    rep = run_experiment(cfg)
+    monkeypatch.undo()
+    assert sorted(calls) == [False, True]
+    # Bit for bit what the regret functions give on the competitor.
+    machine = build_automaton(cfg.automaton)
+    competitor = intersect(machine, length_automaton(3, cfg.horizon, alphabet=machine.alphabet))
+    ps = [np.array(p) for p in rep["p_rounds"]]
+    losses = list(gen_losses("iid_uniform", {}, 7, cfg.horizon, 3))
+    assert rep["weighted_regret"] == hedge.weighted_regret(ps, losses, competitor)
+    assert rep["unweighted_regret"] == hedge.unweighted_regret(ps, losses, competitor)
+
+
 # -- command line -------------------------------------------------------------------------
 
 

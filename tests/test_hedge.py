@@ -5,7 +5,7 @@ import pytest
 
 from wfa_hedge.builders import (exact_shift_automaton, hierarchy_automaton,
                                 length_automaton, weighted_shift_automaton)
-from wfa_hedge.hedge import (NEG_INF, hedge_init, hedge_step, log_sum,
+from wfa_hedge.hedge import (NEG_INF, best_competitor, hedge_init, hedge_step, log_sum,
                              renyi_entropy, renyi_entropy_machine, sample,
                              shannon_entropy,
                              summarize, tune_eta_fixed, tune_eta_renyi,
@@ -148,6 +148,29 @@ def test_step_validates_input():
         hedge_step(st, [0.1, 0.2])
 
 
+@pytest.mark.parametrize("bad", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0], [0.0, 0.0, -0.5]])
+def test_step_rejects_losses_outside_unit_interval_before_any_change(bad):
+    st = hedge_init(exact_shift_automaton(3, 1), 4, 0.5)
+    hedge_step(st, [0.1, 0.2, 0.3])
+    p, alpha = st.p_current.copy(), st.alpha.copy()
+    with pytest.raises(ValueError, match=r"losses must lie in \[0, 1\]"):
+        hedge_step(st, bad)
+    assert st.rounds_done == 1 and st.cumulative_loss == pytest.approx(st.expected_losses[0])
+    assert len(st.loss_history) == len(st.expected_losses) == 1 and len(st.p_history) == 2
+    assert (st.p_current == p).all() and (st.alpha == alpha).all()
+
+
+def test_log_w_is_powered_weights_plus_the_charged_losses():
+    eta, horizon = 0.7, 5
+    st = hedge_init(exact_shift_automaton(4, 2), horizon, eta)
+    run_rounds(st, np.random.default_rng(2).random((horizon, 4)))
+    m = st.machine
+    want = [eta * math.log(t.weight)
+            - eta * st.loss_history[m.state_names[t.src][1]][st.sym_index[t.label]]
+            for t in m.transitions]
+    assert st.log_w == pytest.approx(want, rel=1e-15, abs=1e-15)
+
+
 def test_distributions_normalized():
     st = hedge_init(exact_shift_automaton(4, 2), 7, 1.3)
     rng = np.random.default_rng(8)
@@ -226,6 +249,15 @@ def test_touched_edges_equal_level_sizes():
     for _ in range(6):
         hedge_step(st, rng.random(3))
     assert st.touched_per_round == level_sizes[:6]
+
+
+def test_touched_and_work_counts_on_a_phi_bigram():
+    # Stay, phi and hub edges plus the corrections whose source carries
+    # mass: 4 at level 0, where only the start state has mass.
+    st = hedge_init(bigram_phi_machine(fixed_share_bigram(4, 2, 8)), 8, 0.5)
+    run_rounds(st, np.random.default_rng(3).random((8, 4)))
+    assert st.touched_per_round == [4] + [16] * 7
+    assert st.work_per_round == [8] + [32] * 7
 
 
 # -- failure-transition backend ----------------------------------------------------------
@@ -359,6 +391,24 @@ def test_sample_frequencies():
 
 
 # -- regret ------------------------------------------------------------------------------
+
+
+def test_summarize_finds_each_best_path_once(monkeypatch):
+    from wfa_hedge import hedge
+    calls = []
+
+    def counted(competitor, losses, weighted):
+        calls.append(weighted)
+        return best_competitor(competitor, losses, weighted)
+
+    st = run_rounds(hedge_init(exact_shift_automaton(3, 2), 6, 0.8),
+                    np.random.default_rng(6).random((6, 3)))
+    monkeypatch.setattr(hedge, "best_competitor", counted)
+    rep = summarize(st)
+    assert sorted(calls) == [False, True]
+    ps, ls = st.p_history, st.loss_history
+    assert rep.weighted_regret == weighted_regret(ps, ls, st.competitor)
+    assert rep.unweighted_regret == unweighted_regret(ps, ls, st.competitor)
 
 
 def test_weighted_regret_matches_enumeration():

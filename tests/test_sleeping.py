@@ -135,6 +135,68 @@ def test_awake_step_rejects_loss_on_asleep_expert():
         awake_step(st, mask, loss)
 
 
+def test_awake_step_rejects_nan_loss_before_any_change():
+    st = awake_init(exact_shift_automaton(3, 1), 4, 0.5)
+    mask = np.array([True, True, False])
+    p = st.p_current.copy()
+    with pytest.raises(ValueError, match=r"losses must lie in \[0, 1\]"):
+        awake_step(st, mask, [math.nan, 0.0, 0.0])
+    assert st.rounds_done == 0 and st.cumulative_loss == 0.0
+    assert st.expected_losses == st.loss_history == st.awake_history == []
+    assert (st.p_current == p).all()
+
+
+def test_log_w_is_powered_weights_plus_the_sleeping_charges():
+    eta, horizon = 0.7, 5
+    st = awake_init(exact_shift_automaton(4, 2), horizon, eta)
+    masks, losses = random_awake_losses(np.random.default_rng(4), horizon, 4)
+    for mask, loss in zip(masks, losses):
+        awake_step(st, mask, loss)
+    # Round t charges each awake label -eta * loss plus the rescale that
+    # keeps the awake mass: log(sum_awake p) - log(sum_awake p e^(-eta loss)).
+    charges = []
+    for p, mask, loss in zip(st.p_history, masks, losses):
+        rescale = math.log(p[mask].sum() / (p[mask] @ np.exp(-eta * loss[mask])))
+        charges.append(np.where(mask, -eta * loss + rescale, 0.0))
+    m = st.machine
+    want = [eta * math.log(t.weight) + charges[m.state_names[t.src][1]][st.sym_index[t.label]]
+            for t in m.transitions]
+    assert st.log_w == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_a_round_sweeps_its_level_once(monkeypatch):
+    from wfa_hedge.hedge import HedgeState
+    st = awake_init(exact_shift_automaton(3, 2), 6, 0.5)
+    sweeps = []
+    readout = HedgeState._readout
+
+    def counted(state):
+        sweeps.append(state.rounds_done)
+        return readout(state)
+
+    bincounts = []
+    bincount = np.bincount
+
+    def counted_bincount(*args, **kwargs):
+        bincounts[-1] += 1
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(HedgeState, "_readout", counted)
+    monkeypatch.setattr(np, "bincount", counted_bincount)
+    rng = np.random.default_rng(3)
+    for t in range(6):
+        mask = rng.random(3) < 0.6
+        mask[t % 3] = True
+        bincounts.append(0)
+        awake_step(st, mask, rng.random(3) * mask)
+    # One readout of each next level (none on the last round), and one
+    # bincount each for the advance and the readout.
+    assert sweeps == [1, 2, 3, 4, 5]
+    assert bincounts == [2, 2, 2, 2, 2, 1]
+    assert st.touched_per_round == [3, 9, 18, 21, 18, 9]
+    assert st.work_per_round == [6, 18, 36, 42, 36, 18]
+
+
 def test_regret_bound_for_every_vertex():
     eta, horizon = 0.5, 5
     rng = np.random.default_rng(2)
