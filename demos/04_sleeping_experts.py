@@ -11,7 +11,7 @@ import numpy as np
 
 from wfa_hedge import (awake_distribution, awake_init, awake_step,
                        exact_shift_automaton, sample, sleeping_regret,
-                       vertex_comparators)
+                       worst_comparator)
 
 N, SHIFTS, T, ETA = 3, 1, 8, 0.5
 
@@ -35,11 +35,8 @@ for t in range(T):
     losses.append(loss)
 
 print(f"\ncumulative expected loss: {state.cumulative_loss:.3f}")
-print("worst regret over all point-mass comparators:")
-worst = max(
-    (sleeping_regret(masks, state.p_awake_history, losses,
-                     state.competitor, u, ETA) for u in
-     vertex_comparators(state.competitor)),
-    key=lambda r: r.value - r.bound)
+print("worst regret over all point-mass comparators (one best-path sweep):")
+args = (masks, state.p_awake_history, losses, state.competitor)
+worst = sleeping_regret(*args, worst_comparator(*args, ETA), ETA)
 print(f"  value {worst.value:.3f}  <=  bound {worst.bound:.3f} "
       f"(awake mass {worst.awake_mass:.2f})")

@@ -31,7 +31,7 @@ from .phi import (PHI, PhiWfa, as_phi, evaluate_phi, phi_convert, phi_expand,
                   phi_intersect, phi_source_subset)
 from .sleeping import (AwakeState, ZeroAwakeMassError, awake_distribution,
                        awake_init, awake_step, sleeping_regret,
-                       vertex_comparators)
+                       worst_comparator)
 from .wfa import (CyclicAutomatonError, Transition, Wfa, backward_distances,
                   count_accepting_paths, default_alphabet, enumerate_support,
                   evaluate, intersect, power_weights, validate, weight_push)

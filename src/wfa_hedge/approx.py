@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ngram import NGramModel, uniform_model
-from .wfa import Wfa, state_levels, topological_order
+from .ngram import NGramModel, ngram_to_wfa, uniform_model
+from .wfa import Wfa, exact_logs, intersect, leveled_best_path
 from .hedge import _log_normaliser
 
 __all__ = [
@@ -41,55 +41,51 @@ class DivergenceValue:
         return self.value != math.inf
 
 
+def _context_product(machine: Wfa, order: int) -> tuple[Wfa, np.ndarray, np.ndarray]:
+    """The machine times the context tracker of order-``order`` models:
+    (product, each edge's model cell, each edge's log-weight).  Built once
+    per (machine, order) and kept on the machine.
+
+    The tracker is :func:`~wfa_hedge.ngram.ngram_to_wfa`'s with weight 1
+    on every edge, so no zero cell of a model trims the product.  Cell
+    context id * |alphabet| + symbol id indexes the model's tables laid
+    end to end in context order, the tracker's state order.
+    """
+    if order not in machine._products:
+        t = ngram_to_wfa(uniform_model(machine.alphabet, order))
+        tc = t.columns
+        tracker = Wfa.from_columns(t.alphabet, t.num_states, t.initial, t.finals,
+                                   tc.src, tc.label, np.ones_like(tc.weight), tc.dst)
+        product = intersect(machine, tracker)
+        c = product.columns
+        context = np.array(product.state_names, np.intp)[:, 1]
+        machine._products[order] = (product, context[c.src] * len(t.alphabet) + c.label,
+                                    exact_logs(c.weight))
+    return machine._products[order]
+
+
 def divergence_inf(machine: Wfa, model: NGramModel) -> DivergenceValue:
     """sup over supported x of log(q(x) / q_w(x)), with the witness.
 
     q is the machine's normalized path distribution; the supremum runs
     over its support only.  A supported sequence the model gives zero
-    weight yields +inf.  Exact best-path computation over (state,
-    context) pairs; ties break toward the lexicographically smallest
-    sequence.
+    weight yields +inf.  The machine must be leveled, as every caller's
+    length-T intersection is.  One best-path sweep over the product of
+    the machine with the model's context tracker, where an edge scores
+    log w - log w[symbol | context]; ties break toward the
+    lexicographically smallest sequence.
     """
     if machine.alphabet != model.alphabet:
         raise ValueError("alphabet mismatch")
-    order = topological_order(machine)
     log_z = _log_normaliser(machine)
     if log_z == float("-inf"):
         raise ValueError("empty language")
-
-    # best[(state, ctx)] = (score, sequence so far)
-    start = (machine.initial, ())
-    best: dict[tuple[int, tuple[str, ...]], tuple[float, tuple[str, ...]]] = {start: (0.0, ())}
-    by_state: dict[int, list[tuple[str, ...]]] = {machine.initial: [()]}
-    result: Optional[tuple[float, tuple[str, ...]]] = None
-    for q in order:
-        for ctx in by_state.get(q, ()):
-            score, seq = best[(q, ctx)]
-            fw = machine.final_weight(q)
-            if fw > 0.0:
-                total = score + math.log(fw)
-                if result is None or total > result[0] or (total == result[0] and seq < result[1]):
-                    result = (total, seq)
-            for label in sorted(machine.arcs(q)):
-                t = machine.arcs(q)[label]
-                if t.weight <= 0.0:
-                    continue
-                cond = model.cond(ctx, label)
-                step = math.inf if cond == 0.0 else math.log(t.weight) - math.log(cond)
-                nscore = score + step
-                nctx = model.context_of(ctx + (label,))
-                key = (t.dst, nctx)
-                cand = (nscore, seq + (label,))
-                cur = best.get(key)
-                if cur is None:
-                    by_state.setdefault(t.dst, []).append(nctx)
-                    best[key] = cand
-                elif nscore > cur[0] or (nscore == cur[0] and cand[1] < cur[1]):
-                    best[key] = cand
-    if result is None:
-        raise ValueError("empty language")
-    value = result[0] - log_z
-    return DivergenceValue(value=value, witness=result[1])
+    product, cell, log_w = _context_product(machine, model.order)
+    log_m = exact_logs(np.concatenate([model.tables[ctx] for ctx in
+                                       NGramModel._all_contexts(model.alphabet, model.order)]))
+    path = leveled_best_path(product, lambda level, e: log_w[e] - log_m[cell[e]],
+                             lambda q: exact_logs([product.finals[i] for i in q.tolist()]))
+    return DivergenceValue(value=path.value - log_z, witness=path.sequence)
 
 
 def kl_divergence(machine: Wfa, model: NGramModel, limit: int = 100_000) -> float:
@@ -271,8 +267,7 @@ def select_order(machine: Wfa, iterations: int, budget: int,
     n_sym = len(machine.alphabet)
     if budget < n_sym:
         raise ValueError("budget below a single level of any model")
-    levels = state_levels(machine)
-    horizon = max(l for l in levels if l is not None)
+    horizon = len(leveled_best_path(machine, lambda level, e: np.ones(len(e))).sequence)
     target = math.sqrt(horizon)
 
     def probe(order: int) -> tuple[bool, NGramModel, float, float]:

@@ -25,9 +25,9 @@ from .hedge import (HedgeState, hedge_init, hedge_step, path_distribution, sampl
                     unweighted_regret, weighted_regret)
 from .phi import PhiWfa, phi_convert
 from .sleeping import (AwakeState, awake_distribution, awake_init, awake_step,
-                       sleeping_regret, vertex_comparators)
+                       sleeping_regret, worst_comparator)
 from .textio import read_automaton
-from .wfa import Wfa, count_accepting_paths, intersect, leveled_best_path
+from .wfa import Wfa, count_accepting_paths, intersect, log_weight_range
 
 __all__ = [
     "ExperimentConfig",
@@ -40,9 +40,6 @@ __all__ = [
     "compare",
     "build_automaton",
 ]
-
-VERTEX_CHECK_LIMIT = 200
-
 
 # -- configuration ----------------------------------------------------------------
 
@@ -339,19 +336,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             awake_step(state, masks[t], losses[t] * masks[t])
         report["awake_sets"] = ["".join("1" if b else "0" for b in m) for m in masks]
         report["p_awake_rounds"] = [p.tolist() for p in state.p_awake_history]
-        k = state.K
-        verdict = True
-        worst = -math.inf
-        comparators = (vertex_comparators(state.competitor)
-                       if k <= VERTEX_CHECK_LIMIT else _best_point_mass(state))
-        for u in comparators:
-            r = sleeping_regret(masks, state.p_awake_history, losses,
-                                state.competitor, u, eta)
-            worst = max(worst, r.value - r.bound)
-            if r.value > r.bound:
-                verdict = False
-        report["verdicts"] = {"sleeping_bound_ok": verdict}
-        report["sleeping_bound_margin"] = -worst
+        # The check is exact at any K: value minus bound is linear in the
+        # comparator mixture, so the worst one is a point mass.
+        args = (masks, state.p_awake_history, losses, state.competitor)
+        r = sleeping_regret(*args, worst_comparator(*args, eta), eta)
+        report["verdicts"] = {"sleeping_bound_ok": bool(r.value <= r.bound)}
+        report["sleeping_bound_margin"] = -(r.value - r.bound)
     else:
         state = (HedgeState(competitor_t, horizon, eta) if played is machine
                  else hedge_init(played, horizon, eta))
@@ -402,23 +392,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     return report
 
 
-def _best_point_mass(state):
-    from .hedge import best_competitor
-    seq, _, _ = best_competitor(state.competitor, state.loss_history, weighted=False)
-    yield {seq: 1.0}
-
-
 def _uniform_weights(machine: Wfa) -> bool:
     """Whether every accepting path has the same weight: the lightest
     and the heaviest path log-weights agree."""
-    def score(t, level):
-        return math.log(t.weight)
-
-    def final_score(q):
-        return math.log(machine.final_weight(q))
-
-    lo, _ = leveled_best_path(machine, score, final_score, maximize=False)
-    hi, _ = leveled_best_path(machine, score, final_score, maximize=True)
+    lo, hi = log_weight_range(machine)
     return hi - lo < 1e-12
 
 

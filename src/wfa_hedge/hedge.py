@@ -35,7 +35,7 @@ import numpy as np
 
 from .builders import length_automaton
 from .phi import MAX_PHI_CHAIN, PhiChainError, PhiWfa, phi_expand, phi_intersect
-from .wfa import Wfa, count_accepting_paths, intersect, leveled_best_path
+from .wfa import Wfa, count_accepting_paths, exact_logs, intersect, leveled_best_path
 
 __all__ = [
     "HedgeState",
@@ -490,29 +490,22 @@ def best_competitor(competitor: Wfa, losses: Sequence[np.ndarray],
     competitor distribution).  ``weighted`` adds the log-probability term
     to the maximized objective; ties break lexicographically.
     """
-    losses = [np.asarray(l, dtype=float) for l in losses]
-    sym = {a: i for i, a in enumerate(competitor.alphabet)}
+    losses = np.asarray(losses, dtype=float)
+    c = competitor.columns
     log_z = _log_normaliser(competitor)
-
     if weighted:
-        def score(t, level):
-            return -losses[level][sym[t.label]] + math.log(t.weight)
+        _, seq, edges = leveled_best_path(
+            competitor, lambda level, e: -losses[level][c.label[e]] + exact_logs(c.weight[e]),
+            lambda q: exact_logs([competitor.finals[i] for i in q.tolist()]))
     else:
-        def score(t, level):
-            return -losses[level][sym[t.label]]
-
-    def final_score(q):
-        return math.log(competitor.final_weight(q)) if weighted else 0.0
-
-    _, seq = leveled_best_path(competitor, score, final_score, maximize=True)
-    path_loss = sum(losses[i][sym[a]] for i, a in enumerate(seq))
+        _, seq, edges = leveled_best_path(competitor, lambda level, e: -losses[level][c.label[e]])
+    path_loss = sum(losses[i][a] for i, a in enumerate(c.label[edges].tolist()))
     # Sum log-weights along the path: its linear weight can underflow.
-    q, log_w = competitor.initial, 0.0
-    for a in seq:
-        t = competitor.arcs(q)[a]
-        log_w += math.log(t.weight)
-        q = t.dst
-    log_q = log_w + math.log(competitor.final_weight(q)) - log_z
+    log_path = 0.0
+    for w in c.weight[edges].tolist():
+        log_path += math.log(w)
+    end = int(c.dst[edges[-1]]) if len(edges) else competitor.initial
+    log_q = log_path + math.log(competitor.final_weight(end)) - log_z
     return seq, float(path_loss), log_q
 
 

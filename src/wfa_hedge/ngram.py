@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .phi import PHI, PhiWfa
-from .wfa import (Transition, Wfa, backward_distances, enumerate_support,
-                  state_levels, topological_order)
+from .wfa import (Transition, Wfa, backward_distances, leveled_best_path, log_weight_range,
+                  topological_order)
 
 __all__ = [
     "NGramModel",
@@ -150,24 +150,6 @@ def ngram_to_wfa(model: NGramModel) -> Wfa:
 # -- maximum-likelihood estimation ----------------------------------------------
 
 
-def _expected_counts_enumerate(machine: Wfa, order: int, limit: int
-                               ) -> dict[tuple[str, ...], np.ndarray]:
-    support = enumerate_support(machine, limit)
-    z = sum(w for _, w in support)
-    n_sym = len(machine.alphabet)
-    sym = {a: i for i, a in enumerate(machine.alphabet)}
-    counts: dict[tuple[str, ...], np.ndarray] = {}
-    for seq, w in support:
-        p = w / z
-        for t, a in enumerate(seq):
-            ctx = tuple(seq[max(0, t - order + 1):t])
-            row = counts.get(ctx)
-            if row is None:
-                row = counts.setdefault(ctx, np.zeros(n_sym))
-            row[sym[a]] += p
-    return counts
-
-
 def _expected_counts_forward_backward(machine: Wfa, order: int
                                       ) -> dict[tuple[str, ...], np.ndarray]:
     """Expected n-gram counts without enumerating paths.
@@ -204,8 +186,7 @@ def _expected_counts_forward_backward(machine: Wfa, order: int
     return counts
 
 
-def ml_ngram(machine: Wfa, order: int, method: str = "auto",
-             enumeration_limit: int = 100_000) -> NGramModel:
+def ml_ngram(machine: Wfa, order: int) -> NGramModel:
     """Maximum-likelihood n-gram fit of the machine's path distribution.
 
     Conditional weights are ratios of expected context counts, which
@@ -214,18 +195,7 @@ def ml_ngram(machine: Wfa, order: int, method: str = "auto",
     ``uniform_filled_contexts`` on the result; they cannot affect any
     supported path.
     """
-    if method not in ("auto", "enumerate", "forward_backward"):
-        raise ValueError("unknown method")
-    if method == "enumerate":
-        counts = _expected_counts_enumerate(machine, order, enumeration_limit)
-    elif method == "forward_backward":
-        counts = _expected_counts_forward_backward(machine, order)
-    else:
-        try:
-            counts = _expected_counts_enumerate(machine, order, enumeration_limit)
-        except ValueError:
-            counts = _expected_counts_forward_backward(machine, order)
-
+    counts = _expected_counts_forward_backward(machine, order)
     alphabet = machine.alphabet
     n = len(alphabet)
     tables = {}
@@ -280,24 +250,20 @@ def minimax_unigram(machine: Wfa) -> NGramModel:
     alphabet = machine.alphabet
     if len(alphabet) != 2:
         raise ValueError("closed form needs a two-symbol alphabet")
-    from .wfa import leveled_best_path
-    levels = state_levels(machine)
-    horizon = max(l for l in levels if l is not None)
-    # Uniform-weight check: min and max path log-weight must agree.
-    lo, _ = leveled_best_path(machine, lambda t, lv: math.log(t.weight), maximize=False)
-    hi, _ = leveled_best_path(machine, lambda t, lv: math.log(t.weight), maximize=True)
+    horizon = len(leveled_best_path(machine, lambda level, e: np.ones(len(e))).sequence)
+    lo, hi = log_weight_range(machine)
     if abs(lo - hi) > 1e-9:
         raise ValueError("closed form needs uniform path weights")
+    label = machine.columns.label
 
-    def min_count(symbol: str) -> int:
-        val, _ = leveled_best_path(
-            machine, lambda t, lv: 1.0 if t.label == symbol else 0.0, maximize=False)
-        return int(round(val))
+    def min_count(j: int) -> int:
+        fewest = leveled_best_path(machine, lambda level, e: np.where(label[e] == j, -1.0, 0.0))
+        return int(round(-fewest.value))
 
     t = float(horizon)
     best_j, best_obj, best_w = None, -math.inf, 0.0
-    for j, a in enumerate(alphabet):
-        n_j = min_count(a)
+    for j in range(len(alphabet)):
+        n_j = min_count(j)
         ratio = math.inf if n_j >= t else n_j / (t - n_j)
         m = max(1.0, ratio)
         w = 1.0 if m == math.inf else m / (1.0 + m)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .hedge import HedgeState, _check_loss, _intersect_horizon
 from .phi import PhiWfa
-from .wfa import Wfa, count_accepting_paths, evaluate
+from .wfa import Wfa, count_accepting_paths, evaluate, leveled_best_path
 
 __all__ = [
     "ZeroAwakeMassError",
@@ -35,7 +35,7 @@ __all__ = [
     "awake_step",
     "SleepingRegret",
     "sleeping_regret",
-    "vertex_comparators",
+    "worst_comparator",
 ]
 
 
@@ -164,8 +164,17 @@ def sleeping_regret(awake_sets: Sequence[np.ndarray],
     return SleepingRegret(value=value, bound=bound, awake_mass=awake_mass)
 
 
-def vertex_comparators(competitor: Wfa, limit: int = 100_000):
-    """Point-mass comparators, one per accepting path."""
-    from .wfa import enumerate_support
-    for seq, _ in enumerate_support(competitor, limit):
-        yield {seq: 1.0}
+def worst_comparator(awake_sets: Sequence[np.ndarray],
+                     p_awake_rounds: Sequence[np.ndarray],
+                     losses: Sequence[np.ndarray],
+                     competitor: Wfa, eta: float) -> dict[tuple[str, ...], float]:
+    """The comparator whose :func:`sleeping_regret` value exceeds its
+    bound the most: a point mass, as value minus bound is linear in the
+    mixture.  Up to log(K)/eta, the point mass on x scores the sum over
+    rounds of awake_t(x_t) (p_awake,t . l_t - l_t(x_t) - eta/8), so it is
+    one best path of the length-T competitor, at any K."""
+    label = competitor.columns.label
+    gains = [np.where(mask, float(np.dot(p, loss)) - np.asarray(loss, float) - eta / 8.0, 0.0)
+             for mask, p, loss in zip(awake_sets, p_awake_rounds, losses)]
+    path = leveled_best_path(competitor, lambda t, edges: gains[t][label[edges]])
+    return {path.sequence: 1.0}

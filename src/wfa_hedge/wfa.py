@@ -8,19 +8,22 @@ are deterministic, so there is at most one).
 A :class:`Wfa` stores its transitions as edge columns: numpy arrays of
 source, label id (the symbol's index in the alphabet), weight and
 destination, one entry per transition (:class:`Columns`).  Bulk
-operations (intersection, topological generations, path counting, the
-engine's compile step) read the columns directly.  The per-edge views,
-``transitions`` and ``arcs()``, are built from the columns on first
-access and cached, as are the topological generations and the log
-normaliser.  A :class:`Wfa` is immutable after construction: the
-columns are read-only arrays and the cached values never change once
-built (two threads racing to build one build equal values), so a
-machine is safe to share across threads.  Every operation in this
-module is a pure function returning a new automaton or a plain value.
+operations (intersection, topological generations, path counting, best
+paths, the engine's compile step) read the columns directly.  The
+per-edge views, ``transitions`` and ``arcs()``, are built from the
+columns on first access and cached, as are the topological generations,
+the log normaliser and the n-gram context products of
+:func:`~wfa_hedge.approx.divergence_inf`.  A :class:`Wfa` is immutable
+after construction: the columns are read-only arrays and the cached
+values never change once built (two threads racing to build one build
+equal values), so a machine is safe to share across threads.  Every
+operation in this module is a pure function returning a new automaton or
+a plain value.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -37,12 +40,14 @@ __all__ = [
     "intersect",
     "power_weights",
     "topological_order",
-    "state_levels",
     "backward_distances",
     "weight_push",
     "count_accepting_paths",
     "enumerate_support",
+    "BestPath",
     "leveled_best_path",
+    "exact_logs",
+    "log_weight_range",
     "validate",
 ]
 
@@ -164,7 +169,7 @@ class Wfa:
     """
 
     __slots__ = ("alphabet", "num_states", "initial", "finals", "columns",
-                 "state_names", "_transitions", "_out", "_topo", "_log_z")
+                 "state_names", "_transitions", "_out", "_topo", "_log_z", "_products")
 
     def __init__(self, alphabet: Sequence[str], num_states: int, initial: int,
                  finals: dict[int, float], transitions: Iterable[Transition],
@@ -213,6 +218,7 @@ class Wfa:
         self._out = None
         self._topo = None
         self._log_z = None
+        self._products = {}  # n-gram order -> (state, context) product, see approx
 
     # -- queries ----------------------------------------------------------
 
@@ -528,28 +534,6 @@ def topological_order(wfa: Wfa) -> list[int]:
     return _generations(wfa)[0].tolist()
 
 
-def state_levels(wfa: Wfa) -> list[Optional[int]]:
-    """Distance from the initial state when it is unique per state.
-
-    Machines intersected with a fixed-length acceptor are leveled: every
-    path reaching a state has the same length.  Raises ValueError when
-    two paths of different lengths reach the same state; unreachable
-    states get level ``None``.
-    """
-    levels: list[Optional[int]] = [None] * wfa.num_states
-    levels[wfa.initial] = 0
-    for q in topological_order(wfa):
-        if levels[q] is None:
-            continue
-        for t in wfa.arcs(q).values():
-            expected = levels[q] + 1
-            if levels[t.dst] is None:
-                levels[t.dst] = expected
-            elif levels[t.dst] != expected:
-                raise ValueError("automaton is not leveled")
-    return levels
-
-
 # -- path aggregation ---------------------------------------------------------
 
 
@@ -666,47 +650,98 @@ def enumerate_support(wfa: Wfa, limit: int = 100_000) -> list[tuple[tuple[str, .
     return out
 
 
-def leveled_best_path(wfa: Wfa,
-                      score: Callable[[Transition, int], float],
-                      final_score: Optional[Callable[[int], float]] = None,
-                      maximize: bool = True) -> tuple[float, tuple[str, ...]]:
-    """Best accepting path of a leveled acyclic machine under additive scores.
+class BestPath(NamedTuple):
+    """A best accepting path: its total score, its labels, and its
+    transitions as indices into the machine's columns."""
+    value: float
+    sequence: tuple[str, ...]
+    edges: np.ndarray
 
-    ``score(t, level)`` is the contribution of transition ``t`` taken at
-    depth ``level`` (0-based: the transition consuming the first symbol
-    has level 0); ``final_score(q)`` is added at accepting endpoints.
-    Ties are broken toward the lexicographically smallest label sequence.
-    Returns (total score, label sequence).
+
+def exact_logs(x) -> np.ndarray:
+    """``math.log`` of each entry, -inf at 0.  ``np.log`` can differ from
+    it in the last bit, and best-path totals are summed from these."""
+    return np.fromiter((math.log(v) if v > 0.0 else -math.inf for v in np.asarray(x).tolist()),
+                       float, np.size(x))
+
+
+def leveled_best_path(wfa: Wfa, score: Callable[[int, np.ndarray], np.ndarray],
+                      final_score: Optional[Callable[[np.ndarray], np.ndarray]] = None
+                      ) -> BestPath:
+    """Best accepting path of a leveled machine under additive scores.
+
+    Leveled means that all paths into a state have one length, as in an
+    intersection with the length-T acceptor, which is what every caller
+    passes; any other machine raises ValueError.  ``score(level, edges)``
+    returns the scores of the given transitions (column indices) taken at
+    0-based depth ``level``, and ``final_score(states)`` those of the
+    given accepting endpoints.  Edges and finals of weight 0 are on no
+    path.  The largest total wins; ties go to the lexicographically
+    smallest label sequence.  Returns the total, the sequence and the
+    path's transitions.
+
+    One max-plus (Viterbi) sweep from the initial state, one frontier per
+    level.  Each edge's score is added to the best prefix total of its
+    source, and one lexsort over (target, -total, rank of the source's
+    prefix among its level, label rank) keeps the best edge into each
+    target as its back-pointer.  Equal totals at different depths compare
+    the recovered sequences.
     """
-    levels = state_levels(wfa)
-    order = topological_order(wfa)
-    sign = 1.0 if maximize else -1.0
-    best: dict[int, tuple[float, tuple[str, ...]]] = {wfa.initial: (0.0, ())}
-    for q in order:
-        if q not in best:
-            continue
-        base, seq = best[q]
-        for label in sorted(wfa.arcs(q)):
-            t = wfa.arcs(q)[label]
-            if t.weight <= 0.0:
-                continue
-            val = base + sign * score(t, levels[q])
-            cand = (val, seq + (label,))
-            cur = best.get(t.dst)
-            if cur is None or val > cur[0] or (val == cur[0] and cand[1] < cur[1]):
-                best[t.dst] = cand
-    result: Optional[tuple[float, tuple[str, ...]]] = None
-    for q, fw in wfa.finals.items():
-        if fw <= 0.0 or q not in best:
-            continue
-        val, seq = best[q]
-        if final_score is not None:
-            val += sign * final_score(q)
-        if result is None or val > result[0] or (val == result[0] and seq < result[1]):
-            result = (val, seq)
-    if result is None:
+    c, n, n_sym = wfa.columns, wfa.num_states, len(wfa.alphabet)
+    rank = np.empty(n_sym, np.intp)
+    rank[sorted(range(n_sym), key=wfa.alphabet.__getitem__)] = np.arange(n_sym)
+    by_src = np.argsort(c.src, kind="stable")
+    off = np.concatenate(([0], np.cumsum(np.bincount(c.src, minlength=n))))
+    total, prefix = np.zeros(n), np.zeros(n, np.intp)
+    depth, back = np.full(n, -1, np.intp), np.full(n, -1, np.intp)
+    frontier, depth[wfa.initial], level = np.array([wfa.initial]), 0, 0
+    while True:
+        e = by_src[_ranges(off[frontier], off[frontier + 1])]
+        e = e[(c.label[e] >= 0) & (c.weight[e] > 0.0)]
+        if not e.size:
+            break
+        src, dst, lr = c.src[e], c.dst[e], rank[c.label[e]]
+        val = total[src] + score(level, e)
+        order = np.lexsort((lr, prefix[src], -val, dst))
+        win = order[np.flatnonzero(np.diff(dst[order], prepend=-1))]
+        frontier = dst[win]
+        if (depth[frontier] >= 0).any():
+            raise ValueError("automaton is not leveled")
+        level += 1
+        depth[frontier], total[frontier], back[frontier] = level, val[win], e[win]
+        prefix[frontier[np.lexsort((lr[win], prefix[src[win]]))]] = np.arange(len(win))
+
+    finals = np.array([q for q, w in wfa.finals.items() if w > 0.0 and depth[q] >= 0], np.intp)
+    if not finals.size:
         raise ValueError("no accepting path")
-    return (sign * result[0], result[1])
+    scores = total[finals] if final_score is None else total[finals] + final_score(finals)
+    top = np.flatnonzero(scores == scores.max())
+    best = None
+    for d in np.unique(depth[finals[top]]):
+        at = top[depth[finals[top]] == d]
+        i = at[np.argmin(prefix[finals[at]])]
+        edges, q = [], finals[i]
+        while q != wfa.initial:
+            edges.append(back[q])
+            q = c.src[back[q]]
+        edges = np.array(edges[::-1], np.intp)
+        seq = tuple(wfa.alphabet[a] for a in c.label[edges].tolist())
+        if best is None or seq < best.sequence:
+            best = BestPath(float(scores[i]), seq, edges)
+    return best
+
+
+def log_weight_range(wfa: Wfa) -> tuple[float, float]:
+    """Log-weights of the lightest and the heaviest accepting path of a
+    leveled machine."""
+    weight = wfa.columns.weight
+
+    def final_log(states):
+        return exact_logs([wfa.finals[q] for q in states.tolist()])
+
+    lo = leveled_best_path(wfa, lambda level, e: -exact_logs(weight[e]), lambda q: -final_log(q))
+    hi = leveled_best_path(wfa, lambda level, e: exact_logs(weight[e]), final_log)
+    return -lo.value, hi.value
 
 
 # -- diagnostics --------------------------------------------------------------

@@ -7,11 +7,15 @@ through the code paths under test.
 import math
 from collections import deque
 from itertools import product
+from typing import Callable, Optional
 
 import numpy as np
 
+from wfa_hedge.approx import DivergenceValue
+from wfa_hedge.hedge import _log_normaliser
+from wfa_hedge.ngram import NGramModel
 from wfa_hedge.phi import PHI, PHI_FILTER, PhiWfa, as_phi, shadowed_continuation
-from wfa_hedge.wfa import CyclicAutomatonError, Transition, Wfa
+from wfa_hedge.wfa import CyclicAutomatonError, Transition, Wfa, enumerate_support
 
 
 def count_changes(seq):
@@ -475,6 +479,25 @@ def random_shared_structure_wfa(rng, layers=(1, 3, 2, 1), alphabet=("a", "b", "c
     return trimmed
 
 
+def random_layered_wfa(rng, layers, alphabet=("a", "b", "c"), edge_prob=0.7, final_prob=0.3):
+    """Random leveled machine left as drawn: state 0 alone in the first
+    layer, each state's edges lead to the next layer, weights are dyadic
+    or (now and then) 0, and finals sit in any layer, some with weight 0.
+    Unreachable and dead states stay."""
+    offsets = np.cumsum([0] + list(layers))
+    ts = []
+    for li in range(len(layers) - 1):
+        for src in range(offsets[li], offsets[li + 1]):
+            for a in alphabet:
+                if rng.random() < edge_prob:
+                    w = 0.0 if rng.random() < 0.1 else _dyadic(rng)
+                    ts.append(Transition(int(src), a, w,
+                                         int(rng.integers(offsets[li + 1], offsets[li + 2]))))
+    finals = {q: (0.0 if rng.random() < 0.1 else _dyadic(rng))
+              for q in range(int(offsets[-1])) if rng.random() < final_prob}
+    return Wfa(alphabet, int(offsets[-1]), 0, finals, ts)
+
+
 def random_leveled_wfa(rng, horizon, alphabet=("a", "b"), support_size=8,
                        bias=None):
     """Uniform-weight trie over a random set of fixed-length strings.
@@ -516,3 +539,152 @@ def fixed_share_distributions(num_experts, shifts, horizon, eta, losses):
         out.append(p / p.sum())
         gamma = step(gamma * np.exp(-eta * np.asarray(losses[s])))
     return np.array(out)
+
+
+# -- the dict walks the array sweeps replaced ------------------------------------------
+#
+# state_levels, leveled_best_path, divergence_inf and
+# _expected_counts_enumerate as the library had them before its best-path
+# questions became one frontier sweep over edge columns, kept as
+# references.  leveled_best_path takes the old per-transition
+# score(t, level) callback.
+
+
+def state_levels(wfa: Wfa) -> list[Optional[int]]:
+    """Distance from the initial state when it is unique per state.
+
+    Machines intersected with a fixed-length acceptor are leveled: every
+    path reaching a state has the same length.  Raises ValueError when
+    two paths of different lengths reach the same state; unreachable
+    states get level ``None``.
+    """
+    levels: list[Optional[int]] = [None] * wfa.num_states
+    levels[wfa.initial] = 0
+    for q in topological_order(wfa):
+        if levels[q] is None:
+            continue
+        for t in wfa.arcs(q).values():
+            expected = levels[q] + 1
+            if levels[t.dst] is None:
+                levels[t.dst] = expected
+            elif levels[t.dst] != expected:
+                raise ValueError("automaton is not leveled")
+    return levels
+
+
+def leveled_best_path(wfa: Wfa,
+                      score: Callable[[Transition, int], float],
+                      final_score: Optional[Callable[[int], float]] = None,
+                      maximize: bool = True) -> tuple[float, tuple[str, ...]]:
+    """Best accepting path of a leveled acyclic machine under additive scores.
+
+    ``score(t, level)`` is the contribution of transition ``t`` taken at
+    depth ``level`` (0-based: the transition consuming the first symbol
+    has level 0); ``final_score(q)`` is added at accepting endpoints.
+    Ties are broken toward the lexicographically smallest label sequence.
+    Returns (total score, label sequence).
+    """
+    levels = state_levels(wfa)
+    order = topological_order(wfa)
+    sign = 1.0 if maximize else -1.0
+    best: dict[int, tuple[float, tuple[str, ...]]] = {wfa.initial: (0.0, ())}
+    for q in order:
+        if q not in best:
+            continue
+        base, seq = best[q]
+        for label in sorted(wfa.arcs(q)):
+            t = wfa.arcs(q)[label]
+            if t.weight <= 0.0:
+                continue
+            val = base + sign * score(t, levels[q])
+            cand = (val, seq + (label,))
+            cur = best.get(t.dst)
+            if cur is None or val > cur[0] or (val == cur[0] and cand[1] < cur[1]):
+                best[t.dst] = cand
+    result: Optional[tuple[float, tuple[str, ...]]] = None
+    for q, fw in wfa.finals.items():
+        if fw <= 0.0 or q not in best:
+            continue
+        val, seq = best[q]
+        if final_score is not None:
+            val += sign * final_score(q)
+        if result is None or val > result[0] or (val == result[0] and seq < result[1]):
+            result = (val, seq)
+    if result is None:
+        raise ValueError("no accepting path")
+    return (sign * result[0], result[1])
+
+
+def divergence_inf(machine: Wfa, model: NGramModel) -> DivergenceValue:
+    """sup over supported x of log(q(x) / q_w(x)), with the witness.
+
+    q is the machine's normalized path distribution; the supremum runs
+    over its support only.  A supported sequence the model gives zero
+    weight yields +inf.  Exact best-path computation over (state,
+    context) pairs; ties break toward the lexicographically smallest
+    sequence.
+    """
+    if machine.alphabet != model.alphabet:
+        raise ValueError("alphabet mismatch")
+    order = topological_order(machine)
+    log_z = _log_normaliser(machine)
+    if log_z == float("-inf"):
+        raise ValueError("empty language")
+
+    # best[(state, ctx)] = (score, sequence so far)
+    start = (machine.initial, ())
+    best: dict[tuple[int, tuple[str, ...]], tuple[float, tuple[str, ...]]] = {start: (0.0, ())}
+    by_state: dict[int, list[tuple[str, ...]]] = {machine.initial: [()]}
+    result: Optional[tuple[float, tuple[str, ...]]] = None
+    for q in order:
+        for ctx in by_state.get(q, ()):
+            score, seq = best[(q, ctx)]
+            fw = machine.final_weight(q)
+            if fw > 0.0:
+                total = score + math.log(fw)
+                if result is None or total > result[0] or (total == result[0] and seq < result[1]):
+                    result = (total, seq)
+            for label in sorted(machine.arcs(q)):
+                t = machine.arcs(q)[label]
+                if t.weight <= 0.0:
+                    continue
+                cond = model.cond(ctx, label)
+                step = math.inf if cond == 0.0 else math.log(t.weight) - math.log(cond)
+                nscore = score + step
+                nctx = model.context_of(ctx + (label,))
+                key = (t.dst, nctx)
+                cand = (nscore, seq + (label,))
+                cur = best.get(key)
+                if cur is None:
+                    by_state.setdefault(t.dst, []).append(nctx)
+                    best[key] = cand
+                elif nscore > cur[0] or (nscore == cur[0] and cand[1] < cur[1]):
+                    best[key] = cand
+    if result is None:
+        raise ValueError("empty language")
+    value = result[0] - log_z
+    return DivergenceValue(value=value, witness=result[1])
+
+
+def _expected_counts_enumerate(machine: Wfa, order: int, limit: int
+                               ) -> dict[tuple[str, ...], np.ndarray]:
+    support = enumerate_support(machine, limit)
+    z = sum(w for _, w in support)
+    n_sym = len(machine.alphabet)
+    sym = {a: i for i, a in enumerate(machine.alphabet)}
+    counts: dict[tuple[str, ...], np.ndarray] = {}
+    for seq, w in support:
+        p = w / z
+        for t, a in enumerate(seq):
+            ctx = tuple(seq[max(0, t - order + 1):t])
+            row = counts.get(ctx)
+            if row is None:
+                row = counts.setdefault(ctx, np.zeros(n_sym))
+            row[sym[a]] += p
+    return counts
+
+
+def vertex_comparators(competitor: Wfa, limit: int = 100_000):
+    """Point-mass comparators, one per accepting path."""
+    for seq, _ in enumerate_support(competitor, limit):
+        yield {seq: 1.0}

@@ -23,8 +23,7 @@ from wfa_hedge.hedge import (hedge_init, hedge_step, renyi_entropy,
 from wfa_hedge.ngram import (bigram_phi_machine, fixed_share_bigram,
                              minimax_unigram, ml_ngram, ngram_to_wfa)
 from wfa_hedge.phi import PHI, phi_convert, phi_expand, phi_intersect
-from wfa_hedge.sleeping import (awake_init, awake_step, sleeping_regret,
-                                vertex_comparators)
+from wfa_hedge.sleeping import awake_init, awake_step, sleeping_regret
 from wfa_hedge.wfa import (Wfa, backward_distances, count_accepting_paths,
                            enumerate_support, evaluate, intersect, weight_push)
 
@@ -327,7 +326,7 @@ def test_09_sleeping_engine():
                 assert abs(after[i] - before[i]) <= 1e-9 * max(before[i], 1e-12)
             masks.append(mask)
             losses.append(loss)
-        for u in vertex_comparators(st.competitor):
+        for u in oracles.vertex_comparators(st.competitor):
             r = sleeping_regret(masks, st.p_awake_history, losses,
                                 st.competitor, u, eta)
             assert r.value <= r.bound, seed

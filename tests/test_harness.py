@@ -3,14 +3,22 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from wfa_hedge.builders import exact_shift_automaton, length_automaton
 from wfa_hedge.cli import main as cli_main
 from wfa_hedge.harness import (ExperimentConfig, build_automaton, compare,
                                gen_losses, read_awake_csv, read_losses_csv,
                                report_to_json, run_experiment, write_losses_csv)
+from wfa_hedge.sleeping import sleeping_regret
+from wfa_hedge.wfa import count_accepting_paths, intersect
+
+import oracles
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 BASE = {
     "automaton": {"builder": "kshift", "params": {"num_experts": 3, "shifts": 2}},
@@ -226,6 +234,26 @@ def test_awake_run_verdict():
     assert len(rep["awake_sets"]) == 6
 
 
+def test_sleeping_verdict_checks_the_worst_comparator_beyond_200_paths():
+    # K = 660 point-mass comparators; the run checks the worst of them
+    # through one best-path sweep, exactly as checking every one does.
+    rep = run_experiment(ExperimentConfig.from_dict({
+        "automaton": {"builder": "kshift", "params": {"num_experts": 3, "shifts": 2}},
+        "horizon": 12, "eta": "fixed", "algorithm": "awake-hedge",
+        "awake": {"generator": "random_subsets", "params": {"density": 0.5}, "seed": 0},
+        "losses": {"generator": "iid_uniform", "seed": 0}, "seed": 0}))
+    competitor = intersect(exact_shift_automaton(3, 2), length_automaton(3, 12))
+    assert count_accepting_paths(competitor) == 660
+    masks = [np.array([c == "1" for c in s]) for s in rep["awake_sets"]]
+    args = (masks, [np.array(p) for p in rep["p_awake_rounds"]],
+            gen_losses("iid_uniform", {}, 0, 12, 3), competitor)
+    worst = max(r.value - r.bound for r in (sleeping_regret(*args, u, rep["eta"])
+                                            for u in oracles.vertex_comparators(competitor)))
+    assert rep["sleeping_bound_margin"] == -worst
+    assert rep["sleeping_bound_margin"] == pytest.approx(3.484793, abs=1e-6)
+    assert rep["verdicts"] == {"sleeping_bound_ok": True}
+
+
 def test_run_with_loss_file(tmp_path):
     losses = gen_losses("iid_uniform", {}, 9, 6, 3)
     path = tmp_path / "l.csv"
@@ -329,6 +357,28 @@ def test_cli_approximate_kinds(tmp_path):
                          "--kind", kind, *extra, "--out", str(out)]) == 0
         from wfa_hedge.ngram import NGramModel
         NGramModel.from_json(out.read_text())  # parses and validates
+
+
+def test_cli_fits_and_runs_do_not_enumerate(tmp_path, monkeypatch):
+    # kshift(4, 3) has 394,632 sequences of length 30: n-gram fits, the
+    # sleeping verdict and the regret report all run without listing them.
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_support called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "wfa_hedge" and hasattr(module, "enumerate_support"):
+            monkeypatch.setattr(module, "enumerate_support", refuse)
+    m = str(tmp_path / "m")
+    assert cli_main(["build", "--builder", "kshift", "--param", "num_experts=4",
+                     "--param", "shifts=3", "--out", m]) == 0
+    fit = ["approximate", "--automaton", m + ".fsa", "--symbols", m + ".syms", "--horizon", "30"]
+    assert cli_main([*fit, "--kind", "ml-ngram", "--order", "2",
+                     "--out", str(tmp_path / "ml.json")]) == 0
+    assert cli_main([*fit, "--kind", "model-select", "--iters", "50", "--budget", "4096",
+                     "--out", str(tmp_path / "ms.json")]) == 0
+    for name in ("sleeping_subsets", "kshift_tracking"):
+        assert cli_main(["run", "--config", str(CONFIGS / f"{name}.json"),
+                         "--out", str(tmp_path / f"{name}.json")]) == 0
 
 
 def test_cli_phi_convert_roundtrip(tmp_path):

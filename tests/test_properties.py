@@ -1,20 +1,27 @@
-"""Property tests: the compiled engine against path enumeration.
+"""Property tests: the compiled engine against path enumeration, and the
+best-path sweep against the dict walks it replaced.
 
 Each example draws a seed, builds a small random machine from it and
-holds the engine's per-round distributions to the brute-force oracles.
-Example counts are bounded so the module runs in a few seconds.
+holds the engine's per-round distributions, best paths and worst-case
+values to the reference implementations in ``oracles``.  Example counts
+are bounded so the module runs in a few seconds.
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from wfa_hedge.approx import divergence_inf
 from wfa_hedge.builders import length_automaton
 from wfa_hedge.hedge import hedge_init, hedge_step
 from wfa_hedge.ngram import NGramModel, bigram_phi_machine, ngram_to_wfa
 from wfa_hedge.phi import phi_convert, phi_expand
-from wfa_hedge.sleeping import awake_distribution, awake_init, awake_step
-from wfa_hedge.wfa import enumerate_support, intersect
+from wfa_hedge.sleeping import (awake_distribution, awake_init, awake_step,
+                                sleeping_regret, worst_comparator)
+from wfa_hedge.wfa import enumerate_support, exact_logs, intersect, leveled_best_path
 
 import oracles
 
@@ -142,3 +149,95 @@ def test_sleeping_engine_matches_path_simulation(seed, horizon, size, eta, densi
     for t in range(horizon):
         assert np.abs(awake_distribution(state, masks[t]) - want[t]).max() <= TOL
         awake_step(state, masks[t], losses[t])
+
+
+LAYERS = st.lists(st.integers(2, 5), min_size=1, max_size=7).map(lambda ls: [1] + ls)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, layers=LAYERS, weighted=st.booleans(), maximize=st.booleans())
+def test_best_path_sweep_matches_dict_walk(seed, layers, weighted, maximize):
+    # Scores in {-1, 0, 1} (all 0 in the first draw) make exact ties
+    # common where paths merge, and finals sit at every depth, so both
+    # tie-break rules decide results.
+    rng = np.random.default_rng(seed)
+    machine = oracles.random_layered_wfa(rng, layers, final_prob=0.6)
+    c, sym = machine.columns, {a: i for i, a in enumerate(machine.alphabet)}
+    log_w = exact_logs(c.weight) if weighted else np.zeros(len(c.weight))
+    sign = 1.0 if maximize else -1.0
+    for draw in range(4):
+        table = draw * rng.integers(-1, 2, (len(layers), machine.num_states, 3)).astype(float)
+        bonus = rng.integers(-1, 2, machine.num_states).astype(float)
+
+        def score(level, edges):
+            return sign * (table[level, c.src[edges], c.label[edges]] + log_w[edges])
+
+        def final_score(states):
+            logs = exact_logs([machine.finals[q] for q in states.tolist()])
+            return sign * (bonus[states] + (logs if weighted else 0.0))
+
+        def old_score(t, level):
+            return table[level, t.src, sym[t.label]] + (math.log(t.weight) if weighted else 0.0)
+
+        def old_final(q):
+            return bonus[q] + (math.log(machine.finals[q]) if weighted else 0.0)
+
+        try:
+            want = oracles.leveled_best_path(machine, old_score, old_final, maximize=maximize)
+        except ValueError:
+            with pytest.raises(ValueError, match="no accepting path"):
+                leveled_best_path(machine, score, final_score)
+            return
+        value, seq, edges = leveled_best_path(machine, score, final_score)
+        assert (sign * value, seq) == want
+        assert np.float64(sign * value).tobytes() == np.float64(want[0]).tobytes()
+        assert tuple(machine.alphabet[a] for a in c.label[edges]) == seq
+        assert all(c.dst[edges[:-1]] == c.src[edges[1:]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, layers=LAYERS, order=st.integers(1, 3), zero_prob=st.floats(0.0, 0.4))
+def test_divergence_sweep_matches_dict_walk(seed, layers, order, zero_prob):
+    rng = np.random.default_rng(seed)
+    machine = oracles.random_layered_wfa(rng, layers, alphabet=("a", "b", "c"))
+    assume(any(w > 0 for w in machine.finals.values()))
+    tables = {}
+    for ctx in NGramModel._all_contexts(machine.alphabet, order):
+        row = rng.dirichlet(np.ones(3)) * (rng.random(3) >= zero_prob)
+        if not row.any():
+            row[int(rng.integers(3))] = 1.0
+        tables[ctx] = row / row.sum()
+    model = NGramModel(machine.alphabet, order, tables)
+    try:
+        want = oracles.divergence_inf(machine, model)
+    except ValueError:
+        with pytest.raises(ValueError, match="empty language"):
+            divergence_inf(machine, model)
+        return
+    got = divergence_inf(machine, model)
+    assert got.witness == want.witness
+    assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, horizon=st.integers(1, 5), size=st.integers(1, 12), eta=ETAS,
+       density=st.floats(0.1, 1.0))
+def test_worst_comparator_is_the_worst_vertex(seed, horizon, size, eta, density):
+    rng = np.random.default_rng(seed)
+    machine = oracles.random_leveled_wfa(rng, horizon, alphabet=("a", "b", "c"),
+                                         support_size=size)
+    support = horizon_support(machine, horizon)
+    sym = {a: i for i, a in enumerate(machine.alphabet)}
+    state = awake_init(machine, horizon, eta)
+    masks, losses = [], []
+    for t in range(horizon):
+        mask = rng.random(3) < density
+        mask[sym[support[int(rng.integers(len(support)))][0][t]]] = True
+        masks.append(mask)
+        losses.append(rng.random(3) * mask)
+        awake_step(state, mask, losses[-1])
+    args = (masks, state.p_awake_history, losses, state.competitor)
+    r = sleeping_regret(*args, worst_comparator(*args, eta), eta)
+    want = max(v.value - v.bound for v in (sleeping_regret(*args, u, eta)
+                                           for u in oracles.vertex_comparators(state.competitor)))
+    assert abs((r.value - r.bound) - want) <= 1e-12

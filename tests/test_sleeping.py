@@ -6,8 +6,7 @@ import pytest
 from wfa_hedge.builders import exact_shift_automaton
 from wfa_hedge.hedge import hedge_init, hedge_step
 from wfa_hedge.sleeping import (ZeroAwakeMassError, awake_distribution,
-                                awake_init, awake_step, sleeping_regret,
-                                vertex_comparators)
+                                awake_init, awake_step, sleeping_regret)
 from wfa_hedge.wfa import count_accepting_paths, enumerate_support
 
 import oracles
@@ -207,7 +206,7 @@ def test_regret_bound_for_every_vertex():
             awake_step(st, masks[t], losses[t])
         k = count_accepting_paths(st.competitor)
         assert k <= 200
-        for u in vertex_comparators(st.competitor):
+        for u in oracles.vertex_comparators(st.competitor):
             r = sleeping_regret(masks, st.p_awake_history, losses,
                                 st.competitor, u, eta)
             assert r.value <= r.bound

@@ -354,8 +354,8 @@ def test_leveled_best_path_matches_enumeration():
     rng = np.random.default_rng(7)
     b = intersect(exact_shift_automaton(3, 1), length_automaton(3, 5))
     losses = [rng.random(3) for _ in range(5)]
-    sym = {a: i for i, a in enumerate(b.alphabet)}
-    val, seq = leveled_best_path(b, lambda t, lv: -losses[lv][sym[t.label]])
+    label = b.columns.label
+    val, seq, _ = leveled_best_path(b, lambda lv, edges: -losses[lv][label[edges]])
     ref = oracles.brute_best_sequence(enumerate_support(b), losses, b.alphabet)
     assert val == pytest.approx(ref[0], rel=1e-12)
     assert seq == ref[1]
@@ -363,7 +363,7 @@ def test_leveled_best_path_matches_enumeration():
 
 def test_leveled_best_path_tie_breaks_lexicographically():
     s = length_automaton(2, 3)
-    _, seq = leveled_best_path(s, lambda t, lv: 0.0)
+    _, seq, _ = leveled_best_path(s, lambda lv, edges: np.zeros(len(edges)))
     assert seq == ("a", "a", "a")
 
 
