@@ -34,8 +34,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .builders import length_automaton
-from .phi import MAX_PHI_CHAIN, PhiChainError, PhiWfa, phi_expand, phi_intersect
-from .wfa import Wfa, count_accepting_paths, exact_logs, intersect, leveled_best_path
+from .phi import MAX_PHI_CHAIN, PhiWfa, _Chains, phi_expand, phi_intersect
+from .wfa import (Wfa, _edges_by_generation, count_accepting_paths, exact_logs, intersect,
+                  leveled_best_path)
 
 __all__ = [
     "HedgeState",
@@ -221,19 +222,6 @@ class CompiledMachine:
         return beta, (log_scale + math.log(z) if z > 0 else NEG_INF), w, wb, phi_w
 
 
-def _direct_reads(machine: PhiWfa) -> np.ndarray:
-    """reads[q, a]: whether state q of a composition output reads symbol a
-    directly, by the rule of :func:`~wfa_hedge.phi.reads_directly`."""
-    index = {a: i for i, a in enumerate(machine.alphabet)}
-    # One row per distinct (left, right) label-set pair.
-    kinds: dict[tuple[frozenset, frozenset], int] = {}
-    kind = [kinds.setdefault(pair, len(kinds)) for pair in machine.pair_labels]
-    table = np.zeros((len(kinds), len(index)), bool)
-    for (left, right), k in kinds.items():
-        table[k, [index[a] for a in left & right]] = True
-    return table[kind]
-
-
 def _shadow_corrections(machine: Machine) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows (state, shadowed edge, phi chain weight) as arrays of state
     ids, transition indices and weights.
@@ -245,38 +233,17 @@ def _shadow_corrections(machine: Machine) -> tuple[np.ndarray, np.ndarray, np.nd
     symbol in sorted-string order.  Each sweep moves every pending pair
     one step down its chain, multiplying the weights in the same order.
     """
-    c, n, n_sym = machine.columns, machine.num_states, len(machine.alphabet)
-    pid = np.flatnonzero(c.label < 0)[::-1]  # reversed: a state's first phi edge wins
-    if not pid.size:
+    c, n_sym = machine.columns, len(machine.alphabet)
+    if not (c.label < 0).any():
         return np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0)
-    phi_dst, phi_w = np.full(n, -1, np.intp), np.zeros(n)
-    phi_dst[c.src[pid]] = c.dst[pid]
-    phi_w[c.src[pid]] = c.weight[pid]
-    real = np.flatnonzero(c.label >= 0)
-    key = c.src[real] * n_sym + c.label[real]
-    by_key = np.argsort(key)
-    key = np.append(key[by_key], np.iinfo(key.dtype).max)  # a miss never runs off the end
-    reads = _direct_reads(machine)
+    chains = _Chains(machine)
     by_rank = np.array(sorted(range(n_sym), key=machine.alphabet.__getitem__), np.intp)
-    state, rank = np.nonzero(reads[:, by_rank] & (phi_dst >= 0)[:, None])
-    symbol, pos = by_rank[rank], np.arange(len(state))
-    q, w = phi_dst[state], phi_w[state]
-    rows = []
-    for _ in range(MAX_PHI_CHAIN + 1):
-        stop = reads[q, symbol]
-        want = q * n_sym + symbol
-        at = np.searchsorted(key, want)
-        hit = stop & (key[at] == want)
-        rows.append((pos[hit], real[by_key[at[hit]]], w[hit]))
-        go = np.flatnonzero(~stop & (phi_dst[q] >= 0))
-        pos, symbol, w, q = pos[go], symbol[go], w[go] * phi_w[q[go]], phi_dst[q[go]]
-        if not pos.size:
-            break
-    if pos.size:
-        raise PhiChainError(f"phi chain exceeds {MAX_PHI_CHAIN} from state {state[pos[0]]}")
-    at, shadowed, chain_w = map(np.concatenate, zip(*rows))
-    order = np.argsort(at)
-    return state[at[order]], shadowed[order], chain_w[order]
+    state, rank = np.nonzero(chains.direct_reads()[:, by_rank] & (chains.first >= 0)[:, None])
+    phi = chains.first[state]
+    shadowed, chain_w = chains.walk(c.dst[phi], by_rank[rank], c.weight[phi], MAX_PHI_CHAIN,
+                                    state)
+    hit = np.flatnonzero(shadowed >= 0)
+    return state[hit], shadowed[hit], chain_w[hit]
 
 
 # -- the online state ------------------------------------------------------------
@@ -450,20 +417,44 @@ def sample(p: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def log_power_sum(machine: Wfa, eta: float) -> float:
-    """log of the sum over accepting paths of (path weight)**eta."""
-    from .wfa import topological_order
-    order = topological_order(machine)
-    d = [NEG_INF] * machine.num_states
-    for q in reversed(order):
-        parts = []
-        fw = machine.final_weight(q)
-        if fw > 0.0:
-            parts.append(eta * math.log(fw))
-        for t in machine.arcs(q).values():
-            if t.weight > 0.0 and d[t.dst] > NEG_INF:
-                parts.append(eta * math.log(t.weight) + d[t.dst])
-        d[q] = log_sum(parts) if parts else NEG_INF
-    return d[machine.initial]
+    """log of the sum over accepting paths of (path weight)**eta.
+
+    One reverse log-sum-exp sweep over the cached Kahn generations, last
+    to first.  A state's value is the log of the sum of its terms: eta
+    times the log of its final weight, if positive, and eta times the log
+    of each positive-weight arc's weight plus the value of the arc's
+    target, if that target reaches a final state.  Each sum is shifted by
+    the state's largest term and taken in that order, final weight first
+    and then arcs in column order, with ``math``'s log and exp, so the
+    values equal a per-state walk bit for bit.  An empty language gives
+    -inf.
+    """
+    topo, c = _edges_by_generation(machine), machine.columns
+    n = machine.num_states
+    usable = (c.label >= 0) & (c.weight > 0.0)
+    final = np.full(n, NEG_INF)
+    for q, w in machine.finals.items():
+        if w > 0.0:
+            final[q] = eta * math.log(w)
+    d = np.full(n, NEG_INF)
+    at = np.empty(n, np.intp)  # each state's position in its generation
+    for g in range(len(topo.off) - 2, -1, -1):
+        states = topo.order[topo.off[g]:topo.off[g + 1]]
+        at[states] = np.arange(len(states))
+        e = topo.edges[topo.edge_off[g]:topo.edge_off[g + 1]]
+        e = e[usable[e]]
+        e = e[d[c.dst[e]] > NEG_INF]
+        ends = states[final[states] > NEG_INF]
+        owner = at[np.concatenate((ends, c.src[e]))]
+        terms = np.concatenate((final[ends], eta * exact_logs(c.weight[e]) + d[c.dst[e]]))
+        top = np.full(len(states), NEG_INF)
+        np.maximum.at(top, owner, terms)
+        shifted = (terms - top[owner]).tolist()
+        total = np.bincount(owner, np.fromiter(map(math.exp, shifted), float, len(shifted)),
+                            minlength=len(states))
+        live = np.flatnonzero(top > NEG_INF)
+        d[states[live]] = top[live] + exact_logs(total[live])
+    return float(d[machine.initial])
 
 
 def _log_normaliser(machine: Wfa) -> float:

@@ -18,12 +18,14 @@ up to three phi transitions per state (advance left, advance right,
 advance both) and are resolved with the pair-aware rule below.
 :func:`phi_intersect` builds the composition as a breadth-first search
 run one frontier at a time on the columns, like
-:func:`~wfa_hedge.wfa.intersect`.
+:func:`~wfa_hedge.wfa.intersect`, and :func:`phi_expand` expands a phi
+machine the same way, walking all (state, symbol) pairs of a frontier
+down their phi chains at once.  :func:`resolve_symbol` and the other
+per-pair helpers walk single edges through the per-edge views.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Optional, Sequence, Union
@@ -31,7 +33,8 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .wfa import (PHI, Columns, Transition, Wfa, _ArcPairs, _check_edges, _coaccessible,
-                  _column_arrays, _final_weights, _ranges, _search, topological_order)
+                  _column_arrays, _final_weights, _find_arcs, _ranges, _search,
+                  topological_order)
 
 __all__ = [
     "PHI",
@@ -314,34 +317,131 @@ def evaluate_phi(machine: PhiWfa, sequence: Sequence[str]) -> float:
     return w * machine.final_weight(q)
 
 
+class _Chains:
+    """A phi machine's failure edges as arrays, to walk many (state,
+    symbol) pairs down their phi chains at once.
+
+    ``first[q]`` is the first phi edge of state q (transition index, -1:
+    none).  On composition outputs, ``kind[q]`` numbers q's distinct
+    (left, right) label-set pair and ``left``/``right`` hold those sets as
+    rows of a (kinds, alphabet) table.
+    """
+
+    def __init__(self, machine: PhiWfa):
+        c, n = machine.columns, machine.num_states
+        self.machine = machine
+        pid = np.flatnonzero(c.label < 0)[::-1]  # reversed: a state's first phi edge wins
+        self.first = np.full(n, -1, np.intp)
+        self.first[c.src[pid]] = pid
+        self.kind = None
+        if machine.pair_labels is not None:
+            index = {a: i for i, a in enumerate(machine.alphabet)}
+            kinds: dict[tuple[frozenset, frozenset], int] = {}
+            self.kind = np.fromiter((kinds.setdefault(pair, len(kinds))
+                                     for pair in machine.pair_labels), np.intp, n)
+            self.left = np.zeros((len(kinds), len(index)), bool)
+            self.right = np.zeros_like(self.left)
+            for (left, right), k in kinds.items():
+                self.left[k, [index[a] for a in left]] = True
+                self.right[k, [index[a] for a in right]] = True
+
+    def direct_reads(self) -> np.ndarray:
+        """reads[q, a]: whether composed state q reads symbol a directly,
+        by the rule of :func:`reads_directly`."""
+        return (self.left & self.right)[self.kind]
+
+    def resolving_steps(self):
+        """The phi edge each (state, symbol) pair takes by the rule of
+        :func:`resolve_symbol`, as a function of (state, symbol) arrays
+        for :meth:`walk`: on composition outputs the first phi edge of the
+        move kind that advances the side(s) not defining the symbol (-1:
+        none), elsewhere None, the first phi edge."""
+        if self.kind is None:
+            return None
+        c, moves = self.machine.columns, self.machine.phi_moves or {}
+        pid = np.flatnonzero(c.label < 0)
+        move = np.fromiter((_MOVE_CODE.get(moves.get(key), -1)
+                            for key in zip(c.src[pid].tolist(), c.dst[pid].tolist())),
+                           np.intp, len(pid))
+        pid, move = pid[move >= 0][::-1], move[move >= 0][::-1]  # the first of a kind wins
+        by_move = np.full((self.machine.num_states, len(_MOVES)), -1, np.intp)
+        by_move[c.src[pid], move] = pid
+
+        def step(q, symbol):
+            k = self.kind[q]
+            want = np.where(self.left[k, symbol], _MOVE_CODE["right"],
+                            np.where(self.right[k, symbol], _MOVE_CODE["left"],
+                                     _MOVE_CODE["both"]))
+            return by_move[q, want]
+
+        return step
+
+    def walk(self, q: np.ndarray, symbol: np.ndarray, w: np.ndarray, max_chain: int,
+             origin: np.ndarray, step=None) -> tuple[np.ndarray, np.ndarray]:
+        """Moves every pair (q[i], symbol[i]) down its phi chain until a
+        state reads the symbol directly: it has an arc with the symbol, or,
+        on a composition output, both sides define it.  ``step(q,
+        symbol)`` gives the phi edge each pending pair takes (-1: none, the
+        pair stops); by default, its state's first.  Returns per pair the arc it stops on (-1: none) and
+        w[i] times the weights of the phi edges taken, in chain order.
+        Raises PhiChainError naming origin[i] of the first pair still
+        moving after max_chain + 1 states."""
+        m, c = self.machine, self.machine.columns
+        edge, weight = np.full(len(q), -1, np.intp), np.zeros(len(q))
+        pos = np.arange(len(q))
+        for _ in range(max_chain + 1):
+            e = _find_arcs(m, q, symbol)
+            stop = e >= 0
+            edge[pos[stop]], weight[pos[stop]] = e[stop], w[stop]
+            if self.kind is not None:
+                k = self.kind[q]
+                stop |= self.left[k, symbol] & self.right[k, symbol]
+            s = self.first[q] if step is None else step(q, symbol)
+            go = np.flatnonzero(~stop & (s >= 0))
+            pos, symbol, w, q = pos[go], symbol[go], w[go] * c.weight[s[go]], c.dst[s[go]]
+            if not pos.size:
+                break
+        if pos.size:
+            raise PhiChainError(f"phi chain exceeds {max_chain} from state {origin[pos[0]]}")
+        return edge, weight
+
+
 def phi_expand(machine: PhiWfa, max_chain: int = MAX_PHI_CHAIN) -> Wfa:
     """Plain WFA with the same weighted language.
 
-    Each (state, symbol) is resolved through the phi chain; hub states
-    disappear because nothing effective stops on them.  Only states
-    reachable through effective transitions are kept.
+    Each (state, symbol) is resolved through the phi chain by the rule of
+    :func:`resolve_symbol`, and resolutions of weight 0 are dropped; hub
+    states disappear because nothing effective stops on them.  Only
+    states reachable through effective transitions are kept.
+
+    The search is breadth-first, one frontier at a time, as in
+    :func:`~wfa_hedge.wfa.intersect`: all (state, symbol) pairs of a
+    frontier walk their chains at once.  States are numbered in
+    discovery order, each state's transitions follow in alphabet order,
+    and ``state_names`` keeps the names of the states kept, as a
+    queue-based search calling :func:`resolve_symbol` per pair gives them.
     """
-    ids = {machine.initial: 0}
-    order = [machine.initial]
-    ts: list[Transition] = []
-    queue = deque([machine.initial])
-    while queue:
-        q = queue.popleft()
-        for a in machine.alphabet:
-            r = resolve_symbol(machine, q, a, max_chain)
-            if r is None or r[0] == 0.0:
-                continue
-            w, dst = r
-            if dst not in ids:
-                ids[dst] = len(order)
-                order.append(dst)
-                queue.append(dst)
-            ts.append(Transition(ids[q], a, w, ids[dst]))
-    finals = {ids[q]: w for q, w in machine.finals.items() if q in ids}
+    c, n_sym = machine.columns, len(machine.alphabet)
+    chains = _Chains(machine)
+    step = chains.resolving_steps()
+
+    def expand(frontier):
+        state, symbol = np.repeat(frontier, n_sym), np.tile(np.arange(n_sym), len(frontier))
+        edge, w = chains.walk(state, symbol, np.ones(len(state)), max_chain, state, step)
+        pair = np.flatnonzero(edge >= 0)
+        weight = w[pair] * c.weight[edge[pair]]
+        pair, weight = pair[weight != 0.0], weight[weight != 0.0]
+        return pair // n_sym, c.dst[edge[pair]], (symbol[pair], weight)
+
+    code, src, dst, (label, weight) = _search(machine.initial, expand)
+    new_id = np.full(machine.num_states, -1, np.intp)
+    new_id[code] = np.arange(len(code))
+    finals = {int(new_id[q]): w for q, w in machine.finals.items() if new_id[q] >= 0}
     names = None
     if machine.state_names is not None:
-        names = [machine.state_names[q] for q in order]
-    return Wfa(machine.alphabet, len(order), 0, finals, ts, names)
+        names = [machine.state_names[q] for q in code.tolist()]
+    return Wfa.from_columns(machine.alphabet, len(code), 0, finals, src, label, weight, dst,
+                            names)
 
 
 # -- backward distances, powering, pushing ------------------------------------
@@ -526,6 +626,7 @@ def phi_convert(wfa: Wfa) -> PhiWfa:
 
 
 _MOVES = ("both", "left", "right")
+_MOVE_CODE = {move: i for i, move in enumerate(_MOVES)}
 # _STEP[f, move]: the filter state after ``move`` from filter state f; -1
 # where PHI_FILTER forbids the move.  Each move leads into its own filter
 # state, so a composed phi edge's kind is read off its target's filter.

@@ -11,8 +11,9 @@ destination, one entry per transition (:class:`Columns`).  Bulk
 operations (intersection, topological generations, path counting, best
 paths, the engine's compile step) read the columns directly.  The
 per-edge views, ``transitions`` and ``arcs()``, are built from the
-columns on first access and cached, as are the topological generations,
-the log normaliser and the n-gram context products of
+columns on first access and cached, as are the topological generations
+and the path count, the sorted arc keys that :func:`evaluate` looks
+symbols up in, the log normaliser and the n-gram context products of
 :func:`~wfa_hedge.approx.divergence_inf`.  A :class:`Wfa` is immutable
 after construction: the columns are read-only arrays and the cached
 values never change once built (two threads racing to build one build
@@ -169,7 +170,8 @@ class Wfa:
     """
 
     __slots__ = ("alphabet", "num_states", "initial", "finals", "columns",
-                 "state_names", "_transitions", "_out", "_topo", "_log_z", "_products")
+                 "state_names", "_transitions", "_out", "_topo", "_keys", "_log_z",
+                 "_products")
 
     def __init__(self, alphabet: Sequence[str], num_states: int, initial: int,
                  finals: dict[int, float], transitions: Iterable[Transition],
@@ -217,6 +219,7 @@ class Wfa:
         self.state_names = tuple(state_names) if state_names is not None else None
         self._out = None
         self._topo = None
+        self._keys = None
         self._log_z = None
         self._products = {}  # n-gram order -> (state, context) product, see approx
 
@@ -287,16 +290,48 @@ class Wfa:
 # -- evaluation ------------------------------------------------------------
 
 
+def _arc_index(wfa: Wfa) -> tuple[np.ndarray, np.ndarray]:
+    """The machine's arcs for lookups by (source, label): their keys
+    src * |alphabet| + label, sorted, and the transition of each key (the
+    first of a repeated (source, label) wins, as in ``arcs()``).  Both
+    end in a sentinel, the largest key with transition -1, so a search
+    for a missing key stays in range.  Built once per machine and cached."""
+    if wfa._keys is None:
+        c = wfa.columns
+        real = np.flatnonzero(c.label >= 0)
+        keys, first = np.unique(c.src[real] * len(wfa.alphabet) + c.label[real],
+                                return_index=True)
+        wfa._keys = np.append(keys, np.iinfo(np.intp).max), np.append(real[first], -1)
+    return wfa._keys
+
+
+def _find_arcs(wfa: Wfa, state: np.ndarray, label: np.ndarray) -> np.ndarray:
+    """The transition reading label[i] at state[i], -1 where none does."""
+    keys, edges = _arc_index(wfa)
+    want = state * len(wfa.alphabet) + label
+    at = np.searchsorted(keys, want)
+    return np.where(keys[at] == want, edges[at], -1)
+
+
 def evaluate(wfa: Wfa, sequence: Sequence[str]) -> float:
-    """Weight assigned to ``sequence``; 0 when no accepting path exists."""
+    """Weight assigned to ``sequence``; 0 when no accepting path exists.
+
+    One lookup per symbol in the machine's sorted arc keys."""
+    keys, edges = _arc_index(wfa)
+    c, n_sym = wfa.columns, len(wfa.alphabet)
+    index = {a: i for i, a in enumerate(wfa.alphabet)}
     q = wfa.initial
     w = 1.0
     for a in sequence:
-        t = wfa.arcs(q).get(a)
-        if t is None:
+        i = index.get(a)
+        if i is None:
             return 0.0
-        w *= t.weight
-        q = t.dst
+        key = q * n_sym + i
+        at = np.searchsorted(keys, key)
+        if keys[at] != key:
+            return 0.0
+        w *= float(c.weight[edges[at]])
+        q = int(c.dst[edges[at]])
     return w * wfa.final_weight(q)
 
 
@@ -475,7 +510,23 @@ def power_weights(wfa: Wfa, eta: float) -> Wfa:
 # -- graph structure ---------------------------------------------------------
 
 
-def _generations(wfa: Wfa) -> tuple[np.ndarray, np.ndarray]:
+class _Topo:
+    """A machine's Kahn generations and what the sweeps over them reuse,
+    cached on the machine: the states in Kahn order and where each
+    generation starts in it (``order``, ``off``); the transitions grouped
+    by their source's generation, in column order within a group, and
+    where each group starts (``edges``, ``edge_off``, built by
+    :func:`_edges_by_generation`); and the number of accepting paths
+    (``paths``, set by :func:`count_accepting_paths`)."""
+
+    __slots__ = ("order", "off", "edges", "edge_off", "paths")
+
+    def __init__(self, order: np.ndarray, off: np.ndarray):
+        self.order, self.off = order, off
+        self.edges = self.edge_off = self.paths = None
+
+
+def _generations(wfa: Wfa) -> _Topo:
     """States in FIFO Kahn order, and where each generation starts in it.
 
     Generation 0 holds the states without incoming transitions, in id
@@ -513,8 +564,21 @@ def _generations(wfa: Wfa) -> tuple[np.ndarray, np.ndarray]:
         order = np.concatenate(gens)
         if len(order) != n:
             raise CyclicAutomatonError("automaton contains a cycle")
-        wfa._topo = order, np.cumsum([0] + [len(g) for g in gens])
+        wfa._topo = _Topo(order, np.cumsum([0] + [len(g) for g in gens]))
     return wfa._topo
+
+
+def _edges_by_generation(wfa: Wfa) -> _Topo:
+    """The machine's :class:`_Topo` with ``edges`` and ``edge_off`` set."""
+    topo = _generations(wfa)
+    if topo.edges is None:
+        n_gen = len(topo.off) - 1
+        gen = np.empty(wfa.num_states, np.intp)
+        gen[topo.order] = np.repeat(np.arange(n_gen), np.diff(topo.off))
+        gen = gen[wfa.columns.src]  # of each edge's source
+        topo.edges = np.argsort(gen, kind="stable")
+        topo.edge_off = np.concatenate(([0], np.cumsum(np.bincount(gen, minlength=n_gen))))
+    return topo
 
 
 def _first_repeated_arc(c: Columns) -> int:
@@ -531,7 +595,7 @@ def topological_order(wfa: Wfa) -> list[int]:
     Raises CyclicAutomatonError on cycles, and ValueError when two
     transitions leave one state with the same label.
     """
-    return _generations(wfa)[0].tolist()
+    return _generations(wfa).order.tolist()
 
 
 # -- path aggregation ---------------------------------------------------------
@@ -592,24 +656,26 @@ def count_accepting_paths(wfa: Wfa) -> int:
     """Number of accepting paths with strictly positive weight.
 
     Exact at any size: one sweep over the topological generations, last
-    to first, in Python integers.
+    to first, in Python integers.  The count is kept on the machine, so
+    later calls return it without another sweep.
     """
-    order, gen_off = _generations(wfa)
-    c = wfa.columns
-    if (c.label < 0).any():
+    topo = _generations(wfa)
+    if (wfa.columns.label < 0).any():
         raise ValueError("phi edges are not paths; count on phi_expand(machine)")
+    if topo.paths is None:
+        topo.paths = _count_paths(wfa)
+    return topo.paths
+
+
+def _count_paths(wfa: Wfa) -> int:
+    """The sweep behind :func:`count_accepting_paths`."""
+    topo, c = _edges_by_generation(wfa), wfa.columns
     counts = np.zeros(wfa.num_states, dtype=object)
     for q, w in wfa.finals.items():
         if w > 0.0:
             counts[q] = 1
-    n_gen = len(gen_off) - 1
-    gen = np.empty(wfa.num_states, np.intp)
-    gen[order] = np.repeat(np.arange(n_gen), np.diff(gen_off))
-    gen = gen[c.src]  # of each edge's source
-    by_gen = np.argsort(gen, kind="stable")
-    edge_off = np.concatenate(([0], np.cumsum(np.bincount(gen, minlength=n_gen))))
-    for g in range(n_gen - 1, -1, -1):
-        e = by_gen[edge_off[g]:edge_off[g + 1]]
+    for g in range(len(topo.off) - 2, -1, -1):
+        e = topo.edges[topo.edge_off[g]:topo.edge_off[g + 1]]
         e = e[c.weight[e] > 0.0]
         np.add.at(counts, c.src[e], counts[c.dst[e]])
     return int(counts[wfa.initial])
@@ -661,8 +727,12 @@ class BestPath(NamedTuple):
 def exact_logs(x) -> np.ndarray:
     """``math.log`` of each entry, -inf at 0.  ``np.log`` can differ from
     it in the last bit, and best-path totals are summed from these."""
-    return np.fromiter((math.log(v) if v > 0.0 else -math.inf for v in np.asarray(x).tolist()),
-                       float, np.size(x))
+    x = np.ravel(np.asarray(x, float))
+    out = np.full(len(x), -math.inf)
+    positive = x > 0.0
+    out[positive] = np.fromiter(map(math.log, x[positive].tolist()), float,
+                                np.count_nonzero(positive))
+    return out
 
 
 def leveled_best_path(wfa: Wfa, score: Callable[[int, np.ndarray], np.ndarray],

@@ -12,9 +12,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from wfa_hedge.approx import DivergenceValue
-from wfa_hedge.hedge import _log_normaliser
+from wfa_hedge.hedge import NEG_INF, _log_normaliser, log_sum
 from wfa_hedge.ngram import NGramModel
-from wfa_hedge.phi import PHI, PHI_FILTER, PhiWfa, as_phi, shadowed_continuation
+from wfa_hedge.phi import (MAX_PHI_CHAIN, PHI, PHI_FILTER, PhiWfa, as_phi, resolve_symbol,
+                           shadowed_continuation)
 from wfa_hedge.wfa import CyclicAutomatonError, Transition, Wfa, enumerate_support
 
 
@@ -688,3 +689,70 @@ def vertex_comparators(competitor: Wfa, limit: int = 100_000):
     """Point-mass comparators, one per accepting path."""
     for seq, _ in enumerate_support(competitor, limit):
         yield {seq: 1.0}
+
+
+# -- the per-edge walks the regret report's sweeps replaced -----------------------------
+#
+# log_power_sum, phi_expand and evaluate as the library had them before
+# they became sweeps and lookups on edge columns, kept as references.
+# They walk Transition objects and the arcs() dicts.
+
+
+def log_power_sum(machine: Wfa, eta: float) -> float:
+    """log of the sum over accepting paths of (path weight)**eta."""
+    from wfa_hedge.wfa import topological_order
+    order = topological_order(machine)
+    d = [NEG_INF] * machine.num_states
+    for q in reversed(order):
+        parts = []
+        fw = machine.final_weight(q)
+        if fw > 0.0:
+            parts.append(eta * math.log(fw))
+        for t in machine.arcs(q).values():
+            if t.weight > 0.0 and d[t.dst] > NEG_INF:
+                parts.append(eta * math.log(t.weight) + d[t.dst])
+        d[q] = log_sum(parts) if parts else NEG_INF
+    return d[machine.initial]
+
+
+def phi_expand(machine: PhiWfa, max_chain: int = MAX_PHI_CHAIN) -> Wfa:
+    """Plain WFA with the same weighted language.
+
+    Each (state, symbol) is resolved through the phi chain; hub states
+    disappear because nothing effective stops on them.  Only states
+    reachable through effective transitions are kept.
+    """
+    ids = {machine.initial: 0}
+    order = [machine.initial]
+    ts: list[Transition] = []
+    queue = deque([machine.initial])
+    while queue:
+        q = queue.popleft()
+        for a in machine.alphabet:
+            r = resolve_symbol(machine, q, a, max_chain)
+            if r is None or r[0] == 0.0:
+                continue
+            w, dst = r
+            if dst not in ids:
+                ids[dst] = len(order)
+                order.append(dst)
+                queue.append(dst)
+            ts.append(Transition(ids[q], a, w, ids[dst]))
+    finals = {ids[q]: w for q, w in machine.finals.items() if q in ids}
+    names = None
+    if machine.state_names is not None:
+        names = [machine.state_names[q] for q in order]
+    return Wfa(machine.alphabet, len(order), 0, finals, ts, names)
+
+
+def evaluate(wfa: Wfa, sequence) -> float:
+    """Weight assigned to ``sequence``; 0 when no accepting path exists."""
+    q = wfa.initial
+    w = 1.0
+    for a in sequence:
+        t = wfa.arcs(q).get(a)
+        if t is None:
+            return 0.0
+        w *= t.weight
+        q = t.dst
+    return w * wfa.final_weight(q)

@@ -451,3 +451,28 @@ def test_run_experiment_intersects_the_competitor_once(monkeypatch, extra):
                         lambda _, horizon, eta: sleeping.awake_init(machine, horizon, eta))
     assert report_to_json(run_experiment(cfg)) == report
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("extra", [
+    {},
+    {"algorithm": "awake-hedge",
+     "awake": {"generator": "random_subsets", "params": {"density": 0.7}, "seed": 5}},
+])
+def test_run_experiment_counts_the_paths_once(monkeypatch, extra):
+    # The tuned eta, the exact run's report and the sleeping bound all
+    # need K; it is counted once and kept on the machine.
+    from wfa_hedge import wfa
+    sweeps = []
+    count = wfa._count_paths
+
+    def counted(machine):
+        sweeps.append(machine)
+        return count(machine)
+
+    monkeypatch.setattr(wfa, "_count_paths", counted)
+    report = run_experiment(cfg_with(eta="fixed", **extra))
+    assert len(sweeps) == 1
+    k = count_accepting_paths(sweeps[0])
+    assert len(sweeps) == 1
+    assert k == oracles.count_accepting_paths(sweeps[0])
+    assert report["eta"] == math.sqrt(8 * math.log(k) / 6)

@@ -242,6 +242,19 @@ def test_summarize_on_fixed_share_phi_machine():
     assert rep.weighted_regret <= rep.weighted_bound
 
 
+def test_summarize_builds_no_transition_objects(request):
+    # The report reads K, log Z, the phi expansion and the best paths off
+    # edge columns; no per-edge object is built after set-up.
+    n, k, horizon = 30, 3, 300
+    st = hedge_init(bigram_phi_machine(fixed_share_bigram(n, k, horizon)), horizon, 0.3)
+    run_rounds(st, np.random.default_rng(5).random((horizon, n)))
+    built = request.getfixturevalue("built_transitions")
+    rep = summarize(st)
+    assert built == []
+    assert rep.num_sequences == n ** horizon  # Fixed-Share gives every sequence weight
+    assert rep.weighted_regret <= rep.weighted_bound
+
+
 def test_touched_edges_equal_level_sizes():
     st = hedge_init(exact_shift_automaton(3, 2), 6, 0.5)
     level_sizes = [len(lv.consuming) for lv in st.levels]

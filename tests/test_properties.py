@@ -1,5 +1,5 @@
 """Property tests: the compiled engine against path enumeration, and the
-best-path sweep against the dict walks it replaced.
+array sweeps and lookups against the per-edge walks they replaced.
 
 Each example draws a seed, builds a small random machine from it and
 holds the engine's per-round distributions, best paths and worst-case
@@ -16,12 +16,14 @@ from hypothesis import strategies as st
 
 from wfa_hedge.approx import divergence_inf
 from wfa_hedge.builders import length_automaton
-from wfa_hedge.hedge import hedge_init, hedge_step
+from wfa_hedge.hedge import hedge_init, hedge_step, log_power_sum
 from wfa_hedge.ngram import NGramModel, bigram_phi_machine, ngram_to_wfa
-from wfa_hedge.phi import phi_convert, phi_expand
+from wfa_hedge.phi import (MAX_PHI_CHAIN, PhiChainError, phi_convert, phi_expand,
+                           phi_intersect, resolve_symbol)
 from wfa_hedge.sleeping import (awake_distribution, awake_init, awake_step,
                                 sleeping_regret, worst_comparator)
-from wfa_hedge.wfa import enumerate_support, exact_logs, intersect, leveled_best_path
+from wfa_hedge.wfa import (Wfa, enumerate_support, evaluate, exact_logs, intersect,
+                           leveled_best_path)
 
 import oracles
 
@@ -241,3 +243,128 @@ def test_worst_comparator_is_the_worst_vertex(seed, horizon, size, eta, density)
     want = max(v.value - v.bound for v in (sleeping_regret(*args, u, eta)
                                            for u in oracles.vertex_comparators(state.competitor)))
     assert abs((r.value - r.bound) - want) <= 1e-12
+
+
+# -- phi expansion, log power sums and evaluate against the per-edge walks -------------
+
+
+CHAIN_CAPS = st.sampled_from([0, 1, 2, MAX_PHI_CHAIN])
+
+
+def random_phi_machine(rng, form):
+    """A chain-style phi machine, a phi_convert output, or the phi product
+    of two chain-style machines, whose states can carry several phi
+    edges (both, left and right moves)."""
+    alphabet = ("a", "b", "c")
+    if form == "chain":
+        return oracles.random_phi_wfa(rng, int(rng.integers(1, 10)), alphabet, edge_prob=0.6,
+                                      phi_prob=0.7, final_prob=0.4,
+                                      cyclic=bool(rng.integers(2)))
+    if form == "converted":
+        layers = tuple([1] + [int(rng.integers(2, 5)) for _ in range(int(rng.integers(1, 4)))]
+                       + [1])
+        plain = oracles.random_shared_structure_wfa(rng, layers=layers, alphabet=alphabet)
+        if plain is not None:
+            return phi_convert(plain)
+    return phi_intersect(*(oracles.random_phi_wfa(rng, int(rng.integers(1, 7)), alphabet,
+                                                  phi_prob=0.7, final_prob=0.5,
+                                                  cyclic=bool(rng.integers(2)))
+                           for _ in range(2)))
+
+
+def expansion_matches_walk(machine, max_chain):
+    """Asserts phi_expand equals the resolve_symbol walk field by field, or
+    raises the same PhiChainError; returns whether it raised."""
+    try:
+        want = oracles.phi_expand(machine, max_chain)
+    except PhiChainError as err:
+        with pytest.raises(PhiChainError) as got:
+            phi_expand(machine, max_chain)
+        assert str(got.value) == str(err)
+        return True
+    got = phi_expand(machine, max_chain)
+    assert type(got) is Wfa
+    assert (got.alphabet, got.num_states, got.initial) == (want.alphabet, want.num_states, 0)
+    assert list(got.finals.items()) == list(want.finals.items())
+    assert got.state_names == want.state_names
+    for a, b in zip(got.columns, want.columns):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=SEEDS, form=st.sampled_from(["chain", "converted", "product"]),
+       max_chain=CHAIN_CAPS)
+def test_phi_expand_matches_resolve_walk(seed, form, max_chain):
+    expansion_matches_walk(random_phi_machine(np.random.default_rng(seed), form), max_chain)
+
+
+def test_phi_expand_draws_cover_caps_zero_weights_and_several_phi_edges():
+    raised = zero = several = 0
+    for seed in range(80):
+        rng = np.random.default_rng(seed)
+        form = ("chain", "converted", "product")[seed % 3]
+        machine = random_phi_machine(rng, form)
+        max_chain = (0, 1, 2, MAX_PHI_CHAIN)[seed % 4]
+        raised += expansion_matches_walk(machine, max_chain)
+        c = machine.columns
+        several += bool((np.bincount(c.src[c.label < 0], minlength=machine.num_states) > 1).any())
+        try:
+            zero += any(r is not None and r[0] == 0.0
+                        for q in range(machine.num_states) for a in machine.alphabet
+                        for r in [resolve_symbol(machine, q, a, max_chain)])
+        except PhiChainError:
+            pass
+    assert raised >= 3 and zero >= 3 and several >= 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=SEEDS, leveled=st.booleans(), empty=st.booleans(),
+       eta=st.sampled_from([0.3, 1.0, 2.0]))
+def test_log_power_sum_sweep_matches_walk(seed, leveled, empty, eta):
+    # Zero weights, dead and unreachable states, zero-weight finals and
+    # finals at several depths; ``empty`` zeroes every final weight.
+    rng = np.random.default_rng(seed)
+    if leveled:
+        layers = [1] + [int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 6)))]
+        machine = oracles.random_layered_wfa(rng, layers, final_prob=0.5)
+    else:
+        machine = oracles.random_raw_wfa(rng, int(rng.integers(1, 12)), ("a", "b", "c"),
+                                         edge_prob=0.6, final_prob=0.4)
+    if empty:
+        machine = Wfa.from_columns(machine.alphabet, machine.num_states, machine.initial,
+                                   dict.fromkeys(machine.finals, 0.0), *machine.columns)
+    want = oracles.log_power_sum(machine, eta)
+    got = log_power_sum(machine, eta)
+    assert type(got) is float
+    if want == -math.inf:
+        assert got == -math.inf
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS, cyclic=st.booleans(), duplicates=st.integers(0, 2))
+def test_evaluate_lookup_matches_walk(seed, cyclic, duplicates):
+    # Random walks from the initial state give accepted and rejected
+    # prefixes; random strings and an unknown symbol are rejected mostly.
+    rng = np.random.default_rng(seed)
+    alphabet = ("a", "b", "c")
+    machine = oracles.random_raw_wfa(rng, int(rng.integers(1, 10)), alphabet, edge_prob=0.7,
+                                     final_prob=0.5, cyclic=cyclic, duplicates=duplicates)
+    sequences = [(), ("z",), ("a", "z")]
+    for _ in range(5):
+        q, seq = machine.initial, []
+        for _ in range(6):
+            arcs = machine.arcs(q)
+            if not arcs:
+                break
+            label = sorted(arcs)[int(rng.integers(len(arcs)))]
+            seq.append(label)
+            sequences.append(tuple(seq))
+            q = arcs[label].dst
+        sequences.append(tuple(rng.choice(alphabet, int(rng.integers(0, 6)))))
+    for seq in sequences:
+        want = oracles.evaluate(machine, seq)
+        got = evaluate(machine, seq)
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()

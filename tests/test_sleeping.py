@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from wfa_hedge import harness
 from wfa_hedge.builders import exact_shift_automaton
 from wfa_hedge.hedge import hedge_init, hedge_step
 from wfa_hedge.sleeping import (ZeroAwakeMassError, awake_distribution,
@@ -254,3 +256,26 @@ def test_emitted_awake_distributions_are_supported_and_normalized():
         assert abs(p.sum() - 1.0) <= 1e-9
         assert (p[~masks[t]] == 0).all()
         awake_step(st, masks[t], losses[t])
+
+
+def test_sleeping_verdict_builds_no_transition_objects(request, monkeypatch):
+    # worst_comparator and sleeping_regret (its support check and K) read
+    # the competitor's edge columns only.
+    built = request.getfixturevalue("built_transitions")
+    during = []
+
+    def watched(fn):
+        def call(*args):
+            before = len(built)
+            result = fn(*args)
+            during.append(len(built) - before)
+            return result
+        return call
+
+    for name in ("worst_comparator", "sleeping_regret"):
+        monkeypatch.setattr(harness, name, watched(getattr(harness, name)))
+    cfg = harness.ExperimentConfig.load(Path(__file__).resolve().parent.parent
+                                        / "configs" / "sleeping_subsets.json")
+    report = harness.run_experiment(cfg)
+    assert during == [0, 0]
+    assert report["verdicts"] == {"sleeping_bound_ok": True}
