@@ -473,6 +473,6 @@ def test_run_experiment_counts_the_paths_once(monkeypatch, extra):
     report = run_experiment(cfg_with(eta="fixed", **extra))
     assert len(sweeps) == 1
     k = count_accepting_paths(sweeps[0])
-    assert len(sweeps) == 1
+    assert len(sweeps) == 1  # a later call reads the kept count
     assert k == oracles.count_accepting_paths(sweeps[0])
     assert report["eta"] == math.sqrt(8 * math.log(k) / 6)
