@@ -4,7 +4,8 @@ The quantity sup_x log(q(x) / q_w(x)) over supported sequences governs
 the regret cost of replacing the competitor machine with the model, so
 approximation here means minimizing it.  The supremum is a best-path
 problem over the product of the machine with the model's context
-tracker; :func:`prod_eg` minimizes it by exponentiated-gradient mirror
+tracker, and the relative entropy an expectation over the same product;
+:func:`prod_eg` minimizes the supremum by exponentiated-gradient mirror
 descent over the product of context simplices.
 """
 
@@ -16,9 +17,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ngram import NGramModel, ngram_to_wfa, uniform_model
-from .wfa import Wfa, exact_logs, intersect, leveled_best_path
-from .hedge import _log_normaliser
+from .hedge import _edge_marginals, _log_normaliser
+from .ngram import NGramModel, _context_product, uniform_model
+from .wfa import Wfa, exact_logs, leveled_best_path
 
 __all__ = [
     "DivergenceValue",
@@ -41,27 +42,11 @@ class DivergenceValue:
         return self.value != math.inf
 
 
-def _context_product(machine: Wfa, order: int) -> tuple[Wfa, np.ndarray, np.ndarray]:
-    """The machine times the context tracker of order-``order`` models:
-    (product, each edge's model cell, each edge's log-weight).  Built once
-    per (machine, order) and kept on the machine.
-
-    The tracker is :func:`~wfa_hedge.ngram.ngram_to_wfa`'s with weight 1
-    on every edge, so no zero cell of a model trims the product.  Cell
-    context id * |alphabet| + symbol id indexes the model's tables laid
-    end to end in context order, the tracker's state order.
-    """
-    if order not in machine._products:
-        t = ngram_to_wfa(uniform_model(machine.alphabet, order))
-        tc = t.columns
-        tracker = Wfa.from_columns(t.alphabet, t.num_states, t.initial, t.finals,
-                                   tc.src, tc.label, np.ones_like(tc.weight), tc.dst)
-        product = intersect(machine, tracker)
-        c = product.columns
-        context = np.array(product.state_names, np.intp)[:, 1]
-        machine._products[order] = (product, context[c.src] * len(t.alphabet) + c.label,
-                                    exact_logs(c.weight))
-    return machine._products[order]
+def _model_logs(model: NGramModel) -> np.ndarray:
+    """The model's log-weights by cell, as :func:`~wfa_hedge.ngram._context_product`
+    indexes them."""
+    return exact_logs(np.concatenate([model.tables[ctx] for ctx in
+                                      NGramModel._all_contexts(model.alphabet, model.order)]))
 
 
 def divergence_inf(machine: Wfa, model: NGramModel) -> DivergenceValue:
@@ -81,26 +66,31 @@ def divergence_inf(machine: Wfa, model: NGramModel) -> DivergenceValue:
     if log_z == float("-inf"):
         raise ValueError("empty language")
     product, cell, log_w = _context_product(machine, model.order)
-    log_m = exact_logs(np.concatenate([model.tables[ctx] for ctx in
-                                       NGramModel._all_contexts(model.alphabet, model.order)]))
+    log_m = _model_logs(model)
     path = leveled_best_path(product, lambda level, e: log_w[e] - log_m[cell[e]],
                              lambda q: exact_logs([product.finals[i] for i in q.tolist()]))
     return DivergenceValue(value=path.value - log_z, witness=path.sequence)
 
 
-def kl_divergence(machine: Wfa, model: NGramModel, limit: int = 100_000) -> float:
-    """Relative entropy from the machine's path distribution to the model."""
-    from .wfa import enumerate_support
-    support = enumerate_support(machine, limit)
-    z = sum(w for _, w in support)
-    total = 0.0
-    for seq, w in support:
-        p = w / z
-        lp_model = model.sequence_logprob(seq)
-        if lp_model == float("-inf"):
-            return math.inf
-        total += p * (math.log(p) - lp_model)
-    return total
+def kl_divergence(machine: Wfa, model: NGramModel) -> float:
+    """Relative entropy from the machine's path distribution q to the model.
+
+    Over the product of the machine with the model's context tracker,
+    KL = sum_e mu_e (log w_e - log w[cell_e]) + sum_f mu_f log rho_f - log Z,
+    with mu the edge and final posteriors of one log-domain
+    forward-backward sweep, so it holds at any size.  +inf when an edge
+    with positive posterior reads a model cell of weight 0.
+    """
+    if machine.alphabet != model.alphabet:
+        raise ValueError("alphabet mismatch")
+    product, cell, log_w = _context_product(machine, model.order)
+    edge, final, log_final, log_z = _edge_marginals(product, log_w)
+    on, end = np.flatnonzero(edge > 0.0), final > 0.0
+    log_m = _model_logs(model)[cell[on]]
+    if (log_m == -math.inf).any():
+        return math.inf
+    return (float(edge[on] @ (log_w[on] - log_m)) + float(final[end] @ log_final[end])
+            - log_z)
 
 
 def ratio_subgradient(model: NGramModel, sequence: Sequence[str]

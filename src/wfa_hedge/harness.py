@@ -20,9 +20,8 @@ from . import approx as approxmod
 from . import ngram as ngrammod
 from .builders import (exact_shift_automaton, hierarchy_automaton,
                        length_automaton, weighted_shift_automaton)
-from .hedge import (HedgeState, hedge_init, hedge_step, path_distribution, sample,
-                    summarize, tune_eta_fixed, tune_eta_renyi,
-                    unweighted_regret, weighted_regret)
+from .hedge import (HedgeState, hedge_init, hedge_step, sample, summarize, tune_eta_fixed,
+                    tune_eta_renyi, unweighted_regret, weighted_regret)
 from .phi import PhiWfa, phi_convert
 from .sleeping import (AwakeState, awake_distribution, awake_init, awake_step,
                        sleeping_regret, worst_comparator)
@@ -226,8 +225,7 @@ def _resolve_eta(cfg: ExperimentConfig, competitor_t: Wfa, horizon: int) -> floa
     if cfg.eta == "fixed":
         return tune_eta_fixed(horizon, count_accepting_paths(competitor_t))
     if cfg.eta == "renyi":
-        q = np.array(sorted(path_distribution(competitor_t).values()))
-        return tune_eta_renyi(q, horizon)
+        return tune_eta_renyi(competitor_t, horizon)
     raise ValueError(f"unknown eta spec {cfg.eta!r}")
 
 

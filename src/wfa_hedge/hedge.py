@@ -52,9 +52,7 @@ __all__ = [
     "renyi_entropy_machine",
     "tune_eta_fixed",
     "tune_eta_renyi",
-    "log_sum",
     "log_power_sum",
-    "path_distribution",
     "RegretReport",
     "summarize",
 ]
@@ -64,17 +62,6 @@ ETA_CAP = 10.0
 NEG_INF = float("-inf")
 
 Machine = Union[Wfa, PhiWfa]
-
-
-def log_sum(logs) -> float:
-    """Stable log(sum(exp(l) for l in logs)) over plain (positive) logs."""
-    m = NEG_INF
-    for l in logs:
-        if l > m:
-            m = l
-    if m == NEG_INF:
-        return NEG_INF
-    return m + math.log(sum(math.exp(l - m) for l in logs))
 
 
 # -- the compiled machine --------------------------------------------------------
@@ -417,7 +404,13 @@ def sample(p: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def log_power_sum(machine: Wfa, eta: float) -> float:
-    """log of the sum over accepting paths of (path weight)**eta.
+    """log of the sum over accepting paths of (path weight)**eta."""
+    return float(_backward_logs(machine, eta)[0][machine.initial])
+
+
+def _backward_logs(machine: Wfa, eta: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Per state, the log of the sum over its paths to acceptance of
+    (path weight)**eta, -inf where there is none, and its log final weight.
 
     One reverse log-sum-exp sweep over the cached Kahn generations, last
     to first.  A state's value is the log of the sum of its terms: eta
@@ -426,18 +419,16 @@ def log_power_sum(machine: Wfa, eta: float) -> float:
     target, if that target reaches a final state.  Each sum is shifted by
     the state's largest term and taken in that order, final weight first
     and then arcs in column order, with ``math``'s log and exp, so the
-    values equal a per-state walk bit for bit.  An empty language gives
-    -inf.
+    values equal a per-state walk bit for bit.
     """
     topo, c = _edges_by_generation(machine), machine.columns
-    n = machine.num_states
     usable = (c.label >= 0) & (c.weight > 0.0)
-    final = np.full(n, NEG_INF)
+    final = np.full(machine.num_states, NEG_INF)
     for q, w in machine.finals.items():
         if w > 0.0:
-            final[q] = eta * math.log(w)
-    d = np.full(n, NEG_INF)
-    at = np.empty(n, np.intp)  # each state's position in its generation
+            final[q] = math.log(w)
+    d = np.full(machine.num_states, NEG_INF)
+    at = np.empty(machine.num_states, np.intp)  # each state's position in its generation
     for g in range(len(topo.off) - 2, -1, -1):
         states = topo.order[topo.off[g]:topo.off[g + 1]]
         at[states] = np.arange(len(states))
@@ -446,7 +437,7 @@ def log_power_sum(machine: Wfa, eta: float) -> float:
         e = e[d[c.dst[e]] > NEG_INF]
         ends = states[final[states] > NEG_INF]
         owner = at[np.concatenate((ends, c.src[e]))]
-        terms = np.concatenate((final[ends], eta * exact_logs(c.weight[e]) + d[c.dst[e]]))
+        terms = np.concatenate((eta * final[ends], eta * exact_logs(c.weight[e]) + d[c.dst[e]]))
         top = np.full(len(states), NEG_INF)
         np.maximum.at(top, owner, terms)
         shifted = (terms - top[owner]).tolist()
@@ -454,7 +445,33 @@ def log_power_sum(machine: Wfa, eta: float) -> float:
                             minlength=len(states))
         live = np.flatnonzero(top > NEG_INF)
         d[states[live]] = top[live] + exact_logs(total[live])
-    return float(d[machine.initial])
+    return d, final
+
+
+def _edge_marginals(machine: Wfa, log_w: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Posteriors under the path distribution w(x) / Z of a plain acyclic
+    machine whose weights have the :func:`exact_logs` ``log_w``: of each
+    transition, alpha[src] * w * beta[dst] / Z, and of each state as a
+    path's end; then each state's log final weight, and log Z.  Alpha and
+    beta come from a forward and a backward log-sum-exp sweep over the
+    Kahn generations, so no step over- or underflows (Rabiner 1989,
+    scaled forward-backward).  Raises ValueError on an empty language.
+    """
+    topo, c = _edges_by_generation(machine), machine.columns
+    beta, final = _backward_logs(machine)
+    log_z = float(beta[machine.initial])
+    if log_z == NEG_INF:
+        raise ValueError("empty language")
+    usable = (c.label >= 0) & (c.weight > 0.0)
+    alpha = np.full(machine.num_states, NEG_INF)
+    alpha[machine.initial] = 0.0
+    for g in range(len(topo.off) - 1):
+        e = topo.edges[topo.edge_off[g]:topo.edge_off[g + 1]]
+        e = e[usable[e]]
+        np.logaddexp.at(alpha, c.dst[e], alpha[c.src[e]] + log_w[e])
+    edge = np.where(usable, np.exp(alpha[c.src] + log_w + beta[c.dst] - log_z), 0.0)
+    return edge, np.exp(alpha + final - log_z), final, log_z
 
 
 def _log_normaliser(machine: Wfa) -> float:
@@ -463,14 +480,6 @@ def _log_normaliser(machine: Wfa) -> float:
     if machine._log_z is None:
         machine._log_z = log_power_sum(machine, 1.0)
     return machine._log_z
-
-
-def path_distribution(machine: Wfa, limit: int = 100_000) -> dict[tuple[str, ...], float]:
-    """Normalized path weights by enumeration (desk-scale helper)."""
-    from .wfa import enumerate_support
-    support = enumerate_support(machine, limit)
-    z = sum(w for _, w in support)
-    return {seq: w / z for seq, w in support}
 
 
 def best_competitor(competitor: Wfa, losses: Sequence[np.ndarray],
@@ -538,20 +547,21 @@ def shannon_entropy(q) -> float:
     return float(-np.sum(q * np.log(q)))
 
 
-def _renyi_smooth(q: np.ndarray, eta: float) -> float:
-    if abs(eta - 1.0) < 1e-12:
-        return shannon_entropy(q)
-    return renyi_entropy(q, eta)
-
-
 def renyi_entropy_machine(competitor: Wfa, eta: float) -> float:
     """Renyi entropy of the competitor path distribution, without
-    enumerating it: uses log-domain power sums."""
+    enumerating it.
+
+    H_eta = (log Z_eta - eta log Z) / (1 - eta) from two log-domain power
+    sums.  At eta = 1 it is the Shannon limit log Z - E[log w(path)], the
+    expectation taken from the edge and final posteriors of one
+    forward-backward sweep (Li & Eisner 2009).
+    """
     if eta == 1.0:
-        raise ValueError("order 1 is the Shannon limit; use shannon_entropy")
-    log_z = _log_normaliser(competitor)
-    log_pow = log_power_sum(competitor, eta)
-    return (log_pow - eta * log_z) / (1.0 - eta)
+        log_w = exact_logs(competitor.columns.weight)
+        edge, final, log_final, log_z = _edge_marginals(competitor, log_w)
+        on, end = edge > 0.0, final > 0.0
+        return log_z - float(edge[on] @ log_w[on]) - float(final[end] @ log_final[end])
+    return (log_power_sum(competitor, eta) - eta * _log_normaliser(competitor)) / (1.0 - eta)
 
 
 def tune_eta_fixed(horizon: int, num_sequences: int) -> float:
@@ -565,20 +575,20 @@ def tune_eta_fixed(horizon: int, num_sequences: int) -> float:
     return min(max(eta, ETA_FLOOR), ETA_CAP)
 
 
-def tune_eta_renyi(q, horizon: int, tol: float = 1e-10) -> float:
-    """Solve eta / sqrt(H_eta(q)) = sqrt(8 / T) by bisection.
+def tune_eta_renyi(competitor: Wfa, horizon: int, tol: float = 1e-10) -> float:
+    """Solve eta / sqrt(H_eta) = sqrt(8 / T) by bisection, H_eta the
+    :func:`renyi_entropy_machine` of the competitor (its Shannon limit
+    within 1e-12 of eta = 1).
 
     The left side is increasing in eta (H_eta is non-increasing), so the
     root is unique.  Requires at least two supported sequences.
     """
-    q = np.asarray(q, dtype=float)
-    q = q[q > 0]
-    if q.size < 2:
+    if count_accepting_paths(competitor) < 2:
         raise ValueError("entropy tuning needs at least two supported sequences")
     target = math.sqrt(8.0 / horizon)
 
     def f(eta: float) -> float:
-        h = _renyi_smooth(q, eta)
+        h = renyi_entropy_machine(competitor, 1.0 if abs(eta - 1.0) < 1e-12 else eta)
         if h <= 0:
             return float("inf")
         return eta / math.sqrt(h) - target

@@ -15,9 +15,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .hedge import _edge_marginals
 from .phi import PHI, PhiWfa
-from .wfa import (Transition, Wfa, backward_distances, leveled_best_path, log_weight_range,
-                  topological_order)
+from .wfa import Transition, Wfa, exact_logs, intersect, leveled_best_path, log_weight_range
 
 __all__ = [
     "NGramModel",
@@ -150,40 +150,28 @@ def ngram_to_wfa(model: NGramModel) -> Wfa:
 # -- maximum-likelihood estimation ----------------------------------------------
 
 
-def _expected_counts_forward_backward(machine: Wfa, order: int
-                                      ) -> dict[tuple[str, ...], np.ndarray]:
-    """Expected n-gram counts without enumerating paths.
+def _context_product(machine: Wfa, order: int) -> tuple[Wfa, np.ndarray, np.ndarray]:
+    """The machine times the context tracker of order-``order`` models:
+    (product, each edge's model cell, each edge's log-weight).  Built once
+    per (machine, order) and kept on the machine; maximum-likelihood
+    fitting and both divergences of :mod:`~wfa_hedge.approx` share it.
 
-    Forward weights are propagated over (state, context) pairs; backward
-    weights only depend on the state, so the product alpha * w * beta
-    gives the mass of all paths using a given edge under a given context.
+    The tracker is :func:`ngram_to_wfa`'s with weight 1 on every edge, so
+    no zero cell of a model trims the product.  Cell context id *
+    |alphabet| + symbol id indexes the model's tables laid end to end in
+    context order, the tracker's state order.
     """
-    beta = backward_distances(machine)
-    z = beta[machine.initial]
-    if z <= 0.0:
-        raise ValueError("empty language")
-    order_states = topological_order(machine)
-    n_sym = len(machine.alphabet)
-    sym = {a: i for i, a in enumerate(machine.alphabet)}
-    alpha: dict[int, dict[tuple[str, ...], float]] = {q: {} for q in range(machine.num_states)}
-    alpha[machine.initial][()] = 1.0
-    counts: dict[tuple[str, ...], np.ndarray] = {}
-    k = order - 1
-    for q in order_states:
-        for ctx, mass in alpha[q].items():
-            if mass == 0.0:
-                continue
-            for t in machine.arcs(q).values():
-                if t.weight == 0.0:
-                    continue
-                row = counts.get(ctx)
-                if row is None:
-                    row = counts.setdefault(ctx, np.zeros(n_sym))
-                row[sym[t.label]] += mass * t.weight * beta[t.dst] / z
-                nxt = (ctx + (t.label,))[-k:] if k > 0 else ()
-                cell = alpha[t.dst]
-                cell[nxt] = cell.get(nxt, 0.0) + mass * t.weight
-    return counts
+    if order not in machine._products:
+        t = ngram_to_wfa(uniform_model(machine.alphabet, order))
+        tc = t.columns
+        tracker = Wfa.from_columns(t.alphabet, t.num_states, t.initial, t.finals,
+                                   tc.src, tc.label, np.ones_like(tc.weight), tc.dst)
+        product = intersect(machine, tracker)
+        c = product.columns
+        context = np.array(product.state_names, np.intp)[:, 1]
+        machine._products[order] = (product, context[c.src] * len(t.alphabet) + c.label,
+                                    exact_logs(c.weight))
+    return machine._products[order]
 
 
 def ml_ngram(machine: Wfa, order: int) -> NGramModel:
@@ -191,18 +179,23 @@ def ml_ngram(machine: Wfa, order: int) -> NGramModel:
 
     Conditional weights are ratios of expected context counts, which
     minimizes the relative entropy from the path distribution to the
-    model.  Contexts that never occur get uniform rows and are listed in
-    ``uniform_filled_contexts`` on the result; they cannot affect any
+    model.  The expected count of a cell (context, symbol) is the summed
+    posterior of the edges reading it in the machine's context product,
+    from one log-domain forward-backward sweep, so the fit holds at any
+    horizon.  Contexts that never occur get uniform rows and are listed
+    in ``uniform_filled_contexts`` on the result; they cannot affect any
     supported path.
     """
-    counts = _expected_counts_forward_backward(machine, order)
+    product, cell, log_w = _context_product(machine, order)
     alphabet = machine.alphabet
     n = len(alphabet)
+    contexts = NGramModel._all_contexts(alphabet, order)
+    counts = np.bincount(cell, _edge_marginals(product, log_w)[0],
+                         minlength=len(contexts) * n).reshape(len(contexts), n)
     tables = {}
     filled = []
-    for ctx in NGramModel._all_contexts(alphabet, order):
-        row = counts.get(ctx)
-        if row is None or row.sum() <= 0.0:
+    for ctx, row in zip(contexts, counts):
+        if row.sum() <= 0.0:
             tables[ctx] = np.full(n, 1.0 / n)
             filled.append(ctx)
         else:

@@ -13,8 +13,9 @@ paths, the engine's compile step) read the columns directly.  The
 per-edge views, ``transitions`` and ``arcs()``, are built from the
 columns on first access and cached, as are the topological generations
 and the path count, the sorted arc keys that :func:`evaluate` looks
-symbols up in, the log normaliser and the n-gram context products of
-:func:`~wfa_hedge.approx.divergence_inf`.  A :class:`Wfa` is immutable
+symbols up in, the log normaliser and the n-gram context products
+(:func:`~wfa_hedge.ngram._context_product`) that maximum-likelihood
+fitting and both divergences share.  A :class:`Wfa` is immutable
 after construction: the columns are read-only arrays and the cached
 values never change once built (two threads racing to build one build
 equal values), so a machine is safe to share across threads.  Every
@@ -221,7 +222,7 @@ class Wfa:
         self._topo = None
         self._keys = None
         self._log_z = None
-        self._products = {}  # n-gram order -> (state, context) product, see approx
+        self._products = {}  # n-gram order -> (state, context) product, see ngram
 
     # -- queries ----------------------------------------------------------
 
@@ -465,8 +466,11 @@ def intersect(a1: Wfa, a2: Wfa) -> Wfa:
     sorted-key lookup, and pairs not seen before get the next ids in
     order of first occurrence.  States are numbered in discovery order,
     each state's arcs follow in sorted label order, and ``state_names``
-    holds the (a1 state, a2 state) pairs.
+    holds the (a1 state, a2 state) pairs.  A failure (phi) edge raises
+    ValueError: read as an arc, it would change the language.
     """
+    if (a1.columns.label < 0).any() or (a2.columns.label < 0).any():
+        raise ValueError("intersect cannot read phi edges; use phi_intersect or phi_expand")
     arcs, n2 = _ArcPairs(a1, a2), a2.num_states
 
     def expand(frontier):  # pairs are coded q1 * |Q2| + q2

@@ -12,11 +12,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from wfa_hedge.approx import DivergenceValue
-from wfa_hedge.hedge import NEG_INF, _log_normaliser, log_sum
+from wfa_hedge.hedge import NEG_INF, _log_normaliser, renyi_entropy, shannon_entropy
 from wfa_hedge.ngram import NGramModel
 from wfa_hedge.phi import (MAX_PHI_CHAIN, PHI, PHI_FILTER, PhiWfa, as_phi, resolve_symbol,
                            shadowed_continuation)
-from wfa_hedge.wfa import CyclicAutomatonError, Transition, Wfa, enumerate_support
+from wfa_hedge.wfa import (CyclicAutomatonError, Transition, Wfa, backward_distances,
+                           default_alphabet, enumerate_support)
 
 
 def count_changes(seq):
@@ -513,6 +514,15 @@ def random_leveled_wfa(rng, horizon, alphabet=("a", "b"), support_size=8,
     return Wfa.from_sequences(sorted(seqs), alphabet=alphabet)
 
 
+def star_machine(q) -> Wfa:
+    """One edge per outcome from the initial state, edge i weighing q[i]
+    and ending in a final state: a machine whose path distribution is q."""
+    q = np.asarray(q, dtype=float)
+    n = len(q)
+    return Wfa.from_columns(default_alphabet(n), n + 1, 0, {i + 1: 1.0 for i in range(n)},
+                            np.zeros(n, np.intp), np.arange(n), q, np.arange(1, n + 1))
+
+
 def fixed_share_distributions(num_experts, shifts, horizon, eta, losses):
     """Per-round p_t of exponential weights over the Fixed-Share bigram
     (Herbster & Warmuth 1998) with every weight raised to ``eta``.
@@ -698,6 +708,17 @@ def vertex_comparators(competitor: Wfa, limit: int = 100_000):
 # They walk Transition objects and the arcs() dicts.
 
 
+def log_sum(logs) -> float:
+    """Stable log(sum(exp(l) for l in logs)) over plain (positive) logs."""
+    m = NEG_INF
+    for l in logs:
+        if l > m:
+            m = l
+    if m == NEG_INF:
+        return NEG_INF
+    return m + math.log(sum(math.exp(l - m) for l in logs))
+
+
 def log_power_sum(machine: Wfa, eta: float) -> float:
     """log of the sum over accepting paths of (path weight)**eta."""
     from wfa_hedge.wfa import topological_order
@@ -756,3 +777,108 @@ def evaluate(wfa: Wfa, sequence) -> float:
         w *= t.weight
         q = t.dst
     return w * wfa.final_weight(q)
+
+
+# -- the path expectations the forward-backward sweep replaced --------------------------
+#
+# The dict forward pass behind ml_ngram, the enumerating relative entropy
+# and the array Renyi tuner (with its path_distribution input), as the
+# library had them before ML counts, KL and the tuner became edge
+# posteriors and power sums on the machine, kept as references.
+
+
+def _expected_counts_forward_backward(machine: Wfa, order: int
+                                      ) -> dict[tuple[str, ...], np.ndarray]:
+    """Expected n-gram counts without enumerating paths.
+
+    Forward weights are propagated over (state, context) pairs; backward
+    weights only depend on the state, so the product alpha * w * beta
+    gives the mass of all paths using a given edge under a given context.
+    """
+    from wfa_hedge.wfa import topological_order
+    beta = backward_distances(machine)
+    z = beta[machine.initial]
+    if z <= 0.0:
+        raise ValueError("empty language")
+    order_states = topological_order(machine)
+    n_sym = len(machine.alphabet)
+    sym = {a: i for i, a in enumerate(machine.alphabet)}
+    alpha: dict[int, dict[tuple[str, ...], float]] = {q: {} for q in range(machine.num_states)}
+    alpha[machine.initial][()] = 1.0
+    counts: dict[tuple[str, ...], np.ndarray] = {}
+    k = order - 1
+    for q in order_states:
+        for ctx, mass in alpha[q].items():
+            if mass == 0.0:
+                continue
+            for t in machine.arcs(q).values():
+                if t.weight == 0.0:
+                    continue
+                row = counts.get(ctx)
+                if row is None:
+                    row = counts.setdefault(ctx, np.zeros(n_sym))
+                row[sym[t.label]] += mass * t.weight * beta[t.dst] / z
+                nxt = (ctx + (t.label,))[-k:] if k > 0 else ()
+                cell = alpha[t.dst]
+                cell[nxt] = cell.get(nxt, 0.0) + mass * t.weight
+    return counts
+
+
+def kl_divergence(machine: Wfa, model: NGramModel, limit: int = 100_000) -> float:
+    """Relative entropy from the machine's path distribution to the model."""
+    support = enumerate_support(machine, limit)
+    z = sum(w for _, w in support)
+    total = 0.0
+    for seq, w in support:
+        p = w / z
+        lp_model = model.sequence_logprob(seq)
+        if lp_model == float("-inf"):
+            return math.inf
+        total += p * (math.log(p) - lp_model)
+    return total
+
+
+def path_distribution(machine: Wfa, limit: int = 100_000) -> dict[tuple[str, ...], float]:
+    """Normalized path weights by enumeration (desk-scale helper)."""
+    support = enumerate_support(machine, limit)
+    z = sum(w for _, w in support)
+    return {seq: w / z for seq, w in support}
+
+
+def _renyi_smooth(q: np.ndarray, eta: float) -> float:
+    if abs(eta - 1.0) < 1e-12:
+        return shannon_entropy(q)
+    return renyi_entropy(q, eta)
+
+
+def tune_eta_renyi(q, horizon: int, tol: float = 1e-10) -> float:
+    """Solve eta / sqrt(H_eta(q)) = sqrt(8 / T) by bisection.
+
+    The left side is increasing in eta (H_eta is non-increasing), so the
+    root is unique.  Requires at least two supported sequences.
+    """
+    q = np.asarray(q, dtype=float)
+    q = q[q > 0]
+    if q.size < 2:
+        raise ValueError("entropy tuning needs at least two supported sequences")
+    target = math.sqrt(8.0 / horizon)
+
+    def f(eta: float) -> float:
+        h = _renyi_smooth(q, eta)
+        if h <= 0:
+            return float("inf")
+        return eta / math.sqrt(h) - target
+
+    lo = 1e-12
+    hi = 1.0
+    while f(hi) < 0:
+        hi *= 2.0
+        if hi > 1e9:
+            raise RuntimeError("failed to bracket the tuning equation")
+    while hi - lo > tol * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

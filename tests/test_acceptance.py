@@ -112,7 +112,7 @@ def test_02_regret_bounds_hold_strictly():
         q = rng.random(int(rng.integers(5, 200)))
         q /= q.sum()
         for horizon_t in (10, 100, 1000):
-            eta = tune_eta_renyi(q, horizon_t)
+            eta = tune_eta_renyi(oracles.star_machine(q), horizon_t)
             h = shannon_entropy(q) if abs(eta - 1) < 1e-12 else renyi_entropy(q, eta)
             residual = eta / math.sqrt(h) - math.sqrt(8 / horizon_t)
             assert abs(residual) <= 1e-9

@@ -69,6 +69,13 @@ def test_divergence_dominates_relative_entropy():
             assert kl_divergence(ct, m) <= divergence_inf(ct, m).value + 1e-12
 
 
+def test_kl_divergence_checks_alphabets():
+    # the same symbols in another order would index the wrong cells
+    ct = Wfa.from_sequences([("a", "b"), ("b", "b")], alphabet=("a", "b"))
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        kl_divergence(ct, uniform_model(("b", "a"), 1))
+
+
 def test_divergence_infinite_when_model_misses_support():
     ct = Wfa.from_sequences([("a", "a"), ("b", "b")], alphabet=("a", "b"))
     m = uniform_model(("a", "b"), 1).copy()

@@ -8,11 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wfa_hedge.approx import divergence_inf, kl_divergence
 from wfa_hedge.builders import exact_shift_automaton, length_automaton
 from wfa_hedge.cli import main as cli_main
 from wfa_hedge.harness import (ExperimentConfig, build_automaton, compare,
                                gen_losses, read_awake_csv, read_losses_csv,
                                report_to_json, run_experiment, write_losses_csv)
+from wfa_hedge.hedge import tune_eta_fixed
+from wfa_hedge.ngram import bigram_phi_machine, fixed_share_bigram
 from wfa_hedge.sleeping import sleeping_regret
 from wfa_hedge.wfa import count_accepting_paths, intersect
 
@@ -379,6 +382,36 @@ def test_cli_fits_and_runs_do_not_enumerate(tmp_path, monkeypatch):
     for name in ("sleeping_subsets", "kshift_tracking"):
         assert cli_main(["run", "--config", str(CONFIGS / f"{name}.json"),
                          "--out", str(tmp_path / f"{name}.json")]) == 0
+    # The entropy tuner and the relative entropy at the same size.  The
+    # weights are uniform, so every Renyi entropy is log K.
+    cfg = tmp_path / "renyi.json"
+    cfg.write_text(json.dumps({**BASE, "automaton": {"builder": "kshift", "params": {
+        "num_experts": 4, "shifts": 3}}, "horizon": 30, "eta": "renyi"}))
+    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "renyi-out.json")]) == 0
+    eta = json.loads((tmp_path / "renyi-out.json").read_text())["eta"]
+    assert eta == pytest.approx(tune_eta_fixed(30, 394_632), rel=1e-8)
+    ct = intersect(exact_shift_automaton(4, 3), length_automaton(4, 30))
+    model = fixed_share_bigram(4, 3, 30)
+    kl = kl_divergence(ct, model)
+    assert math.isfinite(kl) and kl <= divergence_inf(ct, model).value + 1e-12
+
+
+def test_cli_fits_refuse_phi_machine_files(tmp_path, capsys):
+    # A plain intersection would drop the phi edges and fit the 4
+    # constant sequences of this machine instead of its 4^10.
+    from wfa_hedge.textio import write_automaton, write_symbols
+    machine = bigram_phi_machine(fixed_share_bigram(4, 1, 10))
+    write_automaton(machine, tmp_path / "m.fsa")
+    write_symbols(machine.alphabet, tmp_path / "m.syms")
+    fit = ["--automaton", str(tmp_path / "m.fsa"), "--symbols", str(tmp_path / "m.syms"),
+           "--horizon", "10"]
+    assert cli_main(["approximate", *fit, "--kind", "ml-ngram", "--order", "2",
+                     "--out", str(tmp_path / "ml.json")]) == 1
+    assert "phi_intersect" in capsys.readouterr().err
+    assert not (tmp_path / "ml.json").exists()
+    (tmp_path / "model.json").write_text(fixed_share_bigram(4, 1, 10).to_json())
+    assert cli_main(["divergence", *fit, "--model", str(tmp_path / "model.json"),
+                     "--out", str(tmp_path / "d.json")]) == 1
 
 
 def test_cli_phi_convert_roundtrip(tmp_path):

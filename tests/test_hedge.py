@@ -5,7 +5,7 @@ import pytest
 
 from wfa_hedge.builders import (exact_shift_automaton, hierarchy_automaton,
                                 length_automaton, weighted_shift_automaton)
-from wfa_hedge.hedge import (NEG_INF, best_competitor, hedge_init, hedge_step, log_sum,
+from wfa_hedge.hedge import (NEG_INF, best_competitor, hedge_init, hedge_step,
                              renyi_entropy, renyi_entropy_machine, sample,
                              shannon_entropy,
                              summarize, tune_eta_fixed, tune_eta_renyi,
@@ -497,7 +497,7 @@ def test_entropy_tuned_rate_bound():
     support = enumerate_support(probe.competitor)
     z = sum(x for _, x in support)
     q = np.array([x / z for _, x in support])
-    eta = tune_eta_renyi(q, horizon)
+    eta = tune_eta_renyi(probe.competitor, horizon)
     h = renyi_entropy(q, eta)
     bound = math.sqrt(horizon * h / 2) - h + math.log(len(q))
     assert h < math.log(len(q))  # concentration makes the bound tighter
@@ -526,9 +526,9 @@ def test_zero_loss_target_gives_clean_regret():
 
 
 def test_log_sum():
-    assert log_sum([]) == NEG_INF
+    assert oracles.log_sum([]) == NEG_INF
     vals = [0.3, 1.7, 0.001]
-    assert log_sum([math.log(v) for v in vals]) == pytest.approx(math.log(sum(vals)))
+    assert oracles.log_sum([math.log(v) for v in vals]) == pytest.approx(math.log(sum(vals)))
 
 
 # -- entropies and tuning ----------------------------------------------------------------
@@ -567,6 +567,8 @@ def test_renyi_entropy_machine_matches_enumeration():
     for eta in (0.3, 0.8, 2.0):
         assert renyi_entropy_machine(b, eta) == pytest.approx(
             renyi_entropy(q, eta), rel=1e-12)
+    # order 1: the Shannon limit, from the edge posteriors
+    assert renyi_entropy_machine(b, 1.0) == pytest.approx(shannon_entropy(q), rel=1e-12)
 
 
 def test_tune_eta_fixed():
@@ -580,7 +582,8 @@ def test_tune_eta_fixed():
 
 def test_tune_eta_renyi_uniform_matches_fixed():
     q = np.ones(64) / 64
-    assert tune_eta_renyi(q, 50) == pytest.approx(tune_eta_fixed(50, 64), rel=1e-8)
+    assert tune_eta_renyi(oracles.star_machine(q), 50) == pytest.approx(tune_eta_fixed(50, 64),
+                                                                       rel=1e-8)
 
 
 def test_tune_eta_renyi_residual_and_monotonicity():
@@ -589,7 +592,7 @@ def test_tune_eta_renyi_residual_and_monotonicity():
     q /= q.sum()
     etas = []
     for horizon in (10, 20, 40, 80):
-        eta = tune_eta_renyi(q, horizon)
+        eta = tune_eta_renyi(oracles.star_machine(q), horizon)
         h = renyi_entropy(q, eta) if eta != 1.0 else shannon_entropy(q)
         assert abs(eta / math.sqrt(h) - math.sqrt(8.0 / horizon)) <= 1e-9
         etas.append(eta)
@@ -598,4 +601,4 @@ def test_tune_eta_renyi_residual_and_monotonicity():
 
 def test_tune_eta_renyi_rejects_singleton():
     with pytest.raises(ValueError):
-        tune_eta_renyi(np.array([1.0]), 10)
+        tune_eta_renyi(oracles.star_machine([1.0]), 10)

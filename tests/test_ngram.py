@@ -135,6 +135,44 @@ def test_ml_methods_agree():
         assert np.abs(row / row.sum() - m.tables[ctx]).max() <= 1e-12
 
 
+def _dict_walk_tables(machine, order):
+    """ML tables and uniform-filled contexts from the dict forward pass."""
+    counts = oracles._expected_counts_forward_backward(machine, order)
+    n = len(machine.alphabet)
+    tables, filled = {}, []
+    for ctx in NGramModel._all_contexts(machine.alphabet, order):
+        row = counts.get(ctx)
+        if row is None or row.sum() <= 0.0:
+            tables[ctx] = np.full(n, 1.0 / n)
+            filled.append(ctx)
+        else:
+            tables[ctx] = row / row.sum()
+    return tables, tuple(filled)
+
+
+@pytest.mark.parametrize("num_experts,shifts,horizon,order", [
+    (3, 2, 11, 2), (3, 1, 6, 2), (2, 1, 5, 2), (4, 3, 30, 1), (4, 3, 30, 2),
+    (10, 5, 200, 1), (10, 5, 200, 2)])
+def test_ml_matches_dict_forward_backward(num_experts, shifts, horizon, order):
+    # includes the benchmark's fits: kshift(4, 3) at T = 30 and (10, 5) at 200
+    ct = intersect(exact_shift_automaton(num_experts, shifts),
+                   length_automaton(num_experts, horizon))
+    want, filled = _dict_walk_tables(ct, order)
+    m = ml_ngram(ct, order)
+    assert m.uniform_filled_contexts == filled
+    for ctx, row in want.items():
+        assert np.abs(m.tables[ctx] - row).max() <= 1e-12
+
+
+@pytest.mark.parametrize("horizon", [320, 3000])
+def test_ml_is_uniform_at_long_horizons(horizon):
+    # 10^320 paths: a linear backward pass overflows and returned NaN rows
+    m = ml_ngram(length_automaton(10, horizon), 2)
+    assert m.uniform_filled_contexts == ()
+    for row in m.tables.values():
+        assert np.abs(row - 0.1).max() <= 1e-12
+
+
 def test_ml_flags_unseen_contexts():
     ct = Wfa.from_sequences([("a", "a", "a")], alphabet=("a", "b"))
     m = ml_ngram(ct, 2)

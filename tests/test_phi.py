@@ -225,6 +225,17 @@ def test_intersect_phi_bigram_with_length_machine():
         assert evaluate(e, x) == pytest.approx(evaluate(plain, x), rel=1e-12)
 
 
+def test_plain_intersect_refuses_phi_edges():
+    # read as ordinary arcs, the phi edges would be dropped and the
+    # product would accept the 4 constant sequences instead of 4^10
+    compact = bigram_phi_machine(fixed_share_bigram(4, 1, 10))
+    length = length_automaton(4, 10)
+    for a1, a2 in ((compact, length), (length, compact)):
+        with pytest.raises(ValueError, match="phi_intersect"):
+            intersect(a1, a2)
+    assert len(phi_expand(phi_intersect(compact, length)).finals) > 0
+
+
 def _phi_paths_between(machine):
     """Count phi-labeled paths between every ordered state pair."""
     adj = {}

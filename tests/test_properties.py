@@ -14,10 +14,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wfa_hedge.approx import divergence_inf
+from wfa_hedge.approx import divergence_inf, kl_divergence
 from wfa_hedge.builders import length_automaton
-from wfa_hedge.hedge import hedge_init, hedge_step, log_power_sum
-from wfa_hedge.ngram import NGramModel, bigram_phi_machine, ngram_to_wfa
+from wfa_hedge.hedge import (hedge_init, hedge_step, log_power_sum, renyi_entropy_machine,
+                             shannon_entropy, tune_eta_renyi)
+from wfa_hedge.ngram import NGramModel, bigram_phi_machine, ml_ngram, ngram_to_wfa
 from wfa_hedge.phi import (MAX_PHI_CHAIN, PhiChainError, phi_convert, phi_expand,
                            phi_intersect, resolve_symbol)
 from wfa_hedge.sleeping import (awake_distribution, awake_init, awake_step,
@@ -368,3 +369,77 @@ def test_evaluate_lookup_matches_walk(seed, cyclic, duplicates):
         want = oracles.evaluate(machine, seq)
         got = evaluate(machine, seq)
         assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def _with_zero_weights_and_a_dead_state(rng, machine, zero_prob):
+    """The machine with each transition weight set to 0 with probability
+    ``zero_prob``, and one new state that is not final and has no
+    out-edges, reached from a random state on a symbol it does not read."""
+    c, n, n_sym = machine.columns, machine.num_states, len(machine.alphabet)
+    weight = np.where(rng.random(len(c.weight)) < zero_prob, 0.0, c.weight)
+    free = np.setdiff1d(np.arange(n * n_sym), c.src * n_sym + c.label)
+    cols = [c.src, c.label, weight, c.dst]
+    if free.size:
+        q, a = divmod(int(rng.choice(free)), n_sym)
+        cols = [np.append(x, v) for x, v in zip(cols, (q, a, 0.5, n))]
+    return Wfa.from_columns(machine.alphabet, n + 1, machine.initial, machine.finals, *cols)
+
+
+def _random_model(rng, alphabet, order, zero_prob):
+    tables = {}
+    for ctx in NGramModel._all_contexts(alphabet, order):
+        row = rng.dirichlet(np.ones(len(alphabet))) * (rng.random(len(alphabet)) >= zero_prob)
+        if not row.any():
+            row[int(rng.integers(len(alphabet)))] = 1.0
+        tables[ctx] = row / row.sum()
+    return NGramModel(alphabet, order, tables)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, leveled=st.booleans(), order=st.integers(1, 3),
+       zero_prob=st.floats(0.0, 0.4))
+def test_path_expectations_match_dict_walk_and_enumeration(seed, leveled, order, zero_prob):
+    # ML tables against the dict forward pass; KL, the Shannon entropy
+    # and the Renyi tuner against enumeration.  Zero weights, a dead
+    # state and (now and then) an empty language.
+    rng = np.random.default_rng(seed)
+    if leveled:
+        machine = oracles.random_leveled_wfa(rng, int(rng.integers(1, 6)), ("a", "b", "c"),
+                                             support_size=int(rng.integers(1, 12)))
+    else:
+        machine = oracles.random_acyclic_wfa(rng, int(rng.integers(2, 9)),
+                                             weights=str(rng.choice(["uniform", "dyadic"])))
+    machine = _with_zero_weights_and_a_dead_state(rng, machine, zero_prob)
+    support = enumerate_support(machine)
+    if not support:
+        with pytest.raises(ValueError, match="empty language"):
+            oracles._expected_counts_forward_backward(machine, order)
+        with pytest.raises(ValueError, match="empty language"):
+            ml_ngram(machine, order)
+        return
+
+    fit = ml_ngram(machine, order)
+    counts = oracles._expected_counts_forward_backward(machine, order)
+    filled = []
+    for ctx in NGramModel._all_contexts(machine.alphabet, order):
+        row = counts.get(ctx)
+        if row is None or row.sum() <= 0.0:
+            filled.append(ctx)
+            row = np.ones(3)
+        assert np.abs(fit.tables[ctx] - row / row.sum()).max() <= 1e-12
+    assert fit.uniform_filled_contexts == tuple(filled)
+
+    for model in (fit, _random_model(rng, machine.alphabet, order, zero_prob)):
+        want = oracles.kl_divergence(machine, model)
+        got = kl_divergence(machine, model)
+        assert got == want if want == math.inf else got == pytest.approx(want, rel=1e-12,
+                                                                          abs=1e-12)
+    z = sum(w for _, w in support)
+    q = [w / z for _, w in support]
+    assert renyi_entropy_machine(machine, 1.0) == pytest.approx(shannon_entropy(q), rel=1e-12,
+                                                                abs=1e-12)
+    if len(support) >= 2:
+        horizon = int(rng.integers(1, 100))
+        assert tune_eta_renyi(machine, horizon) == pytest.approx(
+            oracles.tune_eta_renyi(q, horizon), rel=1e-9)
+
