@@ -17,9 +17,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .hedge import _edge_marginals, _log_normaliser
 from .ngram import NGramModel, _context_product, uniform_model
-from .wfa import Wfa, exact_logs, leveled_best_path
+from .wfa import (Wfa, _edge_logs, _edge_marginals, _log_normaliser, exact_logs,
+                  leveled_best_path)
 
 __all__ = [
     "DivergenceValue",
@@ -65,8 +65,8 @@ def divergence_inf(machine: Wfa, model: NGramModel) -> DivergenceValue:
     log_z = _log_normaliser(machine)
     if log_z == float("-inf"):
         raise ValueError("empty language")
-    product, cell, log_w = _context_product(machine, model.order)
-    log_m = _model_logs(model)
+    product, cell = _context_product(machine, model.order)
+    log_w, log_m = _edge_logs(product), _model_logs(model)
     path = leveled_best_path(product, lambda level, e: log_w[e] - log_m[cell[e]],
                              lambda q: exact_logs([product.finals[i] for i in q.tolist()]))
     return DivergenceValue(value=path.value - log_z, witness=path.sequence)
@@ -83,8 +83,9 @@ def kl_divergence(machine: Wfa, model: NGramModel) -> float:
     """
     if machine.alphabet != model.alphabet:
         raise ValueError("alphabet mismatch")
-    product, cell, log_w = _context_product(machine, model.order)
-    edge, final, log_final, log_z = _edge_marginals(product, log_w)
+    product, cell = _context_product(machine, model.order)
+    log_w = _edge_logs(product)
+    edge, final, log_final, log_z = _edge_marginals(product)
     on, end = np.flatnonzero(edge > 0.0), final > 0.0
     log_m = _model_logs(model)[cell[on]]
     if (log_m == -math.inf).any():

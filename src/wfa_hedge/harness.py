@@ -183,11 +183,11 @@ def read_losses_csv(path) -> np.ndarray:
 
 
 def read_awake_csv(path, alphabet) -> list[np.ndarray]:
-    """One row per round: either a bitstring like 101 or symbols a;c."""
+    """One row per round: a bitstring like 101 or symbols a;c, else ValueError."""
     sym = {a: i for i, a in enumerate(alphabet)}
     masks = []
     with open(path) as fh:
-        for line in fh:
+        for row, line in enumerate(fh, 1):
             token = line.strip()
             if not token:
                 continue
@@ -195,16 +195,25 @@ def read_awake_csv(path, alphabet) -> list[np.ndarray]:
             if set(token) <= {"0", "1"} and len(token) == len(alphabet):
                 mask[:] = [c == "1" for c in token]
             else:
-                for name in token.split(";"):
-                    mask[sym[name.strip()]] = True
+                for name in map(str.strip, token.split(";")):
+                    if name not in sym:
+                        raise ValueError(f"awake line {row}, {token!r}: " + (
+                            f"a bitstring needs {len(alphabet)} digits"
+                            if set(token) <= {"0", "1"} else f"unknown expert {name!r}"))
+                    mask[sym[name]] = True
             masks.append(mask)
     return masks
 
 
-def _gen_awake(params: dict, seed: int, horizon: int, num_experts: int,
+def _gen_awake(kind: str, params: dict, seed: int, horizon: int, num_experts: int,
                ) -> list[np.ndarray]:
-    rng = np.random.default_rng(seed)
+    """Seed-deterministic random_subsets: each expert awake with probability density."""
+    if kind != "random_subsets":
+        raise ValueError(f"unknown awake generator {kind!r}")
     density = float(params.get("density", 0.7))
+    if not 0.0 < density <= 1.0:  # NaN fails too
+        raise ValueError(f"awake density must lie in (0, 1], got {density!r}")
+    rng = np.random.default_rng(seed)
     masks = []
     for _ in range(horizon):
         mask = np.zeros(num_experts, dtype=bool)
@@ -323,7 +332,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         if "path" in cfg.awake:
             masks = read_awake_csv(cfg.awake["path"], machine.alphabet)
         else:
-            masks = _gen_awake(cfg.awake.get("params", {}),
+            masks = _gen_awake(cfg.awake.get("generator"), cfg.awake.get("params", {}),
                                int(cfg.awake.get("seed", cfg.seed)), horizon, n)
         if len(masks) != horizon:
             raise ValueError("awake stream length must equal the horizon")

@@ -35,8 +35,8 @@ import numpy as np
 
 from .builders import length_automaton
 from .phi import MAX_PHI_CHAIN, PhiWfa, _Chains, phi_expand, phi_intersect
-from .wfa import (Wfa, _edges_by_generation, count_accepting_paths, exact_logs, intersect,
-                  leveled_best_path)
+from .wfa import (NEG_INF, Wfa, _edge_logs, _edge_marginals, _log_normaliser,
+                  count_accepting_paths, exact_logs, intersect, leveled_best_path, log_power_sum)
 
 __all__ = [
     "HedgeState",
@@ -59,7 +59,6 @@ __all__ = [
 
 ETA_FLOOR = 1e-6
 ETA_CAP = 10.0
-NEG_INF = float("-inf")
 
 Machine = Union[Wfa, PhiWfa]
 
@@ -403,85 +402,6 @@ def sample(p: np.ndarray, rng: np.random.Generator) -> int:
 # -- path sums and regret -------------------------------------------------------
 
 
-def log_power_sum(machine: Wfa, eta: float) -> float:
-    """log of the sum over accepting paths of (path weight)**eta."""
-    return float(_backward_logs(machine, eta)[0][machine.initial])
-
-
-def _backward_logs(machine: Wfa, eta: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Per state, the log of the sum over its paths to acceptance of
-    (path weight)**eta, -inf where there is none, and its log final weight.
-
-    One reverse log-sum-exp sweep over the cached Kahn generations, last
-    to first.  A state's value is the log of the sum of its terms: eta
-    times the log of its final weight, if positive, and eta times the log
-    of each positive-weight arc's weight plus the value of the arc's
-    target, if that target reaches a final state.  Each sum is shifted by
-    the state's largest term and taken in that order, final weight first
-    and then arcs in column order, with ``math``'s log and exp, so the
-    values equal a per-state walk bit for bit.
-    """
-    topo, c = _edges_by_generation(machine), machine.columns
-    usable = (c.label >= 0) & (c.weight > 0.0)
-    final = np.full(machine.num_states, NEG_INF)
-    for q, w in machine.finals.items():
-        if w > 0.0:
-            final[q] = math.log(w)
-    d = np.full(machine.num_states, NEG_INF)
-    at = np.empty(machine.num_states, np.intp)  # each state's position in its generation
-    for g in range(len(topo.off) - 2, -1, -1):
-        states = topo.order[topo.off[g]:topo.off[g + 1]]
-        at[states] = np.arange(len(states))
-        e = topo.edges[topo.edge_off[g]:topo.edge_off[g + 1]]
-        e = e[usable[e]]
-        e = e[d[c.dst[e]] > NEG_INF]
-        ends = states[final[states] > NEG_INF]
-        owner = at[np.concatenate((ends, c.src[e]))]
-        terms = np.concatenate((eta * final[ends], eta * exact_logs(c.weight[e]) + d[c.dst[e]]))
-        top = np.full(len(states), NEG_INF)
-        np.maximum.at(top, owner, terms)
-        shifted = (terms - top[owner]).tolist()
-        total = np.bincount(owner, np.fromiter(map(math.exp, shifted), float, len(shifted)),
-                            minlength=len(states))
-        live = np.flatnonzero(top > NEG_INF)
-        d[states[live]] = top[live] + exact_logs(total[live])
-    return d, final
-
-
-def _edge_marginals(machine: Wfa, log_w: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Posteriors under the path distribution w(x) / Z of a plain acyclic
-    machine whose weights have the :func:`exact_logs` ``log_w``: of each
-    transition, alpha[src] * w * beta[dst] / Z, and of each state as a
-    path's end; then each state's log final weight, and log Z.  Alpha and
-    beta come from a forward and a backward log-sum-exp sweep over the
-    Kahn generations, so no step over- or underflows (Rabiner 1989,
-    scaled forward-backward).  Raises ValueError on an empty language.
-    """
-    topo, c = _edges_by_generation(machine), machine.columns
-    beta, final = _backward_logs(machine)
-    log_z = float(beta[machine.initial])
-    if log_z == NEG_INF:
-        raise ValueError("empty language")
-    usable = (c.label >= 0) & (c.weight > 0.0)
-    alpha = np.full(machine.num_states, NEG_INF)
-    alpha[machine.initial] = 0.0
-    for g in range(len(topo.off) - 1):
-        e = topo.edges[topo.edge_off[g]:topo.edge_off[g + 1]]
-        e = e[usable[e]]
-        np.logaddexp.at(alpha, c.dst[e], alpha[c.src[e]] + log_w[e])
-    edge = np.where(usable, np.exp(alpha[c.src] + log_w + beta[c.dst] - log_z), 0.0)
-    return edge, np.exp(alpha + final - log_z), final, log_z
-
-
-def _log_normaliser(machine: Wfa) -> float:
-    """``log_power_sum(machine, 1.0)``, computed once per machine and
-    kept on it (machines are immutable)."""
-    if machine._log_z is None:
-        machine._log_z = log_power_sum(machine, 1.0)
-    return machine._log_z
-
-
 def best_competitor(competitor: Wfa, losses: Sequence[np.ndarray],
                     weighted: bool) -> tuple[tuple[str, ...], float, float]:
     """Best supported sequence for the regret maximization.
@@ -491,19 +411,19 @@ def best_competitor(competitor: Wfa, losses: Sequence[np.ndarray],
     to the maximized objective; ties break lexicographically.
     """
     losses = np.asarray(losses, dtype=float)
-    c = competitor.columns
+    c, log_w = competitor.columns, _edge_logs(competitor)
     log_z = _log_normaliser(competitor)
     if weighted:
         _, seq, edges = leveled_best_path(
-            competitor, lambda level, e: -losses[level][c.label[e]] + exact_logs(c.weight[e]),
+            competitor, lambda level, e: -losses[level][c.label[e]] + log_w[e],
             lambda q: exact_logs([competitor.finals[i] for i in q.tolist()]))
     else:
         _, seq, edges = leveled_best_path(competitor, lambda level, e: -losses[level][c.label[e]])
     path_loss = sum(losses[i][a] for i, a in enumerate(c.label[edges].tolist()))
     # Sum log-weights along the path: its linear weight can underflow.
     log_path = 0.0
-    for w in c.weight[edges].tolist():
-        log_path += math.log(w)
+    for lw in log_w[edges].tolist():
+        log_path += lw
     end = int(c.dst[edges[-1]]) if len(edges) else competitor.initial
     log_q = log_path + math.log(competitor.final_weight(end)) - log_z
     return seq, float(path_loss), log_q
@@ -557,8 +477,8 @@ def renyi_entropy_machine(competitor: Wfa, eta: float) -> float:
     forward-backward sweep (Li & Eisner 2009).
     """
     if eta == 1.0:
-        log_w = exact_logs(competitor.columns.weight)
-        edge, final, log_final, log_z = _edge_marginals(competitor, log_w)
+        log_w = _edge_logs(competitor)
+        edge, final, log_final, log_z = _edge_marginals(competitor)
         on, end = edge > 0.0, final > 0.0
         return log_z - float(edge[on] @ log_w[on]) - float(final[end] @ log_final[end])
     return (log_power_sum(competitor, eta) - eta * _log_normaliser(competitor)) / (1.0 - eta)

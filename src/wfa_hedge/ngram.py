@@ -15,9 +15,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .hedge import _edge_marginals
 from .phi import PHI, PhiWfa
-from .wfa import Transition, Wfa, exact_logs, intersect, leveled_best_path, log_weight_range
+from .wfa import (Transition, Wfa, _edge_marginals, intersect, leveled_best_path,
+                  log_weight_range)
 
 __all__ = [
     "NGramModel",
@@ -150,9 +150,9 @@ def ngram_to_wfa(model: NGramModel) -> Wfa:
 # -- maximum-likelihood estimation ----------------------------------------------
 
 
-def _context_product(machine: Wfa, order: int) -> tuple[Wfa, np.ndarray, np.ndarray]:
+def _context_product(machine: Wfa, order: int) -> tuple[Wfa, np.ndarray]:
     """The machine times the context tracker of order-``order`` models:
-    (product, each edge's model cell, each edge's log-weight).  Built once
+    (product, each edge's model cell).  Built once
     per (machine, order) and kept on the machine; maximum-likelihood
     fitting and both divergences of :mod:`~wfa_hedge.approx` share it.
 
@@ -169,8 +169,7 @@ def _context_product(machine: Wfa, order: int) -> tuple[Wfa, np.ndarray, np.ndar
         product = intersect(machine, tracker)
         c = product.columns
         context = np.array(product.state_names, np.intp)[:, 1]
-        machine._products[order] = (product, context[c.src] * len(t.alphabet) + c.label,
-                                    exact_logs(c.weight))
+        machine._products[order] = (product, context[c.src] * len(t.alphabet) + c.label)
     return machine._products[order]
 
 
@@ -186,11 +185,11 @@ def ml_ngram(machine: Wfa, order: int) -> NGramModel:
     in ``uniform_filled_contexts`` on the result; they cannot affect any
     supported path.
     """
-    product, cell, log_w = _context_product(machine, order)
+    product, cell = _context_product(machine, order)
     alphabet = machine.alphabet
     n = len(alphabet)
     contexts = NGramModel._all_contexts(alphabet, order)
-    counts = np.bincount(cell, _edge_marginals(product, log_w)[0],
+    counts = np.bincount(cell, _edge_marginals(product)[0],
                          minlength=len(contexts) * n).reshape(len(contexts), n)
     tables = {}
     filled = []

@@ -32,9 +32,9 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .wfa import (PHI, Columns, Transition, Wfa, _ArcPairs, _check_edges, _coaccessible,
-                  _column_arrays, _final_weights, _find_arcs, _ranges, _search,
-                  topological_order)
+from .wfa import (PHI, Columns, Transition, Wfa, _ArcPairs, _backward_logs, _check_edges,
+                  _coaccessible, _column_arrays, _final_weights, _find_arcs, _pushed, _ranges,
+                  _search, backward_distances, topological_order)
 
 __all__ = [
     "PHI",
@@ -406,6 +406,25 @@ class _Chains:
         return edge, weight
 
 
+def _resolver(machine: PhiWfa, max_chain: int):
+    """A function resolving every symbol at each of an array of states by
+    the rule of :func:`resolve_symbol`, all chains walked at once: per
+    resolution of nonzero weight, by state and then symbol, (index of the
+    state, symbol, phi chain weight times arc weight, destination)."""
+    c, n_sym, chains = machine.columns, len(machine.alphabet), _Chains(machine)
+    step = chains.resolving_steps()
+
+    def resolve(states):
+        state, symbol = np.repeat(states, n_sym), np.tile(np.arange(n_sym), len(states))
+        edge, w = chains.walk(state, symbol, np.ones(len(state)), max_chain, state, step)
+        pair = np.flatnonzero(edge >= 0)
+        weight = w[pair] * c.weight[edge[pair]]
+        pair, weight = pair[weight != 0.0], weight[weight != 0.0]
+        return pair // n_sym, symbol[pair], weight, c.dst[edge[pair]]
+
+    return resolve
+
+
 def phi_expand(machine: PhiWfa, max_chain: int = MAX_PHI_CHAIN) -> Wfa:
     """Plain WFA with the same weighted language.
 
@@ -421,17 +440,11 @@ def phi_expand(machine: PhiWfa, max_chain: int = MAX_PHI_CHAIN) -> Wfa:
     and ``state_names`` keeps the names of the states kept, as a
     queue-based search calling :func:`resolve_symbol` per pair gives them.
     """
-    c, n_sym = machine.columns, len(machine.alphabet)
-    chains = _Chains(machine)
-    step = chains.resolving_steps()
+    resolve = _resolver(machine, max_chain)
 
     def expand(frontier):
-        state, symbol = np.repeat(frontier, n_sym), np.tile(np.arange(n_sym), len(frontier))
-        edge, w = chains.walk(state, symbol, np.ones(len(state)), max_chain, state, step)
-        pair = np.flatnonzero(edge >= 0)
-        weight = w[pair] * c.weight[edge[pair]]
-        pair, weight = pair[weight != 0.0], weight[weight != 0.0]
-        return pair // n_sym, c.dst[edge[pair]], (symbol[pair], weight)
+        owner, symbol, weight, dst = resolve(frontier)
+        return owner, dst, (symbol, weight)
 
     code, src, dst, (label, weight) = _search(machine.initial, expand)
     new_id = np.full(machine.num_states, -1, np.intp)
@@ -447,18 +460,25 @@ def phi_expand(machine: PhiWfa, max_chain: int = MAX_PHI_CHAIN) -> Wfa:
 # -- backward distances, powering, pushing ------------------------------------
 
 
+def _resolved(machine: PhiWfa) -> Wfa:
+    """The plain machine on the same states whose arcs are the nonzero
+    resolutions of every (state, symbol): its paths are the legal ones."""
+    topological_order(machine)  # raises CyclicAutomatonError on any cycle, phi edges included
+    return Wfa.from_columns(machine.alphabet, machine.num_states, machine.initial, machine.finals,
+                            *_resolver(machine, MAX_PHI_CHAIN)(np.arange(machine.num_states)))
+
+
+def _reweighted(machine: PhiWfa, weight: np.ndarray, finals: dict[int, float]) -> PhiWfa:
+    """``machine`` with new edge and final weights."""
+    c = machine.columns
+    return PhiWfa.from_columns(machine.alphabet, machine.num_states, machine.initial, finals,
+                               c.src, c.label, weight, c.dst, machine.state_names,
+                               machine.pair_labels, machine.phi_moves)
+
+
 def phi_backward_distances(machine: PhiWfa) -> dict[int, float]:
     """Sum over legal (shadow-respecting) paths from each state to final."""
-    order = topological_order(machine)
-    d = {q: 0.0 for q in range(machine.num_states)}
-    for q in reversed(order):
-        total = machine.final_weight(q)
-        for a in machine.alphabet:
-            r = resolve_symbol(machine, q, a)
-            if r is not None and r[0] > 0.0:
-                total += r[0] * d[r[1]]
-        d[q] = total
-    return d
+    return backward_distances(_resolved(machine))
 
 
 def power_weights_phi(machine: PhiWfa, eta: float) -> PhiWfa:
@@ -467,31 +487,19 @@ def power_weights_phi(machine: PhiWfa, eta: float) -> PhiWfa:
         raise ValueError("exponent must be positive")
     if eta == 1.0:
         return machine
-    ts = [Transition(t.src, t.label, t.weight ** eta, t.dst) for t in machine.transitions]
-    finals = {q: w ** eta for q, w in machine.finals.items()}
-    return PhiWfa(machine.alphabet, machine.num_states, machine.initial, finals, ts,
-                  machine.state_names, machine.pair_labels, machine.phi_moves)
+    return _reweighted(machine, machine.columns.weight ** eta,
+                       {q: w ** eta for q, w in machine.finals.items()})
 
 
 def weight_push_phi(machine: PhiWfa) -> PhiWfa:
     """Reweight so effective outgoing weights plus final weight sum to 1.
 
-    Every transition (phi ones too) becomes d[src]^-1 w d[dst]; since the
-    corrections the engine applies are products of edge weights as well,
+    Every transition (phi ones too) between live states becomes
+    d[src]^-1 w d[dst], d summed in logs over the legal paths; since the
+    engine's corrections are products of edge weights as well,
     equivalence with the expanded machine is preserved.
     """
-    d = phi_backward_distances(machine)
-    if d[machine.initial] == 0.0:
-        raise ValueError("weight pushing needs a non-empty language")
-    ts = []
-    for i, t in enumerate(machine.transitions):
-        if d[t.src] > 0.0 and d[t.dst] > 0.0:
-            ts.append(Transition(t.src, t.label, t.weight * d[t.dst] / d[t.src], t.dst))
-        else:
-            ts.append(t)  # dead region, weight irrelevant but keep indices stable
-    finals = {q: w / d[q] for q, w in machine.finals.items() if d[q] > 0.0}
-    return PhiWfa(machine.alphabet, machine.num_states, machine.initial, finals, ts,
-                  machine.state_names, machine.pair_labels, machine.phi_moves)
+    return _reweighted(machine, *_pushed(machine, *_backward_logs(_resolved(machine))))
 
 
 # -- conversion ----------------------------------------------------------------

@@ -35,15 +35,18 @@ def write_symbols(alphabet, path: Union[str, os.PathLike]) -> None:
 
 
 def read_symbols(path: Union[str, os.PathLike]) -> tuple[str, ...]:
+    """The alphabet of a ``name id`` table whose ids are 0..n-1, each
+    once; raises ValueError naming a repeated or a missing id."""
     table: dict[int, str] = {}
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            name, sid = line.split()
+        for name, sid in (line.split() for line in fh if line.strip()):
+            if int(sid) in table:
+                raise ValueError(f"symbol id {sid} given twice: {table[int(sid)]!r}, {name!r}")
             table[int(sid)] = name
-    return tuple(table[i] for i in range(len(table)))
+    names = [table.get(i) for i in range(len(table))]
+    if None in names:
+        raise ValueError(f"symbol id {names.index(None)} missing: ids must run 0..{len(names) - 1}")
+    return tuple(names)
 
 
 def write_automaton(machine: Machine, path: Union[str, os.PathLike]) -> None:

@@ -13,9 +13,10 @@ paths, the engine's compile step) read the columns directly.  The
 per-edge views, ``transitions`` and ``arcs()``, are built from the
 columns on first access and cached, as are the topological generations
 and the path count, the sorted arc keys that :func:`evaluate` looks
-symbols up in, the log normaliser and the n-gram context products
-(:func:`~wfa_hedge.ngram._context_product`) that maximum-likelihood
-fitting and both divergences share.  A :class:`Wfa` is immutable
+symbols up in, the edge-log column that the log-domain sweeps and
+best-path scores read, the log normaliser and the n-gram context
+products (:func:`~wfa_hedge.ngram._context_product`) that
+maximum-likelihood fitting and both divergences share.  A :class:`Wfa` is immutable
 after construction: the columns are read-only arrays and the cached
 values never change once built (two threads racing to build one build
 equal values), so a machine is safe to share across threads.  Every
@@ -45,6 +46,7 @@ __all__ = [
     "backward_distances",
     "weight_push",
     "count_accepting_paths",
+    "log_power_sum",
     "enumerate_support",
     "BestPath",
     "leveled_best_path",
@@ -55,6 +57,7 @@ __all__ = [
 
 
 PHI = "<phi>"  # the label of a failure transition, label id -1 in the columns
+NEG_INF = float("-inf")
 
 
 class CyclicAutomatonError(ValueError):
@@ -171,8 +174,8 @@ class Wfa:
     """
 
     __slots__ = ("alphabet", "num_states", "initial", "finals", "columns",
-                 "state_names", "_transitions", "_out", "_topo", "_keys", "_log_z",
-                 "_products")
+                 "state_names", "_transitions", "_out", "_topo", "_keys", "_logs",
+                 "_log_z", "_products")
 
     def __init__(self, alphabet: Sequence[str], num_states: int, initial: int,
                  finals: dict[int, float], transitions: Iterable[Transition],
@@ -218,10 +221,7 @@ class Wfa:
             if not (0 <= q < num_states):
                 raise ValueError(f"final state {q} out of range")
         self.state_names = tuple(state_names) if state_names is not None else None
-        self._out = None
-        self._topo = None
-        self._keys = None
-        self._log_z = None
+        self._out = self._topo = self._keys = self._logs = self._log_z = None
         self._products = {}  # n-gram order -> (state, context) product, see ngram
 
     # -- queries ----------------------------------------------------------
@@ -494,23 +494,6 @@ def intersect(a1: Wfa, a2: Wfa) -> Wfa:
                             state_names=names)
 
 
-# -- reweighting ------------------------------------------------------------
-
-
-def power_weights(wfa: Wfa, eta: float) -> Wfa:
-    """Raise every transition and final weight to the power ``eta``.
-
-    On a deterministic machine this maps string weights w to w**eta.
-    """
-    if eta <= 0:
-        raise ValueError("exponent must be positive")
-    if eta == 1.0:
-        return wfa
-    ts = [Transition(t.src, t.label, t.weight ** eta, t.dst) for t in wfa.transitions]
-    finals = {q: w ** eta for q, w in wfa.finals.items()}
-    return Wfa(wfa.alphabet, wfa.num_states, wfa.initial, finals, ts, wfa.state_names)
-
-
 # -- graph structure ---------------------------------------------------------
 
 
@@ -602,58 +585,64 @@ def topological_order(wfa: Wfa) -> list[int]:
     return _generations(wfa).order.tolist()
 
 
-# -- path aggregation ---------------------------------------------------------
+# -- path sums and reweighting ------------------------------------------------
+
+
+def power_weights(wfa: Wfa, eta: float) -> Wfa:
+    """Raise every transition and final weight to the power ``eta``.
+
+    On a deterministic machine this maps string weights w to w**eta.
+    """
+    if eta <= 0:
+        raise ValueError("exponent must be positive")
+    if eta == 1.0:
+        return wfa
+    c = wfa.columns
+    return Wfa.from_columns(wfa.alphabet, wfa.num_states, wfa.initial,
+                            {q: w ** eta for q, w in wfa.finals.items()},
+                            c.src, c.label, c.weight ** eta, c.dst, wfa.state_names)
 
 
 def backward_distances(wfa: Wfa) -> dict[int, float]:
-    """Sum of path weights from each state to the final states.
+    """Sum of path weights from each state to the final states: the
+    exponentials of :func:`log_power_sum`'s sweep, inf past the float
+    range.  Requires an acyclic machine."""
+    with np.errstate(over="ignore"):
+        return dict(enumerate(np.exp(_backward_logs(wfa)[0]).tolist()))
 
-    One reverse-topological pass; requires an acyclic machine.
-    """
-    order = topological_order(wfa)
-    d = {q: 0.0 for q in range(wfa.num_states)}
-    for q in reversed(order):
-        total = wfa.final_weight(q) if q in wfa.finals else 0.0
-        for t in wfa.arcs(q).values():
-            total += t.weight * d[t.dst]
-        d[q] = total
-    return d
+
+def _pushed(wfa: Wfa, log_d: np.ndarray, log_f: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Edge and final weights pushed by the backward log-distances and log
+    final weights: w * d[dst] / d[src] on edges whose ends reach a final
+    state (the others keep w), and w / d[q] at the final states that do."""
+    if log_d[wfa.initial] == NEG_INF:
+        raise ValueError("weight pushing needs a non-empty language")
+    c, weight = wfa.columns, wfa.columns.weight.copy()
+    e = np.flatnonzero((log_d[c.src] > NEG_INF) & (log_d[c.dst] > NEG_INF))
+    weight[e] = np.exp(_edge_logs(wfa)[e] + log_d[c.dst[e]] - log_d[c.src[e]])
+    return weight, {q: math.exp(log_f[q] - log_d[q]) for q in wfa.finals if log_d[q] > NEG_INF}
 
 
 def weight_push(wfa: Wfa) -> Wfa:
     """Reweight so outgoing weights plus final weight sum to 1 per state.
 
     Transition weights become d[src]^-1 * w * d[dst] and final weights
-    d[q]^-1 * rho[q], where d is the backward distance table.  Path
-    weights are preserved up to the global factor d[initial] (exactly
-    preserved when d[initial] == 1).  Dead states (d == 0) are dropped;
-    an empty language is an error.
+    d[q]^-1 * rho[q], d the backward distances, taken in logs.  Path
+    weights are preserved up to the global factor d[initial].  Dead and
+    unreachable states and zero-weight edges are dropped; an empty
+    language is an error.
     """
-    d = backward_distances(wfa)
-    if d[wfa.initial] == 0.0:
-        raise ValueError("weight pushing needs a non-empty language")
-    alive = [q for q in range(wfa.num_states) if d[q] > 0.0]
-    # Forward-reachability prune as well, to keep the machine trim.
-    reach = {wfa.initial}
-    stack = [wfa.initial]
-    while stack:
-        q = stack.pop()
-        for t in wfa.arcs(q).values():
-            if d[t.dst] > 0.0 and t.dst not in reach:
-                reach.add(t.dst)
-                stack.append(t.dst)
-    keep = [q for q in alive if q in reach]
-    remap = {q: i for i, q in enumerate(keep)}
-    ts = []
-    for t in wfa.transitions:
-        if t.src in remap and t.dst in remap and t.weight > 0.0:
-            ts.append(Transition(remap[t.src], t.label,
-                                 t.weight * d[t.dst] / d[t.src], remap[t.dst]))
-    finals = {remap[q]: w / d[q] for q, w in wfa.finals.items() if q in remap}
-    names = None
-    if wfa.state_names is not None:
-        names = [wfa.state_names[q] for q in keep]
-    return Wfa(wfa.alphabet, len(keep), remap[wfa.initial], finals, ts, names)
+    log_d, log_f = _backward_logs(wfa)
+    weight, finals = _pushed(wfa, log_d, log_f)
+    c, alive = wfa.columns, log_d > NEG_INF
+    arc = np.flatnonzero((c.label >= 0) & alive[c.dst])
+    keep = alive & _coaccessible(c.dst[arc], c.src[arc], np.array([wfa.initial]), wfa.num_states)
+    remap, kept = np.cumsum(keep) - 1, np.flatnonzero(keep).tolist()
+    e = np.flatnonzero(keep[c.src] & keep[c.dst] & (c.weight > 0.0))
+    return Wfa.from_columns(wfa.alphabet, len(kept), int(remap[wfa.initial]),
+                            {int(remap[q]): w for q, w in finals.items() if keep[q]},
+                            remap[c.src[e]], c.label[e], weight[e], remap[c.dst[e]],
+                            wfa.state_names and [wfa.state_names[q] for q in kept])
 
 
 def count_accepting_paths(wfa: Wfa) -> int:
@@ -683,6 +672,79 @@ def _count_paths(wfa: Wfa) -> int:
         e = e[c.weight[e] > 0.0]
         np.add.at(counts, c.src[e], counts[c.dst[e]])
     return int(counts[wfa.initial])
+
+
+def log_power_sum(machine: Wfa, eta: float) -> float:
+    """log of the sum over accepting paths of (path weight)**eta."""
+    return float(_backward_logs(machine, eta)[0][machine.initial])
+
+
+def _backward_logs(machine: Wfa, eta: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Per state, the log of the sum over its paths to acceptance of
+    (path weight)**eta, -inf where there is none, and its log final weight.
+
+    One reverse log-sum-exp sweep over the cached Kahn generations.  A
+    state's terms are eta times its log final weight, if positive, and
+    eta times each positive arc's log-weight plus the arc target's value,
+    if finite.  They are shifted by their maximum and summed in that
+    order (final, then arcs in column order) with ``math``'s log and exp,
+    so the values equal a per-state walk bit for bit.
+    """
+    topo, c, log_w = _edges_by_generation(machine), machine.columns, _edge_logs(machine)
+    usable = (c.label >= 0) & (c.weight > 0.0)
+    final = exact_logs(_final_weights(machine)[1])
+    d = np.full(machine.num_states, NEG_INF)
+    at = np.empty(machine.num_states, np.intp)  # each state's position in its generation
+    for g in range(len(topo.off) - 2, -1, -1):
+        states = topo.order[topo.off[g]:topo.off[g + 1]]
+        at[states] = np.arange(len(states))
+        e = topo.edges[topo.edge_off[g]:topo.edge_off[g + 1]]
+        e = e[usable[e]]
+        e = e[d[c.dst[e]] > NEG_INF]
+        ends = states[final[states] > NEG_INF]
+        owner = at[np.concatenate((ends, c.src[e]))]
+        terms = np.concatenate((eta * final[ends], eta * log_w[e] + d[c.dst[e]]))
+        top = np.full(len(states), NEG_INF)
+        np.maximum.at(top, owner, terms)
+        shifted = (terms - top[owner]).tolist()
+        total = np.bincount(owner, np.fromiter(map(math.exp, shifted), float, len(shifted)),
+                            minlength=len(states))
+        live = np.flatnonzero(top > NEG_INF)
+        d[states[live]] = top[live] + exact_logs(total[live])
+    return d, final
+
+
+def _edge_marginals(machine: Wfa) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Posteriors under the path distribution w(x) / Z of a plain acyclic
+    machine: of each transition, alpha[src] * w * beta[dst] / Z, and of
+    each state as a path's end; then each state's log final weight, and
+    log Z.  Alpha and beta come from a forward and a backward log-sum-exp
+    sweep over the Kahn generations on the edge-log column, so no step
+    over- or underflows (Rabiner 1989, scaled forward-backward).  Raises
+    ValueError on an empty language.
+    """
+    topo, c, log_w = _edges_by_generation(machine), machine.columns, _edge_logs(machine)
+    beta, final = _backward_logs(machine)
+    log_z = float(beta[machine.initial])
+    if log_z == NEG_INF:
+        raise ValueError("empty language")
+    usable = (c.label >= 0) & (c.weight > 0.0)
+    alpha = np.full(machine.num_states, NEG_INF)
+    alpha[machine.initial] = 0.0
+    for g in range(len(topo.off) - 1):
+        e = topo.edges[topo.edge_off[g]:topo.edge_off[g + 1]]
+        e = e[usable[e]]
+        np.logaddexp.at(alpha, c.dst[e], alpha[c.src[e]] + log_w[e])
+    edge = np.where(usable, np.exp(alpha[c.src] + log_w + beta[c.dst] - log_z), 0.0)
+    return edge, np.exp(alpha + final - log_z), final, log_z
+
+
+def _log_normaliser(machine: Wfa) -> float:
+    """``log_power_sum(machine, 1.0)``, computed once per machine and
+    kept on it (machines are immutable)."""
+    if machine._log_z is None:
+        machine._log_z = log_power_sum(machine, 1.0)
+    return machine._log_z
 
 
 def enumerate_support(wfa: Wfa, limit: int = 100_000) -> list[tuple[tuple[str, ...], float]]:
@@ -734,9 +796,17 @@ def exact_logs(x) -> np.ndarray:
     x = np.ravel(np.asarray(x, float))
     out = np.full(len(x), -math.inf)
     positive = x > 0.0
-    out[positive] = np.fromiter(map(math.log, x[positive].tolist()), float,
-                                np.count_nonzero(positive))
+    out[positive] = np.fromiter(map(math.log, x[positive]), float, np.count_nonzero(positive))
     return out
+
+
+def _edge_logs(wfa: Wfa) -> np.ndarray:
+    """:func:`exact_logs` of the edge weights, in column order, computed
+    once per machine and kept on it read-only."""
+    if wfa._logs is None:
+        wfa._logs = exact_logs(wfa.columns.weight)
+        wfa._logs.flags.writeable = False
+    return wfa._logs
 
 
 def leveled_best_path(wfa: Wfa, score: Callable[[int, np.ndarray], np.ndarray],
@@ -808,13 +878,9 @@ def leveled_best_path(wfa: Wfa, score: Callable[[int, np.ndarray], np.ndarray],
 def log_weight_range(wfa: Wfa) -> tuple[float, float]:
     """Log-weights of the lightest and the heaviest accepting path of a
     leveled machine."""
-    weight = wfa.columns.weight
-
-    def final_log(states):
-        return exact_logs([wfa.finals[q] for q in states.tolist()])
-
-    lo = leveled_best_path(wfa, lambda level, e: -exact_logs(weight[e]), lambda q: -final_log(q))
-    hi = leveled_best_path(wfa, lambda level, e: exact_logs(weight[e]), final_log)
+    log_w, log_f = _edge_logs(wfa), exact_logs(_final_weights(wfa)[1])
+    lo = leveled_best_path(wfa, lambda level, e: -log_w[e], lambda q: -log_f[q])
+    hi = leveled_best_path(wfa, lambda level, e: log_w[e], lambda q: log_f[q])
     return -lo.value, hi.value
 
 
@@ -842,17 +908,9 @@ def validate(wfa: Wfa) -> Diagnostics:
     for q, w in wfa.finals.items():
         if w < 0:
             errors.append(f"negative final weight at state {q}")
-    reach = {wfa.initial}
-    stack = [wfa.initial]
-    while stack:
-        q = stack.pop()
-        for t in wfa.arcs(q).values():
-            if t.dst not in reach:
-                reach.add(t.dst)
-                stack.append(t.dst)
-    for q in range(wfa.num_states):
-        if q not in reach:
-            warnings.append(f"state {q} unreachable from initial")
+    c, arc = wfa.columns, _arc_index(wfa)[1][:-1]  # what arcs() holds
+    reach = _coaccessible(c.dst[arc], c.src[arc], np.array([wfa.initial]), wfa.num_states)
+    warnings += [f"state {q} unreachable from initial" for q in np.flatnonzero(~reach).tolist()]
     if not wfa.finals:
         warnings.append("no final states")
     return Diagnostics(ok=not errors, errors=errors, warnings=warnings)

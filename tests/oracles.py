@@ -12,11 +12,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from wfa_hedge.approx import DivergenceValue
-from wfa_hedge.hedge import NEG_INF, _log_normaliser, renyi_entropy, shannon_entropy
+from wfa_hedge.hedge import renyi_entropy, shannon_entropy
 from wfa_hedge.ngram import NGramModel
 from wfa_hedge.phi import (MAX_PHI_CHAIN, PHI, PHI_FILTER, PhiWfa, as_phi, resolve_symbol,
                            shadowed_continuation)
-from wfa_hedge.wfa import (CyclicAutomatonError, Transition, Wfa, backward_distances,
+from wfa_hedge.wfa import (NEG_INF, CyclicAutomatonError, Transition, Wfa, _log_normaliser,
                            default_alphabet, enumerate_support)
 
 
@@ -882,3 +882,125 @@ def tune_eta_renyi(q, horizon: int, tol: float = 1e-10) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# -- the linear reweighting walks the log-domain sweep replaced ----------------------
+#
+# backward_distances, weight_push and power_weights, and their phi
+# versions, as the library had them before they became column code over
+# the log-domain backward sweep, kept as references.  They walk
+# Transition objects, the arcs() dicts and resolve_symbol, in linear
+# arithmetic, so they overflow where the library does not.
+
+
+def power_weights(wfa: Wfa, eta: float) -> Wfa:
+    """Raise every transition and final weight to the power ``eta``.
+
+    On a deterministic machine this maps string weights w to w**eta.
+    """
+    if eta <= 0:
+        raise ValueError("exponent must be positive")
+    if eta == 1.0:
+        return wfa
+    ts = [Transition(t.src, t.label, t.weight ** eta, t.dst) for t in wfa.transitions]
+    finals = {q: w ** eta for q, w in wfa.finals.items()}
+    return Wfa(wfa.alphabet, wfa.num_states, wfa.initial, finals, ts, wfa.state_names)
+
+
+def backward_distances(wfa: Wfa) -> dict[int, float]:
+    """Sum of path weights from each state to the final states.
+
+    One reverse-topological pass; requires an acyclic machine.
+    """
+    order = topological_order(wfa)
+    d = {q: 0.0 for q in range(wfa.num_states)}
+    for q in reversed(order):
+        total = wfa.final_weight(q) if q in wfa.finals else 0.0
+        for t in wfa.arcs(q).values():
+            total += t.weight * d[t.dst]
+        d[q] = total
+    return d
+
+
+def weight_push(wfa: Wfa) -> Wfa:
+    """Reweight so outgoing weights plus final weight sum to 1 per state.
+
+    Transition weights become d[src]^-1 * w * d[dst] and final weights
+    d[q]^-1 * rho[q], where d is the backward distance table.  Path
+    weights are preserved up to the global factor d[initial] (exactly
+    preserved when d[initial] == 1).  Dead states (d == 0) are dropped;
+    an empty language is an error.
+    """
+    d = backward_distances(wfa)
+    if d[wfa.initial] == 0.0:
+        raise ValueError("weight pushing needs a non-empty language")
+    alive = [q for q in range(wfa.num_states) if d[q] > 0.0]
+    # Forward-reachability prune as well, to keep the machine trim.
+    reach = {wfa.initial}
+    stack = [wfa.initial]
+    while stack:
+        q = stack.pop()
+        for t in wfa.arcs(q).values():
+            if d[t.dst] > 0.0 and t.dst not in reach:
+                reach.add(t.dst)
+                stack.append(t.dst)
+    keep = [q for q in alive if q in reach]
+    remap = {q: i for i, q in enumerate(keep)}
+    ts = []
+    for t in wfa.transitions:
+        if t.src in remap and t.dst in remap and t.weight > 0.0:
+            ts.append(Transition(remap[t.src], t.label,
+                                 t.weight * d[t.dst] / d[t.src], remap[t.dst]))
+    finals = {remap[q]: w / d[q] for q, w in wfa.finals.items() if q in remap}
+    names = None
+    if wfa.state_names is not None:
+        names = [wfa.state_names[q] for q in keep]
+    return Wfa(wfa.alphabet, len(keep), remap[wfa.initial], finals, ts, names)
+
+
+def phi_backward_distances(machine: PhiWfa) -> dict[int, float]:
+    """Sum over legal (shadow-respecting) paths from each state to final."""
+    from wfa_hedge.wfa import topological_order  # this module's skips phi edges
+    order = topological_order(machine)
+    d = {q: 0.0 for q in range(machine.num_states)}
+    for q in reversed(order):
+        total = machine.final_weight(q)
+        for a in machine.alphabet:
+            r = resolve_symbol(machine, q, a)
+            if r is not None and r[0] > 0.0:
+                total += r[0] * d[r[1]]
+        d[q] = total
+    return d
+
+
+def power_weights_phi(machine: PhiWfa, eta: float) -> PhiWfa:
+    """Raise every weight (phi weights included) to the power ``eta``."""
+    if eta <= 0:
+        raise ValueError("exponent must be positive")
+    if eta == 1.0:
+        return machine
+    ts = [Transition(t.src, t.label, t.weight ** eta, t.dst) for t in machine.transitions]
+    finals = {q: w ** eta for q, w in machine.finals.items()}
+    return PhiWfa(machine.alphabet, machine.num_states, machine.initial, finals, ts,
+                  machine.state_names, machine.pair_labels, machine.phi_moves)
+
+
+def weight_push_phi(machine: PhiWfa) -> PhiWfa:
+    """Reweight so effective outgoing weights plus final weight sum to 1.
+
+    Every transition (phi ones too) becomes d[src]^-1 w d[dst]; since the
+    corrections the engine applies are products of edge weights as well,
+    equivalence with the expanded machine is preserved.
+    """
+    d = phi_backward_distances(machine)
+    if d[machine.initial] == 0.0:
+        raise ValueError("weight pushing needs a non-empty language")
+    ts = []
+    for i, t in enumerate(machine.transitions):
+        if d[t.src] > 0.0 and d[t.dst] > 0.0:
+            ts.append(Transition(t.src, t.label, t.weight * d[t.dst] / d[t.src], t.dst))
+        else:
+            ts.append(t)  # dead region, weight irrelevant but keep indices stable
+    finals = {q: w / d[q] for q, w in machine.finals.items() if d[q] > 0.0}
+    return PhiWfa(machine.alphabet, machine.num_states, machine.initial, finals, ts,
+                  machine.state_names, machine.pair_labels, machine.phi_moves)

@@ -26,10 +26,10 @@ def test_divergence_zero_on_matching_model():
 
 
 def test_divergence_computes_the_log_normaliser_once_per_machine(monkeypatch):
-    from wfa_hedge import hedge
+    from wfa_hedge import wfa
     from wfa_hedge.wfa import intersect
     calls = []
-    original = hedge.log_power_sum
+    original = wfa.log_power_sum
 
     def counted(machine, eta):
         calls.append(eta)
@@ -37,7 +37,7 @@ def test_divergence_computes_the_log_normaliser_once_per_machine(monkeypatch):
 
     ct = intersect(exact_shift_automaton(3, 1), length_automaton(3, 6))
     want = divergence_inf(ct, uniform_model(ct.alphabet, 1))
-    monkeypatch.setattr(hedge, "log_power_sum", counted)
+    monkeypatch.setattr(wfa, "log_power_sum", counted)
     ct = intersect(exact_shift_automaton(3, 1), length_automaton(3, 6))
     sel = select_order(ct, 20, 100)
     assert len(sel.tried) >= 1

@@ -92,6 +92,30 @@ def test_awake_csv_formats(tmp_path):
     assert (masks[2] == [True, True, True]).all()
 
 
+def test_awake_csv_names_the_bad_row(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("101\na;x\n")
+    with pytest.raises(ValueError, match=r"awake line 2, 'a;x': unknown expert 'x'"):
+        read_awake_csv(path, ("a", "b", "c"))
+    path.write_text("b\n\n10\n")
+    with pytest.raises(ValueError, match=r"awake line 3, '10': a bitstring needs 3 digits"):
+        read_awake_csv(path, ("a", "b", "c"))
+
+
+@pytest.mark.parametrize("awake, message", [
+    ({"generator": "random_subsets", "params": {"density": 0.0}}, "density must lie in"),
+    ({"generator": "random_subsets", "params": {"density": -0.5}}, "density must lie in"),
+    ({"generator": "random_subsets", "params": {"density": float("nan")}}, "density must lie in"),
+    ({"generator": "random_subsets", "params": {"density": 1.5}}, "density must lie in"),
+    ({"generator": "bursty", "params": {"density": 0.5}}, "unknown awake generator 'bursty'"),
+])
+def test_awake_generator_rejects_bad_sources(awake, message):
+    # A density of 0 or below, or NaN, used to redraw an empty mask forever.
+    cfg = cfg_with(algorithm="awake-hedge", awake=awake)
+    with pytest.raises(ValueError, match=message):
+        run_experiment(cfg)
+
+
 # -- config validation ----------------------------------------------------------------
 
 

@@ -193,6 +193,14 @@ def test_weight_push_phi_effective_stochasticity():
             assert total == pytest.approx(1.0, abs=1e-12)
 
 
+def test_weight_push_phi_stays_finite_past_the_float_range():
+    # 10^320 paths: a linear backward sum overflows to inf and w * inf / inf is NaN.
+    pushed = weight_push_phi(as_phi(length_automaton(10, 320)))
+    assert type(pushed) is PhiWfa and len(pushed.columns.weight) == 3200
+    assert np.abs(pushed.columns.weight - 0.1).max() <= 1e-12
+    assert pushed.finals == {320: 1.0}
+
+
 # -- filter composition ------------------------------------------------------------------
 
 

@@ -19,12 +19,14 @@ from wfa_hedge.builders import length_automaton
 from wfa_hedge.hedge import (hedge_init, hedge_step, log_power_sum, renyi_entropy_machine,
                              shannon_entropy, tune_eta_renyi)
 from wfa_hedge.ngram import NGramModel, bigram_phi_machine, ml_ngram, ngram_to_wfa
-from wfa_hedge.phi import (MAX_PHI_CHAIN, PhiChainError, phi_convert, phi_expand,
-                           phi_intersect, resolve_symbol)
+from wfa_hedge.phi import (MAX_PHI_CHAIN, PhiChainError, PhiWfa, phi_backward_distances,
+                           phi_convert, phi_expand, phi_intersect, power_weights_phi,
+                           resolve_symbol, weight_push_phi)
 from wfa_hedge.sleeping import (awake_distribution, awake_init, awake_step,
                                 sleeping_regret, worst_comparator)
-from wfa_hedge.wfa import (Wfa, enumerate_support, evaluate, exact_logs, intersect,
-                           leveled_best_path)
+from wfa_hedge.wfa import (CyclicAutomatonError, Wfa, backward_distances, enumerate_support,
+                           evaluate, exact_logs, intersect, leveled_best_path, power_weights,
+                           weight_push)
 
 import oracles
 
@@ -342,6 +344,100 @@ def test_log_power_sum_sweep_matches_walk(seed, leveled, empty, eta):
         assert got == -math.inf
     else:
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def same_machine(got, want):
+    """Asserts two machines agree field by field: class, header, state
+    names, composition metadata, finals (in order) and columns, weights
+    within 1e-12 relative."""
+    assert type(got) is type(want)
+    assert (got.alphabet, got.num_states, got.initial) == (want.alphabet, want.num_states,
+                                                           want.initial)
+    assert got.state_names == want.state_names
+    if isinstance(want, PhiWfa):
+        assert (got.pair_labels, got.phi_moves) == (want.pair_labels, want.phi_moves)
+    assert list(got.finals) == list(want.finals)
+    assert np.allclose(list(got.finals.values()), list(want.finals.values()), rtol=1e-12, atol=0)
+    for a, b in zip(got.columns, want.columns):
+        assert a.dtype == b.dtype and a.shape == b.shape
+    for a, b in zip(got.columns[:2] + got.columns[3:], want.columns[:2] + want.columns[3:]):
+        assert (a == b).all()
+    assert np.allclose(got.columns.weight, want.columns.weight, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=SEEDS, form=st.sampled_from(["raw", "layered", "chain", "converted", "product"]),
+       eta=st.sampled_from([0.3, 2.0]), empty=st.booleans())
+def test_linear_helpers_match_dict_walks(seed, form, eta, empty):
+    # Plain machines with a random initial state, dead and unreachable
+    # states, zero weights and zero-weight finals; phi chains (cyclic now
+    # and then), phi_convert outputs and phi products with several phi
+    # edges per state.  ``empty`` zeroes every final weight.
+    rng = np.random.default_rng(seed)
+    if form == "raw":
+        machine = oracles.random_raw_wfa(rng, int(rng.integers(1, 12)), ("a", "b", "c"),
+                                         edge_prob=0.6, final_prob=0.4)
+    elif form == "layered":
+        layers = [1] + [int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 6)))]
+        machine = oracles.random_layered_wfa(rng, layers, final_prob=0.5)
+    else:
+        machine = random_phi_machine(rng, form)
+    if empty:
+        machine = type(machine).from_columns(
+            machine.alphabet, machine.num_states, machine.initial,
+            dict.fromkeys(machine.finals, 0.0), *machine.columns, machine.state_names,
+            **({"pair_labels": machine.pair_labels, "phi_moves": machine.phi_moves}
+               if isinstance(machine, PhiWfa) else {}))
+    if isinstance(machine, PhiWfa):
+        helpers = phi_backward_distances, weight_push_phi, power_weights_phi
+        walks = oracles.phi_backward_distances, oracles.weight_push_phi, oracles.power_weights_phi
+    else:
+        helpers = backward_distances, weight_push, power_weights
+        walks = oracles.backward_distances, oracles.weight_push, oracles.power_weights
+    same_machine(helpers[2](machine, eta), walks[2](machine, eta))
+    try:
+        want = walks[0](machine)
+    except CyclicAutomatonError:
+        for helper in helpers[:2]:
+            with pytest.raises(CyclicAutomatonError):
+                helper(machine)
+        return
+    got = helpers[0](machine)
+    assert list(got) == list(want)
+    for q, d in want.items():
+        assert type(got[q]) is float
+        if math.isfinite(d):
+            assert got[q] == pytest.approx(d, rel=1e-12, abs=0.0)
+    if want[machine.initial] == 0.0:
+        with pytest.raises(ValueError, match="non-empty language"):
+            helpers[1](machine)
+    else:
+        same_machine(helpers[1](machine), walks[1](machine))
+
+
+def test_linear_helper_draws_cover_every_case():
+    # The draws above reach cyclic phi machines, empty languages, dead
+    # states that pushing drops, and phi states with several phi edges.
+    cyclic = empty = dropped = several = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        form = ("raw", "layered", "chain", "converted", "product")[seed % 5]
+        machine = (oracles.random_raw_wfa(rng, int(rng.integers(1, 12)), ("a", "b", "c"),
+                                          edge_prob=0.6, final_prob=0.4) if form == "raw"
+                   else random_phi_machine(rng, form) if form != "layered"
+                   else oracles.random_layered_wfa(rng, [1, 3, 3], final_prob=0.5))
+        c = machine.columns
+        several += bool((np.bincount(c.src[c.label < 0], minlength=machine.num_states) > 1).any())
+        try:
+            d = oracles.phi_backward_distances(machine) if isinstance(machine, PhiWfa) \
+                else oracles.backward_distances(machine)
+        except CyclicAutomatonError:
+            cyclic += 1
+            continue
+        empty += d[machine.initial] == 0.0
+        if not isinstance(machine, PhiWfa) and d[machine.initial] > 0.0:
+            dropped += oracles.weight_push(machine).num_states < machine.num_states
+    assert cyclic >= 3 and empty >= 3 and dropped >= 3 and several >= 3
 
 
 @settings(max_examples=100, deadline=None)

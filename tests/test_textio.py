@@ -1,6 +1,7 @@
 from itertools import product
 
 import numpy as np
+import pytest
 
 from wfa_hedge.builders import exact_shift_automaton, weighted_shift_automaton
 from wfa_hedge.phi import PHI, phi_convert, phi_expand
@@ -15,6 +16,20 @@ def test_symbols_roundtrip(tmp_path):
     path = tmp_path / "x.syms"
     write_symbols(("a", "b", "zz"), path)
     assert read_symbols(path) == ("a", "b", "zz")
+
+
+def test_symbols_reject_a_repeated_id(tmp_path):
+    path = tmp_path / "x.syms"
+    path.write_text("a 0\nb 0\n")
+    with pytest.raises(ValueError, match=r"symbol id 0 given twice: 'a', 'b'"):
+        read_symbols(path)
+
+
+def test_symbols_reject_a_missing_id(tmp_path):
+    path = tmp_path / "x.syms"
+    path.write_text("a 0\nc 2\n")
+    with pytest.raises(ValueError, match=r"symbol id 1 missing"):
+        read_symbols(path)
 
 
 def test_automaton_roundtrip_bit_exact(tmp_path):

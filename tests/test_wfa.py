@@ -303,6 +303,14 @@ def test_weight_push_length_machine_gives_uniform_rows():
         assert t.weight == pytest.approx(0.25)
 
 
+def test_weight_push_stays_finite_past_the_float_range():
+    # 10^320 paths: a linear backward sum overflows to inf and w * inf / inf is NaN.
+    pushed = weight_push(length_automaton(10, 320))
+    assert pushed.num_states == 321 and len(pushed.columns.weight) == 3200
+    assert np.abs(pushed.columns.weight - 0.1).max() <= 1e-12
+    assert pushed.finals == {320: 1.0}
+
+
 def test_weight_push_empty_language():
     w = Wfa(("a",), 2, 0, {}, [Transition(0, "a", 1.0, 1)])
     with pytest.raises(ValueError):
