@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ngram import NGramModel, _context_product, uniform_model
-from .wfa import (Wfa, _edge_logs, _edge_marginals, _log_normaliser, exact_logs,
-                  leveled_best_path)
+from .wfa import (Wfa, _edge_logs, _edge_marginals, _final_weights, _horizon, _log_normaliser,
+                  exact_logs, leveled_best_path)
 
 __all__ = [
     "DivergenceValue",
@@ -67,8 +67,9 @@ def divergence_inf(machine: Wfa, model: NGramModel) -> DivergenceValue:
         raise ValueError("empty language")
     product, cell = _context_product(machine, model.order)
     log_w, log_m = _edge_logs(product), _model_logs(model)
-    path = leveled_best_path(product, lambda level, e: log_w[e] - log_m[cell[e]],
-                             lambda q: exact_logs([product.finals[i] for i in q.tolist()]))
+    with np.errstate(invalid="ignore"):  # -inf - -inf on zero-weight edges, on no path
+        score = log_w - log_m[cell]
+    path = leveled_best_path(product, score, exact_logs(_final_weights(product)[1]))
     return DivergenceValue(value=path.value - log_z, witness=path.sequence)
 
 
@@ -258,7 +259,7 @@ def select_order(machine: Wfa, iterations: int, budget: int,
     n_sym = len(machine.alphabet)
     if budget < n_sym:
         raise ValueError("budget below a single level of any model")
-    horizon = len(leveled_best_path(machine, lambda level, e: np.ones(len(e))).sequence)
+    horizon = _horizon(machine)
     target = math.sqrt(horizon)
 
     def probe(order: int) -> tuple[bool, NGramModel, float, float]:

@@ -207,7 +207,10 @@ def read_awake_csv(path, alphabet) -> list[np.ndarray]:
 
 def _gen_awake(kind: str, params: dict, seed: int, horizon: int, num_experts: int,
                ) -> list[np.ndarray]:
-    """Seed-deterministic random_subsets: each expert awake with probability density."""
+    """Seed-deterministic random_subsets: each expert awake with probability
+    density, given that one is.  When a round's draw is empty, the number
+    awake comes from the binomial given >= 1, then a uniform subset of
+    that size: the same law as redrawing, with no loop to get stuck in."""
     if kind != "random_subsets":
         raise ValueError(f"unknown awake generator {kind!r}")
     density = float(params.get("density", 0.7))
@@ -216,9 +219,13 @@ def _gen_awake(kind: str, params: dict, seed: int, horizon: int, num_experts: in
     rng = np.random.default_rng(seed)
     masks = []
     for _ in range(horizon):
-        mask = np.zeros(num_experts, dtype=bool)
-        while not mask.any():
-            mask = rng.random(num_experts) < density
+        mask = rng.random(num_experts) < density
+        if not mask.any():  # so density < 1
+            k = np.arange(1, num_experts + 1)
+            log_pk = np.array([math.log(math.comb(num_experts, j)) for j in k.tolist()])
+            log_pk += k * (math.log(density) - math.log1p(-density))
+            pk = np.exp(log_pk - log_pk.max())
+            mask[rng.choice(num_experts, rng.choice(k, p=pk / pk.sum()), replace=False)] = True
         masks.append(mask)
     return masks
 

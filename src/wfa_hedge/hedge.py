@@ -35,8 +35,9 @@ import numpy as np
 
 from .builders import length_automaton
 from .phi import MAX_PHI_CHAIN, PhiWfa, _Chains, phi_expand, phi_intersect
-from .wfa import (NEG_INF, Wfa, _edge_logs, _edge_marginals, _log_normaliser,
-                  count_accepting_paths, exact_logs, intersect, leveled_best_path, log_power_sum)
+from .wfa import (NEG_INF, Wfa, _edge_logs, _edge_marginals, _final_weights, _log_normaliser,
+                  count_accepting_paths, exact_logs, intersect, leveled_best_path, levels,
+                  log_power_sum)
 
 __all__ = [
     "HedgeState",
@@ -413,12 +414,14 @@ def best_competitor(competitor: Wfa, losses: Sequence[np.ndarray],
     losses = np.asarray(losses, dtype=float)
     c, log_w = competitor.columns, _edge_logs(competitor)
     log_z = _log_normaliser(competitor)
+    # Each edge's loss at its round, turned in place (one column in
+    # memory at a time) into the score log w - loss, or -loss.
+    score = losses[levels(competitor)[c.src], c.label]
     if weighted:
-        _, seq, edges = leveled_best_path(
-            competitor, lambda level, e: -losses[level][c.label[e]] + log_w[e],
-            lambda q: exact_logs([competitor.finals[i] for i in q.tolist()]))
+        _, seq, edges = leveled_best_path(competitor, np.subtract(log_w, score, out=score),
+                                          exact_logs(_final_weights(competitor)[1]))
     else:
-        _, seq, edges = leveled_best_path(competitor, lambda level, e: -losses[level][c.label[e]])
+        _, seq, edges = leveled_best_path(competitor, np.negative(score, out=score))
     path_loss = sum(losses[i][a] for i, a in enumerate(c.label[edges].tolist()))
     # Sum log-weights along the path: its linear weight can underflow.
     log_path = 0.0

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .phi import PHI, PhiWfa
-from .wfa import (Transition, Wfa, _edge_marginals, intersect, leveled_best_path,
+from .wfa import (Transition, Wfa, _edge_marginals, _horizon, intersect, leveled_best_path,
                   log_weight_range)
 
 __all__ = [
@@ -242,14 +242,14 @@ def minimax_unigram(machine: Wfa) -> NGramModel:
     alphabet = machine.alphabet
     if len(alphabet) != 2:
         raise ValueError("closed form needs a two-symbol alphabet")
-    horizon = len(leveled_best_path(machine, lambda level, e: np.ones(len(e))).sequence)
+    horizon = _horizon(machine)
     lo, hi = log_weight_range(machine)
     if abs(lo - hi) > 1e-9:
         raise ValueError("closed form needs uniform path weights")
     label = machine.columns.label
 
     def min_count(j: int) -> int:
-        fewest = leveled_best_path(machine, lambda level, e: np.where(label[e] == j, -1.0, 0.0))
+        fewest = leveled_best_path(machine, np.where(label == j, -1.0, 0.0))
         return int(round(-fewest.value))
 
     t = float(horizon)

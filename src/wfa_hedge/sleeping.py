@@ -25,7 +25,7 @@ import numpy as np
 
 from .hedge import HedgeState, _check_loss, _intersect_horizon
 from .phi import PhiWfa
-from .wfa import Wfa, count_accepting_paths, evaluate, leveled_best_path
+from .wfa import Wfa, count_accepting_paths, evaluate, leveled_best_path, levels
 
 __all__ = [
     "ZeroAwakeMassError",
@@ -173,8 +173,8 @@ def worst_comparator(awake_sets: Sequence[np.ndarray],
     mixture.  Up to log(K)/eta, the point mass on x scores the sum over
     rounds of awake_t(x_t) (p_awake,t . l_t - l_t(x_t) - eta/8), so it is
     one best path of the length-T competitor, at any K."""
-    label = competitor.columns.label
-    gains = [np.where(mask, float(np.dot(p, loss)) - np.asarray(loss, float) - eta / 8.0, 0.0)
-             for mask, p, loss in zip(awake_sets, p_awake_rounds, losses)]
-    path = leveled_best_path(competitor, lambda t, edges: gains[t][label[edges]])
+    c = competitor.columns
+    gains = np.array([np.where(mask, float(np.dot(p, loss)) - np.asarray(loss, float) - eta / 8.0,
+                               0.0) for mask, p, loss in zip(awake_sets, p_awake_rounds, losses)])
+    path = leveled_best_path(competitor, gains[levels(competitor)[c.src], c.label])
     return {path.sequence: 1.0}

@@ -8,20 +8,19 @@ are deterministic, so there is at most one).
 A :class:`Wfa` stores its transitions as edge columns: numpy arrays of
 source, label id (the symbol's index in the alphabet), weight and
 destination, one entry per transition (:class:`Columns`).  Bulk
-operations (intersection, topological generations, path counting, best
-paths, the engine's compile step) read the columns directly.  The
-per-edge views, ``transitions`` and ``arcs()``, are built from the
-columns on first access and cached, as are the topological generations
-and the path count, the sorted arc keys that :func:`evaluate` looks
-symbols up in, the edge-log column that the log-domain sweeps and
-best-path scores read, the log normaliser and the n-gram context
-products (:func:`~wfa_hedge.ngram._context_product`) that
-maximum-likelihood fitting and both divergences share.  A :class:`Wfa` is immutable
-after construction: the columns are read-only arrays and the cached
-values never change once built (two threads racing to build one build
-equal values), so a machine is safe to share across threads.  Every
-operation in this module is a pure function returning a new automaton or
-a plain value.
+operations (intersection, path sums, path counting, best paths, the
+engine's compile step) read the columns directly.  Built on first use
+and cached on the machine are: the per-edge views ``transitions`` and
+``arcs()``; the sorted arc keys that :func:`evaluate` looks symbols up
+in; the edge-log column; the log normaliser; the n-gram context products
+(:func:`~wfa_hedge.ngram._context_product`); and one level plan
+(:class:`_Topo`): the topological generations that the path sums
+sweep, the path count, and the depths and live edges that best-path
+sweeps read.  A :class:`Wfa` is immutable after construction: the
+columns are read-only arrays and the cached values never change once
+built (two threads racing to build one build equal values), so a
+machine is safe to share across threads.  Every operation in this
+module is a pure function returning a new automaton or a plain value.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -50,6 +49,7 @@ __all__ = [
     "enumerate_support",
     "BestPath",
     "leveled_best_path",
+    "levels",
     "exact_logs",
     "log_weight_range",
     "validate",
@@ -498,31 +498,37 @@ def intersect(a1: Wfa, a2: Wfa) -> Wfa:
 
 
 class _Topo:
-    """A machine's Kahn generations and what the sweeps over them reuse,
-    cached on the machine: the states in Kahn order and where each
-    generation starts in it (``order``, ``off``); the transitions grouped
-    by their source's generation, in column order within a group, and
-    where each group starts (``edges``, ``edge_off``, built by
-    :func:`_edges_by_generation`); and the number of accepting paths
-    (``paths``, set by :func:`count_accepting_paths`)."""
+    """A machine's level plan, built once by :func:`_plan` and cached on
+    it: the states in FIFO Kahn order and where each generation starts
+    (``order``, ``off``); the transitions grouped by their source's
+    generation, in column order within a group, and where each group
+    starts (``edges``, ``edge_off``); the number of accepting paths
+    (``paths``, set by :func:`count_accepting_paths`); and what the
+    best-path sweeps reuse, set by :func:`_level_plan`: each state's depth
+    over positive-weight arcs from the initial state, -1 where none
+    reaches it (``level``), those arcs grouped by their source's depth
+    (``live``, ``live_off``), the reached states of positive final weight
+    (``ends``) and each symbol's rank in sorted order (``rank``)."""
 
-    __slots__ = ("order", "off", "edges", "edge_off", "paths")
+    __slots__ = ("order", "off", "edges", "edge_off", "paths",
+                 "level", "live", "live_off", "ends", "rank")
 
-    def __init__(self, order: np.ndarray, off: np.ndarray):
-        self.order, self.off = order, off
-        self.edges = self.edge_off = self.paths = None
+    def __init__(self, order: np.ndarray, off: np.ndarray, edges: np.ndarray,
+                 edge_off: np.ndarray):
+        self.order, self.off, self.edges, self.edge_off = order, off, edges, edge_off
+        self.paths = self.level = self.live = self.live_off = self.ends = self.rank = None
 
 
-def _generations(wfa: Wfa) -> _Topo:
-    """States in FIFO Kahn order, and where each generation starts in it.
+def _plan(wfa: Wfa) -> _Topo:
+    """The machine's :class:`_Topo`, built on first use.
 
-    Generation 0 holds the states without incoming transitions, in id
-    order; generation g + 1 holds the states whose last incoming
-    transition leaves generation g, in the order those transitions are
-    processed (by source position, then transition order).  That is the
-    order a FIFO queue produces.  Computed once per machine from the
-    columns and cached.  Raises ValueError naming a (state, label) pair
-    two transitions share, and CyclicAutomatonError on a cycle.
+    Generation 0 holds the states without incoming transitions (phi
+    edges count), in id order; generation g + 1 holds the states whose
+    last incoming transition leaves generation g, in the order those
+    transitions are processed (by source position, then transition
+    order).  That is the order a FIFO queue produces.  Raises ValueError
+    naming a (state, label) pair two transitions share, and
+    CyclicAutomatonError on a cycle.
     """
     if wfa._topo is None:
         c, n = wfa.columns, wfa.num_states
@@ -551,21 +557,14 @@ def _generations(wfa: Wfa) -> _Topo:
         order = np.concatenate(gens)
         if len(order) != n:
             raise CyclicAutomatonError("automaton contains a cycle")
-        wfa._topo = _Topo(order, np.cumsum([0] + [len(g) for g in gens]))
+        del key, by_src, dst  # before the grouping's per-edge arrays
+        sizes = [len(g) for g in gens]
+        gen = np.empty(n, np.intp)
+        gen[order] = np.repeat(np.arange(len(gens)), sizes)
+        gen = gen[c.src]  # of each edge's source
+        wfa._topo = _Topo(order, np.cumsum([0] + sizes), np.argsort(gen, kind="stable"),
+                          np.concatenate(([0], np.cumsum(np.bincount(gen, minlength=len(gens))))))
     return wfa._topo
-
-
-def _edges_by_generation(wfa: Wfa) -> _Topo:
-    """The machine's :class:`_Topo` with ``edges`` and ``edge_off`` set."""
-    topo = _generations(wfa)
-    if topo.edges is None:
-        n_gen = len(topo.off) - 1
-        gen = np.empty(wfa.num_states, np.intp)
-        gen[topo.order] = np.repeat(np.arange(n_gen), np.diff(topo.off))
-        gen = gen[wfa.columns.src]  # of each edge's source
-        topo.edges = np.argsort(gen, kind="stable")
-        topo.edge_off = np.concatenate(([0], np.cumsum(np.bincount(gen, minlength=n_gen))))
-    return topo
 
 
 def _first_repeated_arc(c: Columns) -> int:
@@ -576,13 +575,61 @@ def _first_repeated_arc(c: Columns) -> int:
     return int(real[by_key[1:][key[by_key[1:]] == key[by_key[:-1]]].min()])
 
 
+def _refuse_phi(wfa: Wfa) -> None:
+    """A phi edge is no step of a path: ValueError naming the phi versions."""
+    if (wfa.columns.label < 0).any():
+        raise ValueError("phi edges are not paths; use phi_backward_distances, "
+                         "weight_push_phi, power_weights_phi or phi_expand")
+
+
+def _path_plan(wfa: Wfa) -> _Topo:
+    """The plan, for a sweep over the paths of a plain machine."""
+    _refuse_phi(wfa)
+    return _plan(wfa)
+
+
+def _level_plan(wfa: Wfa) -> _Topo:
+    """The plan with its best-path fields set, the depths from one sweep
+    over the Kahn generations.  Raises ValueError when positive-weight
+    arcs from the initial state reach a state at two depths."""
+    topo = _path_plan(wfa)
+    if topo.level is None:
+        c, n_sym = wfa.columns, len(wfa.alphabet)
+        positive = c.weight > 0.0
+        level = np.full(wfa.num_states, -1, np.int32)
+        level[wfa.initial] = 0
+        for g in range(len(topo.off) - 1):
+            e = topo.edges[topo.edge_off[g]:topo.edge_off[g + 1]]
+            e = e[positive[e] & (level[c.src[e]] >= 0)]
+            depth, dst = level[c.src[e]] + 1, c.dst[e]
+            seen = level[dst]
+            level[dst] = depth
+            if ((seen >= 0) & (seen != depth)).any() or (level[dst] != depth).any():
+                raise ValueError("automaton is not leveled")
+        depth = level[c.src]  # of each edge's source
+        live = np.flatnonzero(positive & (depth >= 0))
+        depth = depth[live]
+        if (depth[1:] < depth[:-1]).any():  # an intersection numbers its states by depth
+            live = live[np.argsort(depth, kind="stable")]
+        rank = np.empty(n_sym, np.intp)
+        rank[sorted(range(n_sym), key=wfa.alphabet.__getitem__)] = np.arange(n_sym)
+        level.flags.writeable = False
+        # Set level last: a sweep that finds it set finds the rest set.
+        topo.live, topo.rank = live, rank
+        topo.live_off = np.concatenate(([0], np.cumsum(np.bincount(depth))))
+        topo.ends = np.array([q for q, w in wfa.finals.items() if w > 0.0 and level[q] >= 0],
+                             np.intp)
+        topo.level = level
+    return topo
+
+
 def topological_order(wfa: Wfa) -> list[int]:
     """States in topological order, the order of a FIFO Kahn queue.
 
     Raises CyclicAutomatonError on cycles, and ValueError when two
     transitions leave one state with the same label.
     """
-    return _generations(wfa).order.tolist()
+    return _plan(wfa).order.tolist()
 
 
 # -- path sums and reweighting ------------------------------------------------
@@ -595,6 +642,7 @@ def power_weights(wfa: Wfa, eta: float) -> Wfa:
     """
     if eta <= 0:
         raise ValueError("exponent must be positive")
+    _refuse_phi(wfa)
     if eta == 1.0:
         return wfa
     c = wfa.columns
@@ -649,12 +697,10 @@ def count_accepting_paths(wfa: Wfa) -> int:
     """Number of accepting paths with strictly positive weight.
 
     Exact at any size: one sweep over the topological generations, last
-    to first, in Python integers.  The count is kept on the machine, so
-    later calls return it without another sweep.
+    to first, in Python integers.  The count is kept on the machine's
+    plan, so later calls return it without another sweep.
     """
-    topo = _generations(wfa)
-    if (wfa.columns.label < 0).any():
-        raise ValueError("phi edges are not paths; count on phi_expand(machine)")
+    topo = _path_plan(wfa)
     if topo.paths is None:
         topo.paths = _count_paths(wfa)
     return topo.paths
@@ -662,7 +708,7 @@ def count_accepting_paths(wfa: Wfa) -> int:
 
 def _count_paths(wfa: Wfa) -> int:
     """The sweep behind :func:`count_accepting_paths`."""
-    topo, c = _edges_by_generation(wfa), wfa.columns
+    topo, c = _plan(wfa), wfa.columns
     counts = np.zeros(wfa.num_states, dtype=object)
     for q, w in wfa.finals.items():
         if w > 0.0:
@@ -690,8 +736,8 @@ def _backward_logs(machine: Wfa, eta: float = 1.0) -> tuple[np.ndarray, np.ndarr
     order (final, then arcs in column order) with ``math``'s log and exp,
     so the values equal a per-state walk bit for bit.
     """
-    topo, c, log_w = _edges_by_generation(machine), machine.columns, _edge_logs(machine)
-    usable = (c.label >= 0) & (c.weight > 0.0)
+    topo, c, log_w = _path_plan(machine), machine.columns, _edge_logs(machine)
+    usable = c.weight > 0.0
     final = exact_logs(_final_weights(machine)[1])
     d = np.full(machine.num_states, NEG_INF)
     at = np.empty(machine.num_states, np.intp)  # each state's position in its generation
@@ -723,12 +769,12 @@ def _edge_marginals(machine: Wfa) -> tuple[np.ndarray, np.ndarray, np.ndarray, f
     over- or underflows (Rabiner 1989, scaled forward-backward).  Raises
     ValueError on an empty language.
     """
-    topo, c, log_w = _edges_by_generation(machine), machine.columns, _edge_logs(machine)
+    topo, c, log_w = _path_plan(machine), machine.columns, _edge_logs(machine)
     beta, final = _backward_logs(machine)
     log_z = float(beta[machine.initial])
     if log_z == NEG_INF:
         raise ValueError("empty language")
-    usable = (c.label >= 0) & (c.weight > 0.0)
+    usable = c.weight > 0.0
     alpha = np.full(machine.num_states, NEG_INF)
     alpha[machine.initial] = 0.0
     for g in range(len(topo.off) - 1):
@@ -809,56 +855,61 @@ def _edge_logs(wfa: Wfa) -> np.ndarray:
     return wfa._logs
 
 
-def leveled_best_path(wfa: Wfa, score: Callable[[int, np.ndarray], np.ndarray],
-                      final_score: Optional[Callable[[np.ndarray], np.ndarray]] = None
-                      ) -> BestPath:
+def levels(wfa: Wfa) -> np.ndarray:
+    """Each state's depth over positive-weight arcs from the initial
+    state, -1 where none reaches it; read-only, from the cached plan.
+    Raises ValueError on a machine that is not leveled."""
+    return _level_plan(wfa).level
+
+
+def _horizon(wfa: Wfa) -> int:
+    """The length of the longest accepting path of a leveled machine."""
+    topo = _level_plan(wfa)
+    if not topo.ends.size:
+        raise ValueError("no accepting path")
+    return int(topo.level[topo.ends].max())
+
+
+def leveled_best_path(wfa: Wfa, edge_score: np.ndarray,
+                      final_score: Optional[np.ndarray] = None) -> BestPath:
     """Best accepting path of a leveled machine under additive scores.
 
     Leveled means that all paths into a state have one length, as in an
     intersection with the length-T acceptor, which is what every caller
-    passes; any other machine raises ValueError.  ``score(level, edges)``
-    returns the scores of the given transitions (column indices) taken at
-    0-based depth ``level``, and ``final_score(states)`` those of the
-    given accepting endpoints.  Edges and finals of weight 0 are on no
-    path.  The largest total wins; ties go to the lexicographically
-    smallest label sequence.  Returns the total, the sequence and the
-    path's transitions.
+    passes; any other machine raises ValueError, as does a cycle.
+    ``edge_score`` holds a score per transition, in column order;
+    ``final_score`` one per state, added at accepting endpoints.  A
+    score that depends on the depth reads it off :func:`levels`.  Edges
+    and finals of weight 0 are on no path.  The largest total wins; ties
+    go to the lexicographically smallest label sequence.  Returns the
+    total, the sequence and the path's transitions.
 
-    One max-plus (Viterbi) sweep from the initial state, one frontier per
-    level.  Each edge's score is added to the best prefix total of its
+    One max-plus (Viterbi) sweep over the cached plan, one depth at a
+    time.  Each edge's score is added to the best prefix total of its
     source, and one lexsort over (target, -total, rank of the source's
     prefix among its level, label rank) keeps the best edge into each
-    target as its back-pointer.  Equal totals at different depths compare
-    the recovered sequences.
+    target as its back-pointer.  Equal totals at different depths
+    compare the recovered sequences.
     """
-    c, n, n_sym = wfa.columns, wfa.num_states, len(wfa.alphabet)
-    rank = np.empty(n_sym, np.intp)
-    rank[sorted(range(n_sym), key=wfa.alphabet.__getitem__)] = np.arange(n_sym)
-    by_src = np.argsort(c.src, kind="stable")
-    off = np.concatenate(([0], np.cumsum(np.bincount(c.src, minlength=n))))
-    total, prefix = np.zeros(n), np.zeros(n, np.intp)
-    depth, back = np.full(n, -1, np.intp), np.full(n, -1, np.intp)
-    frontier, depth[wfa.initial], level = np.array([wfa.initial]), 0, 0
-    while True:
-        e = by_src[_ranges(off[frontier], off[frontier + 1])]
-        e = e[(c.label[e] >= 0) & (c.weight[e] > 0.0)]
-        if not e.size:
-            break
-        src, dst, lr = c.src[e], c.dst[e], rank[c.label[e]]
-        val = total[src] + score(level, e)
+    topo, c, n = _level_plan(wfa), wfa.columns, wfa.num_states
+    if len(edge_score) != len(c.src):
+        raise ValueError("edge_score needs one entry per transition")
+    total, prefix, back = np.zeros(n), np.zeros(n, np.intp), np.full(n, -1, np.intp)
+    for lo, hi in zip(topo.live_off[:-1].tolist(), topo.live_off[1:].tolist()):
+        e = topo.live[lo:hi]
+        src, dst, lr = c.src[e], c.dst[e], topo.rank[c.label[e]]
+        val = total[src] + edge_score[e]
         order = np.lexsort((lr, prefix[src], -val, dst))
-        win = order[np.flatnonzero(np.diff(dst[order], prepend=-1))]
-        frontier = dst[win]
-        if (depth[frontier] >= 0).any():
-            raise ValueError("automaton is not leveled")
-        level += 1
-        depth[frontier], total[frontier], back[frontier] = level, val[win], e[win]
-        prefix[frontier[np.lexsort((lr[win], prefix[src[win]]))]] = np.arange(len(win))
+        by_dst = dst[order]
+        win = order[by_dst != np.concatenate(([-1], by_dst[:-1]))]  # first edge into each target
+        reached = dst[win]
+        total[reached], back[reached] = val[win], e[win]
+        prefix[reached[np.lexsort((lr[win], prefix[src[win]]))]] = np.arange(len(win))
 
-    finals = np.array([q for q, w in wfa.finals.items() if w > 0.0 and depth[q] >= 0], np.intp)
+    finals, depth = topo.ends, topo.level
     if not finals.size:
         raise ValueError("no accepting path")
-    scores = total[finals] if final_score is None else total[finals] + final_score(finals)
+    scores = total[finals] if final_score is None else total[finals] + final_score[finals]
     top = np.flatnonzero(scores == scores.max())
     best = None
     for d in np.unique(depth[finals[top]]):
@@ -879,8 +930,8 @@ def log_weight_range(wfa: Wfa) -> tuple[float, float]:
     """Log-weights of the lightest and the heaviest accepting path of a
     leveled machine."""
     log_w, log_f = _edge_logs(wfa), exact_logs(_final_weights(wfa)[1])
-    lo = leveled_best_path(wfa, lambda level, e: -log_w[e], lambda q: -log_f[q])
-    hi = leveled_best_path(wfa, lambda level, e: log_w[e], lambda q: log_f[q])
+    lo = leveled_best_path(wfa, -log_w, -log_f)
+    hi = leveled_best_path(wfa, log_w, log_f)
     return -lo.value, hi.value
 
 

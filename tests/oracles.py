@@ -16,8 +16,8 @@ from wfa_hedge.hedge import renyi_entropy, shannon_entropy
 from wfa_hedge.ngram import NGramModel
 from wfa_hedge.phi import (MAX_PHI_CHAIN, PHI, PHI_FILTER, PhiWfa, as_phi, resolve_symbol,
                            shadowed_continuation)
-from wfa_hedge.wfa import (NEG_INF, CyclicAutomatonError, Transition, Wfa, _log_normaliser,
-                           default_alphabet, enumerate_support)
+from wfa_hedge.wfa import (NEG_INF, BestPath, CyclicAutomatonError, Transition, Wfa,
+                           _log_normaliser, _ranges, default_alphabet, enumerate_support)
 
 
 def count_changes(seq):
@@ -558,7 +558,8 @@ def fixed_share_distributions(num_experts, shifts, horizon, eta, losses):
 # _expected_counts_enumerate as the library had them before its best-path
 # questions became one frontier sweep over edge columns, kept as
 # references.  leveled_best_path takes the old per-transition
-# score(t, level) callback.
+# score(t, level) callback.  frontier_best_path is that frontier sweep,
+# as it was before it read the cached level plan.
 
 
 def state_levels(wfa: Wfa) -> list[Optional[int]]:
@@ -624,6 +625,61 @@ def leveled_best_path(wfa: Wfa,
     if result is None:
         raise ValueError("no accepting path")
     return (sign * result[0], result[1])
+
+
+def frontier_best_path(wfa: Wfa, score: Callable[[int, np.ndarray], np.ndarray],
+                       final_score: Optional[Callable[[np.ndarray], np.ndarray]] = None
+                       ) -> BestPath:
+    """The library's best-path sweep as it was before it read a cached
+    level plan and took score columns: ``score(level, edges)`` returns
+    the scores of the given transitions taken at 0-based depth
+    ``level``, ``final_score(states)`` those of the given accepting
+    endpoints.  It sorts the edges by source, ranks the labels and walks
+    a frontier from the initial state on every call.  Same tie-break and
+    errors as ``wfa.leveled_best_path``.
+    """
+    c, n, n_sym = wfa.columns, wfa.num_states, len(wfa.alphabet)
+    rank = np.empty(n_sym, np.intp)
+    rank[sorted(range(n_sym), key=wfa.alphabet.__getitem__)] = np.arange(n_sym)
+    by_src = np.argsort(c.src, kind="stable")
+    off = np.concatenate(([0], np.cumsum(np.bincount(c.src, minlength=n))))
+    total, prefix = np.zeros(n), np.zeros(n, np.intp)
+    depth, back = np.full(n, -1, np.intp), np.full(n, -1, np.intp)
+    frontier, depth[wfa.initial], level = np.array([wfa.initial]), 0, 0
+    while True:
+        e = by_src[_ranges(off[frontier], off[frontier + 1])]
+        e = e[(c.label[e] >= 0) & (c.weight[e] > 0.0)]
+        if not e.size:
+            break
+        src, dst, lr = c.src[e], c.dst[e], rank[c.label[e]]
+        val = total[src] + score(level, e)
+        order = np.lexsort((lr, prefix[src], -val, dst))
+        win = order[np.flatnonzero(np.diff(dst[order], prepend=-1))]
+        frontier = dst[win]
+        if (depth[frontier] >= 0).any():
+            raise ValueError("automaton is not leveled")
+        level += 1
+        depth[frontier], total[frontier], back[frontier] = level, val[win], e[win]
+        prefix[frontier[np.lexsort((lr[win], prefix[src[win]]))]] = np.arange(len(win))
+
+    finals = np.array([q for q, w in wfa.finals.items() if w > 0.0 and depth[q] >= 0], np.intp)
+    if not finals.size:
+        raise ValueError("no accepting path")
+    scores = total[finals] if final_score is None else total[finals] + final_score(finals)
+    top = np.flatnonzero(scores == scores.max())
+    best = None
+    for d in np.unique(depth[finals[top]]):
+        at = top[depth[finals[top]] == d]
+        i = at[np.argmin(prefix[finals[at]])]
+        edges, q = [], finals[i]
+        while q != wfa.initial:
+            edges.append(back[q])
+            q = c.src[back[q]]
+        edges = np.array(edges[::-1], np.intp)
+        seq = tuple(wfa.alphabet[a] for a in c.label[edges].tolist())
+        if best is None or seq < best.sequence:
+            best = BestPath(float(scores[i]), seq, edges)
+    return best
 
 
 def divergence_inf(machine: Wfa, model: NGramModel) -> DivergenceValue:

@@ -1,0 +1,66 @@
+"""The shipped configs' reports, pinned.
+
+``tests/golden/<name>.json`` holds the report that ``wfa-hedge run
+--config configs/<name>.json`` wrote before the best-path sweeps were
+rebuilt on the cached level plan.  A replay must give the same
+sequences, verdicts, masks, samples and counts exactly, and the same
+floats within 1e-12 relative: ``np.exp`` may differ in the last bit
+between CPUs.  A change that moves a report on purpose rewrites its
+fixture and says so.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from wfa_hedge.cli import main as cli_main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
+
+
+def mismatches(got, want, where="report"):
+    """Where ``got`` departs from ``want``: floats beyond 1e-12
+    relative, anything else by type or value."""
+    if isinstance(want, float) and isinstance(got, float):
+        if got == want or abs(got - want) <= 1e-12 * max(abs(got), abs(want)):
+            return []
+        if math.isnan(got) and math.isnan(want):
+            return []
+        return [f"{where}: {got!r} != {want!r}"]
+    if type(got) is not type(want):
+        return [f"{where}: {type(got).__name__} {got!r} != {type(want).__name__} {want!r}"]
+    if isinstance(want, dict):
+        if got.keys() != want.keys():
+            return [f"{where}: keys {sorted(got)} != {sorted(want)}"]
+        return [m for k in want for m in mismatches(got[k], want[k], f"{where}.{k}")]
+    if isinstance(want, list):
+        if len(got) != len(want):
+            return [f"{where}: length {len(got)} != {len(want)}"]
+        return [m for i, (g, w) in enumerate(zip(got, want))
+                for m in mismatches(g, w, f"{where}[{i}]")]
+    return [] if got == want else [f"{where}: {got!r} != {want!r}"]
+
+
+def test_every_config_has_a_fixture():
+    assert CONFIGS
+    assert sorted(p.name for p in GOLDEN.glob("*.json")) == [p.name for p in CONFIGS]
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+def test_config_report_matches_fixture(config, tmp_path):
+    out = tmp_path / "report.json"
+    assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 0
+    got = json.loads(out.read_text())
+    want = json.loads((GOLDEN / config.name).read_text())
+    assert mismatches(got, want) == []
+
+
+def test_mismatches_sees_a_last_digit_only_within_tolerance():
+    assert mismatches({"x": [1.0, "ab", 3]}, {"x": [1.0 + 2e-16, "ab", 3]}) == []
+    assert mismatches({"x": 1.0}, {"x": 1.0 + 1e-9}) != []
+    assert mismatches({"x": 3}, {"x": 3.0}) != []
+    assert mismatches({"x": ["ab"]}, {"x": ["ac"]}) != []

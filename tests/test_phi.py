@@ -9,8 +9,9 @@ from wfa_hedge.phi import (PHI, PhiWfa, as_phi, evaluate_phi,
                            phi_backward_distances, phi_convert, phi_expand,
                            phi_intersect, phi_source_subset, resolve_symbol,
                            weight_push_phi)
-from wfa_hedge.wfa import (Transition, Wfa, backward_distances, evaluate,
-                           intersect)
+from wfa_hedge.wfa import (Transition, Wfa, backward_distances, count_accepting_paths,
+                           evaluate, intersect, leveled_best_path, levels, log_power_sum,
+                           power_weights, weight_push)
 
 import oracles
 
@@ -242,6 +243,29 @@ def test_plain_intersect_refuses_phi_edges():
         with pytest.raises(ValueError, match="phi_intersect"):
             intersect(a1, a2)
     assert len(phi_expand(phi_intersect(compact, length)).finals) > 0
+
+
+PLAIN_PATH_SUMS = {
+    "backward_distances": backward_distances,
+    "log_power_sum": lambda m: log_power_sum(m, 0.5),
+    "weight_push": weight_push,
+    "power_weights": lambda m: power_weights(m, 0.5),
+    "count_accepting_paths": count_accepting_paths,
+    "leveled_best_path": lambda m: leveled_best_path(m, np.zeros(len(m.columns.src))),
+    "levels": levels,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAIN_PATH_SUMS))
+def test_plain_path_sums_refuse_phi_edges(name):
+    # Read as no step of a path, the phi edges would cut every path
+    # through them: a distance of 0, log Z of -inf, a misleading error.
+    m = phi_convert(shared_fanin_machine(3))
+    assert m.has_phi()
+    with pytest.raises(ValueError, match="phi_backward_distances, weight_push_phi, "
+                                         "power_weights_phi or phi_expand"):
+        PLAIN_PATH_SUMS[name](m)
+    assert phi_backward_distances(m)[0] == pytest.approx(3.0)
 
 
 def _phi_paths_between(machine):

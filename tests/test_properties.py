@@ -25,8 +25,8 @@ from wfa_hedge.phi import (MAX_PHI_CHAIN, PhiChainError, PhiWfa, phi_backward_di
 from wfa_hedge.sleeping import (awake_distribution, awake_init, awake_step,
                                 sleeping_regret, worst_comparator)
 from wfa_hedge.wfa import (CyclicAutomatonError, Wfa, backward_distances, enumerate_support,
-                           evaluate, exact_logs, intersect, leveled_best_path, power_weights,
-                           weight_push)
+                           evaluate, exact_logs, intersect, leveled_best_path, levels,
+                           power_weights, weight_push)
 
 import oracles
 
@@ -169,17 +169,14 @@ def test_best_path_sweep_matches_dict_walk(seed, layers, weighted, maximize):
     machine = oracles.random_layered_wfa(rng, layers, final_prob=0.6)
     c, sym = machine.columns, {a: i for i, a in enumerate(machine.alphabet)}
     log_w = exact_logs(c.weight) if weighted else np.zeros(len(c.weight))
+    log_f = exact_logs([machine.final_weight(q) for q in range(machine.num_states)])
+    level = levels(machine)
     sign = 1.0 if maximize else -1.0
     for draw in range(4):
         table = draw * rng.integers(-1, 2, (len(layers), machine.num_states, 3)).astype(float)
         bonus = rng.integers(-1, 2, machine.num_states).astype(float)
-
-        def score(level, edges):
-            return sign * (table[level, c.src[edges], c.label[edges]] + log_w[edges])
-
-        def final_score(states):
-            logs = exact_logs([machine.finals[q] for q in states.tolist()])
-            return sign * (bonus[states] + (logs if weighted else 0.0))
+        score = sign * (table[level[c.src], c.src, c.label] + log_w)
+        final_score = sign * (bonus + (log_f if weighted else 0.0))
 
         def old_score(t, level):
             return table[level, t.src, sym[t.label]] + (math.log(t.weight) if weighted else 0.0)
@@ -198,6 +195,59 @@ def test_best_path_sweep_matches_dict_walk(seed, layers, weighted, maximize):
         assert np.float64(sign * value).tobytes() == np.float64(want[0]).tobytes()
         assert tuple(machine.alphabet[a] for a in c.label[edges]) == seq
         assert all(c.dst[edges[:-1]] == c.src[edges[1:]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=SEEDS, layers=LAYERS, weighted=st.booleans(), maximize=st.booleans(),
+       final_prob=st.floats(0.0, 1.0), edge_prob=st.floats(0.2, 1.0))
+def test_best_path_plan_sweep_matches_frontier_sweep(seed, layers, weighted, maximize,
+                                                     final_prob, edge_prob):
+    # Unreachable and dead states, zero-weight edges and finals, finals
+    # at every depth, and ties from scores in {-1, 0, 1}; the plan is
+    # built once and read by every draw.
+    rng = np.random.default_rng(seed)
+    machine = oracles.random_layered_wfa(rng, layers, edge_prob=edge_prob,
+                                         final_prob=final_prob)
+    c = machine.columns
+    log_w = exact_logs(c.weight) if weighted else np.zeros(len(c.weight))
+    level, sign = levels(machine), 1.0 if maximize else -1.0
+    for draw in range(4):
+        table = draw * rng.integers(-1, 2, (len(layers), machine.num_states, 3)).astype(float)
+        bonus = rng.integers(-1, 2, machine.num_states).astype(float)
+        score = sign * (table[level[c.src], c.src, c.label] + log_w)
+        for column, callback in ((None, None),
+                                 (sign * bonus, lambda states: sign * bonus[states])):
+            try:
+                want = oracles.frontier_best_path(
+                    machine, lambda lv, e: sign * (table[lv, c.src[e], c.label[e]] + log_w[e]),
+                    callback)
+            except ValueError as err:
+                with pytest.raises(ValueError, match=str(err)):
+                    leveled_best_path(machine, score, column)
+                continue
+            got = leveled_best_path(machine, score, column)
+            assert got.value.hex() == want.value.hex()
+            assert got.sequence == want.sequence
+            assert got.edges.tolist() == want.edges.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, size=st.integers(2, 9))
+def test_plan_and_frontier_sweeps_agree_on_any_dag(seed, size):
+    # Random DAGs are mostly not leveled: both sweeps must refuse the
+    # same machines, and agree bit for bit on the others.
+    rng = np.random.default_rng(seed)
+    machine = oracles.random_acyclic_wfa(rng, size, weights="dyadic")
+    score = rng.integers(-1, 2, len(machine.columns.src)).astype(float)
+    try:
+        want = oracles.frontier_best_path(machine, lambda lv, e: score[e])
+    except ValueError as err:
+        with pytest.raises(ValueError, match=str(err)):
+            leveled_best_path(machine, score)
+        return
+    got = leveled_best_path(machine, score)
+    assert (got.value.hex(), got.sequence, got.edges.tolist()) == (
+        want.value.hex(), want.sequence, want.edges.tolist())
 
 
 @settings(max_examples=60, deadline=None)

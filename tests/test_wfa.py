@@ -9,7 +9,7 @@ from wfa_hedge.builders import (exact_shift_automaton, hierarchy_automaton,
 from wfa_hedge.wfa import (CyclicAutomatonError, Transition, Wfa,
                            backward_distances, count_accepting_paths,
                            enumerate_support, evaluate, intersect,
-                           leveled_best_path, power_weights,
+                           leveled_best_path, levels, power_weights,
                            topological_order, validate, weight_push)
 
 import oracles
@@ -361,9 +361,9 @@ def test_enumeration_agrees_with_evaluate():
 def test_leveled_best_path_matches_enumeration():
     rng = np.random.default_rng(7)
     b = intersect(exact_shift_automaton(3, 1), length_automaton(3, 5))
-    losses = [rng.random(3) for _ in range(5)]
-    label = b.columns.label
-    val, seq, _ = leveled_best_path(b, lambda lv, edges: -losses[lv][label[edges]])
+    losses = np.array([rng.random(3) for _ in range(5)])
+    c = b.columns
+    val, seq, _ = leveled_best_path(b, -losses[levels(b)[c.src], c.label])
     ref = oracles.brute_best_sequence(enumerate_support(b), losses, b.alphabet)
     assert val == pytest.approx(ref[0], rel=1e-12)
     assert seq == ref[1]
@@ -371,8 +371,58 @@ def test_leveled_best_path_matches_enumeration():
 
 def test_leveled_best_path_tie_breaks_lexicographically():
     s = length_automaton(2, 3)
-    _, seq, _ = leveled_best_path(s, lambda lv, edges: np.zeros(len(edges)))
+    _, seq, _ = leveled_best_path(s, np.zeros(len(s.columns.src)))
     assert seq == ("a", "a", "a")
+
+
+@pytest.mark.parametrize("ts", [
+    # State 2 is entered after "a" and after "ab".
+    [(0, "a", 1), (1, "b", 2), (0, "b", 2), (4, "a", 1)],
+    # State 4 is entered after "a" and after "ba", from states that share
+    # a Kahn generation: the unreachable chain 5 -> 6 delays state 1.
+    [(5, "a", 6), (6, "a", 1), (0, "a", 1), (0, "b", 2), (2, "a", 3), (1, "a", 4),
+     (3, "a", 4)],
+])
+def test_leveled_best_path_refuses_a_state_reached_at_two_depths(ts):
+    m = Wfa(("a", "b"), 7, 0, {2: 1.0, 4: 1.0}, [Transition(p, a, 1.0, q) for p, a, q in ts])
+    score = np.zeros(len(m.columns.src))
+    for sweep in (lambda: leveled_best_path(m, score), lambda: levels(m),
+                  lambda: oracles.frontier_best_path(m, lambda lv, e: score[e])):
+        with pytest.raises(ValueError, match="automaton is not leveled"):
+            sweep()
+
+
+def test_leveled_best_path_ignores_arcs_off_the_positive_paths():
+    # The zero-weight arc and the unreachable state 4 are on no path.
+    fine = Wfa(("a", "b"), 5, 0, {2: 1.0},
+               [Transition(0, "a", 1.0, 1), Transition(1, "b", 1.0, 2),
+                Transition(0, "b", 0.0, 2), Transition(4, "a", 1.0, 1)])
+    assert levels(fine).tolist() == [0, 1, 2, -1, -1]
+    assert leveled_best_path(fine, np.zeros(4)).sequence == ("a", "b")
+
+
+def test_leveled_best_path_on_edges_out_of_depth_order():
+    # The first column entry leaves a depth-1 state, so the plan has to
+    # regroup the arcs by depth; both sequences of length 2 tie on score.
+    m = Wfa(("a", "b"), 5, 0, {1: 1.0, 4: 1.0},
+            [Transition(3, "a", 1.0, 1), Transition(0, "a", 1.0, 3),
+             Transition(0, "b", 1.0, 2), Transition(2, "b", 1.0, 1),
+             Transition(2, "a", 1.0, 4)])
+    assert levels(m).tolist() == [0, 2, 1, 1, 2]
+    for score in (np.zeros(5), np.array([0.0, 0.0, 1.0, 0.0, 0.0]),
+                  np.array([0.0, 0.0, 0.0, 1.0, 2.0])):
+        got = leveled_best_path(m, score)
+        want = oracles.frontier_best_path(m, lambda lv, e: score[e])
+        assert (got.value, got.sequence, got.edges.tolist()) == (
+            want.value, want.sequence, want.edges.tolist())
+    assert leveled_best_path(m, np.zeros(5)).sequence == ("a", "a")
+    assert leveled_best_path(m, np.array([0.0, 0.0, 0.0, 1.0, 2.0])).sequence == ("b", "a")
+
+
+def test_leveled_best_path_wants_one_score_per_transition():
+    s = length_automaton(2, 3)
+    with pytest.raises(ValueError, match="one entry per transition"):
+        leveled_best_path(s, np.zeros(len(s.columns.src) - 1))
 
 
 # -- diagnostics ------------------------------------------------------------------------
