@@ -37,16 +37,11 @@ __all__ = [
 class DivergenceValue:
     value: float
     witness: tuple[str, ...]
+    # the model cells the witness reads, in order (see wfa_hedge.ngram)
+    cells: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def is_finite(self) -> bool:
         return self.value != math.inf
-
-
-def _model_logs(model: NGramModel) -> np.ndarray:
-    """The model's log-weights by cell, as :func:`~wfa_hedge.ngram._context_product`
-    indexes them."""
-    return exact_logs(np.concatenate([model.tables[ctx] for ctx in
-                                      NGramModel._all_contexts(model.alphabet, model.order)]))
 
 
 def divergence_inf(machine: Wfa, model: NGramModel) -> DivergenceValue:
@@ -66,11 +61,10 @@ def divergence_inf(machine: Wfa, model: NGramModel) -> DivergenceValue:
     if log_z == float("-inf"):
         raise ValueError("empty language")
     product, cell = _context_product(machine, model.order)
-    log_w, log_m = _edge_logs(product), _model_logs(model)
     with np.errstate(invalid="ignore"):  # -inf - -inf on zero-weight edges, on no path
-        score = log_w - log_m[cell]
+        score = _edge_logs(product) - exact_logs(model.probs)[cell]
     path = leveled_best_path(product, score, exact_logs(_final_weights(product)[1]))
-    return DivergenceValue(value=path.value - log_z, witness=path.sequence)
+    return DivergenceValue(path.value - log_z, path.sequence, cell[path.edges])
 
 
 def kl_divergence(machine: Wfa, model: NGramModel) -> float:
@@ -88,7 +82,7 @@ def kl_divergence(machine: Wfa, model: NGramModel) -> float:
     log_w = _edge_logs(product)
     edge, final, log_final, log_z = _edge_marginals(product)
     on, end = np.flatnonzero(edge > 0.0), final > 0.0
-    log_m = _model_logs(model)[cell[on]]
+    log_m = exact_logs(model.probs)[cell[on]]
     if (log_m == -math.inf).any():
         return math.inf
     return (float(edge[on] @ (log_w[on] - log_m)) + float(final[end] @ log_final[end])
@@ -103,14 +97,23 @@ def ratio_subgradient(model: NGramModel, sequence: Sequence[str]
     occurrences in ``x`` and zero elsewhere.  Touched entries must have
     positive weight.
     """
-    grads = {ctx: np.zeros(len(model.alphabet)) for ctx in model.tables}
-    for t, a in enumerate(sequence):
-        ctx = model.context_of(sequence[:t])
-        w = model.tables[ctx][model.sym_index[a]]
-        if w == 0.0:
-            raise ValueError(f"zero weight on touched entry {ctx} -> {a}")
-        grads[ctx][model.sym_index[a]] -= 1.0 / w
-    return grads
+    n, row = len(model.alphabet), {c: i for i, c in enumerate(model.contexts)}
+    cells = [row[model.context_of(sequence[:t])] * n + model.sym_index[a]
+             for t, a in enumerate(sequence)]
+    return dict(zip(model.contexts, _subgradient(model, np.array(cells, np.intp))))
+
+
+def _subgradient(model: NGramModel, cells: np.ndarray) -> np.ndarray:
+    """:func:`ratio_subgradient` as a (contexts x symbols) array, for the
+    sequence that reads ``cells`` in order: -1/w is added to each cell
+    it reads, in path order."""
+    w = model.probs.ravel()[cells]
+    if (w == 0.0).any():
+        c, a = divmod(int(cells[np.argmin(w)]), len(model.alphabet))
+        raise ValueError(f"zero weight on touched entry {model.contexts[c]} -> {model.alphabet[a]}")
+    g = np.zeros(model.probs.shape)
+    np.add.at(g.ravel(), cells, -1.0 / w)
+    return g
 
 
 @dataclass
@@ -129,59 +132,51 @@ class _ProdEGRun:
 
     def __init__(self, machine: Wfa, order: int,
                  step_mode: str = "adaptive", step_scale: Optional[float] = None):
-        self.machine = machine
+        if step_mode not in ("adaptive", "constant"):
+            raise ValueError("unknown step mode")
+        self.machine, self.step_mode = machine, step_mode
         self.model = uniform_model(machine.alphabet, order)
-        self.sum_tables = {c: r.copy() for c, r in self.model.tables.items()}
+        self.total = self.model.probs.copy()  # sum of the played iterates
         self.steps = 1  # the uniform start has been "played"
         self.grad_sq_sum = 0.0
         self.grad_sup_norms: list[float] = []
         self.etas: list[float] = []
-        n = len(machine.alphabet)
-        m = self.model.num_simplices()
-        if step_scale is None:
-            step_scale = math.sqrt(m * math.log(n) / 2.0)
-        self.step_scale = step_scale
-        if step_mode not in ("adaptive", "constant"):
-            raise ValueError("unknown step mode")
-        self.step_mode = step_mode
+        self.step_scale = step_scale if step_scale is not None else math.sqrt(
+            self.model.num_simplices() * math.log(len(machine.alphabet)) / 2.0)
 
     def step(self) -> None:
         div = divergence_inf(self.machine, self.model)
+        p = self.model.probs
         if div.value <= 0.0:
             # Global optimum: the objective is non-negative, so stop
             # moving and let the average absorb the current point.
-            self.grad_sup_norms.append(0.0)
-            self.etas.append(0.0)
-            for ctx, row in self.model.tables.items():
-                self.sum_tables[ctx] += row
-            self.steps += 1
-            return
-        x = div.witness
-        g = ratio_subgradient(self.model, x)
-        sup = max((float(np.abs(r).max()) for r in g.values()), default=0.0)
-        self.grad_sup_norms.append(sup)
-        if self.step_mode == "adaptive":
-            self.grad_sq_sum += sup * sup
-            eta = self.step_scale / math.sqrt(self.grad_sq_sum) if self.grad_sq_sum > 0 else 0.0
+            sup = eta = 0.0
         else:
-            eta = self.step_scale
+            g = _subgradient(self.model, div.cells)
+            sup = float(np.abs(g).max())
+            if self.step_mode == "adaptive":
+                self.grad_sq_sum += sup * sup
+                eta = (self.step_scale / math.sqrt(self.grad_sq_sum) if self.grad_sq_sum > 0
+                       else 0.0)
+            else:
+                eta = self.step_scale
+            if eta > 0 and sup > 0:
+                touched = g.any(axis=1)
+                rows = p[touched] * np.exp(-eta * g[touched])
+                p[touched] = rows / rows.sum(axis=1, keepdims=True)
+        self.grad_sup_norms.append(sup)
         self.etas.append(eta)
-        if eta > 0 and sup > 0:
-            for ctx, row in self.model.tables.items():
-                gr = g[ctx]
-                if gr.any():
-                    nrow = row * np.exp(-eta * gr)
-                    row[:] = nrow / nrow.sum()
-        for ctx, row in self.model.tables.items():
-            self.sum_tables[ctx] += row
+        self.total += p
         self.steps += 1
 
     def average(self) -> NGramModel:
-        tables = {c: r / self.steps for c, r in self.sum_tables.items()}
-        return NGramModel(self.machine.alphabet, self.model.order, tables)
+        return NGramModel(self.machine.alphabet, self.model.order, self.total / self.steps)
 
-    def grad_sum(self) -> float:
-        return float(sum(self.grad_sup_norms))
+    def outcome(self) -> tuple[NGramModel, float, float]:
+        """The average, its objective and its :func:`_slack`."""
+        avg = self.average()
+        return avg, divergence_inf(self.machine, avg).value, _slack(
+            len(self.machine.alphabet), self.model.order, self.steps - 1, sum(self.grad_sup_norms))
 
 
 def prod_eg(machine: Wfa, order: int, iterations: int,
@@ -205,14 +200,9 @@ def prod_eg(machine: Wfa, order: int, iterations: int,
         if track_objective:
             history.append(divergence_inf(machine, run.average()).value)
     avg = run.average()
-    return ProdEGResult(
-        model=avg, last=run.model,
-        objective=divergence_inf(machine, avg).value,
-        iterations=iterations,
-        grad_sup_norms=run.grad_sup_norms,
-        etas=run.etas,
-        objective_history=history,
-    )
+    return ProdEGResult(model=avg, last=run.model, objective=divergence_inf(machine, avg).value,
+                        iterations=iterations, grad_sup_norms=run.grad_sup_norms, etas=run.etas,
+                        objective_history=history)
 
 
 # -- model-order selection --------------------------------------------------------
@@ -259,66 +249,45 @@ def select_order(machine: Wfa, iterations: int, budget: int,
     n_sym = len(machine.alphabet)
     if budget < n_sym:
         raise ValueError("budget below a single level of any model")
-    horizon = _horizon(machine)
-    target = math.sqrt(horizon)
+    target = math.sqrt(_horizon(machine))
 
-    def probe(order: int) -> tuple[bool, NGramModel, float, float]:
-        """Run the full budget at one order; fail on the first violation."""
-        run = _ProdEGRun(machine, order, step_mode)
-        ok = True
+    def fit(order: int, stop: bool) -> tuple[bool, _ProdEGRun]:
+        """Run the full budget at one order; a violation fails it, and ends
+        the run if ``stop``."""
+        run, ok = _ProdEGRun(machine, order, step_mode), True
         for _ in range(iterations):
             run.step()
-            obj = divergence_inf(machine, run.average()).value
-            if obj - _slack(n_sym, order, run.steps - 1, run.grad_sum()) > target:
+            _, obj, slack = run.outcome()
+            if obj - slack > target:
                 ok = False
-                break
-        avg = run.average()
-        obj = divergence_inf(machine, avg).value
-        slack = _slack(n_sym, order, run.steps - 1, run.grad_sum())
-        return ok, avg, obj, slack
+                if stop:
+                    break
+        return ok, run
 
-    tried = []
     order = 1
-    run = _ProdEGRun(machine, order, step_mode)
-    s = 0
-    budget_blocked = False
-    violated = False
-    while s < iterations:
-        run.step()
-        s += 1
-        obj = divergence_inf(machine, run.average()).value
-        if obj - _slack(n_sym, order, run.steps - 1, run.grad_sum()) > target:
-            if n_sym ** (2 * order) <= budget:
-                order *= 2
-                run = _ProdEGRun(machine, order, step_mode)
-                s = 0
-                violated = False
-            else:
-                budget_blocked = True
-                violated = True
-    n_max = order
-    avg = run.average()
-    obj = divergence_inf(machine, avg).value
-    slack = _slack(n_sym, order, run.steps - 1, run.grad_sum())
-    tried.append((n_max, not violated, obj, slack))
-    if violated:
-        if n_max != 1:
-            _, avg, obj, slack = probe(1)
-        return SelectionResult(model=avg, order=1, feasible=False,
-                               objective=obj, slack=slack,
-                               budget_limited=budget_blocked, tried=tried)
+    while True:
+        blocked = n_sym ** (2 * order) > budget  # no doubling past this order
+        ok, run = fit(order, stop=not blocked)
+        if ok or blocked:
+            break
+        order *= 2
+    avg, obj, slack = run.outcome()
+    tried = [(order, ok, obj, slack)]
+    if not ok:
+        if order != 1:
+            avg, obj, slack = fit(1, stop=True)[1].outcome()
+        return SelectionResult(model=avg, order=1, feasible=False, objective=obj, slack=slack,
+                               budget_limited=True, tried=tried)
 
-    best = (n_max, avg, obj, slack)
-    lo, hi = 1, n_max
+    lo, hi = 1, order
     while lo < hi:
         mid = (lo + hi) // 2
-        ok_mid, model_mid, obj_mid, slack_mid = probe(mid)
+        ok_mid, run = fit(mid, stop=True)
+        model_mid, obj_mid, slack_mid = run.outcome()
         tried.append((mid, ok_mid, obj_mid, slack_mid))
         if ok_mid:
-            hi = mid
-            best = (mid, model_mid, obj_mid, slack_mid)
+            hi, avg, obj, slack = mid, model_mid, obj_mid, slack_mid
         else:
             lo = mid + 1
-    return SelectionResult(model=best[1], order=best[0], feasible=True,
-                           objective=best[2], slack=best[3],
+    return SelectionResult(model=avg, order=hi, feasible=True, objective=obj, slack=slack,
                            budget_limited=False, tried=tried)

@@ -5,19 +5,26 @@ w[. | context], one simplex per context of length < n.  As an automaton
 it is the deterministic stochastic machine whose states are contexts,
 which makes it a drop-in (cheap) replacement for a competitor machine
 whose per-level transition count is too large.
+
+A model is one (contexts x symbols) array ``probs``.  Contexts are
+numbered breadth-first (c + a is c * |Sigma| + 1 + a while c is shorter
+than n - 1), and cell c * |Sigma| + a of the flat array is w[a | c]: the
+context machine's edges and the (state, context) product's edge cells
+are in this order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .phi import PHI, PhiWfa
-from .wfa import (Transition, Wfa, _edge_marginals, _horizon, intersect, leveled_best_path,
-                  log_weight_range)
+from .wfa import (Transition, Wfa, _edge_marginals, _horizon, default_alphabet, intersect,
+                  leveled_best_path, log_weight_range)
 
 __all__ = [
     "NGramModel",
@@ -33,27 +40,40 @@ SIMPLEX_TOL = 1e-12
 
 
 class NGramModel:
-    """Conditional tables w[a | context] for every context in Sigma^{<n}."""
+    """Conditional tables w[a | context] for every context in Sigma^{<n}.
+
+    ``tables``, a {context: row} mapping or the array of rows in
+    :attr:`contexts` order, is copied into :attr:`probs`; :attr:`tables`
+    maps each context to a view of its row, to write in place."""
 
     def __init__(self, alphabet: Sequence[str], order: int,
-                 tables: dict[tuple[str, ...], np.ndarray]):
+                 tables: Mapping[tuple[str, ...], Sequence[float]] | np.ndarray):
         if order < 1:
             raise ValueError("order must be >= 1")
-        self.alphabet = tuple(alphabet)
-        self.order = order
+        self.alphabet, self.order = tuple(alphabet), order
         self.sym_index = {a: i for i, a in enumerate(self.alphabet)}
-        self.tables = {ctx: np.asarray(row, dtype=float) for ctx, row in tables.items()}
-        n = len(self.alphabet)
-        expected = self._all_contexts(self.alphabet, order)
-        if set(self.tables) != set(expected):
-            raise ValueError("tables must cover every context shorter than the order")
-        for ctx, row in self.tables.items():
-            if row.shape != (n,):
-                raise ValueError(f"table for {ctx} has wrong length")
-            if (row < 0).any():
-                raise ValueError(f"negative weight in table for {ctx}")
-            if abs(row.sum() - 1.0) > SIMPLEX_TOL:
-                raise ValueError(f"table for {ctx} sums to {row.sum()!r}, not 1")
+        self.contexts = tuple(self._all_contexts(self.alphabet, order))
+        shape = (len(self.contexts), len(self.alphabet))
+        if not isinstance(tables, np.ndarray):
+            if set(tables) != set(self.contexts):
+                raise ValueError("tables must cover every context shorter than the order")
+            for ctx in self.contexts:
+                if np.shape(tables[ctx]) != shape[1:]:
+                    raise ValueError(f"table for {ctx} has wrong length")
+            tables = [tables[ctx] for ctx in self.contexts]
+        probs = np.array(tables, dtype=float)
+        if probs.shape != shape:
+            raise ValueError(f"weights of shape {probs.shape}, expected {shape}")
+        with np.errstate(invalid="ignore"):  # inf - inf, refused as non-finite first
+            sums = probs.sum(axis=1)
+        for bad, problem in ((~np.isfinite(probs).all(axis=1), "has a non-finite weight"),
+                             ((probs < 0).any(axis=1), "has a negative weight"),
+                             (np.abs(sums - 1.0) > SIMPLEX_TOL, "sums to {!r}, not 1")):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(f"table for {self.contexts[i]} " + problem.format(sums[i]))
+        self.probs = probs
+        self.tables = MappingProxyType(dict(zip(self.contexts, probs)))
         self.uniform_filled_contexts: tuple[tuple[str, ...], ...] = ()
 
     @staticmethod
@@ -86,11 +106,10 @@ class NGramModel:
         return 0.0 if lp == float("-inf") else math.exp(lp)
 
     def num_simplices(self) -> int:
-        return len(self.tables)
+        return len(self.contexts)
 
     def copy(self) -> "NGramModel":
-        return NGramModel(self.alphabet, self.order,
-                          {c: r.copy() for c, r in self.tables.items()})
+        return NGramModel(self.alphabet, self.order, self.probs)
 
     # -- serialization: context string -> {symbol: weight} --
 
@@ -112,6 +131,9 @@ class NGramModel:
         tables = {}
         for key, row in payload["tables"].items():
             ctx = tuple(key.split()) if key else ()
+            missing = [a for a in alphabet if a not in row]
+            if missing:
+                raise ValueError(f"table for {ctx} has no weight for symbol {missing[0]!r}")
             tables[ctx] = np.array([row[a] for a in alphabet])
         return cls(alphabet, int(payload["order"]), tables)
 
@@ -119,12 +141,28 @@ class NGramModel:
         return f"NGramModel(order={self.order}, alphabet={self.alphabet})"
 
 
+def _num_contexts(n_sym: int, order: int) -> int:
+    return sum(n_sym ** k for k in range(order))
+
+
 def uniform_model(alphabet: Sequence[str], order: int) -> NGramModel:
-    alphabet = tuple(alphabet)
     n = len(alphabet)
-    row = np.full(n, 1.0 / n)
-    tables = {ctx: row.copy() for ctx in NGramModel._all_contexts(alphabet, order)}
-    return NGramModel(alphabet, order, tables)
+    return NGramModel(alphabet, order, np.full((_num_contexts(n, order), n), 1.0 / n))
+
+
+def _tracker(alphabet: Sequence[str], order: int, weight=1.0,
+             state_names: Optional[Sequence] = None) -> Wfa:
+    """The order-``order`` context machine: each context a final state of
+    weight 1, and edge ``cell`` (context c reading a) of weight
+    ``weight[cell]`` into the last n - 1 symbols of c + a."""
+    n = len(alphabet)
+    contexts, full = _num_contexts(n, order), n ** (order - 1)
+    cell = np.arange(contexts * n)
+    child = cell + 1  # c * |Sigma| + 1 + a, numbered past the contexts when c is full
+    dst = np.where(child < contexts, child, contexts - full + (child - contexts) % full)
+    return Wfa.from_columns(alphabet, contexts, 0, dict.fromkeys(range(contexts), 1.0),
+                            cell // n, cell % n, np.broadcast_to(weight, cell.shape), dst,
+                            state_names=state_names)
 
 
 def ngram_to_wfa(model: NGramModel) -> Wfa:
@@ -132,44 +170,26 @@ def ngram_to_wfa(model: NGramModel) -> Wfa:
 
     The empty context is initial, every state is final with weight one,
     and reading ``a`` in context ``c`` moves to the last (n-1) symbols
-    of ``c + a`` with weight w[a | c].
+    of ``c + a`` with weight w[a | c], edge c * |alphabet| + a.
     """
-    contexts = NGramModel._all_contexts(model.alphabet, model.order)
-    ids = {c: i for i, c in enumerate(contexts)}
-    ts = []
-    for c in contexts:
-        row = model.tables[c]
-        for i, a in enumerate(model.alphabet):
-            nxt = model.context_of(c + (a,))
-            ts.append(Transition(ids[c], a, float(row[i]), ids[nxt]))
-    finals = {i: 1.0 for i in range(len(contexts))}
-    names = [" ".join(c) if c else "<start>" for c in contexts]
-    return Wfa(model.alphabet, len(contexts), 0, finals, ts, state_names=names)
+    names = [" ".join(c) if c else "<start>" for c in model.contexts]
+    return _tracker(model.alphabet, model.order, model.probs.ravel(), names)
 
 
 # -- maximum-likelihood estimation ----------------------------------------------
 
 
 def _context_product(machine: Wfa, order: int) -> tuple[Wfa, np.ndarray]:
-    """The machine times the context tracker of order-``order`` models:
-    (product, each edge's model cell).  Built once
-    per (machine, order) and kept on the machine; maximum-likelihood
-    fitting and both divergences of :mod:`~wfa_hedge.approx` share it.
-
-    The tracker is :func:`ngram_to_wfa`'s with weight 1 on every edge, so
-    no zero cell of a model trims the product.  Cell context id *
-    |alphabet| + symbol id indexes the model's tables laid end to end in
-    context order, the tracker's state order.
-    """
+    """The machine times the context machine of order-``order`` models at
+    weight 1, so that no zero cell trims it: (product, each edge's cell).
+    Built once per (machine, order) and kept on the machine; maximum-
+    likelihood fitting and both divergences of :mod:`~wfa_hedge.approx`
+    share it."""
     if order not in machine._products:
-        t = ngram_to_wfa(uniform_model(machine.alphabet, order))
-        tc = t.columns
-        tracker = Wfa.from_columns(t.alphabet, t.num_states, t.initial, t.finals,
-                                   tc.src, tc.label, np.ones_like(tc.weight), tc.dst)
-        product = intersect(machine, tracker)
+        product = intersect(machine, _tracker(machine.alphabet, order))
         c = product.columns
         context = np.array(product.state_names, np.intp)[:, 1]
-        machine._products[order] = (product, context[c.src] * len(t.alphabet) + c.label)
+        machine._products[order] = (product, context[c.src] * len(machine.alphabet) + c.label)
     return machine._products[order]
 
 
@@ -186,21 +206,13 @@ def ml_ngram(machine: Wfa, order: int) -> NGramModel:
     supported path.
     """
     product, cell = _context_product(machine, order)
-    alphabet = machine.alphabet
-    n = len(alphabet)
-    contexts = NGramModel._all_contexts(alphabet, order)
+    n = len(machine.alphabet)
     counts = np.bincount(cell, _edge_marginals(product)[0],
-                         minlength=len(contexts) * n).reshape(len(contexts), n)
-    tables = {}
-    filled = []
-    for ctx, row in zip(contexts, counts):
-        if row.sum() <= 0.0:
-            tables[ctx] = np.full(n, 1.0 / n)
-            filled.append(ctx)
-        else:
-            tables[ctx] = row / row.sum()
-    model = NGramModel(alphabet, order, tables)
-    model.uniform_filled_contexts = tuple(filled)
+                         minlength=_num_contexts(n, order) * n).reshape(-1, n)
+    empty = counts.sum(axis=1) <= 0.0
+    counts[empty] = 1.0
+    model = NGramModel(machine.alphabet, order, counts / counts.sum(axis=1, keepdims=True))
+    model.uniform_filled_contexts = tuple(model.contexts[i] for i in np.flatnonzero(empty))
     return model
 
 
@@ -216,18 +228,13 @@ def fixed_share_bigram(num_experts: int, shifts: int, horizon: int,
         raise ValueError("horizon must be at least shifts + 2")
     if num_experts < 2:
         raise ValueError("need at least two experts")
-    from .wfa import default_alphabet
     if alphabet is None:
         alphabet = default_alphabet(num_experts)
     n, k, t = num_experts, shifts, horizon
-    stay = 1.0 - k / (t - 1.0)
-    shift = k / ((t - 1.0) * (n - 1.0))
-    tables: dict[tuple[str, ...], np.ndarray] = {(): np.full(n, 1.0 / n)}
-    for i, a in enumerate(alphabet):
-        row = np.full(n, shift)
-        row[i] = stay
-        tables[(a,)] = row
-    return NGramModel(alphabet, 2, tables)
+    probs = np.full((n + 1, n), k / ((t - 1.0) * (n - 1.0)))
+    probs[0] = 1.0 / n
+    probs[1:][np.diag_indices(n)] = 1.0 - k / (t - 1.0)
+    return NGramModel(alphabet, 2, probs)
 
 
 def minimax_unigram(machine: Wfa) -> NGramModel:
@@ -285,22 +292,16 @@ def bigram_phi_machine(model: NGramModel) -> PhiWfa:
     n = len(alphabet)
     if n < 2:
         raise ValueError("need at least two symbols")
-    shift = np.empty(n)
-    for j in range(n):
-        col = [model.tables[(a,)][j] for i, a in enumerate(alphabet) if i != j]
-        if max(col) - min(col) > SIMPLEX_TOL:
-            raise ValueError("shift weights are not shared across contexts")
-        shift[j] = col[0]
+    p = model.probs  # row 1 + i is the context (alphabet[i],)
+    shifted = np.where(np.eye(n, dtype=bool), np.nan, p[1:])
+    if (np.nanmax(shifted, axis=0) - np.nanmin(shifted, axis=0) > SIMPLEX_TOL).any():
+        raise ValueError("shift weights are not shared across contexts")
+    shift = shifted[(np.arange(n) == 0).astype(np.intp), np.arange(n)]  # first off the diagonal
     hub = n + 1
-    ts = []
-    root = model.tables[()]
-    for j, a in enumerate(alphabet):
-        ts.append(Transition(0, a, float(root[j]), 1 + j))
+    ts = [Transition(0, a, float(p[0, j]), 1 + j) for j, a in enumerate(alphabet)]
     for i, a in enumerate(alphabet):
-        ts.append(Transition(1 + i, a, float(model.tables[(a,)][i]), 1 + i))
-        ts.append(Transition(1 + i, PHI, 1.0, hub))
-    for j, a in enumerate(alphabet):
-        ts.append(Transition(hub, a, float(shift[j]), 1 + j))
+        ts += [Transition(1 + i, a, float(p[1 + i, i]), 1 + i), Transition(1 + i, PHI, 1.0, hub)]
+    ts += [Transition(hub, a, float(shift[j]), 1 + j) for j, a in enumerate(alphabet)]
     finals = {q: 1.0 for q in range(n + 1)}
     names = ["<start>"] + list(alphabet) + ["<hub>"]
     return PhiWfa(alphabet, n + 2, 0, finals, ts, state_names=names)

@@ -317,7 +317,9 @@ def _find_arcs(wfa: Wfa, state: np.ndarray, label: np.ndarray) -> np.ndarray:
 def evaluate(wfa: Wfa, sequence: Sequence[str]) -> float:
     """Weight assigned to ``sequence``; 0 when no accepting path exists.
 
-    One lookup per symbol in the machine's sorted arc keys."""
+    One lookup per symbol in the machine's sorted arc keys.  A phi edge
+    raises ValueError (see :func:`~wfa_hedge.phi.evaluate_phi`)."""
+    _refuse_phi(wfa)
     keys, edges = _arc_index(wfa)
     c, n_sym = wfa.columns, len(wfa.alphabet)
     index = {a: i for i, a in enumerate(wfa.alphabet)}
@@ -579,7 +581,8 @@ def _refuse_phi(wfa: Wfa) -> None:
     """A phi edge is no step of a path: ValueError naming the phi versions."""
     if (wfa.columns.label < 0).any():
         raise ValueError("phi edges are not paths; use phi_backward_distances, "
-                         "weight_push_phi, power_weights_phi or phi_expand")
+                         "weight_push_phi, power_weights_phi or phi_expand, "
+                         "and evaluate_phi for one sequence")
 
 
 def _path_plan(wfa: Wfa) -> _Topo:
@@ -798,9 +801,10 @@ def enumerate_support(wfa: Wfa, limit: int = 100_000) -> list[tuple[tuple[str, .
 
     Depth-first over the acyclic machine, labels in sorted order, with an
     explicit stack, so path length is not bounded by the recursion
-    limit.  Raises ValueError past ``limit`` paths.  Used as the
-    brute-force oracle throughout the test-suite.
+    limit.  Raises ValueError past ``limit`` paths or on a phi edge.
+    Used as the brute-force oracle throughout the test-suite.
     """
+    _refuse_phi(wfa)
     topological_order(wfa)  # acyclicity check
     out: list[tuple[tuple[str, ...], float]] = []
     prefix: list[str] = []
@@ -946,7 +950,8 @@ class Diagnostics:
 
 
 def validate(wfa: Wfa) -> Diagnostics:
-    """Report-only structural check: determinism, weights, reachability."""
+    """Report-only structural check: determinism, weights, reachability
+    (over arcs and phi edges)."""
     errors: list[str] = []
     warnings: list[str] = []
     seen: set[tuple[int, str]] = set()
@@ -959,7 +964,8 @@ def validate(wfa: Wfa) -> Diagnostics:
     for q, w in wfa.finals.items():
         if w < 0:
             errors.append(f"negative final weight at state {q}")
-    c, arc = wfa.columns, _arc_index(wfa)[1][:-1]  # what arcs() holds
+    c = wfa.columns
+    arc = np.concatenate([_arc_index(wfa)[1][:-1], np.flatnonzero(c.label < 0)])  # arcs(), phi
     reach = _coaccessible(c.dst[arc], c.src[arc], np.array([wfa.initial]), wfa.num_states)
     warnings += [f"state {q} unreachable from initial" for q in np.flatnonzero(~reach).tolist()]
     if not wfa.finals:

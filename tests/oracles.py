@@ -11,13 +11,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from wfa_hedge.approx import DivergenceValue
+from wfa_hedge.approx import DivergenceValue, SelectionResult, _slack
 from wfa_hedge.hedge import renyi_entropy, shannon_entropy
-from wfa_hedge.ngram import NGramModel
+from wfa_hedge.ngram import NGramModel, _context_product, uniform_model
 from wfa_hedge.phi import (MAX_PHI_CHAIN, PHI, PHI_FILTER, PhiWfa, as_phi, resolve_symbol,
                            shadowed_continuation)
 from wfa_hedge.wfa import (NEG_INF, BestPath, CyclicAutomatonError, Transition, Wfa,
-                           _log_normaliser, _ranges, default_alphabet, enumerate_support)
+                           _edge_marginals, _horizon, _log_normaliser, _ranges,
+                           default_alphabet, enumerate_support)
 
 
 def count_changes(seq):
@@ -1060,3 +1061,220 @@ def weight_push_phi(machine: PhiWfa) -> PhiWfa:
     finals = {q: w / d[q] for q, w in machine.finals.items() if d[q] > 0.0}
     return PhiWfa(machine.alphabet, machine.num_states, machine.initial, finals, ts,
                   machine.state_names, machine.pair_labels, machine.phi_moves)
+
+
+# -- the dict-of-rows n-gram code the one probability array replaced -------------------
+# The table loop of ml_ngram, the Transition loop of ngram_to_wfa, the
+# subgradient walk, the prod-EG run over a dict of rows and the two-loop
+# select_order, as the library had them before a model became one
+# (contexts x symbols) array, kept as references.  The divergence they
+# call is the dict walk above.
+
+
+def ml_ngram(machine: Wfa, order: int) -> NGramModel:
+    """Maximum-likelihood n-gram fit of the machine's path distribution.
+
+    Conditional weights are ratios of expected context counts, which
+    minimizes the relative entropy from the path distribution to the
+    model.  The expected count of a cell (context, symbol) is the summed
+    posterior of the edges reading it in the machine's context product,
+    from one log-domain forward-backward sweep, so the fit holds at any
+    horizon.  Contexts that never occur get uniform rows and are listed
+    in ``uniform_filled_contexts`` on the result; they cannot affect any
+    supported path.
+    """
+    product, cell = _context_product(machine, order)
+    alphabet = machine.alphabet
+    n = len(alphabet)
+    contexts = NGramModel._all_contexts(alphabet, order)
+    counts = np.bincount(cell, _edge_marginals(product)[0],
+                         minlength=len(contexts) * n).reshape(len(contexts), n)
+    tables = {}
+    filled = []
+    for ctx, row in zip(contexts, counts):
+        if row.sum() <= 0.0:
+            tables[ctx] = np.full(n, 1.0 / n)
+            filled.append(ctx)
+        else:
+            tables[ctx] = row / row.sum()
+    model = NGramModel(alphabet, order, tables)
+    model.uniform_filled_contexts = tuple(filled)
+    return model
+
+
+def ngram_to_wfa(model: NGramModel) -> Wfa:
+    """Deterministic stochastic WFA with one state per context.
+
+    The empty context is initial, every state is final with weight one,
+    and reading ``a`` in context ``c`` moves to the last (n-1) symbols
+    of ``c + a`` with weight w[a | c].
+    """
+    contexts = NGramModel._all_contexts(model.alphabet, model.order)
+    ids = {c: i for i, c in enumerate(contexts)}
+    ts = []
+    for c in contexts:
+        row = model.tables[c]
+        for i, a in enumerate(model.alphabet):
+            nxt = model.context_of(c + (a,))
+            ts.append(Transition(ids[c], a, float(row[i]), ids[nxt]))
+    finals = {i: 1.0 for i in range(len(contexts))}
+    names = [" ".join(c) if c else "<start>" for c in contexts]
+    return Wfa(model.alphabet, len(contexts), 0, finals, ts, state_names=names)
+
+
+def ratio_subgradient(model: NGramModel, sequence) -> dict[tuple[str, ...], np.ndarray]:
+    """Gradient of -log q_w(x) in the conditional weights.
+
+    Entry [ctx][a] is -count_x(ctx, a) / w[a | ctx] for the n-gram
+    occurrences in ``x`` and zero elsewhere.  Touched entries must have
+    positive weight.
+    """
+    grads = {ctx: np.zeros(len(model.alphabet)) for ctx in model.tables}
+    for t, a in enumerate(sequence):
+        ctx = model.context_of(sequence[:t])
+        w = model.tables[ctx][model.sym_index[a]]
+        if w == 0.0:
+            raise ValueError(f"zero weight on touched entry {ctx} -> {a}")
+        grads[ctx][model.sym_index[a]] -= 1.0 / w
+    return grads
+
+
+class ProdEGRun:
+    """Incremental mirror-descent state, one update per step() call."""
+
+    def __init__(self, machine: Wfa, order: int,
+                 step_mode: str = "adaptive", step_scale: Optional[float] = None):
+        self.machine = machine
+        self.model = uniform_model(machine.alphabet, order)
+        self.sum_tables = {c: r.copy() for c, r in self.model.tables.items()}
+        self.steps = 1  # the uniform start has been "played"
+        self.grad_sq_sum = 0.0
+        self.grad_sup_norms: list[float] = []
+        self.etas: list[float] = []
+        n = len(machine.alphabet)
+        m = self.model.num_simplices()
+        if step_scale is None:
+            step_scale = math.sqrt(m * math.log(n) / 2.0)
+        self.step_scale = step_scale
+        if step_mode not in ("adaptive", "constant"):
+            raise ValueError("unknown step mode")
+        self.step_mode = step_mode
+
+    def step(self) -> None:
+        div = divergence_inf(self.machine, self.model)
+        if div.value <= 0.0:
+            # Global optimum: the objective is non-negative, so stop
+            # moving and let the average absorb the current point.
+            self.grad_sup_norms.append(0.0)
+            self.etas.append(0.0)
+            for ctx, row in self.model.tables.items():
+                self.sum_tables[ctx] += row
+            self.steps += 1
+            return
+        x = div.witness
+        g = ratio_subgradient(self.model, x)
+        sup = max((float(np.abs(r).max()) for r in g.values()), default=0.0)
+        self.grad_sup_norms.append(sup)
+        if self.step_mode == "adaptive":
+            self.grad_sq_sum += sup * sup
+            eta = self.step_scale / math.sqrt(self.grad_sq_sum) if self.grad_sq_sum > 0 else 0.0
+        else:
+            eta = self.step_scale
+        self.etas.append(eta)
+        if eta > 0 and sup > 0:
+            for ctx, row in self.model.tables.items():
+                gr = g[ctx]
+                if gr.any():
+                    nrow = row * np.exp(-eta * gr)
+                    row[:] = nrow / nrow.sum()
+        for ctx, row in self.model.tables.items():
+            self.sum_tables[ctx] += row
+        self.steps += 1
+
+    def average(self) -> NGramModel:
+        tables = {c: r / self.steps for c, r in self.sum_tables.items()}
+        return NGramModel(self.machine.alphabet, self.model.order, tables)
+
+    def grad_sum(self) -> float:
+        return float(sum(self.grad_sup_norms))
+
+
+def select_order(machine: Wfa, iterations: int, budget: int,
+                 step_mode: str = "adaptive") -> SelectionResult:
+    """Smallest n-gram order fitting the budget and the regret target.
+
+    An order passes when it survives the whole iteration budget without
+    a violation, that is without the running objective minus the
+    optimization slack exceeding sqrt(T).  The doubling phase doubles
+    the order (restarting from uniform) on the first violation, as long
+    as a level of the doubled model, |Sigma|^(2n), stays within the
+    per-round edge budget; a binary search over [1, n_max] with the same
+    pass notion then returns the smallest passing order.  When the
+    budget blocks every adequate order, the unigram comes back flagged.
+    """
+    n_sym = len(machine.alphabet)
+    if budget < n_sym:
+        raise ValueError("budget below a single level of any model")
+    horizon = _horizon(machine)
+    target = math.sqrt(horizon)
+
+    def probe(order: int) -> tuple[bool, NGramModel, float, float]:
+        """Run the full budget at one order; fail on the first violation."""
+        run = ProdEGRun(machine, order, step_mode)
+        ok = True
+        for _ in range(iterations):
+            run.step()
+            obj = divergence_inf(machine, run.average()).value
+            if obj - _slack(n_sym, order, run.steps - 1, run.grad_sum()) > target:
+                ok = False
+                break
+        avg = run.average()
+        obj = divergence_inf(machine, avg).value
+        slack = _slack(n_sym, order, run.steps - 1, run.grad_sum())
+        return ok, avg, obj, slack
+
+    tried = []
+    order = 1
+    run = ProdEGRun(machine, order, step_mode)
+    s = 0
+    budget_blocked = False
+    violated = False
+    while s < iterations:
+        run.step()
+        s += 1
+        obj = divergence_inf(machine, run.average()).value
+        if obj - _slack(n_sym, order, run.steps - 1, run.grad_sum()) > target:
+            if n_sym ** (2 * order) <= budget:
+                order *= 2
+                run = ProdEGRun(machine, order, step_mode)
+                s = 0
+                violated = False
+            else:
+                budget_blocked = True
+                violated = True
+    n_max = order
+    avg = run.average()
+    obj = divergence_inf(machine, avg).value
+    slack = _slack(n_sym, order, run.steps - 1, run.grad_sum())
+    tried.append((n_max, not violated, obj, slack))
+    if violated:
+        if n_max != 1:
+            _, avg, obj, slack = probe(1)
+        return SelectionResult(model=avg, order=1, feasible=False,
+                               objective=obj, slack=slack,
+                               budget_limited=budget_blocked, tried=tried)
+
+    best = (n_max, avg, obj, slack)
+    lo, hi = 1, n_max
+    while lo < hi:
+        mid = (lo + hi) // 2
+        ok_mid, model_mid, obj_mid, slack_mid = probe(mid)
+        tried.append((mid, ok_mid, obj_mid, slack_mid))
+        if ok_mid:
+            hi = mid
+            best = (mid, model_mid, obj_mid, slack_mid)
+        else:
+            lo = mid + 1
+    return SelectionResult(model=best[1], order=best[0], feasible=True,
+                           objective=best[2], slack=best[3],
+                           budget_limited=False, tried=tried)

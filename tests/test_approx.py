@@ -79,7 +79,7 @@ def test_kl_divergence_checks_alphabets():
 def test_divergence_infinite_when_model_misses_support():
     ct = Wfa.from_sequences([("a", "a"), ("b", "b")], alphabet=("a", "b"))
     m = uniform_model(("a", "b"), 1).copy()
-    m.tables[()] = np.array([1.0, 0.0])
+    m.tables[()][:] = [1.0, 0.0]
     d = divergence_inf(ct, m)
     assert d.value == math.inf
     assert d.witness[0] == "b"
@@ -132,7 +132,7 @@ def test_subgradient_matches_finite_differences():
 
 def test_subgradient_rejects_zero_touched_weight():
     m = uniform_model(("a", "b"), 1).copy()
-    m.tables[()] = np.array([1.0, 0.0])
+    m.tables[()][:] = [1.0, 0.0]
     with pytest.raises(ValueError):
         ratio_subgradient(m, ("b",))
 

@@ -1,4 +1,4 @@
-"""The shipped configs' reports, pinned.
+"""The shipped configs' reports and three n-gram fits, pinned.
 
 ``tests/golden/<name>.json`` holds the report that ``wfa-hedge run
 --config configs/<name>.json`` wrote before the best-path sweeps were
@@ -7,6 +7,11 @@ sequences, verdicts, masks, samples and counts exactly, and the same
 floats within 1e-12 relative: ``np.exp`` may differ in the last bit
 between CPUs.  A change that moves a report on purpose rewrites its
 fixture and says so.
+
+``tests/golden/fits/<name>.json`` holds the model that ``wfa-hedge
+approximate`` wrote for the 4-expert, 3-shift machine at T = 30 before
+n-gram models became one probability array (x86_64, numpy 2.4); a
+replay must match it byte for byte.
 """
 
 import json
@@ -64,3 +69,23 @@ def test_mismatches_sees_a_last_digit_only_within_tolerance():
     assert mismatches({"x": 1.0}, {"x": 1.0 + 1e-9}) != []
     assert mismatches({"x": 3}, {"x": 3.0}) != []
     assert mismatches({"x": ["ab"]}, {"x": ["ac"]}) != []
+
+
+FITS = {
+    "ml_ngram_order2": ["--kind", "ml-ngram", "--order", "2"],
+    "model_select": ["--kind", "model-select", "--iters", "50", "--budget", "4096"],
+    "prod_eg_order2": ["--kind", "prod-eg", "--order", "2", "--iters", "50"],
+}
+
+
+def test_every_fit_has_a_fixture():
+    assert sorted(p.stem for p in (GOLDEN / "fits").glob("*.json")) == sorted(FITS)
+
+
+@pytest.mark.parametrize("name", sorted(FITS))
+def test_fit_matches_fixture_byte_for_byte(name, tmp_path):
+    out = tmp_path / "model.json"
+    assert cli_main(["approximate", "--builder", "kshift", "--param", "num_experts=4",
+                     "--param", "shifts=3", "--horizon", "30", *FITS[name],
+                     "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "fits" / f"{name}.json").read_bytes()

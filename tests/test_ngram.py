@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import numpy as np
@@ -26,6 +27,53 @@ def test_simplex_invariant_enforced():
 def test_context_coverage_enforced():
     with pytest.raises(ValueError):
         NGramModel(("a", "b"), 2, {(): np.array([0.5, 0.5])})
+
+
+def test_non_finite_weights_are_refused_by_name():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"table for \(\) has a non-finite weight"):
+            NGramModel(("a", "b"), 1, {(): [bad, 1.0]})
+    text = '{"alphabet": ["a", "b"], "order": 2, "tables": {"": {"a": 0.5, "b": 0.5}, ' \
+           '"a": {"a": 0.5, "b": 0.5}, "b": {"a": NaN, "b": 1.0}}}'
+    with pytest.raises(ValueError, match=r"table for \('b',\) has a non-finite weight"):
+        NGramModel.from_json(text)
+
+
+def test_from_json_names_a_missing_symbol():
+    text = '{"alphabet": ["a", "b"], "order": 2, "tables": {"": {"a": 0.5, "b": 0.5}, ' \
+           '"a": {"a": 1.0}, "b": {"a": 0.5, "b": 0.5}}}'
+    with pytest.raises(ValueError, match=r"table for \('a',\) has no weight for symbol 'b'"):
+        NGramModel.from_json(text)
+
+
+def test_tables_are_read_only_views_of_one_array():
+    m = uniform_model(("a", "b", "c"), 2)
+    assert m.probs.shape == (4, 3)
+    assert list(m.tables) == list(m.contexts) == NGramModel._all_contexts(m.alphabet, 2)
+    with pytest.raises(TypeError):
+        m.tables[("a",)] = np.array([1.0, 0.0, 0.0])
+    m.tables[("b",)][:] = [0.0, 1.0, 0.0]
+    assert (m.probs[2] == [0.0, 1.0, 0.0]).all()
+    assert m.cond(("c", "b"), "b") == 1.0
+    again = m.copy()
+    again.tables[("b",)][:] = [1.0, 0.0, 0.0]
+    assert m.cond(("b",), "b") == 1.0
+    with pytest.raises(ValueError, match="shape"):
+        NGramModel(("a", "b"), 2, np.full((2, 2), 0.5))
+
+
+@pytest.mark.parametrize("n_sym,order", [(1, 1), (1, 3), (2, 1), (2, 3), (3, 2), (4, 3), (3, 4)])
+def test_context_machine_matches_the_dict_walk(n_sym, order):
+    rng = np.random.default_rng(n_sym * 10 + order)
+    alphabet = tuple("abcd"[:n_sym])
+    model = NGramModel(alphabet, order, rng.dirichlet(np.ones(n_sym),
+                                                      len(NGramModel._all_contexts(alphabet,
+                                                                                   order))))
+    got, want = ngram_to_wfa(model), oracles.ngram_to_wfa(model)
+    for a, b in zip(got.columns, want.columns):
+        assert a.tobytes() == b.tobytes()
+    assert (got.num_states, got.finals, got.state_names) == (want.num_states, want.finals,
+                                                              want.state_names)
 
 
 def test_sequence_prob_is_conditional_product():
@@ -282,8 +330,8 @@ def test_bigram_phi_machine_size():
 
 def test_bigram_phi_machine_rejects_unshared_columns():
     m = uniform_model(("a", "b", "c"), 2).copy()
-    m.tables[("a",)] = np.array([0.5, 0.25, 0.25])
-    m.tables[("b",)] = np.array([0.3, 0.4, 0.3])
-    m.tables[("c",)] = np.array([0.1, 0.2, 0.7])
+    m.tables[("a",)][:] = [0.5, 0.25, 0.25]
+    m.tables[("b",)][:] = [0.3, 0.4, 0.3]
+    m.tables[("c",)][:] = [0.1, 0.2, 0.7]
     with pytest.raises(ValueError):
         bigram_phi_machine(m)

@@ -10,8 +10,8 @@ from wfa_hedge.phi import (PHI, PhiWfa, as_phi, evaluate_phi,
                            phi_intersect, phi_source_subset, resolve_symbol,
                            weight_push_phi)
 from wfa_hedge.wfa import (Transition, Wfa, backward_distances, count_accepting_paths,
-                           evaluate, intersect, leveled_best_path, levels, log_power_sum,
-                           power_weights, weight_push)
+                           enumerate_support, evaluate, intersect, leveled_best_path, levels,
+                           log_power_sum, power_weights, validate, weight_push)
 
 import oracles
 
@@ -266,6 +266,22 @@ def test_plain_path_sums_refuse_phi_edges(name):
                                          "power_weights_phi or phi_expand"):
         PLAIN_PATH_SUMS[name](m)
     assert phi_backward_distances(m)[0] == pytest.approx(3.0)
+
+
+def test_plain_helpers_refuse_or_follow_phi_edges():
+    # Read as nothing, the phi edges used to give no paths, a weight of
+    # 0.0 where evaluate_phi gives 0.3, and unreachable-state warnings.
+    m = phi_convert(shared_fanin_machine(3))
+    assert m.has_phi()
+    for helper in (lambda: evaluate(m, ("a", "a")), lambda: enumerate_support(m)):
+        with pytest.raises(ValueError, match="phi_expand, and evaluate_phi"):
+            helper()
+    assert evaluate_phi(m, ("a", "a")) == pytest.approx(0.3)
+    assert len(enumerate_support(phi_expand(m))) == 9
+    report = validate(m)
+    assert report.ok and report.warnings == []
+    cut = Wfa(("a",), 3, 0, {1: 1.0}, [Transition(0, "a", 1.0, 1)])
+    assert validate(cut).warnings == ["state 2 unreachable from initial"]
 
 
 def _phi_paths_between(machine):
