@@ -124,7 +124,6 @@ class ProdEGResult:
     iterations: int
     grad_sup_norms: list = field(default_factory=list)
     etas: list = field(default_factory=list)
-    objective_history: list = field(default_factory=list)
 
 
 class _ProdEGRun:
@@ -180,8 +179,7 @@ class _ProdEGRun:
 
 
 def prod_eg(machine: Wfa, order: int, iterations: int,
-            step_mode: str = "adaptive", step_scale: Optional[float] = None,
-            track_objective: bool = False) -> ProdEGResult:
+            step_mode: str = "adaptive", step_scale: Optional[float] = None) -> ProdEGResult:
     """Multiplicative-update minimization of the worst-case log ratio.
 
     Starts from the uniform model; each iteration takes the subgradient
@@ -194,15 +192,11 @@ def prod_eg(machine: Wfa, order: int, iterations: int,
     if iterations < 1:
         raise ValueError("need at least one iteration")
     run = _ProdEGRun(machine, order, step_mode, step_scale)
-    history = []
     for _ in range(iterations):
         run.step()
-        if track_objective:
-            history.append(divergence_inf(machine, run.average()).value)
     avg = run.average()
     return ProdEGResult(model=avg, last=run.model, objective=divergence_inf(machine, avg).value,
-                        iterations=iterations, grad_sup_norms=run.grad_sup_norms, etas=run.etas,
-                        objective_history=history)
+                        iterations=iterations, grad_sup_norms=run.grad_sup_norms, etas=run.etas)
 
 
 # -- model-order selection --------------------------------------------------------
@@ -233,8 +227,7 @@ def _slack(n_sym: int, order: int, steps: int, grad_sum: float) -> float:
                      / (n_sym - 1)) / steps
 
 
-def select_order(machine: Wfa, iterations: int, budget: int,
-                 step_mode: str = "adaptive") -> SelectionResult:
+def select_order(machine: Wfa, iterations: int, budget: int) -> SelectionResult:
     """Smallest n-gram order fitting the budget and the regret target.
 
     An order passes when it survives the whole iteration budget without
@@ -254,7 +247,7 @@ def select_order(machine: Wfa, iterations: int, budget: int,
     def fit(order: int, stop: bool) -> tuple[bool, _ProdEGRun]:
         """Run the full budget at one order; a violation fails it, and ends
         the run if ``stop``."""
-        run, ok = _ProdEGRun(machine, order, step_mode), True
+        run, ok = _ProdEGRun(machine, order), True
         for _ in range(iterations):
             run.step()
             _, obj, slack = run.outcome()

@@ -173,12 +173,17 @@ def write_losses_csv(losses: np.ndarray, path) -> None:
 
 
 def read_losses_csv(path) -> np.ndarray:
+    """One comma-separated row of losses per line; ValueError naming the
+    line of a row whose length is not the first row's."""
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for row, line in enumerate(fh, 1):
             line = line.strip()
             if line:
                 rows.append([float(x) for x in line.split(",")])
+                if len(rows[-1]) != len(rows[0]):
+                    raise ValueError(f"{path} line {row}: {len(rows[-1])} losses, "
+                                     f"the first row has {len(rows[0])}")
     return np.asarray(rows, dtype=float)
 
 

@@ -34,7 +34,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .builders import length_automaton
-from .phi import MAX_PHI_CHAIN, PhiWfa, _Chains, phi_expand, phi_intersect
+from .phi import PhiWfa, _phi_chain_depth, _shadow_corrections, phi_expand, phi_intersect
 from .wfa import (NEG_INF, Wfa, _edge_logs, _edge_marginals, _final_weights, _log_normaliser,
                   count_accepting_paths, exact_logs, intersect, leveled_best_path, levels,
                   log_power_sum)
@@ -141,13 +141,7 @@ class CompiledMachine:
         # Phi edges by (level, longest phi path into the source): a
         # group only reads states whose phi inflow is complete.
         pid = np.flatnonzero(label < 0)
-        depth = np.zeros(n_s, np.intp)
-        while len(pid):
-            deeper = depth.copy()
-            np.maximum.at(deeper, dst[pid], depth[src[pid]] + 1)
-            if (deeper == depth).all():
-                break
-            depth = deeper
+        depth = _phi_chain_depth(dst[pid], src[pid], n_s)
         pkey = level[src[pid]] * (depth.max() + 1) + depth[src[pid]]
         by_key = np.argsort(pkey, kind="stable")
         self.ptid = pid[by_key]
@@ -207,30 +201,6 @@ class CompiledMachine:
             beta[lo:hi] = b
         z = beta[self.initial]
         return beta, (log_scale + math.log(z) if z > 0 else NEG_INF), w, wb, phi_w
-
-
-def _shadow_corrections(machine: Machine) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows (state, shadowed edge, phi chain weight) as arrays of state
-    ids, transition indices and weights.
-
-    For every symbol a state with a phi edge reads directly, the first
-    edge with that symbol further down the phi chain, and the product of
-    the phi weights down to it: :func:`~wfa_hedge.phi.shadowed_continuation`
-    for all (state, symbol) pairs at once, ordered by state and then
-    symbol in sorted-string order.  Each sweep moves every pending pair
-    one step down its chain, multiplying the weights in the same order.
-    """
-    c, n_sym = machine.columns, len(machine.alphabet)
-    if not (c.label < 0).any():
-        return np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0)
-    chains = _Chains(machine)
-    by_rank = np.array(sorted(range(n_sym), key=machine.alphabet.__getitem__), np.intp)
-    state, rank = np.nonzero(chains.direct_reads()[:, by_rank] & (chains.first >= 0)[:, None])
-    phi = chains.first[state]
-    shadowed, chain_w = chains.walk(c.dst[phi], by_rank[rank], c.weight[phi], MAX_PHI_CHAIN,
-                                    state)
-    hit = np.flatnonzero(shadowed >= 0)
-    return state[hit], shadowed[hit], chain_w[hit]
 
 
 # -- the online state ------------------------------------------------------------
@@ -345,11 +315,9 @@ def _intersect_horizon(competitor: Machine, horizon: int, eta: float) -> Machine
     if eta <= 0:
         raise ValueError("learning rate must be positive")
     s_t = length_automaton(len(competitor.alphabet), horizon, alphabet=competitor.alphabet)
+    # The acceptor has no phi edges, so the product stays chain-style.
     if isinstance(competitor, PhiWfa) and competitor.has_phi():
         inter = phi_intersect(competitor, s_t)
-        c = inter.columns
-        if np.bincount(c.src[c.label < 0], minlength=inter.num_states).max() > 1:
-            raise ValueError("engine requires chain-style phi machines")
     else:
         inter = intersect(competitor, s_t)
     if not inter.finals:

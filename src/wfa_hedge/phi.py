@@ -20,21 +20,23 @@ advance both) and are resolved with the pair-aware rule below.
 run one frontier at a time on the columns, like
 :func:`~wfa_hedge.wfa.intersect`, and :func:`phi_expand` expands a phi
 machine the same way, walking all (state, symbol) pairs of a frontier
-down their phi chains at once.  :func:`resolve_symbol` and the other
-per-pair helpers walk single edges through the per-edge views.
+down their phi chains at once.  That one walker, cached per machine,
+answers every phi chain query, :func:`resolve_symbol` and the other
+per-pair helpers included.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .wfa import (PHI, Columns, Transition, Wfa, _ArcPairs, _backward_logs, _check_edges,
-                  _coaccessible, _column_arrays, _final_weights, _find_arcs, _pushed, _ranges,
-                  _search, backward_distances, topological_order)
+from .wfa import (PHI, Columns, CyclicAutomatonError, Transition, Wfa, _ArcPairs, _backward_logs,
+                  _check_edges, _coaccessible, _column_arrays, _final_weights, _find_arcs,
+                  _pushed, _ranges, _search, backward_distances, topological_order)
 
 __all__ = [
     "PHI",
@@ -90,7 +92,7 @@ class PhiWfa(Wfa):
     than one phi transition.
     """
 
-    __slots__ = ("pair_labels", "phi_moves", "conversion_events", "_phi", "_phi_depth")
+    __slots__ = ("pair_labels", "phi_moves", "conversion_events", "_phi", "_phi_depth", "_chains")
 
     def __init__(self, alphabet: Sequence[str], num_states: int, initial: int,
                  finals: dict[int, float], transitions: Iterable[Transition],
@@ -121,7 +123,7 @@ class PhiWfa(Wfa):
         # Move kinds of composed phi edges, keyed by (src, dst).
         self.phi_moves = dict(phi_moves) if phi_moves is not None else None
         self.conversion_events: tuple = ()
-        self._phi = None
+        self._phi = self._chains = None
 
     def _set_header(self, alphabet, *rest) -> None:
         alphabet = tuple(alphabet)
@@ -137,7 +139,7 @@ class PhiWfa(Wfa):
             if several.size:
                 raise ValueError(f"state {several[0]} has several phi transitions "
                                  "but no composition metadata")
-        self._phi_depth = _phi_chain_depth(cols.src[phi], cols.dst[phi], self.num_states)
+        self._phi_depth = int(_phi_chain_depth(cols.src[phi], cols.dst[phi], self.num_states).max())
 
     # -- queries --
 
@@ -172,9 +174,10 @@ class PhiWfa(Wfa):
                 f"phi={np.count_nonzero(c.label < 0)})")
 
 
-def _phi_chain_depth(src: np.ndarray, dst: np.ndarray, num_states: int) -> int:
-    """Edges on the longest phi path, given the phi edges src -> dst;
-    raises ValueError on a phi cycle.
+def _phi_chain_depth(src: np.ndarray, dst: np.ndarray, num_states: int) -> np.ndarray:
+    """Per state, the edges on the longest phi path leaving it, given the
+    phi edges src -> dst; raises ValueError on a phi cycle.  On the
+    reversed edges, the edges on the longest phi path into each state.
 
     A sweep from the chain ends backwards, one generation at a time: a
     state settles once all its phi successors have, so generation g
@@ -183,16 +186,15 @@ def _phi_chain_depth(src: np.ndarray, dst: np.ndarray, num_states: int) -> int:
     left = np.bincount(src, minlength=num_states)  # unsettled phi successors
     by_dst = np.argsort(dst, kind="stable")
     roff = np.searchsorted(dst[by_dst], np.arange(num_states + 1))
-    settled = np.flatnonzero(left == 0)
-    done, depth = len(settled), -1
+    depth = np.full(num_states, -1, np.intp)
+    settled, g = np.flatnonzero(left == 0), 0
     while settled.size:
-        depth += 1
+        depth[settled] = g
         pred = src[by_dst[_ranges(roff[settled], roff[settled + 1])]]
         np.subtract.at(left, pred, 1)
         pred = np.unique(pred)
-        settled = pred[left[pred] == 0]
-        done += len(settled)
-    if done != num_states:
+        settled, g = pred[left[pred] == 0], g + 1
+    if (depth < 0).any():
         raise ValueError("phi cycle detected")
     return depth
 
@@ -221,6 +223,126 @@ def as_phi(machine: Machine) -> PhiWfa:
 # -- effective transitions ----------------------------------------------------
 
 
+class _Chains:
+    """A phi machine's failure edges as arrays, to walk many (state,
+    symbol) pairs down their phi chains at once; built once per machine
+    (:func:`_chains`).  The methods take that machine as ``m``: the cache
+    holds no reference back to it.  Every phi chain query walks here.
+
+    ``first[q]`` is the first phi edge of state q (transition index, -1:
+    none).  Symbols are alphabet indices; len(alphabet) stands for a
+    symbol outside the alphabet, which nothing reads.  On composition
+    outputs, ``kind[q]`` numbers q's distinct (left, right) label-set
+    pair and ``left``/``right`` hold those sets as rows of a (kinds,
+    symbols) table.
+    """
+
+    def __init__(self, machine: PhiWfa):
+        c, n = machine.columns, machine.num_states
+        self.index = {a: i for i, a in enumerate(machine.alphabet)}
+        pid = np.flatnonzero(c.label < 0)[::-1]  # reversed: a state's first phi edge wins
+        self.first = np.full(n, -1, np.intp)
+        self.first[c.src[pid]] = pid
+        self.kind = self._by_move = None
+        if machine.pair_labels is not None:
+            kinds: dict[tuple[frozenset, frozenset], int] = {}
+            self.kind = np.fromiter((kinds.setdefault(pair, len(kinds))
+                                     for pair in machine.pair_labels), np.intp, n)
+            self.left = np.zeros((len(kinds), len(self.index) + 1), bool)
+            self.right = np.zeros_like(self.left)
+            for (left, right), k in kinds.items():
+                self.left[k, [self.index[a] for a in left]] = True
+                self.right[k, [self.index[a] for a in right]] = True
+
+    def symbol(self, name: str) -> np.ndarray:
+        """One symbol name as a walk's symbol array."""
+        return np.array([self.index.get(name, len(self.index))])
+
+    def reads(self, m: PhiWfa, q: np.ndarray, symbol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per pair, the arc reading symbol[i] at q[i] (-1: none), and
+        whether q[i] reads the symbol directly: by that arc, or, on a
+        composition output, because both sides define it."""
+        e = _find_arcs(m, q, symbol)
+        e[symbol == len(self.index)] = -1
+        stop = e >= 0
+        if self.kind is not None:
+            k = self.kind[q]
+            stop |= self.left[k, symbol] & self.right[k, symbol]
+        return e, stop
+
+    def direct_reads(self) -> np.ndarray:
+        """reads[q, a]: whether composed state q reads symbol a directly,
+        by the rule of :func:`reads_directly`."""
+        return (self.left & self.right)[self.kind, :-1]
+
+    def resolving_step(self, m: PhiWfa, q: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+        """The phi edge each (state, symbol) pair takes by the rule of
+        :func:`resolve_symbol` (-1: none): on composition outputs the
+        first phi edge of the move kind that advances the side(s) not
+        defining the symbol, elsewhere the first phi edge."""
+        if self.kind is None:
+            return self.first[q]
+        if self._by_move is None:
+            c, moves = m.columns, m.phi_moves or {}
+            pid = np.flatnonzero(c.label < 0)
+            move = np.fromiter((_MOVE_CODE.get(moves.get(key), -1)
+                                for key in zip(c.src[pid].tolist(), c.dst[pid].tolist())),
+                               np.intp, len(pid))
+            pid, move = pid[move >= 0][::-1], move[move >= 0][::-1]  # the first of a kind wins
+            by_move = np.full((m.num_states, len(_MOVES)), -1, np.intp)
+            by_move[c.src[pid], move] = pid
+            self._by_move = by_move  # set once filled: racing threads build equal tables
+        k = self.kind[q]
+        want = np.where(self.left[k, symbol], _MOVE_CODE["right"],
+                        np.where(self.right[k, symbol], _MOVE_CODE["left"], _MOVE_CODE["both"]))
+        return self._by_move[q, want]
+
+    def walk(self, m: PhiWfa, q: np.ndarray, symbol: np.ndarray, w: np.ndarray, max_chain: int,
+             origin: np.ndarray, resolving: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Moves every pair (q[i], symbol[i]) down its phi chain until a
+        state reads the symbol directly (:meth:`reads`).  A pending pair
+        takes its state's first phi edge, or with ``resolving`` the one
+        :meth:`resolving_step` gives; it stops where there is none.
+        Returns per pair the arc it stops on (-1: none) and w[i] times the
+        weights of the phi edges taken, in chain order.  Raises
+        PhiChainError naming origin[i] of the first pair still moving
+        after max_chain + 1 states."""
+        c = m.columns
+        edge, weight = np.full(len(q), -1, np.intp), np.zeros(len(q))
+        pos = np.arange(len(q))
+        for _ in range(max_chain + 1):
+            e, stop = self.reads(m, q, symbol)
+            edge[pos[stop]], weight[pos[stop]] = e[stop], w[stop]
+            s = self.resolving_step(m, q, symbol) if resolving else self.first[q]
+            go = np.flatnonzero(~stop & (s >= 0))
+            pos, symbol, w, q = pos[go], symbol[go], w[go] * c.weight[s[go]], c.dst[s[go]]
+            if not pos.size:
+                break
+        if pos.size:
+            raise PhiChainError(f"phi chain exceeds {max_chain} from state {origin[pos[0]]}")
+        return edge, weight
+
+    def resolve(self, m: PhiWfa, states: np.ndarray, max_chain: int) -> tuple[np.ndarray, ...]:
+        """Every symbol at each of ``states`` resolved by the rule of
+        :func:`resolve_symbol`, all chains walked at once: per resolution
+        of nonzero weight, by state and then symbol, the index of the
+        state, the destination, and (symbol, chain weight times arc weight)."""
+        c, n_sym = m.columns, len(self.index)
+        state, symbol = np.repeat(states, n_sym), np.tile(np.arange(n_sym), len(states))
+        edge, w = self.walk(m, state, symbol, np.ones(len(state)), max_chain, state, resolving=True)
+        pair = np.flatnonzero(edge >= 0)
+        weight = w[pair] * c.weight[edge[pair]]
+        pair, weight = pair[weight != 0.0], weight[weight != 0.0]
+        return pair // n_sym, c.dst[edge[pair]], (symbol[pair], weight)
+
+
+def _chains(machine: PhiWfa) -> _Chains:
+    """The machine's :class:`_Chains`, built on first use and cached."""
+    if machine._chains is None:
+        machine._chains = _Chains(machine)
+    return machine._chains
+
+
 def resolve_symbol(machine: PhiWfa, state: int, symbol: str,
                    max_chain: int = MAX_PHI_CHAIN) -> Optional[tuple[float, int]]:
     """Effective (weight, destination) for reading ``symbol`` at ``state``.
@@ -229,36 +351,11 @@ def resolve_symbol(machine: PhiWfa, state: int, symbol: str,
     cannot be read.  Composition outputs use the pair-aware rule: advance
     only the side(s) that do not define the symbol yet.
     """
-    w = 1.0
-    q = state
-    for _ in range(max_chain + 1):
-        t = machine.arcs(q).get(symbol)
-        if t is not None:
-            return (w * t.weight, t.dst)
-        phis = machine.phi_arcs(q)
-        if not phis:
-            return None
-        if machine.pair_labels is None:
-            step = phis[0]
-        else:
-            left, right = machine.pair_labels[q]
-            in_left = symbol in left
-            in_right = symbol in right
-            if in_left and in_right:
-                # Both sides define it but no composed edge was built:
-                # the destination pair was not co-accessible.
-                return None
-            want = "right" if in_left else ("left" if in_right else "both")
-            step = None
-            for cand in phis:
-                if machine.phi_moves.get((cand.src, cand.dst)) == want:
-                    step = cand
-                    break
-            if step is None:
-                return None
-        w *= step.weight
-        q = step.dst
-    raise PhiChainError(f"phi chain exceeds {max_chain} from state {state}")
+    chains, c = _chains(machine), machine.columns
+    q = np.array([state])
+    edge, w = chains.walk(machine, q, chains.symbol(symbol), np.ones(1), max_chain, q,
+                          resolving=True)
+    return None if edge[0] < 0 else (float(w[0] * c.weight[edge[0]]), int(c.dst[edge[0]]))
 
 
 def reads_directly(machine: PhiWfa, state: int, symbol: str) -> bool:
@@ -269,10 +366,8 @@ def reads_directly(machine: PhiWfa, state: int, symbol: str) -> bool:
     completion follows it: the symbol is then unreadable there, and the
     chain must not be consulted either.
     """
-    if machine.pair_labels is None:
-        return symbol in machine.arcs(state)
-    left, right = machine.pair_labels[state]
-    return symbol in left and symbol in right
+    chains = _chains(machine)
+    return bool(chains.reads(machine, np.array([state]), chains.symbol(symbol))[1][0])
 
 
 def shadowed_continuation(machine: PhiWfa, state: int, symbol: str,
@@ -287,21 +382,36 @@ def shadowed_continuation(machine: PhiWfa, state: int, symbol: str,
     traversal over-counts and the engine must cancel.  Chain-style
     machines only (single phi per state).
     """
-    phi = machine.phi_arc(state)
-    if phi is None:
+    chains, c = _chains(machine), machine.columns
+    phi = chains.first[state]
+    if phi < 0:
         return None
-    w = phi.weight
-    q = phi.dst
-    for _ in range(max_chain + 1):
-        if reads_directly(machine, q, symbol):
-            t = machine.arcs(q).get(symbol)
-            return None if t is None else (w, t)
-        nxt = machine.phi_arc(q)
-        if nxt is None:
-            return None
-        w *= nxt.weight
-        q = nxt.dst
-    raise PhiChainError(f"phi chain exceeds {max_chain} from state {state}")
+    edge, w = chains.walk(machine, c.dst[[phi]], chains.symbol(symbol), c.weight[[phi]],
+                          max_chain, np.array([state]))
+    return None if edge[0] < 0 else (float(w[0]), machine.transitions[edge[0]])
+
+
+def _shadow_corrections(machine: Machine) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows (state, shadowed edge, phi chain weight) as arrays of state
+    ids, transition indices and weights.
+
+    For every symbol a state with a phi edge reads directly, the first
+    edge with that symbol further down the phi chain, and the product of
+    the phi weights down to it: :func:`shadowed_continuation` for all
+    (state, symbol) pairs of a composition output at once, ordered by
+    state and then symbol in sorted-string order.
+    """
+    c, n_sym = machine.columns, len(machine.alphabet)
+    if not (c.label < 0).any():
+        return np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0)
+    chains = _chains(machine)
+    by_rank = np.array(sorted(range(n_sym), key=machine.alphabet.__getitem__), np.intp)
+    state, rank = np.nonzero(chains.direct_reads()[:, by_rank] & (chains.first >= 0)[:, None])
+    phi = chains.first[state]
+    shadowed, chain_w = chains.walk(machine, c.dst[phi], by_rank[rank], c.weight[phi],
+                                    MAX_PHI_CHAIN, state)
+    hit = np.flatnonzero(shadowed >= 0)
+    return state[hit], shadowed[hit], chain_w[hit]
 
 
 def evaluate_phi(machine: PhiWfa, sequence: Sequence[str]) -> float:
@@ -315,114 +425,6 @@ def evaluate_phi(machine: PhiWfa, sequence: Sequence[str]) -> float:
         w *= r[0]
         q = r[1]
     return w * machine.final_weight(q)
-
-
-class _Chains:
-    """A phi machine's failure edges as arrays, to walk many (state,
-    symbol) pairs down their phi chains at once.
-
-    ``first[q]`` is the first phi edge of state q (transition index, -1:
-    none).  On composition outputs, ``kind[q]`` numbers q's distinct
-    (left, right) label-set pair and ``left``/``right`` hold those sets as
-    rows of a (kinds, alphabet) table.
-    """
-
-    def __init__(self, machine: PhiWfa):
-        c, n = machine.columns, machine.num_states
-        self.machine = machine
-        pid = np.flatnonzero(c.label < 0)[::-1]  # reversed: a state's first phi edge wins
-        self.first = np.full(n, -1, np.intp)
-        self.first[c.src[pid]] = pid
-        self.kind = None
-        if machine.pair_labels is not None:
-            index = {a: i for i, a in enumerate(machine.alphabet)}
-            kinds: dict[tuple[frozenset, frozenset], int] = {}
-            self.kind = np.fromiter((kinds.setdefault(pair, len(kinds))
-                                     for pair in machine.pair_labels), np.intp, n)
-            self.left = np.zeros((len(kinds), len(index)), bool)
-            self.right = np.zeros_like(self.left)
-            for (left, right), k in kinds.items():
-                self.left[k, [index[a] for a in left]] = True
-                self.right[k, [index[a] for a in right]] = True
-
-    def direct_reads(self) -> np.ndarray:
-        """reads[q, a]: whether composed state q reads symbol a directly,
-        by the rule of :func:`reads_directly`."""
-        return (self.left & self.right)[self.kind]
-
-    def resolving_steps(self):
-        """The phi edge each (state, symbol) pair takes by the rule of
-        :func:`resolve_symbol`, as a function of (state, symbol) arrays
-        for :meth:`walk`: on composition outputs the first phi edge of the
-        move kind that advances the side(s) not defining the symbol (-1:
-        none), elsewhere None, the first phi edge."""
-        if self.kind is None:
-            return None
-        c, moves = self.machine.columns, self.machine.phi_moves or {}
-        pid = np.flatnonzero(c.label < 0)
-        move = np.fromiter((_MOVE_CODE.get(moves.get(key), -1)
-                            for key in zip(c.src[pid].tolist(), c.dst[pid].tolist())),
-                           np.intp, len(pid))
-        pid, move = pid[move >= 0][::-1], move[move >= 0][::-1]  # the first of a kind wins
-        by_move = np.full((self.machine.num_states, len(_MOVES)), -1, np.intp)
-        by_move[c.src[pid], move] = pid
-
-        def step(q, symbol):
-            k = self.kind[q]
-            want = np.where(self.left[k, symbol], _MOVE_CODE["right"],
-                            np.where(self.right[k, symbol], _MOVE_CODE["left"],
-                                     _MOVE_CODE["both"]))
-            return by_move[q, want]
-
-        return step
-
-    def walk(self, q: np.ndarray, symbol: np.ndarray, w: np.ndarray, max_chain: int,
-             origin: np.ndarray, step=None) -> tuple[np.ndarray, np.ndarray]:
-        """Moves every pair (q[i], symbol[i]) down its phi chain until a
-        state reads the symbol directly: it has an arc with the symbol, or,
-        on a composition output, both sides define it.  ``step(q,
-        symbol)`` gives the phi edge each pending pair takes (-1: none, the
-        pair stops); by default, its state's first.  Returns per pair the arc it stops on (-1: none) and
-        w[i] times the weights of the phi edges taken, in chain order.
-        Raises PhiChainError naming origin[i] of the first pair still
-        moving after max_chain + 1 states."""
-        m, c = self.machine, self.machine.columns
-        edge, weight = np.full(len(q), -1, np.intp), np.zeros(len(q))
-        pos = np.arange(len(q))
-        for _ in range(max_chain + 1):
-            e = _find_arcs(m, q, symbol)
-            stop = e >= 0
-            edge[pos[stop]], weight[pos[stop]] = e[stop], w[stop]
-            if self.kind is not None:
-                k = self.kind[q]
-                stop |= self.left[k, symbol] & self.right[k, symbol]
-            s = self.first[q] if step is None else step(q, symbol)
-            go = np.flatnonzero(~stop & (s >= 0))
-            pos, symbol, w, q = pos[go], symbol[go], w[go] * c.weight[s[go]], c.dst[s[go]]
-            if not pos.size:
-                break
-        if pos.size:
-            raise PhiChainError(f"phi chain exceeds {max_chain} from state {origin[pos[0]]}")
-        return edge, weight
-
-
-def _resolver(machine: PhiWfa, max_chain: int):
-    """A function resolving every symbol at each of an array of states by
-    the rule of :func:`resolve_symbol`, all chains walked at once: per
-    resolution of nonzero weight, by state and then symbol, (index of the
-    state, symbol, phi chain weight times arc weight, destination)."""
-    c, n_sym, chains = machine.columns, len(machine.alphabet), _Chains(machine)
-    step = chains.resolving_steps()
-
-    def resolve(states):
-        state, symbol = np.repeat(states, n_sym), np.tile(np.arange(n_sym), len(states))
-        edge, w = chains.walk(state, symbol, np.ones(len(state)), max_chain, state, step)
-        pair = np.flatnonzero(edge >= 0)
-        weight = w[pair] * c.weight[edge[pair]]
-        pair, weight = pair[weight != 0.0], weight[weight != 0.0]
-        return pair // n_sym, symbol[pair], weight, c.dst[edge[pair]]
-
-    return resolve
 
 
 def phi_expand(machine: PhiWfa, max_chain: int = MAX_PHI_CHAIN) -> Wfa:
@@ -440,13 +442,9 @@ def phi_expand(machine: PhiWfa, max_chain: int = MAX_PHI_CHAIN) -> Wfa:
     and ``state_names`` keeps the names of the states kept, as a
     queue-based search calling :func:`resolve_symbol` per pair gives them.
     """
-    resolve = _resolver(machine, max_chain)
-
-    def expand(frontier):
-        owner, symbol, weight, dst = resolve(frontier)
-        return owner, dst, (symbol, weight)
-
-    code, src, dst, (label, weight) = _search(machine.initial, expand)
+    chains = _chains(machine)
+    code, src, dst, (label, weight) = _search(machine.initial,
+                                              lambda f: chains.resolve(machine, f, max_chain))
     new_id = np.full(machine.num_states, -1, np.intp)
     new_id[code] = np.arange(len(code))
     finals = {int(new_id[q]): w for q, w in machine.finals.items() if new_id[q] >= 0}
@@ -464,8 +462,10 @@ def _resolved(machine: PhiWfa) -> Wfa:
     """The plain machine on the same states whose arcs are the nonzero
     resolutions of every (state, symbol): its paths are the legal ones."""
     topological_order(machine)  # raises CyclicAutomatonError on any cycle, phi edges included
+    src, dst, (label, weight) = _chains(machine).resolve(machine, np.arange(machine.num_states),
+                                                         MAX_PHI_CHAIN)
     return Wfa.from_columns(machine.alphabet, machine.num_states, machine.initial, machine.finals,
-                            *_resolver(machine, MAX_PHI_CHAIN)(np.arange(machine.num_states)))
+                            src, label, weight, dst)
 
 
 def _reweighted(machine: PhiWfa, weight: np.ndarray, finals: dict[int, float]) -> PhiWfa:
@@ -505,66 +505,6 @@ def weight_push_phi(machine: PhiWfa) -> PhiWfa:
 # -- conversion ----------------------------------------------------------------
 
 
-def phi_source_subset(wfa: Wfa, q: int) -> tuple[set[tuple[str, float]], list[int]]:
-    """Greedy parent subset sharing (label, weight) edges into ``q``.
-
-    Grows the parent set one state at a time, always adding the parent
-    that keeps the shared edge set largest (ties: lowest state id), and
-    returns the prefix maximizing |S||Q| - (|S| + |Q|).
-    """
-    return _phi_source_subset(_EdgeView.from_wfa(wfa), q)
-
-
-@dataclass
-class _EdgeView:
-    """Mutable adjacency used while converting."""
-    out: list[dict[str, tuple[float, int]]]
-    phi_of: dict[int, int]  # src -> hub
-
-    @classmethod
-    def from_wfa(cls, wfa: Wfa) -> "_EdgeView":
-        out = [dict() for _ in range(wfa.num_states)]
-        for t in wfa.transitions:
-            out[t.src][t.label] = (t.weight, t.dst)
-        return cls(out=out, phi_of={})
-
-    def parents_of(self, q: int) -> list[int]:
-        ps = set()
-        for p, arcs in enumerate(self.out):
-            for w, dst in arcs.values():
-                if dst == q:
-                    ps.add(p)
-        return sorted(ps)
-
-    def edges_into(self, p: int, q: int) -> set[tuple[str, float]]:
-        return {(a, w) for a, (w, dst) in self.out[p].items() if dst == q}
-
-
-def _phi_source_subset(view: _EdgeView, q: int) -> tuple[set[tuple[str, float]], list[int]]:
-    # Parents that already carry a phi transition are not eligible:
-    # a state gets at most one.
-    parents = [p for p in view.parents_of(q) if p not in view.phi_of]
-    chosen: list[int] = []
-    shared: set[tuple[str, float]] = set()
-    best = (float("-inf"), set(), [])
-    for _ in range(len(parents)):
-        cand_best = None
-        for p in parents:
-            if p in chosen:
-                continue
-            s = view.edges_into(p, q) if not chosen else shared & view.edges_into(p, q)
-            if cand_best is None or len(s) > len(cand_best[1]):
-                cand_best = (p, s)
-        if cand_best is None:
-            break
-        chosen = chosen + [cand_best[0]]
-        shared = cand_best[1]
-        benefit = len(shared) * len(chosen) - (len(shared) + len(chosen))
-        if benefit > best[0]:
-            best = (benefit, set(shared), list(chosen))
-    return best[1], best[2]
-
-
 @dataclass(frozen=True)
 class ConversionEvent:
     target: int
@@ -572,6 +512,58 @@ class ConversionEvent:
     shared_labels: tuple[tuple[str, float], ...]
     parents: tuple[int, ...]
     transition_delta: int  # |S| + |Q| - |S||Q|, negative when shrinking
+
+
+def _pairs(wfa: Wfa) -> np.ndarray:
+    """Per edge, the rank of its (label, weight) pair in (sorted label,
+    weight) order.  A NaN weight pairs with nothing, as NaN float objects
+    in a set do not."""
+    c, n_sym = wfa.columns, len(wfa.alphabet)
+    if (c.label < 0).any():
+        raise ValueError("machine already has phi transitions")
+    rank = np.empty(n_sym, np.intp)
+    rank[sorted(range(n_sym), key=wfa.alphabet.__getitem__)] = np.arange(n_sym)
+    weights, weight = np.unique(c.weight, return_inverse=True, equal_nan=False)
+    return np.unique(rank[c.label] * len(weights) + weight, return_inverse=True)[1]
+
+
+def _subset(c: Columns, e: np.ndarray, pair: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The greedy subset of :func:`phi_source_subset` among the parents of
+    edges ``e``, which share a target, on a parents x (label, weight)
+    table: the edges it moves, the parents in the order chosen, and the
+    benefit |S||Q| - (|S| + |Q|) (ties: the shortest prefix)."""
+    parents, row = np.unique(c.src[e], return_inverse=True)
+    pairs, col = np.unique(pair[e], return_inverse=True)
+    table = np.zeros((len(parents), len(pairs)), bool)
+    table[row, col] = True
+    free, shared, chosen = np.ones(len(parents), bool), np.ones(len(pairs), bool), []
+    best, best_shared, best_free, best_k = -math.inf, shared, free, 0
+    for k in range(1, len(parents) + 1):
+        count = np.where(free, np.count_nonzero(table & shared, axis=1), -1)
+        i = int(count.argmax())
+        free[i], shared = False, shared & table[i]
+        chosen.append(i)
+        # The benefit (|S| - 1)(|Q| - 1) - 1 grows with both, and |S| only
+        # shrinks: stop once no longer prefix can beat the best.
+        ns = int(count[i])
+        if (ns - 1) * (k - 1) - 1 > best:
+            best, best_shared, best_free, best_k = (ns - 1) * (k - 1) - 1, shared, free.copy(), k
+        if (ns - 1) * (len(parents) - 1) - 1 <= best:
+            break
+    return e[~best_free[row] & best_shared[col]], parents[chosen[:best_k]], best
+
+
+def phi_source_subset(wfa: Wfa, q: int) -> tuple[set[tuple[str, float]], list[int]]:
+    """Greedy parent subset sharing (label, weight) edges into ``q``.
+
+    Grows the parent set one state at a time, always adding the parent
+    that keeps the shared edge set largest (ties: lowest state id), and
+    returns the prefix maximizing |S||Q| - (|S| + |Q|).
+    """
+    c = wfa.columns
+    moved, parents, _ = _subset(c, np.flatnonzero(c.dst == q), _pairs(wfa))
+    labels = [wfa.alphabet[a] for a in c.label[moved].tolist()]
+    return set(zip(labels, c.weight[moved].tolist())), parents.tolist()
 
 
 def phi_convert(wfa: Wfa) -> PhiWfa:
@@ -583,49 +575,49 @@ def phi_convert(wfa: Wfa) -> PhiWfa:
     inserted: each parent gets a weight-1 phi transition to the hub, the
     shared edges move onto the hub, and the parents drop them.  The
     weighted language is unchanged.  The returned machine carries the
-    per-state events in ``conversion_events``.
+    per-state events in ``conversion_events``.  Raises ValueError when
+    two transitions leave one state with the same label.
     """
-    view = _EdgeView.from_wfa(wfa)
+    c, n, pair = wfa.columns, wfa.num_states, _pairs(wfa)
     try:
         order = topological_order(wfa)
-    except Exception:
-        order = list(range(wfa.num_states))
-    events: list[ConversionEvent] = []
-    num_states = wfa.num_states
-    hub_edges: list[Transition] = []
+    except CyclicAutomatonError:
+        order = range(n)
+    by_dst = np.argsort(c.dst, kind="stable")
+    off = np.searchsorted(c.dst[by_dst], np.arange(n + 1))
+    hub_of, keep = np.full(n, -1, np.intp), np.ones(len(c.src), bool)
+    events, hub_edges = [], []
     for q in order:
-        if q == wfa.initial:
+        # Edges move only off the target's own in-edges, so each target
+        # reads the input's, six at least for |S||Q| > |S| + |Q|; parents
+        # that already have a phi edge are not eligible.
+        e = by_dst[off[q]:off[q + 1]]
+        if q == wfa.initial or len(e) < 6:
             continue
-        shared, parents = _phi_source_subset(view, q)
-        ns, nq = len(shared), len(parents)
-        if ns + nq >= ns * nq:
+        moved, parents, benefit = _subset(c, e[hub_of[c.src[e]] < 0], pair)
+        if benefit <= 0:
             continue
-        hub = num_states
-        num_states += 1
-        for p in parents:
-            view.phi_of[p] = hub
-            for a, w in shared:
-                del view.out[p][a]
-        for a, w in sorted(shared):
-            hub_edges.append(Transition(hub, a, w, q))
+        hub_of[parents], keep[moved] = n + len(events), False
+        on_hub = moved[c.src[moved] == parents[0]]
+        hub_edges.append(on_hub[np.argsort(pair[on_hub])])
         events.append(ConversionEvent(
-            target=q, hub=hub,
-            shared_labels=tuple(sorted(shared)),
-            parents=tuple(parents),
-            transition_delta=ns + nq - ns * nq))
-
-    ts: list[Transition] = []
-    for p, arcs in enumerate(view.out):
-        for a in sorted(arcs):
-            w, dst = arcs[a]
-            ts.append(Transition(p, a, w, dst))
-    for p, hub in sorted(view.phi_of.items()):
-        ts.append(Transition(p, PHI, 1.0, hub))
-    ts.extend(hub_edges)
-    names = None
-    if wfa.state_names is not None:
-        names = list(wfa.state_names) + [f"hub{e.hub}" for e in events]
-    result = PhiWfa(wfa.alphabet, num_states, wfa.initial, dict(wfa.finals), ts, names)
+            target=q, hub=n + len(events),
+            shared_labels=tuple(zip(map(wfa.alphabet.__getitem__, c.label[hub_edges[-1]].tolist()),
+                                    c.weight[hub_edges[-1]].tolist())),
+            parents=tuple(parents.tolist()), transition_delta=-benefit))
+    # Arcs left by source and sorted label, phi edges by parent, hub edges by hub and label.
+    arcs = np.flatnonzero(keep)
+    arcs = arcs[np.lexsort((pair[arcs], c.src[arcs]))]
+    phi, moved = np.flatnonzero(hub_of >= 0), np.concatenate([arcs[:0]] + hub_edges)
+    hubs = np.repeat(n + np.arange(len(events)), list(map(len, hub_edges)))
+    names = None if wfa.state_names is None else (
+        list(wfa.state_names) + [f"hub{e.hub}" for e in events])
+    result = PhiWfa.from_columns(
+        wfa.alphabet, n + len(events), wfa.initial, dict(wfa.finals),
+        np.concatenate((c.src[arcs], phi, hubs)),
+        np.concatenate((c.label[arcs], np.full(len(phi), -1), c.label[moved])),
+        np.concatenate((c.weight[arcs], np.ones(len(phi)), c.weight[moved])),
+        np.concatenate((c.dst[arcs], hub_of[phi], c.dst[moved])), names)
     result.conversion_events = tuple(events)
     return result
 
@@ -646,14 +638,9 @@ for (_f, _move), _g in PHI_FILTER.items():
 
 
 def _phi_arc_arrays(machine: PhiWfa) -> tuple[np.ndarray, np.ndarray]:
-    """Per state, the target and weight of its phi edge (target -1: none).
-    Chain-style machines only."""
-    c = machine.columns
-    phi = np.flatnonzero(c.label < 0)
-    dst, weight = np.full(machine.num_states, -1, np.intp), np.zeros(machine.num_states)
-    dst[c.src[phi]] = c.dst[phi]
-    weight[c.src[phi]] = c.weight[phi]
-    return dst, weight
+    """Per state, its first phi edge's target (-1: none) and weight."""
+    c, first = machine.columns, _chains(machine).first
+    return np.append(c.dst, -1)[first], np.append(c.weight, 0.0)[first]
 
 
 def _label_sets(machine: PhiWfa) -> list[frozenset]:

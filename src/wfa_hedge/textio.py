@@ -28,6 +28,20 @@ def _fmt(w: float) -> str:
     return format(w, ".17g")
 
 
+def _number(text: str, kind: type, where: str, field: str):
+    """``text`` as an int or a float other than NaN, which every path sum
+    reads as a dead edge (NaN > 0 is false); else ValueError naming
+    ``where`` and the field."""
+    try:
+        value = kind(text)
+        if value == value:
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"{where}: {field} {text!r} is not "
+                     + ("an integer" if kind is int else "a number"))
+
+
 def write_symbols(alphabet, path: Union[str, os.PathLike]) -> None:
     with open(path, "w") as fh:
         for i, name in enumerate(alphabet):
@@ -72,22 +86,28 @@ def read_automaton(path: Union[str, os.PathLike],
     initial = None
     max_state = -1
     with open(path) as fh:
-        for line in fh:
+        for row, line in enumerate(fh, 1):
             parts = line.split()
             if not parts:
                 continue
+            where = f"{path} line {row}"
+            if len(parts) > 4:
+                raise ValueError(f"{where}: {len(parts)} fields; a transition has at most 4")
             if len(parts) >= 3:
-                src, dst, label = int(parts[0]), int(parts[1]), parts[2]
+                src = _number(parts[0], int, where, "source")
+                dst = _number(parts[1], int, where, "destination")
+                label = parts[2]
                 if label not in known:
-                    raise ValueError(f"unknown symbol {label!r}")
-                weight = float(parts[3]) if len(parts) > 3 else 1.0
+                    raise ValueError(f"{where}: unknown symbol {label!r}")
+                weight = _number(parts[3], float, where, "weight") if len(parts) > 3 else 1.0
                 if initial is None:
                     initial = src
                 transitions.append(Transition(src, label, weight, dst))
                 max_state = max(max_state, src, dst)
-            elif len(parts) <= 2:
-                q = int(parts[0])
-                finals[q] = float(parts[1]) if len(parts) == 2 else 1.0
+            else:
+                q = _number(parts[0], int, where, "state")
+                finals[q] = (_number(parts[1], float, where, "final weight") if len(parts) == 2
+                             else 1.0)
                 max_state = max(max_state, q)
     if initial is None:
         initial = 0

@@ -6,16 +6,17 @@ through the code paths under test.
 
 import math
 from collections import deque
+from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from wfa_hedge.approx import DivergenceValue, SelectionResult, _slack
 from wfa_hedge.hedge import renyi_entropy, shannon_entropy
 from wfa_hedge.ngram import NGramModel, _context_product, uniform_model
-from wfa_hedge.phi import (MAX_PHI_CHAIN, PHI, PHI_FILTER, PhiWfa, as_phi, resolve_symbol,
-                           shadowed_continuation)
+from wfa_hedge.phi import (MAX_PHI_CHAIN, PHI, PHI_FILTER, ConversionEvent, PhiChainError,
+                           PhiWfa, as_phi)
 from wfa_hedge.wfa import (NEG_INF, BestPath, CyclicAutomatonError, Transition, Wfa,
                            _edge_marginals, _horizon, _log_normaliser, _ranges,
                            default_alphabet, enumerate_support)
@@ -1278,3 +1279,227 @@ def select_order(machine: Wfa, iterations: int, budget: int,
     return SelectionResult(model=best[1], order=best[0], feasible=True,
                            objective=best[2], slack=best[3],
                            budget_limited=False, tried=tried)
+
+
+# -- the failure-transition dict walks the chain walker replaced -----------------------
+#
+# resolve_symbol, reads_directly, shadowed_continuation and evaluate_phi
+# as the library had them before every phi chain walk went through one
+# array walker, and the dict phi_convert with its _EdgeView, as it was
+# before the greedy search ran on edge columns, kept as references.  They
+# walk Transition objects and the arcs() and phi_arcs() views.
+# phi_convert catches only CyclicAutomatonError, as the library does, so
+# a repeated (state, label) raises here too.
+
+
+def resolve_symbol(machine: PhiWfa, state: int, symbol: str,
+                   max_chain: int = MAX_PHI_CHAIN) -> Optional[tuple[float, int]]:
+    """Effective (weight, destination) for reading ``symbol`` at ``state``.
+
+    Follows the phi chain with shadowing; returns None when the symbol
+    cannot be read.  Composition outputs use the pair-aware rule: advance
+    only the side(s) that do not define the symbol yet.
+    """
+    w = 1.0
+    q = state
+    for _ in range(max_chain + 1):
+        t = machine.arcs(q).get(symbol)
+        if t is not None:
+            return (w * t.weight, t.dst)
+        phis = machine.phi_arcs(q)
+        if not phis:
+            return None
+        if machine.pair_labels is None:
+            step = phis[0]
+        else:
+            left, right = machine.pair_labels[q]
+            in_left = symbol in left
+            in_right = symbol in right
+            if in_left and in_right:
+                # Both sides define it but no composed edge was built:
+                # the destination pair was not co-accessible.
+                return None
+            want = "right" if in_left else ("left" if in_right else "both")
+            step = None
+            for cand in phis:
+                if machine.phi_moves.get((cand.src, cand.dst)) == want:
+                    step = cand
+                    break
+            if step is None:
+                return None
+        w *= step.weight
+        q = step.dst
+    raise PhiChainError(f"phi chain exceeds {max_chain} from state {state}")
+
+
+def reads_directly(machine: PhiWfa, state: int, symbol: str) -> bool:
+    """Whether ``state`` reads ``symbol`` without its phi chain.
+
+    A composition state does when both sides define the symbol
+    (``pair_labels``), even if the composed edge was trimmed because no
+    completion follows it: the symbol is then unreadable there, and the
+    chain must not be consulted either.
+    """
+    if machine.pair_labels is None:
+        return symbol in machine.arcs(state)
+    left, right = machine.pair_labels[state]
+    return symbol in left and symbol in right
+
+
+def shadowed_continuation(machine: PhiWfa, state: int, symbol: str,
+                          max_chain: int = MAX_PHI_CHAIN
+                          ) -> Optional[tuple[float, Transition]]:
+    """First shadowed ``symbol`` edge hanging off ``state``'s phi chain.
+
+    ``state`` reads ``symbol`` directly; the returned pair is the
+    accumulated phi weight down to the first chain state that reads it
+    too, together with that state's edge (None when there is no such
+    state or it has no such edge).  This is the path mass a summing
+    traversal over-counts and the engine must cancel.  Chain-style
+    machines only (single phi per state).
+    """
+    phi = machine.phi_arc(state)
+    if phi is None:
+        return None
+    w = phi.weight
+    q = phi.dst
+    for _ in range(max_chain + 1):
+        if reads_directly(machine, q, symbol):
+            t = machine.arcs(q).get(symbol)
+            return None if t is None else (w, t)
+        nxt = machine.phi_arc(q)
+        if nxt is None:
+            return None
+        w *= nxt.weight
+        q = nxt.dst
+    raise PhiChainError(f"phi chain exceeds {max_chain} from state {state}")
+
+
+def evaluate_phi(machine: PhiWfa, sequence: Sequence[str]) -> float:
+    """Weight of ``sequence`` under failure-transition semantics."""
+    q = machine.initial
+    w = 1.0
+    for a in sequence:
+        r = resolve_symbol(machine, q, a)
+        if r is None:
+            return 0.0
+        w *= r[0]
+        q = r[1]
+    return w * machine.final_weight(q)
+
+
+def phi_source_subset(wfa: Wfa, q: int) -> tuple[set[tuple[str, float]], list[int]]:
+    """Greedy parent subset sharing (label, weight) edges into ``q``.
+
+    Grows the parent set one state at a time, always adding the parent
+    that keeps the shared edge set largest (ties: lowest state id), and
+    returns the prefix maximizing |S||Q| - (|S| + |Q|).
+    """
+    return _phi_source_subset(_EdgeView.from_wfa(wfa), q)
+
+
+@dataclass
+class _EdgeView:
+    """Mutable adjacency used while converting."""
+    out: list[dict[str, tuple[float, int]]]
+    phi_of: dict[int, int]  # src -> hub
+
+    @classmethod
+    def from_wfa(cls, wfa: Wfa) -> "_EdgeView":
+        out = [dict() for _ in range(wfa.num_states)]
+        for t in wfa.transitions:
+            out[t.src][t.label] = (t.weight, t.dst)
+        return cls(out=out, phi_of={})
+
+    def parents_of(self, q: int) -> list[int]:
+        ps = set()
+        for p, arcs in enumerate(self.out):
+            for w, dst in arcs.values():
+                if dst == q:
+                    ps.add(p)
+        return sorted(ps)
+
+    def edges_into(self, p: int, q: int) -> set[tuple[str, float]]:
+        return {(a, w) for a, (w, dst) in self.out[p].items() if dst == q}
+
+
+def _phi_source_subset(view: _EdgeView, q: int) -> tuple[set[tuple[str, float]], list[int]]:
+    # Parents that already carry a phi transition are not eligible:
+    # a state gets at most one.
+    parents = [p for p in view.parents_of(q) if p not in view.phi_of]
+    chosen: list[int] = []
+    shared: set[tuple[str, float]] = set()
+    best = (float("-inf"), set(), [])
+    for _ in range(len(parents)):
+        cand_best = None
+        for p in parents:
+            if p in chosen:
+                continue
+            s = view.edges_into(p, q) if not chosen else shared & view.edges_into(p, q)
+            if cand_best is None or len(s) > len(cand_best[1]):
+                cand_best = (p, s)
+        if cand_best is None:
+            break
+        chosen = chosen + [cand_best[0]]
+        shared = cand_best[1]
+        benefit = len(shared) * len(chosen) - (len(shared) + len(chosen))
+        if benefit > best[0]:
+            best = (benefit, set(shared), list(chosen))
+    return best[1], best[2]
+
+
+def phi_convert(wfa: Wfa) -> PhiWfa:
+    """Introduce failure transitions wherever the edge count shrinks.
+
+    Visits non-initial states in topological order (ascending id on
+    cyclic machines).  For a state q whose greedy parent subset shares S
+    edges over Q parents with |S| + |Q| < |S||Q|, a hub state is
+    inserted: each parent gets a weight-1 phi transition to the hub, the
+    shared edges move onto the hub, and the parents drop them.  The
+    weighted language is unchanged.  The returned machine carries the
+    per-state events in ``conversion_events``.
+    """
+    from wfa_hedge.wfa import topological_order  # this module's skips phi edges
+    view = _EdgeView.from_wfa(wfa)
+    try:
+        order = topological_order(wfa)
+    except CyclicAutomatonError:
+        order = list(range(wfa.num_states))
+    events: list[ConversionEvent] = []
+    num_states = wfa.num_states
+    hub_edges: list[Transition] = []
+    for q in order:
+        if q == wfa.initial:
+            continue
+        shared, parents = _phi_source_subset(view, q)
+        ns, nq = len(shared), len(parents)
+        if ns + nq >= ns * nq:
+            continue
+        hub = num_states
+        num_states += 1
+        for p in parents:
+            view.phi_of[p] = hub
+            for a, w in shared:
+                del view.out[p][a]
+        for a, w in sorted(shared):
+            hub_edges.append(Transition(hub, a, w, q))
+        events.append(ConversionEvent(
+            target=q, hub=hub,
+            shared_labels=tuple(sorted(shared)),
+            parents=tuple(parents),
+            transition_delta=ns + nq - ns * nq))
+
+    ts: list[Transition] = []
+    for p, arcs in enumerate(view.out):
+        for a in sorted(arcs):
+            w, dst = arcs[a]
+            ts.append(Transition(p, a, w, dst))
+    for p, hub in sorted(view.phi_of.items()):
+        ts.append(Transition(p, PHI, 1.0, hub))
+    ts.extend(hub_edges)
+    names = None
+    if wfa.state_names is not None:
+        names = list(wfa.state_names) + [f"hub{e.hub}" for e in events]
+    result = PhiWfa(wfa.alphabet, num_states, wfa.initial, dict(wfa.finals), ts, names)
+    result.conversion_events = tuple(events)
+    return result

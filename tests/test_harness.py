@@ -83,6 +83,13 @@ def test_losses_csv_roundtrip(tmp_path):
     assert (again == losses).all()
 
 
+def test_losses_csv_names_the_line_of_a_short_row(tmp_path):
+    path = tmp_path / "l.csv"
+    path.write_text("0.1,0.2\n\n0.3\n")
+    with pytest.raises(ValueError, match=r"l\.csv line 3: 1 losses, the first row has 2"):
+        read_losses_csv(path)
+
+
 def test_awake_csv_formats(tmp_path):
     path = tmp_path / "a.csv"
     path.write_text("101\nb;c\n111\n")
@@ -473,6 +480,16 @@ def test_cli_phi_convert_roundtrip(tmp_path):
                      "--symbols", str(tmp_path / "m.syms"),
                      "--out", str(tmp_path / "p")]) == 0
     assert (tmp_path / "p.fsa").exists()
+
+
+def test_cli_phi_convert_exits_1_on_a_nondeterministic_machine(tmp_path, capsys):
+    (tmp_path / "m.fsa").write_text("0 1 a 0.5\n0 2 a 0.25\n1 3 b\n2 3 b\n3\n")
+    (tmp_path / "m.syms").write_text("a 0\nb 1\n")
+    assert cli_main(["phi-convert", "--automaton", str(tmp_path / "m.fsa"),
+                     "--symbols", str(tmp_path / "m.syms"),
+                     "--out", str(tmp_path / "p")]) == 1
+    assert "two 'a'-transitions leave state 0" in capsys.readouterr().err
+    assert not (tmp_path / "p.fsa").exists()
 
 
 def test_cli_compare(tmp_path):

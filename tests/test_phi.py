@@ -131,6 +131,19 @@ def test_convert_size_accounting():
             assert ev.transition_delta == ns + nq - ns * nq < 0
 
 
+def test_convert_refuses_a_nondeterministic_machine():
+    # Read as a dict, the machine kept its last 'a' arc: the conversion
+    # weighed "ab" 0.25 where the machine weighs it 0.5.
+    m = Wfa(("a", "b"), 4, 0, {3: 1.0},
+            [Transition(0, "a", 0.5, 1), Transition(0, "a", 0.25, 2),
+             Transition(1, "b", 1.0, 3), Transition(2, "b", 1.0, 3)])
+    assert evaluate(m, "ab") == 0.5
+    with pytest.raises(ValueError, match="two 'a'-transitions leave state 0"):
+        phi_convert(m)
+    with pytest.raises(ValueError, match="already has phi transitions"):
+        phi_convert(phi_convert(shared_fanin_machine(3)))
+
+
 # -- expansion ----------------------------------------------------------------------
 
 

@@ -14,14 +14,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from wfa_hedge import phi
 from wfa_hedge.approx import _ProdEGRun, divergence_inf, kl_divergence, select_order
-from wfa_hedge.builders import length_automaton
+from wfa_hedge.builders import exact_shift_automaton, length_automaton
 from wfa_hedge.hedge import (hedge_init, hedge_step, log_power_sum, renyi_entropy_machine,
                              shannon_entropy, tune_eta_renyi)
 from wfa_hedge.ngram import NGramModel, bigram_phi_machine, ml_ngram, ngram_to_wfa
 from wfa_hedge.phi import (MAX_PHI_CHAIN, PhiChainError, PhiWfa, phi_backward_distances,
-                           phi_convert, phi_expand, phi_intersect, power_weights_phi,
-                           resolve_symbol, weight_push_phi)
+                           phi_convert, phi_expand, phi_intersect, phi_source_subset,
+                           power_weights_phi, resolve_symbol, weight_push_phi)
 from wfa_hedge.sleeping import (awake_distribution, awake_init, awake_step,
                                 sleeping_regret, worst_comparator)
 from wfa_hedge.wfa import (CyclicAutomatonError, Wfa, backward_distances, enumerate_support,
@@ -369,6 +370,98 @@ def test_phi_expand_draws_cover_caps_zero_weights_and_several_phi_edges():
         except PhiChainError:
             pass
     assert raised >= 3 and zero >= 3 and several >= 3
+
+
+def pair_outcome(f, *args):
+    """The repr of f's value, or the message of the PhiChainError it raises."""
+    try:
+        return repr(f(*args))
+    except PhiChainError as err:
+        return f"PhiChainError({err})"
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=SEEDS, form=st.sampled_from(["chain", "converted", "product"]),
+       max_chain=CHAIN_CAPS)
+def test_per_pair_helpers_match_the_dict_walks(seed, form, max_chain):
+    # Every (state, symbol) pair, "z" standing for a symbol outside the
+    # alphabet; evaluate_phi on a few random strings at the default cap.
+    rng = np.random.default_rng(seed)
+    machine = random_phi_machine(rng, form)
+    symbols = machine.alphabet + ("z",)
+    for q in range(machine.num_states):
+        for a in symbols:
+            for name in ("resolve_symbol", "shadowed_continuation"):
+                assert (pair_outcome(getattr(phi, name), machine, q, a, max_chain)
+                        == pair_outcome(getattr(oracles, name), machine, q, a, max_chain))
+            assert phi.reads_directly(machine, q, a) is oracles.reads_directly(machine, q, a)
+    for _ in range(4):
+        seq = [symbols[i] for i in rng.integers(len(symbols), size=int(rng.integers(0, 5)))]
+        assert (pair_outcome(phi.evaluate_phi, machine, seq)
+                == pair_outcome(oracles.evaluate_phi, machine, seq))
+
+
+def conversion_input(rng, form):
+    """A shared-structure DAG (dyadic or uniform weights), a raw machine
+    (cyclic or not, maybe with a repeated (state, label)), or an exact
+    shift machine, alone or intersected with a length acceptor."""
+    if form in ("dyadic", "uniform"):
+        layers = tuple([1] + [int(rng.integers(2, 6)) for _ in range(int(rng.integers(1, 4)))]
+                       + [1])
+        return oracles.random_shared_structure_wfa(rng, layers=layers, weights=form)
+    if form == "raw":
+        return oracles.random_raw_wfa(rng, int(rng.integers(1, 12)), ("a", "b", "c"),
+                                      edge_prob=0.8, cyclic=bool(rng.integers(2)),
+                                      duplicates=int(rng.integers(2)))
+    n, k = int(rng.integers(2, 5)), int(rng.integers(3))
+    machine = exact_shift_automaton(n, k)
+    if rng.integers(2):
+        return machine
+    return intersect(machine, length_automaton(n, int(rng.integers(1, 5)),
+                                               alphabet=machine.alphabet))
+
+
+def conversion_matches_dict(machine):
+    """Asserts phi_convert equals the dict conversion byte for byte, and
+    phi_source_subset the dict subset at every state, or that both raise
+    the same ValueError; returns the number of hubs, or None on a raise."""
+    try:
+        want = oracles.phi_convert(machine)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            phi_convert(machine)
+        assert str(got.value) == str(err)
+        return None
+    got = phi_convert(machine)
+    assert (got.alphabet, got.num_states, got.initial, got.state_names) == \
+        (want.alphabet, want.num_states, want.initial, want.state_names)
+    assert repr(got.finals) == repr(want.finals)
+    for a, b in zip(got.columns, want.columns):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert repr(got.conversion_events) == repr(want.conversion_events)
+    for q in range(machine.num_states):
+        assert phi_source_subset(machine, q) == oracles.phi_source_subset(machine, q)
+    return len(got.conversion_events)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=SEEDS, form=st.sampled_from(["dyadic", "uniform", "raw", "shift"]))
+def test_column_conversion_matches_the_dict_conversion(seed, form):
+    machine = conversion_input(np.random.default_rng(seed), form)
+    assume(machine is not None)
+    conversion_matches_dict(machine)
+
+
+def test_conversion_draws_cover_hubs_and_repeated_labels():
+    hubs = raised = 0
+    for seed in range(80):
+        machine = conversion_input(np.random.default_rng(seed),
+                                   ("dyadic", "uniform", "raw", "shift")[seed % 4])
+        if machine is not None:
+            n = conversion_matches_dict(machine)
+            raised += n is None
+            hubs += bool(n)
+    assert hubs >= 5 and raised >= 3
 
 
 @settings(max_examples=150, deadline=None)

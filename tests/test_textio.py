@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import numpy as np
@@ -87,3 +88,25 @@ def test_final_weights_serialized(tmp_path):
     text = (tmp_path / "k.fsa").read_text()
     first_src = int(text.splitlines()[0].split()[0])
     assert first_src == m.initial
+
+
+@pytest.mark.parametrize("line, message", [
+    ("0 1 a x", r"line 2: weight 'x' is not a number"),
+    ("0 1.5 a 0.5", r"line 2: destination '1\.5' is not an integer"),
+    ("0 1 a 0.5 7", r"line 2: 5 fields; a transition has at most 4"),
+    ("0 1 a nan", r"line 2: weight 'nan' is not a number"),
+    ("1 NaN", r"line 2: final weight 'NaN' is not a number"),
+])
+def test_automaton_errors_name_the_line_and_field(tmp_path, line, message):
+    (tmp_path / "m.fsa").write_text(f"0 1 b 0.5\n{line}\n1\n")
+    write_symbols(("a", "b"), tmp_path / "m.syms")
+    with pytest.raises(ValueError, match=r"m\.fsa " + message):
+        read_automaton(tmp_path / "m.fsa", tmp_path / "m.syms")
+
+
+def test_automaton_reads_inf_and_negative_weights(tmp_path):
+    # The semiring allows inf, and validate reports a negative weight.
+    (tmp_path / "m.fsa").write_text("0 1 a inf\n0 1 b -0.5\n1\n")
+    write_symbols(("a", "b"), tmp_path / "m.syms")
+    m = read_automaton(tmp_path / "m.fsa", tmp_path / "m.syms")
+    assert m.columns.weight.tolist() == [math.inf, -0.5]
