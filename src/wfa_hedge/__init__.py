@@ -20,7 +20,7 @@ The package splits into:
 from .builders import (exact_shift_automaton, hierarchy_automaton,
                        length_automaton, weighted_shift_automaton)
 from .hedge import (HedgeState, RegretReport, hedge_init, hedge_step,
-                    renyi_entropy, renyi_entropy_machine, sample,
+                    horizon_product, renyi_entropy, renyi_entropy_machine, sample,
                     shannon_entropy, summarize, tune_eta_fixed,
                     tune_eta_renyi, unweighted_regret, weighted_regret)
 from .ngram import (NGramModel, bigram_phi_machine, fixed_share_bigram,

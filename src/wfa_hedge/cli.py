@@ -13,16 +13,13 @@ import logging
 import os
 import sys
 
-
 from . import approx as approxmod
 from . import ngram as ngrammod
-from .harness import (ExperimentConfig, build_automaton, compare,
-                      gen_losses, report_to_json, run_experiment,
-                      write_losses_csv)
-from .builders import length_automaton
+from .harness import (ExperimentConfig, build_automaton, compare, fit_approximation,
+                      gen_losses, report_to_json, run_experiment, write_losses_csv)
+from .hedge import horizon_product
 from .phi import phi_convert
 from .textio import read_automaton, write_automaton, write_symbols
-from .wfa import intersect
 
 log = logging.getLogger("wfa_hedge")
 
@@ -75,18 +72,10 @@ def cmd_phi_convert(args) -> int:
 
 
 def cmd_approximate(args) -> int:
-    machine = _machine_from_args(args)
-    n = len(machine.alphabet)
-    competitor_t = intersect(machine, length_automaton(n, args.horizon,
-                                                       alphabet=machine.alphabet))
-    if args.kind == "ml-ngram":
-        model = ngrammod.ml_ngram(competitor_t, args.order)
-    elif args.kind == "prod-eg":
-        model = approxmod.prod_eg(competitor_t, args.order, args.iters).model
-    elif args.kind == "model-select":
-        model = approxmod.select_order(competitor_t, args.iters, args.budget).model
-    else:
-        raise ValueError(f"unknown approximation {args.kind!r}")
+    spec = {"kind": args.kind, "order": args.order, "iters": args.iters,
+            "budget": args.budget}
+    competitor_t = horizon_product(_machine_from_args(args), args.horizon)
+    model, _ = fit_approximation(competitor_t, spec, args.horizon)
     _write_output(model.to_json(), args.out)
     return EXIT_OK
 
@@ -95,10 +84,7 @@ def cmd_divergence(args) -> int:
     machine = _machine_from_args(args)
     with open(args.model) as fh:
         model = ngrammod.NGramModel.from_json(fh.read())
-    n = len(machine.alphabet)
-    competitor_t = intersect(machine, length_automaton(n, args.horizon,
-                                                       alphabet=machine.alphabet))
-    div = approxmod.divergence_inf(competitor_t, model)
+    div = approxmod.divergence_inf(horizon_product(machine, args.horizon), model)
     payload = {"divergence": div.value, "witness": list(div.witness)}
     _write_output(json.dumps(payload, sort_keys=True, indent=2), args.out)
     return EXIT_OK

@@ -20,13 +20,13 @@ from . import approx as approxmod
 from . import ngram as ngrammod
 from .builders import (exact_shift_automaton, hierarchy_automaton,
                        length_automaton, weighted_shift_automaton)
-from .hedge import (HedgeState, hedge_init, hedge_step, sample, summarize, tune_eta_fixed,
-                    tune_eta_renyi, unweighted_regret, weighted_regret)
+from .hedge import (HedgeState, hedge_step, horizon_product, sample, summarize,
+                    tune_eta_fixed, tune_eta_renyi, unweighted_regret, weighted_regret)
 from .phi import PhiWfa, phi_convert
-from .sleeping import (AwakeState, awake_distribution, awake_init, awake_step,
-                       sleeping_regret, worst_comparator)
+from .sleeping import (AwakeState, awake_distribution, awake_step, sleeping_regret,
+                       worst_comparator)
 from .textio import read_automaton
-from .wfa import Wfa, count_accepting_paths, intersect, log_weight_range
+from .wfa import Wfa, count_accepting_paths, log_weight_range
 
 __all__ = [
     "ExperimentConfig",
@@ -34,6 +34,7 @@ __all__ = [
     "read_losses_csv",
     "write_losses_csv",
     "read_awake_csv",
+    "fit_approximation",
     "run_experiment",
     "report_to_json",
     "compare",
@@ -71,11 +72,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
         if cfg.algorithm == "awake-hedge" and not cfg.awake:
             raise ValueError("awake-hedge needs an awake source")
-        for key in ("path", "symbols"):
-            if key in cfg.automaton and not os.path.exists(cfg.automaton[key]):
-                raise ValueError(f"missing file {cfg.automaton[key]}")
-        if "path" in cfg.losses and not os.path.exists(cfg.losses["path"]):
-            raise ValueError(f"missing file {cfg.losses['path']}")
+        for path in (cfg.automaton.get("path"), cfg.automaton.get("symbols"),
+                     cfg.losses.get("path"), (cfg.awake or {}).get("path")):
+            if path is not None and not os.path.exists(path):
+                raise ValueError(f"missing file {path}")
         return cfg
 
     @classmethod
@@ -174,13 +174,17 @@ def write_losses_csv(losses: np.ndarray, path) -> None:
 
 def read_losses_csv(path) -> np.ndarray:
     """One comma-separated row of losses per line; ValueError naming the
-    line of a row whose length is not the first row's."""
+    line of a field that is not a number or of a row whose length is not
+    the first row's.  NaN reads as NaN."""
     rows = []
     with open(path) as fh:
         for row, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                rows.append([float(x) for x in line.split(",")])
+                try:
+                    rows.append([float(x) for x in line.split(",")])
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {row}: {exc}") from None
                 if len(rows[-1]) != len(rows[0]):
                     raise ValueError(f"{path} line {row}: {len(rows[-1])} losses, "
                                      f"the first row has {len(rows[0])}")
@@ -240,7 +244,7 @@ def _gen_awake(kind: str, params: dict, seed: int, horizon: int, num_experts: in
 
 def _resolve_eta(cfg: ExperimentConfig, competitor_t: Wfa, horizon: int) -> float:
     if isinstance(cfg.eta, (int, float)):
-        if cfg.eta <= 0:
+        if not cfg.eta > 0:  # NaN fails too
             raise ValueError("eta must be positive")
         return float(cfg.eta)
     if cfg.eta == "fixed":
@@ -250,11 +254,13 @@ def _resolve_eta(cfg: ExperimentConfig, competitor_t: Wfa, horizon: int) -> floa
     raise ValueError(f"unknown eta spec {cfg.eta!r}")
 
 
-def _approximate(cfg: ExperimentConfig, machine: Wfa, competitor_t: Wfa):
-    """Returns (played machine or model-backed machine, report fields)."""
-    spec = cfg.approximation
-    info: dict[str, Any] = {"kind": spec["kind"]}
+def fit_approximation(competitor_t: Wfa, spec: dict, horizon: int
+                      ) -> tuple[ngrammod.NGramModel, dict[str, Any]]:
+    """(model, report fields) for the n-gram ``spec`` fitted to the
+    length-``horizon`` product ``competitor_t``; ``iters`` defaults to
+    200 and a fixed-share bigram's ``shifts`` to 0."""
     kind = spec["kind"]
+    info: dict[str, Any] = {"kind": kind}
     if kind == "ml-ngram":
         model = ngrammod.ml_ngram(competitor_t, int(spec["order"]))
     elif kind == "prod-eg":
@@ -266,20 +272,25 @@ def _approximate(cfg: ExperimentConfig, machine: Wfa, competitor_t: Wfa):
         sel = approxmod.select_order(competitor_t, int(spec.get("iters", 200)),
                                      int(spec["budget"]))
         model = sel.model
-        info.update(order=sel.order, feasible=sel.feasible,
-                    budget_limited=sel.budget_limited)
+        info.update(feasible=sel.feasible, budget_limited=sel.budget_limited)
     elif kind == "fixed-share-bigram":
-        params = cfg.automaton.get("params", {})
-        shifts = int(spec.get("shifts", params.get("shifts", 0)))
-        n = len(machine.alphabet)
-        model = ngrammod.fixed_share_bigram(n, shifts, cfg.horizon,
-                                            alphabet=machine.alphabet)
+        alphabet = competitor_t.alphabet
+        model = ngrammod.fixed_share_bigram(len(alphabet), int(spec.get("shifts", 0)),
+                                            horizon, alphabet=alphabet)
     else:
         raise ValueError(f"unknown approximation {kind!r}")
-    div = approxmod.divergence_inf(competitor_t, model)
     info["order"] = model.order
-    info["divergence"] = div.value
-    info["divergence_witness"] = list(div.witness)
+    return model, info
+
+
+def _approximate(cfg: ExperimentConfig, competitor_t: Wfa):
+    """(model, report fields with its divergence); a fixed-share bigram's
+    shifts default to the automaton's."""
+    shifts = cfg.automaton.get("params", {}).get("shifts", 0)
+    model, info = fit_approximation(competitor_t, {"shifts": shifts, **cfg.approximation},
+                                    cfg.horizon)
+    div = approxmod.divergence_inf(competitor_t, model)
+    info.update(divergence=div.value, divergence_witness=list(div.witness))
     return model, info
 
 
@@ -304,16 +315,13 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     if not (losses.min() >= 0 and losses.max() <= 1):  # NaN fails too
         raise ValueError("losses must lie in [0, 1]")
 
-    competitor_t = intersect(machine, length_automaton(n, horizon,
-                                                       alphabet=machine.alphabet))
-    if not competitor_t.finals:
-        raise ValueError("no competitor sequence at this horizon")
+    competitor_t = horizon_product(machine, horizon)
     eta = _resolve_eta(cfg, competitor_t, horizon)
 
     approx_info = None
     played: Any = machine
     if cfg.approximation is not None:
-        model, approx_info = _approximate(cfg, machine, competitor_t)
+        model, approx_info = _approximate(cfg, competitor_t)
         if cfg.phi:
             try:
                 played = ngrammod.bigram_phi_machine(model)
@@ -338,9 +346,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     # Without approximation or compression the played machine is the
     # competitor, whose length-T product is already built.
+    played_t = competitor_t if played is machine else horizon_product(played, horizon)
+    state = (AwakeState if cfg.algorithm == "awake-hedge" else HedgeState)(played_t, horizon, eta)
+    sampled = []
     if cfg.algorithm == "awake-hedge":
-        state = (AwakeState(competitor_t, horizon, eta) if played is machine
-                 else awake_init(played, horizon, eta))
         if "path" in cfg.awake:
             masks = read_awake_csv(cfg.awake["path"], machine.alphabet)
         else:
@@ -348,7 +357,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                                int(cfg.awake.get("seed", cfg.seed)), horizon, n)
         if len(masks) != horizon:
             raise ValueError("awake stream length must equal the horizon")
-        sampled = []
         for t in range(horizon):
             p_awake = awake_distribution(state, masks[t])
             sampled.append(int(sample(p_awake, rng)))
@@ -362,9 +370,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         report["verdicts"] = {"sleeping_bound_ok": bool(r.value <= r.bound)}
         report["sleeping_bound_margin"] = -(r.value - r.bound)
     else:
-        state = (HedgeState(competitor_t, horizon, eta) if played is machine
-                 else hedge_init(played, horizon, eta))
-        sampled = []
         for t in range(horizon):
             sampled.append(int(sample(state.p_current, rng)))
             hedge_step(state, losses[t])
@@ -380,7 +385,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         # Regret against the original competitor class, which is what
         # matters when an approximation was played; when the competitor
         # itself was played, summarize has computed it already.
-        if played is machine:
+        if played_t is competitor_t:
             w_reg, u_reg = rep.weighted_regret, rep.unweighted_regret
         else:
             w_reg = weighted_regret(state.p_history, list(losses), competitor_t)

@@ -2,13 +2,13 @@
 
 The engine maintains, implicitly, an exponentially reweighted
 distribution over all length-T expert sequences accepted by a competitor
-automaton.  :func:`hedge_init` intersects the competitor with the
-length-T acceptor and compiles the result once into level-sorted edge
-arrays (:class:`CompiledMachine`).  Level t holds the consuming edges
-leaving its states, which read symbol t + 1, and the failure (phi)
-edges among its states, grouped by chain depth.  Each shadowed continuation of a phi chain
-becomes one extra consuming edge with a negative weight, so plain and
-phi machines run the same sweeps.
+automaton.  :func:`horizon_product` intersects the competitor with the
+length-T acceptor, and :class:`HedgeState` compiles the result once into
+level-sorted edge arrays (:class:`CompiledMachine`).  Level t holds the
+consuming edges leaving its states, which read symbol t + 1, and the
+failure (phi) edges among its states, grouped by chain depth.  Each
+shadowed continuation of a phi chain becomes one extra consuming edge
+with a negative weight, so plain and phi machines run the same sweeps.
 
 Every pass is a per-level ``np.bincount`` sweep in float64.  Alpha and
 beta have one entry per state; each level's slice is rescaled to maximum
@@ -42,6 +42,7 @@ from .wfa import (NEG_INF, Wfa, _edge_logs, _edge_marginals, _final_weights, _lo
 __all__ = [
     "HedgeState",
     "CompiledMachine",
+    "horizon_product",
     "hedge_init",
     "hedge_step",
     "sample",
@@ -216,6 +217,8 @@ class HedgeState:
     """
 
     def __init__(self, machine: Machine, horizon: int, eta: float):
+        if not eta > 0:  # NaN fails too
+            raise ValueError("learning rate must be positive")
         self.machine = machine
         self.T = horizon
         self.eta = eta
@@ -308,12 +311,12 @@ class HedgeState:
         return self.p_current
 
 
-def _intersect_horizon(competitor: Machine, horizon: int, eta: float) -> Machine:
-    """The competitor intersected with the length-``horizon`` acceptor."""
+def horizon_product(competitor: Machine, horizon: int) -> Machine:
+    """The competitor intersected with the length-``horizon`` acceptor:
+    its sequences of that length, which the engine plays and the regret
+    report and the n-gram fits read.  ValueError when there is none."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if eta <= 0:
-        raise ValueError("learning rate must be positive")
     s_t = length_automaton(len(competitor.alphabet), horizon, alphabet=competitor.alphabet)
     # The acceptor has no phi edges, so the product stays chain-style.
     if isinstance(competitor, PhiWfa) and competitor.has_phi():
@@ -333,7 +336,7 @@ def hedge_init(competitor: Machine, horizon: int, eta: float) -> HedgeState:
     ``eta`` power gives the backward weights, from which the first
     distribution is read off level 0.
     """
-    return HedgeState(_intersect_horizon(competitor, horizon, eta), horizon, eta)
+    return HedgeState(horizon_product(competitor, horizon), horizon, eta)
 
 
 def _check_loss(state: HedgeState, loss: Sequence[float]) -> np.ndarray:

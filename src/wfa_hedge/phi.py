@@ -36,7 +36,7 @@ import numpy as np
 
 from .wfa import (PHI, Columns, CyclicAutomatonError, Transition, Wfa, _ArcPairs, _backward_logs,
                   _check_edges, _coaccessible, _column_arrays, _final_weights, _find_arcs,
-                  _pushed, _ranges, _search, backward_distances, topological_order)
+                  _label_ranks, _pushed, _ranges, _search, backward_distances, topological_order)
 
 __all__ = [
     "PHI",
@@ -401,11 +401,11 @@ def _shadow_corrections(machine: Machine) -> tuple[np.ndarray, np.ndarray, np.nd
     (state, symbol) pairs of a composition output at once, ordered by
     state and then symbol in sorted-string order.
     """
-    c, n_sym = machine.columns, len(machine.alphabet)
+    c = machine.columns
     if not (c.label < 0).any():
         return np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0)
     chains = _chains(machine)
-    by_rank = np.array(sorted(range(n_sym), key=machine.alphabet.__getitem__), np.intp)
+    by_rank = _label_ranks(machine.alphabet)[0]
     state, rank = np.nonzero(chains.direct_reads()[:, by_rank] & (chains.first >= 0)[:, None])
     phi = chains.first[state]
     shadowed, chain_w = chains.walk(machine, c.dst[phi], by_rank[rank], c.weight[phi],
@@ -518,11 +518,10 @@ def _pairs(wfa: Wfa) -> np.ndarray:
     """Per edge, the rank of its (label, weight) pair in (sorted label,
     weight) order.  A NaN weight pairs with nothing, as NaN float objects
     in a set do not."""
-    c, n_sym = wfa.columns, len(wfa.alphabet)
+    c = wfa.columns
     if (c.label < 0).any():
         raise ValueError("machine already has phi transitions")
-    rank = np.empty(n_sym, np.intp)
-    rank[sorted(range(n_sym), key=wfa.alphabet.__getitem__)] = np.arange(n_sym)
+    rank = _label_ranks(wfa.alphabet)[1]
     weights, weight = np.unique(c.weight, return_inverse=True, equal_nan=False)
     return np.unique(rank[c.label] * len(weights) + weight, return_inverse=True)[1]
 

@@ -12,7 +12,8 @@ readout of the current level keeps its per-label flows.  The loss
 multiplies every edge of an awake label by the same factor, so the awake
 mass after the update, and with it the rescale, follows from those flows
 without another sweep; the rescaled charge then goes into the same
-forward advance as a plain round.
+forward advance as a plain round.  On a phi machine a label's flow
+already nets out its correction edges, so phi products run it too.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .hedge import HedgeState, _check_loss, _intersect_horizon
+from .hedge import HedgeState, _check_loss, horizon_product
 from .phi import PhiWfa
 from .wfa import Wfa, count_accepting_paths, evaluate, leveled_best_path, levels
 
@@ -54,10 +55,7 @@ class AwakeState(HedgeState):
 
 def awake_init(competitor: Union[Wfa, PhiWfa], horizon: int, eta: float) -> AwakeState:
     """Same preparation as :func:`hedge_init`, for the sleeping protocol."""
-    machine = _intersect_horizon(competitor, horizon, eta)
-    if isinstance(machine, PhiWfa) and machine.has_phi():
-        raise ValueError("the sleeping engine runs on plain machines")
-    return AwakeState(machine, horizon, eta)
+    return AwakeState(horizon_product(competitor, horizon), horizon, eta)
 
 
 def _awake_mask(state: HedgeState, awake: Iterable) -> np.ndarray:

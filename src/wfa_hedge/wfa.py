@@ -348,6 +348,15 @@ def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ends + lens, lens) + np.arange(ends[-1] if len(ends) else 0)
 
 
+def _label_ranks(alphabet: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The symbol ids in sorted-string order of their labels, and each
+    id's place in that order."""
+    by_rank = np.array(sorted(range(len(alphabet)), key=alphabet.__getitem__), np.intp)
+    rank = np.empty(len(alphabet), np.intp)
+    rank[by_rank] = np.arange(len(alphabet))
+    return by_rank, rank
+
+
 def _sorted_arcs(machine: Wfa, rank: np.ndarray) -> tuple[np.ndarray, ...]:
     """The machine's arcs sorted by key src * |alphabet| + rank[label]:
     (keys, weights, destinations).  The first transition of a duplicated
@@ -368,9 +377,7 @@ class _ArcPairs:
         if a1.alphabet != a2.alphabet:
             raise ValueError("alphabet mismatch in intersection")
         self.n_sym = n_sym = len(a1.alphabet)
-        self.by_rank = np.array(sorted(range(n_sym), key=a1.alphabet.__getitem__), np.intp)
-        rank = np.empty(n_sym, np.intp)
-        rank[self.by_rank] = np.arange(n_sym)
+        self.by_rank, rank = _label_ranks(a1.alphabet)
         key1, self.w1, self.d1 = _sorted_arcs(a1, rank)
         key2, self.w2, self.d2 = _sorted_arcs(a2, rank)
         self.off1 = np.searchsorted(key1, np.arange(a1.num_states + 1) * n_sym)
@@ -597,7 +604,7 @@ def _level_plan(wfa: Wfa) -> _Topo:
     arcs from the initial state reach a state at two depths."""
     topo = _path_plan(wfa)
     if topo.level is None:
-        c, n_sym = wfa.columns, len(wfa.alphabet)
+        c = wfa.columns
         positive = c.weight > 0.0
         level = np.full(wfa.num_states, -1, np.int32)
         level[wfa.initial] = 0
@@ -614,11 +621,9 @@ def _level_plan(wfa: Wfa) -> _Topo:
         depth = depth[live]
         if (depth[1:] < depth[:-1]).any():  # an intersection numbers its states by depth
             live = live[np.argsort(depth, kind="stable")]
-        rank = np.empty(n_sym, np.intp)
-        rank[sorted(range(n_sym), key=wfa.alphabet.__getitem__)] = np.arange(n_sym)
         level.flags.writeable = False
         # Set level last: a sweep that finds it set finds the rest set.
-        topo.live, topo.rank = live, rank
+        topo.live, topo.rank = live, _label_ranks(wfa.alphabet)[1]
         topo.live_off = np.concatenate(([0], np.cumsum(np.bincount(depth))))
         topo.ends = np.array([q for q, w in wfa.finals.items() if w > 0.0 and level[q] >= 0],
                              np.intp)

@@ -90,6 +90,15 @@ def test_losses_csv_names_the_line_of_a_short_row(tmp_path):
         read_losses_csv(path)
 
 
+def test_losses_csv_names_the_line_of_a_field_that_is_not_a_number(tmp_path):
+    path = tmp_path / "l.csv"
+    path.write_text("0.1,0.2\n0.3,x\n")
+    with pytest.raises(ValueError, match=r"l\.csv line 2: could not convert string to float: 'x'"):
+        read_losses_csv(path)
+    path.write_text("0.1,nan\n")  # read; run_experiment refuses it as out of [0, 1]
+    assert math.isnan(read_losses_csv(path)[0, 1])
+
+
 def test_awake_csv_formats(tmp_path):
     path = tmp_path / "a.csv"
     path.write_text("101\nb;c\n111\n")
@@ -161,6 +170,9 @@ def test_config_checks_files_exist():
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict(
             {**BASE, "losses": {"path": "/nonexistent/l.csv"}})
+    with pytest.raises(ValueError, match="missing file /nonexistent/awake.csv"):
+        ExperimentConfig.from_dict({**BASE, "algorithm": "awake-hedge",
+                                    "awake": {"path": "/nonexistent/awake.csv"}})
 
 
 def test_build_automaton_builders():
@@ -287,6 +299,29 @@ def test_awake_run_verdict():
         awake={"generator": "random_subsets", "params": {"density": 0.7}, "seed": 5}))
     assert rep["verdicts"]["sleeping_bound_ok"]
     assert len(rep["awake_sets"]) == 6
+
+
+def test_awake_run_plays_the_phi_form_of_an_approximation(tmp_path):
+    # The sleeping engine on the compressed Fixed-Share bigram gives the
+    # distributions and the verdict of the same bigram played plain.
+    base = {"automaton": {"builder": "kshift", "params": {"num_experts": 3, "shifts": 1}},
+            "horizon": 8, "eta": 0.5, "algorithm": "awake-hedge",
+            "awake": {"generator": "random_subsets", "params": {"density": 0.7}, "seed": 3},
+            "approximation": {"kind": "fixed-share-bigram"},
+            "losses": {"generator": "iid_uniform", "seed": 11}, "seed": 6}
+    reports = {}
+    for phi in (True, False):
+        path = tmp_path / f"phi-{phi}.json"
+        path.write_text(json.dumps({**base, "phi": phi}))
+        reports[phi] = run_experiment(ExperimentConfig.load(path))
+    got, want = reports[True], reports[False]
+    assert got["approximation"]["phi_form"] == "shared-shift-hub"
+    assert got["verdicts"] == want["verdicts"] == {"sleeping_bound_ok": True}
+    assert np.abs(np.array(got["p_awake_rounds"]) - want["p_awake_rounds"]).max() <= 1e-12
+    assert got["sleeping_bound_margin"] == pytest.approx(want["sleeping_bound_margin"],
+                                                         abs=1e-12)
+    assert cli_main(["run", "--config", str(tmp_path / "phi-True.json"),
+                     "--out", str(tmp_path / "r.json")]) == 0
 
 
 def test_sleeping_verdict_checks_the_worst_comparator_beyond_200_paths():
@@ -466,6 +501,20 @@ def test_cli_fits_refuse_phi_machine_files(tmp_path, capsys):
                      "--out", str(tmp_path / "d.json")]) == 1
 
 
+def test_cli_fits_exit_1_on_a_horizon_without_sequences(tmp_path, capsys):
+    # Two experts cannot switch three times in three rounds.
+    m = str(tmp_path / "m")
+    assert cli_main(["build", "--builder", "kshift", "--param", "num_experts=2",
+                     "--param", "shifts=3", "--out", m]) == 0
+    (tmp_path / "model.json").write_text(fixed_share_bigram(2, 1, 3).to_json())
+    fit = ["--automaton", m + ".fsa", "--symbols", m + ".syms", "--horizon", "3"]
+    for args in (["approximate", *fit, "--out", str(tmp_path / "ml.json")],
+                 ["divergence", *fit, "--model", str(tmp_path / "model.json")]):
+        assert cli_main(args) == 1
+        assert "error: no competitor sequence of this length" in capsys.readouterr().err
+    assert not (tmp_path / "ml.json").exists()
+
+
 def test_cli_phi_convert_roundtrip(tmp_path):
     # a machine with shareable fan-in compresses; counts drop
     from wfa_hedge.textio import write_automaton, write_symbols
@@ -533,8 +582,7 @@ def test_run_experiment_intersects_the_competitor_once(monkeypatch, extra):
         calls.append(a1)
         return wfa.intersect(a1, a2)
 
-    for module in (harness, hedge):
-        monkeypatch.setattr(module, "intersect", counted)
+    monkeypatch.setattr(hedge, "intersect", counted)
     cfg = cfg_with(**extra)
     report = report_to_json(run_experiment(cfg))
     assert len(calls) == 1

@@ -5,13 +5,14 @@ import pytest
 
 from wfa_hedge.builders import (exact_shift_automaton, hierarchy_automaton,
                                 length_automaton, weighted_shift_automaton)
-from wfa_hedge.hedge import (NEG_INF, best_competitor, hedge_init, hedge_step,
-                             renyi_entropy, renyi_entropy_machine, sample,
+from wfa_hedge.hedge import (NEG_INF, HedgeState, best_competitor, hedge_init, hedge_step,
+                             horizon_product, renyi_entropy, renyi_entropy_machine, sample,
                              shannon_entropy,
                              summarize, tune_eta_fixed, tune_eta_renyi,
                              unweighted_regret, weighted_regret)
 from wfa_hedge.ngram import bigram_phi_machine, fixed_share_bigram
 from wfa_hedge.phi import phi_convert
+from wfa_hedge.sleeping import AwakeState, awake_init
 from wfa_hedge.wfa import enumerate_support, intersect
 
 import oracles
@@ -67,8 +68,14 @@ def test_init_rejects_empty_intersection():
 
 
 def test_init_rejects_bad_eta():
-    with pytest.raises(ValueError):
-        hedge_init(length_automaton(2, 2), 2, 0.0)
+    # Every engine constructor, also on a product built elsewhere.
+    machine = length_automaton(2, 2)
+    product = horizon_product(machine, 2)
+    for eta in (0.0, -1.0, math.nan):
+        for build in (lambda: HedgeState(product, 2, eta), lambda: AwakeState(product, 2, eta),
+                      lambda: hedge_init(machine, 2, eta), lambda: awake_init(machine, 2, eta)):
+            with pytest.raises(ValueError, match="learning rate must be positive"):
+                build()
 
 
 # -- per-round distributions -----------------------------------------------------------

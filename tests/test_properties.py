@@ -79,17 +79,43 @@ def test_engine_matches_enumeration_on_random_weighted_machines(seed, eta):
     assert np.abs(np.array(got) - np.array(want)).max() <= TOL
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=SEEDS, depth=st.integers(2, 4), eta=ETAS)
-def test_phi_engine_matches_enumeration_on_converted_machines(seed, depth, eta):
-    rng = np.random.default_rng(seed)
+def converted_case(rng, depth):
+    """A layered machine with shared structure, its phi_convert output
+    (which has phi edges), and a horizon at which it has sequences."""
     layers = tuple([1] + [int(rng.integers(2, 5)) for _ in range(depth)] + [1])
     plain = oracles.random_shared_structure_wfa(rng, layers=layers)
     assume(plain is not None)
     converted = phi_convert(plain)
     assume(converted.has_phi())
     lengths = sorted({len(s) for s, _ in enumerate_support(plain)} - {0})
-    horizon = lengths[int(rng.integers(len(lengths)))]
+    return plain, converted, lengths[int(rng.integers(len(lengths)))]
+
+
+def shared_shift_bigram(rng, alphabet):
+    """A bigram whose rows share one shift weight per target expert, so
+    every stay loop of its phi form shadows the hub's edge."""
+    n = len(alphabet)
+    shift = rng.uniform(0.01, 1.0 / n, size=n)
+    tables = {(): rng.dirichlet(np.ones(n))}
+    for i, a in enumerate(alphabet):
+        row = shift.copy()
+        row[i] = 1.0 - (shift.sum() - shift[i])
+        tables[(a,)] = row
+    return NGramModel(alphabet, 2, tables)
+
+
+def random_chain_machine(rng, size):
+    """A chain-style phi machine whose direct edges shadow edges at any
+    depth of a phi chain, with arbitrary weights."""
+    return oracles.random_phi_wfa(rng, size, ("a", "b", "c"), edge_prob=0.7, phi_prob=0.7,
+                                  final_prob=0.5, cyclic=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, depth=st.integers(2, 4), eta=ETAS)
+def test_phi_engine_matches_enumeration_on_converted_machines(seed, depth, eta):
+    rng = np.random.default_rng(seed)
+    plain, converted, horizon = converted_case(rng, depth)
     losses = rng.random((horizon, 3))
     want = oracles.brute_distributions(horizon_support(plain, horizon), eta, losses,
                                        plain.alphabet)
@@ -104,13 +130,7 @@ def test_phi_engine_matches_enumeration_on_shared_shift_bigrams(seed, n, horizon
     # each level carries negative correction edges
     rng = np.random.default_rng(seed)
     alphabet = tuple("abcd"[:n])
-    shift = rng.uniform(0.01, 1.0 / n, size=n)
-    tables = {(): rng.dirichlet(np.ones(n))}
-    for i, a in enumerate(alphabet):
-        row = shift.copy()
-        row[i] = 1.0 - (shift.sum() - shift[i])
-        tables[(a,)] = row
-    model = NGramModel(alphabet, 2, tables)
+    model = shared_shift_bigram(rng, alphabet)
     losses = rng.random((horizon, n))
     want = oracles.brute_distributions(horizon_support(ngram_to_wfa(model), horizon), eta,
                                        losses, alphabet)
@@ -124,8 +144,7 @@ def test_phi_engine_matches_enumeration_on_random_chain_machines(seed, size, hor
     # direct edges shadow edges at any depth of a phi chain, and weights
     # (phi weights included) are arbitrary
     rng = np.random.default_rng(seed)
-    machine = oracles.random_phi_wfa(rng, size, ("a", "b", "c"), edge_prob=0.7, phi_prob=0.7,
-                                     final_prob=0.5, cyclic=True)
+    machine = random_chain_machine(rng, size)
     support = horizon_support(phi_expand(machine), horizon)
     assume(support)
     losses = rng.random((horizon, 3))
@@ -134,14 +153,26 @@ def test_phi_engine_matches_enumeration_on_random_chain_machines(seed, size, hor
     assert np.abs(np.array(got) - np.array(want)).max() <= TOL
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=SEEDS, horizon=st.integers(1, 5), size=st.integers(1, 12), eta=ETAS,
+@settings(max_examples=120, deadline=None)
+@given(seed=SEEDS, form=st.sampled_from(["leveled", "converted", "bigram", "chain"]),
+       horizon=st.integers(1, 5), size=st.integers(1, 12), eta=ETAS,
        density=st.floats(0.1, 1.0))
-def test_sleeping_engine_matches_path_simulation(seed, horizon, size, eta, density):
+def test_sleeping_engine_matches_path_simulation(seed, form, horizon, size, eta, density):
+    # Plain leveled machines and the three phi families of the engine
+    # tests above, each against the paths of its expansion.
     rng = np.random.default_rng(seed)
-    machine = oracles.random_leveled_wfa(rng, horizon, alphabet=("a", "b", "c"),
-                                         support_size=size)
-    support = horizon_support(machine, horizon)
+    if form == "leveled":
+        machine = oracles.random_leveled_wfa(rng, horizon, alphabet=("a", "b", "c"),
+                                             support_size=size)
+    elif form == "converted":
+        _, machine, horizon = converted_case(rng, 2 + size % 3)
+    elif form == "bigram":
+        machine = bigram_phi_machine(shared_shift_bigram(rng, ("a", "b", "c")))
+    else:
+        machine = random_chain_machine(rng, 2 + size % 8)
+    support = horizon_support(phi_expand(machine) if isinstance(machine, PhiWfa) else machine,
+                              horizon)
+    assume(support)
     sym = {a: i for i, a in enumerate(machine.alphabet)}
     masks, losses = [], []
     for t in range(horizon):
