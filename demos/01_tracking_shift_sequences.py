@@ -45,7 +45,7 @@ print(f"best sequence in class:   {''.join(report.best_sequence)} "
 print(f"regret {report.weighted_regret:.3f}  <=  bound {report.weighted_bound:.3f}")
 
 # the best fixed expert is much worse than the best switching sequence
-support = enumerate_support(state.competitor)
+support = enumerate_support(state.machine)
 static = min(sum(l[i] for l in losses) for i in range(N_EXPERTS))
 print(f"best fixed expert loss:   {static:.3f} "
       f"(vs {report.best_sequence_loss:.3f} with switches)")

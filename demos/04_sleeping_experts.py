@@ -36,7 +36,7 @@ for t in range(T):
 
 print(f"\ncumulative expected loss: {state.cumulative_loss:.3f}")
 print("worst regret over all point-mass comparators (one best-path sweep):")
-args = (masks, state.p_awake_history, losses, state.competitor)
+args = (masks, state.p_awake_history, losses, state)
 worst = sleeping_regret(*args, worst_comparator(*args, ETA), ETA)
 print(f"  value {worst.value:.3f}  <=  bound {worst.bound:.3f} "
       f"(awake mass {worst.awake_mass:.2f})")

@@ -18,7 +18,7 @@ from . import ngram as ngrammod
 from .harness import (ExperimentConfig, build_automaton, compare, fit_approximation,
                       gen_losses, report_to_json, run_experiment, write_losses_csv)
 from .hedge import horizon_product
-from .phi import phi_convert
+from .phi import PhiWfa, phi_convert
 from .textio import read_automaton, write_automaton, write_symbols
 
 log = logging.getLogger("wfa_hedge")
@@ -43,6 +43,16 @@ def _machine_from_args(args) -> "object":
         return read_automaton(args.automaton, args.symbols)
     spec = {"builder": args.builder, "params": dict(args.param or [])}
     return build_automaton(spec)
+
+
+def _fit_input(args) -> "object":
+    """The machine a fit reads: a plain one, refused before any product
+    is built when its file has phi edges."""
+    machine = _machine_from_args(args)
+    if isinstance(machine, PhiWfa):
+        raise ValueError(f"{args.automaton} has failure (phi) transitions; "
+                         "the fits read plain machines")
+    return machine
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -74,14 +84,14 @@ def cmd_phi_convert(args) -> int:
 def cmd_approximate(args) -> int:
     spec = {"kind": args.kind, "order": args.order, "iters": args.iters,
             "budget": args.budget}
-    competitor_t = horizon_product(_machine_from_args(args), args.horizon)
+    competitor_t = horizon_product(_fit_input(args), args.horizon)
     model, _ = fit_approximation(competitor_t, spec, args.horizon)
     _write_output(model.to_json(), args.out)
     return EXIT_OK
 
 
 def cmd_divergence(args) -> int:
-    machine = _machine_from_args(args)
+    machine = _fit_input(args)
     with open(args.model) as fh:
         model = ngrammod.NGramModel.from_json(fh.read())
     div = approxmod.divergence_inf(horizon_product(machine, args.horizon), model)

@@ -294,13 +294,15 @@ def _approximate(cfg: ExperimentConfig, competitor_t: Wfa):
     return model, info
 
 
-def run_experiment(cfg: ExperimentConfig) -> dict:
+def run_experiment(cfg: ExperimentConfig, machine: Optional[Wfa] = None) -> dict:
     """Build, optionally approximate and compress, play T rounds, report.
 
-    The report is JSON-ready: config echo, seeds, per-round
+    ``machine`` is the config's automaton when the caller has built it
+    already.  The report is JSON-ready: config echo, seeds, per-round
     distributions, regrets, bound values and verdicts, edge counters.
     """
-    machine = build_automaton(cfg.automaton)
+    if machine is None:
+        machine = build_automaton(cfg.automaton)
     horizon = cfg.horizon
     n = len(machine.alphabet)
 
@@ -364,8 +366,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         report["awake_sets"] = ["".join("1" if b else "0" for b in m) for m in masks]
         report["p_awake_rounds"] = [p.tolist() for p in state.p_awake_history]
         # The check is exact at any K: value minus bound is linear in the
-        # comparator mixture, so the worst one is a point mass.
-        args = (masks, state.p_awake_history, losses, state.competitor)
+        # comparator mixture, so the worst one is a point mass.  Both read
+        # the run's compiled arrays, so a phi run is never expanded.
+        args = (masks, state.p_awake_history, losses, state)
         r = sleeping_regret(*args, worst_comparator(*args, eta), eta)
         report["verdicts"] = {"sleeping_bound_ok": bool(r.value <= r.bound)}
         report["sleeping_bound_margin"] = -(r.value - r.bound)
@@ -436,19 +439,17 @@ def compare(configs: list[ExperimentConfig]) -> dict:
     if not configs:
         raise ValueError("nothing to compare")
     reports = []
-    base = None
-    for cfg in configs:
-        machine = build_automaton(cfg.automaton)
+    machines = [build_automaton(cfg.automaton) for cfg in configs]
+    base = (len(machines[0].alphabet), configs[0].horizon)
+    for cfg, machine in zip(configs, machines):
         key = (len(machine.alphabet), cfg.horizon)
-        if base is None:
-            base = key
-        elif key != base:
+        if key != base:
             raise ValueError(f"config {cfg.label or ''} has {key}, expected {base}")
     shared = configs[0].losses
     rows = []
-    for cfg in configs:
+    for cfg, machine in zip(configs, machines):
         cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "losses": shared})
-        rep = run_experiment(cfg)
+        rep = run_experiment(cfg, machine)
         reports.append(rep)
         rows.append({
             "label": cfg.label or cfg.automaton.get("builder", "machine"),

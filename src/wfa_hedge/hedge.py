@@ -22,6 +22,13 @@ readout of the next level, alpha * w * beta summed by label.
 
 Per-round distributions: p_t[a] is the posterior marginal of the t-th
 symbol given losses 1..t-1.
+
+The regret report (:func:`summarize`) reads the same arrays, so a phi
+run is never expanded to plain edges: K is the backward sweep at power 0
+in Python integers, log Z comes from the set-up sweep, and the best
+sequences come from one max-plus sweep (:meth:`CompiledMachine.best_path`)
+that reaches a phi chain's continuations through its hub edges
+(Allauzen & Riley 2018, shortest distance with failure transitions).
 """
 
 from __future__ import annotations
@@ -29,15 +36,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .builders import length_automaton
-from .phi import PhiWfa, _phi_chain_depth, _shadow_corrections, phi_expand, phi_intersect
-from .wfa import (NEG_INF, Wfa, _edge_logs, _edge_marginals, _final_weights, _log_normaliser,
-                  count_accepting_paths, exact_logs, intersect, leveled_best_path, levels,
-                  log_power_sum)
+from .phi import PhiWfa, _phi_chain_depth, _shadow_corrections, phi_intersect
+from .wfa import (NEG_INF, Wfa, _edge_logs, _edge_marginals, _final_weights, _label_ranks,
+                  _log_normaliser, _ranges, count_accepting_paths, exact_logs, intersect,
+                  leveled_best_path, levels, log_power_sum)
 
 __all__ = [
     "HedgeState",
@@ -99,7 +106,9 @@ class CompiledMachine:
     sorted by level and by the chain depth of their source; each run of
     equal (level, depth) is one group, ``group_bounds[g]:group_bounds[g+1]``
     in the phi arrays, and level t owns groups ``group_off[t]:group_off[t+1]``.
-    All weights here are raw; :meth:`backward` raises them to a power.
+    ``weight`` is the machine's raw weight column and ``alphabet`` its
+    symbols.  All weights here are raw; :meth:`backward` raises them to a
+    power.
     """
 
     def __init__(self, machine: Machine, horizon: int):
@@ -111,6 +120,7 @@ class CompiledMachine:
         renum = np.empty(n_s, np.intp)
         renum[order] = np.arange(n_s)
         level = level[order]  # by new id
+        self.alphabet, self.weight = machine.alphabet, cols.weight
         self.horizon = horizon
         self.num_states = n_s
         self.initial = int(renum[machine.initial])
@@ -203,6 +213,226 @@ class CompiledMachine:
         z = beta[self.initial]
         return beta, (log_scale + math.log(z) if z > 0 else NEG_INF), w, wb, phi_w
 
+    def count_paths(self, labels: Optional[Sequence[int]] = None) -> int:
+        """Accepting paths of positive weight, exactly: the backward sweep
+        at power 0 in Python integers.  A consuming or phi edge counts
+        1, a correction -1, so each shadowed continuation nets out; zero
+        weights count 0 (0**0 would be 1).  With ``labels``, symbol ids
+        one per level, only the paths reading that sequence: 1 when it is
+        supported, else 0."""
+        if labels is not None and len(labels) != self.horizon:
+            return 0
+        positive = self.weight > 0.0
+        on = positive[self.tid]
+        if labels is not None:
+            on &= self.label == np.repeat(labels, np.diff(self.edge_off[:-1]))
+        plus = np.flatnonzero(on & (self.coef > 0.0))  # consuming edges
+        minus = np.flatnonzero(on & (self.coef < 0.0))  # corrections
+        plus_off = np.searchsorted(plus, self.edge_off)
+        minus_off = np.searchsorted(minus, self.edge_off)
+        phi_on = positive[self.ptid]
+        count = np.zeros(self.num_states, object)
+        count[self.final > 0.0] = 1
+        so, gb = self.state_off, self.group_bounds
+        for t in range(self.horizon - 1, -1, -1):
+            for add, e in ((np.add.at, plus[plus_off[t]:plus_off[t + 1]]),
+                           (np.subtract.at, minus[minus_off[t]:minus_off[t + 1]])):
+                add(count, self.src[e], count[so[t + 1] + self.dst[e]])
+            for g in range(self.group_off[t + 1] - 1, self.group_off[t] - 1, -1):
+                p = gb[g] + np.flatnonzero(phi_on[gb[g]:gb[g + 1]])
+                np.add.at(count, self.psrc[p], count[self.pdst[p]])
+        return int(count[self.initial])
+
+    @cached_property
+    def _paths(self) -> "_PathPlan":
+        return _PathPlan(self)
+
+    def best_path(self, gain: np.ndarray, weighted: bool) -> "Route":
+        """Best accepting path under the score gain[t, label] per round,
+        plus the log-weights of its edges, phi edges and final state
+        when ``weighted``.  Ties go to the lexicographically smallest
+        sequence, as in :func:`~wfa_hedge.wfa.leveled_best_path`, which
+        on a machine without phi edges this sweep equals bit for bit.
+
+        One max-plus sweep, one level at a time, over the resolved steps:
+        a state reads a symbol by its own edge, or else from the first
+        state down its phi chain that reads it.  A consuming edge e out of
+        h is a direct candidate from h.  When h has phi-parents, e is also
+        a hub candidate from the best state that resolves to it: one of
+        h's phi-subtree outside h and the subtrees of the sources of e's
+        correction rows, found by range minima over a preorder of the
+        level's phi forest, ranked by total + log_d (log_d: the summed log
+        phi weight to the chain's end), then prefix rank.  It scores that
+        key - log_d[h] + score(e).  Direct and hub candidates then meet in
+        the plain sweep's tie-break: (target, -total, prefix rank of the
+        source, label rank).
+        """
+        p, n, so = self._paths, self.num_states, self.state_off
+        log_d = p.log_d if weighted else np.zeros(n)
+        total = np.full(n, -math.inf)
+        total[self.initial] = 0.0
+        prefix, back, came = np.zeros(n, np.intp), np.full(n, -1, np.intp), np.full(n, -1, np.intp)
+        reached = np.zeros(n, bool)
+        reached[self.initial] = True
+        for t in range(self.horizon):
+            a, r = self.edge_off[t], self.real_end[t]
+            j = a + np.flatnonzero(p.positive[a:r] & reached[self.src[a:r]])
+            q = self.src[j]
+            base = total[q]
+            if p.iv_off[t] < p.iv_off[t + 1]:
+                states = p.at[so[t]:so[t + 1]]
+                key = total[states] + log_d[states]
+                best_first = np.lexsort((prefix[states], -key))
+                goodness = np.empty(len(states), np.intp)
+                goodness[best_first] = np.arange(len(states))
+                ia, ib = p.iv_off[t], p.iv_off[t + 1]
+                first = p.first[p.first_off[t]:p.first_off[t + 1]]  # each hub's first range
+                pos = best_first[np.minimum.reduceat(
+                    _range_min(goodness, p.iv_lo[ia:ib] - so[t], p.iv_hi[ia:ib] - so[t]),
+                    first - ia)]
+                ok = np.flatnonzero(reached[states[pos]])
+                hj = p.hub[p.iv_hub[first[ok]]]
+                j, q = np.concatenate((j, hj)), np.concatenate((q, states[pos[ok]]))
+                base = np.concatenate((base, key[pos[ok]] - log_d[self.src[hj]]))
+            score = gain[t][self.label[j]]
+            if weighted:
+                score = exact_logs(self.weight[self.tid[j]]) + score
+            val = base + score
+            dst, lr = so[t + 1] + self.dst[j], p.rank[self.label[j]]
+            order = np.lexsort((lr, prefix[q], -val, dst))
+            by_dst = dst[order]
+            # The first candidate into each target wins.
+            win = order[by_dst != np.concatenate(([-1], by_dst[:-1]))]
+            into = dst[win]
+            total[into], back[into], came[into], reached[into] = val[win], j[win], q[win], True
+            prefix[into[np.lexsort((lr[win], prefix[q[win]]))]] = np.arange(len(win))
+
+        lo = so[self.horizon]
+        ends = lo + np.flatnonzero(reached[lo:] & (self.final[lo:] > 0.0))
+        if not ends.size:
+            raise ValueError("no accepting path")
+        scores = total[ends] + exact_logs(self.final[ends]) if weighted else total[ends]
+        top = np.flatnonzero(scores == scores.max())
+        i = top[np.argmin(prefix[ends[top]])]
+        steps, weights = np.empty(self.horizon, np.intp), np.empty(self.horizon)
+        q = ends[i]
+        for t in range(self.horizon - 1, -1, -1):
+            steps[t], q = back[q], came[q]
+            # The step's weight as phi_expand multiplies it: chain order, then the edge.
+            w, s = 1.0, q
+            while s != self.src[steps[t]]:
+                w, s = w * p.phi_w[s], p.phi_to[s]
+            weights[t] = w * self.weight[self.tid[steps[t]]]
+        return Route(float(scores[i]), self.label[steps], self.tid[steps], weights,
+                     float(self.final[ends[i]]))
+
+
+class Route(NamedTuple):
+    """A best path of a compiled machine: its total score; per round its
+    symbol id, its consuming edge (index into ``machine.transitions``)
+    and its weight (the phi chain's weights times the edge's); and its
+    final weight."""
+    value: float
+    labels: np.ndarray
+    edges: np.ndarray
+    weights: np.ndarray
+    final: float
+
+
+def _range_min(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """min(x[lo[i]:hi[i]]) for each nonempty range, from a sparse table:
+    row k holds the minima of the windows of length 2**k."""
+    k = np.frexp((hi - lo).astype(float))[1] - 1  # floor(log2(length))
+    table = np.empty((int(k.max()) + 1, len(x)), x.dtype)
+    table[0] = x
+    for r in range(1, len(table)):
+        half = 1 << (r - 1)
+        table[r, :-half] = np.minimum(table[r - 1, :-half], table[r - 1, half:])
+    return np.minimum(table[k, lo], table[k, hi - (1 << k)])
+
+
+class _PathPlan:
+    """What :meth:`CompiledMachine.best_path` reads besides the compiled
+    arrays, built on the first sweep.
+
+    ``positive`` marks the consuming edges of positive weight, and
+    ``rank`` is each symbol's rank in sorted order.  The phi edges of
+    positive weight form an in-forest inside each level: ``phi_to`` and
+    ``phi_w`` per state (-1 and 1 at a chain's end).  A state's
+    phi-subtree, itself and every state whose chain passes through it,
+    sits at positions ``tin:tin + size`` of a preorder of that forest,
+    whose position i holds state ``at[i]``; ``log_d`` sums the log phi
+    weights from a state down to its chain's end.  ``hub`` lists the
+    positive consuming edges whose source has phi-parents.  The states
+    that resolve to hub edge k are the preorder ranges ``iv_lo:iv_hi``
+    whose ``iv_hub`` is k, level t's at ``iv_off[t]:iv_off[t+1]``: the
+    subtree of its source, less the source itself and the subtrees of the
+    sources of its correction rows, which read its symbol first.
+    ``first`` indexes each hub's first range, level t's at
+    ``first_off[t]:first_off[t+1]``.
+    """
+
+    def __init__(self, cm: CompiledMachine):
+        n = cm.num_states
+        self.positive = (cm.weight > 0.0)[cm.tid]
+        self.positive[_ranges(cm.real_end, cm.edge_off[1:])] = False
+        self.rank = _label_ranks(cm.alphabet)[1]
+
+        pw = cm.weight[cm.ptid]
+        on = pw > 0.0
+        child, parent, log_phi = cm.psrc[on], cm.pdst[on], exact_logs(pw[on])
+        self.phi_to, self.phi_w = np.full(n, -1, np.intp), np.ones(n)
+        self.phi_to[child], self.phi_w[child] = parent, pw[on]
+        # Subtree sizes from the chain starts down (a child's phi-parents
+        # are shallower), then preorder positions and log_d from the ends up.
+        depth = _phi_chain_depth(parent, child, n)[child]
+        by_depth = np.argsort(depth, kind="stable")
+        cut = np.searchsorted(depth[by_depth], np.arange(depth.max() + 2 if len(depth) else 1))
+        groups = [by_depth[a:b] for a, b in zip(cut[:-1], cut[1:])]
+        size = np.ones(n, np.intp)
+        for e in groups:
+            np.add.at(size, parent[e], size[child[e]])
+        roots = np.flatnonzero(self.phi_to < 0)
+        tin = np.empty(n, np.intp)
+        tin[roots] = np.cumsum(size[roots]) - size[roots]
+        sib = np.lexsort((child, parent))  # siblings in id order
+        before = np.cumsum(size[child[sib]]) - size[child[sib]]
+        offset = np.empty(len(child), np.intp)
+        offset[sib] = before - before[np.searchsorted(parent[sib], parent[sib])]
+        self.log_d = np.zeros(n)
+        for e in reversed(groups):
+            tin[child[e]] = tin[parent[e]] + 1 + offset[e]
+            self.log_d[child[e]] = self.log_d[parent[e]] + log_phi[e]
+        self.at = np.empty(n, np.intp)
+        self.at[tin] = np.arange(n)
+
+        self.hub = np.flatnonzero(self.positive & (size > 1)[cm.src])
+        h = cm.src[self.hub]
+        lo, hi, hubs = tin[h] + 1, tin[h] + size[h], np.arange(len(self.hub))
+        # Correction rows by the hub edge they cancel, kept where their
+        # source lies in that edge's source's subtree.
+        rows = _ranges(cm.real_end, cm.edge_off[1:])
+        hub_tid = cm.tid[self.hub]
+        by_tid = np.argsort(hub_tid)
+        k = np.searchsorted(hub_tid, cm.tid[rows], sorter=by_tid)
+        rows, k = rows[k < len(hubs)], by_tid[k[k < len(hubs)]]
+        c = cm.src[rows]
+        inside = (hub_tid[k] == cm.tid[rows]) & (tin[c] >= lo[k]) & (tin[c] < hi[k])
+        k, xs = k[inside], tin[c[inside]]
+        by_start = np.lexsort((xs, k))
+        k, xs = k[by_start], xs[by_start]
+        xe = xs + size[self.at[xs]]
+        # Per hub edge the gaps lo..x1, x1 end..x2, ..., last end..hi.
+        s = np.argsort(np.concatenate((hubs, k)), kind="stable")
+        e = np.argsort(np.concatenate((k, hubs)), kind="stable")
+        iv_lo, iv_hi = np.concatenate((lo, xe))[s], np.concatenate((xs, hi))[e]
+        keep = iv_lo < iv_hi
+        self.iv_hub = np.concatenate((hubs, k))[s][keep]
+        self.iv_lo, self.iv_hi = iv_lo[keep], iv_hi[keep]
+        self.iv_off = np.searchsorted(self.iv_hub, np.searchsorted(self.hub, cm.edge_off))
+        self.first = np.flatnonzero(np.diff(self.iv_hub, prepend=-1))
+        self.first_off = np.searchsorted(self.first, self.iv_off)
+
 
 # -- the online state ------------------------------------------------------------
 
@@ -247,14 +477,9 @@ class HedgeState:
         self.p_history.append(self.p_current)
 
     @cached_property
-    def competitor(self) -> Wfa:
-        """The played sequences as a plain machine (phi chains expanded),
-        built when the regret accounting first needs it."""
-        return phi_expand(self.machine) if isinstance(self.machine, PhiWfa) else self.machine
-
-    @cached_property
     def K(self) -> int:
-        return count_accepting_paths(self.competitor)
+        """The number of played sequences, read off the compiled arrays."""
+        return self.compiled.count_paths()
 
     @property
     def log_w(self) -> np.ndarray:
@@ -374,33 +599,42 @@ def sample(p: np.ndarray, rng: np.random.Generator) -> int:
 # -- path sums and regret -------------------------------------------------------
 
 
-def best_competitor(competitor: Wfa, losses: Sequence[np.ndarray],
+def best_competitor(competitor: Union[Wfa, HedgeState], losses: Sequence[np.ndarray],
                     weighted: bool) -> tuple[tuple[str, ...], float, float]:
     """Best supported sequence for the regret maximization.
 
-    Returns (sequence, its cumulative loss, its log probability under the
-    competitor distribution).  ``weighted`` adds the log-probability term
-    to the maximized objective; ties break lexicographically.
+    ``competitor`` is a plain length-T machine, or a run's state, whose
+    compiled arrays are swept (:meth:`CompiledMachine.best_path`) with
+    its log Z.  Returns (sequence, its cumulative loss, its log
+    probability under the competitor distribution).  ``weighted`` adds
+    the log-probability term to the maximized objective; ties break
+    lexicographically.
     """
     losses = np.asarray(losses, dtype=float)
-    c, log_w = competitor.columns, _edge_logs(competitor)
-    log_z = _log_normaliser(competitor)
-    # Each edge's loss at its round, turned in place (one column in
-    # memory at a time) into the score log w - loss, or -loss.
-    score = losses[levels(competitor)[c.src], c.label]
-    if weighted:
-        _, seq, edges = leveled_best_path(competitor, np.subtract(log_w, score, out=score),
-                                          exact_logs(_final_weights(competitor)[1]))
+    if isinstance(competitor, HedgeState):
+        route = competitor.compiled.best_path(-losses, weighted)
+        labels, weights, final = route.labels, route.weights, route.final
+        log_z = competitor.log_Z
     else:
-        _, seq, edges = leveled_best_path(competitor, np.negative(score, out=score))
-    path_loss = sum(losses[i][a] for i, a in enumerate(c.label[edges].tolist()))
+        c, log_w = competitor.columns, _edge_logs(competitor)
+        # Each edge's loss at its round, turned in place (one column in
+        # memory at a time) into the score log w - loss, or -loss.
+        score = losses[levels(competitor)[c.src], c.label]
+        if weighted:
+            edges = leveled_best_path(competitor, np.subtract(log_w, score, out=score),
+                                      exact_logs(_final_weights(competitor)[1])).edges
+        else:
+            edges = leveled_best_path(competitor, np.negative(score, out=score)).edges
+        labels, weights = c.label[edges], c.weight[edges]
+        final = competitor.final_weight(int(c.dst[edges[-1]]) if len(edges) else competitor.initial)
+        log_z = _log_normaliser(competitor)
+    seq = tuple(competitor.alphabet[a] for a in labels.tolist())
+    path_loss = sum(losses[i][a] for i, a in enumerate(labels.tolist()))
     # Sum log-weights along the path: its linear weight can underflow.
     log_path = 0.0
-    for lw in log_w[edges].tolist():
+    for lw in exact_logs(weights).tolist():
         log_path += lw
-    end = int(c.dst[edges[-1]]) if len(edges) else competitor.initial
-    log_q = log_path + math.log(competitor.final_weight(end)) - log_z
-    return seq, float(path_loss), log_q
+    return seq, float(path_loss), log_path + math.log(final) - log_z
 
 
 def weighted_regret(p_rounds: Sequence[np.ndarray], losses: Sequence[np.ndarray],
@@ -530,17 +764,18 @@ class RegretReport:
 
 
 def summarize(state: HedgeState) -> RegretReport:
-    """Regret values and bound values for a finished run."""
+    """Regret values and bound values for a finished run, read off the
+    run state alone: K, log Z and the best paths come from its compiled
+    arrays, so a phi run is never expanded."""
     if state.rounds_done != state.T:
         raise ValueError("run is not finished")
     ps, ls = state.p_history, state.loss_history
-    ct = state.competitor
     eta, T, K = state.eta, state.T, state.K
     # weighted_regret and unweighted_regret, sharing the weighted best path.
     algo = sum(float(np.dot(p, l)) for p, l in zip(ps, ls))
-    seq, path_loss, log_q = best_competitor(ct, ls, weighted=True)
+    seq, path_loss, log_q = best_competitor(state, ls, weighted=True)
     w_reg = algo - path_loss + log_q + math.log(K)
-    u_reg = algo - best_competitor(ct, ls, weighted=False)[1]
+    u_reg = algo - best_competitor(state, ls, weighted=False)[1]
     log_sum_q_eta = state.log_Z_eta - eta * state.log_Z
     bound_tight = eta * T / 8.0 + (1.0 / eta) * (eta * math.log(K) + log_sum_q_eta)
     bound_loose = eta * T / 8.0 + (1.0 / eta) * math.log(K)

@@ -14,6 +14,9 @@ mass after the update, and with it the rescale, follows from those flows
 without another sweep; the rescaled charge then goes into the same
 forward advance as a plain round.  On a phi machine a label's flow
 already nets out its correction edges, so phi products run it too.
+The verdict of a run (:func:`worst_comparator`, :func:`sleeping_regret`
+given the run state) reads K, the worst comparator and its support off
+the same compiled arrays, so no phi run is expanded.
 """
 
 from __future__ import annotations
@@ -129,7 +132,7 @@ class SleepingRegret:
 def sleeping_regret(awake_sets: Sequence[np.ndarray],
                     p_awake_rounds: Sequence[np.ndarray],
                     losses: Sequence[np.ndarray],
-                    competitor: Wfa,
+                    competitor: Union[Wfa, HedgeState],
                     u: dict[tuple[str, ...], float],
                     eta: float) -> SleepingRegret:
     """Regret against a fixed mixture over accepting paths.
@@ -137,15 +140,26 @@ def sleeping_regret(awake_sets: Sequence[np.ndarray],
     Only rounds where a path is awake (its symbol at that position lies
     in the awake set) contribute, on both sides of the comparison.  Also
     returns the mixture-specific bound (eta/8) sum_t u(A_t) + log(K)/eta.
+    ``competitor`` is a plain length-T machine, or a run's state, whose
+    K and support are read off its compiled arrays.
     """
     total = sum(u.values())
     if abs(total - 1.0) > 1e-9 or any(v < 0 for v in u.values()):
         raise ValueError("comparator must be a distribution over paths")
-    for seq in u:
-        if u[seq] > 0 and evaluate(competitor, seq) <= 0.0:
-            raise ValueError(f"comparator puts mass on unsupported path {seq}")
     sym = {a: i for i, a in enumerate(competitor.alphabet)}
-    k = count_accepting_paths(competitor)
+    if isinstance(competitor, HedgeState):
+        k = competitor.K
+
+        def supported(seq):
+            return competitor.compiled.count_paths([sym.get(a, -1) for a in seq]) > 0
+    else:
+        k = count_accepting_paths(competitor)
+
+        def supported(seq):
+            return evaluate(competitor, seq) > 0.0
+    for seq in u:
+        if u[seq] > 0 and not supported(seq):
+            raise ValueError(f"comparator puts mass on unsupported path {seq}")
     value = 0.0
     awake_mass = 0.0
     for t, (mask, p_awake, loss) in enumerate(zip(awake_sets, p_awake_rounds, losses)):
@@ -165,14 +179,19 @@ def sleeping_regret(awake_sets: Sequence[np.ndarray],
 def worst_comparator(awake_sets: Sequence[np.ndarray],
                      p_awake_rounds: Sequence[np.ndarray],
                      losses: Sequence[np.ndarray],
-                     competitor: Wfa, eta: float) -> dict[tuple[str, ...], float]:
+                     competitor: Union[Wfa, HedgeState], eta: float
+                     ) -> dict[tuple[str, ...], float]:
     """The comparator whose :func:`sleeping_regret` value exceeds its
     bound the most: a point mass, as value minus bound is linear in the
     mixture.  Up to log(K)/eta, the point mass on x scores the sum over
     rounds of awake_t(x_t) (p_awake,t . l_t - l_t(x_t) - eta/8), so it is
-    one best path of the length-T competitor, at any K."""
-    c = competitor.columns
+    one best path of the length-T competitor, at any K: of a run's
+    compiled arrays when ``competitor`` is its state."""
     gains = np.array([np.where(mask, float(np.dot(p, loss)) - np.asarray(loss, float) - eta / 8.0,
                                0.0) for mask, p, loss in zip(awake_sets, p_awake_rounds, losses)])
+    if isinstance(competitor, HedgeState):
+        labels = competitor.compiled.best_path(gains, weighted=False).labels
+        return {tuple(competitor.alphabet[a] for a in labels.tolist()): 1.0}
+    c = competitor.columns
     path = leveled_best_path(competitor, gains[levels(competitor)[c.src], c.label])
     return {path.sequence: 1.0}

@@ -5,6 +5,8 @@ prints the blob that reproduces a failure, so a failing CI run replays
 exactly: ``pytest --hypothesis-profile=ci``.
 """
 
+import sys
+
 import pytest
 from hypothesis import settings
 
@@ -25,3 +27,18 @@ def built_transitions(monkeypatch):
 
     monkeypatch.setattr(Transition, "__init__", counted)
     return built
+
+
+@pytest.fixture
+def no_expansion(monkeypatch):
+    """phi_expand, and the chain walker that expands, raise wherever the
+    library binds them."""
+    from wfa_hedge import phi
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a phi machine was expanded")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wfa_hedge") and getattr(module, "phi_expand", None) is phi.phi_expand:
+            monkeypatch.setattr(module, "phi_expand", refuse)
+    monkeypatch.setattr(phi._Chains, "resolve", refuse)

@@ -1503,3 +1503,48 @@ def phi_convert(wfa: Wfa) -> PhiWfa:
     result = PhiWfa(wfa.alphabet, num_states, wfa.initial, dict(wfa.finals), ts, names)
     result.conversion_events = tuple(events)
     return result
+
+
+# -- the expansion-based regret report the compiled sweeps replaced ----------------------
+#
+# summarize as the library had it while a run's report read the played
+# machine with its phi chains expanded: K counted, both best paths swept
+# and log Z summed on phi_expand of the product.
+
+
+def played(state) -> Wfa:
+    """A run's played length-T sequences as a plain machine: its product,
+    phi chains expanded."""
+    from wfa_hedge.phi import phi_expand
+    return phi_expand(state.machine) if isinstance(state.machine, PhiWfa) else state.machine
+
+
+def summarize(state):
+    """Regret values and bound values for a finished run, on played(state)."""
+    from wfa_hedge.hedge import RegretReport, best_competitor
+    from wfa_hedge.wfa import count_accepting_paths
+    if state.rounds_done != state.T:
+        raise ValueError("run is not finished")
+    ps, ls = state.p_history, state.loss_history
+    ct = played(state)
+    eta, T, K = state.eta, state.T, count_accepting_paths(ct)
+    algo = sum(float(np.dot(p, l)) for p, l in zip(ps, ls))
+    seq, path_loss, log_q = best_competitor(ct, ls, weighted=True)
+    w_reg = algo - path_loss + log_q + math.log(K)
+    u_reg = algo - best_competitor(ct, ls, weighted=False)[1]
+    log_sum_q_eta = state.log_Z_eta - eta * state.log_Z
+    bound_tight = eta * T / 8.0 + (1.0 / eta) * (eta * math.log(K) + log_sum_q_eta)
+    bound_loose = eta * T / 8.0 + (1.0 / eta) * math.log(K)
+    return RegretReport(
+        eta=eta, horizon=T, num_experts=state.num_experts, num_sequences=K,
+        p_rounds=[p.tolist() for p in ps],
+        losses=[l.tolist() for l in ls],
+        expected_losses=list(state.expected_losses),
+        cumulative_loss=state.cumulative_loss,
+        best_sequence=seq, best_sequence_loss=path_loss,
+        weighted_regret=w_reg, unweighted_regret=u_reg,
+        weighted_bound=bound_tight, weighted_bound_loose=bound_loose,
+        unweighted_bound=bound_loose,
+        touched_per_round=list(state.touched_per_round),
+        work_per_round=list(state.work_per_round),
+    )

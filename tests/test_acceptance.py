@@ -44,7 +44,7 @@ def test_01_engine_matches_enumeration_oracle():
     t0 = time.monotonic()
     eta, horizon = 0.7, 6
     base = hedge_init(exact_shift_automaton(3, 2), horizon, eta)
-    support = enumerate_support(base.competitor)
+    support = enumerate_support(oracles.played(base))
     assert len(support) == math.comb(5, 2) * 3 * 2 ** 2 == 120
     worst = 0.0
     for seed in range(20):
@@ -90,18 +90,18 @@ def test_02_regret_bounds_hold_strictly():
             losses = [rng.random(3) for _ in range(horizon)]
 
             st = run(hedge_init(machine, horizon, eta), losses)
-            support = enumerate_support(st.competitor)
+            support = enumerate_support(oracles.played(st))
             z = sum(w for _, w in support)
             k = len(support)
             sum_q_eta = sum((w / z) ** eta for _, w in support)
             w_bound = eta * horizon / 8 + (1 / eta) * math.log(k ** eta * sum_q_eta)
-            w_reg = weighted_regret(st.p_history, losses, st.competitor)
+            w_reg = weighted_regret(st.p_history, losses, oracles.played(st))
             assert w_reg <= w_bound, (name, seed)
 
             stu = run(hedge_init(unit, horizon, eta), losses)
-            ku = count_accepting_paths(stu.competitor)
+            ku = count_accepting_paths(oracles.played(stu))
             u_bound = eta * horizon / 8 + math.log(ku) / eta
-            u_reg = unweighted_regret(stu.p_history, losses, stu.competitor)
+            u_reg = unweighted_regret(stu.p_history, losses, oracles.played(stu))
             assert u_reg <= u_bound, (name, seed)
             runs += 1
     assert runs == 100
@@ -298,7 +298,7 @@ def test_09_sleeping_engine():
     rng = np.random.default_rng(14)
     for seed in range(50):
         st = awake_init(exact_shift_automaton(3, 1), horizon, eta)
-        support = enumerate_support(st.competitor)
+        support = enumerate_support(oracles.played(st))
         sym = {a: i for i, a in enumerate(st.alphabet)}
         masks, losses = [], []
         for t in range(horizon):
@@ -326,9 +326,9 @@ def test_09_sleeping_engine():
                 assert abs(after[i] - before[i]) <= 1e-9 * max(before[i], 1e-12)
             masks.append(mask)
             losses.append(loss)
-        for u in oracles.vertex_comparators(st.competitor):
+        for u in oracles.vertex_comparators(oracles.played(st)):
             r = sleeping_regret(masks, st.p_awake_history, losses,
-                                st.competitor, u, eta)
+                                oracles.played(st), u, eta)
             assert r.value <= r.bound, seed
 
     # all-awake reduction

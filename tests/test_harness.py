@@ -275,6 +275,34 @@ def test_compare_rejects_mismatched_shapes():
         compare([cfg_with(), cfg_with(horizon=5)])
 
 
+def test_compare_builds_each_automaton_once(monkeypatch):
+    from wfa_hedge import harness
+    cfgs = [cfg_with(label="fixed"),
+            cfg_with(label="awake", losses={"generator": "iid_uniform", "seed": 8},
+                     algorithm="awake-hedge",
+                     awake={"generator": "random_subsets", "params": {"density": 0.7}})]
+    # Each config on the first one's losses, run on its own.
+    want = [run_experiment(ExperimentConfig.from_dict({**c.to_dict(), "losses": BASE["losses"]}))
+            for c in cfgs]
+    calls = []
+    build = harness.build_automaton
+
+    def counted(spec):
+        calls.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(harness, "build_automaton", counted)
+    out = compare(cfgs)
+    assert calls == [c.automaton for c in cfgs]
+    assert out["reports"] == want
+    assert [(r["label"], r["cumulative_loss"], r["verdicts"]) for r in out["rows"]] == [
+        (c.label, w["cumulative_loss"], w["verdicts"]) for c, w in zip(cfgs, want)]
+    calls.clear()
+    with pytest.raises(ValueError, match=r"^config  has \(3, 5\), expected \(3, 6\)$"):
+        compare([cfg_with(), cfg_with(horizon=5)])
+    assert len(calls) == 2
+
+
 def test_phi_compare_identical_regret_smaller_levels():
     shared = {"generator": "iid_uniform", "seed": 3}
     n = 6
@@ -322,6 +350,21 @@ def test_awake_run_plays_the_phi_form_of_an_approximation(tmp_path):
                                                          abs=1e-12)
     assert cli_main(["run", "--config", str(tmp_path / "phi-True.json"),
                      "--out", str(tmp_path / "r.json")]) == 0
+
+
+def test_awake_phi_run_never_expands(tmp_path, no_expansion):
+    # The sleeping verdict of a phi run reads K, the worst comparator and
+    # its support off the run's compiled arrays.
+    path = tmp_path / "awake-phi.json"
+    path.write_text(json.dumps({
+        "automaton": {"builder": "kshift", "params": {"num_experts": 4, "shifts": 2}},
+        "horizon": 20, "eta": "fixed", "algorithm": "awake-hedge", "phi": True,
+        "awake": {"generator": "random_subsets", "params": {"density": 0.6}, "seed": 2},
+        "approximation": {"kind": "fixed-share-bigram"},
+        "losses": {"generator": "iid_uniform", "seed": 4}, "seed": 1}))
+    rep = run_experiment(ExperimentConfig.load(path))
+    assert rep["approximation"]["phi_form"] == "shared-shift-hub"
+    assert rep["verdicts"] == {"sleeping_bound_ok": True}
 
 
 def test_sleeping_verdict_checks_the_worst_comparator_beyond_200_paths():
@@ -483,22 +526,26 @@ def test_cli_fits_and_runs_do_not_enumerate(tmp_path, monkeypatch):
     assert math.isfinite(kl) and kl <= divergence_inf(ct, model).value + 1e-12
 
 
-def test_cli_fits_refuse_phi_machine_files(tmp_path, capsys):
+def test_cli_fits_refuse_phi_machine_files(tmp_path, capsys, monkeypatch):
     # A plain intersection would drop the phi edges and fit the 4
-    # constant sequences of this machine instead of its 4^10.
+    # constant sequences of this machine instead of its 4^10; the file is
+    # refused before any product is built.
+    from wfa_hedge import cli
     from wfa_hedge.textio import write_automaton, write_symbols
     machine = bigram_phi_machine(fixed_share_bigram(4, 1, 10))
     write_automaton(machine, tmp_path / "m.fsa")
     write_symbols(machine.alphabet, tmp_path / "m.syms")
     fit = ["--automaton", str(tmp_path / "m.fsa"), "--symbols", str(tmp_path / "m.syms"),
            "--horizon", "10"]
-    assert cli_main(["approximate", *fit, "--kind", "ml-ngram", "--order", "2",
-                     "--out", str(tmp_path / "ml.json")]) == 1
-    assert "phi_intersect" in capsys.readouterr().err
-    assert not (tmp_path / "ml.json").exists()
+    monkeypatch.setattr(cli, "horizon_product", None)  # calling it would raise TypeError
     (tmp_path / "model.json").write_text(fixed_share_bigram(4, 1, 10).to_json())
-    assert cli_main(["divergence", *fit, "--model", str(tmp_path / "model.json"),
-                     "--out", str(tmp_path / "d.json")]) == 1
+    for args, out in ((["approximate", *fit, "--kind", "ml-ngram", "--order", "2"], "ml.json"),
+                      (["divergence", *fit, "--model", str(tmp_path / "model.json")], "d.json")):
+        assert cli_main([*args, "--out", str(tmp_path / out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {tmp_path / 'm.fsa'} has failure (phi) transitions; "
+                       "the fits read plain machines\n")
+        assert not (tmp_path / out).exists()
 
 
 def test_cli_fits_exit_1_on_a_horizon_without_sequences(tmp_path, capsys):

@@ -34,7 +34,7 @@ def test_p1_uniform_on_length_machine():
 
 def test_p1_matches_first_position_marginal():
     st = hedge_init(exact_shift_automaton(3, 2), 6, 1.0)
-    support = enumerate_support(st.competitor)
+    support = enumerate_support(oracles.played(st))
     marg = np.zeros(3)
     sym = {a: i for i, a in enumerate(st.alphabet)}
     for seq, w in support:
@@ -48,7 +48,7 @@ def test_p1_reflects_eta_power_of_weights():
     m = weighted_shift_automaton(w, initial_weights=[0.8, 0.2])
     eta = 0.5
     st = hedge_init(m, 3, eta)
-    support = enumerate_support(st.competitor)
+    support = enumerate_support(oracles.played(st))
     z = sum(wt for _, wt in support)
     tilted = {}
     for seq, wt in support:
@@ -83,7 +83,7 @@ def test_init_rejects_bad_eta():
 
 def test_zero_losses_keep_prior_marginals():
     st = hedge_init(exact_shift_automaton(3, 1), 5, 0.7)
-    support = enumerate_support(st.competitor)
+    support = enumerate_support(oracles.played(st))
     oracle = oracles.brute_distributions(
         support, 0.7, [np.zeros(3)] * 5, st.alphabet)
     ps = [st.p_current]
@@ -99,7 +99,7 @@ def test_matches_brute_force_on_kshift(seed):
     st = hedge_init(exact_shift_automaton(3, 2), 6, eta)
     rng = np.random.default_rng(seed)
     losses = [rng.random(3) for _ in range(6)]
-    support = enumerate_support(st.competitor)
+    support = enumerate_support(oracles.played(st))
     oracle = oracles.brute_distributions(support, eta, losses, st.alphabet)
     ps = [st.p_current]
     for t in range(6):
@@ -118,7 +118,7 @@ def test_matches_brute_force_on_weighted_machine(seed):
     st = hedge_init(machine, horizon, eta)
     rng = np.random.default_rng(100 + seed)
     losses = [rng.random(3) for _ in range(horizon)]
-    support = enumerate_support(st.competitor)
+    support = enumerate_support(oracles.played(st))
     oracle = oracles.brute_distributions(support, eta, losses, st.alphabet)
     ps = [st.p_current]
     for t in range(horizon):
@@ -250,8 +250,8 @@ def test_summarize_on_fixed_share_phi_machine():
 
 
 def test_summarize_builds_no_transition_objects(request):
-    # The report reads K, log Z, the phi expansion and the best paths off
-    # edge columns; no per-edge object is built after set-up.
+    # The report reads K, log Z and the best paths off the compiled
+    # arrays; no per-edge object is built after set-up.
     n, k, horizon = 30, 3, 300
     st = hedge_init(bigram_phi_machine(fixed_share_bigram(n, k, horizon)), horizon, 0.3)
     run_rounds(st, np.random.default_rng(5).random((horizon, n)))
@@ -260,6 +260,70 @@ def test_summarize_builds_no_transition_objects(request):
     assert built == []
     assert rep.num_sequences == n ** horizon  # Fixed-Share gives every sequence weight
     assert rep.weighted_regret <= rep.weighted_bound
+
+
+def test_summarize_never_expands_a_phi_run(no_expansion):
+    n, k, horizon = 6, 2, 40
+    st = hedge_init(bigram_phi_machine(fixed_share_bigram(n, k, horizon)), horizon, 0.4)
+    run_rounds(st, np.random.default_rng(7).random((horizon, n)))
+    rep = summarize(st)
+    assert rep.num_sequences == n ** horizon
+    assert rep.weighted_regret <= rep.weighted_bound
+    with pytest.raises(AssertionError, match="expanded"):
+        oracles.summarize(st)
+
+
+@pytest.mark.parametrize("n, k, horizon", [(4, 1, 10), (10, 2, 50), (30, 3, 300)])
+def test_fixed_share_phi_count_is_every_sequence(n, k, horizon):
+    # Fixed-Share gives every sequence positive weight: K = N^T, here up
+    # to 444 digits, from the compiled arrays with their corrections.
+    st = hedge_init(bigram_phi_machine(fixed_share_bigram(n, k, horizon)), horizon, 0.5)
+    assert st.K == n ** horizon
+
+
+@pytest.mark.parametrize("n, k, horizon", [(3, 2, 6), (4, 3, 30), (10, 5, 200)])
+def test_kshift_count_is_the_closed_form(n, k, horizon):
+    st = hedge_init(exact_shift_automaton(n, k), horizon, 0.5)
+    assert st.K == n * (n - 1) ** k * math.comb(horizon - 1, k)
+
+
+def test_count_skips_zero_weight_edges_phi_edges_and_finals():
+    from wfa_hedge.phi import PHI, PhiWfa, phi_expand
+    from wfa_hedge.wfa import Transition, Wfa, count_accepting_paths
+    # Of aa, ab, ba, bb only aa has positive weight: ab ends on a final
+    # of weight 0, ba and bb start on an edge of weight 0.
+    plain = Wfa(("a", "b"), 4, 0, {2: 1.0, 3: 0.0},
+                [Transition(0, "a", 0.5, 1), Transition(0, "b", 0.0, 1),
+                 Transition(1, "a", 1.0, 2), Transition(1, "b", 1.0, 3)])
+    assert hedge_init(plain, 2, 1.0).K == 1
+    # From state 0: a is its own, b and c would come down its phi edge of
+    # weight 0 (K = 1).  From state 1: b is its own, c comes from state 2
+    # and state 2's a has weight 0 (K = 2).
+    phi = PhiWfa(("a", "b", "c"), 4, 0, {3: 1.0},
+                 [Transition(0, "a", 0.3, 3), Transition(0, PHI, 0.0, 1),
+                  Transition(1, PHI, 0.5, 2), Transition(1, "b", 0.2, 3),
+                  Transition(2, "a", 0.0, 3), Transition(2, "c", 0.4, 3)])
+    st = hedge_init(phi, 1, 1.0)
+    assert st.K == count_accepting_paths(phi_expand(st.machine)) == 1
+    assert hedge_init(PhiWfa(("a", "b", "c"), 4, 1, {3: 1.0}, phi.transitions), 1, 1.0).K == 2
+
+
+def test_best_sequence_differs_from_the_expansion_only_on_a_float_tie():
+    # "a" reads through the hub: log(0.71) + log(0.3) is one ulp below
+    # log(0.71 * 0.3), the weight of "b" and of the expanded "a" edge.
+    # The expansion ties and takes "a"; the compiled sweep sees "b" ahead.
+    from wfa_hedge.phi import PHI, PhiWfa
+    from wfa_hedge.wfa import Transition
+    phi_w, w_a = 0.71, 0.3
+    assert math.log(phi_w) + math.log(w_a) < math.log(phi_w * w_a)
+    machine = PhiWfa(("a", "b"), 3, 0, {1: 1.0},
+                     [Transition(0, "b", phi_w * w_a, 1), Transition(0, PHI, phi_w, 2),
+                      Transition(2, "a", w_a, 1), Transition(2, "b", 0.5, 1)])
+    st = run_rounds(hedge_init(machine, 1, 1.0), [[0.0, 0.0]])
+    got, want = summarize(st), oracles.summarize(st)
+    assert (got.best_sequence, want.best_sequence) == (("b",), ("a",))
+    assert got.weighted_regret == pytest.approx(want.weighted_regret, abs=1e-15)
+    assert got.num_sequences == want.num_sequences == 2
 
 
 def test_touched_edges_equal_level_sizes():
@@ -427,8 +491,8 @@ def test_summarize_finds_each_best_path_once(monkeypatch):
     rep = summarize(st)
     assert sorted(calls) == [False, True]
     ps, ls = st.p_history, st.loss_history
-    assert rep.weighted_regret == weighted_regret(ps, ls, st.competitor)
-    assert rep.unweighted_regret == unweighted_regret(ps, ls, st.competitor)
+    assert rep.weighted_regret == weighted_regret(ps, ls, oracles.played(st))
+    assert rep.unweighted_regret == unweighted_regret(ps, ls, oracles.played(st))
 
 
 def test_weighted_regret_matches_enumeration():
@@ -437,7 +501,7 @@ def test_weighted_regret_matches_enumeration():
     rng = np.random.default_rng(11)
     losses = [rng.random(3) for _ in range(6)]
     run_rounds(st, losses)
-    support = enumerate_support(st.competitor)
+    support = enumerate_support(oracles.played(st))
     algo = sum(st.expected_losses)
     z = sum(w for _, w in support)
     sym = {a: i for i, a in enumerate(st.alphabet)}
@@ -445,7 +509,7 @@ def test_weighted_regret_matches_enumeration():
         algo - sum(losses[t][sym[a]] for t, a in enumerate(seq))
         + math.log(w / z) + math.log(len(support))
         for seq, w in support)
-    got = weighted_regret(st.p_history, losses, st.competitor)
+    got = weighted_regret(st.p_history, losses, oracles.played(st))
     assert got == pytest.approx(brute, rel=1e-12)
 
 
@@ -455,8 +519,8 @@ def test_uniform_weights_make_regrets_equal():
     rng = np.random.default_rng(12)
     losses = [rng.random(3) for _ in range(5)]
     run_rounds(st, losses)
-    w = weighted_regret(st.p_history, losses, st.competitor)
-    u = unweighted_regret(st.p_history, losses, st.competitor)
+    w = weighted_regret(st.p_history, losses, oracles.played(st))
+    u = unweighted_regret(st.p_history, losses, oracles.played(st))
     assert w == pytest.approx(u, abs=1e-9)
 
 
@@ -469,8 +533,8 @@ def test_constant_sequences_reduce_to_static_regret():
     static = max(
         sum(st.expected_losses) - sum(l[i] for l in losses)
         for i in range(3))
-    assert unweighted_regret(st.p_history, losses, st.competitor) == pytest.approx(static)
-    assert weighted_regret(st.p_history, losses, st.competitor) == pytest.approx(static)
+    assert unweighted_regret(st.p_history, losses, oracles.played(st)) == pytest.approx(static)
+    assert weighted_regret(st.p_history, losses, oracles.played(st)) == pytest.approx(static)
 
 
 @pytest.mark.parametrize("builder", ["kshift", "weighted", "hierarchy"])
@@ -501,10 +565,10 @@ def test_entropy_tuned_rate_bound():
     machine = weighted_shift_automaton(w)
     horizon = 8
     probe = hedge_init(machine, horizon, 0.5)
-    support = enumerate_support(probe.competitor)
+    support = enumerate_support(oracles.played(probe))
     z = sum(x for _, x in support)
     q = np.array([x / z for _, x in support])
-    eta = tune_eta_renyi(probe.competitor, horizon)
+    eta = tune_eta_renyi(oracles.played(probe), horizon)
     h = renyi_entropy(q, eta)
     bound = math.sqrt(horizon * h / 2) - h + math.log(len(q))
     assert h < math.log(len(q))  # concentration makes the bound tighter
@@ -513,7 +577,7 @@ def test_entropy_tuned_rate_bound():
         rng = np.random.default_rng(seed)
         losses = [rng.random(3) for _ in range(horizon)]
         run_rounds(st, losses)
-        assert weighted_regret(st.p_history, losses, st.competitor) <= bound
+        assert weighted_regret(st.p_history, losses, oracles.played(st)) <= bound
 
 
 def test_zero_loss_target_gives_clean_regret():
@@ -526,7 +590,7 @@ def test_zero_loss_target_gives_clean_regret():
                              3, horizon, 3))
     st = hedge_init(exact_shift_automaton(3, 2), horizon, 0.8)
     run_rounds(st, losses)
-    u = unweighted_regret(st.p_history, losses, st.competitor)
+    u = unweighted_regret(st.p_history, losses, oracles.played(st))
     assert u == pytest.approx(sum(st.expected_losses), rel=1e-12)
     rep = summarize(st)
     assert u <= rep.unweighted_bound

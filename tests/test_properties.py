@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from wfa_hedge import phi
 from wfa_hedge.approx import _ProdEGRun, divergence_inf, kl_divergence, select_order
 from wfa_hedge.builders import exact_shift_automaton, length_automaton
-from wfa_hedge.hedge import (hedge_init, hedge_step, log_power_sum, renyi_entropy_machine,
-                             shannon_entropy, tune_eta_renyi)
+from wfa_hedge.hedge import (hedge_init, hedge_step, horizon_product, log_power_sum,
+                             renyi_entropy_machine, shannon_entropy, summarize, tune_eta_renyi)
 from wfa_hedge.ngram import NGramModel, bigram_phi_machine, ml_ngram, ngram_to_wfa
 from wfa_hedge.phi import (MAX_PHI_CHAIN, PhiChainError, PhiWfa, phi_backward_distances,
                            phi_convert, phi_expand, phi_intersect, phi_source_subset,
@@ -49,6 +49,12 @@ def engine_distributions(machine, horizon, eta, losses):
 def horizon_support(machine, horizon):
     return enumerate_support(intersect(machine, length_automaton(
         len(machine.alphabet), horizon, alphabet=machine.alphabet)))
+
+
+def played_support(machine, horizon):
+    """horizon_support of a plain machine or of a phi machine's expansion."""
+    return horizon_support(phi_expand(machine) if isinstance(machine, PhiWfa) else machine,
+                           horizon)
 
 
 @settings(max_examples=40, deadline=None)
@@ -153,14 +159,13 @@ def test_phi_engine_matches_enumeration_on_random_chain_machines(seed, size, hor
     assert np.abs(np.array(got) - np.array(want)).max() <= TOL
 
 
-@settings(max_examples=120, deadline=None)
-@given(seed=SEEDS, form=st.sampled_from(["leveled", "converted", "bigram", "chain"]),
-       horizon=st.integers(1, 5), size=st.integers(1, 12), eta=ETAS,
-       density=st.floats(0.1, 1.0))
-def test_sleeping_engine_matches_path_simulation(seed, form, horizon, size, eta, density):
-    # Plain leveled machines and the three phi families of the engine
-    # tests above, each against the paths of its expansion.
-    rng = np.random.default_rng(seed)
+FORMS = st.sampled_from(["leveled", "converted", "bigram", "chain"])
+
+
+def drawn_machine(rng, form, horizon, size):
+    """A plain leveled machine, or one of the three phi families of the
+    engine tests above, and the horizon to play it at (a converted
+    machine brings its own)."""
     if form == "leveled":
         machine = oracles.random_leveled_wfa(rng, horizon, alphabet=("a", "b", "c"),
                                              support_size=size)
@@ -170,8 +175,18 @@ def test_sleeping_engine_matches_path_simulation(seed, form, horizon, size, eta,
         machine = bigram_phi_machine(shared_shift_bigram(rng, ("a", "b", "c")))
     else:
         machine = random_chain_machine(rng, 2 + size % 8)
-    support = horizon_support(phi_expand(machine) if isinstance(machine, PhiWfa) else machine,
-                              horizon)
+    return machine, horizon
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=SEEDS, form=FORMS, horizon=st.integers(1, 5), size=st.integers(1, 12), eta=ETAS,
+       density=st.floats(0.1, 1.0))
+def test_sleeping_engine_matches_path_simulation(seed, form, horizon, size, eta, density):
+    # Plain leveled machines and the three phi families of the engine
+    # tests above, each against the paths of its expansion.
+    rng = np.random.default_rng(seed)
+    machine, horizon = drawn_machine(rng, form, horizon, size)
+    support = played_support(machine, horizon)
     assume(support)
     sym = {a: i for i, a in enumerate(machine.alphabet)}
     masks, losses = [], []
@@ -186,6 +201,97 @@ def test_sleeping_engine_matches_path_simulation(seed, form, horizon, size, eta,
     for t in range(horizon):
         assert np.abs(awake_distribution(state, masks[t]) - want[t]).max() <= TOL
         awake_step(state, masks[t], losses[t])
+
+
+def same_report_or_float_tie(got, want, support, alphabet):
+    """Every field of the compiled report equals the expansion-based one:
+    K exactly, floats within 1e-12.  The best sequence may differ only
+    on a float tie, which the enumerated support shows: both sequences
+    score the same log-weight minus loss within 1e-12, as log phi + log w
+    and log(phi w) differ in the last bits."""
+    assert got.num_sequences == want.num_sequences
+    for name in ("cumulative_loss", "best_sequence_loss", "weighted_regret", "unweighted_regret",
+                 "weighted_bound", "weighted_bound_loose", "unweighted_bound"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12, name
+    assert (got.p_rounds, got.losses, got.expected_losses) == (
+        want.p_rounds, want.losses, want.expected_losses)
+    if got.best_sequence != want.best_sequence:
+        sym = {a: i for i, a in enumerate(alphabet)}
+        weight = dict(support)
+
+        def score(seq):
+            return math.log(weight[seq]) - sum(got.losses[t][sym[a]] for t, a in enumerate(seq))
+
+        assert abs(score(got.best_sequence) - score(want.best_sequence)) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=SEEDS, form=FORMS, horizon=st.integers(1, 5), size=st.integers(1, 12), eta=ETAS,
+       binary=st.booleans())
+def test_compiled_report_matches_the_expansion_report(seed, form, horizon, size, eta, binary):
+    # Losses in {0, 1} make ties between paths common.
+    rng = np.random.default_rng(seed)
+    machine, horizon = drawn_machine(rng, form, horizon, size)
+    support = played_support(machine, horizon)
+    assume(support)
+    state = hedge_init(machine, horizon, eta)
+    for _ in range(horizon):
+        hedge_step(state, rng.integers(0, 2, 3).astype(float) if binary else rng.random(3))
+    same_report_or_float_tie(summarize(state), oracles.summarize(state), support,
+                             machine.alphabet)
+
+
+def test_report_draws_cover_hubs_deep_chains_zero_weights_and_corrections():
+    hubs = deep = zero = rows = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        machine, horizon = drawn_machine(rng, ("bigram", "chain")[seed % 2],
+                                         int(rng.integers(1, 6)), int(rng.integers(1, 13)))
+        if not horizon_support(phi_expand(machine), horizon):
+            continue
+        cm = hedge_init(machine, horizon, 1.0).compiled
+        on = cm.weight[cm.ptid] > 0
+        hubs += bool((np.bincount(cm.pdst[on]) > 1).any())  # several phi-parents
+        deep += bool(np.isin(cm.pdst, cm.psrc).any())  # a chain of two phi edges
+        zero += bool((cm.weight == 0).any())
+        rows += bool((cm.coef < 0).any())
+    assert min(hubs, deep, zero, rows) >= 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=SEEDS, horizon=st.integers(1, 6), size=st.integers(1, 14),
+       final_prob=st.floats(0.0, 1.0))
+def test_compiled_best_path_equals_the_plan_sweep_on_plain_products(seed, horizon, size,
+                                                                    final_prob):
+    # Zero-weight edges and finals, dead states, and ties from gains in
+    # {-1, 0, 1}: values, sequences and witnesses agree in float hex.
+    rng = np.random.default_rng(seed)
+    machine = oracles.random_leveled_wfa(rng, horizon, alphabet=("a", "b", "c"),
+                                         support_size=size)
+    c = machine.columns
+    weight = np.where(rng.random(len(c.weight)) < 0.2, 0.0, c.weight)
+    finals = {q: (0.0 if rng.random() < 1 - final_prob else w) for q, w in machine.finals.items()}
+    machine = Wfa.from_columns(machine.alphabet, machine.num_states, machine.initial,
+                               finals, c.src, c.label, weight, c.dst)
+    try:
+        product = horizon_product(machine, horizon)
+        cm = hedge_init(machine, horizon, 1.0).compiled
+    except ValueError:
+        return
+    pc, level = product.columns, levels(product)
+    log_w, log_f = exact_logs(pc.weight), exact_logs(
+        [product.final_weight(q) for q in range(product.num_states)])
+    for gain in (np.zeros((horizon, 3)), rng.integers(-1, 2, (horizon, 3)).astype(float),
+                 rng.random((horizon, 3))):
+        score = gain[level[pc.src], pc.label]
+        for weighted in (False, True):
+            want = (leveled_best_path(product, log_w + score, log_f) if weighted
+                    else leveled_best_path(product, score))
+            got = cm.best_path(gain, weighted)
+            assert got.value.hex() == want.value.hex()
+            assert tuple(machine.alphabet[a] for a in got.labels) == want.sequence
+            assert got.edges.tolist() == want.edges.tolist()
+            assert got.weights.tolist() == pc.weight[want.edges].tolist()
 
 
 LAYERS = st.lists(st.integers(2, 5), min_size=1, max_size=7).map(lambda ls: [1] + ls)
@@ -306,16 +412,19 @@ def test_divergence_sweep_matches_dict_walk(seed, layers, order, zero_prob):
     assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=SEEDS, horizon=st.integers(1, 5), size=st.integers(1, 12), eta=ETAS,
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, form=FORMS, horizon=st.integers(1, 5), size=st.integers(1, 12), eta=ETAS,
        density=st.floats(0.1, 1.0))
-def test_worst_comparator_is_the_worst_vertex(seed, horizon, size, eta, density):
+def test_worst_comparator_is_the_worst_vertex(seed, form, horizon, size, eta, density):
+    # On the run state (its compiled arrays) and on the expansion of its
+    # product alike.
     rng = np.random.default_rng(seed)
-    machine = oracles.random_leveled_wfa(rng, horizon, alphabet=("a", "b", "c"),
-                                         support_size=size)
-    support = horizon_support(machine, horizon)
-    sym = {a: i for i, a in enumerate(machine.alphabet)}
+    machine, horizon = drawn_machine(rng, form, horizon, size)
+    assume(played_support(machine, horizon))
     state = awake_init(machine, horizon, eta)
+    competitor = oracles.played(state)
+    support = enumerate_support(competitor)
+    sym = {a: i for i, a in enumerate(machine.alphabet)}
     masks, losses = [], []
     for t in range(horizon):
         mask = rng.random(3) < density
@@ -323,11 +432,12 @@ def test_worst_comparator_is_the_worst_vertex(seed, horizon, size, eta, density)
         masks.append(mask)
         losses.append(rng.random(3) * mask)
         awake_step(state, mask, losses[-1])
-    args = (masks, state.p_awake_history, losses, state.competitor)
-    r = sleeping_regret(*args, worst_comparator(*args, eta), eta)
+    args = (masks, state.p_awake_history, losses, competitor)
     want = max(v.value - v.bound for v in (sleeping_regret(*args, u, eta)
-                                           for u in oracles.vertex_comparators(state.competitor)))
-    assert abs((r.value - r.bound) - want) <= 1e-12
+                                           for u in oracles.vertex_comparators(competitor)))
+    for args in (args, args[:3] + (state,)):
+        r = sleeping_regret(*args, worst_comparator(*args, eta), eta)
+        assert abs((r.value - r.bound) - want) <= 1e-12
 
 
 # -- phi expansion, log power sums and evaluate against the per-edge walks -------------

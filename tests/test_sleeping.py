@@ -58,7 +58,7 @@ def test_awake_distribution_singleton():
 def test_awake_distribution_matches_path_conditional():
     eta = 0.7
     st = awake_init(exact_shift_automaton(3, 1), 4, eta)
-    support = enumerate_support(st.competitor)
+    support = enumerate_support(oracles.played(st))
     mask = np.array([True, False, True])
     sym = {a: i for i, a in enumerate(st.alphabet)}
     z = sum(w for _, w in support)
@@ -94,7 +94,7 @@ def test_all_awake_reduces_to_plain_engine():
 def test_asleep_paths_keep_their_mass():
     eta, horizon = 0.6, 4
     st = awake_init(exact_shift_automaton(3, 1), horizon, eta)
-    support = enumerate_support(st.competitor)
+    support = enumerate_support(oracles.played(st))
     sym = {a: i for i, a in enumerate(st.alphabet)}
     rng = np.random.default_rng(1)
     masks, losses = random_awake_losses(rng, horizon, 3)
@@ -114,7 +114,7 @@ def test_asleep_paths_keep_their_mass():
 def test_matches_path_level_simulation(seed):
     eta, horizon = 0.7, 4
     st = awake_init(exact_shift_automaton(3, 1), horizon, eta)
-    support = enumerate_support(st.competitor)
+    support = enumerate_support(oracles.played(st))
     rng = np.random.default_rng(seed)
     masks, losses = random_awake_losses(rng, horizon, 3)
     p_oracle, q_final = oracles.brute_awake_run(support, eta, st.alphabet,
@@ -206,11 +206,11 @@ def test_regret_bound_for_every_vertex():
         masks, losses = random_awake_losses(rng, horizon, 3)
         for t in range(horizon):
             awake_step(st, masks[t], losses[t])
-        k = count_accepting_paths(st.competitor)
+        k = count_accepting_paths(oracles.played(st))
         assert k <= 200
-        for u in oracles.vertex_comparators(st.competitor):
+        for u in oracles.vertex_comparators(oracles.played(st)):
             r = sleeping_regret(masks, st.p_awake_history, losses,
-                                st.competitor, u, eta)
+                                oracles.played(st), u, eta)
             assert r.value <= r.bound
 
 
@@ -228,7 +228,7 @@ def test_regret_hand_computed_instance():
         awake_step(st, masks[t], losses[t])
     # comparator: point mass on ("b","a"), total loss 0.1 + 0.3
     u = {("b", "a"): 1.0}
-    r = sleeping_regret(masks, st.p_awake_history, losses, st.competitor, u, eta)
+    r = sleeping_regret(masks, st.p_awake_history, losses, oracles.played(st), u, eta)
     assert r.value == pytest.approx(sum(expected_algo) - 0.4, rel=1e-12)
     assert r.bound == pytest.approx(eta / 8 * 2 + math.log(2) / eta, rel=1e-12)
 
@@ -239,12 +239,15 @@ def test_sleeping_regret_validates_comparator():
     losses = [np.zeros(2)] * 2
     for t in range(2):
         awake_step(st, masks[t], losses[t])
-    with pytest.raises(ValueError):
-        sleeping_regret(masks, st.p_awake_history, losses, st.competitor,
-                        {("a", "a"): 1.0}, 0.5)  # unsupported path
-    with pytest.raises(ValueError):
-        sleeping_regret(masks, st.p_awake_history, losses, st.competitor,
-                        {("a", "b"): 0.7}, 0.5)  # not a distribution
+    # The plain product, and the run state read off its compiled arrays.
+    for competitor in (oracles.played(st), st):
+        args = (masks, st.p_awake_history, losses, competitor)
+        for seq in (("a", "a"), ("a",), ("a", "z")):  # unsupported paths
+            with pytest.raises(ValueError, match="unsupported path"):
+                sleeping_regret(*args, {seq: 1.0}, 0.5)
+        with pytest.raises(ValueError, match="must be a distribution"):
+            sleeping_regret(*args, {("a", "b"): 0.7}, 0.5)
+        assert sleeping_regret(*args, {("a", "b"): 1.0}, 0.5).awake_mass == 2.0
 
 
 def test_emitted_awake_distributions_are_supported_and_normalized():
