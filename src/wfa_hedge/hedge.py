@@ -2,9 +2,9 @@
 
 The engine maintains, implicitly, an exponentially reweighted
 distribution over all length-T expert sequences accepted by a competitor
-automaton.  :func:`horizon_product` intersects the competitor with the
-length-T acceptor, and :class:`HedgeState` compiles the result once into
-level-sorted edge arrays (:class:`CompiledMachine`).  Level t holds the
+automaton.  :func:`horizon_product` unrolls the competitor level by level
+into the unrolled product, compiled once into level-sorted edge arrays
+(:class:`CompiledMachine`), which :class:`HedgeState` plays.  Level t holds the
 consuming edges leaving its states, which read symbol t + 1, and the
 failure (phi) edges among its states, grouped by chain depth.  Each
 shadowed continuation of a phi chain becomes one extra consuming edge
@@ -40,10 +40,9 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .builders import length_automaton
-from .phi import PhiWfa, _phi_chain_depth, _shadow_corrections, phi_intersect
+from .phi import PhiWfa, _label_sets, _phi_chain_depth, _shadow_corrections
 from .wfa import (NEG_INF, Wfa, _edge_logs, _edge_marginals, _final_weights, _label_ranks,
-                  _log_normaliser, _ranges, count_accepting_paths, exact_logs, intersect,
+                  _log_normaliser, _ranges, _sorted_arcs, count_accepting_paths, exact_logs,
                   leveled_best_path, levels, log_power_sum)
 
 __all__ = [
@@ -91,11 +90,11 @@ class Level:
 
 
 class CompiledMachine:
-    """A length-T intersection as level-sorted edge arrays.
+    """The unrolled product as level-sorted edge arrays.
 
-    States are renumbered so that level t occupies ids
-    ``state_off[t]:state_off[t+1]``.  The consuming edges leaving level t
-    occupy ``edge_off[t]:edge_off[t+1]``: first the machine's own
+    Level t occupies state ids ``state_off[t]:state_off[t+1]``.  The
+    consuming edges leaving level t occupy ``edge_off[t]:edge_off[t+1]``:
+    first the machine's own
     (ending at ``real_end[t]``), then one correction edge per shadowed
     phi continuation.  Edge e has source id ``src``, target ``dst``
     counted from the next level's first state, expert id ``label`` and
@@ -108,52 +107,50 @@ class CompiledMachine:
     in the phi arrays, and level t owns groups ``group_off[t]:group_off[t+1]``.
     ``weight`` is the machine's raw weight column and ``alphabet`` its
     symbols.  All weights here are raw; :meth:`backward` raises them to a
-    power.
+    power.  :func:`horizon_product` builds it from the arrays of its unroll.
     """
 
-    def __init__(self, machine: Machine, horizon: int):
+    def __init__(self, machine: Machine, horizon: int, state_off: np.ndarray,
+                 corrections: tuple[np.ndarray, np.ndarray, np.ndarray], phi_depth: np.ndarray):
+        """``machine`` is the product, its states numbered level by level and
+        its consuming edges in level order; ``corrections`` are its rows
+        (state, shadowed edge, phi chain weight) in level order, and
+        ``phi_depth`` the edges on the longest phi path into each state."""
         cols, n_s = machine.columns, machine.num_states
-        # Intersection states are (competitor state, length-acceptor
-        # state, ...) tuples, and the length-acceptor state is the level.
-        level = np.fromiter((name[1] for name in machine.state_names), np.intp, n_s)
-        order = np.argsort(level, kind="stable")
-        renum = np.empty(n_s, np.intp)
-        renum[order] = np.arange(n_s)
-        level = level[order]  # by new id
+        level = np.repeat(np.arange(horizon + 1), np.diff(state_off))
         self.alphabet, self.weight = machine.alphabet, cols.weight
         self.horizon = horizon
         self.num_states = n_s
-        self.initial = int(renum[machine.initial])
-        self.state_off = np.searchsorted(level, np.arange(horizon + 2))
+        self.initial = machine.initial
+        self.state_off = state_off
 
-        src, dst, label = renum[cols.src], renum[cols.dst], cols.label
+        src, dst, label = cols.src, cols.dst, cols.label
         with np.errstate(divide="ignore"):
             self.log_w = np.log(cols.weight)
-        self.final = np.zeros(n_s)
-        for q, w in machine.finals.items():
-            self.final[renum[q]] = w
+        self.final = _final_weights(machine)[1]
 
-        # Consuming edges, then the shadow corrections of phi machines.
-        shadowing, shadowed, chain_w = _shadow_corrections(machine)
+        # Per level the consuming edges, already in level order, then the
+        # shadow corrections of phi machines, also in level order.
+        shadowing, shadowed, chain_w = corrections
         real = np.flatnonzero(label >= 0)
-        self.src = np.concatenate([src[real], renum[shadowing]])
-        self.dst = dst[np.concatenate([real, shadowed])] - self.state_off[level[self.src] + 1]
-        tid = np.concatenate([real, shadowed])
-        coef = np.concatenate([np.ones(len(real)), -chain_w])
-        key = 2 * level[self.src] + np.repeat([0, 1], [len(real), len(shadowing)])
-        by_level = np.argsort(key, kind="stable")
-        self.src, self.dst = self.src[by_level], self.dst[by_level]
-        self.tid, self.coef = tid[by_level], coef[by_level]
+        real_off = np.searchsorted(src[real], state_off)
+        rows_off = np.searchsorted(shadowing, state_off)
+        self.edge_off = real_off + rows_off
+        self.real_end = real_off[1:] + rows_off[:-1]
+        at_real = np.arange(len(real)) + rows_off[level[src[real]]]
+        at_rows = np.arange(len(shadowing)) + real_off[level[shadowing] + 1]
+        n_e = self.edge_off[-1]
+        self.tid, self.src, self.coef = np.empty(n_e, np.intp), np.empty(n_e, np.intp), np.ones(n_e)
+        self.tid[at_real], self.tid[at_rows] = real, shadowed
+        self.src[at_real], self.src[at_rows] = src[real], shadowing
+        self.coef[at_rows] = -chain_w
+        self.dst = dst[self.tid] - self.state_off[level[self.src] + 1]
         self.label = label[self.tid]
-        key = key[by_level]
-        self.edge_off = np.searchsorted(key, 2 * np.arange(horizon + 2))
-        self.real_end = np.searchsorted(key, 2 * np.arange(horizon + 1) + 1)
 
         # Phi edges by (level, longest phi path into the source): a
         # group only reads states whose phi inflow is complete.
         pid = np.flatnonzero(label < 0)
-        depth = _phi_chain_depth(dst[pid], src[pid], n_s)
-        pkey = level[src[pid]] * (depth.max() + 1) + depth[src[pid]]
+        pkey = level[src[pid]] * (phi_depth.max() + 1) + phi_depth[src[pid]]
         by_key = np.argsort(pkey, kind="stable")
         self.ptid = pid[by_key]
         self.psrc, self.pdst = src[self.ptid], dst[self.ptid]
@@ -296,7 +293,7 @@ class CompiledMachine:
                 base = np.concatenate((base, key[pos[ok]] - log_d[self.src[hj]]))
             score = gain[t][self.label[j]]
             if weighted:
-                score = exact_logs(self.weight[self.tid[j]]) + score
+                score = p.log_weight[self.tid[j]] + score
             val = base + score
             dst, lr = so[t + 1] + self.dst[j], p.rank[self.label[j]]
             order = np.lexsort((lr, prefix[q], -val, dst))
@@ -355,8 +352,9 @@ class _PathPlan:
     """What :meth:`CompiledMachine.best_path` reads besides the compiled
     arrays, built on the first sweep.
 
-    ``positive`` marks the consuming edges of positive weight, and
-    ``rank`` is each symbol's rank in sorted order.  The phi edges of
+    ``positive`` marks the consuming edges of positive weight,
+    ``log_weight`` is :func:`~wfa_hedge.wfa.exact_logs` of the machine's
+    weight column, and ``rank`` is each symbol's rank in sorted order.  The phi edges of
     positive weight form an in-forest inside each level: ``phi_to`` and
     ``phi_w`` per state (-1 and 1 at a chain's end).  A state's
     phi-subtree, itself and every state whose chain passes through it,
@@ -376,6 +374,7 @@ class _PathPlan:
         n = cm.num_states
         self.positive = (cm.weight > 0.0)[cm.tid]
         self.positive[_ranges(cm.real_end, cm.edge_off[1:])] = False
+        self.log_weight = exact_logs(cm.weight)
         self.rank = _label_ranks(cm.alphabet)[1]
 
         pw = cm.weight[cm.ptid]
@@ -440,7 +439,8 @@ class _PathPlan:
 class HedgeState:
     """Mutable per-experiment state.  Single-writer: rounds are sequential.
 
-    ``machine`` is the competitor intersected with the length-T acceptor.
+    ``machine`` is the competitor's length-T product from
+    :func:`horizon_product`, and ``compiled`` its arrays.
     ``alpha`` and ``beta`` are indexed by the state ids of ``compiled``;
     ``flows`` holds the per-label path mass of the current level, as read
     out before clamping and normalising.
@@ -449,6 +449,9 @@ class HedgeState:
     def __init__(self, machine: Machine, horizon: int, eta: float):
         if not eta > 0:  # NaN fails too
             raise ValueError("learning rate must be positive")
+        cm = machine.compiled
+        if cm is None or cm.horizon != horizon:
+            raise ValueError(f"the engine plays horizon_product(competitor, {horizon})")
         self.machine = machine
         self.T = horizon
         self.eta = eta
@@ -457,7 +460,7 @@ class HedgeState:
         self.num_experts = len(machine.alphabet)
         self.sym_index = {a: i for i, a in enumerate(machine.alphabet)}
 
-        self.compiled = cm = CompiledMachine(machine, horizon)
+        self.compiled = cm
         self.levels = cm.levels()
         self.log_Z = cm.backward(1.0)[1]
         self.beta, self.log_Z_eta, self._w, self._wb, self._phi_w = cm.backward(eta)
@@ -537,29 +540,201 @@ class HedgeState:
 
 
 def horizon_product(competitor: Machine, horizon: int) -> Machine:
-    """The competitor intersected with the length-``horizon`` acceptor:
-    its sequences of that length, which the engine plays and the regret
-    report and the n-gram fits read.  ValueError when there is none."""
+    """The competitor's sequences of length ``horizon``, which the engine
+    plays and the regret report and the n-gram fits read, as a trim
+    machine whose state (q, t) is competitor state q after t symbols, with
+    its :class:`CompiledMachine` in ``compiled``.  ValueError when there is
+    none.
+
+    The product with the length-T acceptor, unrolled one level at a time:
+    level t + 1 holds the targets of level t's arcs and their phi chains,
+    and one backward sweep keeps the states that complete a sequence.
+    States are numbered level by level, each level in the order in which
+    the breadth-first search of :func:`~wfa_hedge.wfa.intersect` or
+    :func:`~wfa_hedge.phi.phi_intersect` numbers them, and each state's
+    edges follow in sorted label order; a plain product equals that
+    intersection.  A phi product keeps the composition's ``pair_labels``:
+    a state reads a symbol directly when its competitor state has the
+    arc, even if the product trimmed the edge.  Where ``phi_intersect``
+    keeps a state reached by an arc apart from the same state reached by
+    a phi edge, the unroll has one.  The shadow corrections are the
+    competitor's, laid over each level's live states.
+    """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    s_t = length_automaton(len(competitor.alphabet), horizon, alphabet=competitor.alphabet)
-    # The acceptor has no phi edges, so the product stays chain-style.
-    if isinstance(competitor, PhiWfa) and competitor.has_phi():
-        inter = phi_intersect(competitor, s_t)
-    else:
-        inter = intersect(competitor, s_t)
-    if not inter.finals:
+    phi = isinstance(competitor, PhiWfa) and competitor.has_phi()
+    if phi and competitor.pair_labels is not None:
+        raise ValueError("composition outputs cannot be composed again")
+    # Compiled after the unroll's working arrays are freed, so that the
+    # two never sit in memory together.
+    product, state_off, corrections, depth = _unroll(competitor, horizon, phi)
+    product.compiled = CompiledMachine(product, horizon, state_off, corrections, depth)
+    return product
+
+
+def _unroll(competitor: Machine, horizon: int, phi: bool):
+    """The product of :func:`horizon_product`, the offsets of its levels,
+    its shadow correction rows and the edges on the longest phi path into
+    each state."""
+    c, n_q, n_sym = competitor.columns, competitor.num_states, len(competitor.alphabet)
+    # Arcs by source and label rank; the first of a repeated (source, label) wins.
+    arc_key, arc = _sorted_arcs(competitor, _label_ranks(competitor.alphabet)[1])
+    arc_off = np.searchsorted(arc_key, np.arange(n_q + 1) * n_sym)
+    arc_deg, arc_rank, arc_dst = np.diff(arc_off), arc_key - c.src[arc] * n_sym, c.dst[arc]
+    # walk[j, q]: the state j phi edges down q's chain, n_q past its end.
+    pid = np.flatnonzero(c.label < 0)
+    phi_edge, phi_to = np.full(n_q, -1, np.intp), np.full(n_q + 1, n_q, np.intp)
+    phi_edge[c.src[pid]], phi_to[c.src[pid]] = pid, c.dst[pid]
+    walk = [np.arange(n_q + 1)]
+    while (walk[-1] < n_q).any():
+        walk.append(phi_to[walk[-1]])
+    walk = np.array(walk[:-1])
+    k = len(walk)
+    slot = np.empty(n_q + 1, np.intp)  # a state's index in the level being numbered
+    slot[n_q] = -1
+
+    # Each level is numbered in the product search's order: by the length
+    # of the shortest path to a state (phi edges count), then by the
+    # path's arcs, a state's consuming arcs in label order before its phi
+    # edge.  Within a level that is the key dist * m + tail, where tail
+    # ranks (the source's tail, the label, the phi edges taken since) and
+    # m bounds it.  Without phi edges the arcs arrive in key order.
+    def enter(x, key, m):
+        """The level entered at states ``x`` with keys ``key``, phi chains
+        included: its states in key order, their distances and tail ranks."""
+        if k > 1:
+            s = walk[:, x]
+            key = key + (m + 1) * np.arange(k)[:, None]  # j phi edges: dist + j, tail + j
+            on = s < n_q
+            by_key = np.argsort(key[on], kind="stable")
+            x, key = s[on][by_key], key[on][by_key]
+        at = np.arange(len(x))
+        slot[x[::-1]] = at[::-1]  # each state's first (best) key
+        first = slot[x] == at
+        x, key, at = x[first], key[first], at[:np.count_nonzero(first)]
+        slot[x] = at
+        if k == 1:
+            return x, key // m, at
+        tail = np.empty(len(x), np.intp)
+        tail[np.argsort(key % m, kind="stable")] = at
+        return x, key // m, tail
+
+    # Per level: its competitor states, each one's phi target (level index,
+    # -1: none), and its arcs: owner, arc and target (next level's index).
+    levels = []
+    states, dist, tail = enter(np.array([competitor.initial]), np.zeros(1, np.intp), n_sym * k)
+    for t in range(horizon + 1):
+        phi_at = slot[phi_to[states]]
+        if t == horizon:
+            levels.append((states, phi_at))
+            break
+        e = _ranges(arc_off[states], arc_off[states + 1])
+        if not e.size:
+            raise ValueError("no competitor sequence of this length")
+        owner = np.repeat(np.arange(len(states)), arc_deg[states])
+        m = len(states) * n_sym * k
+        x = arc_dst[e]
+        nxt = enter(x, (dist[owner] + 1) * m + (tail[owner] * n_sym + arc_rank[e]) * k, m)
+        levels.append((states, phi_at, owner, e, slot[x]))
+        states, dist, tail = nxt
+
+    # Trim: a state is live when an arc or its phi edge leads to a live
+    # one.  Each level keeps the arcs into live states, and marks them.
+    is_final, final_w = _final_weights(competitor)
+    lives = [None] * (horizon + 1)
+    for t in range(horizon, -1, -1):
+        states, phi_at = levels[t][:2]
+        if t == horizon:
+            live = is_final[states]
+        else:
+            owner, e, dst = levels[t][2:]
+            on = lives[t + 1][dst]
+            levels[t] = (states, phi_at, owner[on], e[on], dst[on], on)
+            live = np.zeros(len(states), bool)
+            live[owner[on]] = True
+        for _ in range(k - 1):
+            live |= (phi_at >= 0) & live[phi_at]
+        lives[t] = live
+    if not lives[0][0]:
         raise ValueError("no competitor sequence of this length")
-    return inter
+
+    # Untrimmed ids run level by level from u_off; kept states keep their order.
+    origin = np.concatenate([lv[0] for lv in levels])
+    u_off = np.concatenate(([0], np.cumsum([len(lv[0]) for lv in levels])))
+    live = np.concatenate(lives)
+    new_id = np.cumsum(live) - 1
+    state_off = np.concatenate(([0], new_id[u_off[1:] - 1] + 1))
+    kept = np.flatnonzero(live)
+    names = list(zip(origin[kept].tolist(),
+                     np.repeat(np.arange(horizon + 1), np.diff(state_off)).tolist()))
+    ends = u_off[horizon] + np.flatnonzero(is_final[levels[-1][0]])
+    finals = dict(zip(new_id[ends].tolist(), final_w[origin[ends]].tolist()))
+    phi_u = np.concatenate([np.where(lv[1] >= 0, u_off[t] + lv[1], -1)
+                            for t, lv in enumerate(levels)])
+    src = new_id[np.concatenate([u_off[t] + lv[2] for t, lv in enumerate(levels[:-1])])]
+    dst = new_id[np.concatenate([u_off[t + 1] + lv[4] for t, lv in enumerate(levels[:-1])])]
+    e = arc[np.concatenate([lv[3] for lv in levels[:-1]])]
+    keep = np.concatenate([lv[5] for lv in levels[:-1]])  # by untrimmed arc
+    del levels
+    if not phi:
+        none = np.zeros(0, np.intp)
+        return (Wfa.from_columns(competitor.alphabet, len(kept), 0, finals, src, c.label[e],
+                                 c.weight[e], dst, names),
+                state_off, (none, none, np.zeros(0)), np.zeros(len(kept), np.intp))
+
+    psrc_u = np.flatnonzero(phi_u >= 0)
+    psrc_u = psrc_u[live[phi_u[psrc_u]]]
+    psrc, pdst = new_id[psrc_u], new_id[phi_u[psrc_u]]
+    # The longest phi path into each state, settled in the competitor's order.
+    depth = np.zeros(len(kept), np.intp)
+    group = _phi_chain_depth(c.dst[pid], c.src[pid], n_q)[origin[psrc_u]]
+    for g in range(group.max() + 1 if group.size else 0):
+        on = group == g
+        np.maximum.at(depth, pdst[on], depth[psrc[on]] + 1)
+
+    # The competitor's rows at each live state before level T: the chain
+    # state r that the row's edge leaves is `steps` phi edges down, and
+    # that edge is r's arc in the same place among r's arcs.
+    row_q, row_e, row_w = _shadow_corrections(competitor)
+    steps = (walk[:, row_q] == c.src[row_e]).argmax(axis=0)
+    row_off = np.searchsorted(row_q, np.arange(n_q + 1))
+    s = np.flatnonzero(live[:u_off[horizon]])
+    row = _ranges(row_off[origin[s]], row_off[origin[s] + 1])
+    s = np.repeat(s, np.diff(row_off)[origin[s]])
+    r = s.copy()
+    for j in range(1, k):
+        on = steps[row] >= j
+        r[on] = phi_u[r[on]]
+    arc_pos = np.empty(len(c.src), np.intp)
+    arc_pos[arc] = np.arange(len(arc))
+    edge_start = np.concatenate(([0], np.cumsum(arc_deg[origin[:u_off[horizon]]])))
+    edge_u = edge_start[r] + arc_pos[row_e[row]] - arc_off[origin[r]]
+    on = keep[edge_u]
+    corrections = (new_id[s[on]], (np.cumsum(keep) - 1)[edge_u[on]], row_w[row[on]])
+
+    # The acceptor reads every symbol before level T and none at T.
+    sets = _label_sets(competitor)
+    before = [(own, frozenset(competitor.alphabet)) for own in sets]
+    at_end = [(own, frozenset()) for own in sets]
+    qs = origin[kept].tolist()
+    pair_labels = (list(map(before.__getitem__, qs[:state_off[horizon]]))
+                   + list(map(at_end.__getitem__, qs[state_off[horizon]:])))
+    product = PhiWfa.from_columns(
+        competitor.alphabet, len(kept), 0, finals, np.concatenate((src, psrc)),
+        np.concatenate((c.label[e], np.full(len(psrc), -1))),
+        np.concatenate((c.weight[e], c.weight[phi_edge[origin[psrc_u]]])),
+        np.concatenate((dst, pdst)), names, pair_labels,
+        dict.fromkeys(zip(psrc.tolist(), pdst.tolist()), "left"))
+    return product, state_off, corrections, depth
 
 
 def hedge_init(competitor: Machine, horizon: int, eta: float) -> HedgeState:
     """Prepare the online state for a competitor automaton.
 
-    Intersects with the length-``horizon`` acceptor and compiles the
-    result into level-sorted arrays; one scaled backward sweep at the
-    ``eta`` power gives the backward weights, from which the first
-    distribution is read off level 0.
+    Unrolls the competitor to the horizon (:func:`horizon_product`), whose
+    product comes compiled into level-sorted arrays; one scaled backward
+    sweep at the ``eta`` power gives the backward weights, from which the
+    first distribution is read off level 0.
     """
     return HedgeState(horizon_product(competitor, horizon), horizon, eta)
 

@@ -187,12 +187,15 @@ def _phi_chain_depth(src: np.ndarray, dst: np.ndarray, num_states: int) -> np.nd
     by_dst = np.argsort(dst, kind="stable")
     roff = np.searchsorted(dst[by_dst], np.arange(num_states + 1))
     depth = np.full(num_states, -1, np.intp)
+    slot = np.empty(num_states, np.intp)  # dedupes each batch in place of a sort
     settled, g = np.flatnonzero(left == 0), 0
     while settled.size:
         depth[settled] = g
         pred = src[by_dst[_ranges(roff[settled], roff[settled + 1])]]
         np.subtract.at(left, pred, 1)
-        pred = np.unique(pred)
+        at = np.arange(len(pred))
+        slot[pred] = at
+        pred = pred[slot[pred] == at]
         settled, g = pred[left[pred] == 0], g + 1
     if (depth < 0).any():
         raise ValueError("phi cycle detected")
@@ -269,11 +272,6 @@ class _Chains:
             k = self.kind[q]
             stop |= self.left[k, symbol] & self.right[k, symbol]
         return e, stop
-
-    def direct_reads(self) -> np.ndarray:
-        """reads[q, a]: whether composed state q reads symbol a directly,
-        by the rule of :func:`reads_directly`."""
-        return (self.left & self.right)[self.kind, :-1]
 
     def resolving_step(self, m: PhiWfa, q: np.ndarray, symbol: np.ndarray) -> np.ndarray:
         """The phi edge each (state, symbol) pair takes by the rule of
@@ -391,24 +389,22 @@ def shadowed_continuation(machine: PhiWfa, state: int, symbol: str,
     return None if edge[0] < 0 else (float(w[0]), machine.transitions[edge[0]])
 
 
-def _shadow_corrections(machine: Machine) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows (state, shadowed edge, phi chain weight) as arrays of state
-    ids, transition indices and weights.
+def _shadow_corrections(machine: PhiWfa) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows (state, shadowed edge, phi chain weight) of a chain-style
+    machine, as arrays of state ids, transition indices and weights.
 
-    For every symbol a state with a phi edge reads directly, the first
-    edge with that symbol further down the phi chain, and the product of
-    the phi weights down to it: :func:`shadowed_continuation` for all
-    (state, symbol) pairs of a composition output at once, ordered by
-    state and then symbol in sorted-string order.
+    For every symbol a state with a phi edge reads by its own arc, the
+    first edge with that symbol further down the phi chain, and the
+    product of the phi weights down to it: :func:`shadowed_continuation`
+    for all such (state, symbol) pairs at once, ordered by state and then
+    symbol in sorted-string order.
     """
-    c = machine.columns
-    if not (c.label < 0).any():
-        return np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0)
-    chains = _chains(machine)
-    by_rank = _label_ranks(machine.alphabet)[0]
-    state, rank = np.nonzero(chains.direct_reads()[:, by_rank] & (chains.first >= 0)[:, None])
-    phi = chains.first[state]
-    shadowed, chain_w = chains.walk(machine, c.dst[phi], by_rank[rank], c.weight[phi],
+    c, chains = machine.columns, _chains(machine)
+    rank = _label_ranks(machine.alphabet)[1]
+    own = np.flatnonzero((c.label >= 0) & (chains.first >= 0)[c.src])
+    own = own[np.lexsort((rank[c.label[own]], c.src[own]))]
+    state, phi = c.src[own], chains.first[c.src[own]]
+    shadowed, chain_w = chains.walk(machine, c.dst[phi], c.label[own], c.weight[phi],
                                     MAX_PHI_CHAIN, state)
     hit = np.flatnonzero(shadowed >= 0)
     return state[hit], shadowed[hit], chain_w[hit]

@@ -170,12 +170,14 @@ class Wfa:
 
     ``columns`` is the stored form of the transitions.  Build a machine
     from :class:`Transition` objects with the constructor, or from
-    arrays with :meth:`from_columns`.
+    arrays with :meth:`from_columns`.  ``compiled`` holds the level-sorted
+    arrays of a length-T product from :func:`~wfa_hedge.hedge.horizon_product`
+    (None on any other machine).
     """
 
     __slots__ = ("alphabet", "num_states", "initial", "finals", "columns",
-                 "state_names", "_transitions", "_out", "_topo", "_keys", "_logs",
-                 "_log_z", "_products")
+                 "state_names", "compiled", "_transitions", "_out", "_topo", "_keys",
+                 "_logs", "_log_z", "_products")
 
     def __init__(self, alphabet: Sequence[str], num_states: int, initial: int,
                  finals: dict[int, float], transitions: Iterable[Transition],
@@ -221,7 +223,7 @@ class Wfa:
             if not (0 <= q < num_states):
                 raise ValueError(f"final state {q} out of range")
         self.state_names = tuple(state_names) if state_names is not None else None
-        self._out = self._topo = self._keys = self._logs = self._log_z = None
+        self.compiled = self._out = self._topo = self._keys = self._logs = self._log_z = None
         self._products = {}  # n-gram order -> (state, context) product, see ngram
 
     # -- queries ----------------------------------------------------------
@@ -357,14 +359,14 @@ def _label_ranks(alphabet: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     return by_rank, rank
 
 
-def _sorted_arcs(machine: Wfa, rank: np.ndarray) -> tuple[np.ndarray, ...]:
+def _sorted_arcs(machine: Wfa, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The machine's arcs sorted by key src * |alphabet| + rank[label]:
-    (keys, weights, destinations).  The first transition of a duplicated
+    (keys, transition indices).  The first transition of a duplicated
     (src, label) wins, as in ``arcs()``."""
     c = machine.columns
     real = np.flatnonzero(c.label >= 0)
     keys, first = np.unique(c.src[real] * len(rank) + rank[c.label[real]], return_index=True)
-    return keys, c.weight[real[first]], c.dst[real[first]]
+    return keys, real[first]
 
 
 class _ArcPairs:
@@ -378,8 +380,9 @@ class _ArcPairs:
             raise ValueError("alphabet mismatch in intersection")
         self.n_sym = n_sym = len(a1.alphabet)
         self.by_rank, rank = _label_ranks(a1.alphabet)
-        key1, self.w1, self.d1 = _sorted_arcs(a1, rank)
-        key2, self.w2, self.d2 = _sorted_arcs(a2, rank)
+        (key1, arc1), (key2, arc2) = _sorted_arcs(a1, rank), _sorted_arcs(a2, rank)
+        self.w1, self.d1 = a1.columns.weight[arc1], a1.columns.dst[arc1]
+        self.w2, self.d2 = a2.columns.weight[arc2], a2.columns.dst[arc2]
         self.off1 = np.searchsorted(key1, np.arange(a1.num_states + 1) * n_sym)
         self.rank1 = key1 % n_sym
         self.key2 = np.append(key2, np.iinfo(key2.dtype).max)  # a miss never runs off the end

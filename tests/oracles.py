@@ -1548,3 +1548,89 @@ def summarize(state):
         touched_per_round=list(state.touched_per_round),
         work_per_round=list(state.work_per_round),
     )
+
+
+# -- the length-T product by the generic product search ----------------------------
+# horizon_product intersected the competitor with the length acceptor, and
+# CompiledMachine read the levels back out of the product's state names.
+
+
+def horizon_product(competitor, horizon: int):
+    """The competitor intersected with the length-``horizon`` acceptor:
+    its sequences of that length, which the engine plays and the regret
+    report and the n-gram fits read.  ValueError when there is none."""
+    from wfa_hedge.builders import length_automaton
+    from wfa_hedge.phi import phi_intersect
+    from wfa_hedge.wfa import intersect
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    s_t = length_automaton(len(competitor.alphabet), horizon, alphabet=competitor.alphabet)
+    # The acceptor has no phi edges, so the product stays chain-style.
+    if isinstance(competitor, PhiWfa) and competitor.has_phi():
+        inter = phi_intersect(competitor, s_t)
+    else:
+        inter = intersect(competitor, s_t)
+    if not inter.finals:
+        raise ValueError("no competitor sequence of this length")
+    return inter
+
+
+def compile_product(machine, horizon: int):
+    """A length-T intersection as a CompiledMachine: its states re-sorted
+    by the level in their names, and its shadow corrections taken from
+    shadow_rows on the whole product."""
+    from wfa_hedge.hedge import CompiledMachine
+    from wfa_hedge.phi import _phi_chain_depth
+    self = CompiledMachine.__new__(CompiledMachine)
+    cols, n_s = machine.columns, machine.num_states
+    # Intersection states are (competitor state, length-acceptor
+    # state, ...) tuples, and the length-acceptor state is the level.
+    level = np.fromiter((name[1] for name in machine.state_names), np.intp, n_s)
+    order = np.argsort(level, kind="stable")
+    renum = np.empty(n_s, np.intp)
+    renum[order] = np.arange(n_s)
+    level = level[order]  # by new id
+    self.alphabet, self.weight = machine.alphabet, cols.weight
+    self.horizon = horizon
+    self.num_states = n_s
+    self.initial = int(renum[machine.initial])
+    self.state_off = np.searchsorted(level, np.arange(horizon + 2))
+
+    src, dst, label = renum[cols.src], renum[cols.dst], cols.label
+    with np.errstate(divide="ignore"):
+        self.log_w = np.log(cols.weight)
+    self.final = np.zeros(n_s)
+    for q, w in machine.finals.items():
+        self.final[renum[q]] = w
+
+    # Consuming edges, then the shadow corrections of phi machines.
+    rows = shadow_rows(machine) if isinstance(machine, PhiWfa) else []
+    shadowing = np.array([r[0] for r in rows], np.intp)
+    shadowed = np.array([r[1] for r in rows], np.intp)
+    chain_w = np.array([r[2] for r in rows], float)
+    real = np.flatnonzero(label >= 0)
+    self.src = np.concatenate([src[real], renum[shadowing]])
+    self.dst = dst[np.concatenate([real, shadowed])] - self.state_off[level[self.src] + 1]
+    tid = np.concatenate([real, shadowed])
+    coef = np.concatenate([np.ones(len(real)), -chain_w])
+    key = 2 * level[self.src] + np.repeat([0, 1], [len(real), len(shadowing)])
+    by_level = np.argsort(key, kind="stable")
+    self.src, self.dst = self.src[by_level], self.dst[by_level]
+    self.tid, self.coef = tid[by_level], coef[by_level]
+    self.label = label[self.tid]
+    key = key[by_level]
+    self.edge_off = np.searchsorted(key, 2 * np.arange(horizon + 2))
+    self.real_end = np.searchsorted(key, 2 * np.arange(horizon + 1) + 1)
+
+    # Phi edges by (level, longest phi path into the source): a
+    # group only reads states whose phi inflow is complete.
+    pid = np.flatnonzero(label < 0)
+    depth = _phi_chain_depth(dst[pid], src[pid], n_s)
+    pkey = level[src[pid]] * (depth.max() + 1) + depth[src[pid]]
+    by_key = np.argsort(pkey, kind="stable")
+    self.ptid = pid[by_key]
+    self.psrc, self.pdst = src[self.ptid], dst[self.ptid]
+    starts = np.flatnonzero(np.diff(pkey[by_key], prepend=-1))
+    self.group_bounds = np.append(starts, len(pid))
+    self.group_off = np.searchsorted(level[self.psrc[starts]], np.arange(horizon + 2))
+    return self

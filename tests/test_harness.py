@@ -622,14 +622,15 @@ def test_cli_entry_point_subprocess(tmp_path):
      "awake": {"generator": "random_subsets", "params": {"density": 0.7}, "seed": 5}},
 ])
 def test_run_experiment_intersects_the_competitor_once(monkeypatch, extra):
-    from wfa_hedge import harness, hedge, sleeping, wfa
+    from wfa_hedge import harness, hedge, sleeping
     calls = []
+    unroll = hedge._unroll
 
-    def counted(a1, a2):
-        calls.append(a1)
-        return wfa.intersect(a1, a2)
+    def counted(competitor, *args):
+        calls.append(competitor)
+        return unroll(competitor, *args)
 
-    monkeypatch.setattr(hedge, "intersect", counted)
+    monkeypatch.setattr(hedge, "_unroll", counted)
     cfg = cfg_with(**extra)
     report = report_to_json(run_experiment(cfg))
     assert len(calls) == 1
@@ -641,6 +642,36 @@ def test_run_experiment_intersects_the_competitor_once(monkeypatch, extra):
                         lambda _, horizon, eta: sleeping.awake_init(machine, horizon, eta))
     assert report_to_json(run_experiment(cfg)) == report
     assert len(calls) == 3
+
+
+def test_engine_paths_run_no_product_search(monkeypatch):
+    # The engine unrolls its competitor; intersect and phi_intersect are
+    # for general products.  The n-gram fits' context product still
+    # intersects, so the run takes no approximation.
+    from wfa_hedge import phi, wfa
+    from wfa_hedge.hedge import hedge_init
+    from wfa_hedge.sleeping import awake_init
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine searched a product")
+
+    searches = (wfa.intersect, phi.phi_intersect)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "wfa_hedge":
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in searches):
+                    monkeypatch.setattr(module, attr, refuse)
+    converted = phi.phi_convert(oracles.random_shared_structure_wfa(np.random.default_rng(3),
+                                                                    layers=(1, 3, 3, 1)))
+    assert converted.has_phi()
+    for machine, horizon in ((exact_shift_automaton(3, 2), 8), (converted, 3),
+                             (bigram_phi_machine(fixed_share_bigram(4, 2, 12)), 12)):
+        for init in (hedge_init, awake_init):
+            assert init(machine, horizon, 0.5).K > 0
+    awake = {"algorithm": "awake-hedge",
+             "awake": {"generator": "random_subsets", "params": {"density": 0.7}, "seed": 5}}
+    for extra in ({}, {"phi": True}, awake):
+        run_experiment(cfg_with(**extra))
 
 
 @pytest.mark.parametrize("extra", [

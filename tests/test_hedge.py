@@ -78,6 +78,16 @@ def test_init_rejects_bad_eta():
                 build()
 
 
+def test_engine_plays_only_a_horizon_product_of_its_horizon():
+    machine = length_automaton(2, 2)
+    product = horizon_product(machine, 2)
+    for build in (HedgeState, AwakeState):
+        for m, horizon in ((machine, 2), (product, 3), (intersect(machine, machine), 2)):
+            with pytest.raises(ValueError, match=r"plays horizon_product\(competitor, "):
+                build(m, horizon, 0.5)
+        assert build(product, 2, 0.5).K == 4
+
+
 # -- per-round distributions -----------------------------------------------------------
 
 

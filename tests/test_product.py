@@ -1,6 +1,8 @@
 """The array product constructions, topological generations and the
 engine's shadow corrections against the per-edge reference
-implementations in ``oracles``.
+implementations in ``oracles``, and the engine's unrolled length-T
+product against the intersection it replaces (``oracles.horizon_product``
+compiled by ``oracles.compile_product``).
 
 ``intersect`` and ``phi_intersect`` must reproduce the queue-based
 constructions field by field (state numbering, transition order, finals,
@@ -11,6 +13,8 @@ products, alphabets past 26 symbols (where sorted label order differs
 from alphabet order) and duplicated labels.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,11 +23,12 @@ import numpy as np
 
 from wfa_hedge import hedge
 from wfa_hedge.builders import exact_shift_automaton, length_automaton
-from wfa_hedge.hedge import CompiledMachine, hedge_init
+from wfa_hedge.hedge import HedgeState, hedge_init, hedge_step
 from wfa_hedge.ngram import bigram_phi_machine, fixed_share_bigram
-from wfa_hedge.phi import phi_convert, phi_intersect
-from wfa_hedge.wfa import (CyclicAutomatonError, count_accepting_paths,
-                           default_alphabet, intersect, topological_order)
+from wfa_hedge.phi import (PHI, PhiWfa, _shadow_corrections, phi_convert, phi_expand,
+                           phi_intersect, reads_directly)
+from wfa_hedge.wfa import (CyclicAutomatonError, Transition, count_accepting_paths,
+                           default_alphabet, enumerate_support, intersect, topological_order)
 
 import oracles
 
@@ -187,25 +192,194 @@ def test_phi_intersect_draws_cover_every_filter_state_and_empty_products():
     assert empty >= 3
 
 
-def reference_shadow_corrections(machine):
-    rows = oracles.shadow_rows(machine)
-    own, shadowed, chain_w = zip(*rows) if rows else ((), (), ())
-    return (np.array(own, np.intp), np.array(shadowed, np.intp),
-            np.array(chain_w, dtype=float))
-
-
 @settings(max_examples=100, deadline=None)
 @given(seed=SEEDS, size=st.integers(2, 10), horizon=st.integers(1, 6))
 def test_compiled_corrections_match_shadowed_continuation(seed, size, horizon):
+    # The competitor's rows laid over the levels against one
+    # shadowed_continuation call per (state, symbol) of the whole product.
     rng = np.random.default_rng(seed)
     alphabet = default_alphabet(3)
     machine = oracles.random_phi_wfa(rng, size, alphabet, edge_prob=0.7, phi_prob=0.7,
                                      final_prob=0.5, cyclic=True)
-    product = phi_intersect(machine, length_automaton(3, horizon, alphabet=alphabet))
-    got = CompiledMachine(product, horizon)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hedge, "_shadow_corrections", reference_shadow_corrections)
-        want = CompiledMachine(product, horizon)
-    for name in ("src", "dst", "tid", "coef", "label", "edge_off", "real_end"):
+    rows = [tuple(a.tolist()) for a in _shadow_corrections(machine)]
+    assert list(zip(*rows)) == oracles.shadow_rows(machine)
+    try:
+        product = hedge.horizon_product(machine, horizon)
+    except ValueError:
+        return
+    if not isinstance(product, PhiWfa):
+        return
+    got, want = product.compiled, oracles.compile_product(product, horizon)
+    for name in ("src", "dst", "tid", "coef", "label", "edge_off", "real_end", "ptid",
+                 "group_bounds", "group_off"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+# -- the unrolled length-T product -----------------------------------------------------
+
+
+PLAIN_FAMILIES = ["leveled", "acyclic", "cyclic", "kshift"]
+PHI_FAMILIES = ["chain", "converted", "bigram"]
+
+
+def competitor(rng, family, alphabet):
+    """A competitor of one of the engine's test families."""
+    if family == "leveled":
+        return oracles.random_leveled_wfa(rng, int(rng.integers(1, 6)), alphabet=alphabet[:3],
+                                          support_size=int(rng.integers(1, 12)))
+    if family == "acyclic":
+        return oracles.random_acyclic_wfa(rng, int(rng.integers(2, 9)), alphabet=alphabet[:3])
+    if family == "cyclic":
+        return raw(rng, alphabet, int(rng.integers(1, 9)), True, int(rng.integers(2)),
+                   some_labels(rng, alphabet), dense=True)
+    if family == "kshift":
+        labels = some_labels(rng, alphabet)
+        return exact_shift_automaton(len(labels), int(rng.integers(3)), alphabet=labels)
+    if family == "chain":
+        return oracles.random_phi_wfa(rng, int(rng.integers(2, 10)), alphabet,
+                                      some_labels(rng, alphabet), edge_prob=0.7, phi_prob=0.7,
+                                      final_prob=0.5, cyclic=True)
+    if family == "converted":
+        return phi_operand(rng, "converted", alphabet[:3], None, 0)
+    n, shifts = int(rng.integers(2, 5)), int(rng.integers(3))
+    return bigram_phi_machine(fixed_share_bigram(n, shifts, shifts + 2 + int(rng.integers(4))))
+
+
+def assert_same_compiled(got, want):
+    """Byte for byte, the tid and ptid columns through what they index."""
+    for name in ("state_off", "final", "src", "dst", "coef", "label", "edge_off", "real_end",
+                 "psrc", "pdst", "group_bounds", "group_off"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.initial == want.initial and got.alphabet == want.alphabet
+    for ids, column in (("tid", "weight"), ("tid", "log_w"), ("ptid", "weight")):
+        a = getattr(got, column)[getattr(got, ids)]
+        b = getattr(want, column)[getattr(want, ids)]
+        assert a.tobytes() == b.tobytes(), (ids, column)
+
+
+def same_language(got, want):
+    """The weighted languages of two products, phi chains expanded."""
+    def support(m):
+        return dict(enumerate_support(phi_expand(m) if isinstance(m, PhiWfa) else m))
+    a, b = support(got), support(want)
+    assert a.keys() == b.keys()
+    for s, w in b.items():
+        assert a[s] == pytest.approx(w, rel=1e-12, abs=0)
+
+
+@settings(max_examples=250, deadline=None)
+@given(seed=SEEDS, alphabet=ALPHABETS, family=st.sampled_from(PLAIN_FAMILIES + PHI_FAMILIES),
+       horizon=st.integers(1, 6), eta=st.sampled_from([0.3, 1.0, 2.5]))
+def test_unroll_matches_the_product_search(seed, alphabet, family, horizon, eta):
+    # The unrolled product against the competitor intersected with the
+    # length acceptor and compiled from the intersection's state names.
+    rng = np.random.default_rng(seed)
+    machine = competitor(rng, family, alphabet)
+    try:
+        want = oracles.horizon_product(machine, horizon)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=str(err)):
+            hedge.horizon_product(machine, horizon)
+        return
+    got = hedge.horizon_product(machine, horizon)
+    want.compiled = oracles.compile_product(want, horizon)
+    same_language(got, want)
+    if not isinstance(want, PhiWfa):
+        assert_same_machine(got, want)
+    pairs = {name[:2] for name in want.state_names}
+    if len(pairs) == want.num_states:  # one state per (competitor state, level)
+        assert_same_compiled(got.compiled, want.compiled)
+        return
+    # phi_intersect keeps a state reached by an arc apart from the same
+    # state reached by a phi edge; the unroll merges the two.
+    assert got.num_states == len(pairs)
+    assert got.compiled.count_paths() == want.compiled.count_paths()
+    assert got.compiled.backward(1.0)[1] == pytest.approx(want.compiled.backward(1.0)[1],
+                                                          rel=0, abs=1e-12)
+    losses = rng.random((horizon, len(machine.alphabet)))
+    if got.compiled.count_paths():
+        for weighted in (False, True):
+            a, b = (m.compiled.best_path(-losses, weighted) for m in (got, want))
+            assert a.labels.tolist() == b.labels.tolist()
+            assert a.value == pytest.approx(b.value, rel=0, abs=1e-12)
+        a, b = (HedgeState(m, horizon, eta) for m in (got, want))
+        for loss in losses:
+            assert np.abs(a.p_current - b.p_current).max() <= 1e-12
+            hedge_step(a, loss)
+            hedge_step(b, loss)
+
+
+def test_unroll_draws_cover_every_family_and_the_filter_split():
+    seen = set()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        for family in PLAIN_FAMILIES + PHI_FAMILIES:
+            machine = competitor(rng, family, default_alphabet(3))
+            for horizon in (3, 4):
+                try:
+                    want = oracles.horizon_product(machine, horizon)
+                except ValueError:
+                    continue
+                split = len({name[:2] for name in want.state_names}) < want.num_states
+                seen.add((family, split))
+    assert {(f, False) for f in PLAIN_FAMILIES + PHI_FAMILIES} <= seen
+    assert ("chain", True) in seen
+
+
+def run_distributions(state, losses):
+    ps = [state.p_current]
+    for loss in losses[:-1]:
+        ps.append(hedge_step(state, loss))
+    return np.array(ps)
+
+
+def expected_distributions(machine, horizon, eta, losses):
+    """p_t by enumeration over the expansion of the phi product search."""
+    product = phi_intersect(machine, length_automaton(len(machine.alphabet), horizon,
+                                                      alphabet=machine.alphabet))
+    support = enumerate_support(phi_expand(product))
+    return product, support, oracles.brute_distributions(support, eta, losses, machine.alphabet)
+
+
+def test_a_trimmed_direct_edge_keeps_its_state_off_the_chain():
+    # State 1 reads 'a' into state 3, which has no completion after two
+    # symbols, so the product trims that edge at level 1; 1's phi chain
+    # reads 'a' into a live state, and the unroll must not use it there:
+    # state 1 still reads 'a' directly, so 'a' is unreadable after one
+    # symbol.
+    ts = [Transition(0, "a", 0.5, 1), Transition(0, "b", 0.5, 1),
+          Transition(1, "a", 0.25, 3), Transition(1, PHI, 0.5, 2),
+          Transition(2, "a", 0.5, 4), Transition(2, "b", 0.25, 4),
+          Transition(3, "b", 1.0, 4), Transition(4, "a", 1.0, 5), Transition(4, "b", 0.5, 5)]
+    machine = PhiWfa(("a", "b"), 6, 0, {4: 1.0, 5: 1.0}, ts)
+    horizon, eta = 2, 0.8
+    losses = np.array([[0.2, 0.7], [0.9, 0.1]])
+    product, support, want = expected_distributions(machine, horizon, eta, losses)
+    assert dict(support) == {("a", "b"): 0.0625, ("b", "b"): 0.0625}
+    state = hedge_init(machine, horizon, eta)
+    assert state.K == 2 == count_accepting_paths(phi_expand(product))
+    assert np.abs(run_distributions(state, losses) - np.array(want)).max() <= 1e-12
+    assert dict(enumerate_support(phi_expand(state.machine))) == dict(support)
+    # The level-1 copy of state 1 reads 'a' directly but has no 'a' edge.
+    one = [q for q, name in enumerate(state.machine.state_names) if name[:2] == (1, 1)]
+    assert len(one) == 1
+    assert reads_directly(state.machine, one[0], "a") and "a" not in state.machine.arcs(one[0])
+
+
+def test_a_filter_split_plays_as_the_product_search():
+    # In this draw phi_intersect keeps a competitor state apart at one
+    # level as reached by an arc and as reached by a phi edge (filter
+    # states 0 and 2); the engine plays the same distributions.
+    machine, acceptor = phi_product_pair(3, default_alphabet(3), ("chain", "length"), 5)
+    horizon, eta = 5, 0.6
+    names = phi_intersect(machine, acceptor).state_names
+    assert len({name[:2] for name in names}) < len(names)
+    losses = np.random.default_rng(0).random((horizon, 3))
+    product, support, want = expected_distributions(machine, horizon, eta, losses)
+    state = hedge_init(machine, horizon, eta)
+    assert state.K == len(support) == count_accepting_paths(phi_expand(product)) > 0
+    log_z = math.log(sum(w for _, w in support))
+    assert state.log_Z == pytest.approx(log_z, rel=0, abs=1e-12)
+    assert np.abs(run_distributions(state, losses) - np.array(want)).max() <= 1e-12
