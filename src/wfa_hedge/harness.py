@@ -20,13 +20,14 @@ from . import approx as approxmod
 from . import ngram as ngrammod
 from .builders import (exact_shift_automaton, hierarchy_automaton,
                        length_automaton, weighted_shift_automaton)
-from .hedge import (HedgeState, hedge_step, horizon_product, sample, summarize,
-                    tune_eta_fixed, tune_eta_renyi, unweighted_regret, weighted_regret)
+from .hedge import (HedgeState, _sequence_count, hedge_step, horizon_product, sample,
+                    summarize, tune_eta_fixed, tune_eta_renyi, unweighted_regret,
+                    weighted_regret)
 from .phi import PhiWfa, phi_convert
 from .sleeping import (AwakeState, awake_distribution, awake_step, sleeping_regret,
                        worst_comparator)
 from .textio import read_automaton
-from .wfa import Wfa, count_accepting_paths, log_weight_range
+from .wfa import Wfa, log_weight_range
 
 __all__ = [
     "ExperimentConfig",
@@ -248,7 +249,7 @@ def _resolve_eta(cfg: ExperimentConfig, competitor_t: Wfa, horizon: int) -> floa
             raise ValueError("eta must be positive")
         return float(cfg.eta)
     if cfg.eta == "fixed":
-        return tune_eta_fixed(horizon, count_accepting_paths(competitor_t))
+        return tune_eta_fixed(horizon, _sequence_count(competitor_t))
     if cfg.eta == "renyi":
         return tune_eta_renyi(competitor_t, horizon)
     raise ValueError(f"unknown eta spec {cfg.eta!r}")
@@ -395,7 +396,7 @@ def run_experiment(cfg: ExperimentConfig, machine: Optional[Wfa] = None) -> dict
             u_reg = unweighted_regret(state.p_history, list(losses), competitor_t)
         report["weighted_regret"] = w_reg
         report["unweighted_regret"] = u_reg
-        k = count_accepting_paths(competitor_t)
+        k = _sequence_count(competitor_t)
         report["num_sequences"] = k
         verdicts = {}
         if cfg.approximation is None:

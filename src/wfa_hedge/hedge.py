@@ -25,9 +25,10 @@ symbol given losses 1..t-1.
 
 The regret report (:func:`summarize`) reads the same arrays, so a phi
 run is never expanded to plain edges: K is the backward sweep at power 0
-in Python integers, log Z comes from the set-up sweep, and the best
-sequences come from one max-plus sweep (:meth:`CompiledMachine.best_path`)
-that reaches a phi chain's continuations through its hub edges
+in Python integers, counted once and kept, log Z comes from the set-up
+sweep, and the best sequences come from the one max-plus sweep,
+:func:`~wfa_hedge.wfa.leveled_best_path`, on the compiled arrays' plan,
+which reaches a phi chain's continuations through its hub edges
 (Allauzen & Riley 2018, shortest distance with failure transitions).
 """
 
@@ -36,14 +37,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .phi import PhiWfa, _label_sets, _phi_chain_depth, _shadow_corrections
-from .wfa import (NEG_INF, Wfa, _edge_logs, _edge_marginals, _final_weights, _label_ranks,
-                  _log_normaliser, _ranges, _sorted_arcs, count_accepting_paths, exact_logs,
-                  leveled_best_path, levels, log_power_sum)
+from .wfa import (NEG_INF, Wfa, _edge_logs, _edge_marginals, _final_weights,
+                  _label_ranks, _log_normaliser, _ranges, _sorted_arcs, _Sweep, _sweep_plan,
+                  count_accepting_paths, exact_logs, leveled_best_path, log_power_sum)
 
 __all__ = [
     "HedgeState",
@@ -94,20 +95,21 @@ class CompiledMachine:
 
     Level t occupies state ids ``state_off[t]:state_off[t+1]``.  The
     consuming edges leaving level t occupy ``edge_off[t]:edge_off[t+1]``:
-    first the machine's own
-    (ending at ``real_end[t]``), then one correction edge per shadowed
-    phi continuation.  Edge e has source id ``src``, target ``dst``
-    counted from the next level's first state, expert id ``label`` and
-    weight ``coef[e] * exp(log_w[tid[e]])``, where log_w is indexed like
-    ``machine.transitions``: a correction edge reuses the log-weight of
-    the edge it shadows, so a loss charged to that label reaches both,
-    and carries coef = -(phi chain weight).  Phi edges are
-    sorted by level and by the chain depth of their source; each run of
-    equal (level, depth) is one group, ``group_bounds[g]:group_bounds[g+1]``
-    in the phi arrays, and level t owns groups ``group_off[t]:group_off[t+1]``.
+    first the machine's own (ending at ``real_end[t]``), then one
+    correction edge per shadowed phi continuation.  Edge e has source id
+    ``src``, target ``dst`` counted from the next level's first state,
+    expert id ``label`` and weight ``coef[e] * exp(log_w[tid[e]])``, where
+    log_w is indexed like ``machine.transitions``: a correction edge
+    reuses the log-weight of the edge it shadows, so a loss charged to
+    that label reaches both, and carries coef = -(phi chain weight).  Phi
+    edges are sorted by level and by the chain depth of their source;
+    each run of equal (level, depth) is one group,
+    ``group_bounds[g]:group_bounds[g+1]`` in the phi arrays, and level t
+    owns groups ``group_off[t]:group_off[t+1]``.
     ``weight`` is the machine's raw weight column and ``alphabet`` its
     symbols.  All weights here are raw; :meth:`backward` raises them to a
-    power.  :func:`horizon_product` builds it from the arrays of its unroll.
+    power.  :func:`horizon_product` builds it from the arrays of its unroll;
+    the path count and the best-path plan are built on first use and kept.
     """
 
     def __init__(self, machine: Machine, horizon: int, state_off: np.ndarray,
@@ -241,149 +243,44 @@ class CompiledMachine:
         return int(count[self.initial])
 
     @cached_property
-    def _paths(self) -> "_PathPlan":
+    def num_paths(self) -> int:
+        """:meth:`count_paths`, swept once and kept."""
+        return self.count_paths()
+
+    @cached_property
+    def sweep(self) -> "_PathPlan":
+        """The plan of the best-path sweep over these arrays."""
         return _PathPlan(self)
 
-    def best_path(self, gain: np.ndarray, weighted: bool) -> "Route":
-        """Best accepting path under the score gain[t, label] per round,
-        plus the log-weights of its edges, phi edges and final state
-        when ``weighted``.  Ties go to the lexicographically smallest
-        sequence, as in :func:`~wfa_hedge.wfa.leveled_best_path`, which
-        on a machine without phi edges this sweep equals bit for bit.
 
-        One max-plus sweep, one level at a time, over the resolved steps:
-        a state reads a symbol by its own edge, or else from the first
-        state down its phi chain that reads it.  A consuming edge e out of
-        h is a direct candidate from h.  When h has phi-parents, e is also
-        a hub candidate from the best state that resolves to it: one of
-        h's phi-subtree outside h and the subtrees of the sources of e's
-        correction rows, found by range minima over a preorder of the
-        level's phi forest, ranked by total + log_d (log_d: the summed log
-        phi weight to the chain's end), then prefix rank.  It scores that
-        key - log_d[h] + score(e).  Direct and hub candidates then meet in
-        the plain sweep's tie-break: (target, -total, prefix rank of the
-        source, label rank).
-        """
-        p, n, so = self._paths, self.num_states, self.state_off
-        log_d = p.log_d if weighted else np.zeros(n)
-        total = np.full(n, -math.inf)
-        total[self.initial] = 0.0
-        prefix, back, came = np.zeros(n, np.intp), np.full(n, -1, np.intp), np.full(n, -1, np.intp)
-        reached = np.zeros(n, bool)
-        reached[self.initial] = True
-        for t in range(self.horizon):
-            a, r = self.edge_off[t], self.real_end[t]
-            j = a + np.flatnonzero(p.positive[a:r] & reached[self.src[a:r]])
-            q = self.src[j]
-            base = total[q]
-            if p.iv_off[t] < p.iv_off[t + 1]:
-                states = p.at[so[t]:so[t + 1]]
-                key = total[states] + log_d[states]
-                best_first = np.lexsort((prefix[states], -key))
-                goodness = np.empty(len(states), np.intp)
-                goodness[best_first] = np.arange(len(states))
-                ia, ib = p.iv_off[t], p.iv_off[t + 1]
-                first = p.first[p.first_off[t]:p.first_off[t + 1]]  # each hub's first range
-                pos = best_first[np.minimum.reduceat(
-                    _range_min(goodness, p.iv_lo[ia:ib] - so[t], p.iv_hi[ia:ib] - so[t]),
-                    first - ia)]
-                ok = np.flatnonzero(reached[states[pos]])
-                hj = p.hub[p.iv_hub[first[ok]]]
-                j, q = np.concatenate((j, hj)), np.concatenate((q, states[pos[ok]]))
-                base = np.concatenate((base, key[pos[ok]] - log_d[self.src[hj]]))
-            score = gain[t][self.label[j]]
-            if weighted:
-                score = p.log_weight[self.tid[j]] + score
-            val = base + score
-            dst, lr = so[t + 1] + self.dst[j], p.rank[self.label[j]]
-            order = np.lexsort((lr, prefix[q], -val, dst))
-            by_dst = dst[order]
-            # The first candidate into each target wins.
-            win = order[by_dst != np.concatenate(([-1], by_dst[:-1]))]
-            into = dst[win]
-            total[into], back[into], came[into], reached[into] = val[win], j[win], q[win], True
-            prefix[into[np.lexsort((lr[win], prefix[q[win]]))]] = np.arange(len(win))
-
-        lo = so[self.horizon]
-        ends = lo + np.flatnonzero(reached[lo:] & (self.final[lo:] > 0.0))
-        if not ends.size:
-            raise ValueError("no accepting path")
-        scores = total[ends] + exact_logs(self.final[ends]) if weighted else total[ends]
-        top = np.flatnonzero(scores == scores.max())
-        i = top[np.argmin(prefix[ends[top]])]
-        steps, weights = np.empty(self.horizon, np.intp), np.empty(self.horizon)
-        q = ends[i]
-        for t in range(self.horizon - 1, -1, -1):
-            steps[t], q = back[q], came[q]
-            # The step's weight as phi_expand multiplies it: chain order, then the edge.
-            w, s = 1.0, q
-            while s != self.src[steps[t]]:
-                w, s = w * p.phi_w[s], p.phi_to[s]
-            weights[t] = w * self.weight[self.tid[steps[t]]]
-        return Route(float(scores[i]), self.label[steps], self.tid[steps], weights,
-                     float(self.final[ends[i]]))
-
-
-class Route(NamedTuple):
-    """A best path of a compiled machine: its total score; per round its
-    symbol id, its consuming edge (index into ``machine.transitions``)
-    and its weight (the phi chain's weights times the edge's); and its
-    final weight."""
-    value: float
-    labels: np.ndarray
-    edges: np.ndarray
-    weights: np.ndarray
-    final: float
-
-
-def _range_min(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """min(x[lo[i]:hi[i]]) for each nonempty range, from a sparse table:
-    row k holds the minima of the windows of length 2**k."""
-    k = np.frexp((hi - lo).astype(float))[1] - 1  # floor(log2(length))
-    table = np.empty((int(k.max()) + 1, len(x)), x.dtype)
-    table[0] = x
-    for r in range(1, len(table)):
-        half = 1 << (r - 1)
-        table[r, :-half] = np.minimum(table[r - 1, :-half], table[r - 1, half:])
-    return np.minimum(table[k, lo], table[k, hi - (1 << k)])
-
-
-class _PathPlan:
-    """What :meth:`CompiledMachine.best_path` reads besides the compiled
-    arrays, built on the first sweep.
-
-    ``positive`` marks the consuming edges of positive weight,
-    ``log_weight`` is :func:`~wfa_hedge.wfa.exact_logs` of the machine's
-    weight column, and ``rank`` is each symbol's rank in sorted order.  The phi edges of
-    positive weight form an in-forest inside each level: ``phi_to`` and
-    ``phi_w`` per state (-1 and 1 at a chain's end).  A state's
-    phi-subtree, itself and every state whose chain passes through it,
-    sits at positions ``tin:tin + size`` of a preorder of that forest,
-    whose position i holds state ``at[i]``; ``log_d`` sums the log phi
-    weights from a state down to its chain's end.  ``hub`` lists the
-    positive consuming edges whose source has phi-parents.  The states
-    that resolve to hub edge k are the preorder ranges ``iv_lo:iv_hi``
-    whose ``iv_hub`` is k, level t's at ``iv_off[t]:iv_off[t+1]``: the
-    subtree of its source, less the source itself and the subtrees of the
-    sources of its correction rows, which read its symbol first.
-    ``first`` indexes each hub's first range, level t's at
-    ``first_off[t]:first_off[t+1]``.
+class _PathPlan(_Sweep):
+    """The best-path plan of a compiled machine, whose state ids are its
+    product's.  The positive phi edges form an in-forest inside each level:
+    ``phi_to`` and ``phi_tid`` (its transition) per state, -1 at a
+    chain's end, and ``forest``, (child, parent, transition) arrays with
+    parents settled first.  A state's phi-subtree, itself and every state
+    whose chain passes through it, is a range of a preorder of that
+    forest, whose position i holds state ``at[i]``; level t's sit at
+    ``bounds[t]:bounds[t+1]``.  A hub edge is a positive consuming edge
+    whose source has phi-parents.  The states that resolve to it are the
+    preorder ranges ``iv_lo:iv_hi`` (level t's at ``iv_off[t]:iv_off[t+1]``):
+    its source's subtree less the source and the subtrees of the sources
+    of its correction rows, which read its symbol first.  ``first``
+    indexes each hub edge's first range, and ``hub`` holds those edges'
+    transitions, level t's at ``first_off[t]:first_off[t+1]``.
     """
 
     def __init__(self, cm: CompiledMachine):
-        n = cm.num_states
-        self.positive = (cm.weight > 0.0)[cm.tid]
-        self.positive[_ranges(cm.real_end, cm.edge_off[1:])] = False
-        self.log_weight = exact_logs(cm.weight)
-        self.rank = _label_ranks(cm.alphabet)[1]
+        n, so = cm.num_states, cm.state_off
+        positive = (cm.weight > 0.0)[cm.tid]
+        positive[_ranges(cm.real_end, cm.edge_off[1:])] = False
 
-        pw = cm.weight[cm.ptid]
-        on = pw > 0.0
-        child, parent, log_phi = cm.psrc[on], cm.pdst[on], exact_logs(pw[on])
-        self.phi_to, self.phi_w = np.full(n, -1, np.intp), np.ones(n)
-        self.phi_to[child], self.phi_w[child] = parent, pw[on]
+        on = cm.weight[cm.ptid] > 0.0
+        child, parent, ptid = cm.psrc[on], cm.pdst[on], cm.ptid[on]
+        self.phi_to, self.phi_tid = np.full(n, -1, np.intp), np.full(n, -1, np.intp)
+        self.phi_to[child], self.phi_tid[child] = parent, ptid
         # Subtree sizes from the chain starts down (a child's phi-parents
-        # are shallower), then preorder positions and log_d from the ends up.
+        # are shallower), then preorder positions from the ends up.
         depth = _phi_chain_depth(parent, child, n)[child]
         by_depth = np.argsort(depth, kind="stable")
         cut = np.searchsorted(depth[by_depth], np.arange(depth.max() + 2 if len(depth) else 1))
@@ -398,20 +295,20 @@ class _PathPlan:
         before = np.cumsum(size[child[sib]]) - size[child[sib]]
         offset = np.empty(len(child), np.intp)
         offset[sib] = before - before[np.searchsorted(parent[sib], parent[sib])]
-        self.log_d = np.zeros(n)
         for e in reversed(groups):
             tin[child[e]] = tin[parent[e]] + 1 + offset[e]
-            self.log_d[child[e]] = self.log_d[parent[e]] + log_phi[e]
+        self.forest = [(child[e], parent[e], ptid[e]) for e in reversed(groups)]
         self.at = np.empty(n, np.intp)
         self.at[tin] = np.arange(n)
+        self.bounds = so.tolist()
 
-        self.hub = np.flatnonzero(self.positive & (size > 1)[cm.src])
-        h = cm.src[self.hub]
-        lo, hi, hubs = tin[h] + 1, tin[h] + size[h], np.arange(len(self.hub))
+        hub = np.flatnonzero(positive & (size > 1)[cm.src])
+        h = cm.src[hub]
+        lo, hi, hubs = tin[h] + 1, tin[h] + size[h], np.arange(len(hub))
         # Correction rows by the hub edge they cancel, kept where their
         # source lies in that edge's source's subtree.
         rows = _ranges(cm.real_end, cm.edge_off[1:])
-        hub_tid = cm.tid[self.hub]
+        hub_tid = cm.tid[hub]
         by_tid = np.argsort(hub_tid)
         k = np.searchsorted(hub_tid, cm.tid[rows], sorter=by_tid)
         rows, k = rows[k < len(hubs)], by_tid[k[k < len(hubs)]]
@@ -426,11 +323,18 @@ class _PathPlan:
         e = np.argsort(np.concatenate((k, hubs)), kind="stable")
         iv_lo, iv_hi = np.concatenate((lo, xe))[s], np.concatenate((xs, hi))[e]
         keep = iv_lo < iv_hi
-        self.iv_hub = np.concatenate((hubs, k))[s][keep]
+        iv_hub = np.concatenate((hubs, k))[s][keep]
         self.iv_lo, self.iv_hi = iv_lo[keep], iv_hi[keep]
-        self.iv_off = np.searchsorted(self.iv_hub, np.searchsorted(self.hub, cm.edge_off))
-        self.first = np.flatnonzero(np.diff(self.iv_hub, prepend=-1))
-        self.first_off = np.searchsorted(self.first, self.iv_off)
+        self.iv_off = np.searchsorted(iv_hub, np.searchsorted(hub, cm.edge_off)).tolist()
+        self.first = np.flatnonzero(np.diff(iv_hub, prepend=-1))
+        self.first_off = np.searchsorted(self.first, self.iv_off).tolist()
+        self.hub = cm.tid[hub[iv_hub[self.first]]]
+        # Every positive consuming edge is a candidate: one out of a state
+        # that no positive path reaches scores -inf.
+        live, lo = np.flatnonzero(positive), so[cm.horizon]
+        super().__init__(cm.alphabet, cm.tid[live], np.searchsorted(live, cm.edge_off[:-1]),
+                         np.repeat(np.arange(cm.horizon + 1, dtype=np.int32), np.diff(so)),
+                         lo + np.flatnonzero(cm.final[lo:] > 0.0))
 
 
 # -- the online state ------------------------------------------------------------
@@ -479,10 +383,10 @@ class HedgeState:
         self.p_current = self._readout()
         self.p_history.append(self.p_current)
 
-    @cached_property
+    @property
     def K(self) -> int:
-        """The number of played sequences, read off the compiled arrays."""
-        return self.compiled.count_paths()
+        """The number of played sequences, counted once on the compiled arrays."""
+        return self.compiled.num_paths
 
     @property
     def log_w(self) -> np.ndarray:
@@ -774,42 +678,60 @@ def sample(p: np.ndarray, rng: np.random.Generator) -> int:
 # -- path sums and regret -------------------------------------------------------
 
 
-def best_competitor(competitor: Union[Wfa, HedgeState], losses: Sequence[np.ndarray],
+def _sequence_count(machine: Machine) -> int:
+    """The number of accepting paths: a horizon product's compiled count,
+    kept on it, else :func:`~wfa_hedge.wfa.count_accepting_paths`."""
+    cm = machine.compiled
+    return count_accepting_paths(machine) if cm is None else cm.num_paths
+
+
+def _path_scores(machine: Machine, gain: np.ndarray, weighted: bool) -> np.ndarray:
+    """Per transition of a length-T machine, gain[its round, its label],
+    plus its log-weight when ``weighted``; a phi edge scores its
+    log-weight, or 0.  Built in place, one column in memory at a time."""
+    c, log_w = machine.columns, _edge_logs(machine) if weighted else None
+    rounds = _sweep_plan(machine).depth[c.src]
+    score = gain[np.minimum(rounds, len(gain) - 1, out=rounds), c.label]  # phi edges at level T
+    phi = c.label < 0
+    if weighted:
+        np.add(log_w, score, out=score)
+        score[phi] = log_w[phi]
+    else:
+        score[phi] = 0.0
+    return score
+
+
+def best_competitor(competitor: Union[Machine, HedgeState], losses: Sequence[np.ndarray],
                     weighted: bool) -> tuple[tuple[str, ...], float, float]:
     """Best supported sequence for the regret maximization.
 
-    ``competitor`` is a plain length-T machine, or a run's state, whose
-    compiled arrays are swept (:meth:`CompiledMachine.best_path`) with
-    its log Z.  Returns (sequence, its cumulative loss, its log
-    probability under the competitor distribution).  ``weighted`` adds
-    the log-probability term to the maximized objective; ties break
-    lexicographically.
+    ``competitor`` is a length-T machine or a run's state; one max-plus
+    sweep finds the path, on the compiled arrays of a horizon product
+    (a state's included).  Returns (sequence, its cumulative loss, its
+    log probability under the competitor distribution), log Z being the
+    state's or the machine's.  ``weighted`` adds the log-probability term
+    to the maximized objective; ties break lexicographically.
     """
     losses = np.asarray(losses, dtype=float)
-    if isinstance(competitor, HedgeState):
-        route = competitor.compiled.best_path(-losses, weighted)
-        labels, weights, final = route.labels, route.weights, route.final
-        log_z = competitor.log_Z
-    else:
-        c, log_w = competitor.columns, _edge_logs(competitor)
-        # Each edge's loss at its round, turned in place (one column in
-        # memory at a time) into the score log w - loss, or -loss.
-        score = losses[levels(competitor)[c.src], c.label]
-        if weighted:
-            edges = leveled_best_path(competitor, np.subtract(log_w, score, out=score),
-                                      exact_logs(_final_weights(competitor)[1])).edges
+    state = isinstance(competitor, HedgeState)
+    machine = competitor.machine if state else competitor
+    c = machine.columns
+    final = exact_logs(_final_weights(machine)[1]) if weighted else None
+    path = leveled_best_path(machine, _path_scores(machine, -losses, weighted), final)
+    # Sum log-weights along the path, one per step: its linear weight can
+    # underflow.  A step's weight is its phi chain's times its edge's.
+    labels, log_path, w = [], 0.0, 1.0
+    for a, x in zip(c.label[path.edges].tolist(), c.weight[path.edges].tolist()):
+        if a < 0:
+            w *= x
         else:
-            edges = leveled_best_path(competitor, np.negative(score, out=score)).edges
-        labels, weights = c.label[edges], c.weight[edges]
-        final = competitor.final_weight(int(c.dst[edges[-1]]) if len(edges) else competitor.initial)
-        log_z = _log_normaliser(competitor)
-    seq = tuple(competitor.alphabet[a] for a in labels.tolist())
-    path_loss = sum(losses[i][a] for i, a in enumerate(labels.tolist()))
-    # Sum log-weights along the path: its linear weight can underflow.
-    log_path = 0.0
-    for lw in exact_logs(weights).tolist():
-        log_path += lw
-    return seq, float(path_loss), log_path + math.log(final) - log_z
+            labels.append(a)
+            log_path += math.log(w * x)
+            w = 1.0
+    path_loss = sum(losses[i][a] for i, a in enumerate(labels))
+    end = int(c.dst[path.edges[-1]]) if len(path.edges) else machine.initial
+    log_z = competitor.log_Z if state else _log_normaliser(machine)
+    return path.sequence, float(path_loss), log_path + math.log(machine.final_weight(end)) - log_z
 
 
 def weighted_regret(p_rounds: Sequence[np.ndarray], losses: Sequence[np.ndarray],
@@ -817,7 +739,7 @@ def weighted_regret(p_rounds: Sequence[np.ndarray], losses: Sequence[np.ndarray]
     """Regret against the best supported sequence, including the
     log(q(x) K) prior-mass term."""
     algo = sum(float(np.dot(p, l)) for p, l in zip(p_rounds, losses))
-    k = count_accepting_paths(competitor)
+    k = _sequence_count(competitor)
     seq, path_loss, log_q = best_competitor(competitor, losses, weighted=True)
     return algo - path_loss + log_q + math.log(k)
 
@@ -886,7 +808,7 @@ def tune_eta_renyi(competitor: Wfa, horizon: int, tol: float = 1e-10) -> float:
     The left side is increasing in eta (H_eta is non-increasing), so the
     root is unique.  Requires at least two supported sequences.
     """
-    if count_accepting_paths(competitor) < 2:
+    if _sequence_count(competitor) < 2:
         raise ValueError("entropy tuning needs at least two supported sequences")
     target = math.sqrt(8.0 / horizon)
 

@@ -15,8 +15,8 @@ without another sweep; the rescaled charge then goes into the same
 forward advance as a plain round.  On a phi machine a label's flow
 already nets out its correction edges, so phi products run it too.
 The verdict of a run (:func:`worst_comparator`, :func:`sleeping_regret`
-given the run state) reads K, the worst comparator and its support off
-the same compiled arrays, so no phi run is expanded.
+given the run state or its product) reads K, the worst comparator and
+its support off the same compiled arrays, so no phi run is expanded.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .hedge import HedgeState, _check_loss, horizon_product
+from .hedge import HedgeState, _check_loss, _path_scores, _sequence_count, horizon_product
 from .phi import PhiWfa
-from .wfa import Wfa, count_accepting_paths, evaluate, leveled_best_path, levels
+from .wfa import Wfa, leveled_best_path
 
 __all__ = [
     "ZeroAwakeMassError",
@@ -140,23 +140,29 @@ def sleeping_regret(awake_sets: Sequence[np.ndarray],
     Only rounds where a path is awake (its symbol at that position lies
     in the awake set) contribute, on both sides of the comparison.  Also
     returns the mixture-specific bound (eta/8) sum_t u(A_t) + log(K)/eta.
-    ``competitor`` is a plain length-T machine, or a run's state, whose
-    K and support are read off its compiled arrays.
+    ``competitor`` is a length-T machine or a run's state.  A horizon
+    product's K and support are read off its compiled arrays (a state's
+    included); another machine's support is a walk over its arcs.
     """
     total = sum(u.values())
     if abs(total - 1.0) > 1e-9 or any(v < 0 for v in u.values()):
         raise ValueError("comparator must be a distribution over paths")
-    sym = {a: i for i, a in enumerate(competitor.alphabet)}
-    if isinstance(competitor, HedgeState):
-        k = competitor.K
+    machine = competitor.machine if isinstance(competitor, HedgeState) else competitor
+    k = _sequence_count(machine)
+    sym = {a: i for i, a in enumerate(machine.alphabet)}
 
-        def supported(seq):
-            return competitor.compiled.count_paths([sym.get(a, -1) for a in seq]) > 0
-    else:
-        k = count_accepting_paths(competitor)
+    def supported(seq):
+        if machine.compiled is not None:
+            return machine.compiled.count_paths([sym.get(a, -1) for a in seq]) > 0
+        # Each weight positive: their product can underflow to 0.
+        q = machine.initial
+        for a in seq:
+            t = machine.arcs(q).get(a)
+            if t is None or not t.weight > 0.0:
+                return False
+            q = t.dst
+        return machine.final_weight(q) > 0.0
 
-        def supported(seq):
-            return evaluate(competitor, seq) > 0.0
     for seq in u:
         if u[seq] > 0 and not supported(seq):
             raise ValueError(f"comparator puts mass on unsupported path {seq}")
@@ -185,13 +191,9 @@ def worst_comparator(awake_sets: Sequence[np.ndarray],
     bound the most: a point mass, as value minus bound is linear in the
     mixture.  Up to log(K)/eta, the point mass on x scores the sum over
     rounds of awake_t(x_t) (p_awake,t . l_t - l_t(x_t) - eta/8), so it is
-    one best path of the length-T competitor, at any K: of a run's
-    compiled arrays when ``competitor`` is its state."""
+    one best path of the length-T competitor, at any K, swept on the
+    compiled arrays of a horizon product (a state's included)."""
     gains = np.array([np.where(mask, float(np.dot(p, loss)) - np.asarray(loss, float) - eta / 8.0,
                                0.0) for mask, p, loss in zip(awake_sets, p_awake_rounds, losses)])
-    if isinstance(competitor, HedgeState):
-        labels = competitor.compiled.best_path(gains, weighted=False).labels
-        return {tuple(competitor.alphabet[a] for a in labels.tolist()): 1.0}
-    c = competitor.columns
-    path = leveled_best_path(competitor, gains[levels(competitor)[c.src], c.label])
-    return {path.sequence: 1.0}
+    machine = competitor.machine if isinstance(competitor, HedgeState) else competitor
+    return {leveled_best_path(machine, _path_scores(machine, gains, False)).sequence: 1.0}

@@ -15,11 +15,11 @@ and cached on the machine are: the per-edge views ``transitions`` and
 in; the edge-log column; the log normaliser; the n-gram context products
 (:func:`~wfa_hedge.ngram._context_product`); and one level plan
 (:class:`_Topo`): the topological generations that the path sums
-sweep, the path count, and the depths and live edges that best-path
-sweeps read.  A :class:`Wfa` is immutable after construction: the
-columns are read-only arrays and the cached values never change once
-built (two threads racing to build one build equal values), so a
-machine is safe to share across threads.  Every operation in this
+sweep, the path count, and the best-path sweep's plan (:class:`_Sweep`).
+A :class:`Wfa` is immutable after construction: the columns are
+read-only arrays and the cached values never change once built (two
+threads racing to build one build equal values), so a machine is safe
+to share across threads.  Every operation in this
 module is a pure function returning a new automaton or a plain value.
 """
 
@@ -515,20 +515,15 @@ class _Topo:
     (``order``, ``off``); the transitions grouped by their source's
     generation, in column order within a group, and where each group
     starts (``edges``, ``edge_off``); the number of accepting paths
-    (``paths``, set by :func:`count_accepting_paths`); and what the
-    best-path sweeps reuse, set by :func:`_level_plan`: each state's depth
-    over positive-weight arcs from the initial state, -1 where none
-    reaches it (``level``), those arcs grouped by their source's depth
-    (``live``, ``live_off``), the reached states of positive final weight
-    (``ends``) and each symbol's rank in sorted order (``rank``)."""
+    (``paths``, set by :func:`count_accepting_paths`); and the best-path
+    sweep's plan (``sweep``, set by :func:`_level_plan`)."""
 
-    __slots__ = ("order", "off", "edges", "edge_off", "paths",
-                 "level", "live", "live_off", "ends", "rank")
+    __slots__ = ("order", "off", "edges", "edge_off", "paths", "sweep")
 
     def __init__(self, order: np.ndarray, off: np.ndarray, edges: np.ndarray,
                  edge_off: np.ndarray):
         self.order, self.off, self.edges, self.edge_off = order, off, edges, edge_off
-        self.paths = self.level = self.live = self.live_off = self.ends = self.rank = None
+        self.paths = self.sweep = None
 
 
 def _plan(wfa: Wfa) -> _Topo:
@@ -601,12 +596,13 @@ def _path_plan(wfa: Wfa) -> _Topo:
     return _plan(wfa)
 
 
-def _level_plan(wfa: Wfa) -> _Topo:
-    """The plan with its best-path fields set, the depths from one sweep
-    over the Kahn generations.  Raises ValueError when positive-weight
-    arcs from the initial state reach a state at two depths."""
+def _level_plan(wfa: Wfa) -> "_Sweep":
+    """The best-path sweep's plan of a plain machine, kept on its level
+    plan: the depths come from one sweep over the Kahn generations.
+    Raises ValueError when positive-weight arcs from the initial state
+    reach a state at two depths."""
     topo = _path_plan(wfa)
-    if topo.level is None:
+    if topo.sweep is None:
         c = wfa.columns
         positive = c.weight > 0.0
         level = np.full(wfa.num_states, -1, np.int32)
@@ -625,13 +621,10 @@ def _level_plan(wfa: Wfa) -> _Topo:
         if (depth[1:] < depth[:-1]).any():  # an intersection numbers its states by depth
             live = live[np.argsort(depth, kind="stable")]
         level.flags.writeable = False
-        # Set level last: a sweep that finds it set finds the rest set.
-        topo.live, topo.rank = live, _label_ranks(wfa.alphabet)[1]
-        topo.live_off = np.concatenate(([0], np.cumsum(np.bincount(depth))))
-        topo.ends = np.array([q for q, w in wfa.finals.items() if w > 0.0 and level[q] >= 0],
-                             np.intp)
-        topo.level = level
-    return topo
+        ends = np.array([q for q, w in wfa.finals.items() if w > 0.0 and level[q] >= 0], np.intp)
+        topo.sweep = _Sweep(wfa.alphabet, live,
+                            np.concatenate(([0], np.cumsum(np.bincount(depth)))), level, ends)
+    return topo.sweep
 
 
 def topological_order(wfa: Wfa) -> list[int]:
@@ -711,24 +704,18 @@ def count_accepting_paths(wfa: Wfa) -> int:
     to first, in Python integers.  The count is kept on the machine's
     plan, so later calls return it without another sweep.
     """
-    topo = _path_plan(wfa)
+    topo, c = _path_plan(wfa), wfa.columns
     if topo.paths is None:
-        topo.paths = _count_paths(wfa)
+        counts = np.zeros(wfa.num_states, dtype=object)
+        for q, w in wfa.finals.items():
+            if w > 0.0:
+                counts[q] = 1
+        for g in range(len(topo.off) - 2, -1, -1):
+            e = topo.edges[topo.edge_off[g]:topo.edge_off[g + 1]]
+            e = e[c.weight[e] > 0.0]
+            np.add.at(counts, c.src[e], counts[c.dst[e]])
+        topo.paths = int(counts[wfa.initial])
     return topo.paths
-
-
-def _count_paths(wfa: Wfa) -> int:
-    """The sweep behind :func:`count_accepting_paths`."""
-    topo, c = _plan(wfa), wfa.columns
-    counts = np.zeros(wfa.num_states, dtype=object)
-    for q, w in wfa.finals.items():
-        if w > 0.0:
-            counts[q] = 1
-    for g in range(len(topo.off) - 2, -1, -1):
-        e = topo.edges[topo.edge_off[g]:topo.edge_off[g + 1]]
-        e = e[c.weight[e] > 0.0]
-        np.add.at(counts, c.src[e], counts[c.dst[e]])
-    return int(counts[wfa.initial])
 
 
 def log_power_sum(machine: Wfa, eta: float) -> float:
@@ -871,15 +858,53 @@ def levels(wfa: Wfa) -> np.ndarray:
     """Each state's depth over positive-weight arcs from the initial
     state, -1 where none reaches it; read-only, from the cached plan.
     Raises ValueError on a machine that is not leveled."""
-    return _level_plan(wfa).level
+    return _level_plan(wfa).depth
 
 
 def _horizon(wfa: Wfa) -> int:
     """The length of the longest accepting path of a leveled machine."""
-    topo = _level_plan(wfa)
-    if not topo.ends.size:
+    plan = _level_plan(wfa)
+    if not plan.ends.size:
         raise ValueError("no accepting path")
-    return int(topo.level[topo.ends].max())
+    return int(plan.depth[plan.ends].max())
+
+
+class _Sweep:
+    """What :func:`leveled_best_path` reads besides the machine and the
+    scores: ``live``, the positive arcs grouped by their source's depth,
+    depth d's at ``live_off[d]:live_off[d+1]``; each state's ``depth``;
+    ``ends``, the states of positive final weight; and each symbol's
+    ``rank`` in sorted order.  A plain machine's plan (:func:`_level_plan`)
+    keeps only the arcs and ends that positive paths reach (depth -1: the
+    others).  A compiled machine's (:class:`~wfa_hedge.hedge._PathPlan`)
+    adds the phi hub ranges, which are None here: ``first_off`` and the
+    fields it guards.
+    """
+
+    first_off = None
+
+    def __init__(self, alphabet: Sequence[str], live: np.ndarray, live_off: np.ndarray,
+                 depth: np.ndarray, ends: np.ndarray):
+        self.live, self.live_off = live, live_off.tolist()
+        self.depth, self.ends = depth, ends
+        self.rank = _label_ranks(alphabet)[1]
+
+
+def _sweep_plan(wfa: Wfa) -> _Sweep:
+    """The plan of a horizon product's compiled arrays, else the level plan."""
+    return _level_plan(wfa) if wfa.compiled is None else wfa.compiled.sweep
+
+
+def _range_min(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """min(x[lo[i]:hi[i]]) for each nonempty range, from a sparse table:
+    row k holds the minima of the windows of length 2**k."""
+    k = np.frexp((hi - lo).astype(float))[1] - 1  # floor(log2(length))
+    table = np.empty((int(k.max()) + 1, len(x)), x.dtype)
+    table[0] = x
+    for r in range(1, len(table)):
+        half = 1 << (r - 1)
+        table[r, :-half] = np.minimum(table[r - 1, :-half], table[r - 1, half:])
+    return np.minimum(table[k, lo], table[k, hi - (1 << k)])
 
 
 def leveled_best_path(wfa: Wfa, edge_score: np.ndarray,
@@ -896,43 +921,87 @@ def leveled_best_path(wfa: Wfa, edge_score: np.ndarray,
     go to the lexicographically smallest label sequence.  Returns the
     total, the sequence and the path's transitions.
 
-    One max-plus (Viterbi) sweep over the cached plan, one depth at a
-    time.  Each edge's score is added to the best prefix total of its
-    source, and one lexsort over (target, -total, rank of the source's
-    prefix among its level, label rank) keeps the best edge into each
-    target as its back-pointer.  Equal totals at different depths
-    compare the recovered sequences.
+    One max-plus (Viterbi) sweep, one depth at a time, over the machine's
+    plan (:func:`_sweep_plan`).  A candidate edge's score is added to the
+    best prefix total of its source, and one lexsort over (target,
+    -total, rank of the source's prefix among its level, label rank)
+    keeps the best edge into each target as its back-pointer.  A state
+    whose best total is -inf, as where no positive path reaches it, ends
+    no path.  Equal totals at different depths compare the recovered
+    sequences.
+
+    A horizon product is swept on its compiled arrays, phi edges
+    included (Allauzen & Riley 2018): a state reads a symbol by its own
+    edge, or else from the first state down its phi chain that reads it,
+    and a step through phi edges adds their scores.  So a hub edge e out
+    of h, one with phi-parents, is also a candidate from the best state
+    that resolves to it: one of h's phi-subtree outside h and the
+    subtrees of the sources of e's correction rows, found by range
+    minima over a preorder of the level's phi forest, ranked by total +
+    log_d (log_d: the summed phi scores down to the chain's end), then
+    prefix rank.  It scores that key - log_d[h] + score[e].  The returned
+    transitions include the phi edges of each step.
     """
-    topo, c, n = _level_plan(wfa), wfa.columns, wfa.num_states
+    c, n, plan = wfa.columns, wfa.num_states, _sweep_plan(wfa)
     if len(edge_score) != len(c.src):
         raise ValueError("edge_score needs one entry per transition")
-    total, prefix, back = np.zeros(n), np.zeros(n, np.intp), np.full(n, -1, np.intp)
-    for lo, hi in zip(topo.live_off[:-1].tolist(), topo.live_off[1:].tolist()):
-        e = topo.live[lo:hi]
-        src, dst, lr = c.src[e], c.dst[e], topo.rank[c.label[e]]
-        val = total[src] + edge_score[e]
-        order = np.lexsort((lr, prefix[src], -val, dst))
+    total = np.full(n, -math.inf)
+    total[wfa.initial] = 0.0
+    prefix, back, came = np.zeros(n, np.intp), np.full(n, -1, np.intp), np.full(n, -1, np.intp)
+    hubs, off = plan.first_off, plan.live_off
+    if hubs is not None:
+        log_d = np.zeros(n)
+        for child, parent, e in plan.forest:
+            log_d[child] = log_d[parent] + edge_score[e]
+    for t in range(len(off) - 1):
+        e = plan.live[off[t]:off[t + 1]]
+        q, dst, lr = c.src[e], c.dst[e], plan.rank[c.label[e]]
+        val = total[q] + edge_score[e]
+        at_hub = hubs is not None and hubs[t] < hubs[t + 1]
+        if at_hub:
+            lo, hi = plan.bounds[t], plan.bounds[t + 1]
+            states = plan.at[lo:hi]
+            key = total[states] + log_d[states]
+            best_first = np.lexsort((prefix[states], -key))
+            goodness = np.empty(hi - lo, np.intp)
+            goodness[best_first] = np.arange(hi - lo)
+            ia, ib, fa, fb = plan.iv_off[t], plan.iv_off[t + 1], hubs[t], hubs[t + 1]
+            pos = best_first[np.minimum.reduceat(
+                _range_min(goodness, plan.iv_lo[ia:ib] - lo, plan.iv_hi[ia:ib] - lo),
+                plan.first[fa:fb] - ia)]
+            h = plan.hub[fa:fb]
+            e, q = np.concatenate((e, h)), np.concatenate((q, states[pos]))
+            dst, lr = np.concatenate((dst, c.dst[h])), np.concatenate((lr, plan.rank[c.label[h]]))
+            val = np.concatenate((val, key[pos] - log_d[c.src[h]] + edge_score[h]))
+        order = np.lexsort((lr, prefix[q], -val, dst))
         by_dst = dst[order]
         win = order[by_dst != np.concatenate(([-1], by_dst[:-1]))]  # first edge into each target
-        reached = dst[win]
-        total[reached], back[reached] = val[win], e[win]
-        prefix[reached[np.lexsort((lr[win], prefix[src[win]]))]] = np.arange(len(win))
+        into = dst[win]
+        total[into], back[into] = val[win], e[win]
+        if at_hub:  # elsewhere each step comes from its edge's source
+            came[into] = q[win]
+        prefix[into[np.lexsort((lr[win], prefix[q[win]]))]] = np.arange(len(win))
 
-    finals, depth = topo.ends, topo.level
-    if not finals.size:
+    ends, depth = plan.ends[total[plan.ends] > -math.inf], plan.depth  # the reached ones
+    if not ends.size:
         raise ValueError("no accepting path")
-    scores = total[finals] if final_score is None else total[finals] + final_score[finals]
+    scores = total[ends] if final_score is None else total[ends] + final_score[ends]
     top = np.flatnonzero(scores == scores.max())
     best = None
-    for d in np.unique(depth[finals[top]]):
-        at = top[depth[finals[top]] == d]
-        i = at[np.argmin(prefix[finals[at]])]
-        edges, q = [], finals[i]
+    for d in np.unique(depth[ends[top]]):
+        at = top[depth[ends[top]] == d]
+        i = at[np.argmin(prefix[ends[at]])]
+        steps, q = [], ends[i]
         while q != wfa.initial:
-            edges.append(back[q])
-            q = c.src[back[q]]
-        edges = np.array(edges[::-1], np.intp)
-        seq = tuple(wfa.alphabet[a] for a in c.label[edges].tolist())
+            e = back[q]
+            q = s = c.src[e] if came[q] < 0 else came[q]
+            chain = []  # the phi edges from the state that read the symbol to e's source
+            while s != c.src[e]:
+                chain.append(plan.phi_tid[s])
+                s = plan.phi_to[s]
+            steps += [e] + chain[::-1]
+        edges = np.array(steps[::-1], np.intp)
+        seq = tuple(wfa.alphabet[a] for a in c.label[edges].tolist() if a >= 0)
         if best is None or seq < best.sequence:
             best = BestPath(float(scores[i]), seq, edges)
     return best
@@ -940,7 +1009,7 @@ def leveled_best_path(wfa: Wfa, edge_score: np.ndarray,
 
 def log_weight_range(wfa: Wfa) -> tuple[float, float]:
     """Log-weights of the lightest and the heaviest accepting path of a
-    leveled machine."""
+    leveled machine, or of a horizon product, phi edges included."""
     log_w, log_f = _edge_logs(wfa), exact_logs(_final_weights(wfa)[1])
     lo = leveled_best_path(wfa, -log_w, -log_f)
     hi = leveled_best_path(wfa, log_w, log_f)

@@ -1575,6 +1575,26 @@ def horizon_product(competitor, horizon: int):
     return inter
 
 
+def level_numbered(machine):
+    """A length-T intersection with its states renumbered by the level in
+    their names, stably, as compile_product numbers them: a compiled
+    machine's state ids are its product's."""
+    level = np.fromiter((name[1] for name in machine.state_names), np.intp, machine.num_states)
+    order = np.argsort(level, kind="stable")
+    renum = np.empty(len(order), np.intp)
+    renum[order] = np.arange(len(order))
+    c = machine.columns
+    args = (machine.alphabet, machine.num_states, int(renum[machine.initial]),
+            {int(renum[q]): w for q, w in machine.finals.items()}, renum[c.src], c.label,
+            c.weight, renum[c.dst], [machine.state_names[q] for q in order.tolist()])
+    if not isinstance(machine, PhiWfa):
+        return Wfa.from_columns(*args)
+    pairs = machine.pair_labels and [machine.pair_labels[q] for q in order.tolist()]
+    moves = machine.phi_moves and {(int(renum[a]), int(renum[b])): kind
+                                   for (a, b), kind in machine.phi_moves.items()}
+    return PhiWfa.from_columns(*args, pairs, moves)
+
+
 def compile_product(machine, horizon: int):
     """A length-T intersection as a CompiledMachine: its states re-sorted
     by the level in their names, and its shadow corrections taken from

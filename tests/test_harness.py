@@ -681,19 +681,60 @@ def test_engine_paths_run_no_product_search(monkeypatch):
 ])
 def test_run_experiment_counts_the_paths_once(monkeypatch, extra):
     # The tuned eta, the exact run's report and the sleeping bound all
-    # need K; it is counted once and kept on the machine.
-    from wfa_hedge import wfa
+    # need K; it is counted once, on the product's compiled arrays, and
+    # kept there.
+    from wfa_hedge import hedge
     sweeps = []
-    count = wfa._count_paths
+    count = hedge.CompiledMachine.count_paths
 
-    def counted(machine):
-        sweeps.append(machine)
-        return count(machine)
+    def counted(cm, labels=None):
+        if labels is None:  # the sleeping support check passes a sequence
+            sweeps.append(cm)
+        return count(cm, labels)
 
-    monkeypatch.setattr(wfa, "_count_paths", counted)
-    report = run_experiment(cfg_with(eta="fixed", **extra))
+    monkeypatch.setattr(hedge.CompiledMachine, "count_paths", counted)
+    cfg = cfg_with(eta="fixed", **extra)
+    report = run_experiment(cfg)
     assert len(sweeps) == 1
-    k = count_accepting_paths(sweeps[0])
+    k = sweeps[0].num_paths
     assert len(sweeps) == 1  # a later call reads the kept count
-    assert k == oracles.count_accepting_paths(sweeps[0])
+    product = intersect(build_automaton(cfg.automaton), length_automaton(3, 6))
+    assert k == oracles.count_accepting_paths(product)
     assert report["eta"] == math.sqrt(8 * math.log(k) / 6)
+
+
+@pytest.mark.parametrize("config, extra", [
+    ("kshift_tracking", {}),
+    ("sleeping_subsets", {}),
+    ("kshift_tracking", {"eta": 0.5}),
+    ("sleeping_subsets", {"eta": "fixed"}),
+    ("kshift_tracking", {"phi": True}),
+])
+def test_a_run_without_approximation_builds_no_kahn_plan(monkeypatch, config, extra):
+    # K, the best paths and the sleeping verdict read the product's
+    # compiled arrays.  A phi run orders the competitor's states for
+    # phi_convert, and its regret against the unconverted product takes
+    # log Z from that product's plan, as the fits do; neither counts
+    # paths or sweeps a best path on a Kahn plan.
+    from wfa_hedge import wfa
+    cfg = ExperimentConfig.from_dict({**json.loads((CONFIGS / f"{config}.json").read_text()),
+                                      **extra})
+    want = report_to_json(run_experiment(cfg))
+    plan, planned = wfa._plan, []
+
+    def refuse(machine):
+        if not cfg.phi:
+            raise AssertionError("a run built a Kahn plan")
+        planned.append(machine)
+        return plan(machine)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "wfa_hedge":
+            for attr, value in list(vars(module).items()):
+                if value is plan:
+                    monkeypatch.setattr(module, attr, refuse)
+    assert report_to_json(run_experiment(cfg)) == want
+    # (The k-shift competitor has stay loops: it gets no plan.)
+    assert all(m._topo is None or (m._topo.paths is None and m._topo.sweep is None)
+               for m in planned)
+    assert len(planned) == (2 if cfg.phi else 0)

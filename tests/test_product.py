@@ -27,8 +27,9 @@ from wfa_hedge.hedge import HedgeState, hedge_init, hedge_step
 from wfa_hedge.ngram import bigram_phi_machine, fixed_share_bigram
 from wfa_hedge.phi import (PHI, PhiWfa, _shadow_corrections, phi_convert, phi_expand,
                            phi_intersect, reads_directly)
-from wfa_hedge.wfa import (CyclicAutomatonError, Transition, count_accepting_paths,
-                           default_alphabet, enumerate_support, intersect, topological_order)
+from wfa_hedge.wfa import (CyclicAutomatonError, Transition, _final_weights,
+                           count_accepting_paths, default_alphabet, enumerate_support,
+                           exact_logs, intersect, leveled_best_path, topological_order)
 
 import oracles
 
@@ -300,9 +301,13 @@ def test_unroll_matches_the_product_search(seed, alphabet, family, horizon, eta)
                                                           rel=0, abs=1e-12)
     losses = rng.random((horizon, len(machine.alphabet)))
     if got.compiled.count_paths():
+        ref = oracles.level_numbered(want)
+        ref.compiled = oracles.compile_product(ref, horizon)
         for weighted in (False, True):
-            a, b = (m.compiled.best_path(-losses, weighted) for m in (got, want))
-            assert a.labels.tolist() == b.labels.tolist()
+            a, b = (leveled_best_path(m, hedge._path_scores(m, -losses, weighted),
+                                      exact_logs(_final_weights(m)[1]) if weighted else None)
+                    for m in (got, ref))
+            assert a.sequence == b.sequence
             assert a.value == pytest.approx(b.value, rel=0, abs=1e-12)
         a, b = (HedgeState(m, horizon, eta) for m in (got, want))
         for loss in losses:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wfa_hedge import phi
+from wfa_hedge import hedge, phi
 from wfa_hedge.approx import _ProdEGRun, divergence_inf, kl_divergence, select_order
 from wfa_hedge.builders import exact_shift_automaton, length_automaton
 from wfa_hedge.hedge import (hedge_init, hedge_step, horizon_product, log_power_sum,
@@ -264,7 +264,8 @@ def test_report_draws_cover_hubs_deep_chains_zero_weights_and_corrections():
 def test_compiled_best_path_equals_the_plan_sweep_on_plain_products(seed, horizon, size,
                                                                     final_prob):
     # Zero-weight edges and finals, dead states, and ties from gains in
-    # {-1, 0, 1}: values, sequences and witnesses agree in float hex.
+    # {-1, 0, 1}: values, sequences and witnesses agree in float hex with
+    # the frontier sweep, which reads no plan.
     rng = np.random.default_rng(seed)
     machine = oracles.random_leveled_wfa(rng, horizon, alphabet=("a", "b", "c"),
                                          support_size=size)
@@ -275,7 +276,7 @@ def test_compiled_best_path_equals_the_plan_sweep_on_plain_products(seed, horizo
                                finals, c.src, c.label, weight, c.dst)
     try:
         product = horizon_product(machine, horizon)
-        cm = hedge_init(machine, horizon, 1.0).compiled
+        played = hedge_init(machine, horizon, 1.0).machine
     except ValueError:
         return
     pc, level = product.columns, levels(product)
@@ -285,13 +286,15 @@ def test_compiled_best_path_equals_the_plan_sweep_on_plain_products(seed, horizo
                  rng.random((horizon, 3))):
         score = gain[level[pc.src], pc.label]
         for weighted in (False, True):
-            want = (leveled_best_path(product, log_w + score, log_f) if weighted
-                    else leveled_best_path(product, score))
-            got = cm.best_path(gain, weighted)
+            column = log_w + score if weighted else score
+            want = oracles.frontier_best_path(product, lambda lv, e: column[e],
+                                              (lambda q: log_f[q]) if weighted else None)
+            got = leveled_best_path(played, hedge._path_scores(played, gain, weighted),
+                                    log_f if weighted else None)
             assert got.value.hex() == want.value.hex()
-            assert tuple(machine.alphabet[a] for a in got.labels) == want.sequence
+            assert got.sequence == want.sequence
             assert got.edges.tolist() == want.edges.tolist()
-            assert got.weights.tolist() == pc.weight[want.edges].tolist()
+            assert played.columns.weight[got.edges].tolist() == pc.weight[want.edges].tolist()
 
 
 LAYERS = st.lists(st.integers(2, 5), min_size=1, max_size=7).map(lambda ls: [1] + ls)

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from wfa_hedge import harness
-from wfa_hedge.builders import exact_shift_automaton
+from wfa_hedge.builders import exact_shift_automaton, length_automaton
 from wfa_hedge.hedge import hedge_init, hedge_step
 from wfa_hedge.sleeping import (ZeroAwakeMassError, awake_distribution,
                                 awake_init, awake_step, sleeping_regret)
-from wfa_hedge.wfa import count_accepting_paths, enumerate_support
+from wfa_hedge.wfa import Wfa, count_accepting_paths, enumerate_support
 
 import oracles
 
@@ -282,3 +282,23 @@ def test_sleeping_verdict_builds_no_transition_objects(request, monkeypatch):
     report = harness.run_experiment(cfg)
     assert during == [0, 0]
     assert report["verdicts"] == {"sleeping_bound_ok": True}
+
+
+def test_sleeping_regret_reads_support_without_multiplying_weights():
+    # A length-120 path of arc weight 1e-3 has weight 1e-360, which
+    # underflows to 0: the support check walks the arcs instead.
+    plain = length_automaton(2, 120)
+    c = plain.columns
+    light = Wfa.from_columns(plain.alphabet, plain.num_states, plain.initial, plain.finals,
+                             c.src, c.label, np.full(len(c.src), 1e-3), c.dst)
+    st = awake_init(light, 120, 0.5)
+    losses = np.random.default_rng(4).random((120, 2))
+    masks = [np.ones(2, bool)] * 120
+    for mask, loss in zip(masks, losses):
+        awake_step(st, mask, loss)
+    args = (masks, st.p_awake_history, losses)
+    u = {("a",) * 120: 1.0}
+    want = sleeping_regret(*args, st, u, 0.5)
+    for competitor in (st.machine, light):
+        assert sleeping_regret(*args, competitor, u, 0.5) == want
+    assert want.bound == pytest.approx(0.5 / 8 * 120 + 120 * math.log(2) / 0.5, rel=1e-15)
