@@ -13,14 +13,15 @@ import numpy as np
 
 from wfa_hedge import (divergence_inf, exact_shift_automaton,
                        fixed_share_bigram, hedge_init, hedge_step,
-                       intersect, length_automaton, ml_ngram, ngram_to_wfa,
+                       horizon_product, ml_ngram, ngram_to_wfa,
                        weighted_regret)
 
 N, K, T = 4, 2, 12
 ETA = 0.6
 
-competitor = intersect(exact_shift_automaton(N, K),
-                       length_automaton(N, T))
+# The competitor's length-T sequences, compiled: what the fits, the
+# divergence and the regret functions read.
+competitor = horizon_product(exact_shift_automaton(N, K), T)
 
 bigram = ml_ngram(competitor, 2)
 closed = fixed_share_bigram(N, K, T)

@@ -10,9 +10,8 @@ the search doubles the order on a violation and binary-searches down.
 import math
 
 
-from wfa_hedge import (divergence_inf, exact_shift_automaton, intersect,
-                       length_automaton, minimax_unigram, prod_eg,
-                       uniform_model)
+from wfa_hedge import (divergence_inf, exact_shift_automaton, horizon_product,
+                       minimax_unigram, prod_eg, uniform_model)
 from wfa_hedge.approx import select_order
 from wfa_hedge.wfa import Wfa
 
@@ -20,7 +19,7 @@ from wfa_hedge.wfa import Wfa
 horizon = 6
 seqs = [("a",) * horizon] + [
     tuple("b" if i == j else "a" for i in range(horizon)) for j in (1, 3, 5)]
-machine = Wfa.from_sequences(seqs, alphabet=("a", "b"))
+machine = horizon_product(Wfa.from_sequences(seqs, alphabet=("a", "b")), horizon)
 start = divergence_inf(machine, uniform_model(("a", "b"), 1)).value
 result = prod_eg(machine, 1, 500)
 closed = minimax_unigram(machine)
@@ -36,7 +35,7 @@ print(f"  closed form        {closed_val:.4f} "
 for name, competitor, t in (
         ("constant sequences", exact_shift_automaton(3, 0), 6),
         ("one-switch sequences", exact_shift_automaton(3, 1), 6)):
-    ct = intersect(competitor, length_automaton(3, t))
+    ct = horizon_product(competitor, t)
     sel = select_order(ct, iterations=40, budget=3 ** 3)
     print(f"\n{name}: selected order {sel.order} "
           f"(objective {sel.objective:.3f}, allowance {sel.slack:.3f}, "

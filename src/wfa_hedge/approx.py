@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ngram import NGramModel, _context_product, uniform_model
-from .wfa import (Wfa, _edge_logs, _edge_marginals, _final_weights, _horizon, _log_normaliser,
-                  exact_logs, leveled_best_path)
+from .wfa import (Wfa, _compiled, _edge_logs, _edge_marginals, _final_weights, exact_logs,
+                  leveled_best_path)
 
 __all__ = [
     "DivergenceValue",
@@ -47,17 +47,16 @@ class DivergenceValue:
 def divergence_inf(machine: Wfa, model: NGramModel) -> DivergenceValue:
     """sup over supported x of log(q(x) / q_w(x)), with the witness.
 
-    q is the machine's normalized path distribution; the supremum runs
-    over its support only.  A supported sequence the model gives zero
-    weight yields +inf.  The machine must be leveled, as every caller's
-    length-T intersection is.  One best-path sweep over the product of
-    the machine with the model's context tracker, where an edge scores
-    log w - log w[symbol | context]; ties break toward the
-    lexicographically smallest sequence.
+    q is the normalized path distribution of ``machine``, a horizon
+    product; the supremum runs over its support only.  A supported
+    sequence the model gives zero weight yields +inf.  One best-path sweep
+    over the compiled product of the machine with the model's context
+    tracker, where an edge scores log w - log w[symbol | context]; ties
+    break toward the lexicographically smallest sequence.
     """
     if machine.alphabet != model.alphabet:
         raise ValueError("alphabet mismatch")
-    log_z = _log_normaliser(machine)
+    log_z = _compiled(machine).log_Z
     if log_z == float("-inf"):
         raise ValueError("empty language")
     product, cell = _context_product(machine, model.order)
@@ -68,7 +67,8 @@ def divergence_inf(machine: Wfa, model: NGramModel) -> DivergenceValue:
 
 
 def kl_divergence(machine: Wfa, model: NGramModel) -> float:
-    """Relative entropy from the machine's path distribution q to the model.
+    """Relative entropy from a horizon product's path distribution q to
+    the model.
 
     Over the product of the machine with the model's context tracker,
     KL = sum_e mu_e (log w_e - log w[cell_e]) + sum_f mu_f log rho_f - log Z,
@@ -242,7 +242,7 @@ def select_order(machine: Wfa, iterations: int, budget: int) -> SelectionResult:
     n_sym = len(machine.alphabet)
     if budget < n_sym:
         raise ValueError("budget below a single level of any model")
-    target = math.sqrt(_horizon(machine))
+    target = math.sqrt(_compiled(machine).horizon)
 
     def fit(order: int, stop: bool) -> tuple[bool, _ProdEGRun]:
         """Run the full budget at one order; a violation fails it, and ends

@@ -40,7 +40,11 @@ def _parse_param(text: str):
 
 def _machine_from_args(args) -> "object":
     if args.automaton:
+        if not args.symbols:
+            raise ValueError("--automaton needs --symbols, the symbol table file")
         return read_automaton(args.automaton, args.symbols)
+    if not args.builder:
+        raise ValueError("give --automaton and --symbols, or --builder")
     spec = {"builder": args.builder, "params": dict(args.param or [])}
     return build_automaton(spec)
 

@@ -20,9 +20,8 @@ from . import approx as approxmod
 from . import ngram as ngrammod
 from .builders import (exact_shift_automaton, hierarchy_automaton,
                        length_automaton, weighted_shift_automaton)
-from .hedge import (HedgeState, _sequence_count, hedge_step, horizon_product, sample,
-                    summarize, tune_eta_fixed, tune_eta_renyi, unweighted_regret,
-                    weighted_regret)
+from .hedge import (HedgeState, hedge_step, horizon_product, sample, summarize,
+                    tune_eta_fixed, tune_eta_renyi, unweighted_regret, weighted_regret)
 from .phi import PhiWfa, phi_convert
 from .sleeping import (AwakeState, awake_distribution, awake_step, sleeping_regret,
                        worst_comparator)
@@ -249,7 +248,7 @@ def _resolve_eta(cfg: ExperimentConfig, competitor_t: Wfa, horizon: int) -> floa
             raise ValueError("eta must be positive")
         return float(cfg.eta)
     if cfg.eta == "fixed":
-        return tune_eta_fixed(horizon, _sequence_count(competitor_t))
+        return tune_eta_fixed(horizon, competitor_t.compiled.num_paths)
     if cfg.eta == "renyi":
         return tune_eta_renyi(competitor_t, horizon)
     raise ValueError(f"unknown eta spec {cfg.eta!r}")
@@ -396,7 +395,7 @@ def run_experiment(cfg: ExperimentConfig, machine: Optional[Wfa] = None) -> dict
             u_reg = unweighted_regret(state.p_history, list(losses), competitor_t)
         report["weighted_regret"] = w_reg
         report["unweighted_regret"] = u_reg
-        k = _sequence_count(competitor_t)
+        k = competitor_t.compiled.num_paths
         report["num_sequences"] = k
         verdicts = {}
         if cfg.approximation is None:

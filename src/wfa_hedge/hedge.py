@@ -25,8 +25,8 @@ symbol given losses 1..t-1.
 
 The regret report (:func:`summarize`) reads the same arrays, so a phi
 run is never expanded to plain edges: K is the backward sweep at power 0
-in Python integers, counted once and kept, log Z comes from the set-up
-sweep, and the best sequences come from the one max-plus sweep,
+in Python integers, and log Z the backward sweep at power 1, each swept
+once and kept, and the best sequences come from the one max-plus sweep,
 :func:`~wfa_hedge.wfa.leveled_best_path`, on the compiled arrays' plan,
 which reaches a phi chain's continuations through its hub edges
 (Allauzen & Riley 2018, shortest distance with failure transitions).
@@ -42,9 +42,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .phi import PhiWfa, _label_sets, _phi_chain_depth, _shadow_corrections
-from .wfa import (NEG_INF, Wfa, _edge_logs, _edge_marginals, _final_weights,
-                  _label_ranks, _log_normaliser, _ranges, _sorted_arcs, _Sweep, _sweep_plan,
-                  count_accepting_paths, exact_logs, leveled_best_path, log_power_sum)
+from .wfa import (NEG_INF, Wfa, _compiled, _edge_logs, _edge_marginals, _final_weights,
+                  _label_ranks, _ranges, _sorted_arcs, exact_logs, leveled_best_path,
+                  log_power_sum)
 
 __all__ = [
     "HedgeState",
@@ -108,8 +108,10 @@ class CompiledMachine:
     owns groups ``group_off[t]:group_off[t+1]``.
     ``weight`` is the machine's raw weight column and ``alphabet`` its
     symbols.  All weights here are raw; :meth:`backward` raises them to a
-    power.  :func:`horizon_product` builds it from the arrays of its unroll;
-    the path count and the best-path plan are built on first use and kept.
+    power.  :func:`horizon_product` builds it from the arrays of its unroll,
+    and :func:`~wfa_hedge.ngram._context_product` from its (state, context)
+    product; the path count, the log normaliser and the best-path plan are
+    built on first use and kept.
     """
 
     def __init__(self, machine: Machine, horizon: int, state_off: np.ndarray,
@@ -248,17 +250,27 @@ class CompiledMachine:
         return self.count_paths()
 
     @cached_property
+    def log_Z(self) -> float:
+        """The log of the total path weight, :meth:`backward` at power 1,
+        swept once and kept."""
+        return self.backward(1.0)[1]
+
+    @cached_property
     def sweep(self) -> "_PathPlan":
         """The plan of the best-path sweep over these arrays."""
         return _PathPlan(self)
 
 
-class _PathPlan(_Sweep):
-    """The best-path plan of a compiled machine, whose state ids are its
-    product's.  The positive phi edges form an in-forest inside each level:
-    ``phi_to`` and ``phi_tid`` (its transition) per state, -1 at a
-    chain's end, and ``forest``, (child, parent, transition) arrays with
-    parents settled first.  A state's phi-subtree, itself and every state
+class _PathPlan:
+    """What :func:`~wfa_hedge.wfa.leveled_best_path` reads of a compiled
+    machine besides its product and the scores.  State ids are the
+    product's.  ``live`` holds the positive consuming transitions, level
+    t's at ``live_off[t]:live_off[t+1]``; ``depth`` is each state's level,
+    ``ends`` the states of positive final weight, and ``rank`` each
+    symbol's place in sorted order.  The positive phi edges form an
+    in-forest inside each level: ``phi_to`` and ``phi_tid`` (its
+    transition) per state, -1 at a chain's end, and ``forest``, (child,
+    parent, transition) arrays with parents settled first.  A state's phi-subtree, itself and every state
     whose chain passes through it, is a range of a preorder of that
     forest, whose position i holds state ``at[i]``; level t's sit at
     ``bounds[t]:bounds[t+1]``.  A hub edge is a positive consuming edge
@@ -332,9 +344,11 @@ class _PathPlan(_Sweep):
         # Every positive consuming edge is a candidate: one out of a state
         # that no positive path reaches scores -inf.
         live, lo = np.flatnonzero(positive), so[cm.horizon]
-        super().__init__(cm.alphabet, cm.tid[live], np.searchsorted(live, cm.edge_off[:-1]),
-                         np.repeat(np.arange(cm.horizon + 1, dtype=np.int32), np.diff(so)),
-                         lo + np.flatnonzero(cm.final[lo:] > 0.0))
+        self.live, self.live_off = cm.tid[live], np.searchsorted(live, cm.edge_off[:-1]).tolist()
+        self.depth = np.repeat(np.arange(cm.horizon + 1, dtype=np.int32), np.diff(so))
+        self.depth.flags.writeable = False
+        self.ends = lo + np.flatnonzero(cm.final[lo:] > 0.0)
+        self.rank = _label_ranks(cm.alphabet)[1]
 
 
 # -- the online state ------------------------------------------------------------
@@ -366,7 +380,7 @@ class HedgeState:
 
         self.compiled = cm
         self.levels = cm.levels()
-        self.log_Z = cm.backward(1.0)[1]
+        self.log_Z = cm.log_Z
         self.beta, self.log_Z_eta, self._w, self._wb, self._phi_w = cm.backward(eta)
         # Row t: the log-factor each label's edges at level t were charged.
         self._charges = np.zeros((horizon, self.num_experts))
@@ -678,19 +692,12 @@ def sample(p: np.ndarray, rng: np.random.Generator) -> int:
 # -- path sums and regret -------------------------------------------------------
 
 
-def _sequence_count(machine: Machine) -> int:
-    """The number of accepting paths: a horizon product's compiled count,
-    kept on it, else :func:`~wfa_hedge.wfa.count_accepting_paths`."""
-    cm = machine.compiled
-    return count_accepting_paths(machine) if cm is None else cm.num_paths
-
-
 def _path_scores(machine: Machine, gain: np.ndarray, weighted: bool) -> np.ndarray:
     """Per transition of a length-T machine, gain[its round, its label],
     plus its log-weight when ``weighted``; a phi edge scores its
     log-weight, or 0.  Built in place, one column in memory at a time."""
     c, log_w = machine.columns, _edge_logs(machine) if weighted else None
-    rounds = _sweep_plan(machine).depth[c.src]
+    rounds = _compiled(machine).sweep.depth[c.src]
     score = gain[np.minimum(rounds, len(gain) - 1, out=rounds), c.label]  # phi edges at level T
     phi = c.label < 0
     if weighted:
@@ -705,16 +712,15 @@ def best_competitor(competitor: Union[Machine, HedgeState], losses: Sequence[np.
                     weighted: bool) -> tuple[tuple[str, ...], float, float]:
     """Best supported sequence for the regret maximization.
 
-    ``competitor`` is a length-T machine or a run's state; one max-plus
-    sweep finds the path, on the compiled arrays of a horizon product
-    (a state's included).  Returns (sequence, its cumulative loss, its
-    log probability under the competitor distribution), log Z being the
-    state's or the machine's.  ``weighted`` adds the log-probability term
-    to the maximized objective; ties break lexicographically.
+    ``competitor`` is a horizon product or a run's state; one max-plus
+    sweep finds the path on the compiled arrays.  Returns (sequence, its
+    cumulative loss, its log probability under the competitor
+    distribution), log Z being the compiled machine's.  ``weighted`` adds
+    the log-probability term to the maximized objective; ties break
+    lexicographically.
     """
     losses = np.asarray(losses, dtype=float)
-    state = isinstance(competitor, HedgeState)
-    machine = competitor.machine if state else competitor
+    machine = competitor.machine if isinstance(competitor, HedgeState) else competitor
     c = machine.columns
     final = exact_logs(_final_weights(machine)[1]) if weighted else None
     path = leveled_best_path(machine, _path_scores(machine, -losses, weighted), final)
@@ -730,23 +736,24 @@ def best_competitor(competitor: Union[Machine, HedgeState], losses: Sequence[np.
             w = 1.0
     path_loss = sum(losses[i][a] for i, a in enumerate(labels))
     end = int(c.dst[path.edges[-1]]) if len(path.edges) else machine.initial
-    log_z = competitor.log_Z if state else _log_normaliser(machine)
+    log_z = _compiled(machine).log_Z
     return path.sequence, float(path_loss), log_path + math.log(machine.final_weight(end)) - log_z
 
 
 def weighted_regret(p_rounds: Sequence[np.ndarray], losses: Sequence[np.ndarray],
                     competitor: Wfa) -> float:
-    """Regret against the best supported sequence, including the
-    log(q(x) K) prior-mass term."""
+    """Regret against the best supported sequence of a horizon product,
+    including the log(q(x) K) prior-mass term."""
     algo = sum(float(np.dot(p, l)) for p, l in zip(p_rounds, losses))
-    k = _sequence_count(competitor)
+    k = _compiled(competitor).num_paths
     seq, path_loss, log_q = best_competitor(competitor, losses, weighted=True)
     return algo - path_loss + log_q + math.log(k)
 
 
 def unweighted_regret(p_rounds: Sequence[np.ndarray], losses: Sequence[np.ndarray],
                       competitor: Wfa) -> float:
-    """Regret against the best supported sequence; weights play no role."""
+    """Regret against the best supported sequence of a horizon product;
+    weights play no role."""
     algo = sum(float(np.dot(p, l)) for p, l in zip(p_rounds, losses))
     _, path_loss, _ = best_competitor(competitor, losses, weighted=False)
     return algo - path_loss
@@ -773,20 +780,21 @@ def shannon_entropy(q) -> float:
 
 
 def renyi_entropy_machine(competitor: Wfa, eta: float) -> float:
-    """Renyi entropy of the competitor path distribution, without
+    """Renyi entropy of a horizon product's path distribution, without
     enumerating it.
 
-    H_eta = (log Z_eta - eta log Z) / (1 - eta) from two log-domain power
-    sums.  At eta = 1 it is the Shannon limit log Z - E[log w(path)], the
-    expectation taken from the edge and final posteriors of one
-    forward-backward sweep (Li & Eisner 2009).
+    H_eta = (log Z_eta - eta log Z) / (1 - eta) from two scaled backward
+    sweeps of the compiled arrays.  At eta = 1 it is the Shannon limit
+    log Z - E[log w(path)], the expectation taken from the edge and final
+    posteriors of one forward-backward sweep (Li & Eisner 2009).
     """
+    cm = _compiled(competitor)
     if eta == 1.0:
         log_w = _edge_logs(competitor)
         edge, final, log_final, log_z = _edge_marginals(competitor)
         on, end = edge > 0.0, final > 0.0
         return log_z - float(edge[on] @ log_w[on]) - float(final[end] @ log_final[end])
-    return (log_power_sum(competitor, eta) - eta * _log_normaliser(competitor)) / (1.0 - eta)
+    return (cm.backward(eta)[1] - eta * cm.log_Z) / (1.0 - eta)
 
 
 def tune_eta_fixed(horizon: int, num_sequences: int) -> float:
@@ -808,7 +816,7 @@ def tune_eta_renyi(competitor: Wfa, horizon: int, tol: float = 1e-10) -> float:
     The left side is increasing in eta (H_eta is non-increasing), so the
     root is unique.  Requires at least two supported sequences.
     """
-    if _sequence_count(competitor) < 2:
+    if _compiled(competitor).num_paths < 2:
         raise ValueError("entropy tuning needs at least two supported sequences")
     target = math.sqrt(8.0 / horizon)
 

@@ -22,8 +22,9 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from .hedge import CompiledMachine
 from .phi import PHI, PhiWfa
-from .wfa import (Transition, Wfa, _edge_marginals, _horizon, default_alphabet, intersect,
+from .wfa import (Transition, Wfa, _compiled, _edge_marginals, default_alphabet, intersect,
                   leveled_best_path, log_weight_range)
 
 __all__ = [
@@ -180,21 +181,33 @@ def ngram_to_wfa(model: NGramModel) -> Wfa:
 
 
 def _context_product(machine: Wfa, order: int) -> tuple[Wfa, np.ndarray]:
-    """The machine times the context machine of order-``order`` models at
-    weight 1, so that no zero cell trims it: (product, each edge's cell).
-    Built once per (machine, order) and kept on the machine; maximum-
-    likelihood fitting and both divergences of :mod:`~wfa_hedge.approx`
-    share it."""
+    """The horizon product ``machine`` times the context machine of
+    order-``order`` models at weight 1, so that no zero cell trims it,
+    compiled: (product, each edge's cell).  Built once per (machine,
+    order) and kept on the machine; maximum-likelihood fitting and both
+    divergences of :mod:`~wfa_hedge.approx` share it.
+
+    The intersection's breadth-first search reaches a state of level t
+    at distance t, so it numbers the states level by level, and lists
+    the edges by source: the level offsets are those of the machine's
+    states in the pairs, with no phi edge and no correction row."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    cm = _compiled(machine)
     if order not in machine._products:
         product = intersect(machine, _tracker(machine.alphabet, order))
-        c = product.columns
-        context = np.array(product.state_names, np.intp)[:, 1]
-        machine._products[order] = (product, context[c.src] * len(machine.alphabet) + c.label)
+        c, names = product.columns, np.array(product.state_names, np.intp)
+        level = np.searchsorted(cm.state_off, names[:, 0], side="right") - 1
+        none = np.zeros(0, np.intp)
+        product.compiled = CompiledMachine(
+            product, cm.horizon, np.searchsorted(level, np.arange(cm.horizon + 2)),
+            (none, none, np.zeros(0)), np.zeros(product.num_states, np.intp))
+        machine._products[order] = (product, names[c.src, 1] * len(machine.alphabet) + c.label)
     return machine._products[order]
 
 
 def ml_ngram(machine: Wfa, order: int) -> NGramModel:
-    """Maximum-likelihood n-gram fit of the machine's path distribution.
+    """Maximum-likelihood n-gram fit of a horizon product's path distribution.
 
     Conditional weights are ratios of expected context counts, which
     minimizes the relative entropy from the path distribution to the
@@ -240,16 +253,16 @@ def fixed_share_bigram(num_experts: int, shifts: int, horizon: int,
 def minimax_unigram(machine: Wfa) -> NGramModel:
     """Two-symbol unigram minimizing the worst-case log ratio.
 
-    Requires uniform path weights.  The solution only depends on the
-    smallest occurrence count n(a_j) of each symbol over supported paths
-    (a shortest-path quantity): the candidate weight is
+    Takes a horizon product with uniform path weights.  The solution
+    only depends on the smallest occurrence count n(a_j) of each symbol
+    over supported paths (a shortest-path quantity): the candidate weight is
     max(1, n/(T-n)) / (1 + max(1, n/(T-n))) and the better of the two
     candidates (by worst-case sequence log-likelihood) wins.
     """
     alphabet = machine.alphabet
     if len(alphabet) != 2:
         raise ValueError("closed form needs a two-symbol alphabet")
-    horizon = _horizon(machine)
+    horizon = _compiled(machine).horizon
     lo, hi = log_weight_range(machine)
     if abs(lo - hi) > 1e-9:
         raise ValueError("closed form needs uniform path weights")

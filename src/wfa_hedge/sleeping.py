@@ -27,9 +27,9 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .hedge import HedgeState, _check_loss, _path_scores, _sequence_count, horizon_product
+from .hedge import HedgeState, _check_loss, _path_scores, horizon_product
 from .phi import PhiWfa
-from .wfa import Wfa, leveled_best_path
+from .wfa import Wfa, _compiled, leveled_best_path
 
 __all__ = [
     "ZeroAwakeMassError",
@@ -140,31 +140,17 @@ def sleeping_regret(awake_sets: Sequence[np.ndarray],
     Only rounds where a path is awake (its symbol at that position lies
     in the awake set) contribute, on both sides of the comparison.  Also
     returns the mixture-specific bound (eta/8) sum_t u(A_t) + log(K)/eta.
-    ``competitor`` is a length-T machine or a run's state.  A horizon
-    product's K and support are read off its compiled arrays (a state's
-    included); another machine's support is a walk over its arcs.
+    ``competitor`` is a horizon product or a run's state, whose K and
+    support are read off the compiled arrays.
     """
     total = sum(u.values())
     if abs(total - 1.0) > 1e-9 or any(v < 0 for v in u.values()):
         raise ValueError("comparator must be a distribution over paths")
     machine = competitor.machine if isinstance(competitor, HedgeState) else competitor
-    k = _sequence_count(machine)
+    cm = _compiled(machine)
     sym = {a: i for i, a in enumerate(machine.alphabet)}
-
-    def supported(seq):
-        if machine.compiled is not None:
-            return machine.compiled.count_paths([sym.get(a, -1) for a in seq]) > 0
-        # Each weight positive: their product can underflow to 0.
-        q = machine.initial
-        for a in seq:
-            t = machine.arcs(q).get(a)
-            if t is None or not t.weight > 0.0:
-                return False
-            q = t.dst
-        return machine.final_weight(q) > 0.0
-
     for seq in u:
-        if u[seq] > 0 and not supported(seq):
+        if u[seq] > 0 and not cm.count_paths([sym.get(a, -1) for a in seq]):
             raise ValueError(f"comparator puts mass on unsupported path {seq}")
     value = 0.0
     awake_mass = 0.0
@@ -178,7 +164,7 @@ def sleeping_regret(awake_sets: Sequence[np.ndarray],
                 best_side += w * loss[sym[seq[t]]]
         value += u_t * exp_loss - best_side
         awake_mass += u_t
-    bound = eta / 8.0 * awake_mass + math.log(k) / eta
+    bound = eta / 8.0 * awake_mass + math.log(cm.num_paths) / eta
     return SleepingRegret(value=value, bound=bound, awake_mass=awake_mass)
 
 
@@ -192,7 +178,7 @@ def worst_comparator(awake_sets: Sequence[np.ndarray],
     mixture.  Up to log(K)/eta, the point mass on x scores the sum over
     rounds of awake_t(x_t) (p_awake,t . l_t - l_t(x_t) - eta/8), so it is
     one best path of the length-T competitor, at any K, swept on the
-    compiled arrays of a horizon product (a state's included)."""
+    compiled arrays of its horizon product (a state's included)."""
     gains = np.array([np.where(mask, float(np.dot(p, loss)) - np.asarray(loss, float) - eta / 8.0,
                                0.0) for mask, p, loss in zip(awake_sets, p_awake_rounds, losses)])
     machine = competitor.machine if isinstance(competitor, HedgeState) else competitor

@@ -50,13 +50,21 @@ def write_symbols(alphabet, path: Union[str, os.PathLike]) -> None:
 
 def read_symbols(path: Union[str, os.PathLike]) -> tuple[str, ...]:
     """The alphabet of a ``name id`` table whose ids are 0..n-1, each
-    once; raises ValueError naming a repeated or a missing id."""
+    once; raises ValueError naming a repeated or a missing id, or the
+    file and line of a line that is not a name and an integer id."""
     table: dict[int, str] = {}
     with open(path) as fh:
-        for name, sid in (line.split() for line in fh if line.strip()):
-            if int(sid) in table:
-                raise ValueError(f"symbol id {sid} given twice: {table[int(sid)]!r}, {name!r}")
-            table[int(sid)] = name
+        for row, line in enumerate(fh, 1):
+            parts = line.split()
+            if not parts:
+                continue
+            where = f"{path} line {row}"
+            if len(parts) != 2:
+                raise ValueError(f"{where}: a symbol line is 'name id', not {line.strip()!r}")
+            name, sid = parts[0], _number(parts[1], int, where, "symbol id")
+            if sid in table:
+                raise ValueError(f"symbol id {sid} given twice: {table[sid]!r}, {name!r}")
+            table[sid] = name
     names = [table.get(i) for i in range(len(table))]
     if None in names:
         raise ValueError(f"symbol id {names.index(None)} missing: ids must run 0..{len(names) - 1}")

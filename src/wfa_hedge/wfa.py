@@ -12,10 +12,17 @@ operations (intersection, path sums, path counting, best paths, the
 engine's compile step) read the columns directly.  Built on first use
 and cached on the machine are: the per-edge views ``transitions`` and
 ``arcs()``; the sorted arc keys that :func:`evaluate` looks symbols up
-in; the edge-log column; the log normaliser; the n-gram context products
-(:func:`~wfa_hedge.ngram._context_product`); and one level plan
-(:class:`_Topo`): the topological generations that the path sums
-sweep, the path count, and the best-path sweep's plan (:class:`_Sweep`).
+in; the edge-log column; the n-gram context products
+(:func:`~wfa_hedge.ngram._context_product`); and one Kahn plan
+(:class:`_Topo`): the topological generations that the path sums of a
+general acyclic machine sweep, and its path count.
+
+A length-T machine, one whose sequences all have length T, is a
+:func:`~wfa_hedge.hedge.horizon_product` output (or a fit's context
+product of one) and carries its level-sorted arrays in ``compiled``.
+Its path count, log normaliser, horizon, levels and best paths
+(:func:`leveled_best_path`) are read off those arrays only; handing
+these functions any other machine raises ValueError.
 A :class:`Wfa` is immutable after construction: the columns are
 read-only arrays and the cached values never change once built (two
 threads racing to build one build equal values), so a machine is safe
@@ -172,12 +179,12 @@ class Wfa:
     from :class:`Transition` objects with the constructor, or from
     arrays with :meth:`from_columns`.  ``compiled`` holds the level-sorted
     arrays of a length-T product from :func:`~wfa_hedge.hedge.horizon_product`
-    (None on any other machine).
+    or of a fit's context product of one (None on any other machine).
     """
 
     __slots__ = ("alphabet", "num_states", "initial", "finals", "columns",
                  "state_names", "compiled", "_transitions", "_out", "_topo", "_keys",
-                 "_logs", "_log_z", "_products")
+                 "_logs", "_products")
 
     def __init__(self, alphabet: Sequence[str], num_states: int, initial: int,
                  finals: dict[int, float], transitions: Iterable[Transition],
@@ -223,7 +230,7 @@ class Wfa:
             if not (0 <= q < num_states):
                 raise ValueError(f"final state {q} out of range")
         self.state_names = tuple(state_names) if state_names is not None else None
-        self.compiled = self._out = self._topo = self._keys = self._logs = self._log_z = None
+        self.compiled = self._out = self._topo = self._keys = self._logs = None
         self._products = {}  # n-gram order -> (state, context) product, see ngram
 
     # -- queries ----------------------------------------------------------
@@ -514,16 +521,15 @@ class _Topo:
     it: the states in FIFO Kahn order and where each generation starts
     (``order``, ``off``); the transitions grouped by their source's
     generation, in column order within a group, and where each group
-    starts (``edges``, ``edge_off``); the number of accepting paths
-    (``paths``, set by :func:`count_accepting_paths`); and the best-path
-    sweep's plan (``sweep``, set by :func:`_level_plan`)."""
+    starts (``edges``, ``edge_off``); and the number of accepting paths
+    (``paths``, set by :func:`count_accepting_paths`)."""
 
-    __slots__ = ("order", "off", "edges", "edge_off", "paths", "sweep")
+    __slots__ = ("order", "off", "edges", "edge_off", "paths")
 
     def __init__(self, order: np.ndarray, off: np.ndarray, edges: np.ndarray,
                  edge_off: np.ndarray):
         self.order, self.off, self.edges, self.edge_off = order, off, edges, edge_off
-        self.paths = self.sweep = None
+        self.paths = None
 
 
 def _plan(wfa: Wfa) -> _Topo:
@@ -596,35 +602,12 @@ def _path_plan(wfa: Wfa) -> _Topo:
     return _plan(wfa)
 
 
-def _level_plan(wfa: Wfa) -> "_Sweep":
-    """The best-path sweep's plan of a plain machine, kept on its level
-    plan: the depths come from one sweep over the Kahn generations.
-    Raises ValueError when positive-weight arcs from the initial state
-    reach a state at two depths."""
-    topo = _path_plan(wfa)
-    if topo.sweep is None:
-        c = wfa.columns
-        positive = c.weight > 0.0
-        level = np.full(wfa.num_states, -1, np.int32)
-        level[wfa.initial] = 0
-        for g in range(len(topo.off) - 1):
-            e = topo.edges[topo.edge_off[g]:topo.edge_off[g + 1]]
-            e = e[positive[e] & (level[c.src[e]] >= 0)]
-            depth, dst = level[c.src[e]] + 1, c.dst[e]
-            seen = level[dst]
-            level[dst] = depth
-            if ((seen >= 0) & (seen != depth)).any() or (level[dst] != depth).any():
-                raise ValueError("automaton is not leveled")
-        depth = level[c.src]  # of each edge's source
-        live = np.flatnonzero(positive & (depth >= 0))
-        depth = depth[live]
-        if (depth[1:] < depth[:-1]).any():  # an intersection numbers its states by depth
-            live = live[np.argsort(depth, kind="stable")]
-        level.flags.writeable = False
-        ends = np.array([q for q, w in wfa.finals.items() if w > 0.0 and level[q] >= 0], np.intp)
-        topo.sweep = _Sweep(wfa.alphabet, live,
-                            np.concatenate(([0], np.cumsum(np.bincount(depth)))), level, ends)
-    return topo.sweep
+def _compiled(wfa: Wfa):
+    """The :class:`~wfa_hedge.hedge.CompiledMachine` of a length-T
+    machine; ValueError on any machine that is not a horizon product."""
+    if wfa.compiled is None:
+        raise ValueError("length-T machines are horizon_product(machine, T) outputs")
+    return wfa.compiled
 
 
 def topological_order(wfa: Wfa) -> list[int]:
@@ -783,14 +766,6 @@ def _edge_marginals(machine: Wfa) -> tuple[np.ndarray, np.ndarray, np.ndarray, f
     return edge, np.exp(alpha + final - log_z), final, log_z
 
 
-def _log_normaliser(machine: Wfa) -> float:
-    """``log_power_sum(machine, 1.0)``, computed once per machine and
-    kept on it (machines are immutable)."""
-    if machine._log_z is None:
-        machine._log_z = log_power_sum(machine, 1.0)
-    return machine._log_z
-
-
 def enumerate_support(wfa: Wfa, limit: int = 100_000) -> list[tuple[tuple[str, ...], float]]:
     """Exhaustive list of (sequence, weight) pairs with positive weight.
 
@@ -855,44 +830,9 @@ def _edge_logs(wfa: Wfa) -> np.ndarray:
 
 
 def levels(wfa: Wfa) -> np.ndarray:
-    """Each state's depth over positive-weight arcs from the initial
-    state, -1 where none reaches it; read-only, from the cached plan.
-    Raises ValueError on a machine that is not leveled."""
-    return _level_plan(wfa).depth
-
-
-def _horizon(wfa: Wfa) -> int:
-    """The length of the longest accepting path of a leveled machine."""
-    plan = _level_plan(wfa)
-    if not plan.ends.size:
-        raise ValueError("no accepting path")
-    return int(plan.depth[plan.ends].max())
-
-
-class _Sweep:
-    """What :func:`leveled_best_path` reads besides the machine and the
-    scores: ``live``, the positive arcs grouped by their source's depth,
-    depth d's at ``live_off[d]:live_off[d+1]``; each state's ``depth``;
-    ``ends``, the states of positive final weight; and each symbol's
-    ``rank`` in sorted order.  A plain machine's plan (:func:`_level_plan`)
-    keeps only the arcs and ends that positive paths reach (depth -1: the
-    others).  A compiled machine's (:class:`~wfa_hedge.hedge._PathPlan`)
-    adds the phi hub ranges, which are None here: ``first_off`` and the
-    fields it guards.
-    """
-
-    first_off = None
-
-    def __init__(self, alphabet: Sequence[str], live: np.ndarray, live_off: np.ndarray,
-                 depth: np.ndarray, ends: np.ndarray):
-        self.live, self.live_off = live, live_off.tolist()
-        self.depth, self.ends = depth, ends
-        self.rank = _label_ranks(alphabet)[1]
-
-
-def _sweep_plan(wfa: Wfa) -> _Sweep:
-    """The plan of a horizon product's compiled arrays, else the level plan."""
-    return _level_plan(wfa) if wfa.compiled is None else wfa.compiled.sweep
+    """Each state's level in a horizon product: the number of symbols
+    read to reach it; read-only, from the compiled best-path plan."""
+    return _compiled(wfa).sweep.depth
 
 
 def _range_min(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -909,107 +849,105 @@ def _range_min(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def leveled_best_path(wfa: Wfa, edge_score: np.ndarray,
                       final_score: Optional[np.ndarray] = None) -> BestPath:
-    """Best accepting path of a leveled machine under additive scores.
+    """Best accepting path of a horizon product under additive scores.
 
-    Leveled means that all paths into a state have one length, as in an
-    intersection with the length-T acceptor, which is what every caller
-    passes; any other machine raises ValueError, as does a cycle.
-    ``edge_score`` holds a score per transition, in column order;
-    ``final_score`` one per state, added at accepting endpoints.  A
-    score that depends on the depth reads it off :func:`levels`.  Edges
-    and finals of weight 0 are on no path.  The largest total wins; ties
-    go to the lexicographically smallest label sequence.  Returns the
-    total, the sequence and the path's transitions.
+    Any other machine raises ValueError naming
+    :func:`~wfa_hedge.hedge.horizon_product`.  ``edge_score`` holds a
+    score per transition, in column order; ``final_score`` one per state,
+    added at accepting endpoints.  A score that depends on the round
+    reads it off :func:`levels`.  Edges and finals of weight 0 are on no
+    path.  The largest total wins; ties go to the lexicographically
+    smallest label sequence.  Returns the total, the sequence and the
+    path's transitions.
 
-    One max-plus (Viterbi) sweep, one depth at a time, over the machine's
-    plan (:func:`_sweep_plan`).  A candidate edge's score is added to the
-    best prefix total of its source, and one lexsort over (target,
-    -total, rank of the source's prefix among its level, label rank)
-    keeps the best edge into each target as its back-pointer.  A state
-    whose best total is -inf, as where no positive path reaches it, ends
-    no path.  Equal totals at different depths compare the recovered
-    sequences.
+    One max-plus (Viterbi) sweep, one level at a time, over the compiled
+    arrays' plan (:class:`~wfa_hedge.hedge._PathPlan`).  A candidate
+    edge's score is added to the best prefix total of its source, and one
+    lexsort over (target, -total, rank of the source's prefix among its
+    level, label rank) keeps the best edge into each target as its
+    back-pointer.  A state whose best total is -inf, as where no positive
+    path reaches it, ends no path.  Every path ends at level T.
 
-    A horizon product is swept on its compiled arrays, phi edges
-    included (Allauzen & Riley 2018): a state reads a symbol by its own
-    edge, or else from the first state down its phi chain that reads it,
-    and a step through phi edges adds their scores.  So a hub edge e out
-    of h, one with phi-parents, is also a candidate from the best state
-    that resolves to it: one of h's phi-subtree outside h and the
-    subtrees of the sources of e's correction rows, found by range
-    minima over a preorder of the level's phi forest, ranked by total +
-    log_d (log_d: the summed phi scores down to the chain's end), then
-    prefix rank.  It scores that key - log_d[h] + score[e].  The returned
-    transitions include the phi edges of each step.
+    Phi edges are swept without expansion (Allauzen & Riley 2018): a
+    state reads a symbol by its own edge, or else from the first state
+    down its phi chain that reads it, and a step through phi edges adds
+    their scores.  So a hub edge e out of h, one with phi-parents, is also
+    a candidate from the best state that resolves to it: one of h's
+    phi-subtree outside h and the subtrees of the sources of e's
+    correction rows, found by range minima over a preorder of the level's
+    phi forest, ranked by total + log_d (log_d: the summed phi scores down
+    to the chain's end), then prefix rank.  It scores that key - log_d[h]
+    + score[e].  The returned transitions include the phi edges of each
+    step.
     """
-    c, n, plan = wfa.columns, wfa.num_states, _sweep_plan(wfa)
+    c, n, plan = wfa.columns, wfa.num_states, _compiled(wfa).sweep
     if len(edge_score) != len(c.src):
         raise ValueError("edge_score needs one entry per transition")
     total = np.full(n, -math.inf)
     total[wfa.initial] = 0.0
     prefix, back, came = np.zeros(n, np.intp), np.full(n, -1, np.intp), np.full(n, -1, np.intp)
     hubs, off = plan.first_off, plan.live_off
-    if hubs is not None:
-        log_d = np.zeros(n)
-        for child, parent, e in plan.forest:
-            log_d[child] = log_d[parent] + edge_score[e]
-    for t in range(len(off) - 1):
-        e = plan.live[off[t]:off[t + 1]]
-        q, dst, lr = c.src[e], c.dst[e], plan.rank[c.label[e]]
-        val = total[q] + edge_score[e]
-        at_hub = hubs is not None and hubs[t] < hubs[t + 1]
-        if at_hub:
-            lo, hi = plan.bounds[t], plan.bounds[t + 1]
-            states = plan.at[lo:hi]
-            key = total[states] + log_d[states]
-            best_first = np.lexsort((prefix[states], -key))
-            goodness = np.empty(hi - lo, np.intp)
-            goodness[best_first] = np.arange(hi - lo)
-            ia, ib, fa, fb = plan.iv_off[t], plan.iv_off[t + 1], hubs[t], hubs[t + 1]
-            pos = best_first[np.minimum.reduceat(
-                _range_min(goodness, plan.iv_lo[ia:ib] - lo, plan.iv_hi[ia:ib] - lo),
-                plan.first[fa:fb] - ia)]
-            h = plan.hub[fa:fb]
-            e, q = np.concatenate((e, h)), np.concatenate((q, states[pos]))
-            dst, lr = np.concatenate((dst, c.dst[h])), np.concatenate((lr, plan.rank[c.label[h]]))
-            val = np.concatenate((val, key[pos] - log_d[c.src[h]] + edge_score[h]))
-        order = np.lexsort((lr, prefix[q], -val, dst))
-        by_dst = dst[order]
-        win = order[by_dst != np.concatenate(([-1], by_dst[:-1]))]  # first edge into each target
-        into = dst[win]
-        total[into], back[into] = val[win], e[win]
-        if at_hub:  # elsewhere each step comes from its edge's source
-            came[into] = q[win]
-        prefix[into[np.lexsort((lr[win], prefix[q[win]]))]] = np.arange(len(win))
+    log_d = np.zeros(n)
+    for child, parent, e in plan.forest:
+        log_d[child] = log_d[parent] + edge_score[e]
+    # An edge scored +inf out of a state that no positive path reaches
+    # (total -inf) scores NaN, which sorts after every total: it wins no
+    # target that a real candidate reaches, and a NaN state ends no path.
+    with np.errstate(invalid="ignore"):
+        for t in range(len(off) - 1):
+            e = plan.live[off[t]:off[t + 1]]
+            q, dst, lr = c.src[e], c.dst[e], plan.rank[c.label[e]]
+            val = total[q] + edge_score[e]
+            at_hub = hubs[t] < hubs[t + 1]
+            if at_hub:
+                lo, hi = plan.bounds[t], plan.bounds[t + 1]
+                states = plan.at[lo:hi]
+                key = total[states] + log_d[states]
+                best_first = np.lexsort((prefix[states], -key))
+                goodness = np.empty(hi - lo, np.intp)
+                goodness[best_first] = np.arange(hi - lo)
+                ia, ib, fa, fb = plan.iv_off[t], plan.iv_off[t + 1], hubs[t], hubs[t + 1]
+                pos = best_first[np.minimum.reduceat(
+                    _range_min(goodness, plan.iv_lo[ia:ib] - lo, plan.iv_hi[ia:ib] - lo),
+                    plan.first[fa:fb] - ia)]
+                h = plan.hub[fa:fb]
+                e, q = np.concatenate((e, h)), np.concatenate((q, states[pos]))
+                dst = np.concatenate((dst, c.dst[h]))
+                lr = np.concatenate((lr, plan.rank[c.label[h]]))
+                val = np.concatenate((val, key[pos] - log_d[c.src[h]] + edge_score[h]))
+            order = np.lexsort((lr, prefix[q], -val, dst))
+            by_dst = dst[order]
+            # The first edge into each target wins.
+            win = order[by_dst != np.concatenate(([-1], by_dst[:-1]))]
+            into = dst[win]
+            total[into], back[into] = val[win], e[win]
+            if at_hub:  # elsewhere each step comes from its edge's source
+                came[into] = q[win]
+            prefix[into[np.lexsort((lr[win], prefix[q[win]]))]] = np.arange(len(win))
 
-    ends, depth = plan.ends[total[plan.ends] > -math.inf], plan.depth  # the reached ones
+    ends = plan.ends[total[plan.ends] > -math.inf]  # the reached ones
     if not ends.size:
         raise ValueError("no accepting path")
     scores = total[ends] if final_score is None else total[ends] + final_score[ends]
     top = np.flatnonzero(scores == scores.max())
-    best = None
-    for d in np.unique(depth[ends[top]]):
-        at = top[depth[ends[top]] == d]
-        i = at[np.argmin(prefix[ends[at]])]
-        steps, q = [], ends[i]
-        while q != wfa.initial:
-            e = back[q]
-            q = s = c.src[e] if came[q] < 0 else came[q]
-            chain = []  # the phi edges from the state that read the symbol to e's source
-            while s != c.src[e]:
-                chain.append(plan.phi_tid[s])
-                s = plan.phi_to[s]
-            steps += [e] + chain[::-1]
-        edges = np.array(steps[::-1], np.intp)
-        seq = tuple(wfa.alphabet[a] for a in c.label[edges].tolist() if a >= 0)
-        if best is None or seq < best.sequence:
-            best = BestPath(float(scores[i]), seq, edges)
-    return best
+    i = top[np.argmin(prefix[ends[top]])]
+    steps, q = [], ends[i]
+    while q != wfa.initial:
+        e = back[q]
+        q = s = c.src[e] if came[q] < 0 else came[q]
+        chain = []  # the phi edges from the state that read the symbol to e's source
+        while s != c.src[e]:
+            chain.append(plan.phi_tid[s])
+            s = plan.phi_to[s]
+        steps += [e] + chain[::-1]
+    edges = np.array(steps[::-1], np.intp)
+    seq = tuple(wfa.alphabet[a] for a in c.label[edges].tolist() if a >= 0)
+    return BestPath(float(scores[i]), seq, edges)
 
 
 def log_weight_range(wfa: Wfa) -> tuple[float, float]:
     """Log-weights of the lightest and the heaviest accepting path of a
-    leveled machine, or of a horizon product, phi edges included."""
+    horizon product, phi edges included."""
     log_w, log_f = _edge_logs(wfa), exact_logs(_final_weights(wfa)[1])
     lo = leveled_best_path(wfa, -log_w, -log_f)
     hi = leveled_best_path(wfa, log_w, log_f)

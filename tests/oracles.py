@@ -18,7 +18,7 @@ from wfa_hedge.ngram import NGramModel, _context_product, uniform_model
 from wfa_hedge.phi import (MAX_PHI_CHAIN, PHI, PHI_FILTER, ConversionEvent, PhiChainError,
                            PhiWfa, as_phi)
 from wfa_hedge.wfa import (NEG_INF, BestPath, CyclicAutomatonError, Transition, Wfa,
-                           _edge_marginals, _horizon, _log_normaliser, _ranges,
+                           _edge_marginals, _ranges,
                            default_alphabet, enumerate_support)
 
 
@@ -696,7 +696,7 @@ def divergence_inf(machine: Wfa, model: NGramModel) -> DivergenceValue:
     if machine.alphabet != model.alphabet:
         raise ValueError("alphabet mismatch")
     order = topological_order(machine)
-    log_z = _log_normaliser(machine)
+    log_z = machine.compiled.log_Z  # as the library takes it, so values compare in hex
     if log_z == float("-inf"):
         raise ValueError("empty language")
 
@@ -1216,8 +1216,7 @@ def select_order(machine: Wfa, iterations: int, budget: int,
     n_sym = len(machine.alphabet)
     if budget < n_sym:
         raise ValueError("budget below a single level of any model")
-    horizon = _horizon(machine)
-    target = math.sqrt(horizon)
+    target = math.sqrt(machine.compiled.horizon)
 
     def probe(order: int) -> tuple[bool, NGramModel, float, float]:
         """Run the full budget at one order; fail on the first violation."""
@@ -1513,10 +1512,25 @@ def phi_convert(wfa: Wfa) -> PhiWfa:
 
 
 def played(state) -> Wfa:
-    """A run's played length-T sequences as a plain machine: its product,
-    phi chains expanded."""
+    """A run's played length-T sequences as a plain horizon product: its
+    product, phi chains expanded."""
+    from wfa_hedge.hedge import horizon_product
     from wfa_hedge.phi import phi_expand
-    return phi_expand(state.machine) if isinstance(state.machine, PhiWfa) else state.machine
+    if not isinstance(state.machine, PhiWfa):
+        return state.machine
+    return horizon_product(phi_expand(state.machine), state.T)
+
+
+def product_arcs(product: Wfa, machine: Wfa) -> np.ndarray:
+    """For each transition of ``horizon_product(machine, T)``, the index
+    of the transition of ``machine`` it copies: the arc that reads its
+    label at its source's machine state (the first of a repeated (source,
+    label), as in ``arcs()``)."""
+    arc: dict[tuple[int, str], int] = {}
+    for i, t in enumerate(machine.transitions):
+        arc.setdefault((t.src, t.label), i)
+    return np.array([arc[product.state_names[t.src][0], t.label] for t in product.transitions],
+                    np.intp)
 
 
 def summarize(state):

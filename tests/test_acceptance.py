@@ -17,7 +17,7 @@ from wfa_hedge.approx import divergence_inf, prod_eg
 from wfa_hedge.builders import (exact_shift_automaton, hierarchy_automaton,
                                 length_automaton, weighted_shift_automaton)
 from wfa_hedge.cli import main as cli_main
-from wfa_hedge.hedge import (hedge_init, hedge_step, renyi_entropy,
+from wfa_hedge.hedge import (hedge_init, hedge_step, horizon_product, renyi_entropy,
                              shannon_entropy, tune_eta_renyi,
                              unweighted_regret, weighted_regret)
 from wfa_hedge.ngram import (bigram_phi_machine, fixed_share_bigram,
@@ -112,7 +112,7 @@ def test_02_regret_bounds_hold_strictly():
         q = rng.random(int(rng.integers(5, 200)))
         q /= q.sum()
         for horizon_t in (10, 100, 1000):
-            eta = tune_eta_renyi(oracles.star_machine(q), horizon_t)
+            eta = tune_eta_renyi(horizon_product(oracles.star_machine(q), 1), horizon_t)
             h = shannon_entropy(q) if abs(eta - 1) < 1e-12 else renyi_entropy(q, eta)
             residual = eta / math.sqrt(h) - math.sqrt(8 / horizon_t)
             assert abs(residual) <= 1e-9
@@ -121,7 +121,7 @@ def test_02_regret_bounds_hold_strictly():
 
 def test_03_approximation_regret_bound():
     horizon, eta = 8, 0.5
-    ct = intersect(exact_shift_automaton(3, 2), length_automaton(3, horizon))
+    ct = horizon_product(exact_shift_automaton(3, 2), horizon)
     support = enumerate_support(ct)
     z = sum(w for _, w in support)
     k = len(support)
@@ -144,7 +144,7 @@ def test_03_approximation_regret_bound():
 def test_04_ml_bigram_closed_form():
     reports = []
     for n, k, t in ((3, 2, 11), (4, 1, 9), (2, 3, 12)):
-        ct = intersect(exact_shift_automaton(n, k), length_automaton(n, t))
+        ct = horizon_product(exact_shift_automaton(n, k), t)
         fitted = ml_ngram(ct, 2)
         closed = fixed_share_bigram(n, k, t)
         for ctx in closed.tables:
@@ -164,8 +164,8 @@ def test_05_minimax_unigram_closed_form():
     rng = np.random.default_rng(42)
     for trial in range(20):
         horizon = int(rng.integers(3, 9))
-        ct = oracles.random_leveled_wfa(rng, horizon,
-                                        support_size=int(rng.integers(2, 12)))
+        ct = horizon_product(oracles.random_leveled_wfa(
+            rng, horizon, support_size=int(rng.integers(2, 12))), horizon)
         closed = minimax_unigram(ct)
         val = divergence_inf(ct, closed).value
         grid_val, _ = oracles.grid_unigram_divergence(enumerate_support(ct))
@@ -176,7 +176,8 @@ def test_05_minimax_unigram_closed_form():
     special = tuple("a" if i < n1 else "b" for i in range(horizon))
     others = [tuple("b" if i == j else "a" for i in range(horizon))
               for j in range(horizon - 1)]
-    machine = Wfa.from_sequences([special] + others, alphabet=("a", "b"))
+    machine = horizon_product(Wfa.from_sequences([special] + others, alphabet=("a", "b")),
+                              horizon)
     m = minimax_unigram(machine)
     assert m.tables[()][0] == pytest.approx((1 + 2 * gamma) / 2, abs=1e-12)
     ml = ml_ngram(machine, 1)
@@ -190,7 +191,7 @@ def test_06_prod_eg_convergence_bound():
     tau = 2000
     rng = np.random.default_rng(7)
     for trial in range(2):
-        ct = oracles.random_leveled_wfa(rng, horizon=6, support_size=10)
+        ct = horizon_product(oracles.random_leveled_wfa(rng, horizon=6, support_size=10), 6)
         probe = prod_eg(ct, 1, 20)
         big_l = max(probe.grad_sup_norms)
         eta = math.sqrt(math.log(2) / (2 * big_l * tau))

@@ -6,7 +6,8 @@ import pytest
 from wfa_hedge.approx import (divergence_inf, kl_divergence, prod_eg,
                               ratio_subgradient, select_order)
 from wfa_hedge.builders import exact_shift_automaton, length_automaton
-from wfa_hedge.hedge import hedge_init, hedge_step, weighted_regret
+from wfa_hedge.hedge import (CompiledMachine, hedge_init, hedge_step, horizon_product,
+                             weighted_regret)
 from wfa_hedge.ngram import (fixed_share_bigram, ml_ngram, ngram_to_wfa,
                              uniform_model)
 from wfa_hedge.wfa import Wfa, count_accepting_paths, enumerate_support
@@ -19,26 +20,23 @@ import oracles
 
 def test_divergence_zero_on_matching_model():
     m = fixed_share_bigram(3, 1, 6)
-    ct = __import__("wfa_hedge.wfa", fromlist=["intersect"]).intersect(
-        ngram_to_wfa(m), length_automaton(3, 4))
+    ct = horizon_product(ngram_to_wfa(m), 4)
     d = divergence_inf(ct, m)
     assert d.value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_divergence_computes_the_log_normaliser_once_per_machine(monkeypatch):
-    from wfa_hedge import wfa
-    from wfa_hedge.wfa import intersect
     calls = []
-    original = wfa.log_power_sum
+    original = CompiledMachine.backward
 
-    def counted(machine, eta):
-        calls.append(eta)
-        return original(machine, eta)
+    def counted(cm, power):
+        calls.append(power)
+        return original(cm, power)
 
-    ct = intersect(exact_shift_automaton(3, 1), length_automaton(3, 6))
+    ct = horizon_product(exact_shift_automaton(3, 1), 6)
     want = divergence_inf(ct, uniform_model(ct.alphabet, 1))
-    monkeypatch.setattr(wfa, "log_power_sum", counted)
-    ct = intersect(exact_shift_automaton(3, 1), length_automaton(3, 6))
+    monkeypatch.setattr(CompiledMachine, "backward", counted)
+    ct = horizon_product(exact_shift_automaton(3, 1), 6)
     sel = select_order(ct, 20, 100)
     assert len(sel.tried) >= 1
     prod_eg(ct, 1, 10)
@@ -47,8 +45,7 @@ def test_divergence_computes_the_log_normaliser_once_per_machine(monkeypatch):
 
 
 def test_divergence_matches_enumeration_on_kshift():
-    from wfa_hedge.wfa import intersect
-    ct = intersect(exact_shift_automaton(3, 2), length_automaton(3, 6))
+    ct = horizon_product(exact_shift_automaton(3, 2), 6)
     m = ml_ngram(ct, 2)
     d = divergence_inf(ct, m)
     support = enumerate_support(ct)
@@ -62,8 +59,8 @@ def test_divergence_matches_enumeration_on_kshift():
 def test_divergence_dominates_relative_entropy():
     rng = np.random.default_rng(0)
     for _ in range(10):
-        ct = oracles.random_leveled_wfa(rng, horizon=5,
-                                        support_size=int(rng.integers(3, 10)))
+        ct = horizon_product(oracles.random_leveled_wfa(
+            rng, horizon=5, support_size=int(rng.integers(3, 10))), 5)
         for order in (1, 2):
             m = ml_ngram(ct, order)
             assert kl_divergence(ct, m) <= divergence_inf(ct, m).value + 1e-12
@@ -71,13 +68,13 @@ def test_divergence_dominates_relative_entropy():
 
 def test_kl_divergence_checks_alphabets():
     # the same symbols in another order would index the wrong cells
-    ct = Wfa.from_sequences([("a", "b"), ("b", "b")], alphabet=("a", "b"))
+    ct = horizon_product(Wfa.from_sequences([("a", "b"), ("b", "b")], alphabet=("a", "b")), 2)
     with pytest.raises(ValueError, match="alphabet mismatch"):
         kl_divergence(ct, uniform_model(("b", "a"), 1))
 
 
 def test_divergence_infinite_when_model_misses_support():
-    ct = Wfa.from_sequences([("a", "a"), ("b", "b")], alphabet=("a", "b"))
+    ct = horizon_product(Wfa.from_sequences([("a", "a"), ("b", "b")], alphabet=("a", "b")), 2)
     m = uniform_model(("a", "b"), 1).copy()
     m.tables[()][:] = [1.0, 0.0]
     d = divergence_inf(ct, m)
@@ -86,14 +83,15 @@ def test_divergence_infinite_when_model_misses_support():
 
 
 def test_max_ratio_path_breaks_ties_lexicographically():
-    s = length_automaton(2, 3)
+    s = horizon_product(length_automaton(2, 3), 3)
     m = uniform_model(("a", "b"), 1)
     assert divergence_inf(s, m).witness == ("a", "a", "a")
 
 
 def test_divergence_alphabet_mismatch():
     with pytest.raises(ValueError):
-        divergence_inf(length_automaton(2, 2), uniform_model(("a", "b", "c"), 1))
+        divergence_inf(horizon_product(length_automaton(2, 2), 2),
+                       uniform_model(("a", "b", "c"), 1))
 
 
 # -- subgradient -------------------------------------------------------------------
@@ -141,7 +139,7 @@ def test_subgradient_rejects_zero_touched_weight():
 
 
 def test_prod_eg_stays_uniform_when_already_optimal():
-    s = length_automaton(2, 4)
+    s = horizon_product(length_automaton(2, 4), 4)
     result = prod_eg(s, 1, 50)
     assert np.allclose(result.model.tables[()], 0.5, atol=1e-12)
     assert result.objective == pytest.approx(0.0, abs=1e-9)
@@ -149,7 +147,7 @@ def test_prod_eg_stays_uniform_when_already_optimal():
 
 def test_prod_eg_two_symbol_reaches_grid_optimum():
     rng = np.random.default_rng(2)
-    ct = oracles.random_leveled_wfa(rng, horizon=6, support_size=10)
+    ct = horizon_product(oracles.random_leveled_wfa(rng, horizon=6, support_size=10), 6)
     result = prod_eg(ct, 1, 2000)
     grid_val, _ = oracles.grid_unigram_divergence(enumerate_support(ct))
     assert result.objective <= grid_val + 1e-3
@@ -163,7 +161,8 @@ def test_prod_eg_beats_uniform_start():
     for seed in range(5):
         one_b = [tuple("b" if i == j else "a" for i in range(horizon))
                  for j in sorted(rng.choice(horizon, size=3, replace=False))]
-        ct = Wfa.from_sequences([("a",) * horizon] + one_b, alphabet=("a", "b"))
+        ct = horizon_product(Wfa.from_sequences([("a",) * horizon] + one_b, alphabet=("a", "b")),
+                             horizon)
         start = divergence_inf(ct, uniform_model(ct.alphabet, 1)).value
         result = prod_eg(ct, 1, 300)
         assert result.objective < start - 0.5
@@ -172,7 +171,7 @@ def test_prod_eg_beats_uniform_start():
 def test_prod_eg_average_within_slack_of_start_when_uniform_optimal():
     # symmetric support: uniform is optimal and the average oscillates
     # around it, so only the convergence slack separates the two
-    ct = Wfa.from_sequences([("a",) * 5, ("b",) * 5], alphabet=("a", "b"))
+    ct = horizon_product(Wfa.from_sequences([("a",) * 5, ("b",) * 5], alphabet=("a", "b")), 5)
     start = divergence_inf(ct, uniform_model(("a", "b"), 1)).value
     result = prod_eg(ct, 1, 500)
     assert result.objective >= start - 1e-12  # uniform is the optimum
@@ -183,7 +182,7 @@ def test_prod_eg_average_iterate_bound():
     # the mirror-descent guarantee for the averaged iterate, with the
     # constant step configured from a probe of the gradient scale
     rng = np.random.default_rng(4)
-    ct = oracles.random_leveled_wfa(rng, horizon=6, support_size=10)
+    ct = horizon_product(oracles.random_leveled_wfa(rng, horizon=6, support_size=10), 6)
     tau = 2000
     probe = prod_eg(ct, 1, 20)
     big_l = max(probe.grad_sup_norms)
@@ -199,17 +198,16 @@ def test_prod_eg_average_iterate_bound():
 
 
 def test_select_order_accepts_unigram_on_uniform_machine():
-    s = length_automaton(3, 4)
+    s = horizon_product(length_automaton(3, 4), 4)
     sel = select_order(s, 50, budget=100)
     assert sel.order == 1 and sel.feasible
     assert sel.objective == pytest.approx(0.0, abs=1e-9)
 
 
 def test_select_order_upgrades_when_needed():
-    from wfa_hedge.wfa import intersect
     # constant sequences: a unigram is so wrong (divergence (T-1) log N)
     # that the violation fires immediately; the bigram is exact
-    ct = intersect(exact_shift_automaton(3, 0), length_automaton(3, 6))
+    ct = horizon_product(exact_shift_automaton(3, 0), 6)
     sel = select_order(ct, 30, budget=3 ** 2)
     assert sel.order == 2
     assert sel.feasible
@@ -220,8 +218,7 @@ def test_select_order_upgrades_when_needed():
 
 
 def test_select_order_flags_budget_limit():
-    from wfa_hedge.wfa import intersect
-    ct = intersect(exact_shift_automaton(3, 0), length_automaton(3, 6))
+    ct = horizon_product(exact_shift_automaton(3, 0), 6)
     sel = select_order(ct, 10, budget=3)  # a bigram level (9) cannot fit
     assert sel.order == 1
     assert sel.budget_limited and not sel.feasible
@@ -229,7 +226,7 @@ def test_select_order_flags_budget_limit():
 
 def test_select_order_rejects_tiny_budget():
     with pytest.raises(ValueError):
-        select_order(length_automaton(3, 3), 10, budget=2)
+        select_order(horizon_product(length_automaton(3, 3), 3), 10, budget=2)
 
 
 # -- composition with the engine ------------------------------------------------------
@@ -237,9 +234,8 @@ def test_select_order_rejects_tiny_budget():
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_approximation_regret_bound(order):
-    from wfa_hedge.wfa import intersect
     horizon, eta = 8, 0.5
-    ct = intersect(exact_shift_automaton(3, 2), length_automaton(3, horizon))
+    ct = horizon_product(exact_shift_automaton(3, 2), horizon)
     model = ml_ngram(ct, order)
     support = enumerate_support(ct)
     z = sum(w for _, w in support)

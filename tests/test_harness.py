@@ -14,7 +14,7 @@ from wfa_hedge.cli import main as cli_main
 from wfa_hedge.harness import (ExperimentConfig, _gen_awake, build_automaton, compare,
                                gen_losses, read_awake_csv, read_losses_csv,
                                report_to_json, run_experiment, write_losses_csv)
-from wfa_hedge.hedge import tune_eta_fixed
+from wfa_hedge.hedge import horizon_product, tune_eta_fixed
 from wfa_hedge.ngram import bigram_phi_machine, fixed_share_bigram
 from wfa_hedge.sleeping import sleeping_regret
 from wfa_hedge.wfa import count_accepting_paths, intersect
@@ -375,7 +375,7 @@ def test_sleeping_verdict_checks_the_worst_comparator_beyond_200_paths():
         "horizon": 12, "eta": "fixed", "algorithm": "awake-hedge",
         "awake": {"generator": "random_subsets", "params": {"density": 0.5}, "seed": 0},
         "losses": {"generator": "iid_uniform", "seed": 0}, "seed": 0}))
-    competitor = intersect(exact_shift_automaton(3, 2), length_automaton(3, 12))
+    competitor = horizon_product(exact_shift_automaton(3, 2), 12)
     assert count_accepting_paths(competitor) == 660
     masks = [np.array([c == "1" for c in s]) for s in rep["awake_sets"]]
     args = (masks, [np.array(p) for p in rep["p_awake_rounds"]],
@@ -406,8 +406,6 @@ def test_run_rejects_nan_in_loss_file(tmp_path):
 
 def test_exact_run_takes_its_regrets_from_summarize(monkeypatch):
     from wfa_hedge import hedge
-    from wfa_hedge.builders import length_automaton
-    from wfa_hedge.wfa import intersect
     calls = []
     best_competitor = hedge.best_competitor
 
@@ -422,7 +420,7 @@ def test_exact_run_takes_its_regrets_from_summarize(monkeypatch):
     assert sorted(calls) == [False, True]
     # Bit for bit what the regret functions give on the competitor.
     machine = build_automaton(cfg.automaton)
-    competitor = intersect(machine, length_automaton(3, cfg.horizon, alphabet=machine.alphabet))
+    competitor = horizon_product(machine, cfg.horizon)
     ps = [np.array(p) for p in rep["p_rounds"]]
     losses = list(gen_losses("iid_uniform", {}, 7, cfg.horizon, 3))
     assert rep["weighted_regret"] == hedge.weighted_regret(ps, losses, competitor)
@@ -520,7 +518,7 @@ def test_cli_fits_and_runs_do_not_enumerate(tmp_path, monkeypatch):
     assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "renyi-out.json")]) == 0
     eta = json.loads((tmp_path / "renyi-out.json").read_text())["eta"]
     assert eta == pytest.approx(tune_eta_fixed(30, 394_632), rel=1e-8)
-    ct = intersect(exact_shift_automaton(4, 3), length_automaton(4, 30))
+    ct = horizon_product(exact_shift_automaton(4, 3), 30)
     model = fixed_share_bigram(4, 3, 30)
     kl = kl_divergence(ct, model)
     assert math.isfinite(kl) and kl <= divergence_inf(ct, model).value + 1e-12
@@ -560,6 +558,26 @@ def test_cli_fits_exit_1_on_a_horizon_without_sequences(tmp_path, capsys):
         assert cli_main(args) == 1
         assert "error: no competitor sequence of this length" in capsys.readouterr().err
     assert not (tmp_path / "ml.json").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--automaton", "m.fsa"], "--automaton needs --symbols, the symbol table file"),
+    ([], "give --automaton and --symbols, or --builder"),
+])
+def test_cli_names_a_missing_machine_flag(tmp_path, capsys, flags, message):
+    out = tmp_path / "ml.json"
+    assert cli_main(["approximate", *flags, "--horizon", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_cli_approximate_exits_1_on_order_0(tmp_path, capsys):
+    out = tmp_path / "ml.json"
+    assert cli_main(["approximate", "--builder", "kshift", "--param", "num_experts=3",
+                     "--param", "shifts=1", "--horizon", "4", "--order", "0",
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: order must be >= 1\n"
+    assert not out.exists()
 
 
 def test_cli_phi_convert_roundtrip(tmp_path):
@@ -709,32 +727,44 @@ def test_run_experiment_counts_the_paths_once(monkeypatch, extra):
     ("kshift_tracking", {"eta": 0.5}),
     ("sleeping_subsets", {"eta": "fixed"}),
     ("kshift_tracking", {"phi": True}),
+    ("fixed_share_phi", {}),
+    ("kshift_tracking", {"approximation": {"kind": "ml-ngram", "order": 2}}),
 ])
 def test_a_run_without_approximation_builds_no_kahn_plan(monkeypatch, config, extra):
-    # K, the best paths and the sleeping verdict read the product's
-    # compiled arrays.  A phi run orders the competitor's states for
-    # phi_convert, and its regret against the unconverted product takes
-    # log Z from that product's plan, as the fits do; neither counts
-    # paths or sweeps a best path on a Kahn plan.
-    from wfa_hedge import wfa
+    # K, log Z, the best paths, the sleeping verdict and the fits'
+    # divergences read the products' compiled arrays: no horizon product
+    # gets a Kahn plan.  The only plans left are phi_convert's ordering of
+    # the competitor and the ML fit's posteriors on its context product;
+    # neither counts paths on it.
+    from wfa_hedge import hedge, wfa
     cfg = ExperimentConfig.from_dict({**json.loads((CONFIGS / f"{config}.json").read_text()),
                                       **extra})
     want = report_to_json(run_experiment(cfg))
     plan, planned = wfa._plan, []
+    product, products = hedge.horizon_product, []
 
-    def refuse(machine):
-        if not cfg.phi:
-            raise AssertionError("a run built a Kahn plan")
+    def record_plan(machine):
         planned.append(machine)
         return plan(machine)
+
+    def record_product(*args):
+        products.append(product(*args))
+        return products[-1]
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "wfa_hedge":
             for attr, value in list(vars(module).items()):
                 if value is plan:
-                    monkeypatch.setattr(module, attr, refuse)
+                    monkeypatch.setattr(module, attr, record_plan)
+                elif value is product:
+                    monkeypatch.setattr(module, attr, record_product)
     assert report_to_json(run_experiment(cfg)) == want
+    assert products and all(p._topo is None for p in products)
     # (The k-shift competitor has stay loops: it gets no plan.)
-    assert all(m._topo is None or (m._topo.paths is None and m._topo.sweep is None)
-               for m in planned)
-    assert len(planned) == (2 if cfg.phi else 0)
+    assert all(m._topo is None or m._topo.paths is None for m in planned)
+    planned = list({id(m): m for m in planned}.values())  # a plan is built once, read often
+    fitted = cfg.approximation is not None and cfg.approximation["kind"] == "ml-ngram"
+    fits = [c for p in products for c, _ in p._products.values()]
+    assert [m for m in planned if m.compiled is not None] == (fits if fitted else [])
+    converted = cfg.phi and cfg.approximation is None  # a bigram takes the shared-hub form
+    assert len([m for m in planned if m.compiled is None]) == converted

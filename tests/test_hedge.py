@@ -641,7 +641,7 @@ def test_renyi_entropy_concentrated_distribution():
 
 
 def test_renyi_entropy_machine_matches_enumeration():
-    b = intersect(exact_shift_automaton(3, 2), length_automaton(3, 6))
+    b = horizon_product(exact_shift_automaton(3, 2), 6)
     support = enumerate_support(b)
     z = sum(w for _, w in support)
     q = np.array([w / z for _, w in support])
@@ -663,8 +663,8 @@ def test_tune_eta_fixed():
 
 def test_tune_eta_renyi_uniform_matches_fixed():
     q = np.ones(64) / 64
-    assert tune_eta_renyi(oracles.star_machine(q), 50) == pytest.approx(tune_eta_fixed(50, 64),
-                                                                       rel=1e-8)
+    star = horizon_product(oracles.star_machine(q), 1)
+    assert tune_eta_renyi(star, 50) == pytest.approx(tune_eta_fixed(50, 64), rel=1e-8)
 
 
 def test_tune_eta_renyi_residual_and_monotonicity():
@@ -673,7 +673,7 @@ def test_tune_eta_renyi_residual_and_monotonicity():
     q /= q.sum()
     etas = []
     for horizon in (10, 20, 40, 80):
-        eta = tune_eta_renyi(oracles.star_machine(q), horizon)
+        eta = tune_eta_renyi(horizon_product(oracles.star_machine(q), 1), horizon)
         h = renyi_entropy(q, eta) if eta != 1.0 else shannon_entropy(q)
         assert abs(eta / math.sqrt(h) - math.sqrt(8.0 / horizon)) <= 1e-9
         etas.append(eta)
@@ -682,4 +682,4 @@ def test_tune_eta_renyi_residual_and_monotonicity():
 
 def test_tune_eta_renyi_rejects_singleton():
     with pytest.raises(ValueError):
-        tune_eta_renyi(oracles.star_machine([1.0]), 10)
+        tune_eta_renyi(horizon_product(oracles.star_machine([1.0]), 1), 10)

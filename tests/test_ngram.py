@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from wfa_hedge.builders import exact_shift_automaton, length_automaton
+from wfa_hedge.hedge import horizon_product
 from wfa_hedge.ngram import (NGramModel, bigram_phi_machine, fixed_share_bigram,
                              minimax_unigram, ml_ngram, ngram_to_wfa,
                              uniform_model)
@@ -131,7 +132,7 @@ def test_ngram_machine_round_trips_through_json():
 
 def test_ml_bigram_matches_closed_form():
     for n, k, t in ((3, 2, 11), (4, 1, 9), (2, 3, 12)):
-        ct = intersect(exact_shift_automaton(n, k), length_automaton(n, t))
+        ct = horizon_product(exact_shift_automaton(n, k), t)
         fitted = ml_ngram(ct, 2)
         closed = fixed_share_bigram(n, k, t)
         for ctx in closed.tables:
@@ -140,7 +141,7 @@ def test_ml_bigram_matches_closed_form():
 
 def test_ml_bigram_joint_values():
     # N=3, k=2, T=11: joint stay 0.8/3, each shift pair 0.1/3
-    ct = intersect(exact_shift_automaton(3, 2), length_automaton(3, 11))
+    ct = horizon_product(exact_shift_automaton(3, 2), 11)
     m = ml_ngram(ct, 2)
     for i, a in enumerate(("a", "b", "c")):
         for j in range(3):
@@ -151,7 +152,7 @@ def test_ml_bigram_joint_values():
 
 def test_ml_full_order_is_exact():
     rng = np.random.default_rng(0)
-    ct = oracles.random_leveled_wfa(rng, horizon=4, support_size=6)
+    ct = horizon_product(oracles.random_leveled_wfa(rng, horizon=4, support_size=6), 4)
     m = ml_ngram(ct, 4)
     support = enumerate_support(ct)
     z = sum(w for _, w in support)
@@ -161,7 +162,7 @@ def test_ml_full_order_is_exact():
 
 def test_ml_unigram_is_average_frequency():
     rng = np.random.default_rng(1)
-    ct = oracles.random_leveled_wfa(rng, horizon=5, support_size=7)
+    ct = horizon_product(oracles.random_leveled_wfa(rng, horizon=5, support_size=7), 5)
     m = ml_ngram(ct, 1)
     support = enumerate_support(ct)
     z = sum(w for _, w in support)
@@ -175,7 +176,7 @@ def test_ml_unigram_is_average_frequency():
 
 
 def test_ml_methods_agree():
-    ct = intersect(exact_shift_automaton(3, 1), length_automaton(3, 6))
+    ct = horizon_product(exact_shift_automaton(3, 1), 6)
     counts = oracles._expected_counts_enumerate(ct, 2, 100_000)
     m = ml_ngram(ct, 2)
     assert set(counts) == set(m.tables)
@@ -203,8 +204,7 @@ def _dict_walk_tables(machine, order):
     (10, 5, 200, 1), (10, 5, 200, 2)])
 def test_ml_matches_dict_forward_backward(num_experts, shifts, horizon, order):
     # includes the benchmark's fits: kshift(4, 3) at T = 30 and (10, 5) at 200
-    ct = intersect(exact_shift_automaton(num_experts, shifts),
-                   length_automaton(num_experts, horizon))
+    ct = horizon_product(exact_shift_automaton(num_experts, shifts), horizon)
     want, filled = _dict_walk_tables(ct, order)
     m = ml_ngram(ct, order)
     assert m.uniform_filled_contexts == filled
@@ -215,22 +215,28 @@ def test_ml_matches_dict_forward_backward(num_experts, shifts, horizon, order):
 @pytest.mark.parametrize("horizon", [320, 3000])
 def test_ml_is_uniform_at_long_horizons(horizon):
     # 10^320 paths: a linear backward pass overflows and returned NaN rows
-    m = ml_ngram(length_automaton(10, horizon), 2)
+    m = ml_ngram(horizon_product(length_automaton(10, horizon), horizon), 2)
     assert m.uniform_filled_contexts == ()
     for row in m.tables.values():
         assert np.abs(row - 0.1).max() <= 1e-12
 
 
 def test_ml_flags_unseen_contexts():
-    ct = Wfa.from_sequences([("a", "a", "a")], alphabet=("a", "b"))
+    ct = horizon_product(Wfa.from_sequences([("a", "a", "a")], alphabet=("a", "b")), 3)
     m = ml_ngram(ct, 2)
     assert (("b",) in m.uniform_filled_contexts)
     assert np.allclose(m.tables[("b",)], 0.5)
 
 
+def test_ml_refuses_order_0():
+    ct = horizon_product(exact_shift_automaton(3, 1), 4)
+    with pytest.raises(ValueError, match=r"^order must be >= 1$"):
+        ml_ngram(ct, 0)
+
+
 def test_ml_minimizes_relative_entropy_locally():
     from wfa_hedge.approx import kl_divergence
-    ct = intersect(exact_shift_automaton(2, 1), length_automaton(2, 5))
+    ct = horizon_product(exact_shift_automaton(2, 1), 5)
     fitted = ml_ngram(ct, 2)
     base = kl_divergence(ct, fitted)
     rng = np.random.default_rng(2)
@@ -269,7 +275,8 @@ def test_minimax_unigram_worked_example():
         seq = ["a"] * horizon
         seq[i] = "b"
         others.append(tuple(seq))
-    machine = Wfa.from_sequences([special] + others, alphabet=("a", "b"))
+    machine = horizon_product(Wfa.from_sequences([special] + others, alphabet=("a", "b")),
+                              horizon)
     m = minimax_unigram(machine)
     assert m.tables[()][0] == pytest.approx((1 + 2 * gamma) / 2, abs=1e-12)
     ml = ml_ngram(machine, 1)
@@ -278,7 +285,7 @@ def test_minimax_unigram_worked_example():
 
 def test_minimax_unigram_symmetric_support():
     seqs = [("a", "b", "a", "b"), ("b", "a", "b", "a")]
-    m = minimax_unigram(Wfa.from_sequences(seqs, alphabet=("a", "b")))
+    m = minimax_unigram(horizon_product(Wfa.from_sequences(seqs, alphabet=("a", "b")), 4))
     assert np.allclose(m.tables[()], 0.5)
 
 
@@ -287,8 +294,8 @@ def test_minimax_unigram_matches_grid_search():
     rng = np.random.default_rng(3)
     for trial in range(20):
         horizon = int(rng.integers(3, 9))
-        ct = oracles.random_leveled_wfa(rng, horizon,
-                                        support_size=int(rng.integers(2, 9)))
+        ct = horizon_product(oracles.random_leveled_wfa(
+            rng, horizon, support_size=int(rng.integers(2, 9))), horizon)
         closed = minimax_unigram(ct)
         val = divergence_inf(ct, closed).value
         grid_val, _ = oracles.grid_unigram_divergence(enumerate_support(ct),
@@ -298,13 +305,13 @@ def test_minimax_unigram_matches_grid_search():
 
 def test_minimax_unigram_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        minimax_unigram(length_automaton(3, 3))
+        minimax_unigram(horizon_product(length_automaton(3, 3), 3))
     nonuni = Wfa(("a", "b"), 2, 0,
                  {1: 1.0},
                  [__import__("wfa_hedge.wfa", fromlist=["Transition"]).Transition(0, "a", 0.3, 1),
                   __import__("wfa_hedge.wfa", fromlist=["Transition"]).Transition(0, "b", 0.7, 1)])
-    with pytest.raises(ValueError):
-        minimax_unigram(nonuni)
+    with pytest.raises(ValueError, match="uniform path weights"):
+        minimax_unigram(horizon_product(nonuni, 1))
 
 
 # -- compact bigram ----------------------------------------------------------------------

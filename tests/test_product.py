@@ -22,14 +22,20 @@ from hypothesis import strategies as st
 import numpy as np
 
 from wfa_hedge import hedge
+from wfa_hedge.approx import divergence_inf, kl_divergence, prod_eg, select_order
 from wfa_hedge.builders import exact_shift_automaton, length_automaton
-from wfa_hedge.hedge import HedgeState, hedge_init, hedge_step
-from wfa_hedge.ngram import bigram_phi_machine, fixed_share_bigram
+from wfa_hedge.hedge import (HedgeState, best_competitor, hedge_init, hedge_step, log_power_sum,
+                             renyi_entropy_machine, tune_eta_renyi, unweighted_regret,
+                             weighted_regret)
+from wfa_hedge.ngram import (_context_product, bigram_phi_machine, fixed_share_bigram,
+                             minimax_unigram, ml_ngram, uniform_model)
 from wfa_hedge.phi import (PHI, PhiWfa, _shadow_corrections, phi_convert, phi_expand,
                            phi_intersect, reads_directly)
+from wfa_hedge.sleeping import sleeping_regret, worst_comparator
 from wfa_hedge.wfa import (CyclicAutomatonError, Transition, _final_weights,
                            count_accepting_paths, default_alphabet, enumerate_support,
-                           exact_logs, intersect, leveled_best_path, topological_order)
+                           exact_logs, intersect, leveled_best_path, levels, log_weight_range,
+                           topological_order)
 
 import oracles
 
@@ -388,3 +394,79 @@ def test_a_filter_split_plays_as_the_product_search():
     log_z = math.log(sum(w for _, w in support))
     assert state.log_Z == pytest.approx(log_z, rel=0, abs=1e-12)
     assert np.abs(run_distributions(state, losses) - np.array(want)).max() <= 1e-12
+
+
+# -- the fits' (state, context) products -------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, order=st.integers(1, 4), family=st.sampled_from(["kshift", "trie", "layered"]))
+def test_context_products_compile_level_by_level(seed, order, family):
+    # The intersection's search numbers the (state, context) pairs level
+    # by level and lists the edges by source, so the level offsets come
+    # from the horizon product's levels alone; the compiled count and
+    # log Z agree with the Kahn sweeps of the same product.
+    rng = np.random.default_rng(seed)
+    horizon = int(rng.integers(1, 9))
+    if family == "kshift":
+        machine = exact_shift_automaton(int(rng.integers(2, 5)), int(rng.integers(0, horizon)))
+    elif family == "trie":
+        machine = oracles.random_leveled_wfa(rng, horizon, ("a", "b", "c"),
+                                             support_size=int(rng.integers(1, 12)))
+    else:
+        machine = oracles.random_layered_wfa(rng, [1] + [int(rng.integers(2, 5))] * horizon,
+                                             final_prob=0.6)
+    try:
+        ct = hedge.horizon_product(machine, horizon)
+    except ValueError:  # no sequence of this length
+        return
+    product, cell = _context_product(ct, order)
+    c, cm = product.columns, product.compiled
+    level = np.array([ct.state_names[q][1] for q, _ in product.state_names], np.intp)
+    assert (np.diff(level) >= 0).all() and (np.diff(c.src) >= 0).all()
+    assert (level[c.dst] == level[c.src] + 1).all()
+    assert cm.horizon == horizon
+    assert cm.state_off.tolist() == np.searchsorted(level, np.arange(horizon + 2)).tolist()
+    assert cm.num_paths == count_accepting_paths(product)
+    want = log_power_sum(product, 1.0)
+    assert cm.log_Z == want or cm.log_Z == pytest.approx(want, rel=1e-12)
+    n = len(ct.alphabet)
+    contexts = np.array([ctx for _, ctx in product.state_names], np.intp)
+    assert cell.tolist() == (contexts[c.src] * n + c.label).tolist()
+
+
+def _plain_length_3():
+    return intersect(exact_shift_automaton(2, 1), length_automaton(2, 3))
+
+
+LENGTH_T_FUNCTIONS = {
+    "leveled_best_path": lambda m: leveled_best_path(m, np.zeros(len(m.columns.src))),
+    "levels": levels,
+    "log_weight_range": log_weight_range,
+    "best_competitor": lambda m: best_competitor(m, np.zeros((3, 2)), True),
+    "weighted_regret": lambda m: weighted_regret([np.full(2, 0.5)] * 3, np.zeros((3, 2)), m),
+    "unweighted_regret": lambda m: unweighted_regret([np.full(2, 0.5)] * 3, np.zeros((3, 2)), m),
+    "sleeping_regret": lambda m: sleeping_regret([np.ones(2, bool)] * 3, [np.full(2, 0.5)] * 3,
+                                                 np.zeros((3, 2)), m, {("a", "a", "b"): 1.0}, 0.5),
+    "worst_comparator": lambda m: worst_comparator([np.ones(2, bool)] * 3,
+                                                   [np.full(2, 0.5)] * 3, np.zeros((3, 2)), m,
+                                                   0.5),
+    "tune_eta_renyi": lambda m: tune_eta_renyi(m, 3),
+    "renyi_entropy_machine": lambda m: renyi_entropy_machine(m, 0.5),
+    "divergence_inf": lambda m: divergence_inf(m, uniform_model(m.alphabet, 1)),
+    "kl_divergence": lambda m: kl_divergence(m, uniform_model(m.alphabet, 1)),
+    "ml_ngram": lambda m: ml_ngram(m, 2),
+    "prod_eg": lambda m: prod_eg(m, 1, 2),
+    "select_order": lambda m: select_order(m, 2, 16),
+    "minimax_unigram": minimax_unigram,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LENGTH_T_FUNCTIONS))
+def test_length_t_functions_take_horizon_products_only(name):
+    # A plain length-3 intersection is refused with the constructor's
+    # name; its horizon product, the same language, is read.
+    with pytest.raises(ValueError, match=r"^length-T machines are horizon_product\(machine, T\) "
+                                         r"outputs$"):
+        LENGTH_T_FUNCTIONS[name](_plain_length_3())
+    LENGTH_T_FUNCTIONS[name](hedge.horizon_product(exact_shift_automaton(2, 1), 3))

@@ -300,21 +300,38 @@ def test_compiled_best_path_equals_the_plan_sweep_on_plain_products(seed, horizo
 LAYERS = st.lists(st.integers(2, 5), min_size=1, max_size=7).map(lambda ls: [1] + ls)
 
 
+def length_products(machine, longest):
+    """The machine's horizon products of lengths 1..``longest`` that have
+    a sequence: the best-path sweep reads products, whose paths all end
+    at level T."""
+    for horizon in range(1, longest + 1):
+        try:
+            yield horizon_product(machine, horizon)
+        except ValueError:  # no sequence of this length
+            continue
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=SEEDS, layers=LAYERS, weighted=st.booleans(), maximize=st.booleans())
 def test_best_path_sweep_matches_dict_walk(seed, layers, weighted, maximize):
     # Scores in {-1, 0, 1} (all 0 in the first draw) make exact ties
-    # common where paths merge, and finals sit at every depth, so both
-    # tie-break rules decide results.
+    # common where paths merge.  Finals sit at every depth of the drawn
+    # machine, and each length gets its product, so both tie-break rules
+    # decide results.
     rng = np.random.default_rng(seed)
-    machine = oracles.random_layered_wfa(rng, layers, final_prob=0.6)
+    drawn = oracles.random_layered_wfa(rng, layers, final_prob=0.6)
+    for machine in length_products(drawn, len(layers) - 1):
+        _best_path_draws_match_dict_walk(rng, machine, weighted, maximize)
+
+
+def _best_path_draws_match_dict_walk(rng, machine, weighted, maximize):
     c, sym = machine.columns, {a: i for i, a in enumerate(machine.alphabet)}
     log_w = exact_logs(c.weight) if weighted else np.zeros(len(c.weight))
     log_f = exact_logs([machine.final_weight(q) for q in range(machine.num_states)])
     level = levels(machine)
     sign = 1.0 if maximize else -1.0
     for draw in range(4):
-        table = draw * rng.integers(-1, 2, (len(layers), machine.num_states, 3)).astype(float)
+        table = draw * rng.integers(-1, 2, (level.max() + 1, machine.num_states, 3)).astype(float)
         bonus = rng.integers(-1, 2, machine.num_states).astype(float)
         score = sign * (table[level[c.src], c.src, c.label] + log_w)
         final_score = sign * (bonus + (log_f if weighted else 0.0))
@@ -344,75 +361,84 @@ def test_best_path_sweep_matches_dict_walk(seed, layers, weighted, maximize):
 def test_best_path_plan_sweep_matches_frontier_sweep(seed, layers, weighted, maximize,
                                                      final_prob, edge_prob):
     # Unreachable and dead states, zero-weight edges and finals, finals
-    # at every depth, and ties from scores in {-1, 0, 1}; the plan is
-    # built once and read by every draw.
+    # at every depth of the drawn machine (one product per length), and
+    # ties from scores in {-1, 0, 1}; the plan is built once and read by
+    # every draw.
     rng = np.random.default_rng(seed)
-    machine = oracles.random_layered_wfa(rng, layers, edge_prob=edge_prob,
-                                         final_prob=final_prob)
-    c = machine.columns
-    log_w = exact_logs(c.weight) if weighted else np.zeros(len(c.weight))
-    level, sign = levels(machine), 1.0 if maximize else -1.0
-    for draw in range(4):
-        table = draw * rng.integers(-1, 2, (len(layers), machine.num_states, 3)).astype(float)
-        bonus = rng.integers(-1, 2, machine.num_states).astype(float)
-        score = sign * (table[level[c.src], c.src, c.label] + log_w)
-        for column, callback in ((None, None),
-                                 (sign * bonus, lambda states: sign * bonus[states])):
-            try:
-                want = oracles.frontier_best_path(
-                    machine, lambda lv, e: sign * (table[lv, c.src[e], c.label[e]] + log_w[e]),
-                    callback)
-            except ValueError as err:
-                with pytest.raises(ValueError, match=str(err)):
-                    leveled_best_path(machine, score, column)
-                continue
-            got = leveled_best_path(machine, score, column)
-            assert got.value.hex() == want.value.hex()
-            assert got.sequence == want.sequence
-            assert got.edges.tolist() == want.edges.tolist()
+    drawn = oracles.random_layered_wfa(rng, layers, edge_prob=edge_prob, final_prob=final_prob)
+    for machine in length_products(drawn, len(layers) - 1):
+        c = machine.columns
+        log_w = exact_logs(c.weight) if weighted else np.zeros(len(c.weight))
+        level, sign = levels(machine), 1.0 if maximize else -1.0
+        for draw in range(4):
+            table = draw * rng.integers(-1, 2, (len(layers), machine.num_states, 3)).astype(float)
+            bonus = rng.integers(-1, 2, machine.num_states).astype(float)
+            score = sign * (table[level[c.src], c.src, c.label] + log_w)
+            for column, callback in ((None, None),
+                                     (sign * bonus, lambda states: sign * bonus[states])):
+                try:
+                    want = oracles.frontier_best_path(
+                        machine,
+                        lambda lv, e: sign * (table[lv, c.src[e], c.label[e]] + log_w[e]),
+                        callback)
+                except ValueError as err:
+                    with pytest.raises(ValueError, match=str(err)):
+                        leveled_best_path(machine, score, column)
+                    continue
+                got = leveled_best_path(machine, score, column)
+                assert got.value.hex() == want.value.hex()
+                assert got.sequence == want.sequence
+                assert got.edges.tolist() == want.edges.tolist()
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=SEEDS, size=st.integers(2, 9))
 def test_plan_and_frontier_sweeps_agree_on_any_dag(seed, size):
-    # Random DAGs are mostly not leveled: both sweeps must refuse the
-    # same machines, and agree bit for bit on the others.
+    # Random DAGs are mostly not leveled: the sweep refuses every plain
+    # machine, and on each of its horizon products agrees bit for bit
+    # with the frontier sweep, under the scores of the arcs they copy.
     rng = np.random.default_rng(seed)
     machine = oracles.random_acyclic_wfa(rng, size, weights="dyadic")
     score = rng.integers(-1, 2, len(machine.columns.src)).astype(float)
-    try:
-        want = oracles.frontier_best_path(machine, lambda lv, e: score[e])
-    except ValueError as err:
-        with pytest.raises(ValueError, match=str(err)):
-            leveled_best_path(machine, score)
-        return
-    got = leveled_best_path(machine, score)
-    assert (got.value.hex(), got.sequence, got.edges.tolist()) == (
-        want.value.hex(), want.sequence, want.edges.tolist())
+    with pytest.raises(ValueError, match=r"horizon_product\(machine, T\)"):
+        leveled_best_path(machine, score)
+    for product in length_products(machine, size):
+        on_product = score[oracles.product_arcs(product, machine)]
+        try:
+            want = oracles.frontier_best_path(product, lambda lv, e: on_product[e])
+        except ValueError as err:
+            with pytest.raises(ValueError, match=str(err)):
+                leveled_best_path(product, on_product)
+            continue
+        got = leveled_best_path(product, on_product)
+        assert (got.value.hex(), got.sequence, got.edges.tolist()) == (
+            want.value.hex(), want.sequence, want.edges.tolist())
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=SEEDS, layers=LAYERS, order=st.integers(1, 3), zero_prob=st.floats(0.0, 0.4))
 def test_divergence_sweep_matches_dict_walk(seed, layers, order, zero_prob):
     rng = np.random.default_rng(seed)
-    machine = oracles.random_layered_wfa(rng, layers, alphabet=("a", "b", "c"))
-    assume(any(w > 0 for w in machine.finals.values()))
+    drawn = oracles.random_layered_wfa(rng, layers, alphabet=("a", "b", "c"))
+    products = list(length_products(drawn, len(layers) - 1))
+    assume(products)
     tables = {}
-    for ctx in NGramModel._all_contexts(machine.alphabet, order):
+    for ctx in NGramModel._all_contexts(drawn.alphabet, order):
         row = rng.dirichlet(np.ones(3)) * (rng.random(3) >= zero_prob)
         if not row.any():
             row[int(rng.integers(3))] = 1.0
         tables[ctx] = row / row.sum()
-    model = NGramModel(machine.alphabet, order, tables)
-    try:
-        want = oracles.divergence_inf(machine, model)
-    except ValueError:
-        with pytest.raises(ValueError, match="empty language"):
-            divergence_inf(machine, model)
-        return
-    got = divergence_inf(machine, model)
-    assert got.witness == want.witness
-    assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+    model = NGramModel(drawn.alphabet, order, tables)
+    for machine in products:
+        try:
+            want = oracles.divergence_inf(machine, model)
+        except ValueError:
+            with pytest.raises(ValueError, match="empty language"):
+                divergence_inf(machine, model)
+            continue
+        got = divergence_inf(machine, model)
+        assert got.witness == want.witness
+        assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -793,6 +819,12 @@ def test_path_expectations_match_dict_walk_and_enumeration(seed, leveled, order,
         machine = oracles.random_acyclic_wfa(rng, int(rng.integers(2, 9)),
                                              weights=str(rng.choice(["uniform", "dyadic"])))
     machine = _with_zero_weights_and_a_dead_state(rng, machine, zero_prob)
+    # The fits and the tuner read the product of the longest length that
+    # has a sequence; the product drops the dead state.
+    products = list(length_products(machine, machine.num_states))
+    if not products:
+        return
+    machine = products[-1]
     support = enumerate_support(machine)
     if not support:
         with pytest.raises(ValueError, match="empty language"):
@@ -845,8 +877,10 @@ def _step(run):
 
 def _small_leveled_machine(rng):
     alphabet = ("a", "b", "c")[:int(rng.integers(2, 4))]
-    return oracles.random_leveled_wfa(rng, int(rng.integers(1, 6)), alphabet,
-                                      support_size=int(rng.integers(1, 12)))
+    horizon = int(rng.integers(1, 6))
+    return horizon_product(oracles.random_leveled_wfa(rng, horizon, alphabet,
+                                                      support_size=int(rng.integers(1, 12))),
+                           horizon)
 
 
 @settings(max_examples=40, deadline=None)
@@ -889,8 +923,10 @@ def test_select_order_matches_the_two_loop_search(seed):
     # unblocked doubling.
     rng = np.random.default_rng(seed)
     alphabet = ("a", "b", "c")[:int(rng.integers(2, 4))]
-    machine = oracles.random_leveled_wfa(rng, int(rng.integers(4, 13)), alphabet,
-                                         support_size=int(rng.integers(1, 7)))
+    horizon = int(rng.integers(4, 13))
+    machine = horizon_product(oracles.random_leveled_wfa(rng, horizon, alphabet,
+                                                         support_size=int(rng.integers(1, 7))),
+                              horizon)
     iterations, budget_power = int(rng.integers(1, 16)), int(rng.integers(1, 7))
     budget = len(machine.alphabet) ** budget_power
     got = select_order(machine, iterations, budget)

@@ -6,7 +6,7 @@ import pytest
 
 from wfa_hedge import harness
 from wfa_hedge.builders import exact_shift_automaton, length_automaton
-from wfa_hedge.hedge import hedge_init, hedge_step
+from wfa_hedge.hedge import hedge_init, hedge_step, horizon_product
 from wfa_hedge.sleeping import (ZeroAwakeMassError, awake_distribution,
                                 awake_init, awake_step, sleeping_regret)
 from wfa_hedge.wfa import Wfa, count_accepting_paths, enumerate_support
@@ -286,7 +286,8 @@ def test_sleeping_verdict_builds_no_transition_objects(request, monkeypatch):
 
 def test_sleeping_regret_reads_support_without_multiplying_weights():
     # A length-120 path of arc weight 1e-3 has weight 1e-360, which
-    # underflows to 0: the support check walks the arcs instead.
+    # underflows to 0: the support check counts paths on the compiled
+    # arrays instead, of the run's product or of the machine's.
     plain = length_automaton(2, 120)
     c = plain.columns
     light = Wfa.from_columns(plain.alphabet, plain.num_states, plain.initial, plain.finals,
@@ -299,6 +300,6 @@ def test_sleeping_regret_reads_support_without_multiplying_weights():
     args = (masks, st.p_awake_history, losses)
     u = {("a",) * 120: 1.0}
     want = sleeping_regret(*args, st, u, 0.5)
-    for competitor in (st.machine, light):
+    for competitor in (st.machine, horizon_product(light, 120)):
         assert sleeping_regret(*args, competitor, u, 0.5) == want
     assert want.bound == pytest.approx(0.5 / 8 * 120 + 120 * math.log(2) / 0.5, rel=1e-15)

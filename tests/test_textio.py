@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -30,6 +31,18 @@ def test_symbols_reject_a_missing_id(tmp_path):
     path = tmp_path / "x.syms"
     path.write_text("a 0\nc 2\n")
     with pytest.raises(ValueError, match=r"symbol id 1 missing"):
+        read_symbols(path)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("c 2 x", r"a symbol line is 'name id', not 'c 2 x'"),
+    ("c two", r"symbol id 'two' is not an integer"),
+    ("c", r"a symbol line is 'name id', not 'c'"),
+])
+def test_symbols_name_the_file_line_and_field_of_a_malformed_line(tmp_path, line, message):
+    path = tmp_path / "x.syms"
+    path.write_text(f"a 0\nb 1\n{line}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 3: {message}$"):
         read_symbols(path)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from wfa_hedge.builders import (exact_shift_automaton, hierarchy_automaton,
                                 length_automaton, weighted_shift_automaton)
+from wfa_hedge.hedge import horizon_product
 from wfa_hedge.wfa import (CyclicAutomatonError, Transition, Wfa,
                            backward_distances, count_accepting_paths,
                            enumerate_support, evaluate, intersect,
@@ -360,7 +361,7 @@ def test_enumeration_agrees_with_evaluate():
 
 def test_leveled_best_path_matches_enumeration():
     rng = np.random.default_rng(7)
-    b = intersect(exact_shift_automaton(3, 1), length_automaton(3, 5))
+    b = horizon_product(exact_shift_automaton(3, 1), 5)
     losses = np.array([rng.random(3) for _ in range(5)])
     c = b.columns
     val, seq, _ = leveled_best_path(b, -losses[levels(b)[c.src], c.label])
@@ -370,7 +371,7 @@ def test_leveled_best_path_matches_enumeration():
 
 
 def test_leveled_best_path_tie_breaks_lexicographically():
-    s = length_automaton(2, 3)
+    s = horizon_product(length_automaton(2, 3), 3)
     _, seq, _ = leveled_best_path(s, np.zeros(len(s.columns.src)))
     assert seq == ("a", "a", "a")
 
@@ -378,49 +379,65 @@ def test_leveled_best_path_tie_breaks_lexicographically():
 @pytest.mark.parametrize("ts", [
     # State 2 is entered after "a" and after "ab".
     [(0, "a", 1), (1, "b", 2), (0, "b", 2), (4, "a", 1)],
-    # State 4 is entered after "a" and after "ba", from states that share
+    # State 4 is entered after "aa" and after "baa", from states that share
     # a Kahn generation: the unreachable chain 5 -> 6 delays state 1.
     [(5, "a", 6), (6, "a", 1), (0, "a", 1), (0, "b", 2), (2, "a", 3), (1, "a", 4),
      (3, "a", 4)],
 ])
 def test_leveled_best_path_refuses_a_state_reached_at_two_depths(ts):
+    # The plain machine is refused; each horizon product has the state
+    # once per level and sweeps the sequences of its length.
     m = Wfa(("a", "b"), 7, 0, {2: 1.0, 4: 1.0}, [Transition(p, a, 1.0, q) for p, a, q in ts])
     score = np.zeros(len(m.columns.src))
-    for sweep in (lambda: leveled_best_path(m, score), lambda: levels(m),
-                  lambda: oracles.frontier_best_path(m, lambda lv, e: score[e])):
-        with pytest.raises(ValueError, match="automaton is not leveled"):
+    for sweep in (lambda: leveled_best_path(m, score), lambda: levels(m)):
+        with pytest.raises(ValueError, match=r"horizon_product\(machine, T\)"):
             sweep()
+    with pytest.raises(ValueError, match="automaton is not leveled"):
+        oracles.frontier_best_path(m, lambda lv, e: score[e])
+    support = [seq for seq, _ in enumerate_support(m)]
+    for horizon in sorted({len(seq) for seq in support}):
+        p = horizon_product(m, horizon)
+        got = leveled_best_path(p, np.zeros(len(p.columns.src)))
+        assert got.sequence == min(seq for seq in support if len(seq) == horizon)
+        assert got.value == 0.0
 
 
 def test_leveled_best_path_ignores_arcs_off_the_positive_paths():
-    # The zero-weight arc and the unreachable state 4 are on no path.
+    # The zero-weight arc stays in the product but is on no path, and
+    # the unreachable state 4 leaves it.
     fine = Wfa(("a", "b"), 5, 0, {2: 1.0},
                [Transition(0, "a", 1.0, 1), Transition(1, "b", 1.0, 2),
-                Transition(0, "b", 0.0, 2), Transition(4, "a", 1.0, 1)])
-    assert levels(fine).tolist() == [0, 1, 2, -1, -1]
-    assert leveled_best_path(fine, np.zeros(4)).sequence == ("a", "b")
+                Transition(0, "b", 0.0, 1), Transition(4, "a", 1.0, 1)])
+    p = horizon_product(fine, 2)
+    assert levels(p).tolist() == [0, 1, 2]
+    assert sorted(t.label for t in p.transitions) == ["a", "b", "b"]
+    favour_zero = np.where(p.columns.weight == 0.0, 5.0, 0.0)
+    assert leveled_best_path(p, favour_zero).sequence == ("a", "b")
 
 
 def test_leveled_best_path_on_edges_out_of_depth_order():
-    # The first column entry leaves a depth-1 state, so the plan has to
-    # regroup the arcs by depth; both sequences of length 2 tie on score.
+    # The first column entry of the plain machine leaves a depth-1 state;
+    # its product's sweep equals the frontier oracle on the plain machine.
+    # Both sequences of length 2 tie on the zero score.
     m = Wfa(("a", "b"), 5, 0, {1: 1.0, 4: 1.0},
             [Transition(3, "a", 1.0, 1), Transition(0, "a", 1.0, 3),
              Transition(0, "b", 1.0, 2), Transition(2, "b", 1.0, 1),
              Transition(2, "a", 1.0, 4)])
-    assert levels(m).tolist() == [0, 2, 1, 1, 2]
+    p = horizon_product(m, 2)
+    assert levels(p).tolist() == [t for _, t in p.state_names]
+    arc = oracles.product_arcs(p, m)
     for score in (np.zeros(5), np.array([0.0, 0.0, 1.0, 0.0, 0.0]),
                   np.array([0.0, 0.0, 0.0, 1.0, 2.0])):
-        got = leveled_best_path(m, score)
+        got = leveled_best_path(p, score[arc])
         want = oracles.frontier_best_path(m, lambda lv, e: score[e])
-        assert (got.value, got.sequence, got.edges.tolist()) == (
+        assert (got.value, got.sequence, arc[got.edges].tolist()) == (
             want.value, want.sequence, want.edges.tolist())
-    assert leveled_best_path(m, np.zeros(5)).sequence == ("a", "a")
-    assert leveled_best_path(m, np.array([0.0, 0.0, 0.0, 1.0, 2.0])).sequence == ("b", "a")
+    assert leveled_best_path(p, np.zeros(5)).sequence == ("a", "a")
+    assert leveled_best_path(p, np.array([0.0, 0.0, 0.0, 1.0, 2.0])[arc]).sequence == ("b", "a")
 
 
 def test_leveled_best_path_wants_one_score_per_transition():
-    s = length_automaton(2, 3)
+    s = horizon_product(length_automaton(2, 3), 3)
     with pytest.raises(ValueError, match="one entry per transition"):
         leveled_best_path(s, np.zeros(len(s.columns.src) - 1))
 
