@@ -18,8 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ngram import NGramModel, _context_product, uniform_model
-from .wfa import (Wfa, _compiled, _edge_logs, _edge_marginals, _final_weights, exact_logs,
-                  leveled_best_path)
+from .wfa import Wfa, _compiled, _edge_logs, _edge_marginals, exact_logs, leveled_best_path
 
 __all__ = [
     "DivergenceValue",
@@ -62,7 +61,7 @@ def divergence_inf(machine: Wfa, model: NGramModel) -> DivergenceValue:
     product, cell = _context_product(machine, model.order)
     with np.errstate(invalid="ignore"):  # -inf - -inf on zero-weight edges, on no path
         score = _edge_logs(product) - exact_logs(model.probs)[cell]
-    path = leveled_best_path(product, score, exact_logs(_final_weights(product)[1]))
+    path = leveled_best_path(product, score, exact_logs(product.compiled.final))
     return DivergenceValue(path.value - log_z, path.sequence, cell[path.edges])
 
 

@@ -66,8 +66,13 @@ class ExperimentConfig:
         if "automaton" not in d or "horizon" not in d or "losses" not in d:
             raise ValueError("config needs automaton, horizon and losses")
         cfg = cls(**d)
-        if cfg.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        # type(x) is int refuses JSON booleans, which Python counts as ints.
+        if type(cfg.horizon) is not int or cfg.horizon < 1:
+            raise ValueError("horizon must be an integer >= 1")
+        if type(cfg.seed) is not int or cfg.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
+        if not (cfg.eta in ("fixed", "renyi") or type(cfg.eta) in (int, float) and cfg.eta > 0):
+            raise ValueError("eta must be a positive number, 'fixed' or 'renyi'")
         if cfg.algorithm not in ("hedge", "awake-hedge"):
             raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
         if cfg.algorithm == "awake-hedge" and not cfg.awake:

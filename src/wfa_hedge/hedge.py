@@ -24,12 +24,11 @@ Per-round distributions: p_t[a] is the posterior marginal of the t-th
 symbol given losses 1..t-1.
 
 The regret report (:func:`summarize`) reads the same arrays, so a phi
-run is never expanded to plain edges: K is the backward sweep at power 0
-in Python integers, and log Z the backward sweep at power 1, each swept
-once and kept, and the best sequences come from the one max-plus sweep,
-:func:`~wfa_hedge.wfa.leveled_best_path`, on the compiled arrays' plan,
-which reaches a phi chain's continuations through its hub edges
-(Allauzen & Riley 2018, shortest distance with failure transitions).
+run is never expanded to plain edges: K (the backward sweep at power 0
+in Python integers) and log Z (at power 1) are swept once and kept, and
+the best sequences come from the one max-plus sweep,
+:func:`~wfa_hedge.wfa.leveled_best_path`, which reaches a phi chain's
+continuations through its hub edges (Allauzen & Riley 2018).
 """
 
 from __future__ import annotations
@@ -42,9 +41,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .phi import PhiWfa, _label_sets, _phi_chain_depth, _shadow_corrections
-from .wfa import (NEG_INF, Wfa, _compiled, _edge_logs, _edge_marginals, _final_weights,
-                  _label_ranks, _ranges, _sorted_arcs, exact_logs, leveled_best_path,
-                  log_power_sum)
+from .wfa import (NEG_INF, Wfa, _Topo, _compiled, _edge_logs, _edge_marginals,
+                  _final_weights, _label_ranks, _ranges, _sorted_arcs, exact_logs,
+                  leveled_best_path, log_power_sum)
 
 __all__ = [
     "HedgeState",
@@ -91,47 +90,44 @@ class Level:
 
 
 class CompiledMachine:
-    """The unrolled product as level-sorted edge arrays.
+    """A length-T machine's one description, which every pass reads: its
+    level-sorted edge arrays.
 
-    Level t occupies state ids ``state_off[t]:state_off[t+1]``.  The
-    consuming edges leaving level t occupy ``edge_off[t]:edge_off[t+1]``:
-    first the machine's own (ending at ``real_end[t]``), then one
-    correction edge per shadowed phi continuation.  Edge e has source id
-    ``src``, target ``dst`` counted from the next level's first state,
-    expert id ``label`` and weight ``coef[e] * exp(log_w[tid[e]])``, where
-    log_w is indexed like ``machine.transitions``: a correction edge
-    reuses the log-weight of the edge it shadows, so a loss charged to
-    that label reaches both, and carries coef = -(phi chain weight).  Phi
-    edges are sorted by level and by the chain depth of their source;
-    each run of equal (level, depth) is one group,
+    Level t holds state ids ``state_off[t]:state_off[t+1]``; ``level`` is
+    each state's level (int32, read-only).  The consuming edges leaving
+    level t occupy ``edge_off[t]:edge_off[t+1]``: first the machine's own
+    (ending at ``real_end[t]``), then one correction edge per shadowed phi
+    continuation.  Edge e has source id ``src``, target ``dst`` counted
+    from the next level's first state, expert id ``label`` and weight
+    ``coef[e] * exp(log_w[tid[e]])``; log_w is the machine's exact-log
+    column (:func:`~wfa_hedge.wfa._edge_logs`), indexed like
+    ``machine.transitions``: a correction edge reuses the log-weight of
+    the edge it shadows, so a loss charged to that label reaches both,
+    and carries coef = -(phi chain weight).  Phi edges are sorted by level
+    and by ``phi_depth`` of their source, the edges on the longest phi
+    path into it; each run of equal (level, depth) is one group,
     ``group_bounds[g]:group_bounds[g+1]`` in the phi arrays, and level t
-    owns groups ``group_off[t]:group_off[t+1]``.
-    ``weight`` is the machine's raw weight column and ``alphabet`` its
-    symbols.  All weights here are raw; :meth:`backward` raises them to a
-    power.  :func:`horizon_product` builds it from the arrays of its unroll,
-    and :func:`~wfa_hedge.ngram._context_product` from its (state, context)
-    product; the path count, the log normaliser and the best-path plan are
-    built on first use and kept.
+    owns groups ``group_off[t]:group_off[t+1]``.  ``weight`` is the
+    machine's raw weight column and ``alphabet`` its symbols.  All weights
+    here are raw; :meth:`backward` raises them to a power.
+    :func:`horizon_product` builds it from the arrays of its unroll, and
+    :func:`~wfa_hedge.ngram._context_product` from its (state, context)
+    product; the path count, log normaliser and both plans (best path,
+    path sums) are built on first use and kept.
     """
 
     def __init__(self, machine: Machine, horizon: int, state_off: np.ndarray,
-                 corrections: tuple[np.ndarray, np.ndarray, np.ndarray], phi_depth: np.ndarray):
+                 corrections: tuple[np.ndarray, np.ndarray, np.ndarray]):
         """``machine`` is the product, its states numbered level by level and
         its consuming edges in level order; ``corrections`` are its rows
-        (state, shadowed edge, phi chain weight) in level order, and
-        ``phi_depth`` the edges on the longest phi path into each state."""
+        (state, shadowed edge, phi chain weight) in level order."""
         cols, n_s = machine.columns, machine.num_states
-        level = np.repeat(np.arange(horizon + 1), np.diff(state_off))
-        self.alphabet, self.weight = machine.alphabet, cols.weight
-        self.horizon = horizon
-        self.num_states = n_s
-        self.initial = machine.initial
-        self.state_off = state_off
-
+        self.level = level = np.repeat(np.arange(horizon + 1, dtype=np.int32), np.diff(state_off))
+        level.flags.writeable = False
+        self.alphabet, self.weight, self.log_w = machine.alphabet, cols.weight, _edge_logs(machine)
+        self.horizon, self.num_states, self.initial = horizon, n_s, machine.initial
+        self.state_off, self.final = state_off, _final_weights(machine)[1]
         src, dst, label = cols.src, cols.dst, cols.label
-        with np.errstate(divide="ignore"):
-            self.log_w = np.log(cols.weight)
-        self.final = _final_weights(machine)[1]
 
         # Per level the consuming edges, already in level order, then the
         # shadow corrections of phi machines, also in level order.
@@ -154,7 +150,8 @@ class CompiledMachine:
         # Phi edges by (level, longest phi path into the source): a
         # group only reads states whose phi inflow is complete.
         pid = np.flatnonzero(label < 0)
-        pkey = level[src[pid]] * (phi_depth.max() + 1) + phi_depth[src[pid]]
+        self.phi_depth = _phi_chain_depth(dst[pid], src[pid], n_s)
+        pkey = level[src[pid]] * (self.phi_depth.max() + 1) + self.phi_depth[src[pid]]
         by_key = np.argsort(pkey, kind="stable")
         self.ptid = pid[by_key]
         self.psrc, self.pdst = src[self.ptid], dst[self.ptid]
@@ -260,19 +257,25 @@ class CompiledMachine:
         """The plan of the best-path sweep over these arrays."""
         return _PathPlan(self)
 
+    @cached_property
+    def topo(self) -> _Topo:
+        """The levels as the path sums' plan (:func:`~wfa_hedge.wfa._path_plan`):
+        a trim machine's Kahn generations when its edges each step one level."""
+        return _Topo(np.arange(self.num_states), self.state_off, self.tid, self.edge_off)
+
 
 class _PathPlan:
     """What :func:`~wfa_hedge.wfa.leveled_best_path` reads of a compiled
     machine besides its product and the scores.  State ids are the
     product's.  ``live`` holds the positive consuming transitions, level
-    t's at ``live_off[t]:live_off[t+1]``; ``depth`` is each state's level,
-    ``ends`` the states of positive final weight, and ``rank`` each
-    symbol's place in sorted order.  The positive phi edges form an
-    in-forest inside each level: ``phi_to`` and ``phi_tid`` (its
-    transition) per state, -1 at a chain's end, and ``forest``, (child,
-    parent, transition) arrays with parents settled first.  A state's phi-subtree, itself and every state
-    whose chain passes through it, is a range of a preorder of that
-    forest, whose position i holds state ``at[i]``; level t's sit at
+    t's at ``live_off[t]:live_off[t+1]``; ``ends`` the states of positive
+    final weight, and ``rank`` each symbol's place in sorted order.  The
+    positive phi edges form an in-forest inside each level: ``phi_to``
+    and ``phi_tid`` (its transition) per state, -1 at a chain's end, and
+    ``forest``, (child, parent, transition) arrays with parents settled
+    first.  A state's phi-subtree, itself and every state whose chain
+    passes through it, is a range of a preorder of that forest, whose
+    position i holds state ``at[i]``; level t's sit at
     ``bounds[t]:bounds[t+1]``.  A hub edge is a positive consuming edge
     whose source has phi-parents.  The states that resolve to it are the
     preorder ranges ``iv_lo:iv_hi`` (level t's at ``iv_off[t]:iv_off[t+1]``):
@@ -284,16 +287,15 @@ class _PathPlan:
 
     def __init__(self, cm: CompiledMachine):
         n, so = cm.num_states, cm.state_off
-        positive = (cm.weight > 0.0)[cm.tid]
-        positive[_ranges(cm.real_end, cm.edge_off[1:])] = False
+        positive = (cm.weight[cm.tid] > 0.0) & (cm.coef > 0.0)  # no correction row
 
         on = cm.weight[cm.ptid] > 0.0
         child, parent, ptid = cm.psrc[on], cm.pdst[on], cm.ptid[on]
         self.phi_to, self.phi_tid = np.full(n, -1, np.intp), np.full(n, -1, np.intp)
         self.phi_to[child], self.phi_tid[child] = parent, ptid
-        # Subtree sizes from the chain starts down (a child's phi-parents
-        # are shallower), then preorder positions from the ends up.
-        depth = _phi_chain_depth(parent, child, n)[child]
+        # Subtree sizes from the chain starts on (a phi-parent's depth
+        # exceeds its children's), then preorder positions from the ends.
+        depth = cm.phi_depth[child]
         by_depth = np.argsort(depth, kind="stable")
         cut = np.searchsorted(depth[by_depth], np.arange(depth.max() + 2 if len(depth) else 1))
         groups = [by_depth[a:b] for a, b in zip(cut[:-1], cut[1:])]
@@ -345,8 +347,6 @@ class _PathPlan:
         # that no positive path reaches scores -inf.
         live, lo = np.flatnonzero(positive), so[cm.horizon]
         self.live, self.live_off = cm.tid[live], np.searchsorted(live, cm.edge_off[:-1]).tolist()
-        self.depth = np.repeat(np.arange(cm.horizon + 1, dtype=np.int32), np.diff(so))
-        self.depth.flags.writeable = False
         self.ends = lo + np.flatnonzero(cm.final[lo:] > 0.0)
         self.rank = _label_ranks(cm.alphabet)[1]
 
@@ -485,15 +485,18 @@ def horizon_product(competitor: Machine, horizon: int) -> Machine:
         raise ValueError("composition outputs cannot be composed again")
     # Compiled after the unroll's working arrays are freed, so that the
     # two never sit in memory together.
-    product, state_off, corrections, depth = _unroll(competitor, horizon, phi)
-    product.compiled = CompiledMachine(product, horizon, state_off, corrections, depth)
+    product, state_off, corrections, edge = _unroll(competitor, horizon, phi)
+    product._logs = _edge_logs(competitor)[edge]
+    product._logs.flags.writeable = False
+    del edge
+    product.compiled = CompiledMachine(product, horizon, state_off, corrections)
     return product
 
 
 def _unroll(competitor: Machine, horizon: int, phi: bool):
     """The product of :func:`horizon_product`, the offsets of its levels,
-    its shadow correction rows and the edges on the longest phi path into
-    each state."""
+    its shadow correction rows and the competitor transition of each of
+    its edges."""
     c, n_q, n_sym = competitor.columns, competitor.num_states, len(competitor.alphabet)
     # Arcs by source and label rank; the first of a repeated (source, label) wins.
     arc_key, arc = _sorted_arcs(competitor, _label_ranks(competitor.alphabet)[1])
@@ -598,17 +601,11 @@ def _unroll(competitor: Machine, horizon: int, phi: bool):
         none = np.zeros(0, np.intp)
         return (Wfa.from_columns(competitor.alphabet, len(kept), 0, finals, src, c.label[e],
                                  c.weight[e], dst, names),
-                state_off, (none, none, np.zeros(0)), np.zeros(len(kept), np.intp))
+                state_off, (none, none, np.zeros(0)), e)
 
     psrc_u = np.flatnonzero(phi_u >= 0)
     psrc_u = psrc_u[live[phi_u[psrc_u]]]
     psrc, pdst = new_id[psrc_u], new_id[phi_u[psrc_u]]
-    # The longest phi path into each state, settled in the competitor's order.
-    depth = np.zeros(len(kept), np.intp)
-    group = _phi_chain_depth(c.dst[pid], c.src[pid], n_q)[origin[psrc_u]]
-    for g in range(group.max() + 1 if group.size else 0):
-        on = group == g
-        np.maximum.at(depth, pdst[on], depth[psrc[on]] + 1)
 
     # The competitor's rows at each live state before level T: the chain
     # state r that the row's edge leaves is `steps` phi edges down, and
@@ -637,13 +634,12 @@ def _unroll(competitor: Machine, horizon: int, phi: bool):
     qs = origin[kept].tolist()
     pair_labels = (list(map(before.__getitem__, qs[:state_off[horizon]]))
                    + list(map(at_end.__getitem__, qs[state_off[horizon]:])))
+    e = np.concatenate((e, phi_edge[origin[psrc_u]]))
     product = PhiWfa.from_columns(
         competitor.alphabet, len(kept), 0, finals, np.concatenate((src, psrc)),
-        np.concatenate((c.label[e], np.full(len(psrc), -1))),
-        np.concatenate((c.weight[e], c.weight[phi_edge[origin[psrc_u]]])),
-        np.concatenate((dst, pdst)), names, pair_labels,
+        c.label[e], c.weight[e], np.concatenate((dst, pdst)), names, pair_labels,
         dict.fromkeys(zip(psrc.tolist(), pdst.tolist()), "left"))
-    return product, state_off, corrections, depth
+    return product, state_off, corrections, e
 
 
 def hedge_init(competitor: Machine, horizon: int, eta: float) -> HedgeState:
@@ -696,13 +692,14 @@ def _path_scores(machine: Machine, gain: np.ndarray, weighted: bool) -> np.ndarr
     """Per transition of a length-T machine, gain[its round, its label],
     plus its log-weight when ``weighted``; a phi edge scores its
     log-weight, or 0.  Built in place, one column in memory at a time."""
-    c, log_w = machine.columns, _edge_logs(machine) if weighted else None
-    rounds = _compiled(machine).sweep.depth[c.src]
+    c, cm = machine.columns, _compiled(machine)
+    cm.sweep  # the plan is built before the score column, so the two peaks never meet
+    rounds = cm.level[c.src]
     score = gain[np.minimum(rounds, len(gain) - 1, out=rounds), c.label]  # phi edges at level T
     phi = c.label < 0
     if weighted:
-        np.add(log_w, score, out=score)
-        score[phi] = log_w[phi]
+        np.add(cm.log_w, score, out=score)
+        score[phi] = cm.log_w[phi]
     else:
         score[phi] = 0.0
     return score
@@ -721,8 +718,8 @@ def best_competitor(competitor: Union[Machine, HedgeState], losses: Sequence[np.
     """
     losses = np.asarray(losses, dtype=float)
     machine = competitor.machine if isinstance(competitor, HedgeState) else competitor
-    c = machine.columns
-    final = exact_logs(_final_weights(machine)[1]) if weighted else None
+    c, cm = machine.columns, _compiled(machine)
+    final = exact_logs(cm.final) if weighted else None
     path = leveled_best_path(machine, _path_scores(machine, -losses, weighted), final)
     # Sum log-weights along the path, one per step: its linear weight can
     # underflow.  A step's weight is its phi chain's times its edge's.
@@ -736,8 +733,7 @@ def best_competitor(competitor: Union[Machine, HedgeState], losses: Sequence[np.
             w = 1.0
     path_loss = sum(losses[i][a] for i, a in enumerate(labels))
     end = int(c.dst[path.edges[-1]]) if len(path.edges) else machine.initial
-    log_z = _compiled(machine).log_Z
-    return path.sequence, float(path_loss), log_path + math.log(machine.final_weight(end)) - log_z
+    return path.sequence, float(path_loss), log_path + math.log(cm.final[end]) - cm.log_Z
 
 
 def weighted_regret(p_rounds: Sequence[np.ndarray], losses: Sequence[np.ndarray],
@@ -790,10 +786,12 @@ def renyi_entropy_machine(competitor: Wfa, eta: float) -> float:
     """
     cm = _compiled(competitor)
     if eta == 1.0:
-        log_w = _edge_logs(competitor)
+        if len(cm.ptid):
+            raise ValueError("the eta = 1 limit needs a plain product; "
+                             "take horizon_product(phi_expand(machine), T)")
         edge, final, log_final, log_z = _edge_marginals(competitor)
         on, end = edge > 0.0, final > 0.0
-        return log_z - float(edge[on] @ log_w[on]) - float(final[end] @ log_final[end])
+        return log_z - float(edge[on] @ cm.log_w[on]) - float(final[end] @ log_final[end])
     return (cm.backward(eta)[1] - eta * cm.log_Z) / (1.0 - eta)
 
 

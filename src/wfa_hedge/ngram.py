@@ -197,11 +197,9 @@ def _context_product(machine: Wfa, order: int) -> tuple[Wfa, np.ndarray]:
     if order not in machine._products:
         product = intersect(machine, _tracker(machine.alphabet, order))
         c, names = product.columns, np.array(product.state_names, np.intp)
-        level = np.searchsorted(cm.state_off, names[:, 0], side="right") - 1
         none = np.zeros(0, np.intp)
-        product.compiled = CompiledMachine(
-            product, cm.horizon, np.searchsorted(level, np.arange(cm.horizon + 2)),
-            (none, none, np.zeros(0)), np.zeros(product.num_states, np.intp))
+        off = np.searchsorted(cm.level[names[:, 0]], np.arange(cm.horizon + 2))
+        product.compiled = CompiledMachine(product, cm.horizon, off, (none, none, np.zeros(0)))
         machine._products[order] = (product, names[c.src, 1] * len(machine.alphabet) + c.label)
     return machine._products[order]
 

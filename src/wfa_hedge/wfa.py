@@ -12,22 +12,22 @@ operations (intersection, path sums, path counting, best paths, the
 engine's compile step) read the columns directly.  Built on first use
 and cached on the machine are: the per-edge views ``transitions`` and
 ``arcs()``; the sorted arc keys that :func:`evaluate` looks symbols up
-in; the edge-log column; the n-gram context products
-(:func:`~wfa_hedge.ngram._context_product`); and one Kahn plan
-(:class:`_Topo`): the topological generations that the path sums of a
-general acyclic machine sweep, and its path count.
+in; the one exact-log column of the edge weights; the n-gram context
+products (:func:`~wfa_hedge.ngram._context_product`); and, on an
+uncompiled machine, one Kahn plan (:class:`_Topo`): the topological
+generations that the path sums of an acyclic machine sweep.
 
 A length-T machine, one whose sequences all have length T, is a
 :func:`~wfa_hedge.hedge.horizon_product` output (or a fit's context
-product of one) and carries its level-sorted arrays in ``compiled``.
-Its path count, log normaliser, horizon, levels and best paths
-(:func:`leveled_best_path`) are read off those arrays only; handing
-these functions any other machine raises ValueError.
-A :class:`Wfa` is immutable after construction: the columns are
+product of one) and carries its one description, level-sorted arrays,
+in ``compiled``.  Its path count, log normaliser, horizon, levels and
+best paths (:func:`leveled_best_path`) are read off those arrays only
+(any other machine raises ValueError), and its path sums sweep their
+levels.  A :class:`Wfa` is immutable after construction: the columns are
 read-only arrays and the cached values never change once built (two
 threads racing to build one build equal values), so a machine is safe
-to share across threads.  Every operation in this
-module is a pure function returning a new automaton or a plain value.
+to share across threads.  Every operation in this module is a pure
+function returning a new automaton or a plain value.
 """
 
 from __future__ import annotations
@@ -517,12 +517,12 @@ def intersect(a1: Wfa, a2: Wfa) -> Wfa:
 
 
 class _Topo:
-    """A machine's level plan, built once by :func:`_plan` and cached on
-    it: the states in FIFO Kahn order and where each generation starts
-    (``order``, ``off``); the transitions grouped by their source's
-    generation, in column order within a group, and where each group
-    starts (``edges``, ``edge_off``); and the number of accepting paths
-    (``paths``, set by :func:`count_accepting_paths`)."""
+    """A machine's level plan (its Kahn plan from :func:`_plan`, or a
+    length-T machine's compiled levels): the states in FIFO Kahn order and
+    where each generation starts (``order``, ``off``); the transitions
+    grouped by their source's generation, in column order within a group,
+    and where each group starts (``edges``, ``edge_off``); and the number
+    of accepting paths (``paths``, set by :func:`count_accepting_paths`)."""
 
     __slots__ = ("order", "off", "edges", "edge_off", "paths")
 
@@ -597,9 +597,9 @@ def _refuse_phi(wfa: Wfa) -> None:
 
 
 def _path_plan(wfa: Wfa) -> _Topo:
-    """The plan, for a sweep over the paths of a plain machine."""
+    """The plan of a plain machine's path sums: its compiled levels, or its Kahn plan."""
     _refuse_phi(wfa)
-    return _plan(wfa)
+    return _plan(wfa) if wfa.compiled is None else wfa.compiled.topo
 
 
 def _compiled(wfa: Wfa):
@@ -710,7 +710,7 @@ def _backward_logs(machine: Wfa, eta: float = 1.0) -> tuple[np.ndarray, np.ndarr
     """Per state, the log of the sum over its paths to acceptance of
     (path weight)**eta, -inf where there is none, and its log final weight.
 
-    One reverse log-sum-exp sweep over the cached Kahn generations.  A
+    One reverse log-sum-exp sweep over the plan's generations.  A
     state's terms are eta times its log final weight, if positive, and
     eta times each positive arc's log-weight plus the arc target's value,
     if finite.  They are shifted by their maximum and summed in that
@@ -746,7 +746,7 @@ def _edge_marginals(machine: Wfa) -> tuple[np.ndarray, np.ndarray, np.ndarray, f
     machine: of each transition, alpha[src] * w * beta[dst] / Z, and of
     each state as a path's end; then each state's log final weight, and
     log Z.  Alpha and beta come from a forward and a backward log-sum-exp
-    sweep over the Kahn generations on the edge-log column, so no step
+    sweep over the plan's generations on the edge-log column, so no step
     over- or underflows (Rabiner 1989, scaled forward-backward).  Raises
     ValueError on an empty language.
     """
@@ -821,8 +821,8 @@ def exact_logs(x) -> np.ndarray:
 
 
 def _edge_logs(wfa: Wfa) -> np.ndarray:
-    """:func:`exact_logs` of the edge weights, in column order, computed
-    once per machine and kept on it read-only."""
+    """:func:`exact_logs` of the edge weights in column order, kept on the
+    machine read-only; a horizon product's is gathered from its competitor's."""
     if wfa._logs is None:
         wfa._logs = exact_logs(wfa.columns.weight)
         wfa._logs.flags.writeable = False
@@ -831,8 +831,8 @@ def _edge_logs(wfa: Wfa) -> np.ndarray:
 
 def levels(wfa: Wfa) -> np.ndarray:
     """Each state's level in a horizon product: the number of symbols
-    read to reach it; read-only, from the compiled best-path plan."""
-    return _compiled(wfa).sweep.depth
+    read to reach it; the compiled arrays' read-only int32 column."""
+    return _compiled(wfa).level
 
 
 def _range_min(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -948,7 +948,7 @@ def leveled_best_path(wfa: Wfa, edge_score: np.ndarray,
 def log_weight_range(wfa: Wfa) -> tuple[float, float]:
     """Log-weights of the lightest and the heaviest accepting path of a
     horizon product, phi edges included."""
-    log_w, log_f = _edge_logs(wfa), exact_logs(_final_weights(wfa)[1])
+    log_w, log_f = _edge_logs(wfa), exact_logs(_compiled(wfa).final)
     lo = leveled_best_path(wfa, -log_w, -log_f)
     hi = leveled_best_path(wfa, log_w, log_f)
     return -lo.value, hi.value

@@ -1624,6 +1624,8 @@ def compile_product(machine, horizon: int):
     renum = np.empty(n_s, np.intp)
     renum[order] = np.arange(n_s)
     level = level[order]  # by new id
+    self.level = level.astype(np.int32)
+    self.level.flags.writeable = False
     self.alphabet, self.weight = machine.alphabet, cols.weight
     self.horizon = horizon
     self.num_states = n_s
@@ -1631,8 +1633,7 @@ def compile_product(machine, horizon: int):
     self.state_off = np.searchsorted(level, np.arange(horizon + 2))
 
     src, dst, label = renum[cols.src], renum[cols.dst], cols.label
-    with np.errstate(divide="ignore"):
-        self.log_w = np.log(cols.weight)
+    self.log_w = np.array([math.log(w) if w > 0 else -math.inf for w in cols.weight.tolist()])
     self.final = np.zeros(n_s)
     for q, w in machine.finals.items():
         self.final[renum[q]] = w
@@ -1659,7 +1660,7 @@ def compile_product(machine, horizon: int):
     # Phi edges by (level, longest phi path into the source): a
     # group only reads states whose phi inflow is complete.
     pid = np.flatnonzero(label < 0)
-    depth = _phi_chain_depth(dst[pid], src[pid], n_s)
+    self.phi_depth = depth = _phi_chain_depth(dst[pid], src[pid], n_s)
     pkey = level[src[pid]] * (depth.max() + 1) + depth[src[pid]]
     by_key = np.argsort(pkey, kind="stable")
     self.ptid = pid[by_key]

@@ -175,6 +175,25 @@ def test_config_checks_files_exist():
                                     "awake": {"path": "/nonexistent/awake.csv"}})
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("horizon", "10", "horizon must be an integer >= 1"),
+    ("horizon", 10.5, "horizon must be an integer >= 1"),
+    ("horizon", 10.0, "horizon must be an integer >= 1"),
+    ("horizon", True, "horizon must be an integer >= 1"),
+    ("horizon", 0, "horizon must be an integer >= 1"),
+    ("seed", 1.5, "seed must be a non-negative integer"),
+    ("seed", -1, "seed must be a non-negative integer"),
+    ("seed", False, "seed must be a non-negative integer"),
+    ("eta", True, "eta must be a positive number, 'fixed' or 'renyi'"),
+    ("eta", 0, "eta must be a positive number, 'fixed' or 'renyi'"),
+    ("eta", "tuned", "eta must be a positive number, 'fixed' or 'renyi'"),
+])
+def test_cli_refuses_a_config_value_of_the_wrong_type(tmp_path, capsys, key, value, message):
+    # Booleans count as bad input although Python counts them as ints.
+    assert cli_main(["run", "--config", str(write_config(tmp_path, {key: value}))]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_build_automaton_builders():
     m = build_automaton({"builder": "weighted-shift",
                          "params": {"weights": [[0.9, 0.1], [0.2, 0.8]]}})
@@ -731,11 +750,11 @@ def test_run_experiment_counts_the_paths_once(monkeypatch, extra):
     ("kshift_tracking", {"approximation": {"kind": "ml-ngram", "order": 2}}),
 ])
 def test_a_run_without_approximation_builds_no_kahn_plan(monkeypatch, config, extra):
-    # K, log Z, the best paths, the sleeping verdict and the fits'
-    # divergences read the products' compiled arrays: no horizon product
-    # gets a Kahn plan.  The only plans left are phi_convert's ordering of
-    # the competitor and the ML fit's posteriors on its context product;
-    # neither counts paths on it.
+    # K, log Z, the best paths, the sleeping verdict, the ML fit's
+    # posteriors and the fits' divergences read the products' compiled
+    # arrays: no machine with compiled arrays gets a Kahn plan.  The only
+    # plan left is phi_convert's ordering of the competitor, which counts
+    # no paths on it.
     from wfa_hedge import hedge, wfa
     cfg = ExperimentConfig.from_dict({**json.loads((CONFIGS / f"{config}.json").read_text()),
                                       **extra})
@@ -759,12 +778,12 @@ def test_a_run_without_approximation_builds_no_kahn_plan(monkeypatch, config, ex
                 elif value is product:
                     monkeypatch.setattr(module, attr, record_product)
     assert report_to_json(run_experiment(cfg)) == want
-    assert products and all(p._topo is None for p in products)
+    fits = [c for p in products for c, _ in p._products.values()]
+    assert bool(fits) == (cfg.approximation is not None)  # a fit and its divergence
+    assert products and all(m._topo is None for m in products + fits)
+    assert not [m for m in planned if m.compiled is not None]
     # (The k-shift competitor has stay loops: it gets no plan.)
     assert all(m._topo is None or m._topo.paths is None for m in planned)
     planned = list({id(m): m for m in planned}.values())  # a plan is built once, read often
-    fitted = cfg.approximation is not None and cfg.approximation["kind"] == "ml-ngram"
-    fits = [c for p in products for c, _ in p._products.values()]
-    assert [m for m in planned if m.compiled is not None] == (fits if fitted else [])
     converted = cfg.phi and cfg.approximation is None  # a bigram takes the shared-hub form
-    assert len([m for m in planned if m.compiled is None]) == converted
+    assert len(planned) == converted

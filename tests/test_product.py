@@ -23,7 +23,7 @@ import numpy as np
 
 from wfa_hedge import hedge
 from wfa_hedge.approx import divergence_inf, kl_divergence, prod_eg, select_order
-from wfa_hedge.builders import exact_shift_automaton, length_automaton
+from wfa_hedge.builders import exact_shift_automaton, length_automaton, weighted_shift_automaton
 from wfa_hedge.hedge import (HedgeState, best_competitor, hedge_init, hedge_step, log_power_sum,
                              renyi_entropy_machine, tune_eta_renyi, unweighted_regret,
                              weighted_regret)
@@ -32,10 +32,11 @@ from wfa_hedge.ngram import (_context_product, bigram_phi_machine, fixed_share_b
 from wfa_hedge.phi import (PHI, PhiWfa, _shadow_corrections, phi_convert, phi_expand,
                            phi_intersect, reads_directly)
 from wfa_hedge.sleeping import sleeping_regret, worst_comparator
-from wfa_hedge.wfa import (CyclicAutomatonError, Transition, _final_weights,
-                           count_accepting_paths, default_alphabet, enumerate_support,
-                           exact_logs, intersect, leveled_best_path, levels, log_weight_range,
-                           topological_order)
+from wfa_hedge.wfa import (CyclicAutomatonError, Transition, Wfa, _edge_marginals,
+                           _final_weights, backward_distances, count_accepting_paths,
+                           default_alphabet, enumerate_support, exact_logs, intersect,
+                           leveled_best_path, levels, log_weight_range, topological_order,
+                           weight_push)
 
 import oracles
 
@@ -255,8 +256,8 @@ def competitor(rng, family, alphabet):
 
 def assert_same_compiled(got, want):
     """Byte for byte, the tid and ptid columns through what they index."""
-    for name in ("state_off", "final", "src", "dst", "coef", "label", "edge_off", "real_end",
-                 "psrc", "pdst", "group_bounds", "group_off"):
+    for name in ("state_off", "level", "final", "src", "dst", "coef", "label", "edge_off",
+                 "real_end", "phi_depth", "psrc", "pdst", "group_bounds", "group_off"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     assert got.initial == want.initial and got.alphabet == want.alphabet
@@ -291,6 +292,9 @@ def test_unroll_matches_the_product_search(seed, alphabet, family, horizon, eta)
             hedge.horizon_product(machine, horizon)
         return
     got = hedge.horizon_product(machine, horizon)
+    # One exact-log column, taken from the competitor's, read by the compile.
+    assert got._logs is not None and got.compiled.log_w is got._logs
+    assert np.array_equal(got._logs, exact_logs(got.columns.weight))
     want.compiled = oracles.compile_product(want, horizon)
     same_language(got, want)
     if not isinstance(want, PhiWfa):
@@ -399,17 +403,18 @@ def test_a_filter_split_plays_as_the_product_search():
 # -- the fits' (state, context) products -------------------------------------------------
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=SEEDS, order=st.integers(1, 4), family=st.sampled_from(["kshift", "trie", "layered"]))
-def test_context_products_compile_level_by_level(seed, order, family):
-    # The intersection's search numbers the (state, context) pairs level
-    # by level and lists the edges by source, so the level offsets come
-    # from the horizon product's levels alone; the compiled count and
-    # log Z agree with the Kahn sweeps of the same product.
-    rng = np.random.default_rng(seed)
+FIT_FAMILIES = ["kshift", "weighted", "trie", "layered"]
+
+
+def fit_product(rng, family):
+    """A horizon product of one of the fits' test families, None when the
+    drawn machine has no sequence of the drawn length."""
     horizon = int(rng.integers(1, 9))
     if family == "kshift":
         machine = exact_shift_automaton(int(rng.integers(2, 5)), int(rng.integers(0, horizon)))
+    elif family == "weighted":
+        n = int(rng.integers(2, 5))
+        machine = weighted_shift_automaton(rng.random((n, n)), rng.random(n))
     elif family == "trie":
         machine = oracles.random_leveled_wfa(rng, horizon, ("a", "b", "c"),
                                              support_size=int(rng.integers(1, 12)))
@@ -417,9 +422,29 @@ def test_context_products_compile_level_by_level(seed, order, family):
         machine = oracles.random_layered_wfa(rng, [1] + [int(rng.integers(2, 5))] * horizon,
                                              final_prob=0.6)
     try:
-        ct = hedge.horizon_product(machine, horizon)
-    except ValueError:  # no sequence of this length
+        return hedge.horizon_product(machine, horizon)
+    except ValueError:
+        return None
+
+
+def uncompiled(machine):
+    """A copy of a plain length-T machine without its compiled arrays:
+    the path sums sweep its Kahn plan."""
+    return Wfa.from_columns(machine.alphabet, machine.num_states, machine.initial,
+                            machine.finals, *machine.columns, machine.state_names)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, order=st.integers(1, 4), family=st.sampled_from(FIT_FAMILIES))
+def test_context_products_compile_level_by_level(seed, order, family):
+    # The intersection's search numbers the (state, context) pairs level
+    # by level and lists the edges by source, so the level offsets come
+    # from the horizon product's levels alone; the compiled count and
+    # log Z agree with the Kahn sweeps of an uncompiled copy.
+    ct = fit_product(np.random.default_rng(seed), family)
+    if ct is None:
         return
+    horizon = ct.compiled.horizon
     product, cell = _context_product(ct, order)
     c, cm = product.columns, product.compiled
     level = np.array([ct.state_names[q][1] for q, _ in product.state_names], np.intp)
@@ -427,12 +452,57 @@ def test_context_products_compile_level_by_level(seed, order, family):
     assert (level[c.dst] == level[c.src] + 1).all()
     assert cm.horizon == horizon
     assert cm.state_off.tolist() == np.searchsorted(level, np.arange(horizon + 2)).tolist()
-    assert cm.num_paths == count_accepting_paths(product)
-    want = log_power_sum(product, 1.0)
+    assert cm.level.tolist() == level.tolist()
+    ref = uncompiled(product)
+    assert cm.num_paths == count_accepting_paths(ref)
+    want = log_power_sum(ref, 1.0)
     assert cm.log_Z == want or cm.log_Z == pytest.approx(want, rel=1e-12)
     n = len(ct.alphabet)
     contexts = np.array([ctx for _, ctx in product.state_names], np.intp)
     assert cell.tolist() == (contexts[c.src] * n + c.label).tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=SEEDS, order=st.integers(0, 3), family=st.sampled_from(FIT_FAMILIES))
+def test_path_sums_on_compiled_levels_match_the_kahn_plan(seed, order, family):
+    # A trim product whose edges each step one level on has its levels
+    # as its Kahn generations, and each state's terms are summed in the
+    # same column order either way: every plain path sum on a horizon
+    # product (order 0) or a context product reads the compiled levels
+    # and equals the Kahn sweep of an uncompiled copy bit for bit.
+    ct = fit_product(np.random.default_rng(seed), family)
+    if ct is None:
+        return
+    machine = ct if order == 0 else _context_product(ct, order)[0]
+    ref = uncompiled(machine)
+    assert count_accepting_paths(machine) == count_accepting_paths(ref)
+    for eta in (0.3, 0.5, 1.0, 2.0, 2.5):
+        assert np.array_equal(log_power_sum(machine, eta), log_power_sum(ref, eta))
+    a, b = backward_distances(machine), backward_distances(ref)
+    assert a.keys() == b.keys() and np.array_equal(list(a.values()), list(b.values()))
+    if count_accepting_paths(ref):
+        a, b = weight_push(machine), weight_push(ref)
+        assert (a.num_states, a.initial, a.finals) == (b.num_states, b.initial, b.finals)
+        assert all(np.array_equal(x, y) for x, y in zip(a.columns, b.columns))
+        for x, y in zip(_edge_marginals(machine), _edge_marginals(ref)):
+            assert np.array_equal(x, y)
+    assert machine._topo is None and ref._topo is not None
+
+
+def test_the_shannon_limit_of_a_phi_product_names_the_plain_product():
+    # Renyi entropies at eta != 1 read the compiled arrays of a phi
+    # product; the Shannon limit takes edge posteriors, which a phi edge
+    # does not have, and the tuner's bracket starts there.
+    machine = bigram_phi_machine(fixed_share_bigram(3, 1, 6))
+    p = hedge.horizon_product(machine, 6)
+    for call in (lambda: renyi_entropy_machine(p, 1.0), lambda: tune_eta_renyi(p, 6)):
+        with pytest.raises(ValueError, match=r"eta = 1 limit needs a plain product; "
+                                             r"take horizon_product\(phi_expand\(machine\), T\)"):
+            call()
+    plain = hedge.horizon_product(phi_expand(machine), 6)
+    assert renyi_entropy_machine(p, 0.5) == renyi_entropy_machine(plain, 0.5)
+    assert renyi_entropy_machine(p, 0.5) == pytest.approx(5.330894499492764, rel=1e-12)
+    assert tune_eta_renyi(plain, 6) > 0
 
 
 def _plain_length_3():

@@ -410,6 +410,8 @@ def test_leveled_best_path_ignores_arcs_off_the_positive_paths():
                 Transition(0, "b", 0.0, 1), Transition(4, "a", 1.0, 1)])
     p = horizon_product(fine, 2)
     assert levels(p).tolist() == [0, 1, 2]
+    assert levels(p).dtype == np.int32 and not levels(p).flags.writeable
+    assert "sweep" not in vars(p.compiled)  # the levels are the compile's, not the plan's
     assert sorted(t.label for t in p.transitions) == ["a", "b", "b"]
     favour_zero = np.where(p.columns.weight == 0.0, 5.0, 0.0)
     assert leveled_best_path(p, favour_zero).sequence == ("a", "b")
