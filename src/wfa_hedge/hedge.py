@@ -365,8 +365,8 @@ class HedgeState:
     """
 
     def __init__(self, machine: Machine, horizon: int, eta: float):
-        if not eta > 0:  # NaN fails too
-            raise ValueError("learning rate must be positive")
+        if not 0 < eta < math.inf:  # NaN fails too
+            raise ValueError("learning rate must be positive and finite")
         cm = machine.compiled
         if cm is None or cm.horizon != horizon:
             raise ValueError(f"the engine plays horizon_product(competitor, {horizon})")
@@ -462,11 +462,14 @@ def horizon_product(competitor: Machine, horizon: int) -> Machine:
     plays and the regret report and the n-gram fits read, as a trim
     machine whose state (q, t) is competitor state q after t symbols, with
     its :class:`CompiledMachine` in ``compiled``.  ValueError when there is
-    none.
+    none, or when ``horizon`` is not an integer >= 1.
 
     The product with the length-T acceptor, unrolled one level at a time:
     level t + 1 holds the targets of level t's arcs and their phi chains,
     and one backward sweep keeps the states that complete a sequence.
+    Only the levels that change are computed: once a level repeats the
+    one before it, it is shared up to the horizon, and once the sweep's
+    live states repeat on it, they are shared down to its first copy.
     States are numbered level by level, each level in the order in which
     the breadth-first search of :func:`~wfa_hedge.wfa.intersect` or
     :func:`~wfa_hedge.phi.phi_intersect` numbers them, and each state's
@@ -478,8 +481,8 @@ def horizon_product(competitor: Machine, horizon: int) -> Machine:
     a phi edge, the unroll has one.  The shadow corrections are the
     competitor's, laid over each level's live states.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1:
+        raise ValueError(f"horizon must be an integer >= 1, not {horizon!r}")
     phi = isinstance(competitor, PhiWfa) and competitor.has_phi()
     if phi and competitor.pair_labels is not None:
         raise ValueError("composition outputs cannot be composed again")
@@ -496,7 +499,14 @@ def horizon_product(competitor: Machine, horizon: int) -> Machine:
 def _unroll(competitor: Machine, horizon: int, phi: bool):
     """The product of :func:`horizon_product`, the offsets of its levels,
     its shadow correction rows and the competitor transition of each of
-    its edges."""
+    its edges.
+
+    A level is settled when the next one holds its states in the same
+    order, with the same tail ranks and every distance one step on: all
+    later keys then shift by one constant, so its tuple is shared up to
+    the horizon.  The trim maps live states through shared levels by one
+    function, so once two neighbours agree it shares them down to the
+    first copy."""
     c, n_q, n_sym = competitor.columns, competitor.num_states, len(competitor.alphabet)
     # Arcs by source and label rank; the first of a repeated (source, label) wins.
     arc_key, arc = _sorted_arcs(competitor, _label_ranks(competitor.alphabet)[1])
@@ -542,7 +552,7 @@ def _unroll(competitor: Machine, horizon: int, phi: bool):
 
     # Per level: its competitor states, each one's phi target (level index,
     # -1: none), and its arcs: owner, arc and target (next level's index).
-    levels = []
+    levels, settled = [], horizon
     states, dist, tail = enter(np.array([competitor.initial]), np.zeros(1, np.intp), n_sym * k)
     for t in range(horizon + 1):
         phi_at = slot[phi_to[states]]
@@ -557,6 +567,11 @@ def _unroll(competitor: Machine, horizon: int, phi: bool):
         x = arc_dst[e]
         nxt = enter(x, (dist[owner] + 1) * m + (tail[owner] * n_sym + arc_rank[e]) * k, m)
         levels.append((states, phi_at, owner, e, slot[x]))
+        if (np.array_equal(nxt[0], states) and np.array_equal(nxt[2], tail)
+                and np.ptp(nxt[1] - dist) == 0):
+            settled = t  # every later level repeats this one
+            levels += [levels[-1]] * (horizon - 1 - t) + [(states, phi_at)]
+            break
         states, dist, tail = nxt
 
     # Trim: a state is live when an arc or its phi edge leads to a live
@@ -564,6 +579,8 @@ def _unroll(competitor: Machine, horizon: int, phi: bool):
     is_final, final_w = _final_weights(competitor)
     lives = [None] * (horizon + 1)
     for t in range(horizon, -1, -1):
+        if lives[t] is not None:  # copied from a fixed point
+            continue
         states, phi_at = levels[t][:2]
         if t == horizon:
             live = is_final[states]
@@ -576,6 +593,10 @@ def _unroll(competitor: Machine, horizon: int, phi: bool):
         for _ in range(k - 1):
             live |= (phi_at >= 0) & live[phi_at]
         lives[t] = live
+        if settled < t < horizon and np.array_equal(live, lives[t + 1]):
+            # A fixed point of the repeated level holds down to its first copy.
+            n = t - settled
+            levels[settled:t], lives[settled:t] = [levels[t]] * n, [live] * n
     if not lives[0][0]:
         raise ValueError("no competitor sequence of this length")
 
@@ -590,10 +611,14 @@ def _unroll(competitor: Machine, horizon: int, phi: bool):
                      np.repeat(np.arange(horizon + 1), np.diff(state_off)).tolist()))
     ends = u_off[horizon] + np.flatnonzero(is_final[levels[-1][0]])
     finals = dict(zip(new_id[ends].tolist(), final_w[origin[ends]].tolist()))
-    phi_u = np.concatenate([np.where(lv[1] >= 0, u_off[t] + lv[1], -1)
-                            for t, lv in enumerate(levels)])
-    src = new_id[np.concatenate([u_off[t] + lv[2] for t, lv in enumerate(levels[:-1])])]
-    dst = new_id[np.concatenate([u_off[t + 1] + lv[4] for t, lv in enumerate(levels[:-1])])]
+    phi_u = np.concatenate([lv[1] for lv in levels])
+    phi_u = np.where(phi_u >= 0, np.repeat(u_off[:-1], np.diff(u_off)) + phi_u, -1)
+    n_arcs = [len(lv[2]) for lv in levels[:-1]]
+    src = np.concatenate([lv[2] for lv in levels[:-1]])
+    src += np.repeat(u_off[:-2], n_arcs)
+    dst = np.concatenate([lv[4] for lv in levels[:-1]])
+    dst += np.repeat(u_off[1:-1], n_arcs)
+    src, dst = new_id[src], new_id[dst]
     e = arc[np.concatenate([lv[3] for lv in levels[:-1]])]
     keep = np.concatenate([lv[5] for lv in levels[:-1]])  # by untrimmed arc
     del levels

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,14 +69,23 @@ def test_init_rejects_empty_intersection():
 
 
 def test_init_rejects_bad_eta():
-    # Every engine constructor, also on a product built elsewhere.
+    # Every engine constructor, also on a product built elsewhere; an
+    # infinite rate is refused before the set-up sweeps multiply it by 0.
     machine = length_automaton(2, 2)
     product = horizon_product(machine, 2)
-    for eta in (0.0, -1.0, math.nan):
+    for eta in (0.0, -1.0, math.nan, math.inf):
         for build in (lambda: HedgeState(product, 2, eta), lambda: AwakeState(product, 2, eta),
                       lambda: hedge_init(machine, 2, eta), lambda: awake_init(machine, 2, eta)):
-            with pytest.raises(ValueError, match="learning rate must be positive"):
-                build()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="learning rate must be positive and finite"):
+                    build()
+
+
+@pytest.mark.parametrize("horizon", [3.0, 2.5, math.nan, True, "3", 0, -2, None])
+def test_horizon_product_refuses_a_horizon_that_is_not_an_integer_of_at_least_one(horizon):
+    with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
+        horizon_product(length_automaton(2, 3), horizon)
 
 
 def test_engine_plays_only_a_horizon_product_of_its_horizon():

@@ -16,7 +16,7 @@ from alphabet order) and duplicated labels.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
@@ -33,7 +33,7 @@ from wfa_hedge.phi import (PHI, PhiWfa, _shadow_corrections, phi_convert, phi_ex
                            phi_intersect, reads_directly)
 from wfa_hedge.sleeping import sleeping_regret, worst_comparator
 from wfa_hedge.wfa import (CyclicAutomatonError, Transition, Wfa, _edge_marginals,
-                           _final_weights, backward_distances, count_accepting_paths,
+                           _final_weights, _ranges, backward_distances, count_accepting_paths,
                            default_alphabet, enumerate_support, exact_logs, intersect,
                            leveled_best_path, levels, log_weight_range, topological_order,
                            weight_push)
@@ -341,6 +341,96 @@ def test_unroll_draws_cover_every_family_and_the_filter_split():
                 seen.add((family, split))
     assert {(f, False) for f in PLAIN_FAMILIES + PHI_FAMILIES} <= seen
     assert ("chain", True) in seen
+
+
+LONG_CASES = ["alternating", "late_kshift", "last_repeat", "dead_loop", "phi_shift"]
+
+
+def long_competitor(rng, case, alphabet, horizon):
+    """A competitor of a test family, or one that places the unroll's first
+    repeated level or the trim's fixed point: levels that alternate, so
+    none repeats; a k-shift, whose finals need every shift, so the trim
+    settles k levels before the horizon; a path into a loop, whose last
+    level is the first repeat; a loop without a final state; a phi chain
+    whose level 1 holds level 0's states in its order, but at distances
+    not one step on, so level 2 reorders them."""
+    a, b = alphabet[:2]
+    if case == "alternating":
+        return Wfa(alphabet, 2, 0, {0: 1.0, 1: 0.5},
+                   [Transition(0, a, 0.5, 1), Transition(0, b, 0.25, 1), Transition(1, b, 1.0, 0)])
+    if case == "late_kshift":
+        return exact_shift_automaton(3, int(rng.integers(1, 6)), alphabet=alphabet[:3])
+    if case == "last_repeat":
+        arcs = [Transition(q, a, 0.5, q + 1) for q in range(horizon - 1)]
+        return Wfa(alphabet, horizon, 0, {horizon - 1: 1.0},
+                   arcs + [Transition(horizon - 1, b, 0.5, horizon - 1)])
+    if case == "dead_loop":
+        return Wfa(alphabet, 2, 0, {1: 1.0}, [Transition(0, a, 0.5, 0), Transition(0, b, 0.5, 0)])
+    if case == "phi_shift":
+        return PhiWfa(alphabet, 3, 0, {1: 0.5},
+                      [Transition(0, PHI, 0.5, 1), Transition(1, b, 0.5, 0),
+                       Transition(1, PHI, 0.5, 2), Transition(2, a, 0.5, 2),
+                       Transition(2, b, 0.0, 0)])
+    return competitor(rng, case, alphabet)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=SEEDS, alphabet=ALPHABETS,
+       case=st.sampled_from(PLAIN_FAMILIES + PHI_FAMILIES + LONG_CASES),
+       horizon=st.integers(1, 40))
+@example(seed=0, alphabet=default_alphabet(3), case="alternating", horizon=40)
+@example(seed=3, alphabet=default_alphabet(3), case="late_kshift", horizon=40)
+@example(seed=0, alphabet=default_alphabet(30), case="last_repeat", horizon=40)
+@example(seed=0, alphabet=default_alphabet(3), case="dead_loop", horizon=40)
+@example(seed=0, alphabet=default_alphabet(3), case="phi_shift", horizon=40)
+def test_unroll_matches_the_product_search_at_long_horizons(seed, alphabet, case, horizon):
+    # Long enough for the unroll to copy a settled level to the horizon and
+    # for the trim to reach its fixed point on it.
+    rng = np.random.default_rng(seed)
+    machine = long_competitor(rng, case, alphabet, horizon)
+    try:
+        want = oracles.horizon_product(machine, horizon)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=str(err)):
+            hedge.horizon_product(machine, horizon)
+        return
+    got = hedge.horizon_product(machine, horizon)
+    want.compiled = oracles.compile_product(want, horizon)
+    if not isinstance(want, PhiWfa):
+        assert_same_machine(got, want)
+    pairs = [name[:2] for name in oracles.level_numbered(want).state_names]
+    if len(set(pairs)) == len(pairs):
+        assert_same_compiled(got.compiled, want.compiled)
+    else:  # a filter split, which the unroll merges where the search first numbers it
+        assert [name[:2] for name in got.state_names] == list(dict.fromkeys(pairs))
+        assert got.compiled.count_paths() == want.compiled.count_paths()
+        assert got.compiled.log_Z == pytest.approx(want.compiled.log_Z, rel=0, abs=1e-12)
+
+
+def forward_steps(monkeypatch, machine, horizon):
+    """The levels whose arcs the unroll gathered: the _ranges calls of one
+    horizon_product, less the one that lays a phi product's corrections."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _ranges(*args)
+
+    monkeypatch.setattr(hedge, "_ranges", counted)
+    product = hedge.horizon_product(machine, horizon)
+    monkeypatch.undo()
+    return len(calls) - isinstance(product, PhiWfa)
+
+
+def test_the_unroll_computes_only_the_levels_that_change(monkeypatch):
+    # A settled level is copied to the horizon, so the work of the forward
+    # loop does not grow with it; levels that never repeat each cost a step.
+    for build, horizon in ((lambda t: exact_shift_automaton(10, 5), 200),
+                           (lambda t: bigram_phi_machine(fixed_share_bigram(30, 3, t)), 300)):
+        steps = [forward_steps(monkeypatch, build(t), t) for t in (horizon, 2 * horizon)]
+        assert steps[0] == steps[1] <= 10, steps
+    alternating = long_competitor(None, "alternating", default_alphabet(3), 0)
+    assert forward_steps(monkeypatch, alternating, 40) == 40
 
 
 def run_distributions(state, losses):
