@@ -20,7 +20,7 @@ from . import approx as approxmod
 from . import ngram as ngrammod
 from .builders import (exact_shift_automaton, hierarchy_automaton,
                        length_automaton, weighted_shift_automaton)
-from .hedge import (HedgeState, hedge_step, horizon_product, sample, summarize,
+from .hedge import (HedgeState, _check_horizon, hedge_step, horizon_product, sample, summarize,
                     tune_eta_fixed, tune_eta_renyi, unweighted_regret, weighted_regret)
 from .phi import PhiWfa, phi_convert
 from .sleeping import (AwakeState, awake_distribution, awake_step, sleeping_regret,
@@ -66,9 +66,7 @@ class ExperimentConfig:
         if "automaton" not in d or "horizon" not in d or "losses" not in d:
             raise ValueError("config needs automaton, horizon and losses")
         cfg = cls(**d)
-        # type(x) is int refuses JSON booleans, which Python counts as ints.
-        if type(cfg.horizon) is not int or cfg.horizon < 1:
-            raise ValueError("horizon must be an integer >= 1")
+        _check_horizon(cfg.horizon)
         if type(cfg.seed) is not int or cfg.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         if not (cfg.eta in ("fixed", "renyi") or type(cfg.eta) in (int, float) and cfg.eta > 0):

@@ -40,7 +40,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .phi import PhiWfa, _label_sets, _phi_chain_depth, _shadow_corrections
+from .phi import PhiWfa, _direct_labels, _phi_chain_depth, _shadow_corrections
 from .wfa import (NEG_INF, Wfa, _Topo, _compiled, _edge_logs, _edge_marginals,
                   _final_weights, _label_ranks, _ranges, _sorted_arcs, exact_logs,
                   leveled_best_path, log_power_sum)
@@ -474,17 +474,18 @@ def horizon_product(competitor: Machine, horizon: int) -> Machine:
     the breadth-first search of :func:`~wfa_hedge.wfa.intersect` or
     :func:`~wfa_hedge.phi.phi_intersect` numbers them, and each state's
     edges follow in sorted label order; a plain product equals that
-    intersection.  A phi product keeps the composition's ``pair_labels``:
-    a state reads a symbol directly when its competitor state has the
-    arc, even if the product trimmed the edge.  Where ``phi_intersect``
-    keeps a state reached by an arc apart from the same state reached by
-    a phi edge, the unroll has one.  The shadow corrections are the
+    intersection; its ``origin`` rows are (competitor state, level).  A
+    phi product's ``operand_labels`` are the competitor's and the
+    acceptor's, which reads every symbol before level T and none at T: a
+    state reads a symbol directly when its competitor state has the arc,
+    even if the product trimmed the edge.  Where ``phi_intersect`` keeps
+    a state reached by an arc apart from the same state reached by a phi
+    edge, the unroll has one.  The shadow corrections are the
     competitor's, laid over each level's live states.
     """
-    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1:
-        raise ValueError(f"horizon must be an integer >= 1, not {horizon!r}")
+    _check_horizon(horizon)
     phi = isinstance(competitor, PhiWfa) and competitor.has_phi()
-    if phi and competitor.pair_labels is not None:
+    if phi and competitor.operand_labels is not None:
         raise ValueError("composition outputs cannot be composed again")
     # Compiled after the unroll's working arrays are freed, so that the
     # two never sit in memory together.
@@ -494,6 +495,12 @@ def horizon_product(competitor: Machine, horizon: int) -> Machine:
     del edge
     product.compiled = CompiledMachine(product, horizon, state_off, corrections)
     return product
+
+
+def _check_horizon(horizon) -> None:
+    """ValueError unless ``horizon`` is an integer >= 1; a bool is not one."""
+    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1:
+        raise ValueError(f"horizon must be an integer >= 1, not {horizon!r}")
 
 
 def _unroll(competitor: Machine, horizon: int, phi: bool):
@@ -607,8 +614,7 @@ def _unroll(competitor: Machine, horizon: int, phi: bool):
     new_id = np.cumsum(live) - 1
     state_off = np.concatenate(([0], new_id[u_off[1:] - 1] + 1))
     kept = np.flatnonzero(live)
-    names = list(zip(origin[kept].tolist(),
-                     np.repeat(np.arange(horizon + 1), np.diff(state_off)).tolist()))
+    names = np.column_stack((origin[kept], np.repeat(np.arange(horizon + 1), np.diff(state_off))))
     ends = u_off[horizon] + np.flatnonzero(is_final[levels[-1][0]])
     finals = dict(zip(new_id[ends].tolist(), final_w[origin[ends]].tolist()))
     phi_u = np.concatenate([lv[1] for lv in levels])
@@ -653,17 +659,12 @@ def _unroll(competitor: Machine, horizon: int, phi: bool):
     corrections = (new_id[s[on]], (np.cumsum(keep) - 1)[edge_u[on]], row_w[row[on]])
 
     # The acceptor reads every symbol before level T and none at T.
-    sets = _label_sets(competitor)
-    before = [(own, frozenset(competitor.alphabet)) for own in sets]
-    at_end = [(own, frozenset()) for own in sets]
-    qs = origin[kept].tolist()
-    pair_labels = (list(map(before.__getitem__, qs[:state_off[horizon]]))
-                   + list(map(at_end.__getitem__, qs[state_off[horizon]:])))
+    acceptor = np.broadcast_to((np.arange(horizon + 1) < horizon)[:, None], (horizon + 1, n_sym))
     e = np.concatenate((e, phi_edge[origin[psrc_u]]))
     product = PhiWfa.from_columns(
         competitor.alphabet, len(kept), 0, finals, np.concatenate((src, psrc)),
-        c.label[e], c.weight[e], np.concatenate((dst, pdst)), names, pair_labels,
-        dict.fromkeys(zip(psrc.tolist(), pdst.tolist()), "left"))
+        c.label[e], c.weight[e], np.concatenate((dst, pdst)), names,
+        (_direct_labels(competitor), acceptor))
     return product, state_off, corrections, e
 
 
@@ -823,8 +824,7 @@ def renyi_entropy_machine(competitor: Wfa, eta: float) -> float:
 def tune_eta_fixed(horizon: int, num_sequences: int) -> float:
     """Minimizer sqrt(8 log K / T) of the fixed-rate regret bound,
     clamped away from degenerate exponents."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    _check_horizon(horizon)
     if num_sequences < 1:
         raise ValueError("need at least one sequence")
     eta = math.sqrt(8.0 * math.log(num_sequences) / horizon)
@@ -839,6 +839,7 @@ def tune_eta_renyi(competitor: Wfa, horizon: int, tol: float = 1e-10) -> float:
     The left side is increasing in eta (H_eta is non-increasing), so the
     root is unique.  Requires at least two supported sequences.
     """
+    _check_horizon(horizon)
     if _compiled(competitor).num_paths < 2:
         raise ValueError("entropy tuning needs at least two supported sequences")
     target = math.sqrt(8.0 / horizon)

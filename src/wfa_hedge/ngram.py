@@ -196,11 +196,11 @@ def _context_product(machine: Wfa, order: int) -> tuple[Wfa, np.ndarray]:
     cm = _compiled(machine)
     if order not in machine._products:
         product = intersect(machine, _tracker(machine.alphabet, order))
-        c, names = product.columns, np.array(product.state_names, np.intp)
+        c, origin = product.columns, product.origin
         none = np.zeros(0, np.intp)
-        off = np.searchsorted(cm.level[names[:, 0]], np.arange(cm.horizon + 2))
+        off = np.searchsorted(cm.level[origin[:, 0]], np.arange(cm.horizon + 2))
         product.compiled = CompiledMachine(product, cm.horizon, off, (none, none, np.zeros(0)))
-        machine._products[order] = (product, names[c.src, 1] * len(machine.alphabet) + c.label)
+        machine._products[order] = (product, origin[c.src, 1] * len(machine.alphabet) + c.label)
     return machine._products[order]
 
 

@@ -13,9 +13,10 @@ those arrays, and its per-edge views are built on first use, as for a
 plain machine.
 
 Composition through the three-state filter transducer produces machines
-whose states remember their (left, right, filter) origin; those can carry
-up to three phi transitions per state (advance left, advance right,
-advance both) and are resolved with the pair-aware rule below.
+whose states remember their (left, right, filter) origin in one integer
+array and which carry their operands' direct-label tables; those can
+carry up to three phi transitions per state (advance left, advance
+right, advance both) and are resolved with the pair-aware rule below.
 :func:`phi_intersect` builds the composition as a breadth-first search
 run one frontier at a time on the columns, like
 :func:`~wfa_hedge.wfa.intersect`, and :func:`phi_expand` expands a phi
@@ -36,7 +37,8 @@ import numpy as np
 
 from .wfa import (PHI, Columns, CyclicAutomatonError, Transition, Wfa, _ArcPairs, _backward_logs,
                   _check_edges, _coaccessible, _column_arrays, _final_weights, _find_arcs,
-                  _label_ranks, _pushed, _ranges, _search, backward_distances, topological_order)
+                  _frozen, _label_ranks, _pushed, _ranges, _search, _stored_names,
+                  backward_distances, topological_order)
 
 __all__ = [
     "PHI",
@@ -84,44 +86,44 @@ class PhiWfa(Wfa):
     views built on first use.  Construction also checks what failure
     semantics need: non-negative weights, at most one arc per (state,
     symbol), no phi cycle, and at most one phi edge per state unless the
-    machine carries composition metadata.
+    machine is a composition output.
 
-    ``pair_labels`` and ``phi_moves`` are set on composition outputs
-    only: per-state (left, right) direct-label sets and per-phi-edge move
-    kind, which the pair-aware resolution needs when a state has more
-    than one phi transition.
+    ``operand_labels`` is set on composition outputs only: the (left,
+    right) operands' direct-label tables, read-only bool arrays of
+    (operand states, symbols), which the first two ``origin`` columns
+    index.  State q reads symbol a directly when ``left[origin[q, 0], a]
+    & right[origin[q, 1], a]``, and a phi edge's move kind is the set of
+    those two columns it changes; the pair-aware resolution needs both
+    when a state has more than one phi transition.
     """
 
-    __slots__ = ("pair_labels", "phi_moves", "conversion_events", "_phi", "_phi_depth", "_chains")
+    __slots__ = ("operand_labels", "conversion_events", "_phi", "_phi_depth", "_chains")
 
     def __init__(self, alphabet: Sequence[str], num_states: int, initial: int,
                  finals: dict[int, float], transitions: Iterable[Transition],
                  state_names: Optional[Sequence] = None,
-                 pair_labels: Optional[Sequence[tuple[frozenset, frozenset]]] = None,
-                 phi_moves: Optional[dict[tuple[int, int], str]] = None):
-        self._set_composition(pair_labels, phi_moves)
+                 operand_labels: Optional[tuple] = None):
+        self._set_composition(operand_labels)
         super().__init__(alphabet, num_states, initial, finals, transitions, state_names)
 
     @classmethod
     def from_columns(cls, alphabet: Sequence[str], num_states: int, initial: int,
                      finals: dict[int, float], src, label, weight, dst,
                      state_names: Optional[Sequence] = None,
-                     pair_labels: Optional[Sequence[tuple[frozenset, frozenset]]] = None,
-                     phi_moves: Optional[dict[tuple[int, int], str]] = None) -> "PhiWfa":
+                     operand_labels: Optional[tuple] = None) -> "PhiWfa":
         """Machine whose transition i is (src[i], label, weight[i],
         dst[i]), label being ``alphabet[label[i]]`` or PHI for -1.  The
         arrays are copied and checked as the constructor checks
         transitions."""
         self = cls.__new__(cls)
-        self._set_composition(pair_labels, phi_moves)
+        self._set_composition(operand_labels)
         self._store(alphabet, num_states, initial, finals, state_names,
                     _column_arrays(src, label, weight, dst), None)
         return self
 
-    def _set_composition(self, pair_labels, phi_moves) -> None:
-        self.pair_labels = tuple(pair_labels) if pair_labels is not None else None
-        # Move kinds of composed phi edges, keyed by (src, dst).
-        self.phi_moves = dict(phi_moves) if phi_moves is not None else None
+    def _set_composition(self, operand_labels) -> None:
+        self.operand_labels = None if operand_labels is None else _frozen(
+            tuple(np.array(t, bool) for t in operand_labels))
         self.conversion_events: tuple = ()
         self._phi = self._chains = None
 
@@ -134,11 +136,17 @@ class PhiWfa(Wfa):
     def _check(self, cols: Columns, ts: Optional[tuple[Transition, ...]]) -> None:
         _check_edges(cols, ts, self.num_states, self.alphabet, phi=True)
         phi = np.flatnonzero(cols.label < 0)
-        if self.pair_labels is None:
+        if self.operand_labels is None:
             several = np.flatnonzero(np.bincount(cols.src[phi], minlength=self.num_states) > 1)
             if several.size:
                 raise ValueError(f"state {several[0]} has several phi transitions "
                                  "but no composition metadata")
+        elif (self.origin is None or self.origin.shape[1] < 2
+              or [t.shape[1:] for t in self.operand_labels] != [(len(self.alphabet),)] * 2
+              or (self.origin[:, :2] < 0).any()
+              or (self.origin[:, :2].max(axis=0) >= [len(t) for t in self.operand_labels]).any()):
+            raise ValueError("operand_labels are a (left, right) pair of tables with one column "
+                             "per symbol, indexed by the first two origin columns")
         self._phi_depth = int(_phi_chain_depth(cols.src[phi], cols.dst[phi], self.num_states).max())
 
     # -- queries --
@@ -210,9 +218,9 @@ def _wrap(cls, machine: Wfa):
     checks its input; no array is copied and no transition built."""
     out = cls.__new__(cls)
     if cls is PhiWfa:
-        out._set_composition(None, None)
+        out._set_composition(None)
     out._store(machine.alphabet, machine.num_states, machine.initial, machine.finals,
-               machine.state_names, machine.columns, machine._transitions)
+               _stored_names(machine), machine.columns, machine._transitions)
     return out
 
 
@@ -235,9 +243,10 @@ class _Chains:
     ``first[q]`` is the first phi edge of state q (transition index, -1:
     none).  Symbols are alphabet indices; len(alphabet) stands for a
     symbol outside the alphabet, which nothing reads.  On composition
-    outputs, ``kind[q]`` numbers q's distinct (left, right) label-set
-    pair and ``left``/``right`` hold those sets as rows of a (kinds,
-    symbols) table.
+    outputs, ``operands`` holds per side (left, right) the operand's
+    direct-label table, with a False column for that outside symbol, and
+    each state's row in it, the side's ``origin`` column; ``by_move[q,
+    k]`` is q's first phi edge of move kind k (-1: none).
     """
 
     def __init__(self, machine: PhiWfa):
@@ -246,20 +255,25 @@ class _Chains:
         pid = np.flatnonzero(c.label < 0)[::-1]  # reversed: a state's first phi edge wins
         self.first = np.full(n, -1, np.intp)
         self.first[c.src[pid]] = pid
-        self.kind = self._by_move = None
-        if machine.pair_labels is not None:
-            kinds: dict[tuple[frozenset, frozenset], int] = {}
-            self.kind = np.fromiter((kinds.setdefault(pair, len(kinds))
-                                     for pair in machine.pair_labels), np.intp, n)
-            self.left = np.zeros((len(kinds), len(self.index) + 1), bool)
-            self.right = np.zeros_like(self.left)
-            for (left, right), k in kinds.items():
-                self.left[k, [self.index[a] for a in left]] = True
-                self.right[k, [self.index[a] for a in right]] = True
+        self.operands = None
+        if machine.operand_labels is not None:
+            origin = machine.origin
+            self.operands = [(np.pad(table, ((0, 0), (0, 1))), origin[:, side])
+                             for side, table in enumerate(machine.operand_labels)]
+            # Per state its first phi edge of each move kind, by the origin
+            # columns the edge changes: 1 left, 2 right, 3 both.
+            moved = origin[c.src[pid], :2] != origin[c.dst[pid], :2]
+            self.by_move = np.full((n, 4), -1, np.intp)
+            self.by_move[c.src[pid], moved[:, 0] + 2 * moved[:, 1]] = pid
 
     def symbol(self, name: str) -> np.ndarray:
         """One symbol name as a walk's symbol array."""
         return np.array([self.index.get(name, len(self.index))])
+
+    def defines(self, q: np.ndarray, symbol: np.ndarray) -> list[np.ndarray]:
+        """Per side of a composition output, whether the operand state of
+        q[i] has an arc with symbol[i]."""
+        return [table[row[q], symbol] for table, row in self.operands]
 
     def reads(self, m: PhiWfa, q: np.ndarray, symbol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per pair, the arc reading symbol[i] at q[i] (-1: none), and
@@ -268,9 +282,9 @@ class _Chains:
         e = _find_arcs(m, q, symbol)
         e[symbol == len(self.index)] = -1
         stop = e >= 0
-        if self.kind is not None:
-            k = self.kind[q]
-            stop |= self.left[k, symbol] & self.right[k, symbol]
+        if self.operands is not None:
+            left, right = self.defines(q, symbol)
+            stop |= left & right
         return e, stop
 
     def resolving_step(self, m: PhiWfa, q: np.ndarray, symbol: np.ndarray) -> np.ndarray:
@@ -278,22 +292,10 @@ class _Chains:
         :func:`resolve_symbol` (-1: none): on composition outputs the
         first phi edge of the move kind that advances the side(s) not
         defining the symbol, elsewhere the first phi edge."""
-        if self.kind is None:
+        if self.operands is None:
             return self.first[q]
-        if self._by_move is None:
-            c, moves = m.columns, m.phi_moves or {}
-            pid = np.flatnonzero(c.label < 0)
-            move = np.fromiter((_MOVE_CODE.get(moves.get(key), -1)
-                                for key in zip(c.src[pid].tolist(), c.dst[pid].tolist())),
-                               np.intp, len(pid))
-            pid, move = pid[move >= 0][::-1], move[move >= 0][::-1]  # the first of a kind wins
-            by_move = np.full((m.num_states, len(_MOVES)), -1, np.intp)
-            by_move[c.src[pid], move] = pid
-            self._by_move = by_move  # set once filled: racing threads build equal tables
-        k = self.kind[q]
-        want = np.where(self.left[k, symbol], _MOVE_CODE["right"],
-                        np.where(self.right[k, symbol], _MOVE_CODE["left"], _MOVE_CODE["both"]))
-        return self._by_move[q, want]
+        left, right = self.defines(q, symbol)
+        return self.by_move[q, np.where(left, 2, np.where(right, 1, 3))]
 
     def walk(self, m: PhiWfa, q: np.ndarray, symbol: np.ndarray, w: np.ndarray, max_chain: int,
              origin: np.ndarray, resolving: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -360,7 +362,7 @@ def reads_directly(machine: PhiWfa, state: int, symbol: str) -> bool:
     """Whether ``state`` reads ``symbol`` without its phi chain.
 
     A composition state does when both sides define the symbol
-    (``pair_labels``), even if the composed edge was trimmed because no
+    (``operand_labels``), even if the composed edge was trimmed because no
     completion follows it: the symbol is then unreadable there, and the
     chain must not be consulted either.
     """
@@ -444,11 +446,8 @@ def phi_expand(machine: PhiWfa, max_chain: int = MAX_PHI_CHAIN) -> Wfa:
     new_id = np.full(machine.num_states, -1, np.intp)
     new_id[code] = np.arange(len(code))
     finals = {int(new_id[q]): w for q, w in machine.finals.items() if new_id[q] >= 0}
-    names = None
-    if machine.state_names is not None:
-        names = [machine.state_names[q] for q in code.tolist()]
     return Wfa.from_columns(machine.alphabet, len(code), 0, finals, src, label, weight, dst,
-                            names)
+                            _stored_names(machine, code))
 
 
 # -- backward distances, powering, pushing ------------------------------------
@@ -468,8 +467,8 @@ def _reweighted(machine: PhiWfa, weight: np.ndarray, finals: dict[int, float]) -
     """``machine`` with new edge and final weights."""
     c = machine.columns
     return PhiWfa.from_columns(machine.alphabet, machine.num_states, machine.initial, finals,
-                               c.src, c.label, weight, c.dst, machine.state_names,
-                               machine.pair_labels, machine.phi_moves)
+                               c.src, c.label, weight, c.dst, _stored_names(machine),
+                               machine.operand_labels)
 
 
 def phi_backward_distances(machine: PhiWfa) -> dict[int, float]:
@@ -620,16 +619,10 @@ def phi_convert(wfa: Wfa) -> PhiWfa:
 # -- composition ----------------------------------------------------------------
 
 
-_MOVES = ("both", "left", "right")
-_MOVE_CODE = {move: i for i, move in enumerate(_MOVES)}
-# _STEP[f, move]: the filter state after ``move`` from filter state f; -1
-# where PHI_FILTER forbids the move.  Each move leads into its own filter
-# state, so a composed phi edge's kind is read off its target's filter.
-_STEP = np.full((3, len(_MOVES)), -1, np.intp)
-_MOVE_INTO = {}
-for (_f, _move), _g in PHI_FILTER.items():
-    _STEP[_f, _MOVES.index(_move)] = _g
-    _MOVE_INTO[_g] = _move
+# _STEP[f, move]: the filter state after ``move`` (both, left, right)
+# from filter state f; -1 where PHI_FILTER forbids the move.
+_STEP = np.array([[PHI_FILTER.get((f, move), -1) for move in ("both", "left", "right")]
+                  for f in range(3)])
 
 
 def _phi_arc_arrays(machine: PhiWfa) -> tuple[np.ndarray, np.ndarray]:
@@ -638,14 +631,13 @@ def _phi_arc_arrays(machine: PhiWfa) -> tuple[np.ndarray, np.ndarray]:
     return np.append(c.dst, -1)[first], np.append(c.weight, 0.0)[first]
 
 
-def _label_sets(machine: PhiWfa) -> list[frozenset]:
-    """Per state, the symbols it reads directly."""
+def _direct_labels(machine: Wfa) -> np.ndarray:
+    """Per (state, symbol), whether the state has an arc with the symbol."""
     c = machine.columns
-    real = np.flatnonzero(c.label >= 0)
-    real = real[np.argsort(c.src[real], kind="stable")]
-    off = np.searchsorted(c.src[real], np.arange(machine.num_states + 1)).tolist()
-    labels = [machine.alphabet[a] for a in c.label[real].tolist()]
-    return [frozenset(labels[off[q]:off[q + 1]]) for q in range(machine.num_states)]
+    real = c.label >= 0
+    table = np.zeros((machine.num_states, len(machine.alphabet)), bool)
+    table[c.src[real], c.label[real]] = True
+    return table
 
 
 def phi_intersect(m1: Machine, m2: Machine) -> PhiWfa:
@@ -660,11 +652,12 @@ def phi_intersect(m1: Machine, m2: Machine) -> PhiWfa:
     state) nodes, one frontier at a time, as in :func:`~wfa_hedge.wfa.intersect`:
     a node's consuming arcs in sorted label order, then its both, left
     and right phi moves.  Nodes are numbered in discovery order and only
-    co-accessible ones are kept; ``state_names`` holds the node triples.
+    co-accessible ones are kept; ``origin`` holds the node triples and
+    ``operand_labels`` the two inputs' direct-label tables.
     """
     a1, a2 = as_phi(m1), as_phi(m2)
     arcs, n2 = _ArcPairs(a1, a2), a2.num_states
-    if a1.pair_labels is not None or a2.pair_labels is not None:
+    if a1.operand_labels is not None or a2.operand_labels is not None:
         raise ValueError("composition outputs cannot be composed again")
     (pd1, pw1), (pd2, pw2) = _phi_arc_arrays(a1), _phi_arc_arrays(a2)
 
@@ -672,7 +665,7 @@ def phi_intersect(m1: Machine, m2: Machine) -> PhiWfa:
         pair, f = np.divmod(frontier, 3)
         q1, q2 = np.divmod(pair, n2)
         owner, e1, e2 = arcs.match(q1, q2)
-        # Phi moves as an (F, 3) table, one column per move in _MOVES order.
+        # Phi moves as an (F, 3) table, one column per move in _STEP order.
         t1 = np.column_stack((pd1[q1], pd1[q1], q1))
         t2 = np.column_stack((pd2[q2], q2, pd2[q2]))
         g = _STEP[f]
@@ -695,18 +688,12 @@ def phi_intersect(m1: Machine, m2: Machine) -> PhiWfa:
     # Trim to co-accessible states so the engine never walks dead regions.
     alive = _coaccessible(src, dst, final, len(code))
     if not alive[0]:
-        return PhiWfa(a1.alphabet, 1, 0, {}, [], state_names=[(a1.initial, a2.initial, 0)])
+        return PhiWfa(a1.alphabet, 1, 0, {}, [],
+                      state_names=np.array([[a1.initial, a2.initial, 0]]))
     remap = np.cumsum(alive) - 1
     keep = np.flatnonzero(alive[dst])
-    phi = keep[label[keep] < 0]
-    moves = dict(zip(zip(remap[src[phi]].tolist(), remap[dst[phi]].tolist()),
-                     map(_MOVE_INTO.__getitem__, (code[dst[phi]] % 3).tolist())))
-    src, dst = remap[src[keep]], remap[dst[keep]]
     finals = dict(zip(remap[final].tolist(), (fw1[p1[final]] * fw2[p2[final]]).tolist()))
-    p1, p2 = p1[alive].tolist(), p2[alive].tolist()
-    names = list(zip(p1, p2, (code[alive] % 3).tolist()))
-    sets1, sets2 = _label_sets(a1), _label_sets(a2)
-    pair_labels = list(zip(map(sets1.__getitem__, p1), map(sets2.__getitem__, p2)))
-    return PhiWfa.from_columns(a1.alphabet, len(names), 0, finals, src, label[keep],
-                               weight[keep], dst, state_names=names,
-                               pair_labels=pair_labels, phi_moves=moves)
+    origin = np.column_stack((p1[alive], p2[alive], code[alive] % 3))
+    return PhiWfa.from_columns(a1.alphabet, len(origin), 0, finals, remap[src[keep]],
+                               label[keep], weight[keep], remap[dst[keep]], origin,
+                               (_direct_labels(a1), _direct_labels(a2)))

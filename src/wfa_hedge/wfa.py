@@ -11,7 +11,8 @@ destination, one entry per transition (:class:`Columns`).  Bulk
 operations (intersection, path sums, path counting, best paths, the
 engine's compile step) read the columns directly.  Built on first use
 and cached on the machine are: the per-edge views ``transitions`` and
-``arcs()``; the sorted arc keys that :func:`evaluate` looks symbols up
+``arcs()``; a product's ``state_names``, the tuples of its ``origin``
+rows; the sorted arc keys that :func:`evaluate` looks symbols up
 in; the one exact-log column of the edge weights; the n-gram context
 products (:func:`~wfa_hedge.ngram._context_product`); and, on an
 uncompiled machine, one Kahn plan (:class:`_Topo`): the topological
@@ -172,8 +173,8 @@ class Wfa:
     invariants, determinism and non-negative weights, are what
     :func:`validate` reports on, so a broken machine can still be built
     and diagnosed.  All builders in this package emit valid machines.
-    ``state_names`` is optional provenance kept for debugging
-    (intersection stores the originating state pairs there).
+    ``state_names`` is optional provenance kept for debugging; a product
+    gives an integer array of one row per state, kept as ``origin``.
 
     ``columns`` is the stored form of the transitions.  Build a machine
     from :class:`Transition` objects with the constructor, or from
@@ -182,9 +183,9 @@ class Wfa:
     or of a fit's context product of one (None on any other machine).
     """
 
-    __slots__ = ("alphabet", "num_states", "initial", "finals", "columns",
-                 "state_names", "compiled", "_transitions", "_out", "_topo", "_keys",
-                 "_logs", "_products")
+    __slots__ = ("alphabet", "num_states", "initial", "finals", "columns", "origin",
+                 "compiled", "_names", "_transitions", "_out", "_topo", "_keys", "_logs",
+                 "_products")
 
     def __init__(self, alphabet: Sequence[str], num_states: int, initial: int,
                  finals: dict[int, float], transitions: Iterable[Transition],
@@ -229,11 +230,25 @@ class Wfa:
         for q in self.finals:
             if not (0 <= q < num_states):
                 raise ValueError(f"final state {q} out of range")
-        self.state_names = tuple(state_names) if state_names is not None else None
+        self.origin = self._names = None
+        if isinstance(state_names, np.ndarray):
+            self.origin = np.array(state_names, np.intp)
+            self.origin.flags.writeable = False
+            if self.origin.ndim != 2 or len(self.origin) != num_states:
+                raise ValueError("an origin array has one row per state")
+        elif state_names is not None:
+            self._names = tuple(state_names)
         self.compiled = self._out = self._topo = self._keys = self._logs = None
         self._products = {}  # n-gram order -> (state, context) product, see ngram
 
     # -- queries ----------------------------------------------------------
+
+    @property
+    def state_names(self) -> Optional[tuple]:
+        """Each state's name (None: none), an ``origin`` row as a tuple."""
+        if self._names is None and self.origin is not None:
+            self._names = tuple(map(tuple, self.origin.tolist()))
+        return self._names
 
     @property
     def transitions(self) -> tuple[Transition, ...]:
@@ -484,8 +499,8 @@ def intersect(a1: Wfa, a2: Wfa) -> Wfa:
     operations: a frontier pair's a1-arcs are matched to a2-arcs by a
     sorted-key lookup, and pairs not seen before get the next ids in
     order of first occurrence.  States are numbered in discovery order,
-    each state's arcs follow in sorted label order, and ``state_names``
-    holds the (a1 state, a2 state) pairs.  A failure (phi) edge raises
+    each state's arcs follow in sorted label order, and ``origin`` holds
+    the (a1 state, a2 state) pairs.  A failure (phi) edge raises
     ValueError: read as an arc, it would change the language.
     """
     if (a1.columns.label < 0).any() or (a2.columns.label < 0).any():
@@ -502,15 +517,24 @@ def intersect(a1: Wfa, a2: Wfa) -> Wfa:
     final = np.flatnonzero(f1[p1] & f2[p2])
     alive = _coaccessible(src, dst, final, len(code))
     if not alive[0]:
-        return Wfa(a1.alphabet, 1, 0, {}, [], state_names=[(a1.initial, a2.initial)])
+        return Wfa(a1.alphabet, 1, 0, {}, [], state_names=np.array([[a1.initial, a2.initial]]))
     remap = np.cumsum(alive) - 1
     keep = np.flatnonzero(alive[dst])
     e1, e2 = e1[keep], e2[keep]
     finals = dict(zip(remap[final].tolist(), (fw1[p1[final]] * fw2[p2[final]]).tolist()))
-    names = list(zip(p1[alive].tolist(), p2[alive].tolist()))
-    return Wfa.from_columns(a1.alphabet, len(names), 0, finals, remap[src[keep]],
+    origin = np.column_stack((p1[alive], p2[alive]))
+    return Wfa.from_columns(a1.alphabet, len(origin), 0, finals, remap[src[keep]],
                             arcs.label(e1), arcs.w1[e1] * arcs.w2[e2], remap[dst[keep]],
-                            state_names=names)
+                            state_names=origin)
+
+
+def _stored_names(machine: Wfa, states: Optional[np.ndarray] = None):
+    """The state names as ``machine`` stores them, its origin rows or its
+    tuple, for a machine on ``states`` (every state when None)."""
+    if machine.origin is not None:
+        return machine.origin if states is None else machine.origin[states]
+    names = machine._names
+    return names if not names or states is None else [names[q] for q in states.tolist()]
 
 
 # -- graph structure ---------------------------------------------------------
@@ -635,7 +659,7 @@ def power_weights(wfa: Wfa, eta: float) -> Wfa:
     c = wfa.columns
     return Wfa.from_columns(wfa.alphabet, wfa.num_states, wfa.initial,
                             {q: w ** eta for q, w in wfa.finals.items()},
-                            c.src, c.label, c.weight ** eta, c.dst, wfa.state_names)
+                            c.src, c.label, c.weight ** eta, c.dst, _stored_names(wfa))
 
 
 def backward_distances(wfa: Wfa) -> dict[int, float]:
@@ -672,12 +696,12 @@ def weight_push(wfa: Wfa) -> Wfa:
     c, alive = wfa.columns, log_d > NEG_INF
     arc = np.flatnonzero((c.label >= 0) & alive[c.dst])
     keep = alive & _coaccessible(c.dst[arc], c.src[arc], np.array([wfa.initial]), wfa.num_states)
-    remap, kept = np.cumsum(keep) - 1, np.flatnonzero(keep).tolist()
+    remap, kept = np.cumsum(keep) - 1, np.flatnonzero(keep)
     e = np.flatnonzero(keep[c.src] & keep[c.dst] & (c.weight > 0.0))
     return Wfa.from_columns(wfa.alphabet, len(kept), int(remap[wfa.initial]),
                             {int(remap[q]): w for q, w in finals.items() if keep[q]},
                             remap[c.src[e]], c.label[e], weight[e], remap[c.dst[e]],
-                            wfa.state_names and [wfa.state_names[q] for q in kept])
+                            _stored_names(wfa, kept))
 
 
 def count_accepting_paths(wfa: Wfa) -> int:

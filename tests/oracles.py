@@ -157,17 +157,28 @@ def intersect(a1, a2):
 
 
 def phi_intersect(m1, m2):
-    """Intersection of two phi-automata through the filter transducer.
+    """Intersection of two phi-automata through the filter transducer:
+    :func:`composition`'s machine."""
+    return composition(m1, m2)[0]
+
+
+def composition(m1, m2):
+    """Intersection of two phi-automata through the filter transducer,
+    with the search's own per-state (left, right) direct-label sets and
+    per-phi-edge move kinds keyed by (src, dst) in edge order: (machine,
+    pair labels, moves), both None on an empty product.
 
     Left phi moves keep the right machine in place and vice versa; the
     both-sides move is only allowed from filter state 0, which admits
     exactly one phi path between any pair of composed states.  Inputs
-    must be chain-style (at most one phi per state).
+    must be chain-style (at most one phi per state).  The machine's
+    origin array holds the (left, right, filter) nodes and its operand
+    tables the inputs' arcs, one row per input state.
     """
     a1, a2 = as_phi(m1), as_phi(m2)
     if a1.alphabet != a2.alphabet:
         raise ValueError("alphabet mismatch in intersection")
-    if a1.pair_labels is not None or a2.pair_labels is not None:
+    if a1.operand_labels is not None or a2.operand_labels is not None:
         raise ValueError("composition outputs cannot be composed again")
 
     start = (a1.initial, a2.initial, 0)
@@ -224,7 +235,7 @@ def phi_intersect(m1, m2):
                 alive.add(p)
                 stack.append(p)
     if 0 not in alive:
-        return PhiWfa(a1.alphabet, 1, 0, {}, [], state_names=[start])
+        return PhiWfa(a1.alphabet, 1, 0, {}, [], state_names=np.array([start])), None, None
     remap: dict[int, int] = {}
     kept_nodes = []
     for node, q in ids.items():
@@ -241,9 +252,44 @@ def phi_intersect(m1, m2):
     new_finals = {remap[q]: w for q, w in finals.items()}
     pair_labels = [(frozenset(a1.arcs(n[0])), frozenset(a2.arcs(n[1])))
                    for n in kept_nodes]
+    tables = tuple(np.array([[a in m.arcs(q) for a in m.alphabet] for q in range(m.num_states)],
+                            bool).reshape(m.num_states, len(m.alphabet)) for m in (a1, a2))
     result = PhiWfa(a1.alphabet, len(remap), remap[0], new_finals, ts,
-                    state_names=kept_nodes, pair_labels=pair_labels, phi_moves=moves)
-    return result
+                    state_names=np.array(kept_nodes), operand_labels=tables)
+    return result, pair_labels, moves
+
+
+def pair_at(machine, q):
+    """The (left, right) direct-label sets of state q of a composition
+    output, read off its origin row and the operand tables."""
+    row = machine.origin[q].tolist()
+    return tuple(frozenset(a for a, on in zip(machine.alphabet, table[row[side]].tolist()) if on)
+                 for side, table in enumerate(machine.operand_labels))
+
+
+def move_of(machine, t):
+    """The move kind of phi transition t of a composition output: the
+    sides whose origin column it changes."""
+    a, b = machine.origin[t.src].tolist(), machine.origin[t.dst].tolist()
+    return {(True, False): "left", (False, True): "right",
+            (True, True): "both"}.get((a[0] != b[0], a[1] != b[1]))
+
+
+def composition_metadata(machine):
+    """A composition output's (left, right) direct-label sets per state
+    and move kind per phi edge, keyed by (src, dst) in edge order, read
+    off its arrays one state and one edge at a time; None on any other
+    machine."""
+    if machine.operand_labels is None:
+        return None
+    return ([pair_at(machine, q) for q in range(machine.num_states)],
+            {(t.src, t.dst): move_of(machine, t) for t in machine.transitions if t.label == PHI})
+
+
+def stored_names(machine):
+    """The names to rebuild ``machine`` with: its origin array, else its
+    state names."""
+    return machine.state_names if machine.origin is None else machine.origin
 
 
 def topological_order(wfa):
@@ -444,10 +490,10 @@ def shadow_rows(machine):
     for q in range(machine.num_states):
         if machine.phi_arc(q) is None:
             continue
-        if machine.pair_labels is None:
+        if machine.operand_labels is None:
             reads = set(machine.arcs(q))
         else:
-            left, right = machine.pair_labels[q]
+            left, right = pair_at(machine, q)
             reads = left & right
         for a in sorted(reads):
             sc = shadowed_continuation(machine, q, a)
@@ -1040,7 +1086,7 @@ def power_weights_phi(machine: PhiWfa, eta: float) -> PhiWfa:
     ts = [Transition(t.src, t.label, t.weight ** eta, t.dst) for t in machine.transitions]
     finals = {q: w ** eta for q, w in machine.finals.items()}
     return PhiWfa(machine.alphabet, machine.num_states, machine.initial, finals, ts,
-                  machine.state_names, machine.pair_labels, machine.phi_moves)
+                  stored_names(machine), machine.operand_labels)
 
 
 def weight_push_phi(machine: PhiWfa) -> PhiWfa:
@@ -1061,7 +1107,7 @@ def weight_push_phi(machine: PhiWfa) -> PhiWfa:
             ts.append(t)  # dead region, weight irrelevant but keep indices stable
     finals = {q: w / d[q] for q, w in machine.finals.items() if d[q] > 0.0}
     return PhiWfa(machine.alphabet, machine.num_states, machine.initial, finals, ts,
-                  machine.state_names, machine.pair_labels, machine.phi_moves)
+                  stored_names(machine), machine.operand_labels)
 
 
 # -- the dict-of-rows n-gram code the one probability array replaced -------------------
@@ -1308,10 +1354,10 @@ def resolve_symbol(machine: PhiWfa, state: int, symbol: str,
         phis = machine.phi_arcs(q)
         if not phis:
             return None
-        if machine.pair_labels is None:
+        if machine.operand_labels is None:
             step = phis[0]
         else:
-            left, right = machine.pair_labels[q]
+            left, right = pair_at(machine, q)
             in_left = symbol in left
             in_right = symbol in right
             if in_left and in_right:
@@ -1321,7 +1367,7 @@ def resolve_symbol(machine: PhiWfa, state: int, symbol: str,
             want = "right" if in_left else ("left" if in_right else "both")
             step = None
             for cand in phis:
-                if machine.phi_moves.get((cand.src, cand.dst)) == want:
+                if move_of(machine, cand) == want:
                     step = cand
                     break
             if step is None:
@@ -1334,14 +1380,14 @@ def resolve_symbol(machine: PhiWfa, state: int, symbol: str,
 def reads_directly(machine: PhiWfa, state: int, symbol: str) -> bool:
     """Whether ``state`` reads ``symbol`` without its phi chain.
 
-    A composition state does when both sides define the symbol
-    (``pair_labels``), even if the composed edge was trimmed because no
+    A composition state does when both sides define the symbol (its
+    operand tables), even if the composed edge was trimmed because no
     completion follows it: the symbol is then unreadable there, and the
     chain must not be consulted either.
     """
-    if machine.pair_labels is None:
+    if machine.operand_labels is None:
         return symbol in machine.arcs(state)
-    left, right = machine.pair_labels[state]
+    left, right = pair_at(machine, state)
     return symbol in left and symbol in right
 
 
@@ -1600,13 +1646,10 @@ def level_numbered(machine):
     c = machine.columns
     args = (machine.alphabet, machine.num_states, int(renum[machine.initial]),
             {int(renum[q]): w for q, w in machine.finals.items()}, renum[c.src], c.label,
-            c.weight, renum[c.dst], [machine.state_names[q] for q in order.tolist()])
+            c.weight, renum[c.dst], np.array([machine.state_names[q] for q in order.tolist()]))
     if not isinstance(machine, PhiWfa):
         return Wfa.from_columns(*args)
-    pairs = machine.pair_labels and [machine.pair_labels[q] for q in order.tolist()]
-    moves = machine.phi_moves and {(int(renum[a]), int(renum[b])): kind
-                                   for (a, b), kind in machine.phi_moves.items()}
-    return PhiWfa.from_columns(*args, pairs, moves)
+    return PhiWfa.from_columns(*args, machine.operand_labels)
 
 
 def compile_product(machine, horizon: int):

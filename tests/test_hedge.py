@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -86,6 +87,17 @@ def test_init_rejects_bad_eta():
 def test_horizon_product_refuses_a_horizon_that_is_not_an_integer_of_at_least_one(horizon):
     with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
         horizon_product(length_automaton(2, 3), horizon)
+
+
+@pytest.mark.parametrize("horizon", [math.nan, 0, -3, 2.5, True, "3"])
+@pytest.mark.parametrize("tune", ["fixed", "renyi"])
+def test_tuners_refuse_a_horizon_as_horizon_product_does(tune, horizon):
+    competitor = horizon_product(length_automaton(2, 3), 3)
+    call = {"fixed": lambda: tune_eta_fixed(horizon, 10),
+            "renyi": lambda: tune_eta_renyi(competitor, horizon)}[tune]
+    with pytest.raises(ValueError, match=re.escape(f"horizon must be an integer >= 1, "
+                                                   f"not {horizon!r}")):
+        call()
 
 
 def test_engine_plays_only_a_horizon_product_of_its_horizon():
@@ -663,7 +675,7 @@ def test_renyi_entropy_machine_matches_enumeration():
 
 
 def test_tune_eta_fixed():
-    assert tune_eta_fixed(8 * math.log(100), 100) == pytest.approx(1.0)
+    assert tune_eta_fixed(32, math.exp(4)) == pytest.approx(1.0)  # T = 8 log K
     assert tune_eta_fixed(10, 1) == 1e-6  # clamped floor
     eta = tune_eta_fixed(100, 50)
     bound = lambda e: e * 100 / 8 + math.log(50) / e

@@ -472,6 +472,34 @@ def test_from_columns_rejects_what_the_constructor_rejects(alphabet, ts, by_obje
     assert str(err.value) == by_columns
 
 
+TABLES = (np.ones((3, 2), bool), np.ones((2, 2), bool))
+BAD_OPERANDS = [
+    ("no origin", None, TABLES),
+    ("one origin column", np.zeros((3, 1), np.intp), TABLES),
+    ("three tables", np.zeros((3, 2), np.intp), TABLES + TABLES[:1]),
+    ("a column short", np.zeros((3, 2), np.intp), (TABLES[0][:, :1], TABLES[1])),
+    ("a row past a table", np.array([[0, 0], [1, 2], [2, 1]]), TABLES),
+    ("a negative row", np.array([[0, 0], [-1, 0], [2, 1]]), TABLES),
+]
+
+
+@pytest.mark.parametrize("case, origin, tables", BAD_OPERANDS, ids=[c[0] for c in BAD_OPERANDS])
+def test_operand_labels_need_origin_columns_that_index_them(case, origin, tables):
+    ts = [Transition(0, PHI, 1.0, 1), Transition(0, PHI, 1.0, 2), Transition(1, "a", 1.0, 2)]
+    with pytest.raises(ValueError, match=r"^operand_labels are a \(left, right\) pair"):
+        PhiWfa(AB, 3, 0, {2: 1.0}, ts, origin, tables)
+    with pytest.raises(ValueError, match=r"^operand_labels are a \(left, right\) pair"):
+        PhiWfa.from_columns(AB, 3, 0, {2: 1.0}, *phi_columns(ts, AB), origin, tables)
+    good = PhiWfa(AB, 3, 0, {2: 1.0}, ts, np.array([[0, 0], [1, 1], [2, 1]]), TABLES)
+    assert good.state_names == ((0, 0), (1, 1), (2, 1)) and not good.operand_labels[0].flags.writeable
+
+
+@pytest.mark.parametrize("origin", [np.zeros(3, np.intp), np.zeros((2, 2), np.intp)])
+def test_an_origin_array_has_one_row_per_state(origin):
+    with pytest.raises(ValueError, match="^an origin array has one row per state$"):
+        Wfa.from_columns(AB, 3, 0, {}, [], [], [], [], origin)
+
+
 def test_from_columns_rejects_labels_below_phi():
     with pytest.raises(ValueError, match="^unknown symbol id -2 on transition 0$"):
         PhiWfa.from_columns(AB, 2, 0, {}, [0], [-2], [1.0], [1])

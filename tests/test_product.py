@@ -6,14 +6,16 @@ compiled by ``oracles.compile_product``).
 
 ``intersect`` and ``phi_intersect`` must reproduce the queue-based
 constructions field by field (state numbering, transition order, finals,
-state names, and for phi products the per-state label sets and phi move
-kinds), and ``topological_order`` / ``count_accepting_paths`` the FIFO
+state names, and for phi products the operand label tables, with the
+direct reads and phi move kinds read off them), and ``topological_order`` / ``count_accepting_paths`` the FIFO
 Kahn sort, on machines with dead and unreachable states, cycles, empty
 products, alphabets past 26 symbols (where sorted label order differs
 from alphabet order) and duplicated labels.
 """
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,11 +23,12 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from wfa_hedge import hedge
+from wfa_hedge import hedge, phi
 from wfa_hedge.approx import divergence_inf, kl_divergence, prod_eg, select_order
 from wfa_hedge.builders import exact_shift_automaton, length_automaton, weighted_shift_automaton
+from wfa_hedge.harness import ExperimentConfig, run_experiment
 from wfa_hedge.hedge import (HedgeState, best_competitor, hedge_init, hedge_step, log_power_sum,
-                             renyi_entropy_machine, tune_eta_renyi, unweighted_regret,
+                             renyi_entropy_machine, summarize, tune_eta_renyi, unweighted_regret,
                              weighted_regret)
 from wfa_hedge.ngram import (_context_product, bigram_phi_machine, fixed_share_bigram,
                              minimax_unigram, ml_ngram, uniform_model)
@@ -40,6 +43,7 @@ from wfa_hedge.wfa import (CyclicAutomatonError, Transition, Wfa, _edge_marginal
 
 import oracles
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SEEDS = st.integers(0, 2**32 - 1)
 ALPHABETS = st.sampled_from([default_alphabet(3), default_alphabet(30)])
 
@@ -143,15 +147,80 @@ def test_hedge_init_on_a_phi_machine_builds_no_transition_objects(request):
     assert len(state.machine.transitions) == len(built) == len(state.machine.columns.src)
 
 
+def test_the_engine_path_builds_no_state_name_tuples(monkeypatch):
+    # Runs of both engine-path configs and the engine benchmark's two
+    # machines read every product through its arrays: none builds the
+    # tuples of its origin rows.
+    made = []
+    set_header = Wfa._set_header
+
+    def recorded(self, *args):
+        made.append(self)
+        set_header(self, *args)
+
+    monkeypatch.setattr(Wfa, "_set_header", recorded)
+    for name in ("fixed_share_phi", "kshift_tracking"):
+        with open(CONFIGS / f"{name}.json") as f:
+            run_experiment(ExperimentConfig.from_dict(json.load(f)))
+    kshift = exact_shift_automaton(10, 5)
+    count_accepting_paths(intersect(kshift, length_automaton(10, 200)))  # the benchmark's K
+    for machine, horizon in ((kshift, 200),
+                             (bigram_phi_machine(fixed_share_bigram(30, 3, 300)), 300)):
+        state = hedge_init(machine, horizon, 0.1)
+        for _ in range(horizon):
+            hedge_step(state, np.zeros(len(machine.alphabet)))
+        summarize(state)
+    products = [m for m in made if m.origin is not None]
+    assert len(products) >= 7 and sum(m.compiled is not None for m in products) >= 6
+    assert sum(isinstance(m, PhiWfa) for m in products) >= 2
+    assert all(m._names is None for m in products)
+
+
 # -- phi products --------------------------------------------------------------------
 
 
 def assert_same_phi_machine(got, want):
     assert_same_machine(got, want)
-    assert got.pair_labels == want.pair_labels
-    assert got.phi_moves == want.phi_moves
-    if got.phi_moves is not None:
-        assert list(got.phi_moves) == list(want.phi_moves)  # in edge order
+    assert got.origin.tobytes() == want.origin.tobytes()
+    assert (got.operand_labels is None) == (want.operand_labels is None)
+    for a, b in zip(got.operand_labels or (), want.operand_labels or ()):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    got_meta, want_meta = oracles.composition_metadata(got), oracles.composition_metadata(want)
+    assert got_meta == want_meta
+    if got_meta is not None:
+        assert list(got_meta[1]) == list(want_meta[1])  # in edge order
+
+
+def assert_arrays_read_as_the_search(machine, pairs, moves):
+    """The direct reads per (state, symbol) and the move kind per phi
+    edge that the chain walker reads off a composition output's arrays,
+    against the product search's own label-set pairs and move dict (keyed
+    by (src, dst), in edge order); and the phi edge the walker's
+    resolving step takes per (state, symbol) against the rule applied to
+    those."""
+    chains, n_sym = phi._chains(machine), len(machine.alphabet)
+    q = np.repeat(np.arange(machine.num_states), n_sym)
+    a = np.tile(np.arange(n_sym), machine.num_states)
+    symbols = [machine.alphabet[i] for i in a.tolist()]
+    left, right = chains.defines(q, a)
+    assert left.tolist() == [s in pairs[i][0] for i, s in zip(q.tolist(), symbols)]
+    assert right.tolist() == [s in pairs[i][1] for i, s in zip(q.tolist(), symbols)]
+    assert chains.reads(machine, q, a)[1].tolist() == (left & right).tolist()
+    c = machine.columns
+    pid = np.flatnonzero(c.label < 0)
+    changed = machine.origin[c.src[pid], :2] != machine.origin[c.dst[pid], :2]
+    kinds = {(True, False): "left", (False, True): "right", (True, True): "both"}
+    got = {(s, d): kinds[k] for s, d, k in zip(c.src[pid].tolist(), c.dst[pid].tolist(),
+                                                map(tuple, changed.tolist()))}
+    assert list(got.items()) == list(moves.items())
+    step = chains.resolving_step(machine, q, a).tolist()
+    for i, s, e in zip(q.tolist(), symbols, step):
+        in_left, in_right = s in pairs[i][0], s in pairs[i][1]
+        if in_left and in_right:  # read directly: no step is taken
+            continue
+        want = "right" if in_left else ("left" if in_right else "both")
+        first = [j for j in pid.tolist() if c.src[j] == i and moves[(i, c.dst[j])] == want]
+        assert e == (first[0] if first else -1)
 
 
 def phi_operand(rng, kind, alphabet, labels, horizon):
@@ -341,6 +410,39 @@ def test_unroll_draws_cover_every_family_and_the_filter_split():
                 seen.add((family, split))
     assert {(f, False) for f in PLAIN_FAMILIES + PHI_FAMILIES} <= seen
     assert ("chain", True) in seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=SEEDS, alphabet=ALPHABETS,
+       kinds=st.tuples(st.sampled_from(["chain", "converted"]),
+                       st.sampled_from(["chain", "converted", "plain", "length"])),
+       horizon=st.integers(1, 6), family=st.sampled_from(PHI_FAMILIES))
+def test_direct_reads_and_move_kinds_read_off_the_arrays_match_the_search(
+        seed, alphabet, kinds, horizon, family):
+    # A phi product's origin array and operand tables against the queue
+    # search's frozenset pairs and move dict; a horizon product's against
+    # those of the search's state with the same (competitor state, level).
+    m1, m2 = phi_product_pair(seed, alphabet, kinds, horizon)
+    got, (_, pairs, moves) = phi_intersect(m1, m2), oracles.composition(m1, m2)
+    if pairs is not None:
+        assert_arrays_read_as_the_search(got, pairs, moves)
+    machine = competitor(np.random.default_rng(seed), family, alphabet)
+    try:
+        got = hedge.horizon_product(machine, horizon)
+    except ValueError:
+        return
+    if not isinstance(got, PhiWfa):  # the competitor has no phi edge
+        return
+    want, pairs, moves = oracles.composition(machine, length_automaton(
+        len(machine.alphabet), horizon, alphabet=machine.alphabet))
+    at = [name[:2] for name in want.state_names]
+    pair_of, names = dict(zip(at, pairs)), [name for name in got.state_names]
+    move_of = {(at[s], at[d]): kind for (s, d), kind in moves.items()}
+    c = got.columns
+    assert_arrays_read_as_the_search(
+        got, [pair_of[name] for name in names],
+        {(s, d): move_of[names[s], names[d]]
+         for s, d in zip(c.src[c.label < 0].tolist(), c.dst[c.label < 0].tolist())})
 
 
 LONG_CASES = ["alternating", "late_kshift", "last_repeat", "dead_loop", "phi_shift"]

@@ -668,7 +668,7 @@ def same_machine(got, want):
                                                            want.initial)
     assert got.state_names == want.state_names
     if isinstance(want, PhiWfa):
-        assert (got.pair_labels, got.phi_moves) == (want.pair_labels, want.phi_moves)
+        assert oracles.composition_metadata(got) == oracles.composition_metadata(want)
     assert list(got.finals) == list(want.finals)
     assert np.allclose(list(got.finals.values()), list(want.finals.values()), rtol=1e-12, atol=0)
     for a, b in zip(got.columns, want.columns):
@@ -698,9 +698,8 @@ def test_linear_helpers_match_dict_walks(seed, form, eta, empty):
     if empty:
         machine = type(machine).from_columns(
             machine.alphabet, machine.num_states, machine.initial,
-            dict.fromkeys(machine.finals, 0.0), *machine.columns, machine.state_names,
-            **({"pair_labels": machine.pair_labels, "phi_moves": machine.phi_moves}
-               if isinstance(machine, PhiWfa) else {}))
+            dict.fromkeys(machine.finals, 0.0), *machine.columns, oracles.stored_names(machine),
+            **({"operand_labels": machine.operand_labels} if isinstance(machine, PhiWfa) else {}))
     if isinstance(machine, PhiWfa):
         helpers = phi_backward_distances, weight_push_phi, power_weights_phi
         walks = oracles.phi_backward_distances, oracles.weight_push_phi, oracles.power_weights_phi
