@@ -40,9 +40,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .phi import PhiWfa, _direct_labels, _phi_chain_depth, _shadow_corrections
+from .phi import PhiWfa, _direct_labels, _phi_chain_depth
 from .wfa import (NEG_INF, Wfa, _Topo, _compiled, _edge_logs, _edge_marginals,
-                  _final_weights, _label_ranks, _ranges, _sorted_arcs, exact_logs,
+                  _final_weights, _find_arcs, _label_ranks, _ranges, _sorted_arcs, exact_logs,
                   leveled_best_path, log_power_sum)
 
 __all__ = [
@@ -470,18 +470,18 @@ def horizon_product(competitor: Machine, horizon: int) -> Machine:
     Only the levels that change are computed: once a level repeats the
     one before it, it is shared up to the horizon, and once the sweep's
     live states repeat on it, they are shared down to its first copy.
-    States are numbered level by level, each level in the order in which
-    the breadth-first search of :func:`~wfa_hedge.wfa.intersect` or
-    :func:`~wfa_hedge.phi.phi_intersect` numbers them, and each state's
-    edges follow in sorted label order; a plain product equals that
-    intersection; its ``origin`` rows are (competitor state, level).  A
-    phi product's ``operand_labels`` are the competitor's and the
-    acceptor's, which reads every symbol before level T and none at T: a
-    state reads a symbol directly when its competitor state has the arc,
-    even if the product trimmed the edge.  Where ``phi_intersect`` keeps
-    a state reached by an arc apart from the same state reached by a phi
-    edge, the unroll has one.  The shadow corrections are the
-    competitor's, laid over each level's live states.
+    States are numbered level by level, each level in increasing
+    competitor state, and each state's edges follow in sorted label
+    order; a plain product equals :func:`~wfa_hedge.wfa.intersect` with
+    the length-T acceptor up to that renumbering; its ``origin`` rows are
+    (competitor state, level).  A phi product's ``operand_labels`` are
+    the competitor's and the acceptor's, which reads every symbol before
+    level T and none at T: a state reads a symbol directly when its
+    competitor state has the arc, even if the product trimmed the edge.
+    Where ``phi_intersect`` keeps a state reached by an arc apart from the
+    same state reached by a phi edge, the unroll has one.  The shadow
+    corrections are the competitor's, found down its phi chains to their
+    end and laid over each level's live states.
     """
     _check_horizon(horizon)
     phi = isinstance(competitor, PhiWfa) and competitor.has_phi()
@@ -508,17 +508,17 @@ def _unroll(competitor: Machine, horizon: int, phi: bool):
     its shadow correction rows and the competitor transition of each of
     its edges.
 
-    A level is settled when the next one holds its states in the same
-    order, with the same tail ranks and every distance one step on: all
-    later keys then shift by one constant, so its tuple is shared up to
-    the horizon.  The trim maps live states through shared levels by one
-    function, so once two neighbours agree it shares them down to the
+    Each level is a set of competitor states, kept sorted, and the next
+    level is a function of that set alone: once the next level is the
+    same set, every later one is too, so this level's tuple is shared up
+    to the horizon.  The trim maps live states through shared levels by
+    one function, so once two neighbours agree it shares them down to the
     first copy."""
     c, n_q, n_sym = competitor.columns, competitor.num_states, len(competitor.alphabet)
     # Arcs by source and label rank; the first of a repeated (source, label) wins.
     arc_key, arc = _sorted_arcs(competitor, _label_ranks(competitor.alphabet)[1])
     arc_off = np.searchsorted(arc_key, np.arange(n_q + 1) * n_sym)
-    arc_deg, arc_rank, arc_dst = np.diff(arc_off), arc_key - c.src[arc] * n_sym, c.dst[arc]
+    arc_deg, arc_dst = np.diff(arc_off), c.dst[arc]
     # walk[j, q]: the state j phi edges down q's chain, n_q past its end.
     pid = np.flatnonzero(c.label < 0)
     phi_edge, phi_to = np.full(n_q, -1, np.intp), np.full(n_q + 1, n_q, np.intp)
@@ -527,59 +527,38 @@ def _unroll(competitor: Machine, horizon: int, phi: bool):
     while (walk[-1] < n_q).any():
         walk.append(phi_to[walk[-1]])
     walk = np.array(walk[:-1])
-    k = len(walk)
-    slot = np.empty(n_q + 1, np.intp)  # a state's index in the level being numbered
-    slot[n_q] = -1
 
-    # Each level is numbered in the product search's order: by the length
-    # of the shortest path to a state (phi edges count), then by the
-    # path's arcs, a state's consuming arcs in label order before its phi
-    # edge.  Within a level that is the key dist * m + tail, where tail
-    # ranks (the source's tail, the label, the phi edges taken since) and
-    # m bounds it.  Without phi edges the arcs arrive in key order.
-    def enter(x, key, m):
-        """The level entered at states ``x`` with keys ``key``, phi chains
-        included: its states in key order, their distances and tail ranks."""
-        if k > 1:
-            s = walk[:, x]
-            key = key + (m + 1) * np.arange(k)[:, None]  # j phi edges: dist + j, tail + j
-            on = s < n_q
-            by_key = np.argsort(key[on], kind="stable")
-            x, key = s[on][by_key], key[on][by_key]
-        at = np.arange(len(x))
-        slot[x[::-1]] = at[::-1]  # each state's first (best) key
-        first = slot[x] == at
-        x, key, at = x[first], key[first], at[:np.count_nonzero(first)]
-        slot[x] = at
-        if k == 1:
-            return x, key // m, at
-        tail = np.empty(len(x), np.intp)
-        tail[np.argsort(key % m, kind="stable")] = at
-        return x, key // m, tail
+    def enter(x):
+        """The level entered at states ``x``: they and their phi chains,
+        sorted, each once: a sort, not ``np.unique``, whose first plain
+        call loads about 1.6 MB (numpy 2.4)."""
+        s = np.sort(walk[:, x], axis=None)
+        s = s[:np.searchsorted(s, n_q)]
+        return s[np.diff(s, prepend=-1) > 0]
 
-    # Per level: its competitor states, each one's phi target (level index,
-    # -1: none), and its arcs: owner, arc and target (next level's index).
+    # Per level: its competitor states in increasing order, each one's phi
+    # target (level index, -1: none), and its arcs: owner, arc and target
+    # (next level's index).
     levels, settled = [], horizon
-    states, dist, tail = enter(np.array([competitor.initial]), np.zeros(1, np.intp), n_sym * k)
+    states = enter(np.array([competitor.initial]))
     for t in range(horizon + 1):
-        phi_at = slot[phi_to[states]]
+        to = phi_to[states]
+        phi_at = np.where(to < n_q, np.searchsorted(states, to), -1)
         if t == horizon:
             levels.append((states, phi_at))
             break
         e = _ranges(arc_off[states], arc_off[states + 1])
         if not e.size:
             raise ValueError("no competitor sequence of this length")
-        owner = np.repeat(np.arange(len(states)), arc_deg[states])
-        m = len(states) * n_sym * k
         x = arc_dst[e]
-        nxt = enter(x, (dist[owner] + 1) * m + (tail[owner] * n_sym + arc_rank[e]) * k, m)
-        levels.append((states, phi_at, owner, e, slot[x]))
-        if (np.array_equal(nxt[0], states) and np.array_equal(nxt[2], tail)
-                and np.ptp(nxt[1] - dist) == 0):
+        nxt = enter(x)
+        levels.append((states, phi_at, np.repeat(np.arange(len(states)), arc_deg[states]), e,
+                       np.searchsorted(nxt, x)))
+        if np.array_equal(nxt, states):
             settled = t  # every later level repeats this one
             levels += [levels[-1]] * (horizon - 1 - t) + [(states, phi_at)]
             break
-        states, dist, tail = nxt
+        states = nxt
 
     # Trim: a state is live when an arc or its phi edge leads to a live
     # one.  Each level keeps the arcs into live states, and marks them.
@@ -597,7 +576,7 @@ def _unroll(competitor: Machine, horizon: int, phi: bool):
             levels[t] = (states, phi_at, owner[on], e[on], dst[on], on)
             live = np.zeros(len(states), bool)
             live[owner[on]] = True
-        for _ in range(k - 1):
+        for _ in range(len(walk) - 1):
             live |= (phi_at >= 0) & live[phi_at]
         lives[t] = live
         if settled < t < horizon and np.array_equal(live, lives[t + 1]):
@@ -638,19 +617,28 @@ def _unroll(competitor: Machine, horizon: int, phi: bool):
     psrc_u = psrc_u[live[phi_u[psrc_u]]]
     psrc, pdst = new_id[psrc_u], new_id[phi_u[psrc_u]]
 
-    # The competitor's rows at each live state before level T: the chain
-    # state r that the row's edge leaves is `steps` phi edges down, and
-    # that edge is r's arc in the same place among r's arcs.
-    row_q, row_e, row_w = _shadow_corrections(competitor)
-    steps = (walk[:, row_q] == c.src[row_e]).argmax(axis=0)
+    # Shadow rows: for each arc of a competitor state with a phi edge, in
+    # label order, the first arc with its label down the chain, and the
+    # product of the phi weights down to it.
+    own = arc[phi_to[c.src[arc]] < n_q]
+    row_e, row_w = np.full(len(own), -1, np.intp), np.zeros(len(own))
+    at, q, w = np.arange(len(own)), c.src[own], np.ones(len(own))
+    for up, down in zip(walk[:-1], walk[1:]):
+        w = w * c.weight[phi_edge[up[q]]]
+        row_e[at], row_w[at] = _find_arcs(competitor, down[q], c.label[own[at]]), w
+        on = (row_e[at] < 0) & (phi_to[down[q]] < n_q)  # not found, and the chain goes on
+        at, q, w = at[on], q[on], w[on]
+    hit = row_e >= 0
+    row_q, row_e, row_w = c.src[own[hit]], row_e[hit], row_w[hit]
+    # Laid over each live state before level T: the shadowed edge leaves
+    # the same level's copy of its source, found by the key (level,
+    # competitor state) in which the untrimmed states are sorted.
     row_off = np.searchsorted(row_q, np.arange(n_q + 1))
     s = np.flatnonzero(live[:u_off[horizon]])
     row = _ranges(row_off[origin[s]], row_off[origin[s] + 1])
     s = np.repeat(s, np.diff(row_off)[origin[s]])
-    r = s.copy()
-    for j in range(1, k):
-        on = steps[row] >= j
-        r[on] = phi_u[r[on]]
+    key = np.repeat(np.arange(horizon + 1) * n_q, np.diff(u_off)) + origin
+    r = np.searchsorted(key, key[s] - origin[s] + c.src[row_e[row]])
     arc_pos = np.empty(len(c.src), np.intp)
     arc_pos[arc] = np.arange(len(arc))
     edge_start = np.concatenate(([0], np.cumsum(arc_deg[origin[:u_off[horizon]]])))

@@ -391,27 +391,6 @@ def shadowed_continuation(machine: PhiWfa, state: int, symbol: str,
     return None if edge[0] < 0 else (float(w[0]), machine.transitions[edge[0]])
 
 
-def _shadow_corrections(machine: PhiWfa) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows (state, shadowed edge, phi chain weight) of a chain-style
-    machine, as arrays of state ids, transition indices and weights.
-
-    For every symbol a state with a phi edge reads by its own arc, the
-    first edge with that symbol further down the phi chain, and the
-    product of the phi weights down to it: :func:`shadowed_continuation`
-    for all such (state, symbol) pairs at once, ordered by state and then
-    symbol in sorted-string order.
-    """
-    c, chains = machine.columns, _chains(machine)
-    rank = _label_ranks(machine.alphabet)[1]
-    own = np.flatnonzero((c.label >= 0) & (chains.first >= 0)[c.src])
-    own = own[np.lexsort((rank[c.label[own]], c.src[own]))]
-    state, phi = c.src[own], chains.first[c.src[own]]
-    shadowed, chain_w = chains.walk(machine, c.dst[phi], c.label[own], c.weight[phi],
-                                    MAX_PHI_CHAIN, state)
-    hit = np.flatnonzero(shadowed >= 0)
-    return state[hit], shadowed[hit], chain_w[hit]
-
-
 def evaluate_phi(machine: PhiWfa, sequence: Sequence[str]) -> float:
     """Weight of ``sequence`` under failure-transition semantics."""
     q = machine.initial
@@ -455,10 +434,12 @@ def phi_expand(machine: PhiWfa, max_chain: int = MAX_PHI_CHAIN) -> Wfa:
 
 def _resolved(machine: PhiWfa) -> Wfa:
     """The plain machine on the same states whose arcs are the nonzero
-    resolutions of every (state, symbol): its paths are the legal ones."""
+    resolutions of every (state, symbol): its paths are the legal ones.
+    Every chain is walked to its end: a machine refuses phi cycles when it
+    is built, so none is longer than ``max_phi_chain_depth()``."""
     topological_order(machine)  # raises CyclicAutomatonError on any cycle, phi edges included
     src, dst, (label, weight) = _chains(machine).resolve(machine, np.arange(machine.num_states),
-                                                         MAX_PHI_CHAIN)
+                                                         machine.max_phi_chain_depth())
     return Wfa.from_columns(machine.alphabet, machine.num_states, machine.initial, machine.finals,
                             src, label, weight, dst)
 

@@ -1636,50 +1636,55 @@ def horizon_product(competitor, horizon: int):
 
 
 def level_numbered(machine):
-    """A length-T intersection with its states renumbered by the level in
-    their names, stably, as compile_product numbers them: a compiled
-    machine's state ids are its product's."""
-    level = np.fromiter((name[1] for name in machine.state_names), np.intp, machine.num_states)
-    order = np.argsort(level, kind="stable")
+    """A length-T intersection with its states renumbered by (level,
+    competitor state), the first two fields of their names, as the
+    unroll numbers them; ties (a filter split) keep their order.  The
+    consuming edges come first and then the phi edges, each stably by
+    source, as the unroll lays them out."""
+    names = machine.state_names
+    q = np.fromiter((name[0] for name in names), np.intp, machine.num_states)
+    level = np.fromiter((name[1] for name in names), np.intp, machine.num_states)
+    order = np.lexsort((q, level))
     renum = np.empty(len(order), np.intp)
     renum[order] = np.arange(len(order))
     c = machine.columns
+    src, dst = renum[c.src], renum[c.dst]
+    by_src = np.lexsort((src, c.label < 0))
     args = (machine.alphabet, machine.num_states, int(renum[machine.initial]),
-            {int(renum[q]): w for q, w in machine.finals.items()}, renum[c.src], c.label,
-            c.weight, renum[c.dst], np.array([machine.state_names[q] for q in order.tolist()]))
+            dict(sorted((int(renum[s]), w) for s, w in machine.finals.items())), src[by_src],
+            c.label[by_src], c.weight[by_src], dst[by_src],
+            np.array([names[s] for s in order.tolist()]))
     if not isinstance(machine, PhiWfa):
         return Wfa.from_columns(*args)
     return PhiWfa.from_columns(*args, machine.operand_labels)
 
 
 def compile_product(machine, horizon: int):
-    """A length-T intersection as a CompiledMachine: its states re-sorted
-    by the level in their names, and its shadow corrections taken from
-    shadow_rows on the whole product."""
+    """A length-T intersection as a CompiledMachine of
+    ``level_numbered(machine)``, whose state and transition ids it uses,
+    and its shadow corrections taken from shadow_rows on that whole
+    product."""
     from wfa_hedge.hedge import CompiledMachine
     from wfa_hedge.phi import _phi_chain_depth
     self = CompiledMachine.__new__(CompiledMachine)
+    machine = level_numbered(machine)
     cols, n_s = machine.columns, machine.num_states
     # Intersection states are (competitor state, length-acceptor
     # state, ...) tuples, and the length-acceptor state is the level.
     level = np.fromiter((name[1] for name in machine.state_names), np.intp, n_s)
-    order = np.argsort(level, kind="stable")
-    renum = np.empty(n_s, np.intp)
-    renum[order] = np.arange(n_s)
-    level = level[order]  # by new id
     self.level = level.astype(np.int32)
     self.level.flags.writeable = False
     self.alphabet, self.weight = machine.alphabet, cols.weight
     self.horizon = horizon
     self.num_states = n_s
-    self.initial = int(renum[machine.initial])
+    self.initial = machine.initial
     self.state_off = np.searchsorted(level, np.arange(horizon + 2))
 
-    src, dst, label = renum[cols.src], renum[cols.dst], cols.label
+    src, dst, label = cols.src, cols.dst, cols.label
     self.log_w = np.array([math.log(w) if w > 0 else -math.inf for w in cols.weight.tolist()])
     self.final = np.zeros(n_s)
     for q, w in machine.finals.items():
-        self.final[renum[q]] = w
+        self.final[q] = w
 
     # Consuming edges, then the shadow corrections of phi machines.
     rows = shadow_rows(machine) if isinstance(machine, PhiWfa) else []
@@ -1687,7 +1692,7 @@ def compile_product(machine, horizon: int):
     shadowed = np.array([r[1] for r in rows], np.intp)
     chain_w = np.array([r[2] for r in rows], float)
     real = np.flatnonzero(label >= 0)
-    self.src = np.concatenate([src[real], renum[shadowing]])
+    self.src = np.concatenate([src[real], shadowing])
     self.dst = dst[np.concatenate([real, shadowed])] - self.state_off[level[self.src] + 1]
     tid = np.concatenate([real, shadowed])
     coef = np.concatenate([np.ones(len(real)), -chain_w])

@@ -397,15 +397,46 @@ def test_phi_chain_depth_cap():
 
 
 
-def test_engine_rejects_shadow_walks_past_the_chain_cap():
-    from wfa_hedge.hedge import hedge_init
-    from wfa_hedge.phi import PhiChainError
+def deep_chain(n, loop):
+    """States 0..n-1 on one phi chain, 0 and n-1 reading 'a' into state
+    n, which is final; n-1 also reads 'b'.  With ``loop``, n reads 'a'
+    back into 0 and 'b' into itself."""
+    ts = [Transition(i, PHI, 0.9, i + 1) for i in range(n - 1)]
+    ts += [Transition(0, "a", 0.5, n), Transition(n - 1, "a", 1.0, n),
+           Transition(n - 1, "b", 0.8, n)]
+    if loop:
+        ts += [Transition(n, "a", 0.4, 0), Transition(n, "b", 0.6, n)]
+    return PhiWfa(("a", "b"), n + 1, 0, {n: 1.0}, ts, state_names=range(n + 1))
+
+
+def test_phi_path_sums_walk_chains_past_the_default_cap():
+    # 19 phi edges, past resolve_symbol's default cap of 16: the path sums
+    # walk the machine's own chains to their end.
     n = 20
-    ts = [Transition(i, PHI, 1.0, i + 1) for i in range(n - 1)]
-    ts += [Transition(0, "a", 1.0, n), Transition(n - 1, "a", 1.0, n)]
-    p = PhiWfa(("a",), n + 1, 0, {n: 1.0}, ts)
-    with pytest.raises(PhiChainError, match="exceeds 16 from state 0"):
-        hedge_init(p, 1, 0.5)
+    p = deep_chain(n, loop=False)
+    assert p.max_phi_chain_depth() == n - 1
+    expanded = phi_expand(p, max_chain=n)
+    want = {expanded.state_names[q]: d for q, d in backward_distances(expanded).items()}
+    got = phi_backward_distances(p)
+    assert {q: got[q] for q in want} == want
+    assert want[0] == pytest.approx(0.5 + 0.9 ** (n - 1) * 0.8, rel=1e-15)
+    pushed = weight_push_phi(p)
+    assert phi_backward_distances(pushed)[0] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_engine_plays_phi_chains_past_the_default_cap():
+    # The shadow rows come from the unroll's own chain table, so a chain
+    # of 19 phi edges plays as the expanded product search does.
+    from wfa_hedge.hedge import hedge_init, hedge_step
+    n, horizon, eta = 20, 4, 0.7
+    p = deep_chain(n, loop=True)
+    product = phi_expand(oracles.horizon_product(p, horizon), max_chain=n)
+    losses = np.random.default_rng(5).random((horizon, 2))
+    want = oracles.brute_distributions(enumerate_support(product), eta, losses, p.alphabet)
+    state = hedge_init(p, horizon, eta)
+    got = [state.p_current] + [hedge_step(state, loss) for loss in losses[:-1]]
+    assert np.abs(np.array(got) - np.array(want)).max() <= 1e-12
+    assert state.K == count_accepting_paths(product)
 
 
 def test_trimmed_direct_edges_still_shadow_the_chain():

@@ -2,7 +2,8 @@
 engine's shadow corrections against the per-edge reference
 implementations in ``oracles``, and the engine's unrolled length-T
 product against the intersection it replaces (``oracles.horizon_product``
-compiled by ``oracles.compile_product``).
+renumbered by (level, competitor state) in ``oracles.level_numbered``
+and compiled by ``oracles.compile_product``).
 
 ``intersect`` and ``phi_intersect`` must reproduce the queue-based
 constructions field by field (state numbering, transition order, finals,
@@ -32,8 +33,8 @@ from wfa_hedge.hedge import (HedgeState, best_competitor, hedge_init, hedge_step
                              weighted_regret)
 from wfa_hedge.ngram import (_context_product, bigram_phi_machine, fixed_share_bigram,
                              minimax_unigram, ml_ngram, uniform_model)
-from wfa_hedge.phi import (PHI, PhiWfa, _shadow_corrections, phi_convert, phi_expand,
-                           phi_intersect, reads_directly)
+from wfa_hedge.phi import (PHI, PhiWfa, phi_convert, phi_expand, phi_intersect,
+                           reads_directly)
 from wfa_hedge.sleeping import sleeping_regret, worst_comparator
 from wfa_hedge.wfa import (CyclicAutomatonError, Transition, Wfa, _edge_marginals,
                            _final_weights, _ranges, backward_distances, count_accepting_paths,
@@ -278,8 +279,6 @@ def test_compiled_corrections_match_shadowed_continuation(seed, size, horizon):
     alphabet = default_alphabet(3)
     machine = oracles.random_phi_wfa(rng, size, alphabet, edge_prob=0.7, phi_prob=0.7,
                                      final_prob=0.5, cyclic=True)
-    rows = [tuple(a.tolist()) for a in _shadow_corrections(machine)]
-    assert list(zip(*rows)) == oracles.shadow_rows(machine)
     try:
         product = hedge.horizon_product(machine, horizon)
     except ValueError:
@@ -336,6 +335,13 @@ def assert_same_compiled(got, want):
         assert a.tobytes() == b.tobytes(), (ids, column)
 
 
+def assert_levels_increase(product):
+    """Each level's competitor states strictly increase."""
+    q, level = product.origin.T
+    assert ((np.diff(q) > 0) | (np.diff(level) > 0)).all()
+    assert (np.diff(level) >= 0).all()
+
+
 def same_language(got, want):
     """The weighted languages of two products, phi chains expanded."""
     def support(m):
@@ -351,7 +357,8 @@ def same_language(got, want):
        horizon=st.integers(1, 6), eta=st.sampled_from([0.3, 1.0, 2.5]))
 def test_unroll_matches_the_product_search(seed, alphabet, family, horizon, eta):
     # The unrolled product against the competitor intersected with the
-    # length acceptor and compiled from the intersection's state names.
+    # length acceptor, renumbered by (level, competitor state) and
+    # compiled from the intersection's state names.
     rng = np.random.default_rng(seed)
     machine = competitor(rng, family, alphabet)
     try:
@@ -364,6 +371,7 @@ def test_unroll_matches_the_product_search(seed, alphabet, family, horizon, eta)
     # One exact-log column, taken from the competitor's, read by the compile.
     assert got._logs is not None and got.compiled.log_w is got._logs
     assert np.array_equal(got._logs, exact_logs(got.columns.weight))
+    want = oracles.level_numbered(want)
     want.compiled = oracles.compile_product(want, horizon)
     same_language(got, want)
     if not isinstance(want, PhiWfa):
@@ -375,17 +383,16 @@ def test_unroll_matches_the_product_search(seed, alphabet, family, horizon, eta)
     # phi_intersect keeps a state reached by an arc apart from the same
     # state reached by a phi edge; the unroll merges the two.
     assert got.num_states == len(pairs)
+    assert_levels_increase(got)
     assert got.compiled.count_paths() == want.compiled.count_paths()
     assert got.compiled.backward(1.0)[1] == pytest.approx(want.compiled.backward(1.0)[1],
                                                           rel=0, abs=1e-12)
     losses = rng.random((horizon, len(machine.alphabet)))
     if got.compiled.count_paths():
-        ref = oracles.level_numbered(want)
-        ref.compiled = oracles.compile_product(ref, horizon)
         for weighted in (False, True):
             a, b = (leveled_best_path(m, hedge._path_scores(m, -losses, weighted),
                                       exact_logs(_final_weights(m)[1]) if weighted else None)
-                    for m in (got, ref))
+                    for m in (got, want))
             assert a.sequence == b.sequence
             assert a.value == pytest.approx(b.value, rel=0, abs=1e-12)
         a, b = (HedgeState(m, horizon, eta) for m in (got, want))
@@ -454,8 +461,8 @@ def long_competitor(rng, case, alphabet, horizon):
     none repeats; a k-shift, whose finals need every shift, so the trim
     settles k levels before the horizon; a path into a loop, whose last
     level is the first repeat; a loop without a final state; a phi chain
-    whose level 1 holds level 0's states in its order, but at distances
-    not one step on, so level 2 reorders them."""
+    whose level 1 holds level 0's states, reached by paths of other
+    lengths and in another order, so the unroll settles at level 0."""
     a, b = alphabet[:2]
     if case == "alternating":
         return Wfa(alphabet, 2, 0, {0: 1.0, 1: 0.5},
@@ -497,14 +504,16 @@ def test_unroll_matches_the_product_search_at_long_horizons(seed, alphabet, case
             hedge.horizon_product(machine, horizon)
         return
     got = hedge.horizon_product(machine, horizon)
+    want = oracles.level_numbered(want)
     want.compiled = oracles.compile_product(want, horizon)
     if not isinstance(want, PhiWfa):
         assert_same_machine(got, want)
-    pairs = [name[:2] for name in oracles.level_numbered(want).state_names]
+    pairs = [name[:2] for name in want.state_names]
     if len(set(pairs)) == len(pairs):
         assert_same_compiled(got.compiled, want.compiled)
-    else:  # a filter split, which the unroll merges where the search first numbers it
+    else:  # a filter split, which the unroll merges into one state
         assert [name[:2] for name in got.state_names] == list(dict.fromkeys(pairs))
+        assert_levels_increase(got)
         assert got.compiled.count_paths() == want.compiled.count_paths()
         assert got.compiled.log_Z == pytest.approx(want.compiled.log_Z, rel=0, abs=1e-12)
 
@@ -527,11 +536,16 @@ def forward_steps(monkeypatch, machine, horizon):
 def test_the_unroll_computes_only_the_levels_that_change(monkeypatch):
     # A settled level is copied to the horizon, so the work of the forward
     # loop does not grow with it; levels that never repeat each cost a step.
-    for build, horizon in ((lambda t: exact_shift_automaton(10, 5), 200),
-                           (lambda t: bigram_phi_machine(fixed_share_bigram(30, 3, t)), 300)):
+    # A level settles as soon as the next one holds the same competitor
+    # states, whatever paths reach them.
+    for build, horizon, gathered in ((lambda t: exact_shift_automaton(10, 5), 200, 7),
+                                     (lambda t: bigram_phi_machine(fixed_share_bigram(30, 3, t)),
+                                      300, 2)):
         steps = [forward_steps(monkeypatch, build(t), t) for t in (horizon, 2 * horizon)]
-        assert steps[0] == steps[1] <= 10, steps
-    alternating = long_competitor(None, "alternating", default_alphabet(3), 0)
+        assert steps == [gathered] * 2, steps
+    alphabet = default_alphabet(3)
+    assert forward_steps(monkeypatch, long_competitor(None, "phi_shift", alphabet, 0), 40) == 1
+    alternating = long_competitor(None, "alternating", alphabet, 0)
     assert forward_steps(monkeypatch, alternating, 40) == 40
 
 
