@@ -40,9 +40,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .phi import PhiWfa, _direct_labels, _phi_chain_depth
+from .phi import PhiWfa, _chains, _direct_labels, _phi_chain_depth
 from .wfa import (NEG_INF, Wfa, _Topo, _compiled, _edge_logs, _edge_marginals,
-                  _final_weights, _find_arcs, _label_ranks, _ranges, _sorted_arcs, exact_logs,
+                  _final_weights, _label_ranks, _ranges, _sorted_arcs, exact_logs,
                   leveled_best_path, log_power_sum)
 
 __all__ = [
@@ -471,8 +471,9 @@ def horizon_product(competitor: Machine, horizon: int) -> Machine:
     one before it, it is shared up to the horizon, and once the sweep's
     live states repeat on it, they are shared down to its first copy.
     States are numbered level by level, each level in increasing
-    competitor state, and each state's edges follow in sorted label
-    order; a plain product equals :func:`~wfa_hedge.wfa.intersect` with
+    competitor state (level 0 holds the initial state and its phi chain,
+    so ``initial`` need not be 0), and each state's edges follow in
+    sorted label order; a plain product equals :func:`~wfa_hedge.wfa.intersect` with
     the length-T acceptor up to that renumbering; its ``origin`` rows are
     (competitor state, level).  A phi product's ``operand_labels`` are
     the competitor's and the acceptor's, which reads every symbol before
@@ -583,7 +584,8 @@ def _unroll(competitor: Machine, horizon: int, phi: bool):
             # A fixed point of the repeated level holds down to its first copy.
             n = t - settled
             levels[settled:t], lives[settled:t] = [levels[t]] * n, [live] * n
-    if not lives[0][0]:
+    i0 = int(np.searchsorted(levels[0][0], competitor.initial))  # the initial state's place
+    if not lives[0][i0]:
         raise ValueError("no competitor sequence of this length")
 
     # Untrimmed ids run level by level from u_off; kept states keep their order.
@@ -607,9 +609,10 @@ def _unroll(competitor: Machine, horizon: int, phi: bool):
     e = arc[np.concatenate([lv[3] for lv in levels[:-1]])]
     keep = np.concatenate([lv[5] for lv in levels[:-1]])  # by untrimmed arc
     del levels
+    initial = int(new_id[i0])
     if not phi:
         none = np.zeros(0, np.intp)
-        return (Wfa.from_columns(competitor.alphabet, len(kept), 0, finals, src, c.label[e],
+        return (Wfa.from_columns(competitor.alphabet, len(kept), initial, finals, src, c.label[e],
                                  c.weight[e], dst, names),
                 state_off, (none, none, np.zeros(0)), e)
 
@@ -621,13 +624,10 @@ def _unroll(competitor: Machine, horizon: int, phi: bool):
     # label order, the first arc with its label down the chain, and the
     # product of the phi weights down to it.
     own = arc[phi_to[c.src[arc]] < n_q]
-    row_e, row_w = np.full(len(own), -1, np.intp), np.zeros(len(own))
-    at, q, w = np.arange(len(own)), c.src[own], np.ones(len(own))
-    for up, down in zip(walk[:-1], walk[1:]):
-        w = w * c.weight[phi_edge[up[q]]]
-        row_e[at], row_w[at] = _find_arcs(competitor, down[q], c.label[own[at]]), w
-        on = (row_e[at] < 0) & (phi_to[down[q]] < n_q)  # not found, and the chain goes on
-        at, q, w = at[on], q[on], w[on]
+    first = phi_edge[c.src[own]]
+    row_e, row_w = _chains(competitor).walk(competitor, c.dst[first], c.label[own],
+                                            c.weight[first], competitor.max_phi_chain_depth(),
+                                            c.src[own])
     hit = row_e >= 0
     row_q, row_e, row_w = c.src[own[hit]], row_e[hit], row_w[hit]
     # Laid over each live state before level T: the shadowed edge leaves
@@ -650,7 +650,7 @@ def _unroll(competitor: Machine, horizon: int, phi: bool):
     acceptor = np.broadcast_to((np.arange(horizon + 1) < horizon)[:, None], (horizon + 1, n_sym))
     e = np.concatenate((e, phi_edge[origin[psrc_u]]))
     product = PhiWfa.from_columns(
-        competitor.alphabet, len(kept), 0, finals, np.concatenate((src, psrc)),
+        competitor.alphabet, len(kept), initial, finals, np.concatenate((src, psrc)),
         c.label[e], c.weight[e], np.concatenate((dst, pdst)), names,
         (_direct_labels(competitor), acceptor))
     return product, state_off, corrections, e

@@ -354,13 +354,47 @@ def same_language(got, want):
 
 @settings(max_examples=250, deadline=None)
 @given(seed=SEEDS, alphabet=ALPHABETS, family=st.sampled_from(PLAIN_FAMILIES + PHI_FAMILIES),
-       horizon=st.integers(1, 6), eta=st.sampled_from([0.3, 1.0, 2.5]))
-def test_unroll_matches_the_product_search(seed, alphabet, family, horizon, eta):
-    # The unrolled product against the competitor intersected with the
-    # length acceptor, renumbered by (level, competitor state) and
-    # compiled from the intersection's state names.
+       horizon=st.integers(1, 6), eta=st.sampled_from([0.3, 1.0, 2.5]), shuffle=st.booleans())
+def test_unroll_matches_the_product_search(seed, alphabet, family, horizon, eta, shuffle):
+    # Shuffled state ids put the initial state anywhere in level 0.
     rng = np.random.default_rng(seed)
     machine = competitor(rng, family, alphabet)
+    assert_unroll_matches(rng, permuted(rng, machine) if shuffle else machine, horizon, eta)
+
+
+def permuted(rng, machine):
+    """``machine`` with its state ids shuffled, so that a phi edge or an
+    arc may lead to a lower id, the initial state's included."""
+    perm = rng.permutation(machine.num_states)
+    c = machine.columns
+    return type(machine).from_columns(
+        machine.alphabet, machine.num_states, int(perm[machine.initial]),
+        {int(perm[q]): w for q, w in machine.finals.items()}, perm[c.src], c.label, c.weight,
+        perm[c.dst])
+
+
+def test_the_initial_state_is_found_in_a_level_0_led_by_its_phi_chain():
+    # State 1 starts, and its phi edge leads to state 0, which is dead: the
+    # product starts at state 1's copy, not at level 0's first state.
+    a, b = default_alphabet(2)
+    machine = PhiWfa([a, b], 3, 1, {2: 1.0},
+                     [Transition(1, PHI, 0.5, 0), Transition(1, a, 0.5, 2),
+                      Transition(2, b, 1.0, 2)])
+    for horizon in (1, 2, 5):
+        got = hedge.horizon_product(machine, horizon)
+        assert got.origin[got.initial, 0] == 1 and got.compiled.initial == got.initial
+        assert got.compiled.count_paths() == 1
+        assert got.compiled.log_Z == pytest.approx(math.log(0.5), rel=1e-15)
+    shift = long_competitor(None, "phi_shift", [a, b], 0)
+    for seed in range(20):  # phi_shift's 3 states under every order
+        rng = np.random.default_rng(seed)
+        assert_unroll_matches(rng, permuted(rng, shift), 6, 1.0)
+
+
+def assert_unroll_matches(rng, machine, horizon, eta):
+    """The unrolled product against the competitor intersected with the
+    length acceptor, renumbered by (level, competitor state) and compiled
+    from the intersection's state names."""
     try:
         want = oracles.horizon_product(machine, horizon)
     except ValueError as err:
