@@ -20,8 +20,8 @@ from . import approx as approxmod
 from . import ngram as ngrammod
 from .builders import (exact_shift_automaton, hierarchy_automaton,
                        length_automaton, weighted_shift_automaton)
-from .hedge import (HedgeState, _check_horizon, hedge_step, horizon_product, sample, summarize,
-                    tune_eta_fixed, tune_eta_renyi, unweighted_regret, weighted_regret)
+from .hedge import (HedgeState, _check_horizon, _tuned_eta, hedge_step, horizon_product, sample,
+                    summarize, tune_eta_renyi, unweighted_regret, weighted_regret)
 from .phi import PhiWfa, phi_convert
 from .sleeping import (AwakeState, awake_distribution, awake_step, sleeping_regret,
                        worst_comparator)
@@ -251,7 +251,7 @@ def _resolve_eta(cfg: ExperimentConfig, competitor_t: Wfa, horizon: int) -> floa
             raise ValueError("eta must be positive")
         return float(cfg.eta)
     if cfg.eta == "fixed":
-        return tune_eta_fixed(horizon, competitor_t.compiled.num_paths)
+        return _tuned_eta(horizon, competitor_t.compiled.log_K)
     if cfg.eta == "renyi":
         return tune_eta_renyi(competitor_t, horizon)
     raise ValueError(f"unknown eta spec {cfg.eta!r}")
@@ -398,8 +398,8 @@ def run_experiment(cfg: ExperimentConfig, machine: Optional[Wfa] = None) -> dict
             u_reg = unweighted_regret(state.p_history, list(losses), competitor_t)
         report["weighted_regret"] = w_reg
         report["unweighted_regret"] = u_reg
-        k = competitor_t.compiled.num_paths
-        report["num_sequences"] = k
+        # K itself where it fits int64, else null: the bounds read log K.
+        report["num_sequences"] = competitor_t.compiled.num_paths
         verdicts = {}
         if cfg.approximation is None:
             verdicts["weighted_bound_ok"] = bool(w_reg <= rep.weighted_bound)
@@ -407,7 +407,7 @@ def run_experiment(cfg: ExperimentConfig, machine: Optional[Wfa] = None) -> dict
                 verdicts["unweighted_bound_ok"] = bool(u_reg <= rep.unweighted_bound)
         else:
             div = approx_info["divergence"]
-            bound = eta * horizon / 8.0 + math.log(k) / eta + div
+            bound = eta * horizon / 8.0 + competitor_t.compiled.log_K / eta + div
             report["approx_bound"] = bound
             verdicts["approx_bound_ok"] = bool(w_reg <= bound)
         report["verdicts"] = verdicts

@@ -24,9 +24,11 @@ Per-round distributions: p_t[a] is the posterior marginal of the t-th
 symbol given losses 1..t-1.
 
 The regret report (:func:`summarize`) reads the same arrays, so a phi
-run is never expanded to plain edges: K (the backward sweep at power 0
-in Python integers) and log Z (at power 1) are swept once and kept, and
-the best sequences come from the one max-plus sweep,
+run is never expanded to plain edges: K (one backward count in int64,
+exact where it fits and None past it), log K (its log, or the scaled
+sweep at power 0) and log Z (at power 1) are swept on first read and
+kept, so set-up sweeps only the eta power; and the best sequences come
+from the one max-plus sweep,
 :func:`~wfa_hedge.wfa.leveled_best_path`, which reaches a phi chain's
 continuations through its hub edges (Allauzen & Riley 2018).
 """
@@ -42,7 +44,7 @@ import numpy as np
 
 from .phi import PhiWfa, _chains, _direct_labels, _phi_chain_depth
 from .wfa import (NEG_INF, Wfa, _Topo, _compiled, _edge_logs, _edge_marginals,
-                  _final_weights, _label_ranks, _ranges, _sorted_arcs, exact_logs,
+                  _final_weights, _label_ranks, _path_count, _ranges, _sorted_arcs, exact_logs,
                   leveled_best_path, log_power_sum)
 
 __all__ = [
@@ -180,77 +182,138 @@ class CompiledMachine:
         Returns beta, each level's slice rescaled to maximum 1; the log of
         the total path weight; per edge the powered weight w and the
         readout product w * beta[dst], which the forward rounds reuse;
-        and the powered phi weights.  Final weights only sit at level T,
-        where the length acceptor ends.
+        and the powered phi weights.
         """
-        w = np.copysign(np.abs(self.coef) ** power, self.coef) * np.exp(power * self.log_w[self.tid])
-        wb = np.empty_like(w)
-        phi_w = np.exp(power * self.log_w[self.ptid])
-        beta = np.zeros(self.num_states)
-        log_scale = 0.0
-        so, eo, gb = self.state_off, self.edge_off, self.group_bounds
+        w, phi_w = self._powered(power, self.tid, self.coef), self._powered(power, self.ptid)
+        wb, beta = np.empty_like(w), np.zeros(self.num_states)
+        return beta, self._sweep(power, w, phi_w, wb, beta), w, wb, phi_w
+
+    def log_total(self, power: float) -> float:
+        """The log of the total path weight at ``power``, swept as
+        :meth:`backward` sweeps it but keeping no per-state or readout
+        array.  At power 0 the total is the path count K."""
+        return self._sweep(power, self._powered(power, self.tid, self.coef),
+                           self._powered(power, self.ptid))
+
+    def _powered(self, power: float, tid: np.ndarray, coef=1.0) -> np.ndarray:
+        """Edge weights coef * weight[tid] raised to ``power``.  At power 0
+        a count: 1 per edge, -1 per correction, and 0 on a zero weight,
+        where 0 ** 0 would be 1 and 0 * log 0 NaN."""
+        if power == 0.0:
+            w = np.sign(coef)
+            w *= (self.weight > 0.0)[tid]
+            return w
+        return np.copysign(np.abs(coef) ** power, coef) * np.exp(power * self.log_w[tid])
+
+    def _sweep(self, power: float, w: np.ndarray, phi_w: np.ndarray, wb=None, beta=None) -> float:
+        """The scaled backward sweep at ``power``, level T down to level 0:
+        the log of the total path weight.  ``w`` and ``phi_w`` are the
+        powered weights of the edges and the phi edges.  ``beta`` and
+        ``wb``, if given, receive each level's values, rescaled to maximum
+        1 (at power 0 only where they could overflow), and each edge's
+        w * beta[dst].  Final weights only sit at level T, where the
+        length acceptor ends."""
+        so, eo, gb, go = (x.tolist() for x in (self.state_off, self.edge_off, self.group_bounds,
+                                                self.group_off))
+        src, dst, (psrc, pdst) = self.src, self.dst, self._phi_ends
+        # At power 0 the values count paths, and level t multiplies the
+        # largest by at most its edge count (a phi chain inherits each
+        # state's edges once): a level is rescaled only once that bound
+        # could pass 2**960 since the last rescale.  Other powers rescale
+        # every level.
+        if power == 0.0:
+            grow = np.log2(np.maximum(np.diff(self.edge_off), 1)).tolist()
+        else:
+            grow = [math.inf] * (self.horizon + 1)
+        log_scale, room = 0.0, 0.0
         for t in range(self.horizon, -1, -1):
             lo, hi = so[t], so[t + 1]
             if t == self.horizon:
-                b = self.final[lo:hi] ** power
+                f = self.final[lo:hi]
+                b = (f > 0.0) * 1.0 if power == 0.0 else f ** power
             else:
                 a, e = eo[t], eo[t + 1]
-                wb[a:e] = w[a:e] * beta[hi:so[t + 2]][self.dst[a:e]]
-                b = np.bincount(self.src[a:e] - lo, wb[a:e], minlength=hi - lo)
+                out = None if wb is None else wb[a:e]
+                wb_t = np.multiply(w[a:e], b[dst[a:e]], out=out)
+                b = np.bincount(src[a:e] - lo, wb_t, minlength=hi - lo)
                 # A phi source inherits its target's consuming mass, so
                 # the deepest chain states settle first.
-                for g in range(self.group_off[t + 1] - 1, self.group_off[t] - 1, -1):
+                for g in range(go[t + 1] - 1, go[t] - 1, -1):
                     ga, gz = gb[g], gb[g + 1]
-                    b += np.bincount(self.psrc[ga:gz] - lo, phi_w[ga:gz] * b[self.pdst[ga:gz] - lo],
-                                     minlength=hi - lo)
-            m = np.abs(b).max()
-            if m > 0:
-                b /= m
-                log_scale += math.log(m)
-            beta[lo:hi] = b
-        z = beta[self.initial]
-        return beta, (log_scale + math.log(z) if z > 0 else NEG_INF), w, wb, phi_w
+                    b[psrc[ga:gz]] += phi_w[ga:gz] * b[pdst[ga:gz]]  # one phi edge per source
+            room += grow[t]
+            if room >= 960.0:
+                room, m = 0.0, np.abs(b).max()
+                if m > 0:
+                    b /= m
+                    log_scale += math.log(m)
+            if beta is not None:
+                beta[lo:hi] = b
+        z = b[self.initial]  # level 0 starts at id 0
+        return log_scale + math.log(z) if z > 0 else NEG_INF
 
-    def count_paths(self, labels: Optional[Sequence[int]] = None) -> int:
-        """Accepting paths of positive weight, exactly: the backward sweep
-        at power 0 in Python integers.  A consuming or phi edge counts
-        1, a correction -1, so each shadowed continuation nets out; zero
-        weights count 0 (0**0 would be 1).  With ``labels``, symbol ids
-        one per level, only the paths reading that sequence: 1 when it is
-        supported, else 0."""
+    def count_paths(self, labels: Optional[Sequence[int]] = None) -> Optional[int]:
+        """Accepting paths of positive weight, swept backward in int64
+        (:func:`~wfa_hedge.wfa._path_count`): exact, or None where the
+        count may not fit int64.  A consuming or phi edge counts 1, a
+        correction -1, so each shadowed continuation nets out; zero
+        weights count 0.  With ``labels``, symbol ids one per level, only
+        the paths reading that sequence: 1 when it is supported, else 0.
+        A product is deterministic, so each count along one sequence is 0
+        or 1 and that sweep needs no bound."""
         if labels is not None and len(labels) != self.horizon:
             return 0
         positive = self.weight > 0.0
-        on = positive[self.tid]
-        if labels is not None:
-            on &= self.label == np.repeat(labels, np.diff(self.edge_off[:-1]))
-        plus = np.flatnonzero(on & (self.coef > 0.0))  # consuming edges
-        minus = np.flatnonzero(on & (self.coef < 0.0))  # corrections
-        plus_off = np.searchsorted(plus, self.edge_off)
-        minus_off = np.searchsorted(minus, self.edge_off)
-        phi_on = positive[self.ptid]
-        count = np.zeros(self.num_states, object)
-        count[self.final > 0.0] = 1
-        so, gb = self.state_off, self.group_bounds
-        for t in range(self.horizon - 1, -1, -1):
-            for add, e in ((np.add.at, plus[plus_off[t]:plus_off[t + 1]]),
-                           (np.subtract.at, minus[minus_off[t]:minus_off[t + 1]])):
-                add(count, self.src[e], count[so[t + 1] + self.dst[e]])
-            for g in range(self.group_off[t + 1] - 1, self.group_off[t] - 1, -1):
-                p = gb[g] + np.flatnonzero(phi_on[gb[g]:gb[g + 1]])
-                np.add.at(count, self.psrc[p], count[self.pdst[p]])
-        return int(count[self.initial])
+        so, eo, gb, go = self.state_off, self.edge_off, self.group_bounds, self.group_off
+
+        def steps():
+            # Level by level, so that a count that passes the bound early
+            # stops early.
+            for t in range(self.horizon - 1, -1, -1):
+                # The consuming edges, then the corrections, where a chain
+                # of weight 0 shadows nothing.
+                for ufunc, a, b in ((np.add, eo[t], self.real_end[t]),
+                                    (np.subtract, self.real_end[t], eo[t + 1])):
+                    if b > a:
+                        on = positive[self.tid[a:b]]
+                        if ufunc is np.subtract:
+                            on &= self.coef[a:b] != 0.0
+                        if labels is not None:
+                            on &= self.label[a:b] == labels[t]
+                        e = slice(a, b) if on.all() else a + np.flatnonzero(on)
+                        yield ufunc, self.src[e], so[t + 1] + self.dst[e]
+                for g in range(go[t + 1] - 1, go[t] - 1, -1):
+                    p = gb[g] + np.flatnonzero(positive[self.ptid[gb[g]:gb[g + 1]]])
+                    yield np.add, self.psrc[p], self.pdst[p]
+
+        return _path_count(self.num_states, self.final > 0.0, self.initial, steps(),
+                           bounded=labels is None)
 
     @cached_property
-    def num_paths(self) -> int:
-        """:meth:`count_paths`, swept once and kept."""
+    def num_paths(self) -> Optional[int]:
+        """K, :meth:`count_paths` swept once and kept: the exact count, or
+        None where it may not fit int64."""
         return self.count_paths()
 
     @cached_property
+    def log_K(self) -> float:
+        """log K, kept: ``math.log`` of the exact count where there is one,
+        else :meth:`log_total` at power 0; -inf when no path is left."""
+        k = self.num_paths
+        if k is None:
+            return self.log_total(0.0)
+        return math.log(k) if k else NEG_INF
+
+    @cached_property
     def log_Z(self) -> float:
-        """The log of the total path weight, :meth:`backward` at power 1,
-        swept once and kept."""
-        return self.backward(1.0)[1]
+        """The log of the total path weight, :meth:`log_total` at power 1,
+        swept on first read and kept."""
+        return self.log_total(1.0)
+
+    @cached_property
+    def _phi_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """``psrc`` and ``pdst`` counted from their level's first state."""
+        return tuple(x - self.state_off[self.level[x]] for x in (self.psrc, self.pdst))
 
     @cached_property
     def sweep(self) -> "_PathPlan":
@@ -380,7 +443,6 @@ class HedgeState:
 
         self.compiled = cm
         self.levels = cm.levels()
-        self.log_Z = cm.log_Z
         self.beta, self.log_Z_eta, self._w, self._wb, self._phi_w = cm.backward(eta)
         # Row t: the log-factor each label's edges at level t were charged.
         self._charges = np.zeros((horizon, self.num_experts))
@@ -398,9 +460,22 @@ class HedgeState:
         self.p_history.append(self.p_current)
 
     @property
-    def K(self) -> int:
-        """The number of played sequences, counted once on the compiled arrays."""
+    def K(self) -> Optional[int]:
+        """The number of played sequences, counted once on the compiled
+        arrays: exact, or None where it may not fit int64 (then only
+        :attr:`log_K` is known)."""
         return self.compiled.num_paths
+
+    @property
+    def log_K(self) -> float:
+        """log K, which the regret bounds read."""
+        return self.compiled.log_K
+
+    @property
+    def log_Z(self) -> float:
+        """The log of the played product's total path weight, swept on
+        first read: the report reads it, a round never does."""
+        return self.compiled.log_Z
 
     @property
     def log_w(self) -> np.ndarray:
@@ -755,9 +830,9 @@ def weighted_regret(p_rounds: Sequence[np.ndarray], losses: Sequence[np.ndarray]
     """Regret against the best supported sequence of a horizon product,
     including the log(q(x) K) prior-mass term."""
     algo = sum(float(np.dot(p, l)) for p, l in zip(p_rounds, losses))
-    k = _compiled(competitor).num_paths
+    log_k = _compiled(competitor).log_K
     seq, path_loss, log_q = best_competitor(competitor, losses, weighted=True)
-    return algo - path_loss + log_q + math.log(k)
+    return algo - path_loss + log_q + log_k
 
 
 def unweighted_regret(p_rounds: Sequence[np.ndarray], losses: Sequence[np.ndarray],
@@ -806,7 +881,7 @@ def renyi_entropy_machine(competitor: Wfa, eta: float) -> float:
         edge, final, log_final, log_z = _edge_marginals(competitor)
         on, end = edge > 0.0, final > 0.0
         return log_z - float(edge[on] @ cm.log_w[on]) - float(final[end] @ log_final[end])
-    return (cm.backward(eta)[1] - eta * cm.log_Z) / (1.0 - eta)
+    return (cm.log_total(eta) - eta * cm.log_Z) / (1.0 - eta)
 
 
 def tune_eta_fixed(horizon: int, num_sequences: int) -> float:
@@ -815,7 +890,14 @@ def tune_eta_fixed(horizon: int, num_sequences: int) -> float:
     _check_horizon(horizon)
     if num_sequences < 1:
         raise ValueError("need at least one sequence")
-    eta = math.sqrt(8.0 * math.log(num_sequences) / horizon)
+    return _tuned_eta(horizon, math.log(num_sequences))
+
+
+def _tuned_eta(horizon: int, log_k: float) -> float:
+    """:func:`tune_eta_fixed` from log K, which a count past int64 has."""
+    if log_k == NEG_INF:
+        raise ValueError("need at least one sequence")
+    eta = math.sqrt(8.0 * log_k / horizon)
     return min(max(eta, ETA_FLOOR), ETA_CAP)
 
 
@@ -828,7 +910,7 @@ def tune_eta_renyi(competitor: Wfa, horizon: int, tol: float = 1e-10) -> float:
     root is unique.  Requires at least two supported sequences.
     """
     _check_horizon(horizon)
-    if _compiled(competitor).num_paths < 2:
+    if _compiled(competitor).log_K < math.log(2):
         raise ValueError("entropy tuning needs at least two supported sequences")
     target = math.sqrt(8.0 / horizon)
 
@@ -858,11 +940,13 @@ def tune_eta_renyi(competitor: Wfa, horizon: int, tol: float = 1e-10) -> float:
 
 @dataclass
 class RegretReport:
-    """Everything a run produced, regret values recomputable from it."""
+    """Everything a run produced, regret values recomputable from it.
+    ``num_sequences`` is K where it is exact and None above the int64
+    range, where the bounds read log K."""
     eta: float
     horizon: int
     num_experts: int
-    num_sequences: int
+    num_sequences: Optional[int]
     p_rounds: list = field(default_factory=list)
     losses: list = field(default_factory=list)
     expected_losses: list = field(default_factory=list)
@@ -887,17 +971,19 @@ def summarize(state: HedgeState) -> RegretReport:
     if state.rounds_done != state.T:
         raise ValueError("run is not finished")
     ps, ls = state.p_history, state.loss_history
-    eta, T, K = state.eta, state.T, state.K
+    # log K and log Z are swept before the best-path plan and its scores
+    # are built, so that their peaks never meet.
+    eta, T, log_k, log_z = state.eta, state.T, state.log_K, state.log_Z
     # weighted_regret and unweighted_regret, sharing the weighted best path.
     algo = sum(float(np.dot(p, l)) for p, l in zip(ps, ls))
     seq, path_loss, log_q = best_competitor(state, ls, weighted=True)
-    w_reg = algo - path_loss + log_q + math.log(K)
+    w_reg = algo - path_loss + log_q + log_k
     u_reg = algo - best_competitor(state, ls, weighted=False)[1]
-    log_sum_q_eta = state.log_Z_eta - eta * state.log_Z
-    bound_tight = eta * T / 8.0 + (1.0 / eta) * (eta * math.log(K) + log_sum_q_eta)
-    bound_loose = eta * T / 8.0 + (1.0 / eta) * math.log(K)
+    log_sum_q_eta = state.log_Z_eta - eta * log_z
+    bound_tight = eta * T / 8.0 + (1.0 / eta) * (eta * log_k + log_sum_q_eta)
+    bound_loose = eta * T / 8.0 + (1.0 / eta) * log_k
     return RegretReport(
-        eta=eta, horizon=T, num_experts=state.num_experts, num_sequences=K,
+        eta=eta, horizon=T, num_experts=state.num_experts, num_sequences=state.K,
         p_rounds=[p.tolist() for p in ps],
         losses=[l.tolist() for l in ls],
         expected_losses=list(state.expected_losses),

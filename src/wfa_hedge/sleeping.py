@@ -62,17 +62,23 @@ def awake_init(competitor: Union[Wfa, PhiWfa], horizon: int, eta: float) -> Awak
 
 
 def _awake_mask(state: HedgeState, awake: Iterable) -> np.ndarray:
-    mask = np.zeros(state.num_experts, dtype=bool)
-    awake = list(awake)
-    if not awake:
-        raise ZeroAwakeMassError("empty awake set")
-    if all(isinstance(a, (bool, np.bool_)) for a in awake) and len(awake) == state.num_experts:
-        mask[:] = awake
+    """The awake set as a new bool mask over the alphabet: from a bool
+    array or list of the alphabet's length, or from symbol names."""
+    n = state.num_experts
+    if isinstance(awake, np.ndarray) and awake.dtype == bool and awake.shape == (n,):
+        mask = awake.copy()
     else:
-        for a in awake:
-            if a not in state.sym_index:
-                raise ValueError(f"unknown expert {a!r}")
-            mask[state.sym_index[a]] = True
+        mask = np.zeros(n, dtype=bool)
+        awake = list(awake)
+        if not awake:
+            raise ZeroAwakeMassError("empty awake set")
+        if all(isinstance(a, (bool, np.bool_)) for a in awake) and len(awake) == n:
+            mask[:] = awake
+        else:
+            for a in awake:
+                if a not in state.sym_index:
+                    raise ValueError(f"unknown expert {a!r}")
+                mask[state.sym_index[a]] = True
     if not mask.any():
         raise ZeroAwakeMassError("empty awake set")
     return mask
@@ -164,7 +170,7 @@ def sleeping_regret(awake_sets: Sequence[np.ndarray],
                 best_side += w * loss[sym[seq[t]]]
         value += u_t * exp_loss - best_side
         awake_mass += u_t
-    bound = eta / 8.0 * awake_mass + math.log(cm.num_paths) / eta
+    bound = eta / 8.0 * awake_mass + cm.log_K / eta
     return SleepingRegret(value=value, bound=bound, awake_mass=awake_mass)
 
 

@@ -546,7 +546,8 @@ class _Topo:
     where each generation starts (``order``, ``off``); the transitions
     grouped by their source's generation, in column order within a group,
     and where each group starts (``edges``, ``edge_off``); and the number
-    of accepting paths (``paths``, set by :func:`count_accepting_paths`)."""
+    of accepting paths (``paths``, set by :func:`count_accepting_paths`
+    when it fits int64)."""
 
     __slots__ = ("order", "off", "edges", "edge_off", "paths")
 
@@ -704,25 +705,65 @@ def weight_push(wfa: Wfa) -> Wfa:
                             _stored_names(wfa, kept))
 
 
-def count_accepting_paths(wfa: Wfa) -> int:
-    """Number of accepting paths with strictly positive weight.
+def count_accepting_paths(wfa: Wfa) -> Optional[int]:
+    """Number of accepting paths with strictly positive weight: exact,
+    or None where it may not fit int64 (:func:`_path_count`).
 
-    Exact at any size: one sweep over the topological generations, last
-    to first, in Python integers.  The count is kept on the machine's
-    plan, so later calls return it without another sweep.
+    A length-T machine's is its compiled count; any other acyclic
+    machine's is swept over its topological generations, last to first,
+    and kept on the machine's plan, so later calls return it without
+    another sweep.
     """
-    topo, c = _path_plan(wfa), wfa.columns
+    _refuse_phi(wfa)
+    if wfa.compiled is not None:
+        return wfa.compiled.num_paths
+    topo, c = _plan(wfa), wfa.columns
     if topo.paths is None:
-        counts = np.zeros(wfa.num_states, dtype=object)
-        for q, w in wfa.finals.items():
-            if w > 0.0:
-                counts[q] = 1
-        for g in range(len(topo.off) - 2, -1, -1):
-            e = topo.edges[topo.edge_off[g]:topo.edge_off[g + 1]]
-            e = e[c.weight[e] > 0.0]
-            np.add.at(counts, c.src[e], counts[c.dst[e]])
-        topo.paths = int(counts[wfa.initial])
+        def steps():
+            for g in range(len(topo.off) - 2, -1, -1):
+                e = topo.edges[topo.edge_off[g]:topo.edge_off[g + 1]]
+                e = e[c.weight[e] > 0.0]
+                yield np.add, c.src[e], c.dst[e]
+
+        ends = [q for q, w in wfa.finals.items() if w > 0.0]
+        topo.paths = _path_count(wfa.num_states, ends, wfa.initial, steps())
     return topo.paths
+
+
+# Each float addition of non-negative terms rounds by at most a factor
+# 1 - 2**-53, so over up to 2**32 edges a float sum under-reads its true
+# value by less than a factor 1 - 2**-21: a float bound below this limit
+# leaves the true bound below 2**64.
+_COUNT_LIMIT = 2.0 ** 64 * (1.0 - 2.0 ** -20)
+
+
+def _path_count(num_states: int, ends, initial: int, steps: Iterable,
+                bounded: bool = True) -> Optional[int]:
+    """The path count at ``initial``, swept backward in int64: each state
+    at an end counts 1, and each step ``(ufunc, src, dst)``, numpy's add
+    or subtract, applies count[src] ufunc= count[dst] edge by edge, after
+    the steps that settle its targets.
+
+    int64 sums are exact modulo 2**64, so the count read at the end is K
+    mod 2**64, whatever the partial sums did.  A float sweep of the same
+    steps, every one adding, bounds each count from above; while it stays
+    below 2**64, K (a count, so at least 0) lies in [0, 2**64), and the
+    int64 value is K when it is non-negative and says K >= 2**63 when it
+    is negative.  The sweep returns None there, or as soon as the bound
+    reaches 2**64, and never a wrapped value.  ``bounded=False`` drops
+    the bound where every count is known to lie in int64.
+    """
+    count = np.zeros(num_states, np.int64)
+    count[ends] = 1
+    bound = count.astype(float) if bounded else None
+    for ufunc, src, dst in steps:
+        ufunc.at(count, src, count[dst])
+        if bounded and len(src):
+            np.add.at(bound, src, bound[dst])
+            if bound[src].max() >= _COUNT_LIMIT:
+                return None
+    k = int(count[initial])
+    return k if k >= 0 else None
 
 
 def log_power_sum(machine: Wfa, eta: float) -> float:

@@ -324,6 +324,36 @@ def count_accepting_paths(wfa):
     return counts[wfa.initial]
 
 
+def compiled_count(cm, labels=None) -> int:
+    """The reference count of a CompiledMachine, in Python integers:
+    accepting paths of positive weight, each consuming or phi edge
+    counting 1 and each correction -1, so that every shadowed
+    continuation nets out; zero weights count 0.  With ``labels``, symbol
+    ids one per level, only the paths reading that sequence."""
+    if labels is not None and len(labels) != cm.horizon:
+        return 0
+    positive = cm.weight > 0.0
+    on = positive[cm.tid]
+    if labels is not None:
+        on &= cm.label == np.repeat(labels, np.diff(cm.edge_off[:-1]))
+    plus = np.flatnonzero(on & (cm.coef > 0.0))  # consuming edges
+    minus = np.flatnonzero(on & (cm.coef < 0.0))  # corrections
+    plus_off = np.searchsorted(plus, cm.edge_off)
+    minus_off = np.searchsorted(minus, cm.edge_off)
+    phi_on = positive[cm.ptid]
+    count = np.zeros(cm.num_states, object)
+    count[cm.final > 0.0] = 1
+    so, gb = cm.state_off, cm.group_bounds
+    for t in range(cm.horizon - 1, -1, -1):
+        for add, e in ((np.add.at, plus[plus_off[t]:plus_off[t + 1]]),
+                       (np.subtract.at, minus[minus_off[t]:minus_off[t + 1]])):
+            add(count, cm.src[e], count[so[t + 1] + cm.dst[e]])
+        for g in range(cm.group_off[t + 1] - 1, cm.group_off[t] - 1, -1):
+            p = gb[g] + np.flatnonzero(phi_on[gb[g]:gb[g + 1]])
+            np.add.at(count, cm.psrc[p], count[cm.pdst[p]])
+    return int(count[cm.initial])
+
+
 def finite_difference_gradient(f, tables, h=1e-7):
     """Central differences of a scalar function of {ctx: row} tables."""
     grads = {}

@@ -26,16 +26,17 @@ def test_divergence_zero_on_matching_model():
 
 
 def test_divergence_computes_the_log_normaliser_once_per_machine(monkeypatch):
+    # Every backward sweep, kept arrays or log only, passes CompiledMachine._sweep.
     calls = []
-    original = CompiledMachine.backward
+    original = CompiledMachine._sweep
 
-    def counted(cm, power):
+    def counted(cm, power, *args):
         calls.append(power)
-        return original(cm, power)
+        return original(cm, power, *args)
 
     ct = horizon_product(exact_shift_automaton(3, 1), 6)
     want = divergence_inf(ct, uniform_model(ct.alphabet, 1))
-    monkeypatch.setattr(CompiledMachine, "backward", counted)
+    monkeypatch.setattr(CompiledMachine, "_sweep", counted)
     ct = horizon_product(exact_shift_automaton(3, 1), 6)
     sel = select_order(ct, 20, 100)
     assert len(sel.tried) >= 1

@@ -740,6 +740,34 @@ def test_run_experiment_counts_the_paths_once(monkeypatch, extra):
     assert report["eta"] == math.sqrt(8 * math.log(k) / 6)
 
 
+def test_log_z_is_swept_only_where_it_is_read(monkeypatch):
+    # Set-up sweeps the eta power alone: an awake run never reads log Z,
+    # and a plain run's report sweeps power 1 once.  Every backward
+    # sweep, kept arrays or log only, passes CompiledMachine._sweep.
+    from wfa_hedge import harness, hedge
+    powers = []
+    sweep, report = hedge.CompiledMachine._sweep, harness.summarize
+
+    def recorded(cm, power, *args):
+        powers.append(power)
+        return sweep(cm, power, *args)
+
+    def summarize(state):
+        powers.append("summarize")
+        return report(state)
+
+    monkeypatch.setattr(hedge.CompiledMachine, "_sweep", recorded)
+    monkeypatch.setattr(harness, "summarize", summarize)
+    hedge.hedge_init(exact_shift_automaton(3, 2), 6, 0.5)
+    assert powers == [0.5]
+    awake = {"algorithm": "awake-hedge",
+             "awake": {"generator": "random_subsets", "params": {"density": 0.7}, "seed": 5}}
+    for extra, after in ((awake, []), ({}, ["summarize", 1.0])):
+        powers.clear()
+        eta = run_experiment(cfg_with(eta="fixed", **extra))["eta"]
+        assert powers == [eta] + after
+
+
 @pytest.mark.parametrize("config, extra", [
     ("kshift_tracking", {}),
     ("sleeping_subsets", {}),

@@ -290,7 +290,10 @@ def test_summarize_builds_no_transition_objects(request):
     built = request.getfixturevalue("built_transitions")
     rep = summarize(st)
     assert built == []
-    assert rep.num_sequences == n ** horizon  # Fixed-Share gives every sequence weight
+    # Fixed-Share gives every sequence weight: K = N^T, past int64, so
+    # the report carries no K and the bounds read log K.
+    assert rep.num_sequences is None
+    assert st.log_K == pytest.approx(horizon * math.log(n), rel=1e-12)
     assert rep.weighted_regret <= rep.weighted_bound
 
 
@@ -299,7 +302,8 @@ def test_summarize_never_expands_a_phi_run(no_expansion):
     st = hedge_init(bigram_phi_machine(fixed_share_bigram(n, k, horizon)), horizon, 0.4)
     run_rounds(st, np.random.default_rng(7).random((horizon, n)))
     rep = summarize(st)
-    assert rep.num_sequences == n ** horizon
+    assert rep.num_sequences is None  # K = N^T, past int64
+    assert st.log_K == pytest.approx(horizon * math.log(n), rel=1e-12)
     assert rep.weighted_regret <= rep.weighted_bound
     with pytest.raises(AssertionError, match="expanded"):
         oracles.summarize(st)
@@ -308,15 +312,51 @@ def test_summarize_never_expands_a_phi_run(no_expansion):
 @pytest.mark.parametrize("n, k, horizon", [(4, 1, 10), (10, 2, 50), (30, 3, 300)])
 def test_fixed_share_phi_count_is_every_sequence(n, k, horizon):
     # Fixed-Share gives every sequence positive weight: K = N^T, here up
-    # to 444 digits, from the compiled arrays with their corrections.
+    # to 444 digits, counted on the compiled arrays with their
+    # corrections: exactly by the reference count, and by the engine
+    # where it fits int64, else as log K.
     st = hedge_init(bigram_phi_machine(fixed_share_bigram(n, k, horizon)), horizon, 0.5)
-    assert st.K == n ** horizon
+    assert oracles.compiled_count(st.compiled) == n ** horizon
+    assert st.K == (n ** horizon if n ** horizon < 2 ** 63 else None)
+    assert st.log_K == pytest.approx(horizon * math.log(n), rel=1e-12)
 
 
 @pytest.mark.parametrize("n, k, horizon", [(3, 2, 6), (4, 3, 30), (10, 5, 200)])
 def test_kshift_count_is_the_closed_form(n, k, horizon):
     st = hedge_init(exact_shift_automaton(n, k), horizon, 0.5)
     assert st.K == n * (n - 1) ** k * math.comb(horizon - 1, k)
+
+
+@pytest.mark.parametrize("horizon", [1000, 1250, 2000])
+def test_kshift_count_is_exact_below_2_63_and_none_above(horizon):
+    # K = N (N-1)^k C(T-1, k) for kshift(10, 5): 4.8e18 at T = 1000, below
+    # 2^63; 1.5e19 at T = 1250, which int64 wraps to a negative value; and
+    # 1.6e20 at T = 2000, past the float bound 2^64.  Never a wrapped value.
+    k = 10 * 9 ** 5 * math.comb(horizon - 1, 5)
+    cm = horizon_product(exact_shift_automaton(10, 5), horizon).compiled
+    assert cm.num_paths == (k if k < 2 ** 63 else None)
+    assert cm.log_K == pytest.approx(math.log(k), rel=1e-12)
+
+
+def test_long_fixed_share_run_reads_log_k_in_bounded_memory():
+    # K = 30^3000 has 4,432 digits: the report carries log K, counted on
+    # the compiled arrays in floats with a small, bounded peak.
+    import tracemalloc
+    n, k, horizon = 30, 3, 3000
+    st = hedge_init(bigram_phi_machine(fixed_share_bigram(n, k, horizon)), horizon, 0.05)
+    run_rounds(st, np.random.default_rng(6).random((horizon, n)))
+    tracemalloc.start()
+    try:
+        assert st.K is None
+        log_k = st.log_K
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert log_k == pytest.approx(horizon * math.log(n), rel=1e-12)
+    assert peak < 20e6
+    rep = summarize(st)
+    assert rep.num_sequences is None
+    assert rep.weighted_regret <= rep.weighted_bound
 
 
 def test_count_skips_zero_weight_edges_phi_edges_and_finals():

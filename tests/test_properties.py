@@ -203,6 +203,37 @@ def test_sleeping_engine_matches_path_simulation(seed, form, horizon, size, eta,
         awake_step(state, masks[t], losses[t])
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=SEEDS, form=FORMS, horizon=st.integers(1, 80), size=st.integers(1, 12))
+def test_int64_count_and_log_count_match_the_python_int_count(seed, form, horizon, size):
+    # Up to 3^80 sequences, so both sides of the int64 range: the count
+    # is the reference's whenever it is an int, log K agrees with it
+    # everywhere, and the count along one sequence says whether it is
+    # supported (a leveled machine keeps its own short horizon).
+    rng = np.random.default_rng(seed)
+    machine, horizon = drawn_machine(rng, form, horizon, size)
+    try:
+        product = horizon_product(machine, horizon)
+    except ValueError:  # no sequence of this length
+        assume(False)
+    cm = product.compiled
+    want = oracles.compiled_count(cm)
+    got = cm.num_paths
+    assert got is None or got == want
+    if want < 2 ** 62 and not len(cm.ptid):  # a plain count bounds itself
+        assert got == want
+    if want:
+        assert cm.log_K == pytest.approx(math.log(want), rel=1e-12)
+    else:
+        assert cm.log_K == -math.inf
+    labels = rng.integers(-1, 3, horizon)
+    assert cm.count_paths(labels) == oracles.compiled_count(cm, labels)
+    if want:
+        sym = {a: i for i, a in enumerate(machine.alphabet)}
+        seq = hedge.best_competitor(product, np.zeros((horizon, 3)), weighted=False)[0]
+        assert cm.count_paths([sym[a] for a in seq]) == 1
+
+
 def same_report_or_float_tie(got, want, support, alphabet):
     """Every field of the compiled report equals the expansion-based one:
     K exactly, floats within 1e-12.  The best sequence may differ only

@@ -55,6 +55,25 @@ def test_awake_distribution_singleton():
     assert p[1] == 1.0 and p[0] == p[2] == 0.0
 
 
+def test_awake_sets_read_the_same_in_every_input_form():
+    st = awake_init(exact_shift_automaton(3, 1), 4, 0.5)
+    array = np.array([True, False, True])
+    want = awake_distribution(st, ["a", "c"])
+    for form in (array, [True, False, True], [np.True_, np.False_, np.True_], ("c", "a")):
+        assert awake_distribution(st, form).tobytes() == want.tobytes()
+    # A bool array is copied: the state keeps the round's mask as played.
+    awake_step(st, array, [0.3, 0.0, 0.1])
+    array[:] = False
+    assert st.awake_history[0].tolist() == [True, False, True]
+    for empty in ([], np.zeros(3, bool), [False, False, False]):
+        with pytest.raises(ZeroAwakeMassError, match="empty awake set"):
+            awake_distribution(st, empty)
+    # A bool array or list of another length is read as symbol names.
+    for names in (["a", "x"], np.ones(2, bool), [True, True]):
+        with pytest.raises(ValueError, match="unknown expert"):
+            awake_distribution(st, names)
+
+
 def test_awake_distribution_matches_path_conditional():
     eta = 0.7
     st = awake_init(exact_shift_automaton(3, 1), 4, eta)
