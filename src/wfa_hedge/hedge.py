@@ -210,22 +210,12 @@ class CompiledMachine:
         the log of the total path weight.  ``w`` and ``phi_w`` are the
         powered weights of the edges and the phi edges.  ``beta`` and
         ``wb``, if given, receive each level's values, rescaled to maximum
-        1 (at power 0 only where they could overflow), and each edge's
-        w * beta[dst].  Final weights only sit at level T, where the
-        length acceptor ends."""
+        1, and each edge's w * beta[dst].  Final weights only sit at level
+        T, where the length acceptor ends."""
         so, eo, gb, go = (x.tolist() for x in (self.state_off, self.edge_off, self.group_bounds,
                                                 self.group_off))
         src, dst, (psrc, pdst) = self.src, self.dst, self._phi_ends
-        # At power 0 the values count paths, and level t multiplies the
-        # largest by at most its edge count (a phi chain inherits each
-        # state's edges once): a level is rescaled only once that bound
-        # could pass 2**960 since the last rescale.  Other powers rescale
-        # every level.
-        if power == 0.0:
-            grow = np.log2(np.maximum(np.diff(self.edge_off), 1)).tolist()
-        else:
-            grow = [math.inf] * (self.horizon + 1)
-        log_scale, room = 0.0, 0.0
+        log_scale = 0.0
         for t in range(self.horizon, -1, -1):
             lo, hi = so[t], so[t + 1]
             if t == self.horizon:
@@ -241,12 +231,10 @@ class CompiledMachine:
                 for g in range(go[t + 1] - 1, go[t] - 1, -1):
                     ga, gz = gb[g], gb[g + 1]
                     b[psrc[ga:gz]] += phi_w[ga:gz] * b[pdst[ga:gz]]  # one phi edge per source
-            room += grow[t]
-            if room >= 960.0:
-                room, m = 0.0, np.abs(b).max()
-                if m > 0:
-                    b /= m
-                    log_scale += math.log(m)
+            m = np.abs(b).max()
+            if m > 0:
+                b /= m
+                log_scale += math.log(m)
             if beta is not None:
                 beta[lo:hi] = b
         z = b[self.initial]  # level 0 starts at id 0

@@ -540,21 +540,25 @@ def _stored_names(machine: Wfa, states: Optional[np.ndarray] = None):
 # -- graph structure ---------------------------------------------------------
 
 
+_UNCOUNTED = object()  # a plan's path count before its sweep
+
+
 class _Topo:
     """A machine's level plan (its Kahn plan from :func:`_plan`, or a
     length-T machine's compiled levels): the states in FIFO Kahn order and
     where each generation starts (``order``, ``off``); the transitions
     grouped by their source's generation, in column order within a group,
     and where each group starts (``edges``, ``edge_off``); and the number
-    of accepting paths (``paths``, set by :func:`count_accepting_paths`
-    when it fits int64)."""
+    of accepting paths (``paths``, :data:`_UNCOUNTED` until
+    :func:`count_accepting_paths` sets it, to None where it may not fit
+    int64)."""
 
     __slots__ = ("order", "off", "edges", "edge_off", "paths")
 
     def __init__(self, order: np.ndarray, off: np.ndarray, edges: np.ndarray,
                  edge_off: np.ndarray):
         self.order, self.off, self.edges, self.edge_off = order, off, edges, edge_off
-        self.paths = None
+        self.paths = _UNCOUNTED
 
 
 def _plan(wfa: Wfa) -> _Topo:
@@ -718,7 +722,7 @@ def count_accepting_paths(wfa: Wfa) -> Optional[int]:
     if wfa.compiled is not None:
         return wfa.compiled.num_paths
     topo, c = _plan(wfa), wfa.columns
-    if topo.paths is None:
+    if topo.paths is _UNCOUNTED:
         def steps():
             for g in range(len(topo.off) - 2, -1, -1):
                 e = topo.edges[topo.edge_off[g]:topo.edge_off[g + 1]]
@@ -730,11 +734,11 @@ def count_accepting_paths(wfa: Wfa) -> Optional[int]:
     return topo.paths
 
 
-# Each float addition of non-negative terms rounds by at most a factor
-# 1 - 2**-53, so over up to 2**32 edges a float sum under-reads its true
-# value by less than a factor 1 - 2**-21: a float bound below this limit
-# leaves the true bound below 2**64.
-_COUNT_LIMIT = 2.0 ** 64 * (1.0 - 2.0 ** -20)
+# Each float conversion and addition of non-negative terms rounds by at
+# most a factor 1 - 2**-53, so over up to 2**32 edges a float sum
+# under-reads its true value by less than a factor 1 - 2**-21: a float
+# bound below this limit leaves the true bound below 2**63.
+_COUNT_LIMIT = 2.0 ** 63 * (1.0 - 2.0 ** -20)
 
 
 def _path_count(num_states: int, ends, initial: int, steps: Iterable,
@@ -744,26 +748,25 @@ def _path_count(num_states: int, ends, initial: int, steps: Iterable,
     or subtract, applies count[src] ufunc= count[dst] edge by edge, after
     the steps that settle its targets.
 
-    int64 sums are exact modulo 2**64, so the count read at the end is K
-    mod 2**64, whatever the partial sums did.  A float sweep of the same
-    steps, every one adding, bounds each count from above; while it stays
-    below 2**64, K (a count, so at least 0) lies in [0, 2**64), and the
-    int64 value is K when it is non-negative and says K >= 2**63 when it
-    is negative.  The sweep returns None there, or as soon as the bound
-    reaches 2**64, and never a wrapped value.  ``bounded=False`` drops
-    the bound where every count is known to lie in int64.
+    Each state's bound, 1 at an end plus the float sum of |count[dst]|
+    over its edges, caps every partial sum of its count.  A step's
+    targets are settled and already certified exact, so while every
+    bound stays below 2**63 no int64 sum wraps and the count read at the
+    end is K.  The sweep returns None as soon as a bound reaches the
+    limit, and never a wrapped value.  ``bounded=False`` drops the bound
+    where every count is known to lie in int64.
     """
     count = np.zeros(num_states, np.int64)
     count[ends] = 1
     bound = count.astype(float) if bounded else None
     for ufunc, src, dst in steps:
-        ufunc.at(count, src, count[dst])
+        terms = count[dst]
+        ufunc.at(count, src, terms)
         if bounded and len(src):
-            np.add.at(bound, src, bound[dst])
+            np.add.at(bound, src, np.abs(terms).astype(float))
             if bound[src].max() >= _COUNT_LIMIT:
                 return None
-    k = int(count[initial])
-    return k if k >= 0 else None
+    return int(count[initial])
 
 
 def log_power_sum(machine: Wfa, eta: float) -> float:

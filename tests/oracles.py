@@ -330,8 +330,22 @@ def compiled_count(cm, labels=None) -> int:
     counting 1 and each correction -1, so that every shadowed
     continuation nets out; zero weights count 0.  With ``labels``, symbol
     ids one per level, only the paths reading that sequence."""
+    return int(_compiled_counts(cm, labels)[0][cm.initial])
+
+
+def compiled_term_bound(cm) -> int:
+    """The largest sum, over one state, of 1 at an end and |count| of
+    each counted edge's target, in Python integers: the most that any
+    partial sum of that state's count can reach in magnitude."""
+    return int(_compiled_counts(cm)[1].max())
+
+
+def _compiled_counts(cm, labels=None):
+    """Per state, the count of :func:`compiled_count` and the term sum of
+    :func:`compiled_term_bound`."""
+    count = np.zeros(cm.num_states, object)
     if labels is not None and len(labels) != cm.horizon:
-        return 0
+        return count, count
     positive = cm.weight > 0.0
     on = positive[cm.tid]
     if labels is not None:
@@ -341,17 +355,22 @@ def compiled_count(cm, labels=None) -> int:
     plus_off = np.searchsorted(plus, cm.edge_off)
     minus_off = np.searchsorted(minus, cm.edge_off)
     phi_on = positive[cm.ptid]
-    count = np.zeros(cm.num_states, object)
     count[cm.final > 0.0] = 1
+    terms = count.copy()
     so, gb = cm.state_off, cm.group_bounds
+
+    def apply(add, src, dst):
+        np.add.at(terms, src, np.abs(count[dst]))
+        add(count, src, count[dst])
+
     for t in range(cm.horizon - 1, -1, -1):
         for add, e in ((np.add.at, plus[plus_off[t]:plus_off[t + 1]]),
                        (np.subtract.at, minus[minus_off[t]:minus_off[t + 1]])):
-            add(count, cm.src[e], count[so[t + 1] + cm.dst[e]])
+            apply(add, cm.src[e], so[t + 1] + cm.dst[e])
         for g in range(cm.group_off[t + 1] - 1, cm.group_off[t] - 1, -1):
             p = gb[g] + np.flatnonzero(phi_on[gb[g]:gb[g + 1]])
-            np.add.at(count, cm.psrc[p], count[cm.pdst[p]])
-    return int(count[cm.initial])
+            apply(np.add.at, cm.psrc[p], cm.pdst[p])
+    return count, terms
 
 
 def finite_difference_gradient(f, tables, h=1e-7):

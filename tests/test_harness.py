@@ -811,7 +811,7 @@ def test_a_run_without_approximation_builds_no_kahn_plan(monkeypatch, config, ex
     assert products and all(m._topo is None for m in products + fits)
     assert not [m for m in planned if m.compiled is not None]
     # (The k-shift competitor has stay loops: it gets no plan.)
-    assert all(m._topo is None or m._topo.paths is None for m in planned)
+    assert all(m._topo is None or m._topo.paths is wfa._UNCOUNTED for m in planned)
     planned = list({id(m): m for m in planned}.values())  # a plan is built once, read often
     converted = cfg.phi and cfg.approximation is None  # a bigram takes the shared-hub form
     assert len(planned) == converted

@@ -331,7 +331,8 @@ def test_kshift_count_is_the_closed_form(n, k, horizon):
 def test_kshift_count_is_exact_below_2_63_and_none_above(horizon):
     # K = N (N-1)^k C(T-1, k) for kshift(10, 5): 4.8e18 at T = 1000, below
     # 2^63; 1.5e19 at T = 1250, which int64 wraps to a negative value; and
-    # 1.6e20 at T = 2000, past the float bound 2^64.  Never a wrapped value.
+    # 1.6e20 at T = 2000, which it wraps to a positive one.  Never a
+    # wrapped value.
     k = 10 * 9 ** 5 * math.comb(horizon - 1, 5)
     cm = horizon_product(exact_shift_automaton(10, 5), horizon).compiled
     assert cm.num_paths == (k if k < 2 ** 63 else None)

@@ -207,9 +207,11 @@ def test_sleeping_engine_matches_path_simulation(seed, form, horizon, size, eta,
 @given(seed=SEEDS, form=FORMS, horizon=st.integers(1, 80), size=st.integers(1, 12))
 def test_int64_count_and_log_count_match_the_python_int_count(seed, form, horizon, size):
     # Up to 3^80 sequences, so both sides of the int64 range: the count
-    # is the reference's whenever it is an int, log K agrees with it
-    # everywhere, and the count along one sequence says whether it is
-    # supported (a leveled machine keeps its own short horizon).
+    # is the reference's whenever it is an int, and an int wherever no
+    # partial sum of a state's count, corrections included, can pass
+    # 2^62; log K agrees with it everywhere, and the count along one
+    # sequence says whether it is supported (a leveled machine keeps its
+    # own short horizon).
     rng = np.random.default_rng(seed)
     machine, horizon = drawn_machine(rng, form, horizon, size)
     try:
@@ -220,7 +222,7 @@ def test_int64_count_and_log_count_match_the_python_int_count(seed, form, horizo
     want = oracles.compiled_count(cm)
     got = cm.num_paths
     assert got is None or got == want
-    if want < 2 ** 62 and not len(cm.ptid):  # a plain count bounds itself
+    if oracles.compiled_term_bound(cm) < 2 ** 62:
         assert got == want
     if want:
         assert cm.log_K == pytest.approx(math.log(want), rel=1e-12)
@@ -232,6 +234,15 @@ def test_int64_count_and_log_count_match_the_python_int_count(seed, form, horizo
         sym = {a: i for i, a in enumerate(machine.alphabet)}
         seq = hedge.best_competitor(product, np.zeros((horizon, 3)), weighted=False)[0]
         assert cm.count_paths([sym[a] for a in seq]) == 1
+
+
+@pytest.mark.parametrize("horizon", [30, 39])
+def test_a_shadowing_phi_product_counts_exactly_below_2_62(horizon):
+    # Every stay loop shadows the hub's edge, so each correction cancels
+    # a continuation as large as itself; the count is still exact while
+    # K = 3^T stays below 2^62.
+    machine = bigram_phi_machine(shared_shift_bigram(np.random.default_rng(0), ("a", "b", "c")))
+    assert horizon_product(machine, horizon).compiled.num_paths == 3 ** horizon
 
 
 def same_report_or_float_tie(got, want, support, alphabet):

@@ -58,6 +58,19 @@ def test_length_automaton_shape():
     assert count_accepting_paths(s) == 27
 
 
+@pytest.mark.parametrize("horizon, want", [(62, 2 ** 62), (64, None)])
+def test_path_count_is_swept_once_also_where_it_does_not_fit_int64(monkeypatch, horizon, want):
+    # 2^64 paths do not fit int64: the count is None, kept on the plan
+    # like an exact one, so a second call sweeps nothing.
+    from wfa_hedge import wfa
+    sweeps, path_count = [], wfa._path_count
+    monkeypatch.setattr(wfa, "_path_count", lambda *a: sweeps.append(a) or path_count(*a))
+    s = length_automaton(2, horizon)
+    assert count_accepting_paths(s) == want
+    assert count_accepting_paths(s) == want
+    assert len(sweeps) == 1
+
+
 def test_kshift_support_is_exactly_k_changes():
     c = exact_shift_automaton(3, 2)
     b = intersect(c, length_automaton(3, 6))
