@@ -66,6 +66,24 @@ class ExperimentConfig:
         if "automaton" not in d or "horizon" not in d or "losses" not in d:
             raise ValueError("config needs automaton, horizon and losses")
         cfg = cls(**d)
+        for key in ("automaton", "losses", "approximation", "awake"):
+            spec, optional = getattr(cfg, key), key in ("approximation", "awake")
+            if spec is None and optional:
+                continue
+            if not isinstance(spec, dict):
+                raise ValueError(f"{key} must be an object{' or null' if optional else ''}")
+            if not isinstance(spec.get("params", {}), dict):
+                raise ValueError(f"{key} params must be an object")
+        if "path" not in cfg.losses and "generator" not in cfg.losses:
+            raise ValueError("losses need a path or a generator")
+        if "path" in cfg.automaton and "symbols" not in cfg.automaton:
+            raise ValueError("an automaton path needs symbols")
+        if cfg.approximation is not None and "kind" not in cfg.approximation:
+            raise ValueError("approximation needs a kind")
+        if type(cfg.phi) is not bool:
+            raise ValueError("phi must be true or false")
+        if cfg.label is not None and not isinstance(cfg.label, str):
+            raise ValueError("label must be a string or null")
         _check_horizon(cfg.horizon)
         if type(cfg.seed) is not int or cfg.seed < 0:
             raise ValueError("seed must be a non-negative integer")

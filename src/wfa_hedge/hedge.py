@@ -10,15 +10,15 @@ failure (phi) edges among its states, grouped by chain depth.  Each
 shadowed continuation of a phi chain becomes one extra consuming edge
 with a negative weight, so plain and phi machines run the same sweeps.
 
-Every pass is a per-level ``np.bincount`` sweep in float64.  Alpha and
-beta have one entry per state; each level's slice is rescaled to maximum
-1 and its log scale accumulated (the scaled forward-backward of Rabiner
-1989), so the sweeps neither under- nor overflow at any horizon.  The
-backward sweeps at powers 1 and eta yield log Z and log Z_eta; the one
-at eta keeps each edge's powered weight w and readout product
-w * beta[dst].  A round is then one gather of alpha and two bincounts
-over its level: the advance along w * exp(-eta * loss[label]), and the
-readout of the next level, alpha * w * beta summed by label.
+Every pass is a per-level ``np.bincount`` sweep in float64 over one entry
+per state; each level's slice is rescaled to maximum 1 and its log scale
+accumulated (the scaled forward-backward of Rabiner 1989), so the sweeps
+neither under- nor overflow at any horizon.  The backward sweeps at
+powers 1 and eta yield log Z and log Z_eta; the one at eta keeps each
+edge's powered weight w and readout product w * beta[dst], not beta.  A
+round slices the compiled arrays at its level's edge offsets: one gather
+of alpha and two bincounts, the advance along w * exp(-eta * loss[label])
+and the readout of the next level, alpha * w * beta summed by label.
 
 Per-round distributions: p_t[a] is the posterior marginal of the t-th
 symbol given losses 1..t-1.
@@ -42,7 +42,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .phi import PhiWfa, _chains, _direct_labels, _phi_chain_depth
+from .phi import PhiWfa, _chains, _direct_labels
 from .wfa import (NEG_INF, Wfa, _Topo, _compiled, _edge_logs, _edge_marginals,
                   _final_weights, _label_ranks, _path_count, _ranges, _sorted_arcs, exact_logs,
                   leveled_best_path, log_power_sum)
@@ -74,21 +74,6 @@ Machine = Union[Wfa, PhiWfa]
 
 
 # -- the compiled machine --------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class Level:
-    """The consuming edges leaving one level, as a round reads them:
-    ``consuming``, the machine's own as indices into
-    ``machine.transitions``; ``edges``, their range in the compiled
-    arrays with the corrections, and views of their ``src``, ``label``
-    and ``dst`` columns; ``fixed``, the consuming plus phi edges."""
-    consuming: np.ndarray
-    edges: slice
-    src: np.ndarray
-    label: np.ndarray
-    dst: np.ndarray
-    fixed: int
 
 
 class CompiledMachine:
@@ -149,10 +134,11 @@ class CompiledMachine:
         self.dst = dst[self.tid] - self.state_off[level[self.src] + 1]
         self.label = label[self.tid]
 
-        # Phi edges by (level, longest phi path into the source): a
-        # group only reads states whose phi inflow is complete.
+        # Phi edges by (level, longest phi path into the source, as the phi
+        # product swept it): a group only reads states whose phi inflow is complete.
         pid = np.flatnonzero(label < 0)
-        self.phi_depth = _phi_chain_depth(dst[pid], src[pid], n_s)
+        self.phi_depth = (machine._phi_depth if isinstance(machine, PhiWfa)
+                          else np.zeros(n_s, np.intp))
         pkey = level[src[pid]] * (self.phi_depth.max() + 1) + self.phi_depth[src[pid]]
         by_key = np.argsort(pkey, kind="stable")
         self.ptid = pid[by_key]
@@ -160,12 +146,6 @@ class CompiledMachine:
         starts = np.flatnonzero(np.diff(pkey[by_key], prepend=-1))
         self.group_bounds = np.append(starts, len(pid))
         self.group_off = np.searchsorted(level[self.psrc[starts]], np.arange(horizon + 2))
-
-    def levels(self) -> list[Level]:
-        eo, ends, gb, go = self.edge_off, self.real_end, self.group_bounds, self.group_off
-        return [Level(self.tid[a:ends[t]], slice(a, b), self.src[a:b], self.label[a:b],
-                      self.dst[a:b], int(ends[t] - a + gb[go[t + 1]] - gb[go[t]]))
-                for t, (a, b) in enumerate(zip(eo[:-1], eo[1:]))]
 
     def extend(self, t: int, alpha: np.ndarray, phi_w: np.ndarray) -> None:
         """Push level t's forward weights along its phi edges, shallow
@@ -176,17 +156,17 @@ class CompiledMachine:
             alpha[lo:hi] += np.bincount(self.pdst[a:b] - lo, alpha[self.psrc[a:b]] * phi_w[a:b],
                                         minlength=hi - lo)
 
-    def backward(self, power: float) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, np.ndarray]:
+    def backward(self, power: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         """Scaled backward sweep with every weight raised to ``power``.
 
-        Returns beta, each level's slice rescaled to maximum 1; the log of
-        the total path weight; per edge the powered weight w and the
-        readout product w * beta[dst], which the forward rounds reuse;
-        and the powered phi weights.
+        Returns the log of the total path weight; per edge the powered
+        weight w and the readout product w * beta[dst], beta's levels
+        rescaled to maximum 1, which the forward rounds read in place of
+        beta; and the powered phi weights.
         """
         w, phi_w = self._powered(power, self.tid, self.coef), self._powered(power, self.ptid)
-        wb, beta = np.empty_like(w), np.zeros(self.num_states)
-        return beta, self._sweep(power, w, phi_w, wb, beta), w, wb, phi_w
+        wb = np.empty_like(w)
+        return self._sweep(power, w, phi_w, wb), w, wb, phi_w
 
     def log_total(self, power: float) -> float:
         """The log of the total path weight at ``power``, swept as
@@ -205,13 +185,13 @@ class CompiledMachine:
             return w
         return np.copysign(np.abs(coef) ** power, coef) * np.exp(power * self.log_w[tid])
 
-    def _sweep(self, power: float, w: np.ndarray, phi_w: np.ndarray, wb=None, beta=None) -> float:
+    def _sweep(self, power: float, w: np.ndarray, phi_w: np.ndarray, wb=None) -> float:
         """The scaled backward sweep at ``power``, level T down to level 0:
         the log of the total path weight.  ``w`` and ``phi_w`` are the
-        powered weights of the edges and the phi edges.  ``beta`` and
-        ``wb``, if given, receive each level's values, rescaled to maximum
-        1, and each edge's w * beta[dst].  Final weights only sit at level
-        T, where the length acceptor ends."""
+        powered weights of the edges and the phi edges.  ``wb``, if given,
+        receives each edge's w * beta[dst], beta's level rescaled to
+        maximum 1.  Final weights only sit at level T, where the length
+        acceptor ends."""
         so, eo, gb, go = (x.tolist() for x in (self.state_off, self.edge_off, self.group_bounds,
                                                 self.group_off))
         src, dst, (psrc, pdst) = self.src, self.dst, self._phi_ends
@@ -235,8 +215,6 @@ class CompiledMachine:
             if m > 0:
                 b /= m
                 log_scale += math.log(m)
-            if beta is not None:
-                beta[lo:hi] = b
         z = b[self.initial]  # level 0 starts at id 0
         return log_scale + math.log(z) if z > 0 else NEG_INF
 
@@ -409,10 +387,10 @@ class HedgeState:
     """Mutable per-experiment state.  Single-writer: rounds are sequential.
 
     ``machine`` is the competitor's length-T product from
-    :func:`horizon_product`, and ``compiled`` its arrays.
-    ``alpha`` and ``beta`` are indexed by the state ids of ``compiled``;
-    ``flows`` holds the per-label path mass of the current level, as read
-    out before clamping and normalising.
+    :func:`horizon_product`, and ``compiled`` its arrays, which round t
+    reads at ``edge_off[t]:edge_off[t+1]``.  ``alpha`` is indexed by the
+    state ids of ``compiled``; ``flows`` holds the per-label path mass of
+    the current level, as read out before clamping and normalising.
     """
 
     def __init__(self, machine: Machine, horizon: int, eta: float):
@@ -430,8 +408,12 @@ class HedgeState:
         self.sym_index = {a: i for i, a in enumerate(machine.alphabet)}
 
         self.compiled = cm
-        self.levels = cm.levels()
-        self.beta, self.log_Z_eta, self._w, self._wb, self._phi_w = cm.backward(eta)
+        self._edge_off, self._real_end, self._state_off = (
+            x.tolist() for x in (cm.edge_off, cm.real_end, cm.state_off))
+        # Per level the consuming and phi edges, which every pass visits.
+        self._fixed = (cm.real_end - cm.edge_off[:-1]
+                       + np.diff(cm.group_bounds[cm.group_off])).tolist()
+        self.log_Z_eta, self._w, self._wb, self._phi_w = cm.backward(eta)
         # Row t: the log-factor each label's edges at level t were charged.
         self._charges = np.zeros((horizon, self.num_experts))
         self.alpha = np.zeros(cm.num_states)
@@ -469,26 +451,27 @@ class HedgeState:
     def log_w(self) -> np.ndarray:
         """The eta-powered transition log-weights, indexed like
         ``machine.transitions``, with the losses charged so far."""
-        log_w = self.eta * self.compiled.log_w
-        for lv, charge in zip(self.levels, self._charges):
-            log_w[lv.consuming] += charge[lv.label[:len(lv.consuming)]]
+        cm, log_w = self.compiled, self.eta * self.compiled.log_w
+        e = _ranges(cm.edge_off[:-1], cm.real_end)  # each transition once
+        log_w[cm.tid[e]] += self._charges[cm.level[cm.src[e]], cm.label[e]]
         return log_w
 
     # -- per-level sweeps --
 
     def _readout(self) -> np.ndarray:
-        """Read p_t off the current level: one gather of alpha, kept for
-        the advance, and one bincount of alpha * w * beta by label."""
-        lv = self.levels[self.rounds_done]
-        self._x = self.alpha[lv.src]
-        self.flows = np.bincount(lv.label, self._x * self._wb[lv.edges], minlength=self.num_experts)
+        """Read p_t off the current level: one gather of alpha and a label
+        slice, kept for the advance, and one bincount of alpha * w * beta."""
+        cm, t = self.compiled, self.rounds_done
+        a, b = self._edge_off[t], self._edge_off[t + 1]
+        self._x, self._label = self.alpha[cm.src[a:b]], cm.label[a:b]
+        self.flows = np.bincount(self._label, self._x * self._wb[a:b], minlength=self.num_experts)
         flows = np.maximum(self.flows, 0.0)
         total = flows.sum()
         if not total > 0:
             raise ValueError("no probability mass left at this level")
         # Edges visited by one pass over the level: phi edges, consuming
         # edges, and the corrections whose source carries mass.
-        self._touched = lv.fixed + int(np.count_nonzero(self._x[len(lv.consuming):]))
+        self._touched = self._fixed[t] + int(np.count_nonzero(self._x[self._real_end[t] - a:]))
         return flows / total
 
     def _advance(self, loss: np.ndarray, p: np.ndarray, delta: np.ndarray) -> Optional[np.ndarray]:
@@ -499,11 +482,12 @@ class HedgeState:
         self.expected_losses.append(expected)
         self.cumulative_loss += expected
         self.loss_history.append(loss.copy())
-        cm, t, lv = self.compiled, self.rounds_done, self.levels[self.rounds_done]
+        cm, t = self.compiled, self.rounds_done
         self._charges[t] = delta
-        lo, hi = cm.state_off[t + 1], cm.state_off[t + 2]
-        mass = self._x * self._w[lv.edges] * np.exp(delta)[lv.label]
-        self.alpha[lo:hi] = np.bincount(lv.dst, mass, minlength=hi - lo)
+        a, b = self._edge_off[t], self._edge_off[t + 1]
+        lo, hi = self._state_off[t + 1], self._state_off[t + 2]
+        mass = self._x * self._w[a:b] * np.exp(delta)[self._label]
+        self.alpha[lo:hi] = np.bincount(cm.dst[a:b], mass, minlength=hi - lo)
         cm.extend(t + 1, self.alpha, self._phi_w)
         peak = np.abs(self.alpha[lo:hi]).max()
         if peak > 0:
@@ -876,6 +860,11 @@ def tune_eta_fixed(horizon: int, num_sequences: int) -> float:
     """Minimizer sqrt(8 log K / T) of the fixed-rate regret bound,
     clamped away from degenerate exponents."""
     _check_horizon(horizon)
+    if num_sequences is None:
+        raise ValueError("num_sequences is None, as a count past int64 is; "
+                         "the bounds read log K there")
+    if isinstance(num_sequences, bool):
+        raise ValueError(f"num_sequences must be a number, not {num_sequences!r}")
     if num_sequences < 1:
         raise ValueError("need at least one sequence")
     return _tuned_eta(horizon, math.log(num_sequences))

@@ -147,7 +147,9 @@ class PhiWfa(Wfa):
               or (self.origin[:, :2].max(axis=0) >= [len(t) for t in self.operand_labels]).any()):
             raise ValueError("operand_labels are a (left, right) pair of tables with one column "
                              "per symbol, indexed by the first two origin columns")
-        self._phi_depth = int(_phi_chain_depth(cols.src[phi], cols.dst[phi], self.num_states).max())
+        # Reversed, as the compile reads it: cycles and the longest chain stay.
+        self._phi_depth = _phi_chain_depth(cols.dst[phi], cols.src[phi], self.num_states)
+        self._phi_depth.flags.writeable = False
 
     # -- queries --
 
@@ -168,8 +170,8 @@ class PhiWfa(Wfa):
         return bool((self.columns.label < 0).any())
 
     def max_phi_chain_depth(self) -> int:
-        """Edges on the longest phi path."""
-        return self._phi_depth
+        """Edges on the longest phi path, the most on one into any state."""
+        return int(self._phi_depth.max())
 
     def to_wfa(self) -> Wfa:
         if self.has_phi():

@@ -187,6 +187,20 @@ def test_config_checks_files_exist():
     ("eta", True, "eta must be a positive number, 'fixed' or 'renyi'"),
     ("eta", 0, "eta must be a positive number, 'fixed' or 'renyi'"),
     ("eta", "tuned", "eta must be a positive number, 'fixed' or 'renyi'"),
+    ("automaton", [], "automaton must be an object"),
+    ("automaton", {"builder": "kshift", "params": [3, 2]}, "automaton params must be an object"),
+    ("automaton", {"path": "machine.fsa"}, "an automaton path needs symbols"),
+    ("losses", "iid_uniform", "losses must be an object"),
+    ("losses", {}, "losses need a path or a generator"),
+    ("losses", {"generator": "piecewise_stationary", "params": None},
+     "losses params must be an object"),
+    ("approximation", [], "approximation must be an object or null"),
+    ("approximation", {}, "approximation needs a kind"),
+    ("awake", "random_subsets", "awake must be an object or null"),
+    ("awake", {"generator": "random_subsets", "params": 0.7}, "awake params must be an object"),
+    ("phi", "yes", "phi must be true or false"),
+    ("phi", 1, "phi must be true or false"),
+    ("label", 3, "label must be a string or null"),
 ])
 def test_cli_refuses_a_config_value_of_the_wrong_type(tmp_path, capsys, key, value, message):
     # Booleans count as bad input although Python counts them as ints.

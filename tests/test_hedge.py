@@ -401,7 +401,8 @@ def test_best_sequence_differs_from_the_expansion_only_on_a_float_tie():
 
 def test_touched_edges_equal_level_sizes():
     st = hedge_init(exact_shift_automaton(3, 2), 6, 0.5)
-    level_sizes = [len(lv.consuming) for lv in st.levels]
+    cm = st.compiled
+    level_sizes = (cm.real_end - cm.edge_off[:-1]).tolist()
     rng = np.random.default_rng(0)
     for _ in range(6):
         hedge_step(st, rng.random(3))
@@ -722,6 +723,17 @@ def test_tune_eta_fixed():
     bound = lambda e: e * 100 / 8 + math.log(50) / e
     for trial in np.linspace(0.01, 3.0, 100):
         assert bound(eta) <= bound(trial) + 1e-9
+
+
+def test_tune_eta_fixed_refuses_a_count_it_cannot_read():
+    # None is what K reads past int64, where only log K is known.
+    past_int64 = horizon_product(exact_shift_automaton(10, 5), 1250)
+    assert past_int64.compiled.num_paths is None
+    with pytest.raises(ValueError, match="None, as a count past int64 is; the bounds read log K"):
+        tune_eta_fixed(1250, past_int64.compiled.num_paths)
+    for flag in (True, False):
+        with pytest.raises(ValueError, match=f"must be a number, not {flag}"):
+            tune_eta_fixed(10, flag)
 
 
 def test_tune_eta_renyi_uniform_matches_fixed():

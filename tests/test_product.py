@@ -419,7 +419,7 @@ def assert_unroll_matches(rng, machine, horizon, eta):
     assert got.num_states == len(pairs)
     assert_levels_increase(got)
     assert got.compiled.count_paths() == want.compiled.count_paths()
-    assert got.compiled.backward(1.0)[1] == pytest.approx(want.compiled.backward(1.0)[1],
+    assert got.compiled.backward(1.0)[0] == pytest.approx(want.compiled.backward(1.0)[0],
                                                           rel=0, abs=1e-12)
     losses = rng.random((horizon, len(machine.alphabet)))
     if got.compiled.count_paths():
@@ -581,6 +581,32 @@ def test_the_unroll_computes_only_the_levels_that_change(monkeypatch):
     assert forward_steps(monkeypatch, long_competitor(None, "phi_shift", alphabet, 0), 40) == 1
     alternating = long_competitor(None, "alternating", alphabet, 0)
     assert forward_steps(monkeypatch, alternating, 40) == 40
+
+
+def test_the_phi_depths_are_swept_once_per_product(monkeypatch):
+    # The product's check sweeps its phi depths and the compile reads that
+    # array; a plain product has none to sweep.  Counted wherever the
+    # sweep is bound, so that a second binding is counted too.
+    calls, sweep = [], phi._phi_chain_depth
+
+    def counted(*args):
+        calls.append(None)
+        return sweep(*args)
+
+    for module in (phi, hedge):
+        if hasattr(module, "_phi_chain_depth"):
+            monkeypatch.setattr(module, "_phi_chain_depth", counted)
+    for competitor, sweeps in ((bigram_phi_machine(fixed_share_bigram(4, 2, 6)), 1),
+                               (exact_shift_automaton(3, 2), 0)):
+        calls.clear()
+        product = hedge.horizon_product(competitor, 6)
+        assert len(calls) == sweeps
+        depth = product.compiled.phi_depth
+        assert depth.dtype == np.intp and len(depth) == product.num_states
+        if sweeps:
+            assert depth is product._phi_depth and depth.max() == product.max_phi_chain_depth()
+        else:
+            assert not depth.any()
 
 
 def run_distributions(state, losses):

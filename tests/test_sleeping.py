@@ -322,3 +322,33 @@ def test_sleeping_regret_reads_support_without_multiplying_weights():
     for competitor in (st.machine, horizon_product(light, 120)):
         assert sleeping_regret(*args, competitor, u, 0.5) == want
     assert want.bound == pytest.approx(0.5 / 8 * 120 + 120 * math.log(2) / 0.5, rel=1e-15)
+
+
+def test_a_long_awake_run_reads_its_bound_from_the_float_log_k(monkeypatch):
+    # kshift(10, 5) at T = 1,250: K = 10 * 9^5 * C(1249, 5), about 1.5e19,
+    # lies past int64 (it passes 2^63 at T = 1,137), so there is no exact
+    # count, and eta and the sleeping bound read log K from the scaled
+    # sweep at power 0.
+    n, k, horizon = 10, 5, 1250
+    verdicts = []
+
+    def recorded(*args):
+        verdicts.append(sleeping_regret(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(harness, "sleeping_regret", recorded)
+    cfg = harness.ExperimentConfig.from_dict({
+        "automaton": {"builder": "kshift", "params": {"num_experts": n, "shifts": k}},
+        "horizon": horizon, "eta": "fixed", "algorithm": "awake-hedge", "seed": 3,
+        "awake": {"generator": "random_subsets", "params": {"density": 0.7}, "seed": 1},
+        "losses": {"generator": "piecewise_stationary", "params": {"segment_length": 208},
+                   "seed": 2}})
+    report = harness.run_experiment(cfg)
+    assert report["verdicts"] == {"sleeping_bound_ok": True}
+    [r] = verdicts
+    log_k = math.log(n * (n - 1) ** k * math.comb(horizon - 1, k))
+    eta = report["eta"]
+    assert eta == pytest.approx(math.sqrt(8 * log_k / horizon), rel=1e-14)
+    assert r.bound == pytest.approx(eta / 8 * r.awake_mass + log_k / eta, rel=1e-14)
+    assert report["sleeping_bound_margin"] == r.bound - r.value > 0
+    assert horizon_product(exact_shift_automaton(n, k), horizon).compiled.num_paths is None
