@@ -27,8 +27,7 @@ from .ngram import (NGramModel, bigram_phi_machine, fixed_share_bigram,
                     minimax_unigram, ml_ngram, ngram_to_wfa, uniform_model)
 from .approx import (DivergenceValue, divergence_inf, kl_divergence, prod_eg,
                      ratio_subgradient, select_order)
-from .phi import (PHI, PhiWfa, as_phi, evaluate_phi, phi_convert, phi_expand,
-                  phi_intersect, phi_source_subset)
+from .phi import PHI, PhiWfa, as_phi, phi_convert, phi_expand, phi_intersect
 from .sleeping import (AwakeState, ZeroAwakeMassError, awake_distribution,
                        awake_init, awake_step, sleeping_regret,
                        worst_comparator)

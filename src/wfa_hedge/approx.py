@@ -160,8 +160,14 @@ class _ProdEGRun:
                 eta = self.step_scale
             if eta > 0 and sup > 0:
                 touched = g.any(axis=1)
-                rows = p[touched] * np.exp(-eta * g[touched])
-                p[touched] = rows / rows.sum(axis=1, keepdims=True)
+                with np.errstate(over="ignore"):
+                    rows = p[touched] * np.exp(-eta * g[touched])
+                    sums = rows.sum(axis=1, keepdims=True)
+                if not np.isfinite(sums).all():
+                    c = np.flatnonzero(touched)[~np.isfinite(sums[:, 0])][0]
+                    raise ValueError(f"step scale {self.step_scale!r} overflows the update of "
+                                     f"context {self.model.contexts[c]}; use a smaller one")
+                p[touched] = rows / sums
         self.grad_sup_norms.append(sup)
         self.etas.append(eta)
         self.total += p
@@ -186,7 +192,8 @@ def prod_eg(machine: Wfa, order: int, iterations: int,
     simplex.  The guarantee is for the average of the played iterates,
     which is what gets returned as ``model``.  The adaptive step is
     scale / sqrt(sum of squared gradient sup-norms); ``constant`` uses
-    ``step_scale`` directly.
+    ``step_scale`` directly.  A step whose multiplicative update
+    overflows raises ValueError naming the step scale and the context.
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")

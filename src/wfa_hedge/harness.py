@@ -149,7 +149,8 @@ def gen_losses(kind: str, params: dict, seed: int, horizon: int, num_experts: in
     piecewise_stationary: one favored low-mean expert per segment.
     iid_uniform: independent uniform [0, 1] entries.
     adversarial_best_path: the target sequence accumulates zero loss,
-    everyone else stays expensive.
+    everyone else stays expensive; ValueError for a target symbol outside
+    the alphabet or an alphabet of other than ``num_experts`` symbols.
     """
     rng = np.random.default_rng(seed)
     if kind == "iid_uniform":
@@ -179,9 +180,13 @@ def gen_losses(kind: str, params: dict, seed: int, horizon: int, num_experts: in
         if alphabet is None:
             from .wfa import default_alphabet
             alphabet = default_alphabet(num_experts)
+        if len(alphabet) != num_experts:
+            raise ValueError(f"alphabet has {len(alphabet)} symbols for {num_experts} experts")
         sym = {a: i for i, a in enumerate(alphabet)}
         losses = 0.5 + 0.5 * rng.random((horizon, num_experts))
         for t, a in enumerate(target):
+            if a not in sym:
+                raise ValueError(f"target symbol {a!r} at round {t + 1} is not in the alphabet")
             losses[t, sym[a]] = 0.0
         return losses
     raise ValueError(f"unknown loss generator {kind!r}")

@@ -673,8 +673,7 @@ def _unroll(competitor: Machine, horizon: int, phi: bool):
     own = arc[phi_to[c.src[arc]] < n_q]
     first = phi_edge[c.src[own]]
     row_e, row_w = _chains(competitor).walk(competitor, c.dst[first], c.label[own],
-                                            c.weight[first], competitor.max_phi_chain_depth(),
-                                            c.src[own])
+                                            c.weight[first])
     hit = row_e >= 0
     row_q, row_e, row_w = c.src[own[hit]], row_e[hit], row_w[hit]
     # Laid over each live state before level T: the shadowed edge leaves

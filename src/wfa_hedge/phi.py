@@ -22,8 +22,11 @@ run one frontier at a time on the columns, like
 :func:`~wfa_hedge.wfa.intersect`, and :func:`phi_expand` expands a phi
 machine the same way, walking all (state, symbol) pairs of a frontier
 down their phi chains at once.  That one walker, cached per machine,
-answers every phi chain query, :func:`resolve_symbol` and the other
-per-pair helpers included.
+answers every phi chain query.  A machine refuses phi cycles when it is
+built, so every walk ends within ``max_phi_chain_depth()`` phi edges;
+the chains are resolved without expansion as in Allauzen and Riley,
+"Algorithms for weighted finite automata with failure transitions"
+(CIAA 2018).
 """
 
 from __future__ import annotations
@@ -43,17 +46,12 @@ from .wfa import (PHI, Columns, CyclicAutomatonError, Transition, Wfa, _ArcPairs
 __all__ = [
     "PHI",
     "PhiWfa",
-    "PhiChainError",
     "as_phi",
-    "resolve_symbol",
-    "reads_directly",
     "shadowed_continuation",
-    "evaluate_phi",
     "phi_backward_distances",
     "power_weights_phi",
     "weight_push_phi",
     "phi_expand",
-    "phi_source_subset",
     "phi_convert",
     "phi_intersect",
 ]
@@ -69,13 +67,6 @@ PHI_FILTER = {
     (1, "right"): 1,
     (2, "left"): 2,
 }
-
-
-class PhiChainError(RuntimeError):
-    """Phi chain longer than the configured cap (default 16)."""
-
-
-MAX_PHI_CHAIN = 16
 
 
 class PhiWfa(Wfa):
@@ -290,29 +281,28 @@ class _Chains:
         return e, stop
 
     def resolving_step(self, m: PhiWfa, q: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-        """The phi edge each (state, symbol) pair takes by the rule of
-        :func:`resolve_symbol` (-1: none): on composition outputs the
-        first phi edge of the move kind that advances the side(s) not
-        defining the symbol, elsewhere the first phi edge."""
+        """The phi edge each (state, symbol) pair takes when it resolves
+        the symbol (-1: none): on composition outputs the first phi edge
+        of the move kind that advances only the side(s) not defining the
+        symbol, elsewhere the first phi edge."""
         if self.operands is None:
             return self.first[q]
         left, right = self.defines(q, symbol)
         return self.by_move[q, np.where(left, 2, np.where(right, 1, 3))]
 
-    def walk(self, m: PhiWfa, q: np.ndarray, symbol: np.ndarray, w: np.ndarray, max_chain: int,
-             origin: np.ndarray, resolving: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def walk(self, m: PhiWfa, q: np.ndarray, symbol: np.ndarray, w: np.ndarray,
+             resolving: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Moves every pair (q[i], symbol[i]) down its phi chain until a
         state reads the symbol directly (:meth:`reads`).  A pending pair
         takes its state's first phi edge, or with ``resolving`` the one
-        :meth:`resolving_step` gives; it stops where there is none.
-        Returns per pair the arc it stops on (-1: none) and w[i] times the
-        weights of the phi edges taken, in chain order.  Raises
-        PhiChainError naming origin[i] of the first pair still moving
-        after max_chain + 1 states."""
+        :meth:`resolving_step` gives; it stops where there is none, so
+        within ``max_phi_chain_depth()`` edges.  Returns per pair the arc
+        it stops on (-1: none) and w[i] times the weights of the phi
+        edges taken, in chain order."""
         c = m.columns
         edge, weight = np.full(len(q), -1, np.intp), np.zeros(len(q))
         pos = np.arange(len(q))
-        for _ in range(max_chain + 1):
+        for _ in range(m.max_phi_chain_depth() + 1):
             e, stop = self.reads(m, q, symbol)
             edge[pos[stop]], weight[pos[stop]] = e[stop], w[stop]
             s = self.resolving_step(m, q, symbol) if resolving else self.first[q]
@@ -320,18 +310,16 @@ class _Chains:
             pos, symbol, w, q = pos[go], symbol[go], w[go] * c.weight[s[go]], c.dst[s[go]]
             if not pos.size:
                 break
-        if pos.size:
-            raise PhiChainError(f"phi chain exceeds {max_chain} from state {origin[pos[0]]}")
         return edge, weight
 
-    def resolve(self, m: PhiWfa, states: np.ndarray, max_chain: int) -> tuple[np.ndarray, ...]:
-        """Every symbol at each of ``states`` resolved by the rule of
-        :func:`resolve_symbol`, all chains walked at once: per resolution
-        of nonzero weight, by state and then symbol, the index of the
-        state, the destination, and (symbol, chain weight times arc weight)."""
+    def resolve(self, m: PhiWfa, states: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Every symbol at each of ``states`` resolved down its phi chain
+        (``resolving``), all chains walked at once: per resolution of
+        nonzero weight, by state and then symbol, the index of the state,
+        the destination, and (symbol, chain weight times arc weight)."""
         c, n_sym = m.columns, len(self.index)
         state, symbol = np.repeat(states, n_sym), np.tile(np.arange(n_sym), len(states))
-        edge, w = self.walk(m, state, symbol, np.ones(len(state)), max_chain, state, resolving=True)
+        edge, w = self.walk(m, state, symbol, np.ones(len(state)), resolving=True)
         pair = np.flatnonzero(edge >= 0)
         weight = w[pair] * c.weight[edge[pair]]
         pair, weight = pair[weight != 0.0], weight[weight != 0.0]
@@ -345,35 +333,7 @@ def _chains(machine: PhiWfa) -> _Chains:
     return machine._chains
 
 
-def resolve_symbol(machine: PhiWfa, state: int, symbol: str,
-                   max_chain: int = MAX_PHI_CHAIN) -> Optional[tuple[float, int]]:
-    """Effective (weight, destination) for reading ``symbol`` at ``state``.
-
-    Follows the phi chain with shadowing; returns None when the symbol
-    cannot be read.  Composition outputs use the pair-aware rule: advance
-    only the side(s) that do not define the symbol yet.
-    """
-    chains, c = _chains(machine), machine.columns
-    q = np.array([state])
-    edge, w = chains.walk(machine, q, chains.symbol(symbol), np.ones(1), max_chain, q,
-                          resolving=True)
-    return None if edge[0] < 0 else (float(w[0] * c.weight[edge[0]]), int(c.dst[edge[0]]))
-
-
-def reads_directly(machine: PhiWfa, state: int, symbol: str) -> bool:
-    """Whether ``state`` reads ``symbol`` without its phi chain.
-
-    A composition state does when both sides define the symbol
-    (``operand_labels``), even if the composed edge was trimmed because no
-    completion follows it: the symbol is then unreadable there, and the
-    chain must not be consulted either.
-    """
-    chains = _chains(machine)
-    return bool(chains.reads(machine, np.array([state]), chains.symbol(symbol))[1][0])
-
-
-def shadowed_continuation(machine: PhiWfa, state: int, symbol: str,
-                          max_chain: int = MAX_PHI_CHAIN
+def shadowed_continuation(machine: PhiWfa, state: int, symbol: str
                           ) -> Optional[tuple[float, Transition]]:
     """First shadowed ``symbol`` edge hanging off ``state``'s phi chain.
 
@@ -388,42 +348,31 @@ def shadowed_continuation(machine: PhiWfa, state: int, symbol: str,
     phi = chains.first[state]
     if phi < 0:
         return None
-    edge, w = chains.walk(machine, c.dst[[phi]], chains.symbol(symbol), c.weight[[phi]],
-                          max_chain, np.array([state]))
+    edge, w = chains.walk(machine, c.dst[[phi]], chains.symbol(symbol), c.weight[[phi]])
     return None if edge[0] < 0 else (float(w[0]), machine.transitions[edge[0]])
 
 
-def evaluate_phi(machine: PhiWfa, sequence: Sequence[str]) -> float:
-    """Weight of ``sequence`` under failure-transition semantics."""
-    q = machine.initial
-    w = 1.0
-    for a in sequence:
-        r = resolve_symbol(machine, q, a)
-        if r is None:
-            return 0.0
-        w *= r[0]
-        q = r[1]
-    return w * machine.final_weight(q)
-
-
-def phi_expand(machine: PhiWfa, max_chain: int = MAX_PHI_CHAIN) -> Wfa:
+def phi_expand(machine: PhiWfa) -> Wfa:
     """Plain WFA with the same weighted language.
 
-    Each (state, symbol) is resolved through the phi chain by the rule of
-    :func:`resolve_symbol`, and resolutions of weight 0 are dropped; hub
-    states disappear because nothing effective stops on them.  Only
-    states reachable through effective transitions are kept.
+    Each (state, symbol) is resolved down its phi chain, with shadowing:
+    on composition outputs a state with several phi edges takes the one
+    that advances only the side(s) not defining the symbol, and a state
+    whose two sides both define it reads it directly or not at all.
+    Resolutions of weight 0 are dropped; hub states disappear because
+    nothing effective stops on them.  Only states reachable through
+    effective transitions are kept.
 
     The search is breadth-first, one frontier at a time, as in
     :func:`~wfa_hedge.wfa.intersect`: all (state, symbol) pairs of a
     frontier walk their chains at once.  States are numbered in
     discovery order, each state's transitions follow in alphabet order,
     and ``state_names`` keeps the names of the states kept, as a
-    queue-based search calling :func:`resolve_symbol` per pair gives them.
+    queue-based search resolving one pair at a time gives them.
     """
     chains = _chains(machine)
     code, src, dst, (label, weight) = _search(machine.initial,
-                                              lambda f: chains.resolve(machine, f, max_chain))
+                                              lambda f: chains.resolve(machine, f))
     new_id = np.full(machine.num_states, -1, np.intp)
     new_id[code] = np.arange(len(code))
     finals = {int(new_id[q]): w for q, w in machine.finals.items() if new_id[q] >= 0}
@@ -436,12 +385,9 @@ def phi_expand(machine: PhiWfa, max_chain: int = MAX_PHI_CHAIN) -> Wfa:
 
 def _resolved(machine: PhiWfa) -> Wfa:
     """The plain machine on the same states whose arcs are the nonzero
-    resolutions of every (state, symbol): its paths are the legal ones.
-    Every chain is walked to its end: a machine refuses phi cycles when it
-    is built, so none is longer than ``max_phi_chain_depth()``."""
+    resolutions of every (state, symbol): its paths are the legal ones."""
     topological_order(machine)  # raises CyclicAutomatonError on any cycle, phi edges included
-    src, dst, (label, weight) = _chains(machine).resolve(machine, np.arange(machine.num_states),
-                                                         machine.max_phi_chain_depth())
+    src, dst, (label, weight) = _chains(machine).resolve(machine, np.arange(machine.num_states))
     return Wfa.from_columns(machine.alphabet, machine.num_states, machine.initial, machine.finals,
                             src, label, weight, dst)
 
@@ -505,10 +451,13 @@ def _pairs(wfa: Wfa) -> np.ndarray:
 
 
 def _subset(c: Columns, e: np.ndarray, pair: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """The greedy subset of :func:`phi_source_subset` among the parents of
-    edges ``e``, which share a target, on a parents x (label, weight)
-    table: the edges it moves, the parents in the order chosen, and the
-    benefit |S||Q| - (|S| + |Q|) (ties: the shortest prefix)."""
+    """The greedy parent subset sharing (label, weight) edges among the
+    parents of edges ``e``, which share a target, on a parents x (label,
+    weight) table.  The parent set grows one state at a time, always by
+    the parent that keeps the shared edge set largest (ties: lowest
+    state id), and the prefix maximizing |S||Q| - (|S| + |Q|) wins (ties:
+    the shortest).  Returns the edges it moves, the parents in the order
+    chosen, and that benefit."""
     parents, row = np.unique(c.src[e], return_inverse=True)
     pairs, col = np.unique(pair[e], return_inverse=True)
     table = np.zeros((len(parents), len(pairs)), bool)
@@ -528,19 +477,6 @@ def _subset(c: Columns, e: np.ndarray, pair: np.ndarray) -> tuple[np.ndarray, np
         if (ns - 1) * (len(parents) - 1) - 1 <= best:
             break
     return e[~best_free[row] & best_shared[col]], parents[chosen[:best_k]], best
-
-
-def phi_source_subset(wfa: Wfa, q: int) -> tuple[set[tuple[str, float]], list[int]]:
-    """Greedy parent subset sharing (label, weight) edges into ``q``.
-
-    Grows the parent set one state at a time, always adding the parent
-    that keeps the shared edge set largest (ties: lowest state id), and
-    returns the prefix maximizing |S||Q| - (|S| + |Q|).
-    """
-    c = wfa.columns
-    moved, parents, _ = _subset(c, np.flatnonzero(c.dst == q), _pairs(wfa))
-    labels = [wfa.alphabet[a] for a in c.label[moved].tolist()]
-    return set(zip(labels, c.weight[moved].tolist())), parents.tolist()
 
 
 def phi_convert(wfa: Wfa) -> PhiWfa:

@@ -342,7 +342,7 @@ def evaluate(wfa: Wfa, sequence: Sequence[str]) -> float:
     """Weight assigned to ``sequence``; 0 when no accepting path exists.
 
     One lookup per symbol in the machine's sorted arc keys.  A phi edge
-    raises ValueError (see :func:`~wfa_hedge.phi.evaluate_phi`)."""
+    raises ValueError (see :func:`~wfa_hedge.phi.phi_expand`)."""
     _refuse_phi(wfa)
     keys, edges = _arc_index(wfa)
     c, n_sym = wfa.columns, len(wfa.alphabet)
@@ -621,8 +621,7 @@ def _refuse_phi(wfa: Wfa) -> None:
     """A phi edge is no step of a path: ValueError naming the phi versions."""
     if (wfa.columns.label < 0).any():
         raise ValueError("phi edges are not paths; use phi_backward_distances, "
-                         "weight_push_phi, power_weights_phi or phi_expand, "
-                         "and evaluate_phi for one sequence")
+                         "weight_push_phi, power_weights_phi or phi_expand")
 
 
 def _path_plan(wfa: Wfa) -> _Topo:

@@ -15,8 +15,7 @@ import numpy as np
 from wfa_hedge.approx import DivergenceValue, SelectionResult, _slack
 from wfa_hedge.hedge import renyi_entropy, shannon_entropy
 from wfa_hedge.ngram import NGramModel, _context_product, uniform_model
-from wfa_hedge.phi import (MAX_PHI_CHAIN, PHI, PHI_FILTER, ConversionEvent, PhiChainError,
-                           PhiWfa, as_phi)
+from wfa_hedge.phi import PHI, PHI_FILTER, ConversionEvent, PhiWfa, as_phi
 from wfa_hedge.wfa import (NEG_INF, BestPath, CyclicAutomatonError, Transition, Wfa,
                            _edge_marginals, _ranges,
                            default_alphabet, enumerate_support)
@@ -889,7 +888,7 @@ def log_power_sum(machine: Wfa, eta: float) -> float:
     return d[machine.initial]
 
 
-def phi_expand(machine: PhiWfa, max_chain: int = MAX_PHI_CHAIN) -> Wfa:
+def phi_expand(machine: PhiWfa) -> Wfa:
     """Plain WFA with the same weighted language.
 
     Each (state, symbol) is resolved through the phi chain; hub states
@@ -903,7 +902,7 @@ def phi_expand(machine: PhiWfa, max_chain: int = MAX_PHI_CHAIN) -> Wfa:
     while queue:
         q = queue.popleft()
         for a in machine.alphabet:
-            r = resolve_symbol(machine, q, a, max_chain)
+            r = resolve_symbol(machine, q, a)
             if r is None or r[0] == 0.0:
                 continue
             w, dst = r
@@ -1270,19 +1269,28 @@ class ProdEGRun:
         x = div.witness
         g = ratio_subgradient(self.model, x)
         sup = max((float(np.abs(r).max()) for r in g.values()), default=0.0)
-        self.grad_sup_norms.append(sup)
         if self.step_mode == "adaptive":
             self.grad_sq_sum += sup * sup
             eta = self.step_scale / math.sqrt(self.grad_sq_sum) if self.grad_sq_sum > 0 else 0.0
         else:
             eta = self.step_scale
-        self.etas.append(eta)
         if eta > 0 and sup > 0:
+            # Every touched row is checked before any is written: an
+            # overflowing step leaves the iterate as it was.
+            new = {}
             for ctx, row in self.model.tables.items():
-                gr = g[ctx]
-                if gr.any():
-                    nrow = row * np.exp(-eta * gr)
-                    row[:] = nrow / nrow.sum()
+                if g[ctx].any():
+                    with np.errstate(over="ignore"):
+                        nrow = row * np.exp(-eta * g[ctx])
+                        total = nrow.sum()
+                    if not math.isfinite(total):
+                        raise ValueError(f"step scale {self.step_scale!r} overflows the update "
+                                         f"of context {ctx}; use a smaller one")
+                    new[ctx] = nrow / total
+            for ctx, row in new.items():
+                self.model.tables[ctx][:] = row
+        self.grad_sup_norms.append(sup)
+        self.etas.append(eta)
         for ctx, row in self.model.tables.items():
             self.sum_tables[ctx] += row
         self.steps += 1
@@ -1379,15 +1387,16 @@ def select_order(machine: Wfa, iterations: int, budget: int,
 #
 # resolve_symbol, reads_directly, shadowed_continuation and evaluate_phi
 # as the library had them before every phi chain walk went through one
-# array walker, and the dict phi_convert with its _EdgeView, as it was
-# before the greedy search ran on edge columns, kept as references.  They
-# walk Transition objects and the arcs() and phi_arcs() views.
+# array walker, and the dict phi_convert with its _EdgeView and
+# phi_source_subset, as they were before the greedy search ran on edge
+# columns, kept as references.  They walk Transition objects and the
+# arcs() and phi_arcs() views, following phi edges until none is left: a
+# PhiWfa refuses phi cycles, so every walk ends.
 # phi_convert catches only CyclicAutomatonError, as the library does, so
 # a repeated (state, label) raises here too.
 
 
-def resolve_symbol(machine: PhiWfa, state: int, symbol: str,
-                   max_chain: int = MAX_PHI_CHAIN) -> Optional[tuple[float, int]]:
+def resolve_symbol(machine: PhiWfa, state: int, symbol: str) -> Optional[tuple[float, int]]:
     """Effective (weight, destination) for reading ``symbol`` at ``state``.
 
     Follows the phi chain with shadowing; returns None when the symbol
@@ -1396,7 +1405,7 @@ def resolve_symbol(machine: PhiWfa, state: int, symbol: str,
     """
     w = 1.0
     q = state
-    for _ in range(max_chain + 1):
+    while True:
         t = machine.arcs(q).get(symbol)
         if t is not None:
             return (w * t.weight, t.dst)
@@ -1423,7 +1432,6 @@ def resolve_symbol(machine: PhiWfa, state: int, symbol: str,
                 return None
         w *= step.weight
         q = step.dst
-    raise PhiChainError(f"phi chain exceeds {max_chain} from state {state}")
 
 
 def reads_directly(machine: PhiWfa, state: int, symbol: str) -> bool:
@@ -1440,8 +1448,7 @@ def reads_directly(machine: PhiWfa, state: int, symbol: str) -> bool:
     return symbol in left and symbol in right
 
 
-def shadowed_continuation(machine: PhiWfa, state: int, symbol: str,
-                          max_chain: int = MAX_PHI_CHAIN
+def shadowed_continuation(machine: PhiWfa, state: int, symbol: str
                           ) -> Optional[tuple[float, Transition]]:
     """First shadowed ``symbol`` edge hanging off ``state``'s phi chain.
 
@@ -1457,7 +1464,7 @@ def shadowed_continuation(machine: PhiWfa, state: int, symbol: str,
         return None
     w = phi.weight
     q = phi.dst
-    for _ in range(max_chain + 1):
+    while True:
         if reads_directly(machine, q, symbol):
             t = machine.arcs(q).get(symbol)
             return None if t is None else (w, t)
@@ -1466,7 +1473,6 @@ def shadowed_continuation(machine: PhiWfa, state: int, symbol: str,
             return None
         w *= nxt.weight
         q = nxt.dst
-    raise PhiChainError(f"phi chain exceeds {max_chain} from state {state}")
 
 
 def evaluate_phi(machine: PhiWfa, sequence: Sequence[str]) -> float:

@@ -56,6 +56,16 @@ def test_adversarial_best_path_target_has_zero_loss():
     assert min(others) >= 0.5
 
 
+def test_adversarial_best_path_names_a_target_symbol_outside_the_alphabet():
+    with pytest.raises(ValueError, match=r"target symbol 'z' at round 3 is not in the alphabet"):
+        gen_losses("adversarial_best_path", {"target": "abz"}, 0, 3, 3)
+
+
+def test_adversarial_best_path_refuses_an_alphabet_of_another_size():
+    with pytest.raises(ValueError, match="alphabet has 2 symbols for 3 experts"):
+        gen_losses("adversarial_best_path", {"target": "ab", "alphabet": "ab"}, 0, 2, 3)
+
+
 def test_piecewise_stationary_gap():
     seg = 500
     losses = gen_losses("piecewise_stationary",

@@ -5,15 +5,14 @@ import pytest
 
 from wfa_hedge.builders import exact_shift_automaton, length_automaton
 from wfa_hedge.ngram import bigram_phi_machine, fixed_share_bigram, ngram_to_wfa
-from wfa_hedge.phi import (PHI, PhiWfa, as_phi, evaluate_phi,
-                           phi_backward_distances, phi_convert, phi_expand,
-                           phi_intersect, phi_source_subset, resolve_symbol,
-                           weight_push_phi)
+from wfa_hedge.phi import (PHI, PhiWfa, as_phi, phi_backward_distances, phi_convert,
+                           phi_expand, phi_intersect, weight_push_phi)
 from wfa_hedge.wfa import (Transition, Wfa, backward_distances, count_accepting_paths,
                            enumerate_support, evaluate, intersect, leveled_best_path, levels,
                            log_power_sum, power_weights, validate, weight_push)
 
 import oracles
+from oracles import evaluate_phi, phi_source_subset, reads_directly, resolve_symbol
 
 
 def shared_fanin_machine(n_parents=3, weights=(0.3, 0.5, 0.2)):
@@ -292,7 +291,7 @@ def test_plain_helpers_refuse_or_follow_phi_edges():
     m = phi_convert(shared_fanin_machine(3))
     assert m.has_phi()
     for helper in (lambda: evaluate(m, ("a", "a")), lambda: enumerate_support(m)):
-        with pytest.raises(ValueError, match="phi_expand, and evaluate_phi"):
+        with pytest.raises(ValueError, match="power_weights_phi or phi_expand"):
             helper()
     assert evaluate_phi(m, ("a", "a")) == pytest.approx(0.3)
     assert len(enumerate_support(phi_expand(m))) == 9
@@ -384,19 +383,6 @@ def test_reserved_token_not_in_alphabet():
         PhiWfa((PHI, "a"), 1, 0, {0: 1.0}, [])
 
 
-def test_phi_chain_depth_cap():
-    from wfa_hedge.phi import PhiChainError
-    n = 20
-    ts = [Transition(i, PHI, 1.0, i + 1) for i in range(n - 1)]
-    ts.append(Transition(n - 1, "a", 1.0, n))
-    p = PhiWfa(("a",), n + 1, 0, {n: 1.0}, ts)
-    assert p.max_phi_chain_depth() == n - 1
-    with pytest.raises(PhiChainError):
-        resolve_symbol(p, 0, "a")  # default cap is 16
-    assert resolve_symbol(p, 0, "a", max_chain=n) == (1.0, n)
-
-
-
 def deep_chain(n, loop):
     """States 0..n-1 on one phi chain, 0 and n-1 reading 'a' into state
     n, which is final; n-1 also reads 'b'.  With ``loop``, n reads 'a'
@@ -410,12 +396,12 @@ def deep_chain(n, loop):
 
 
 def test_phi_path_sums_walk_chains_past_the_default_cap():
-    # 19 phi edges, past resolve_symbol's default cap of 16: the path sums
-    # walk the machine's own chains to their end.
+    # 19 phi edges: the path sums walk the machine's own chains to their
+    # end.
     n = 20
     p = deep_chain(n, loop=False)
     assert p.max_phi_chain_depth() == n - 1
-    expanded = phi_expand(p, max_chain=n)
+    expanded = phi_expand(p)
     want = {expanded.state_names[q]: d for q, d in backward_distances(expanded).items()}
     got = phi_backward_distances(p)
     assert {q: got[q] for q in want} == want
@@ -430,7 +416,7 @@ def test_engine_plays_phi_chains_past_the_default_cap():
     from wfa_hedge.hedge import hedge_init, hedge_step
     n, horizon, eta = 20, 4, 0.7
     p = deep_chain(n, loop=True)
-    product = phi_expand(oracles.horizon_product(p, horizon), max_chain=n)
+    product = phi_expand(oracles.horizon_product(p, horizon))
     losses = np.random.default_rng(5).random((horizon, 2))
     want = oracles.brute_distributions(enumerate_support(product), eta, losses, p.alphabet)
     state = hedge_init(p, horizon, eta)
@@ -439,12 +425,34 @@ def test_engine_plays_phi_chains_past_the_default_cap():
     assert state.K == count_accepting_paths(product)
 
 
+def test_an_18_edge_phi_chain_expands_as_the_engine_plays_it():
+    # The walks take their bound from the machine: an 18-edge chain
+    # expands as the dict walk does, field by field, and the expansion's
+    # product plays the phi product's K and p_t.
+    from wfa_hedge.hedge import hedge_init, hedge_step
+    horizon, eta = 5, 0.7
+    p = deep_chain(19, loop=True)
+    assert p.max_phi_chain_depth() == 18
+    got, want = phi_expand(p), oracles.phi_expand(p)
+    assert type(got) is Wfa
+    assert (got.alphabet, got.num_states, got.initial) == (want.alphabet, want.num_states, 0)
+    assert list(got.finals.items()) == list(want.finals.items())
+    assert got.state_names == want.state_names
+    for a, b in zip(got.columns, want.columns):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    losses = np.random.default_rng(7).random((horizon, 2))
+    runs = [hedge_init(m, horizon, eta) for m in (p, got)]
+    assert runs[0].K == runs[1].K > 1
+    played = [[s.p_current] + [hedge_step(s, loss) for loss in losses[:-1]] for s in runs]
+    assert np.abs(np.array(played[0]) - np.array(played[1])).max() <= 1e-12
+
+
 def test_trimmed_direct_edges_still_shadow_the_chain():
     # States 0 and 1 read 'c' into a dead state, which the product trims;
     # the 'c' edge further down the phi chain must stay shadowed, and be
     # cancelled once, from state 1, the first chain state reading 'c'.
     from wfa_hedge.hedge import hedge_init
-    from wfa_hedge.phi import reads_directly, shadowed_continuation
+    from wfa_hedge.phi import shadowed_continuation
     ts = [Transition(0, "c", 1.0, 4), Transition(0, PHI, 0.5, 1),
           Transition(1, "c", 1.0, 4), Transition(1, PHI, 0.5, 2),
           Transition(2, "b", 0.5, 3), Transition(2, "c", 0.5, 3)]

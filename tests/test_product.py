@@ -33,8 +33,7 @@ from wfa_hedge.hedge import (HedgeState, best_competitor, hedge_init, hedge_step
                              weighted_regret)
 from wfa_hedge.ngram import (_context_product, bigram_phi_machine, fixed_share_bigram,
                              minimax_unigram, ml_ngram, uniform_model)
-from wfa_hedge.phi import (PHI, PhiWfa, phi_convert, phi_expand, phi_intersect,
-                           reads_directly)
+from wfa_hedge.phi import PHI, PhiWfa, phi_convert, phi_expand, phi_intersect
 from wfa_hedge.sleeping import sleeping_regret, worst_comparator
 from wfa_hedge.wfa import (CyclicAutomatonError, Transition, Wfa, _edge_marginals,
                            _final_weights, _ranges, backward_distances, count_accepting_paths,
@@ -646,7 +645,7 @@ def test_a_trimmed_direct_edge_keeps_its_state_off_the_chain():
     # The level-1 copy of state 1 reads 'a' directly but has no 'a' edge.
     one = [q for q, name in enumerate(state.machine.state_names) if name[:2] == (1, 1)]
     assert len(one) == 1
-    assert reads_directly(state.machine, one[0], "a") and "a" not in state.machine.arcs(one[0])
+    assert oracles.reads_directly(state.machine, one[0], "a") and "a" not in state.machine.arcs(one[0])
 
 
 def test_a_filter_split_plays_as_the_product_search():
