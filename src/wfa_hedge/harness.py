@@ -23,8 +23,7 @@ from .builders import (exact_shift_automaton, hierarchy_automaton,
 from .hedge import (HedgeState, _check_horizon, _tuned_eta, hedge_step, horizon_product, sample,
                     summarize, tune_eta_renyi, unweighted_regret, weighted_regret)
 from .phi import PhiWfa, phi_convert
-from .sleeping import (AwakeState, awake_distribution, awake_step, sleeping_regret,
-                       worst_comparator)
+from .sleeping import AwakeState, awake_step, sleeping_regret, worst_comparator
 from .textio import read_automaton
 from .wfa import Wfa, log_weight_range
 
@@ -385,10 +384,9 @@ def run_experiment(cfg: ExperimentConfig, machine: Optional[Wfa] = None) -> dict
                                int(cfg.awake.get("seed", cfg.seed)), horizon, n)
         if len(masks) != horizon:
             raise ValueError("awake stream length must equal the horizon")
-        for t in range(horizon):
-            p_awake = awake_distribution(state, masks[t])
-            sampled.append(int(sample(p_awake, rng)))
+        for t in range(horizon):  # the step conditions p_t on the awake set once
             awake_step(state, masks[t], losses[t] * masks[t])
+            sampled.append(int(sample(state.p_awake_history[-1], rng)))
         report["awake_sets"] = ["".join("1" if b else "0" for b in m) for m in masks]
         report["p_awake_rounds"] = [p.tolist() for p in state.p_awake_history]
         # The check is exact at any K: value minus bound is linear in the

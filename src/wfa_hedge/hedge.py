@@ -43,8 +43,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .phi import PhiWfa, _chains, _direct_labels
-from .wfa import (NEG_INF, Wfa, _Topo, _compiled, _edge_logs, _edge_marginals,
-                  _final_weights, _label_ranks, _path_count, _ranges, _sorted_arcs, exact_logs,
+from .wfa import (NEG_INF, Wfa, _Topo, _arc_index, _compiled, _edge_logs, _edge_marginals,
+                  _final_weights, _label_ranks, _path_count, _ranges, exact_logs,
                   leveled_best_path, log_power_sum)
 
 __all__ = [
@@ -377,7 +377,7 @@ class _PathPlan:
         live, lo = np.flatnonzero(positive), so[cm.horizon]
         self.live, self.live_off = cm.tid[live], np.searchsorted(live, cm.edge_off[:-1]).tolist()
         self.ends = lo + np.flatnonzero(cm.final[lo:] > 0.0)
-        self.rank = _label_ranks(cm.alphabet)[1]
+        self.rank = _label_ranks(cm.alphabet)
 
 
 # -- the online state ------------------------------------------------------------
@@ -564,8 +564,8 @@ def _unroll(competitor: Machine, horizon: int, phi: bool):
     first copy."""
     c, n_q, n_sym = competitor.columns, competitor.num_states, len(competitor.alphabet)
     # Arcs by source and label rank; the first of a repeated (source, label) wins.
-    arc_key, arc = _sorted_arcs(competitor, _label_ranks(competitor.alphabet)[1])
-    arc_off = np.searchsorted(arc_key, np.arange(n_q + 1) * n_sym)
+    arc_key, arc, _ = _arc_index(competitor)
+    arc, arc_off = arc[:-1], np.searchsorted(arc_key, np.arange(n_q + 1) * n_sym)
     arc_deg, arc_dst = np.diff(arc_off), c.dst[arc]
     # walk[j, q]: the state j phi edges down q's chain, n_q past its end.
     pid = np.flatnonzero(c.label < 0)
@@ -735,14 +735,16 @@ def hedge_step(state: HedgeState, loss: Sequence[float]) -> Optional[np.ndarray]
 
 
 def sample(p: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw; reproducible for a fixed generator state."""
+    """Inverse-CDF draw; reproducible for a fixed generator state.  A draw
+    at or past the rounded running sum of p, which can fall below 1, takes
+    the last index of positive mass, never one of probability 0."""
     u = rng.random()
     c = 0.0
     for i, pi in enumerate(p):
         c += pi
         if u < c:
             return i
-    return len(p) - 1
+    return max(i for i, pi in enumerate(p) if pi > 0)
 
 
 # -- path sums and regret -------------------------------------------------------

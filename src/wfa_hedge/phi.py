@@ -40,7 +40,7 @@ import numpy as np
 
 from .wfa import (PHI, Columns, CyclicAutomatonError, Transition, Wfa, _ArcPairs, _backward_logs,
                   _check_edges, _coaccessible, _column_arrays, _final_weights, _find_arcs,
-                  _frozen, _label_ranks, _pushed, _ranges, _search, _stored_names,
+                  _frozen, _generations, _label_ranks, _pushed, _search, _stored_names,
                   backward_distances, topological_order)
 
 __all__ = [
@@ -180,24 +180,13 @@ def _phi_chain_depth(src: np.ndarray, dst: np.ndarray, num_states: int) -> np.nd
     phi edges src -> dst; raises ValueError on a phi cycle.  On the
     reversed edges, the edges on the longest phi path into each state.
 
-    A sweep from the chain ends backwards, one generation at a time: a
-    state settles once all its phi successors have, so generation g
-    holds the states whose longest phi path has g edges.
+    A state's depth is its generation index (:func:`~wfa_hedge.wfa._generations`)
+    on the reversed edges: it settles once all its phi successors have,
+    so generation g holds the states whose longest phi path has g edges.
     """
-    left = np.bincount(src, minlength=num_states)  # unsettled phi successors
-    by_dst = np.argsort(dst, kind="stable")
-    roff = np.searchsorted(dst[by_dst], np.arange(num_states + 1))
     depth = np.full(num_states, -1, np.intp)
-    slot = np.empty(num_states, np.intp)  # dedupes each batch in place of a sort
-    settled, g = np.flatnonzero(left == 0), 0
-    while settled.size:
-        depth[settled] = g
-        pred = src[by_dst[_ranges(roff[settled], roff[settled + 1])]]
-        np.subtract.at(left, pred, 1)
-        at = np.arange(len(pred))
-        slot[pred] = at
-        pred = pred[slot[pred] == at]
-        settled, g = pred[left[pred] == 0], g + 1
+    for g, states in enumerate(_generations(dst, src, num_states)):
+        depth[states] = g
     if (depth < 0).any():
         raise ValueError("phi cycle detected")
     return depth
@@ -445,7 +434,7 @@ def _pairs(wfa: Wfa) -> np.ndarray:
     c = wfa.columns
     if (c.label < 0).any():
         raise ValueError("machine already has phi transitions")
-    rank = _label_ranks(wfa.alphabet)[1]
+    rank = _label_ranks(wfa.alphabet)
     weights, weight = np.unique(c.weight, return_inverse=True, equal_nan=False)
     return np.unique(rank[c.label] * len(weights) + weight, return_inverse=True)[1]
 
@@ -595,7 +584,7 @@ def phi_intersect(m1: Machine, m2: Machine) -> PhiWfa:
         owner = np.concatenate((owner, ok // 3))
         by_owner = np.argsort(owner, kind="stable")
         code = np.concatenate(((arcs.d1[e1] * n2 + arcs.d2[e2]) * 3, phi_code))[by_owner]
-        label = np.concatenate((arcs.label(e1), np.full(len(ok), -1)))[by_owner]
+        label = np.concatenate((arcs.label1[e1], np.full(len(ok), -1)))[by_owner]
         weight = np.concatenate((arcs.w1[e1] * arcs.w2[e2], w))[by_owner]
         return owner[by_owner], code, (label, weight)
 

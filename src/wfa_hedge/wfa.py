@@ -12,8 +12,9 @@ operations (intersection, path sums, path counting, best paths, the
 engine's compile step) read the columns directly.  Built on first use
 and cached on the machine are: the per-edge views ``transitions`` and
 ``arcs()``; a product's ``state_names``, the tuples of its ``origin``
-rows; the sorted arc keys that :func:`evaluate` looks symbols up
-in; the one exact-log column of the edge weights; the n-gram context
+rows; one arc index by (source, label rank) (:func:`_arc_index`),
+which :func:`evaluate`, the products, the unroll and :func:`validate`
+read; the one exact-log column of the edge weights; the n-gram context
 products (:func:`~wfa_hedge.ngram._context_product`); and, on an
 uncompiled machine, one Kahn plan (:class:`_Topo`): the topological
 generations that the path sums of an acyclic machine sweep.
@@ -145,8 +146,7 @@ def _check_edges(cols: Columns, ts: Optional[tuple[Transition, ...]], num_states
         real = np.flatnonzero(~unknown & (cols.label >= 0))
         again = np.zeros(len(bad), bool)
         again[real] = True
-        _, first = np.unique(cols.src[real] * n_sym + cols.label[real], return_index=True)
-        again[real[first]] = False
+        again[real[_arc_keys(cols.src[real], cols.label[real], np.arange(n_sym))[1]]] = False
         bad |= negative | again
     hits = np.flatnonzero(bad)
     if not hits.size:
@@ -315,25 +315,34 @@ class Wfa:
 # -- evaluation ------------------------------------------------------------
 
 
-def _arc_index(wfa: Wfa) -> tuple[np.ndarray, np.ndarray]:
-    """The machine's arcs for lookups by (source, label): their keys
-    src * |alphabet| + label, sorted, and the transition of each key (the
-    first of a repeated (source, label) wins, as in ``arcs()``).  Both
-    end in a sentinel, the largest key with transition -1, so a search
-    for a missing key stays in range.  Built once per machine and cached."""
+def _arc_keys(src: np.ndarray, label: np.ndarray, rank: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Arc keys src * len(rank) + rank[label], sorted and each once, and
+    the position of each key's first arc (the first of a repeated
+    (source, label) wins, as in ``arcs()``)."""
+    return np.unique(src * len(rank) + rank[label], return_index=True)
+
+
+def _arc_index(wfa: Wfa) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The machine's arcs for lookups by (source, label): their
+    :func:`_arc_keys` under the labels' sorted-string ranks, the
+    transition of each key, and the ranks, padded with one entry for a
+    symbol outside the alphabet.  Keys and transitions end in a sentinel,
+    the largest key with transition -1, so a search for a missing key
+    stays in range.  Built once per machine and cached."""
     if wfa._keys is None:
-        c = wfa.columns
+        c, rank = wfa.columns, _label_ranks(wfa.alphabet)
         real = np.flatnonzero(c.label >= 0)
-        keys, first = np.unique(c.src[real] * len(wfa.alphabet) + c.label[real],
-                                return_index=True)
-        wfa._keys = np.append(keys, np.iinfo(np.intp).max), np.append(real[first], -1)
+        keys, first = _arc_keys(c.src[real], c.label[real], rank)
+        wfa._keys = (np.append(keys, np.iinfo(np.intp).max), np.append(real[first], -1),
+                     np.append(rank, len(rank)))
     return wfa._keys
 
 
 def _find_arcs(wfa: Wfa, state: np.ndarray, label: np.ndarray) -> np.ndarray:
     """The transition reading label[i] at state[i], -1 where none does."""
-    keys, edges = _arc_index(wfa)
-    want = state * len(wfa.alphabet) + label
+    keys, edges, rank = _arc_index(wfa)
+    want = state * len(wfa.alphabet) + rank[label]
     at = np.searchsorted(keys, want)
     return np.where(keys[at] == want, edges[at], -1)
 
@@ -344,9 +353,9 @@ def evaluate(wfa: Wfa, sequence: Sequence[str]) -> float:
     One lookup per symbol in the machine's sorted arc keys.  A phi edge
     raises ValueError (see :func:`~wfa_hedge.phi.phi_expand`)."""
     _refuse_phi(wfa)
-    keys, edges = _arc_index(wfa)
+    keys, edges, rank = _arc_index(wfa)
     c, n_sym = wfa.columns, len(wfa.alphabet)
-    index = {a: i for i, a in enumerate(wfa.alphabet)}
+    index = dict(zip(wfa.alphabet, rank.tolist()))
     q = wfa.initial
     w = 1.0
     for a in sequence:
@@ -372,42 +381,31 @@ def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ends + lens, lens) + np.arange(ends[-1] if len(ends) else 0)
 
 
-def _label_ranks(alphabet: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The symbol ids in sorted-string order of their labels, and each
-    id's place in that order."""
-    by_rank = np.array(sorted(range(len(alphabet)), key=alphabet.__getitem__), np.intp)
+def _label_ranks(alphabet: Sequence[str]) -> np.ndarray:
+    """Each symbol id's place in the sorted-string order of the labels."""
     rank = np.empty(len(alphabet), np.intp)
-    rank[by_rank] = np.arange(len(alphabet))
-    return by_rank, rank
-
-
-def _sorted_arcs(machine: Wfa, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The machine's arcs sorted by key src * |alphabet| + rank[label]:
-    (keys, transition indices).  The first transition of a duplicated
-    (src, label) wins, as in ``arcs()``."""
-    c = machine.columns
-    real = np.flatnonzero(c.label >= 0)
-    keys, first = np.unique(c.src[real] * len(rank) + rank[c.label[real]], return_index=True)
-    return keys, real[first]
+    rank[sorted(range(len(alphabet)), key=alphabet.__getitem__)] = np.arange(len(alphabet))
+    return rank
 
 
 class _ArcPairs:
     """The arcs of two machines over one alphabet, indexed for the
-    product searches: ``match`` pairs up same-label arcs by a sorted-key
-    lookup, with no dense |Q| x |alphabet| table.  Labels are taken in
-    sorted-string order, the order ``sorted(machine.arcs(q))`` gives."""
+    product searches: ``match`` pairs up same-label arcs by a lookup in
+    the second machine's :func:`_arc_index`, with no dense |Q| x
+    |alphabet| table.  Labels are taken in sorted-string order, the order
+    ``sorted(machine.arcs(q))`` gives."""
 
     def __init__(self, a1: Wfa, a2: Wfa):
         if a1.alphabet != a2.alphabet:
             raise ValueError("alphabet mismatch in intersection")
         self.n_sym = n_sym = len(a1.alphabet)
-        self.by_rank, rank = _label_ranks(a1.alphabet)
-        (key1, arc1), (key2, arc2) = _sorted_arcs(a1, rank), _sorted_arcs(a2, rank)
-        self.w1, self.d1 = a1.columns.weight[arc1], a1.columns.dst[arc1]
-        self.w2, self.d2 = a2.columns.weight[arc2], a2.columns.dst[arc2]
+        (key1, arc1, _), (self.key2, arc2, _) = _arc_index(a1), _arc_index(a2)
+        arc1, arc2 = arc1[:-1], arc2[:-1]  # without the sentinels
+        c1, c2 = a1.columns, a2.columns
+        self.w1, self.d1, self.label1 = c1.weight[arc1], c1.dst[arc1], c1.label[arc1]
+        self.w2, self.d2 = c2.weight[arc2], c2.dst[arc2]
         self.off1 = np.searchsorted(key1, np.arange(a1.num_states + 1) * n_sym)
-        self.rank1 = key1 % n_sym
-        self.key2 = np.append(key2, np.iinfo(key2.dtype).max)  # a miss never runs off the end
+        self.rank1 = key1[:-1] % n_sym
 
     def match(self, q1: np.ndarray, q2: np.ndarray) -> tuple[np.ndarray, ...]:
         """(owner, e1, e2): for each i, the a1-arcs e1 leaving q1[i] in
@@ -419,10 +417,6 @@ class _ArcPairs:
         e2 = np.searchsorted(self.key2, want)
         hit = np.flatnonzero(self.key2[e2] == want)
         return owner[hit], e1[hit], e2[hit]
-
-    def label(self, e1: np.ndarray) -> np.ndarray:
-        """Alphabet index of each a1-arc."""
-        return self.by_rank[self.rank1[e1]]
 
 
 def _search(start: int, expand) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
@@ -524,7 +518,7 @@ def intersect(a1: Wfa, a2: Wfa) -> Wfa:
     finals = dict(zip(remap[final].tolist(), (fw1[p1[final]] * fw2[p2[final]]).tolist()))
     origin = np.column_stack((p1[alive], p2[alive]))
     return Wfa.from_columns(a1.alphabet, len(origin), 0, finals, remap[src[keep]],
-                            arcs.label(e1), arcs.w1[e1] * arcs.w2[e2], remap[dst[keep]],
+                            arcs.label1[e1], arcs.w1[e1] * arcs.w2[e2], remap[dst[keep]],
                             state_names=origin)
 
 
@@ -561,45 +555,51 @@ class _Topo:
         self.paths = _UNCOUNTED
 
 
+def _generations(src: np.ndarray, dst: np.ndarray, n: int) -> list[np.ndarray]:
+    """The generations of a FIFO Kahn queue over n states and the edges
+    src -> dst (Kahn 1962).
+
+    Generation 0 holds the states without incoming edges, in id order;
+    generation g + 1 holds the states whose last incoming edge leaves
+    generation g, in the order those edges are processed (by source
+    position, then edge order), which ``np.maximum.at`` of each target's
+    position gives.  States on a cycle, or behind one, are in none.
+    """
+    succ = dst[np.argsort(src, kind="stable")]
+    off = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    indeg = np.bincount(dst, minlength=n)
+    last = np.empty(n, np.intp)  # each target's last position in a batch
+    gens = [np.flatnonzero(indeg == 0)]
+    while True:
+        d = succ[_ranges(off[gens[-1]], off[gens[-1] + 1])]
+        np.subtract.at(indeg, d, 1)
+        at = np.arange(len(d))
+        last[d] = -1
+        np.maximum.at(last, d, at)
+        ready = d[(indeg[d] == 0) & (last[d] == at)]
+        if not ready.size:
+            return gens
+        gens.append(ready)
+
+
 def _plan(wfa: Wfa) -> _Topo:
     """The machine's :class:`_Topo`, built on first use.
 
-    Generation 0 holds the states without incoming transitions (phi
-    edges count), in id order; generation g + 1 holds the states whose
-    last incoming transition leaves generation g, in the order those
-    transitions are processed (by source position, then transition
-    order).  That is the order a FIFO queue produces.  Raises ValueError
+    Its generations are :func:`_generations` over every transition (phi
+    edges count), the order a FIFO queue produces.  Raises ValueError
     naming a (state, label) pair two transitions share, and
     CyclicAutomatonError on a cycle.
     """
     if wfa._topo is None:
-        c, n = wfa.columns, wfa.num_states
-        key = c.src * len(wfa.alphabet)
-        key += c.label
-        key = key[c.label >= 0]  # phi edges may share a source
-        key.sort()
-        if (key[1:] == key[:-1]).any():
-            i = _first_repeated_arc(c)
+        c, n, first = wfa.columns, wfa.num_states, _arc_index(wfa)[1][:-1]
+        if len(first) < np.count_nonzero(c.label >= 0):  # phi edges may share a source
+            i = np.setdiff1d(np.flatnonzero(c.label >= 0), first)[0]  # the first repeat
             raise ValueError(f"two {wfa.alphabet[c.label[i]]!r}-transitions "
                              f"leave state {c.src[i]}")
-        by_src = np.argsort(c.src, kind="stable")
-        off = np.concatenate(([0], np.cumsum(np.bincount(c.src, minlength=n))))
-        dst = c.dst[by_src]
-        indeg = np.bincount(c.dst, minlength=n)
-        gens = [np.flatnonzero(indeg == 0)]
-        while True:
-            d = dst[_ranges(off[gens[-1]], off[gens[-1] + 1])]
-            # Each target's count in d, and its last position there.
-            u, rfirst, cnt = np.unique(d[::-1], return_index=True, return_counts=True)
-            indeg[u] -= cnt
-            ready = indeg[u] == 0
-            if not ready.any():
-                break
-            gens.append(u[ready][np.argsort(rfirst[ready])[::-1]])
+        gens = _generations(c.src, c.dst, n)
         order = np.concatenate(gens)
         if len(order) != n:
             raise CyclicAutomatonError("automaton contains a cycle")
-        del key, by_src, dst  # before the grouping's per-edge arrays
         sizes = [len(g) for g in gens]
         gen = np.empty(n, np.intp)
         gen[order] = np.repeat(np.arange(len(gens)), sizes)
@@ -607,14 +607,6 @@ def _plan(wfa: Wfa) -> _Topo:
         wfa._topo = _Topo(order, np.cumsum([0] + sizes), np.argsort(gen, kind="stable"),
                           np.concatenate(([0], np.cumsum(np.bincount(gen, minlength=len(gens))))))
     return wfa._topo
-
-
-def _first_repeated_arc(c: Columns) -> int:
-    """Index of the first transition whose (src, label) an earlier one has."""
-    real = np.flatnonzero(c.label >= 0)
-    key = c.src[real] * (c.label.max() + 1) + c.label[real]
-    by_key = np.argsort(key, kind="stable")
-    return int(real[by_key[1:][key[by_key[1:]] == key[by_key[:-1]]].min()])
 
 
 def _refuse_phi(wfa: Wfa) -> None:
@@ -903,15 +895,10 @@ def levels(wfa: Wfa) -> np.ndarray:
 
 
 def _range_min(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """min(x[lo[i]:hi[i]]) for each nonempty range, from a sparse table:
-    row k holds the minima of the windows of length 2**k."""
-    k = np.frexp((hi - lo).astype(float))[1] - 1  # floor(log2(length))
-    table = np.empty((int(k.max()) + 1, len(x)), x.dtype)
-    table[0] = x
-    for r in range(1, len(table)):
-        half = 1 << (r - 1)
-        table[r, :-half] = np.minimum(table[r - 1, :-half], table[r - 1, half:])
-    return np.minimum(table[k, lo], table[k, hi - (1 << k)])
+    """min(x[lo[i]:hi[i]]) for each nonempty range, by one reduceat over
+    the bounds (lo[0], hi[0], lo[1], ...), whose odd segments are dropped;
+    x gets one more entry so that a range may end at len(x)."""
+    return np.minimum.reduceat(np.append(x, x[:1]), np.column_stack((lo, hi)).ravel())[::2]
 
 
 def leveled_best_path(wfa: Wfa, edge_score: np.ndarray,

@@ -839,3 +839,20 @@ def test_a_run_without_approximation_builds_no_kahn_plan(monkeypatch, config, ex
     planned = list({id(m): m for m in planned}.values())  # a plan is built once, read often
     converted = cfg.phi and cfg.approximation is None  # a bigram takes the shared-hub form
     assert len(planned) == converted
+
+
+def test_an_awake_run_conditions_each_round_once(monkeypatch):
+    # The round's step builds its awake mask and conditions p_t once; the
+    # sample reads that conditioned distribution.
+    from wfa_hedge import sleeping
+    cfg = ExperimentConfig.from_dict(json.loads((CONFIGS / "sleeping_subsets.json").read_text()))
+    want = report_to_json(run_experiment(cfg))
+    masks, calls = sleeping._awake_mask, []
+
+    def counted(*args):
+        calls.append(None)
+        return masks(*args)
+
+    monkeypatch.setattr(sleeping, "_awake_mask", counted)
+    assert report_to_json(run_experiment(cfg)) == want
+    assert len(calls) == cfg.horizon

@@ -532,6 +532,23 @@ def test_sample_point_mass():
         assert sample(np.array([0.0, 1.0, 0.0]), rng) == 1
 
 
+class TopDraw:
+    """A generator whose draws are all the largest value ``random()`` returns."""
+
+    def random(self):
+        return 1.0 - 2.0 ** -53
+
+
+def test_sample_past_the_rounded_sum_takes_the_last_expert_with_mass():
+    # Ten times 0.1 sums to 1 - 2**-53 in floats, so the top draw passes
+    # every partial sum; the trailing and the inner zeros are never drawn.
+    assert sum([0.1] * 10) == TopDraw().random()
+    assert sample(np.append(np.full(10, 0.1), 0.0), TopDraw()) == 9
+    assert sample(np.concatenate((np.full(5, 0.1), [0.0], np.full(5, 0.1), [0.0, 0.0])),
+                  TopDraw()) == 10
+    assert sample(np.array([0.0, 1.0, 0.0]), TopDraw()) == 1
+
+
 def test_sample_deterministic_replay():
     draws1 = [sample(np.ones(3) / 3, np.random.default_rng(42)) for _ in range(1)]
     draws2 = [sample(np.ones(3) / 3, np.random.default_rng(42)) for _ in range(1)]

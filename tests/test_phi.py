@@ -569,3 +569,41 @@ def test_array_answers_build_no_transition_objects(request):
     assert not wrapped.has_phi() and wrapped.to_wfa().columns is plain.columns
     phi_intersect(phi, plain)
     assert built == []
+
+
+def longest_phi_chains(machine):
+    """Per state the phi edges on the longest phi path leaving it and on
+    the longest one into it, walked on dicts in id order: the phi edges
+    of ``oracles.random_phi_wfa`` lead to higher ids."""
+    succ = {}
+    for t in machine.transitions:
+        if t.label == PHI:
+            succ.setdefault(t.src, []).append(t.dst)
+    n = machine.num_states
+    leaving, into = {}, dict.fromkeys(range(n), 0)
+    for q in reversed(range(n)):
+        leaving[q] = max((1 + leaving[d] for d in succ.get(q, ())), default=0)
+    for q in range(n):
+        for d in succ.get(q, ()):
+            into[d] = max(into[d], into[q] + 1)
+    return leaving, into
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_phi_chain_depths_equal_the_longest_chains(seed):
+    from wfa_hedge.phi import _phi_chain_depth
+    rng = np.random.default_rng(seed)
+    m = oracles.random_phi_wfa(rng, int(rng.integers(1, 12)), ("a", "b", "c"),
+                               phi_prob=0.8, cyclic=bool(seed % 2))
+    leaving, into = longest_phi_chains(m)
+    c, phi = m.columns, m.columns.label < 0
+    got = _phi_chain_depth(c.src[phi], c.dst[phi], m.num_states)
+    assert got.tolist() == [leaving[q] for q in range(m.num_states)]
+    assert m._phi_depth.tolist() == [into[q] for q in range(m.num_states)]
+    assert m.max_phi_chain_depth() == max(leaving.values())
+
+
+def test_a_phi_cycle_has_no_depth():
+    from wfa_hedge.phi import _phi_chain_depth
+    with pytest.raises(ValueError, match="phi cycle detected"):
+        _phi_chain_depth(np.array([0, 1, 2]), np.array([1, 2, 1]), 4)

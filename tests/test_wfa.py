@@ -477,3 +477,87 @@ def test_validate_reports_unreachable():
     d = validate(w)
     assert d.ok
     assert any("unreachable" in x for x in d.warnings)
+
+
+# -- the arc index, the Kahn generations, the range minima ---------------------------
+
+
+def test_arc_lookups_agree_that_the_first_arc_wins_in_string_order():
+    # "e10" sorts before "e3" although its id is larger, so the rank-keyed
+    # index and the label ids disagree on order; the repeated (0, "e3")
+    # keeps its first transition everywhere.
+    from wfa_hedge.wfa import _find_arcs, default_alphabet
+    alphabet = default_alphabet(30)
+    ts = [Transition(0, "e3", 0.5, 1), Transition(0, "e10", 0.25, 2),
+          Transition(0, "e3", 0.125, 2), Transition(1, "e29", 0.75, 2)]
+    m = Wfa(alphabet, 3, 0, {1: 1.0, 2: 0.5}, ts)
+    assert evaluate(m, ["e3"]) == 0.5
+    assert evaluate(m, ["e10"]) == 0.125
+    assert evaluate(m, ["e3", "e29"]) == 0.5 * 0.75 * 0.5
+    assert evaluate(m, ["e29"]) == evaluate(m, ["e4"]) == evaluate(m, ["zz"]) == 0.0
+    assert m.arcs(0) == {"e3": ts[0], "e10": ts[1]}
+    got = _find_arcs(m, np.array([0, 0, 1, 1, 2]), np.array([3, 10, 29, 3, 0]))
+    np.testing.assert_array_equal(got, [0, 1, 3, -1, -1])
+    assert validate(m).errors == ["two 'e3'-transitions leave state 0"]
+    with pytest.raises(ValueError, match="two 'e3'-transitions leave state 0"):
+        topological_order(m)
+
+
+def fifo_kahn(src, dst, n):
+    """A FIFO Kahn queue, one state at a time: the states in queue order,
+    each one's generation (one more than its last predecessor's)."""
+    from collections import deque
+    indeg, succ = [0] * n, [[] for _ in range(n)]
+    for s, d in zip(src, dst):
+        indeg[d] += 1
+        succ[s].append(d)
+    queue = deque(q for q in range(n) if indeg[q] == 0)
+    gen, order = dict.fromkeys(queue, 0), []
+    while queue:
+        q = queue.popleft()
+        order.append(q)
+        for d in succ[q]:
+            indeg[d] -= 1
+            if indeg[d] == 0:
+                gen[d] = gen[q] + 1
+                queue.append(d)
+    return order, gen
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_generations_equal_a_fifo_kahn_queue(seed):
+    from wfa_hedge.wfa import _generations
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 12))
+    m = int(rng.integers(0, 30))
+    src = rng.integers(0, n, m)
+    dst = np.minimum(src + rng.integers(1, 4, m), n - 1)  # forward, or a loop at n - 1
+    keep = src < dst
+    src, dst = src[keep], dst[keep]
+    if len(src):  # repeated edges
+        again = rng.integers(0, len(src), 3)
+        src, dst = np.concatenate((src, src[again])), np.concatenate((dst, dst[again]))
+    cycle = seed % 2 and n > 2
+    if cycle:  # a cycle between two states, and the states behind it
+        a, b = rng.choice(n, 2, replace=False).tolist()
+        src, dst = np.append(src, [a, b]), np.append(dst, [b, a])
+    order = rng.permutation(len(src))
+    src, dst = src[order], dst[order]
+    want_order, want_gen = fifo_kahn(src.tolist(), dst.tolist(), n)
+    gens = _generations(src, dst, n)
+    assert np.concatenate(gens).tolist() == want_order
+    assert all(want_gen[q] == g for g, states in enumerate(gens) for q in states.tolist())
+    if cycle:
+        assert not {a, b} & set(want_order)
+
+
+def test_range_minima_equal_the_slices():
+    from wfa_hedge.wfa import _range_min
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 40):
+        x = rng.integers(-50, 50, n)
+        lo = rng.integers(0, n, 60)
+        hi = np.minimum(lo + rng.integers(1, n + 1, 60), n)
+        lo, hi = np.append(lo, [0, n - 1, 0]), np.append(hi, [1, n, n])  # length 1, the end
+        want = [x[a:b].min() for a, b in zip(lo.tolist(), hi.tolist())]
+        assert _range_min(x, lo, hi).tolist() == want
