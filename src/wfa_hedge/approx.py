@@ -3,10 +3,10 @@
 The quantity sup_x log(q(x) / q_w(x)) over supported sequences governs
 the regret cost of replacing the competitor machine with the model, so
 approximation here means minimizing it.  The supremum is a best-path
-problem over the product of the machine with the model's context
-tracker, and the relative entropy an expectation over the same product;
-:func:`prod_eg` minimizes the supremum by exponentiated-gradient mirror
-descent over the product of context simplices.
+problem over the product of the machine with the model's context tracker,
+and the relative entropy the mean of the same scores under the product's
+posteriors from one scaled forward-backward sweep; :func:`prod_eg` minimizes
+the supremum by exponentiated-gradient mirror descent over the context simplices.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .hedge import _expected_score
 from .ngram import NGramModel, _context_product, uniform_model
-from .wfa import Wfa, _compiled, _edge_logs, _edge_marginals, exact_logs, leveled_best_path
+from .wfa import Wfa, _compiled, _edge_logs, exact_logs, leveled_best_path
 
 __all__ = [
     "DivergenceValue",
@@ -53,16 +54,22 @@ def divergence_inf(machine: Wfa, model: NGramModel) -> DivergenceValue:
     tracker, where an edge scores log w - log w[symbol | context]; ties
     break toward the lexicographically smallest sequence.
     """
-    if machine.alphabet != model.alphabet:
-        raise ValueError("alphabet mismatch")
+    product, cell, score = _log_ratios(machine, model)
     log_z = _compiled(machine).log_Z
     if log_z == float("-inf"):
         raise ValueError("empty language")
-    product, cell = _context_product(machine, model.order)
-    with np.errstate(invalid="ignore"):  # -inf - -inf on zero-weight edges, on no path
-        score = _edge_logs(product) - exact_logs(model.probs)[cell]
     path = leveled_best_path(product, score, exact_logs(product.compiled.final))
     return DivergenceValue(path.value - log_z, path.sequence, cell[path.edges])
+
+
+def _log_ratios(machine: Wfa, model: NGramModel) -> tuple[Wfa, np.ndarray, np.ndarray]:
+    """The machine's context product at the model's order, each edge's
+    cell, and its score log w - log w[cell]."""
+    if machine.alphabet != model.alphabet:
+        raise ValueError("alphabet mismatch")
+    product, cell = _context_product(machine, model.order)
+    with np.errstate(invalid="ignore"):  # -inf - -inf on zero-weight edges, on no path
+        return product, cell, _edge_logs(product) - exact_logs(model.probs)[cell]
 
 
 def kl_divergence(machine: Wfa, model: NGramModel) -> float:
@@ -70,22 +77,14 @@ def kl_divergence(machine: Wfa, model: NGramModel) -> float:
     the model.
 
     Over the product of the machine with the model's context tracker,
-    KL = sum_e mu_e (log w_e - log w[cell_e]) + sum_f mu_f log rho_f - log Z,
-    with mu the edge and final posteriors of one log-domain
-    forward-backward sweep, so it holds at any size.  +inf when an edge
-    with positive posterior reads a model cell of weight 0.
+    KL = E[sum_e (log w_e - log w[cell_e]) + log rho_end] - log Z, the mean
+    of :func:`divergence_inf`'s path scores under the posteriors of one scaled
+    forward-backward sweep (:meth:`~wfa_hedge.hedge.CompiledMachine.posteriors`),
+    so it holds at any size; log Z is the machine's compiled one.  +inf when
+    an edge with positive posterior reads a model cell of weight 0.
     """
-    if machine.alphabet != model.alphabet:
-        raise ValueError("alphabet mismatch")
-    product, cell = _context_product(machine, model.order)
-    log_w = _edge_logs(product)
-    edge, final, log_final, log_z = _edge_marginals(product)
-    on, end = np.flatnonzero(edge > 0.0), final > 0.0
-    log_m = exact_logs(model.probs)[cell[on]]
-    if (log_m == -math.inf).any():
-        return math.inf
-    return (float(edge[on] @ (log_w[on] - log_m)) + float(final[end] @ log_final[end])
-            - log_z)
+    product, cell, score = _log_ratios(machine, model)
+    return _expected_score(product.compiled, score) - _compiled(machine).log_Z
 
 
 def ratio_subgradient(model: NGramModel, sequence: Sequence[str]

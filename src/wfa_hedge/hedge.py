@@ -18,10 +18,10 @@ powers 1 and eta yield log Z and log Z_eta; the one at eta keeps each
 edge's powered weight w and readout product w * beta[dst], not beta.  A
 round slices the compiled arrays at its level's edge offsets: one gather
 of alpha and two bincounts, the advance along w * exp(-eta * loss[label])
-and the readout of the next level, alpha * w * beta summed by label.
-
-Per-round distributions: p_t[a] is the posterior marginal of the t-th
-symbol given losses 1..t-1.
+and the readout of the next level, alpha * w * beta summed by label: p_t[a],
+the posterior of the t-th symbol given losses 1..t-1.  With no loss, the
+same one scaled forward-backward sweep gives the edge posteriors that the
+fits and the Shannon limit read (:meth:`CompiledMachine.posteriors`).
 
 The regret report (:func:`summarize`) reads the same arrays, so a phi
 run is never expanded to plain edges: K (one backward count in int64,
@@ -43,7 +43,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .phi import PhiWfa, _chains, _direct_labels
-from .wfa import (NEG_INF, Wfa, _Topo, _arc_index, _compiled, _edge_logs, _edge_marginals,
+from .wfa import (NEG_INF, Wfa, _Topo, _arc_index, _compiled, _edge_logs,
                   _final_weights, _label_ranks, _path_count, _ranges, exact_logs,
                   leveled_best_path, log_power_sum)
 
@@ -124,6 +124,7 @@ class CompiledMachine:
         rows_off = np.searchsorted(shadowing, state_off)
         self.edge_off = real_off + rows_off
         self.real_end = real_off[1:] + rows_off[:-1]
+        self._so, self._eo = state_off.tolist(), self.edge_off.tolist()  # the level bounds as ints
         at_real = np.arange(len(real)) + rows_off[level[src[real]]]
         at_rows = np.arange(len(shadowing)) + real_off[level[shadowing] + 1]
         n_e = self.edge_off[-1]
@@ -156,6 +157,35 @@ class CompiledMachine:
             alpha[lo:hi] += np.bincount(self.pdst[a:b] - lo, alpha[self.psrc[a:b]] * phi_w[a:b],
                                         minlength=hi - lo)
 
+    def advance(self, t: int, alpha: np.ndarray, mass: np.ndarray, phi_w: np.ndarray) -> None:
+        """The forward step into level t + 1 of ``alpha``: ``mass``, one entry per edge
+        leaving level t, summed by target, pushed along phi edges, rescaled to maximum 1."""
+        lo, hi, a, b = self._so[t + 1], self._so[t + 2], self._eo[t], self._eo[t + 1]
+        alpha[lo:hi] = np.bincount(self.dst[a:b], mass, minlength=hi - lo)
+        self.extend(t + 1, alpha, phi_w)
+        peak = np.abs(alpha[lo:hi]).max()
+        if peak > 0:
+            alpha[lo:hi] /= peak
+
+    def posteriors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Posteriors under w(x) / Z by one scaled forward-backward sweep
+        (Rabiner 1989), alpha advanced as by a round without loss: per edge
+        (transition e on a plain machine) alpha[src] * w * beta[dst] over
+        its level's sum, which every path crosses once, and per level-T
+        state alpha * final over theirs.  ValueError on an empty language."""
+        log_z, w, wb, phi_w = self.backward(1.0)
+        if log_z == NEG_INF:
+            raise ValueError("empty language")
+        alpha, eo = np.zeros(self.num_states), self._eo
+        alpha[self.initial] = 1.0
+        self.extend(0, alpha, phi_w)
+        for t in range(self.horizon):
+            self.advance(t, alpha, alpha[self.src[eo[t]:eo[t + 1]]] * w[eo[t]:eo[t + 1]], phi_w)
+        edge = alpha[self.src] * wb
+        edge /= np.add.reduceat(edge, eo[:self.horizon])[self.level[self.src]]
+        end = alpha[self.state_off[-2]:] * self.final[self.state_off[-2]:]
+        return edge, end / end.sum()
+
     def backward(self, power: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         """Scaled backward sweep with every weight raised to ``power``.
 
@@ -168,13 +198,6 @@ class CompiledMachine:
         wb = np.empty_like(w)
         return self._sweep(power, w, phi_w, wb), w, wb, phi_w
 
-    def log_total(self, power: float) -> float:
-        """The log of the total path weight at ``power``, swept as
-        :meth:`backward` sweeps it but keeping no per-state or readout
-        array.  At power 0 the total is the path count K."""
-        return self._sweep(power, self._powered(power, self.tid, self.coef),
-                           self._powered(power, self.ptid))
-
     def _powered(self, power: float, tid: np.ndarray, coef=1.0) -> np.ndarray:
         """Edge weights coef * weight[tid] raised to ``power``.  At power 0
         a count: 1 per edge, -1 per correction, and 0 on a zero weight,
@@ -185,15 +208,14 @@ class CompiledMachine:
             return w
         return np.copysign(np.abs(coef) ** power, coef) * np.exp(power * self.log_w[tid])
 
-    def _sweep(self, power: float, w: np.ndarray, phi_w: np.ndarray, wb=None) -> float:
+    def _sweep(self, power: float, w: np.ndarray, phi_w: np.ndarray, wb: np.ndarray) -> float:
         """The scaled backward sweep at ``power``, level T down to level 0:
         the log of the total path weight.  ``w`` and ``phi_w`` are the
-        powered weights of the edges and the phi edges.  ``wb``, if given,
-        receives each edge's w * beta[dst], beta's level rescaled to
-        maximum 1.  Final weights only sit at level T, where the length
-        acceptor ends."""
-        so, eo, gb, go = (x.tolist() for x in (self.state_off, self.edge_off, self.group_bounds,
-                                                self.group_off))
+        powered weights of the edges and the phi edges; ``wb`` receives
+        each edge's w * beta[dst], beta's level rescaled to maximum 1.
+        Final weights only sit at level T, where the length acceptor ends."""
+        so, eo = self._so, self._eo
+        gb, go = self.group_bounds.tolist(), self.group_off.tolist()
         src, dst, (psrc, pdst) = self.src, self.dst, self._phi_ends
         log_scale = 0.0
         for t in range(self.horizon, -1, -1):
@@ -203,8 +225,7 @@ class CompiledMachine:
                 b = (f > 0.0) * 1.0 if power == 0.0 else f ** power
             else:
                 a, e = eo[t], eo[t + 1]
-                out = None if wb is None else wb[a:e]
-                wb_t = np.multiply(w[a:e], b[dst[a:e]], out=out)
+                wb_t = np.multiply(w[a:e], b[dst[a:e]], out=wb[a:e])
                 b = np.bincount(src[a:e] - lo, wb_t, minlength=hi - lo)
                 # A phi source inherits its target's consuming mass, so
                 # the deepest chain states settle first.
@@ -264,17 +285,18 @@ class CompiledMachine:
     @cached_property
     def log_K(self) -> float:
         """log K, kept: ``math.log`` of the exact count where there is one,
-        else :meth:`log_total` at power 0; -inf when no path is left."""
+        else the log total of :meth:`backward` at power 0, which is K;
+        -inf when no path is left."""
         k = self.num_paths
         if k is None:
-            return self.log_total(0.0)
+            return self.backward(0.0)[0]
         return math.log(k) if k else NEG_INF
 
     @cached_property
     def log_Z(self) -> float:
-        """The log of the total path weight, :meth:`log_total` at power 1,
+        """The log of the total path weight, :meth:`backward` at power 1,
         swept on first read and kept."""
-        return self.log_total(1.0)
+        return self.backward(1.0)[0]
 
     @cached_property
     def _phi_ends(self) -> tuple[np.ndarray, np.ndarray]:
@@ -288,7 +310,7 @@ class CompiledMachine:
 
     @cached_property
     def topo(self) -> _Topo:
-        """The levels as the path sums' plan (:func:`~wfa_hedge.wfa._path_plan`):
+        """The levels as the path sums' plan (:func:`~wfa_hedge.wfa._backward_logs`):
         a trim machine's Kahn generations when its edges each step one level."""
         return _Topo(np.arange(self.num_states), self.state_off, self.tid, self.edge_off)
 
@@ -408,8 +430,7 @@ class HedgeState:
         self.sym_index = {a: i for i, a in enumerate(machine.alphabet)}
 
         self.compiled = cm
-        self._edge_off, self._real_end, self._state_off = (
-            x.tolist() for x in (cm.edge_off, cm.real_end, cm.state_off))
+        self._edge_off, self._real_end = cm._eo, cm.real_end.tolist()
         # Per level the consuming and phi edges, which every pass visits.
         self._fixed = (cm.real_end - cm.edge_off[:-1]
                        + np.diff(cm.group_bounds[cm.group_off])).tolist()
@@ -485,13 +506,7 @@ class HedgeState:
         cm, t = self.compiled, self.rounds_done
         self._charges[t] = delta
         a, b = self._edge_off[t], self._edge_off[t + 1]
-        lo, hi = self._state_off[t + 1], self._state_off[t + 2]
-        mass = self._x * self._w[a:b] * np.exp(delta)[self._label]
-        self.alpha[lo:hi] = np.bincount(cm.dst[a:b], mass, minlength=hi - lo)
-        cm.extend(t + 1, self.alpha, self._phi_w)
-        peak = np.abs(self.alpha[lo:hi]).max()
-        if peak > 0:
-            self.alpha[lo:hi] /= peak
+        cm.advance(t, self.alpha, self._x * self._w[a:b] * np.exp(delta)[self._label], self._phi_w)
         self.rounds_done += 1
         # The readout and the advance each pass the level once.
         self.touched_per_round.append(self._touched)
@@ -821,11 +836,11 @@ def unweighted_regret(p_rounds: Sequence[np.ndarray], losses: Sequence[np.ndarra
 
 
 def renyi_entropy(q, eta: float) -> float:
-    """Order-``eta`` Renyi entropy of a distribution (eta != 1)."""
+    """Order-``eta`` Renyi entropy of a distribution (finite eta >= 0, eta != 1)."""
+    if not 0.0 <= eta < math.inf:  # NaN fails too
+        raise ValueError(f"order must be finite and non-negative, not {eta!r}")
     if eta == 1.0:
         raise ValueError("order 1 is the Shannon limit; use shannon_entropy")
-    if eta < 0:
-        raise ValueError("order must be non-negative")
     q = np.asarray(q, dtype=float)
     q = q[q > 0]
     return float(np.log(np.sum(q ** eta)) / (1.0 - eta))
@@ -842,19 +857,28 @@ def renyi_entropy_machine(competitor: Wfa, eta: float) -> float:
     enumerating it.
 
     H_eta = (log Z_eta - eta log Z) / (1 - eta) from two scaled backward
-    sweeps of the compiled arrays.  At eta = 1 it is the Shannon limit
-    log Z - E[log w(path)], the expectation taken from the edge and final
-    posteriors of one forward-backward sweep (Li & Eisner 2009).
+    sweeps of the compiled arrays, for a finite order eta >= 0.  At eta = 1
+    it is the Shannon limit log Z - E[log w(path)], the expectation taken
+    from the posteriors of one scaled forward-backward sweep
+    (:meth:`CompiledMachine.posteriors`; Li & Eisner 2009).
     """
+    if not 0.0 <= eta < math.inf:  # NaN fails too
+        raise ValueError(f"order must be finite and non-negative, not {eta!r}")
     cm = _compiled(competitor)
     if eta == 1.0:
         if len(cm.ptid):
             raise ValueError("the eta = 1 limit needs a plain product; "
                              "take horizon_product(phi_expand(machine), T)")
-        edge, final, log_final, log_z = _edge_marginals(competitor)
-        on, end = edge > 0.0, final > 0.0
-        return log_z - float(edge[on] @ cm.log_w[on]) - float(final[end] @ log_final[end])
-    return (cm.log_total(eta) - eta * cm.log_Z) / (1.0 - eta)
+        return cm.log_Z - _expected_score(cm, cm.log_w)
+    return (cm.backward(eta)[0] - eta * cm.log_Z) / (1.0 - eta)
+
+
+def _expected_score(cm: CompiledMachine, score: np.ndarray) -> float:
+    """E[the path's summed ``score`` (per transition of a plain machine)
+    + its log final weight] under w(x) / Z, by :meth:`CompiledMachine.posteriors`."""
+    edge, end = cm.posteriors()
+    on, f = edge > 0.0, end > 0.0
+    return float(edge[on] @ score[on]) + float(end[f] @ exact_logs(cm.final[cm.state_off[-2]:])[f])
 
 
 def tune_eta_fixed(horizon: int, num_sequences: int) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .hedge import CompiledMachine
 from .phi import PHI, PhiWfa
-from .wfa import (Transition, Wfa, _compiled, _edge_marginals, default_alphabet, intersect,
+from .wfa import (Transition, Wfa, _compiled, default_alphabet, intersect,
                   leveled_best_path, log_weight_range)
 
 __all__ = [
@@ -133,8 +133,11 @@ class NGramModel:
         for key, row in payload["tables"].items():
             ctx = tuple(key.split()) if key else ()
             missing = [a for a in alphabet if a not in row]
-            if missing:
-                raise ValueError(f"table for {ctx} has no weight for symbol {missing[0]!r}")
+            extra = [a for a in row if a not in alphabet]
+            if missing or extra:
+                raise ValueError(f"table for {ctx} has no weight for symbol {missing[0]!r}"
+                                 if missing else f"table for {ctx} has a weight for symbol "
+                                 f"{extra[0]!r}, which is not in the alphabet")
             tables[ctx] = np.array([row[a] for a in alphabet])
         return cls(alphabet, int(payload["order"]), tables)
 
@@ -211,14 +214,14 @@ def ml_ngram(machine: Wfa, order: int) -> NGramModel:
     minimizes the relative entropy from the path distribution to the
     model.  The expected count of a cell (context, symbol) is the summed
     posterior of the edges reading it in the machine's context product,
-    from one log-domain forward-backward sweep, so the fit holds at any
-    horizon.  Contexts that never occur get uniform rows and are listed
-    in ``uniform_filled_contexts`` on the result; they cannot affect any
-    supported path.
+    from one scaled forward-backward sweep (``CompiledMachine.posteriors``),
+    so the fit holds at any horizon.  Contexts that never occur get uniform
+    rows and are listed in ``uniform_filled_contexts`` on the result; they
+    cannot affect any supported path.
     """
     product, cell = _context_product(machine, order)
     n = len(machine.alphabet)
-    counts = np.bincount(cell, _edge_marginals(product)[0],
+    counts = np.bincount(cell, product.compiled.posteriors()[0],
                          minlength=_num_contexts(n, order) * n).reshape(-1, n)
     empty = counts.sum(axis=1) <= 0.0
     counts[empty] = 1.0

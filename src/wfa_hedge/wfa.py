@@ -24,12 +24,12 @@ A length-T machine, one whose sequences all have length T, is a
 product of one) and carries its one description, level-sorted arrays,
 in ``compiled``.  Its path count, log normaliser, horizon, levels and
 best paths (:func:`leveled_best_path`) are read off those arrays only
-(any other machine raises ValueError), and its path sums sweep their
-levels.  A :class:`Wfa` is immutable after construction: the columns are
-read-only arrays and the cached values never change once built (two
-threads racing to build one build equal values), so a machine is safe
-to share across threads.  Every operation in this module is a pure
-function returning a new automaton or a plain value.
+(any other machine raises ValueError); the log-domain path sums here sweep
+their levels, and the fits read its one scaled forward-backward sweep.  A
+:class:`Wfa` is immutable after construction: the columns are read-only arrays
+and the cached values never change once built (two threads racing to build one
+build equal values), so a machine is safe to share across threads.  Every
+operation in this module is a pure function returning a new automaton or a plain value.
 """
 
 from __future__ import annotations
@@ -616,12 +616,6 @@ def _refuse_phi(wfa: Wfa) -> None:
                          "weight_push_phi, power_weights_phi or phi_expand")
 
 
-def _path_plan(wfa: Wfa) -> _Topo:
-    """The plan of a plain machine's path sums: its compiled levels, or its Kahn plan."""
-    _refuse_phi(wfa)
-    return _plan(wfa) if wfa.compiled is None else wfa.compiled.topo
-
-
 def _compiled(wfa: Wfa):
     """The :class:`~wfa_hedge.hedge.CompiledMachine` of a length-T
     machine; ValueError on any machine that is not a horizon product."""
@@ -769,14 +763,17 @@ def _backward_logs(machine: Wfa, eta: float = 1.0) -> tuple[np.ndarray, np.ndarr
     """Per state, the log of the sum over its paths to acceptance of
     (path weight)**eta, -inf where there is none, and its log final weight.
 
-    One reverse log-sum-exp sweep over the plan's generations.  A
+    One reverse log-sum-exp sweep over the plan's generations (a length-T
+    machine's are its compiled levels).  A
     state's terms are eta times its log final weight, if positive, and
     eta times each positive arc's log-weight plus the arc target's value,
     if finite.  They are shifted by their maximum and summed in that
     order (final, then arcs in column order) with ``math``'s log and exp,
     so the values equal a per-state walk bit for bit.
     """
-    topo, c, log_w = _path_plan(machine), machine.columns, _edge_logs(machine)
+    _refuse_phi(machine)
+    topo = _plan(machine) if machine.compiled is None else machine.compiled.topo
+    c, log_w = machine.columns, _edge_logs(machine)
     usable = c.weight > 0.0
     final = exact_logs(_final_weights(machine)[1])
     d = np.full(machine.num_states, NEG_INF)
@@ -798,31 +795,6 @@ def _backward_logs(machine: Wfa, eta: float = 1.0) -> tuple[np.ndarray, np.ndarr
         live = np.flatnonzero(top > NEG_INF)
         d[states[live]] = top[live] + exact_logs(total[live])
     return d, final
-
-
-def _edge_marginals(machine: Wfa) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Posteriors under the path distribution w(x) / Z of a plain acyclic
-    machine: of each transition, alpha[src] * w * beta[dst] / Z, and of
-    each state as a path's end; then each state's log final weight, and
-    log Z.  Alpha and beta come from a forward and a backward log-sum-exp
-    sweep over the plan's generations on the edge-log column, so no step
-    over- or underflows (Rabiner 1989, scaled forward-backward).  Raises
-    ValueError on an empty language.
-    """
-    topo, c, log_w = _path_plan(machine), machine.columns, _edge_logs(machine)
-    beta, final = _backward_logs(machine)
-    log_z = float(beta[machine.initial])
-    if log_z == NEG_INF:
-        raise ValueError("empty language")
-    usable = c.weight > 0.0
-    alpha = np.full(machine.num_states, NEG_INF)
-    alpha[machine.initial] = 0.0
-    for g in range(len(topo.off) - 1):
-        e = topo.edges[topo.edge_off[g]:topo.edge_off[g + 1]]
-        e = e[usable[e]]
-        np.logaddexp.at(alpha, c.dst[e], alpha[c.src[e]] + log_w[e])
-    edge = np.where(usable, np.exp(alpha[c.src] + log_w + beta[c.dst] - log_z), 0.0)
-    return edge, np.exp(alpha + final - log_z), final, log_z
 
 
 def enumerate_support(wfa: Wfa, limit: int = 100_000) -> list[tuple[tuple[str, ...], float]]:

@@ -17,7 +17,7 @@ from wfa_hedge.hedge import renyi_entropy, shannon_entropy
 from wfa_hedge.ngram import NGramModel, _context_product, uniform_model
 from wfa_hedge.phi import PHI, PHI_FILTER, ConversionEvent, PhiWfa, as_phi
 from wfa_hedge.wfa import (NEG_INF, BestPath, CyclicAutomatonError, Transition, Wfa,
-                           _edge_marginals, _ranges,
+                           _backward_logs, _edge_logs, _plan, _ranges,
                            default_alphabet, enumerate_support)
 
 
@@ -936,7 +936,9 @@ def evaluate(wfa: Wfa, sequence) -> float:
 # The dict forward pass behind ml_ngram, the enumerating relative entropy
 # and the array Renyi tuner (with its path_distribution input), as the
 # library had them before ML counts, KL and the tuner became edge
-# posteriors and power sums on the machine, kept as references.
+# posteriors and power sums on the machine; and the log-domain edge
+# posteriors those read until they took the engine's scaled
+# forward-backward sweep.  Kept as references.
 
 
 def _expected_counts_forward_backward(machine: Wfa, order: int
@@ -974,6 +976,51 @@ def _expected_counts_forward_backward(machine: Wfa, order: int
                 cell = alpha[t.dst]
                 cell[nxt] = cell.get(nxt, 0.0) + mass * t.weight
     return counts
+
+
+def _edge_marginals(machine: Wfa) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Posteriors under the path distribution w(x) / Z of a plain acyclic
+    machine: of each transition, alpha[src] * w * beta[dst] / Z, and of
+    each state as a path's end; then each state's log final weight, and
+    log Z.  Alpha and beta come from a forward and a backward log-sum-exp
+    sweep over the plan's generations on the edge-log column, the
+    log-domain scheme the fits used before they read the engine's scaled
+    forward-backward sweep.  Raises ValueError on an empty language.
+    """
+    beta, final = _backward_logs(machine)  # refuses phi edges
+    topo = _plan(machine) if machine.compiled is None else machine.compiled.topo
+    c, log_w = machine.columns, _edge_logs(machine)
+    log_z = float(beta[machine.initial])
+    if log_z == NEG_INF:
+        raise ValueError("empty language")
+    usable = c.weight > 0.0
+    alpha = np.full(machine.num_states, NEG_INF)
+    alpha[machine.initial] = 0.0
+    for g in range(len(topo.off) - 1):
+        e = topo.edges[topo.edge_off[g]:topo.edge_off[g + 1]]
+        e = e[usable[e]]
+        np.logaddexp.at(alpha, c.dst[e], alpha[c.src[e]] + log_w[e])
+    edge = np.where(usable, np.exp(alpha[c.src] + log_w + beta[c.dst] - log_z), 0.0)
+    return edge, np.exp(alpha + final - log_z), final, log_z
+
+
+def enumerated_posteriors(machine: Wfa, limit: int = 100_000) -> tuple[np.ndarray, np.ndarray]:
+    """Edge and end posteriors of a plain deterministic machine by path
+    enumeration: each supported sequence adds w / Z to the transitions
+    its path takes and to the state it ends at."""
+    support = enumerate_support(machine, limit)
+    z = sum(w for _, w in support)
+    c, arc = machine.columns, {}
+    for e, (q, a) in enumerate(zip(c.src.tolist(), c.label.tolist())):
+        arc.setdefault((q, machine.alphabet[a]), e)  # the first of a repeated arc wins
+    edge, end = np.zeros(len(c.src)), np.zeros(machine.num_states)
+    for seq, w in support:
+        q = machine.initial
+        for a in seq:
+            edge[arc[q, a]] += w / z
+            q = int(c.dst[arc[q, a]])
+        end[q] += w / z
+    return edge, end
 
 
 def kl_divergence(machine: Wfa, model: NGramModel, limit: int = 100_000) -> float:
@@ -1173,16 +1220,17 @@ def ml_ngram(machine: Wfa, order: int) -> NGramModel:
     minimizes the relative entropy from the path distribution to the
     model.  The expected count of a cell (context, symbol) is the summed
     posterior of the edges reading it in the machine's context product,
-    from one log-domain forward-backward sweep, so the fit holds at any
-    horizon.  Contexts that never occur get uniform rows and are listed
-    in ``uniform_filled_contexts`` on the result; they cannot affect any
-    supported path.
+    taken from the library's one scaled forward-backward sweep
+    (``CompiledMachine.posteriors``), so that the table layout is
+    checked bit for bit.  Contexts that never occur get uniform rows and
+    are listed in ``uniform_filled_contexts`` on the result; they cannot
+    affect any supported path.
     """
     product, cell = _context_product(machine, order)
     alphabet = machine.alphabet
     n = len(alphabet)
     contexts = NGramModel._all_contexts(alphabet, order)
-    counts = np.bincount(cell, _edge_marginals(product)[0],
+    counts = np.bincount(cell, product.compiled.posteriors()[0],
                          minlength=len(contexts) * n).reshape(len(contexts), n)
     tables = {}
     filled = []
@@ -1759,6 +1807,7 @@ def compile_product(machine, horizon: int):
     key = key[by_level]
     self.edge_off = np.searchsorted(key, 2 * np.arange(horizon + 2))
     self.real_end = np.searchsorted(key, 2 * np.arange(horizon + 1) + 1)
+    self._so, self._eo = self.state_off.tolist(), self.edge_off.tolist()
 
     # Phi edges by (level, longest phi path into the source): a
     # group only reads states whose phi inflow is complete.

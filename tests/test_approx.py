@@ -7,7 +7,7 @@ from wfa_hedge.approx import (divergence_inf, kl_divergence, prod_eg,
                               ratio_subgradient, select_order)
 from wfa_hedge.builders import exact_shift_automaton, length_automaton
 from wfa_hedge.hedge import (CompiledMachine, hedge_init, hedge_step, horizon_product,
-                             weighted_regret)
+                             renyi_entropy_machine, weighted_regret)
 from wfa_hedge.ngram import (fixed_share_bigram, ml_ngram, ngram_to_wfa,
                              uniform_model)
 from wfa_hedge.wfa import Wfa, count_accepting_paths, enumerate_support
@@ -26,7 +26,7 @@ def test_divergence_zero_on_matching_model():
 
 
 def test_divergence_computes_the_log_normaliser_once_per_machine(monkeypatch):
-    # Every backward sweep, kept arrays or log only, passes CompiledMachine._sweep.
+    # Every backward sweep passes CompiledMachine._sweep.
     calls = []
     original = CompiledMachine._sweep
 
@@ -72,6 +72,18 @@ def test_kl_divergence_checks_alphabets():
     ct = horizon_product(Wfa.from_sequences([("a", "b"), ("b", "b")], alphabet=("a", "b")), 2)
     with pytest.raises(ValueError, match="alphabet mismatch"):
         kl_divergence(ct, uniform_model(("b", "a"), 1))
+
+
+def test_kl_and_the_shannon_limit_read_the_compiled_log_normaliser():
+    # Both subtract the log Z that the run's report and bounds read, the
+    # machine's compiled one, not a log Z of their own sweep: moving it
+    # moves them.
+    ct = horizon_product(exact_shift_automaton(3, 2), 6)
+    model = uniform_model(ct.alphabet, 2)
+    kl, h = kl_divergence(ct, model), renyi_entropy_machine(ct, 1.0)
+    ct.compiled.__dict__["log_Z"] = ct.compiled.log_Z + 1.0  # the kept value
+    assert kl_divergence(ct, model) == pytest.approx(kl - 1.0, rel=0, abs=1e-12)
+    assert renyi_entropy_machine(ct, 1.0) == pytest.approx(h + 1.0, rel=0, abs=1e-12)
 
 
 def test_divergence_infinite_when_model_misses_support():

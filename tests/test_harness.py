@@ -15,7 +15,7 @@ from wfa_hedge.harness import (ExperimentConfig, _gen_awake, build_automaton, co
                                gen_losses, read_awake_csv, read_losses_csv,
                                report_to_json, run_experiment, write_losses_csv)
 from wfa_hedge.hedge import horizon_product, tune_eta_fixed
-from wfa_hedge.ngram import bigram_phi_machine, fixed_share_bigram
+from wfa_hedge.ngram import NGramModel, bigram_phi_machine, fixed_share_bigram, uniform_model
 from wfa_hedge.sleeping import sleeping_regret
 from wfa_hedge.wfa import count_accepting_paths, intersect
 
@@ -589,6 +589,22 @@ def test_cli_fits_refuse_phi_machine_files(tmp_path, capsys, monkeypatch):
         assert not (tmp_path / out).exists()
 
 
+def test_cli_divergence_exits_1_on_a_model_symbol_outside_the_alphabet(tmp_path, capsys):
+    m = str(tmp_path / "m")
+    assert cli_main(["build", "--builder", "kshift", "--param", "num_experts=3",
+                     "--param", "shifts=1", "--out", m]) == 0
+    model = json.loads(uniform_model(("a", "b", "c"), 1).to_json())
+    model["tables"][""]["zz"] = 0.3  # a symbol outside the alphabet
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    out = tmp_path / "d.json"
+    assert cli_main(["divergence", "--automaton", m + ".fsa", "--symbols", m + ".syms",
+                     "--model", str(tmp_path / "model.json"), "--horizon", "4",
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: table for () has a weight for symbol 'zz', "
+                                       "which is not in the alphabet\n")
+    assert not out.exists()
+
+
 def test_cli_fits_exit_1_on_a_horizon_without_sequences(tmp_path, capsys):
     # Two experts cannot switch three times in three rounds.
     m = str(tmp_path / "m")
@@ -767,7 +783,7 @@ def test_run_experiment_counts_the_paths_once(monkeypatch, extra):
 def test_log_z_is_swept_only_where_it_is_read(monkeypatch):
     # Set-up sweeps the eta power alone: an awake run never reads log Z,
     # and a plain run's report sweeps power 1 once.  Every backward
-    # sweep, kept arrays or log only, passes CompiledMachine._sweep.
+    # sweep passes CompiledMachine._sweep.
     from wfa_hedge import harness, hedge
     powers = []
     sweep, report = hedge.CompiledMachine._sweep, harness.summarize
@@ -800,6 +816,7 @@ def test_log_z_is_swept_only_where_it_is_read(monkeypatch):
     ("kshift_tracking", {"phi": True}),
     ("fixed_share_phi", {}),
     ("kshift_tracking", {"approximation": {"kind": "ml-ngram", "order": 2}}),
+    ("kshift_tracking", {"eta": "renyi", "approximation": {"kind": "ml-ngram", "order": 2}}),
 ])
 def test_a_run_without_approximation_builds_no_kahn_plan(monkeypatch, config, extra):
     # K, log Z, the best paths, the sleeping verdict, the ML fit's
@@ -839,6 +856,39 @@ def test_a_run_without_approximation_builds_no_kahn_plan(monkeypatch, config, ex
     planned = list({id(m): m for m in planned}.values())  # a plan is built once, read often
     converted = cfg.phi and cfg.approximation is None  # a bigram takes the shared-hub form
     assert len(planned) == converted
+
+
+def test_runs_and_fits_sweep_no_log_domain_path_sum(monkeypatch, tmp_path):
+    # The fits, their divergences, the Shannon limit and the runs read the
+    # engine's scaled sweeps: the log-sum-exp sweep of the reweighting
+    # helpers, and np.logaddexp, run nowhere on these paths.
+    from wfa_hedge import wfa
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a log-domain path sum ran")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "wfa_hedge":
+            for attr, value in list(vars(module).items()):
+                if value is wfa._backward_logs:
+                    monkeypatch.setattr(module, attr, refused)
+    monkeypatch.setattr(np, "logaddexp", refused)
+    for config in CONFIGS.glob("*.json"):
+        run_experiment(ExperimentConfig.load(config))
+    base = json.loads((CONFIGS / "kshift_tracking.json").read_text())
+    run_experiment(ExperimentConfig.from_dict({**base, "phi": True}))  # phi_convert's form
+    for eta in ("renyi", "fixed"):
+        for kind in ("ml-ngram", "prod-eg", "model-select"):
+            approx = {"kind": kind, "order": 2, "iters": 5, "budget": 81}
+            cfg = {**base, "eta": eta, "approximation": approx}
+            run_experiment(ExperimentConfig.from_dict(cfg))
+    fit = ["--builder", "kshift", "--param", "num_experts=3", "--param", "shifts=1",
+           "--horizon", "8"]
+    assert cli_main(["approximate", *fit, "--out", str(tmp_path / "ml.json")]) == 0
+    assert cli_main(["divergence", *fit, "--model", str(tmp_path / "ml.json"),
+                     "--out", str(tmp_path / "d.json")]) == 0
+    ct = horizon_product(exact_shift_automaton(3, 1), 8)
+    assert kl_divergence(ct, NGramModel.from_json((tmp_path / "ml.json").read_text())) >= 0
 
 
 def test_an_awake_run_conditions_each_round_once(monkeypatch):

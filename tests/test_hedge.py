@@ -733,6 +733,33 @@ def test_renyi_entropy_machine_matches_enumeration():
     assert renyi_entropy_machine(b, 1.0) == pytest.approx(shannon_entropy(q), rel=1e-12)
 
 
+@pytest.mark.parametrize("order", [math.nan, math.inf, -math.inf, -0.5])
+def test_renyi_entropy_refuses_an_order_that_is_not_finite_and_non_negative(order):
+    # A NaN order would give a NaN entropy.
+    with pytest.raises(ValueError, match=re.escape(
+            f"order must be finite and non-negative, not {order!r}")):
+        renyi_entropy([0.5, 0.5], order)
+
+
+@pytest.mark.parametrize("competitor, horizon, order", [
+    (exact_shift_automaton(4, 1), 6, math.nan),
+    (exact_shift_automaton(4, 1), 6, math.inf),
+    (weighted_shift_automaton([[0.5, 0], [0.25, 0.75]]), 4, -0.5),
+])
+def test_renyi_entropy_machine_refuses_an_order_that_is_not_finite_and_non_negative(
+        competitor, horizon, order):
+    # A NaN order would give a NaN entropy, and inf or -0.5 an invalid
+    # value inside the sweep.  Order 0 stays: it is log K.
+    machine = horizon_product(competitor, horizon)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(
+                f"order must be finite and non-negative, not {order!r}")):
+            renyi_entropy_machine(machine, order)
+    assert renyi_entropy_machine(machine, 0.0) == pytest.approx(machine.compiled.log_K,
+                                                                rel=1e-12)
+
+
 def test_tune_eta_fixed():
     assert tune_eta_fixed(32, math.exp(4)) == pytest.approx(1.0)  # T = 8 log K
     assert tune_eta_fixed(10, 1) == 1e-6  # clamped floor

@@ -47,6 +47,15 @@ def test_from_json_names_a_missing_symbol():
         NGramModel.from_json(text)
 
 
+def test_from_json_names_a_symbol_outside_the_alphabet():
+    # Dropping the weight of 'zz' would load the row as if it were absent.
+    text = ('{"alphabet": ["a", "b", "c"], "order": 1, '
+            '"tables": {"": {"a": 0.2, "b": 0.3, "c": 0.5, "zz": 0.3}}}')
+    with pytest.raises(ValueError, match=r"^table for \(\) has a weight for symbol 'zz', "
+                                         r"which is not in the alphabet$"):
+        NGramModel.from_json(text)
+
+
 def test_tables_are_read_only_views_of_one_array():
     m = uniform_model(("a", "b", "c"), 2)
     assert m.probs.shape == (4, 3)
@@ -137,6 +146,14 @@ def test_ml_bigram_matches_closed_form():
         closed = fixed_share_bigram(n, k, t)
         for ctx in closed.tables:
             assert np.abs(fitted.tables[ctx] - closed.tables[ctx]).max() <= 1e-12
+
+
+def test_ml_bigram_of_a_long_kshift_is_the_closed_form_to_a_few_ulps():
+    # kshift(10, 5) at T = 300: the scaled forward-backward posteriors put
+    # the fit about 1.6e-15 (relative) from the closed form.
+    fit = ml_ngram(horizon_product(exact_shift_automaton(10, 5), 300), 2)
+    closed = fixed_share_bigram(10, 5, 300)
+    assert (np.abs(fit.probs - closed.probs) <= 4e-15 * closed.probs).all()
 
 
 def test_ml_bigram_joint_values():

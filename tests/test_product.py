@@ -35,11 +35,10 @@ from wfa_hedge.ngram import (_context_product, bigram_phi_machine, fixed_share_b
                              minimax_unigram, ml_ngram, uniform_model)
 from wfa_hedge.phi import PHI, PhiWfa, phi_convert, phi_expand, phi_intersect
 from wfa_hedge.sleeping import sleeping_regret, worst_comparator
-from wfa_hedge.wfa import (CyclicAutomatonError, Transition, Wfa, _edge_marginals,
-                           _final_weights, _ranges, backward_distances, count_accepting_paths,
-                           default_alphabet, enumerate_support, exact_logs, intersect,
-                           leveled_best_path, levels, log_weight_range, topological_order,
-                           weight_push)
+from wfa_hedge.wfa import (CyclicAutomatonError, Transition, Wfa, _final_weights, _ranges,
+                           backward_distances, count_accepting_paths, default_alphabet,
+                           enumerate_support, exact_logs, intersect, leveled_best_path, levels,
+                           log_weight_range, topological_order, weight_push)
 
 import oracles
 
@@ -749,9 +748,45 @@ def test_path_sums_on_compiled_levels_match_the_kahn_plan(seed, order, family):
         a, b = weight_push(machine), weight_push(ref)
         assert (a.num_states, a.initial, a.finals) == (b.num_states, b.initial, b.finals)
         assert all(np.array_equal(x, y) for x, y in zip(a.columns, b.columns))
-        for x, y in zip(_edge_marginals(machine), _edge_marginals(ref)):
+        for x, y in zip(oracles._edge_marginals(machine), oracles._edge_marginals(ref)):
             assert np.array_equal(x, y)
     assert machine._topo is None and ref._topo is not None
+
+
+def check_posteriors(machine, limit=20_000):
+    """The compiled posteriors of a plain length-T machine against the
+    log-domain oracle and, below ``limit`` paths, the enumeration, within
+    1e-12; each level's edge posteriors and the end posteriors sum to 1."""
+    cm = machine.compiled
+    try:
+        want = oracles.enumerated_posteriors(machine, limit)
+    except ValueError as exc:  # past the limit: the log-domain oracle alone
+        assert "support larger than limit" in str(exc)
+        want = None
+    if want is not None and not want[1].any():
+        for posteriors in (cm.posteriors, lambda: oracles._edge_marginals(machine)):
+            with pytest.raises(ValueError, match="empty language"):
+                posteriors()
+        return
+    edge, end = cm.posteriors()
+    lo = cm.state_off[-2]
+    for ref in [oracles._edge_marginals(machine)[:2]] + ([want] if want else []):
+        assert np.abs(edge - ref[0]).max() <= 1e-12  # a plain machine's edge e is transition e
+        assert np.abs(end - ref[1][lo:]).max() <= 1e-12 and not ref[1][:lo].any()
+    assert np.abs(np.bincount(cm.level[cm.src], edge) - 1.0).max() <= 1e-12
+    assert abs(end.sum() - 1.0) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, order=st.integers(0, 3), family=st.sampled_from(FIT_FAMILIES))
+def test_posteriors_match_the_log_domain_sweep_and_the_enumeration(seed, order, family):
+    # The engine's scaled forward-backward posteriors, which ML counts,
+    # KL and the Shannon limit read, on a horizon product (order 0) and
+    # on its context products.
+    ct = fit_product(np.random.default_rng(seed), family)
+    if ct is None:
+        return
+    check_posteriors(ct if order == 0 else _context_product(ct, order)[0])
 
 
 def test_the_shannon_limit_of_a_phi_product_names_the_plain_product():

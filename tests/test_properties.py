@@ -19,7 +19,8 @@ from wfa_hedge.approx import _ProdEGRun, divergence_inf, kl_divergence, select_o
 from wfa_hedge.builders import exact_shift_automaton, length_automaton
 from wfa_hedge.hedge import (hedge_init, hedge_step, horizon_product, log_power_sum,
                              renyi_entropy_machine, shannon_entropy, summarize, tune_eta_renyi)
-from wfa_hedge.ngram import NGramModel, bigram_phi_machine, ml_ngram, ngram_to_wfa
+from wfa_hedge.ngram import (NGramModel, _context_product, bigram_phi_machine, ml_ngram,
+                             ngram_to_wfa)
 from wfa_hedge.phi import (PhiWfa, phi_backward_distances, phi_convert, phi_expand,
                            phi_intersect, power_weights_phi, weight_push_phi)
 from wfa_hedge.sleeping import (awake_distribution, awake_init, awake_step,
@@ -837,6 +838,8 @@ def test_path_expectations_match_dict_walk_and_enumeration(seed, leveled, order,
             oracles._expected_counts_forward_backward(machine, order)
         with pytest.raises(ValueError, match="empty language"):
             ml_ngram(machine, order)
+        with pytest.raises(ValueError, match="empty language"):
+            machine.compiled.posteriors()
         return
 
     fit = ml_ngram(machine, order)
@@ -852,6 +855,15 @@ def test_path_expectations_match_dict_walk_and_enumeration(seed, leveled, order,
             row = np.ones(3)
         assert np.abs(fit.tables[ctx] - row / row.sum()).max() <= 1e-12
     assert fit.uniform_filled_contexts == tuple(filled)
+    # The posteriors the fits and the Shannon limit read, of the product
+    # and of its context product, against the log-domain oracle and the
+    # enumeration.
+    for m in (machine, _context_product(machine, order)[0]):
+        edge, end = m.compiled.posteriors()
+        lo = m.compiled.state_off[-2]
+        for ref in (oracles._edge_marginals(m)[:2], oracles.enumerated_posteriors(m)):
+            assert np.abs(edge - ref[0]).max() <= 1e-12
+            assert np.abs(end - ref[1][lo:]).max() <= 1e-12
 
     for model in (fit, _random_model(rng, machine.alphabet, order, zero_prob)):
         want = oracles.kl_divergence(machine, model)
